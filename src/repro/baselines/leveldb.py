@@ -16,7 +16,7 @@ from repro.baselines.lsm import LeveledLSM
 from repro.kvstore.api import KVStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import StoreOptions
-from repro.kvstore.scans import CostCell, merged_scan, skiplist_stream
+from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import (
     CAT_FLUSH,
     STALL_L0_SLOWDOWN,
@@ -168,14 +168,6 @@ class LevelDBStore(KVStore):
         return (None if value is TOMBSTONE else value), cost
 
     def _scan(self, start_key: bytes, count: int):
-        cost = CostCell()
-        streams: List = []
-        for table in (self.memtable, self.immutable):
-            if table is None:
-                continue
-            streams.append(
-                skiplist_stream(self.system, table.skiplist, start_key, "dram", cost)
-            )
-        streams.extend(self.lsm.scan_streams(start_key, cost))
-        pairs = merged_scan(streams, count)
-        return pairs, cost.seconds
+        sources = memtable_sources(self.memtable, self.immutable)
+        sources.extend(self.lsm.scan_sources(start_key))
+        return merged_scan(self.system, start_key, count, sources)

@@ -11,10 +11,11 @@ L1..Ln below its matrix container, and MioDB's SSD mode for the levels
 below the elastic NVM buffer.
 """
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bloom.filter import BloomFilter
-from repro.kvstore.scans import CostCell, entry_list_stream, merged_entries
+from repro.kvstore.scans import merged_scan
 from repro.obs.events import CAT_COMPACT
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
@@ -253,32 +254,20 @@ class LeveledLSM:
         entry, cost = table.get(key, self.system.cpu, self.system.stats)
         return entry, seconds + cost
 
-    def scan_streams(self, key: bytes, cost) -> List:
-        """Lazy per-table streams for a merged scan from ``key``."""
-        streams = []
-        for level_tables in self.levels:
-            for table in level_tables:
-                if table.max_key < key:
-                    continue
-                idx = self._lower_bound(table, key)
-                streams.append(
-                    entry_list_stream(
-                        self.system, table.entries, idx, self.device, cost
-                    )
-                )
-        return streams
+    def scan_sources(self, key: bytes) -> List[tuple]:
+        """Per-table sources for a merged scan from ``key``."""
+        return [
+            (table.entries, bisect_left(table._keys, key), self.device)
+            for level_tables in self.levels
+            for table in level_tables
+            if table.max_key >= key
+        ]
 
     def scan_from(self, key: bytes, count: int) -> Tuple[List[Entry], float]:
         """Merged range read across all levels (newest live versions)."""
-        cost = CostCell()
-        merged = merged_entries(self.scan_streams(key, cost), count)
-        return merged, cost.seconds
-
-    @staticmethod
-    def _lower_bound(table: SSTable, key: bytes) -> int:
-        import bisect
-
-        return bisect.bisect_left(table._keys, key)
+        return merged_scan(
+            self.system, key, count, self.scan_sources(key), as_entries=True
+        )
 
     # ------------------------------------------------------------- reporting
 

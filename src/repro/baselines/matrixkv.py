@@ -24,7 +24,7 @@ from repro.bloom.filter import BloomFilter
 from repro.kvstore.api import KVStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
-from repro.kvstore.scans import CostCell, entry_list_stream, merged_scan, skiplist_stream
+from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import (
     CAT_COMPACT,
     CAT_FLUSH,
@@ -424,30 +424,20 @@ class MatrixKVStore(KVStore):
         return (None if value is TOMBSTONE else value), seconds
 
     def _scan(self, start_key: bytes, count: int):
-        cost = CostCell()
-        streams: List = []
-        for table in (self.memtable, self.immutable):
-            if table is None:
-                continue
-            streams.append(
-                skiplist_stream(self.system, table.skiplist, start_key, "dram", cost)
-            )
-        for row in self.rows:
-            idx = bisect.bisect_left(row.keys, start_key)
-            streams.append(
-                entry_list_stream(self.system, row.entries, idx, self.system.nvm, cost)
-            )
+        nvm = self.system.nvm
+        sources = memtable_sources(self.memtable, self.immutable)
+        sources.extend(
+            (row.entries, bisect.bisect_left(row.keys, start_key), nvm)
+            for row in self.rows
+        )
         if self._inflight_column:
             window = sorted(
                 (e for k, e in self._inflight_column.items() if k >= start_key),
                 key=lambda e: (e[0], -e[1]),
             )
-            streams.append(
-                entry_list_stream(self.system, window, 0, self.system.nvm, cost)
-            )
-        streams.extend(self.lsm.scan_streams(start_key, cost))
-        pairs = merged_scan(streams, count)
-        return pairs, cost.seconds
+            sources.append((window, 0, nvm))
+        sources.extend(self.lsm.scan_sources(start_key))
+        return merged_scan(self.system, start_key, count, sources)
 
 
 def _next_key(key: bytes) -> bytes:

@@ -23,7 +23,7 @@ from repro.baselines.lsm import LeveledLSM
 from repro.kvstore.api import KVStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
-from repro.kvstore.scans import CostCell, merged_scan, skiplist_stream
+from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import (
     CAT_FLUSH,
     STALL_L0_SLOWDOWN,
@@ -282,16 +282,8 @@ class NoveLSMStore(KVStore):
         return (None if value is TOMBSTONE else value), seconds
 
     def _scan(self, start_key: bytes, count: int):
-        cost = CostCell()
-        streams: List = []
-        for table in (self.dram_mt, self.dram_imm, self.nvm_mt, self.nvm_imm):
-            if table is None:
-                continue
-            streams.append(
-                skiplist_stream(
-                    self.system, table.skiplist, start_key, table.placement, cost
-                )
-            )
-        streams.extend(self.lsm.scan_streams(start_key, cost))
-        pairs = merged_scan(streams, count)
-        return pairs, cost.seconds
+        sources = memtable_sources(
+            self.dram_mt, self.dram_imm, self.nvm_mt, self.nvm_imm
+        )
+        sources.extend(self.lsm.scan_sources(start_key))
+        return merged_scan(self.system, start_key, count, sources)

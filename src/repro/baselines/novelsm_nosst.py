@@ -73,7 +73,7 @@ class NoveLSMNoSSTStore(KVStore):
         return (None if node.is_tombstone else node.value), seconds
 
     def _scan(self, start_key: bytes, count: int):
-        node, hops = self.skiplist.first_ge(start_key)
+        node, hops = self.skiplist.seek(start_key)
         seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
         pairs: List[Tuple[bytes, object]] = []
         touched = 0

@@ -14,6 +14,7 @@ weaknesses, which the paper calls out and this implementation exhibits:
   and the selection itself costs time when the candidate list grows.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -21,7 +22,7 @@ from repro.btree.tree import NODE_BYTES, BPlusTree
 from repro.kvstore.api import KVStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import StoreOptions
-from repro.kvstore.scans import CostCell, entry_list_stream, merged_scan, skiplist_stream
+from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import CAT_COMPACT, CAT_FLUSH, STALL_MEMTABLE_FULL
 from repro.persist.arena import Arena
 from repro.persist.wal import WriteAheadLog
@@ -317,24 +318,10 @@ class SLMDBStore(KVStore):
         return (None if value is TOMBSTONE else value), seconds
 
     def _scan(self, start_key: bytes, count: int):
-        cost = CostCell()
-        streams = []
-        for table in (self.memtable, self.immutable):
-            if table is None:
-                continue
-            streams.append(
-                skiplist_stream(self.system, table.skiplist, start_key, "dram", cost)
-            )
-        import bisect as _bisect
-
-        for table in self.tables:
-            if table.released or table.max_key < start_key:
-                continue
-            idx = _bisect.bisect_left(table._keys, start_key)
-            streams.append(
-                entry_list_stream(
-                    self.system, table.entries, idx, self.system.nvm, cost
-                )
-            )
-        pairs = merged_scan(streams, count)
-        return pairs, cost.seconds
+        sources = memtable_sources(self.memtable, self.immutable)
+        sources.extend(
+            (table.entries, bisect_left(table._keys, start_key), self.system.nvm)
+            for table in self.tables
+            if not table.released and table.max_key >= start_key
+        )
+        return merged_scan(self.system, start_key, count, sources)

@@ -754,9 +754,10 @@ def cmd_perf(args) -> int:
     argv = [
         "--label", args.label, "--store", args.perf_store,
         "--ops-scale", args.ops_scale, "--repeats", str(args.repeats),
-        "--kernels", args.kernels, "--json", args.json,
-        "--band-factor", str(args.band_factor),
+        "--json", args.json, "--band-factor", str(args.band_factor),
     ]
+    if args.kernels is not None:
+        argv += ["--kernels", args.kernels]
     if args.check_band is not None:
         argv += ["--check-band", args.check_band]
     if args.history:
@@ -1069,12 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perf-store", default="miodb", metavar="STORE")
     p.add_argument("--ops-scale", choices=["tiny", "default"], default="default")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--kernels",
-        default="put,get,scan,flush,compact,cluster,"
-                "put-traced,get-traced,put-live,get-live,"
-                "put-repl0,get-repl0,put-repl2,get-repl2",
-    )
+    p.add_argument("--kernels", default=None,
+                   help="comma list of kernels (default: all of them)")
     p.add_argument("--json", default="BENCH_perf.json")
     p.add_argument("--check-band", metavar="LABEL", default=None,
                    help="compare against recorded run LABEL instead of "

@@ -19,6 +19,8 @@ consume.
 """
 
 import heapq
+from itertools import islice
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.placement import PlacementPolicy, make_placement
@@ -323,7 +325,7 @@ class ShardRouter:
                 pairs, __ = shard.store.scan(start_key, count)
             results.append(pairs)
         self.cluster.stats.add("cluster.scatter_scans", 1)
-        merged = list(heapq.merge(*results))[:count]
+        merged = list(islice(heapq.merge(*results, key=itemgetter(0)), count))
         return merged, self.cluster.clock.now - start
 
     def items(self, start_key: bytes = b"\x00", end_key: Optional[bytes] = None,

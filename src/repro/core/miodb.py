@@ -22,7 +22,7 @@ from repro.core.pmtable import PMTable
 from repro.core.repository import NvmRepository, SsdRepository
 from repro.kvstore.api import KVStore
 from repro.kvstore.memtable import MemTable
-from repro.kvstore.scans import CostCell, merged_scan, skiplist_stream
+from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.kvstore.values import value_nbytes
 from repro.obs.events import CAT_FLUSH, STALL_BUFFER_CAP, STALL_MEMTABLE_FULL
 from repro.persist.arena import Arena
@@ -351,24 +351,11 @@ class MioDB(KVStore):
         return value, seconds
 
     def _scan(self, start_key: bytes, count: int):
-        cost = CostCell()
-        streams: List = []
-        for table in (self.memtable, self.immutable):
-            if table is None:
-                continue
-            streams.append(
-                skiplist_stream(self.system, table.skiplist, start_key, "dram", cost)
-            )
+        sources = memtable_sources(self.memtable, self.immutable)
         for level_tables in self.levels:
-            for pmtable in level_tables:
-                streams.append(
-                    skiplist_stream(
-                        self.system, pmtable.skiplist, start_key, "nvm", cost
-                    )
-                )
-        streams.extend(self.repository.scan_streams(start_key, cost))
-        pairs = merged_scan(streams, count)
-        return pairs, cost.seconds
+            sources.extend((pmtable.skiplist, "nvm") for pmtable in level_tables)
+        sources.extend(self.repository.scan_sources(start_key))
+        return merged_scan(self.system, start_key, count, sources)
 
     # ------------------------------------------------------------- reporting
 

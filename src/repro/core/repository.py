@@ -17,7 +17,6 @@ visibility callback the compaction manager runs at job completion
 from typing import List, Optional, Tuple
 
 from repro.baselines.lsm import LeveledLSM
-from repro.kvstore.scans import skiplist_stream
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
 from repro.skiplist.node import NODE_OVERHEAD_BYTES, TOMBSTONE
@@ -107,11 +106,9 @@ class NvmRepository:
         seconds += self.system.nvm.read(node.nbytes, sequential=False)
         return node.value, seconds
 
-    def scan_streams(self, start_key: bytes, cost) -> List:
-        """Lazy streams for a merged scan (one: the huge skip list)."""
-        return [
-            skiplist_stream(self.system, self.skiplist, start_key, "nvm", cost)
-        ]
+    def scan_sources(self, start_key: bytes) -> List[tuple]:
+        """Sources for a merged scan (one: the huge skip list)."""
+        return [(self.skiplist, "nvm")]
 
 
 class SsdRepository:
@@ -169,5 +166,5 @@ class SsdRepository:
             return None, seconds
         return entry[2], seconds
 
-    def scan_streams(self, start_key: bytes, cost) -> list:
-        return self.lsm.scan_streams(start_key, cost)
+    def scan_sources(self, start_key: bytes) -> List[tuple]:
+        return self.lsm.scan_sources(start_key)

@@ -1,95 +1,115 @@
-"""Lazy merged range scans shared by every store.
+"""The merged range scan shared by every store.
 
 Fixed-size per-source windows under-collect when tombstones or duplicate
-versions shadow entries, so scans are built from *lazy* per-source
-streams merged globally: each source advances only as far as the merge
-needs, and the simulated cost of every advance accumulates in a shared
-:class:`CostCell`.
+versions shadow entries, so a scan is one global k-way merge over *lazy*
+per-source cursors: each source advances only as far as the merge needs,
+and every advance is charged to the simulated clock as it happens.
+
+A source is a plain tuple, listed newest-first by the caller:
+
+* ``(skiplist, placement)`` -- a MemTable, PMTable or repository skip
+  list on ``"dram"`` or ``"nvm"``; its cursor is a bottom-level node.
+* ``(entries, index, device)`` -- a sorted serialized run (SSTable,
+  matrix row) positioned at ``entries[index]``; its cursor is the index.
 """
 
-import heapq
-from typing import Iterable, Iterator, List, Tuple
+from heapq import heapify, heappop, heapreplace
+from typing import List, Sequence, Tuple
 
 from repro.skiplist.node import TOMBSTONE
-
-#: Stream items are ``(key, seq, value, nbytes)``.
-StreamItem = Tuple[bytes, int, object, int]
+from repro.sstable.table import entry_frame_bytes
 
 
-class CostCell:
-    """Mutable accumulator for the simulated seconds a scan consumed."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-
-def skiplist_stream(
-    system, skiplist, start_key: bytes, placement: str, cost: CostCell
-) -> Iterator[StreamItem]:
-    """Lazily walk a skip list from ``start_key``, charging hops + reads."""
-    node, hops = skiplist.first_ge(start_key)
-    cost.seconds += system.cpu.skiplist_search_time(placement, max(hops, 1))
-    device = system.dram if placement == "dram" else system.nvm
-    hop_cost = system.cpu.hop_time(placement)
-    while node is not None:
-        cost.seconds += hop_cost
-        cost.seconds += device.read(node.nbytes, sequential=True)
-        yield (node.key, node.seq, node.value, node.nbytes)
-        node = node.next[0]
-
-
-def entry_list_stream(
-    system,
-    entries: List[tuple],
-    start_index: int,
-    device,
-    cost: CostCell,
-    deserialize: bool = True,
-) -> Iterator[StreamItem]:
-    """Lazily read a sorted serialized run (SSTable / matrix row)."""
-    from repro.sstable.table import entry_frame_bytes
-
-    for entry in entries[start_index:]:
-        nbytes = entry_frame_bytes(entry)
-        cost.seconds += device.read(nbytes, sequential=True)
-        if deserialize:
-            cost.seconds += system.cpu.deserialize_time(nbytes)
-        yield entry
-
-
-def merged_entries(
-    streams: Iterable[Iterator[StreamItem]], count: int
-) -> List[StreamItem]:
-    """Newest live version per key across streams, up to ``count`` keys.
-
-    Tombstones shadow older versions and produce no output entry.
-    """
-
-    def keyed(stream):
-        for item in stream:
-            yield (item[0], -item[1]), item
-
-    if count <= 0:
-        return []
-    out: List[StreamItem] = []
-    last_key = None
-    for __order, item in heapq.merge(*[keyed(s) for s in streams]):
-        key, __seq, value, __nbytes = item
-        if key == last_key:
-            continue
-        last_key = key
-        if value is TOMBSTONE:
-            continue
-        out.append(item)
-        if len(out) >= count:
-            break
-    return out
+def memtable_sources(*tables) -> List[tuple]:
+    """Skip-list sources for the MemTables that exist, in the order given."""
+    return [(table.skiplist, table.placement) for table in tables if table is not None]
 
 
 def merged_scan(
-    streams: Iterable[Iterator[StreamItem]], count: int
-) -> List[Tuple[bytes, object]]:
-    """Like :func:`merged_entries` but returning ``(key, value)`` pairs."""
-    return [(key, value) for key, __, value, __n in merged_entries(streams, count)]
+    system,
+    start_key: bytes,
+    count: int,
+    sources: Sequence[tuple],
+    as_entries: bool = False,
+) -> Tuple[List[tuple], float]:
+    """Newest live version per key from ``start_key``, up to ``count`` keys.
+
+    Returns ``(pairs, seconds)`` with ``(key, value)`` pairs, or with
+    ``(key, seq, value, nbytes)`` entries when ``as_entries`` is set.
+    Tombstones shadow older versions and produce no output.
+
+    The simulated cost is order-sensitive (float addition, traced device
+    transfers), so the contract is exact: seeks are charged source by
+    source in the order given, each followed by the read of that
+    source's head; a source advances -- and is charged -- only when the
+    merge needs its next item, never after the ``count``-th pair; equal
+    ``(key, seq)`` heads leave in source order.
+    """
+    if count <= 0:
+        return [], 0.0
+    cpu = system.cpu
+    deserialize_time = cpu.deserialize_time
+    seconds = 0.0
+    heap = []
+    # Per source: (run entries or None for a skip list, hop cost, device.read).
+    state = []
+    for source in sources:
+        order = len(state)
+        if len(source) == 2:
+            skiplist, placement = source
+            node, hops = skiplist.seek(start_key)
+            seconds += cpu.skiplist_search_time(placement, max(hops, 1))
+            hop = cpu.hop_time(placement)
+            read = (system.dram if placement == "dram" else system.nvm).read
+            state.append((None, hop, read))
+            if node is not None:
+                seconds += hop
+                seconds += read(node.nbytes)
+                heap.append((node.key, -node.seq, order, node))
+        else:
+            run, index, device = source
+            read = device.read
+            state.append((run, 0.0, read))
+            if index < len(run):
+                head = run[index]
+                nbytes = entry_frame_bytes(head)
+                seconds += read(nbytes)
+                seconds += deserialize_time(nbytes)
+                heap.append((head[0], -head[1], order, index))
+    heapify(heap)
+    out: List[tuple] = []
+    last_key = None
+    while heap:
+        key, neg_seq, order, cursor = heap[0]
+        run, hop, read = state[order]
+        if key != last_key:
+            last_key = key
+            value = cursor.value if run is None else run[cursor][2]
+            if value is not TOMBSTONE:
+                if not as_entries:
+                    out.append((key, value))
+                elif run is None:
+                    out.append((key, -neg_seq, value, cursor.nbytes))
+                else:
+                    out.append(run[cursor])
+                if len(out) >= count:
+                    break
+        if run is None:
+            cursor = cursor.next[0]
+            if cursor is None:
+                heappop(heap)
+            else:
+                seconds += hop
+                seconds += read(cursor.nbytes)
+                heapreplace(heap, (cursor.key, -cursor.seq, order, cursor))
+        else:
+            cursor += 1
+            if cursor == len(run):
+                heappop(heap)
+            else:
+                head = run[cursor]
+                nbytes = entry_frame_bytes(head)
+                seconds += read(nbytes)
+                seconds += deserialize_time(nbytes)
+                heapreplace(heap, (head[0], -head[1], order, cursor))
+    return out, seconds

@@ -85,17 +85,15 @@ def test_nvm_ingest_tombstone_without_target_is_dropped(system):
 
 
 def test_nvm_scan_streams(system):
-    from repro.kvstore.scans import CostCell
+    from repro.kvstore.scans import merged_scan
 
     repo = NvmRepository(system)
     repo.ingest(
         make_pmtable(system, [(b"a", 1, b"1"), (b"b", 2, b"2"), (b"c", 3, b"3")])
     )
-    cost = CostCell()
-    streams = repo.scan_streams(b"b", cost)
-    items = [item[0] for s in streams for item in s]
-    assert items == [b"b", b"c"]
-    assert cost.seconds > 0
+    pairs, seconds = merged_scan(system, b"b", 10, repo.scan_sources(b"b"))
+    assert pairs == [(b"b", b"2"), (b"c", b"3")]
+    assert seconds > 0
 
 
 def test_ssd_repository_requires_ssd(system):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.rng import XorShiftRng
+from repro.skiplist.merge import ZeroCopyMerge
 from repro.skiplist.node import MAX_HEIGHT, TOMBSTONE, Node, random_height
 from repro.skiplist.skiplist import SkipList
 
@@ -87,6 +88,46 @@ def test_first_ge(sl):
     assert node.key == b"b"
     node, __ = sl.first_ge(b"e")
     assert node is None
+
+
+def assert_seek_is_first_ge(sl, paths):
+    """seek == first_ge for every probe: same node object, same hops."""
+    for i in range(0, 64):
+        probe = b"k%02d" % i
+        # peek at which path the seek is about to take
+        paths.add("index" if sl._index_version == sl._version else "walk")
+        node, hops = sl.seek(probe)
+        expected, expected_hops = sl.first_ge(probe)
+        assert node is expected
+        assert hops == expected_hops
+
+
+def test_seek_matches_first_ge_across_mutations(sl):
+    paths = set()
+    assert sl.seek(b"a") == (None, 0)
+    nodes = [put(sl, b"k%02d" % i, i + 1) for i in range(1, 60, 2)]
+    assert_seek_is_first_ge(sl, paths)
+    # newer versions of existing keys: seek lands on the newest
+    put(sl, b"k07", 100)
+    put(sl, b"k31", 101)
+    assert_seek_is_first_ge(sl, paths)
+    assert sl.seek(b"k07")[0].seq == 100
+    for victim in nodes[::3]:
+        sl.unlink(victim, sl.predecessors_of(victim))
+        assert_seek_is_first_ge(sl, paths)
+    # a zero-copy merge relinks nodes step by step under a built index
+    new = SkipList(XorShiftRng(2))
+    for i in range(0, 60, 4):
+        put(new, b"k%02d" % i, 200 + i)
+    assert sl.frozen_index() is not None and new.frozen_index() is not None
+    merge = ZeroCopyMerge(new, sl)
+    while merge.step():
+        # stale after every step: seeks walk until the index is rebuilt
+        assert sl.frozen_index() is None
+        assert_seek_is_first_ge(sl, paths)
+        assert_seek_is_first_ge(new, paths)
+    assert_seek_is_first_ge(sl, paths)
+    assert paths == {"index", "walk"}
 
 
 def test_key_range(sl):
