@@ -152,9 +152,12 @@ class NoveLSMStore(KVStore):
         self._ensure_nvm_room(table.skiplist.footprint_bytes)
         entries = memtable_entries(table)
         seconds = 0.0
+        # Entries arrive in the skip list's own order, so one monotone
+        # cursor locates each; the charged hops are the from-head ones.
+        cursor = self.nvm_mt.skiplist.cursor()
         with self.system.job_scope():
             for key, seq, value, value_bytes in entries:
-                node, hops = self.nvm_mt.skiplist.insert(key, seq, value, value_bytes)
+                node, hops = cursor.insert(key, seq, value, value_bytes)
                 seconds += self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
                 seconds += self.system.nvm.write(node.nbytes, sequential=False)
         last_seq = max((e[1] for e in entries), default=self.seq)

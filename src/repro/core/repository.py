@@ -27,11 +27,12 @@ from repro.sstable.table import entry_frame_bytes
 def newest_versions(skiplist: SkipList):
     """Yield the newest version node of each key, in key order."""
     last_key = None
-    for node in skiplist.nodes():
-        if node.key == last_key:
-            continue
-        last_key = node.key
-        yield node
+    node = skiplist.head.next[0]
+    while node is not None:
+        if node.key != last_key:
+            last_key = node.key
+            yield node
+        node = node.next[0]
 
 
 class NvmRepository:
@@ -61,25 +62,32 @@ class NvmRepository:
         PMTable stays readable above until the manager retires it, so
         queries see duplicates, never gaps).
         """
-        cpu = self.system.cpu
+        search_time = self.system.cpu.skiplist_search_time
         nvm = self.system.nvm
         now = self.system.now
+        skiplist = self.skiplist
+        # The PMTable is a sorted run: one monotone cursor finds, per
+        # key, both the repository's version and the insert position.
+        cursor = skiplist.cursor()
         seconds = 0.0
         for node in newest_versions(table.skiplist):
-            value_bytes = max(0, node.nbytes - len(node.key) - NODE_OVERHEAD_BYTES)
-            existing, hops = self.skiplist.get(node.key)
-            seconds += cpu.skiplist_search_time("nvm", max(hops, 1))
+            key = node.key
+            value_bytes = max(0, node.nbytes - len(key) - NODE_OVERHEAD_BYTES)
+            preds, hops = cursor.seek(key, 1 << 62)
+            seconds += search_time("nvm", max(hops, 1))
+            existing = preds[0].next[0]
+            if existing is not None and existing.key != key:
+                existing = None
             if node.is_tombstone:
                 if existing is not None:
-                    preds = self.skiplist.predecessors_of(existing)
-                    self.skiplist.unlink(existing, preds, to_garbage=False)
+                    cursor.unlink_next(to_garbage=False)
                     seconds += nvm.write(8 * existing.height, sequential=False)
                     self.arena.shrink(existing.nbytes, now)
                 continue
             if existing is not None:
                 if node.seq <= existing.seq:
                     continue
-                delta = self.skiplist.update_in_place(
+                delta = skiplist.update_in_place(
                     existing, node.seq, node.value, value_bytes
                 )
                 if delta > 0:
@@ -88,10 +96,13 @@ class NvmRepository:
                     self.arena.shrink(-delta, now)
                 seconds += nvm.write(existing.nbytes, sequential=False)
             else:
-                new_node, ins_hops = self.skiplist.insert(
-                    node.key, node.seq, node.value, value_bytes
+                # The key is absent, so the insert position is where the
+                # lookup ended (no second descent); the model still
+                # charges the copy's own search.
+                new_node, ins_hops = cursor.insert(
+                    key, node.seq, node.value, value_bytes
                 )
-                seconds += cpu.skiplist_search_time("nvm", max(ins_hops, 1))
+                seconds += search_time("nvm", max(ins_hops, 1))
                 seconds += nvm.write(new_node.nbytes, sequential=False)
                 self.arena.grow(new_node.nbytes, now)
         self.lazy_copies += 1

@@ -272,9 +272,15 @@ class WriteAheadLog:
         """Intact records with ``record.seq > seq``, in append order.
 
         The replication layer's shipping cursor: the leader's group pulls
-        fresh frames with this after every acknowledged operation.
+        fresh frames with this after every acknowledged operation, so
+        the walk starts at the tail -- records are appended in ascending
+        ``seq`` -- and costs the size of the answer, not of the log.
         """
-        return [r for r in self._records if r.seq > seq and not r.torn]
+        records = self._records
+        start = len(records)
+        while start and records[start - 1].seq > seq:
+            start -= 1
+        return [r for r in records[start:] if not r.torn]
 
     @property
     def record_count(self) -> int:

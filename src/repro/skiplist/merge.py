@@ -6,10 +6,22 @@ amplification.  Older duplicate versions are unlinked (logically deleted)
 and their bytes accumulate as garbage to be reclaimed after a later
 lazy-copy compaction.
 
-The merge is a resumable stepper with an *insertion mark*: the node
-currently in flight is recorded so queries (and crash recovery) never lose
-it.  :meth:`ZeroCopyMerge.get` implements the paper's query rule --
-consult the newtable, then the insertion mark, then the oldtable.
+Two drivers produce the same merged table and the same cost counters:
+
+- :meth:`ZeroCopyMerge.step` is the resumable stepper with an *insertion
+  mark*: the node currently in flight is recorded so queries (and crash
+  recovery) never lose it, and every node's position is searched from
+  the oldtable's head.  :meth:`ZeroCopyMerge.get` implements the paper's
+  query rule -- consult the newtable, then the insertion mark, then the
+  oldtable.
+- :meth:`ZeroCopyMerge.run` is what the stores call: the whole merge at
+  once, as one pass over the newtable's bottom level through a monotone
+  :class:`~repro.skiplist.skiplist.SkipListCursor` on the oldtable.  A
+  sorted run never needs to search backwards, so each splice costs the
+  distance from the previous one instead of a descent from the head;
+  the cursor reports the hop count that descent *would* have paid, which
+  is what the cost model charges.  ``step`` is its oracle
+  (``tests/test_merge_kernel_oracle.py``).
 """
 
 from typing import Optional, Tuple
@@ -80,46 +92,48 @@ class ZeroCopyMerge:
     def run(self) -> "ZeroCopyMerge":
         """Drive the merge to completion; returns self for chaining.
 
-        Same node-by-node procedure as :meth:`step` with the hot state
-        held in locals for the whole merge; counters, hop charges, and
-        the resulting structure are identical.  Runs synchronously (no
-        queries interleave), so the insertion mark is not maintained.
+        One pass over the newtable's bottom level, splicing through a
+        monotone cursor on the oldtable (the run is sorted, so no search
+        restarts from the head).  Counters, hop charges and the
+        resulting structure are identical to a :meth:`step` loop.  Runs
+        synchronously (no queries interleave), so the insertion mark is
+        not maintained.
         """
         if self.done:
             return self
         new = self.new
-        old = self.old
-        head = new.head
-        find = old._find_predecessors
-        unlink = new.unlink
+        cursor = self.old.cursor()
+        splice = cursor.splice
         pointer_writes = 0
         search_hops = 0
         nodes_moved = 0
-        while True:
-            node = head.next[0]
-            if node is None:
-                break
-            key = node.key
-            unlink(node, [head] * len(node.next), to_garbage=False)
-            pointer_writes += node.height
-            dup = head.next[0]
-            while dup is not None and dup.key == key:
-                unlink(dup, [head] * len(dup.next), to_garbage=True)
-                pointer_writes += dup.height
-                self.nodes_dropped += 1
-                dup = head.next[0]
-            old_preds, hops = find(key, node.seq)
-            search_hops += hops
-            nxt = node.next
-            for level in range(node.height):
-                nxt[level] = None
-            old._splice_in(node, old_preds)
-            pointer_writes += node.height
-            nodes_moved += 1
-            self._drop_following_duplicates(node)
+        nodes_dropped = 0
+        key = None
+        node = new.take_all()
+        while node is not None:
+            following = node.next[0]
+            if node.key == key:
+                # An older version inside the newtable: never migrates.
+                new.garbage_bytes += node.nbytes
+                pointer_writes += node.height
+                nodes_dropped += 1
+            else:
+                key = node.key
+                search_hops += splice(node)
+                pointer_writes += 2 * node.height
+                nodes_moved += 1
+                # Older versions that now follow it in the oldtable.
+                dup = node.next[0]
+                while dup is not None and dup.key == key:
+                    cursor.unlink_next(to_garbage=True)
+                    pointer_writes += dup.height
+                    nodes_dropped += 1
+                    dup = node.next[0]
+            node = following
         self.pointer_writes += pointer_writes
         self.search_hops += search_hops
         self.nodes_moved += nodes_moved
+        self.nodes_dropped += nodes_dropped
         self._finish()
         return self
 

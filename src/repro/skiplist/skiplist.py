@@ -7,6 +7,8 @@ lazy-copy compaction.
 
 Search methods return ``(node, hops)`` pairs; the hop counts feed the CPU
 cost model (a hop on NVM is several times more expensive than on DRAM).
+:class:`SkipListCursor` merges a whole sorted run into a list at the same
+charged hops without searching from the head for each node.
 """
 
 from bisect import bisect_left
@@ -307,6 +309,25 @@ class SkipList:
             raise ValueError(f"node not in list: {node!r}")
         return preds
 
+    def cursor(self) -> "SkipListCursor":
+        """A monotone finger for merging a sorted run into this list."""
+        return SkipListCursor(self)
+
+    def take_all(self) -> Optional[Node]:
+        """Detach every node at once; returns the former first node.
+
+        The chain stays linked through ``next[0]`` for the caller to
+        walk; the list itself is left empty, exactly as if each node had
+        been unlinked in turn with ``to_garbage=False``.
+        """
+        first = self.head.next[0]
+        if first is not None:
+            self.head.next = [None] * MAX_HEIGHT
+            self.entries = 0
+            self.data_bytes = 0
+            self._version += 1
+        return first
+
     # ------------------------------------------------------------- accounting
 
     @property
@@ -328,3 +349,180 @@ class SkipList:
             f"SkipList(entries={self.entries}, data={self.data_bytes}B, "
             f"garbage={self.garbage_bytes}B)"
         )
+
+
+class SkipListCursor:
+    """Monotone finger: merges a sorted run without re-descending.
+
+    The cursor remembers the predecessor tower of its position and, per
+    level ``L``, ``cnt[L]`` = how many nodes a from-head descent to that
+    position steps onto at level ``L`` -- the nodes of height exactly
+    ``L + 1`` behind the last taller node, i.e. the suffix maxima of the
+    prefix's tower heights that :meth:`SkipList.frozen_index` counts.
+    :meth:`seek` therefore returns the identical ``(preds, hops)`` that
+    ``_find_predecessors`` would, but pays only for the distance moved:
+    it climbs from level 0 while the next node at that level still
+    precedes the target, then descends from there.  Levels above the
+    climb keep their predecessor and count; the top level that moved
+    extends its count; the levels below it restart from zero behind
+    their new, taller predecessor.
+
+    Valid only while the cursor is the list's sole mutator and its
+    targets ascend in the list's ``(key asc, seq desc)`` order.  Both
+    misuses raise ``ValueError`` instead of returning wrong hop counts:
+    a ``_version`` the cursor did not produce, and a target the cursor
+    has already passed (one that does not sort after its bottom-level
+    predecessor; a node it spliced counts as passed).  The returned
+    ``preds`` list is the cursor's own and changes with the next call.
+    """
+
+    __slots__ = ("_list", "_preds", "_cnt", "_hops", "_version")
+
+    def __init__(self, skiplist: SkipList) -> None:
+        self._list = skiplist
+        self._preds: List[Node] = [skiplist.head] * MAX_HEIGHT
+        self._cnt = [0] * MAX_HEIGHT
+        self._hops = 0
+        self._version = skiplist._version
+
+    def _foreign_move(self) -> ValueError:
+        lst = self._list
+        return ValueError(
+            f"cursor on {lst!r} is stale: the list was mutated behind it "
+            f"(_version {self._version} -> {lst._version})"
+        )
+
+    def seek(self, key: bytes, seq: int) -> Tuple[List[Node], int]:
+        """Advance to position ``(key, seq)``; returns ``(preds, hops)``."""
+        lst = self._list
+        if lst._version != self._version:
+            raise self._foreign_move()
+        preds = self._preds
+        # Climb: a level moves iff its next node still precedes the
+        # target, and then so does every level below it.
+        level = 0
+        for pred in preds:
+            nxt = pred.next[level]
+            if nxt is None:
+                break
+            nkey = nxt.key
+            if not (nkey < key if nkey != key else nxt.seq > seq):
+                break
+            node = nxt
+            level += 1
+        if level == 0:
+            # Nothing moved: right for every target in the gap ahead,
+            # wrong only for one the cursor has already passed.
+            node = preds[0]
+            nkey = node.key
+            if not (nkey < key if nkey != key else node.seq > seq):
+                if node is not lst.head:
+                    raise ValueError(
+                        f"cursor on {lst!r} cannot move backwards: target "
+                        f"({key!r}, {seq}) does not sort after {node!r}"
+                    )
+            return preds, self._hops
+        # Descend.  The top moved level walks on from its old
+        # predecessor (same taller node behind it, so the count grows;
+        # `node` is the first step, already compared by the climb);
+        # lower levels start at the predecessor just found above.
+        cnt = self._cnt
+        hops = self._hops
+        level -= 1
+        steps = cnt[level] + 1
+        while True:
+            nxt = node.next[level]
+            while nxt is not None:
+                nkey = nxt.key
+                if not (nkey < key if nkey != key else nxt.seq > seq):
+                    break
+                node = nxt
+                nxt = node.next[level]
+                steps += 1
+            preds[level] = node
+            hops += steps - cnt[level]
+            cnt[level] = steps
+            if level == 0:
+                break
+            level -= 1
+            steps = 0
+        self._hops = hops
+        return preds, hops
+
+    def splice(self, node: Node) -> int:
+        """Link an unlinked ``node`` at its ``(key, seq)`` position.
+
+        Returns the hops of the search, like :meth:`SkipList.insert`.
+        The node joins the prefix behind the cursor: it becomes the
+        predecessor at each of its levels and one more visited node at
+        its top level, with nothing visited below that.
+        """
+        preds, hops = self.seek(node.key, node.seq)
+        self._link(node, preds)
+        return hops
+
+    def _link(self, node: Node, preds: List[Node]) -> None:
+        # SkipList._splice_in fused with the finger update, because
+        # this runs once per merged node: below the node's top level it
+        # becomes the predecessor with nothing visited behind it; at its
+        # top level it is one more visited node.
+        cnt = self._cnt
+        hops = self._hops + 1
+        nxt = node.next
+        height = node.height
+        top = height - 1
+        for level in range(top):
+            pred = preds[level]
+            nxt[level] = pred.next[level]
+            pred.next[level] = node
+            preds[level] = node
+            hops -= cnt[level]
+            cnt[level] = 0
+        pred = preds[top]
+        nxt[top] = pred.next[top]
+        pred.next[top] = node
+        preds[top] = node
+        cnt[top] += 1
+        self._hops = hops
+        lst = self._list
+        lst.entries += 1
+        lst.data_bytes += node.nbytes
+        if height > lst._tallest:
+            lst._tallest = height
+        lst._version = self._version = lst._version + 1
+
+    def insert(
+        self,
+        key: bytes,
+        seq: int,
+        value,
+        value_bytes: int,
+        height: Optional[int] = None,
+    ) -> Tuple[Node, int]:
+        """:meth:`SkipList.insert` through the cursor; same contract."""
+        preds, hops = self.seek(key, seq)
+        at = preds[0].next[0]
+        if at is not None and at.key == key and at.seq == seq:
+            raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
+        if height is None:
+            height = random_height(self._list._rng)
+        nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
+        node = Node(key, seq, value, nbytes, height)
+        self._link(node, preds)
+        return node, hops
+
+    def unlink_next(self, to_garbage: bool = True) -> Node:
+        """Unlink the node right after the cursor; returns it.
+
+        The cursor's predecessors are that node's predecessors, and the
+        prefix behind the cursor -- hence every count -- is untouched.
+        """
+        lst = self._list
+        if lst._version != self._version:
+            raise self._foreign_move()
+        node = self._preds[0].next[0]
+        if node is None:
+            raise ValueError(f"cursor on {lst!r} is at the end: nothing to unlink")
+        lst.unlink(node, self._preds, to_garbage)
+        self._version = lst._version
+        return node

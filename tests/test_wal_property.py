@@ -76,3 +76,40 @@ def test_space_accounting_matches_device(pairs):
     assert device.bytes_in_use == wal.live_bytes
     wal.truncate_through(seq // 2)
     assert device.bytes_in_use == wal.live_bytes
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.integers(1, 3)),
+            st.tuples(st.just("batch"), st.integers(1, 4)),
+            st.tuples(st.just("truncate"), st.integers(0, 120)),
+            st.tuples(st.just("tear"), st.integers(0, 3)),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from(["sync", "batch:3"]),
+    st.lists(st.integers(-1, 130), min_size=1, max_size=6),
+)
+def test_records_since_equals_full_log_filter(ops, policy, cursors):
+    """The tail walk returns exactly what filtering every record would:
+    over torn tails, group-commit-buffered records and truncated prefixes."""
+    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE), fsync_policy=policy)
+    seq = 0
+    for op, arg in ops:
+        if op == "append":
+            seq += arg  # gaps are fine; seqs only ever ascend
+            wal.append(seq, b"k%d" % seq, b"v", 1)
+        elif op == "batch":
+            items = [(seq + i + 1, b"b%d" % (seq + i + 1), b"v", 1) for i in range(arg)]
+            seq += arg
+            wal.append_batch(items)
+        elif op == "truncate":
+            wal.truncate_through(arg)
+        else:
+            wal.tear_tail(arg)
+        for cursor in cursors:
+            want = [r for r in wal._records if r.seq > cursor and not r.torn]
+            got = wal.records_since(cursor)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
