@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bloom.filter import BloomFilter
 from repro.kvstore.scans import merged_scan
-from repro.obs.events import CAT_COMPACT
+from repro.obs.events import CAT_COMPACT, STALL_L0_SLOWDOWN, STALL_L0_STOP
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
 from repro.sstable.table import Entry, SSTable, build_sstable, entry_frame_bytes
@@ -26,6 +26,40 @@ L0_COMPACTION_TRIGGER = 4
 
 #: Bits per key for the per-SSTable bloom filters (LevelDB's default-ish).
 SSTABLE_BLOOM_BITS = 10
+
+
+MEDIA = ("nvm", "ssd")
+
+
+def pick_device(system, media: str):
+    """The device a baseline keeps its SSTables on."""
+    if media not in MEDIA:
+        raise ValueError(f"unknown media {media!r}; choose from {MEDIA}")
+    device = system.nvm if media == "nvm" else system.ssd
+    if device is None:
+        raise ValueError(f"system has no {media} device")
+    return device
+
+
+class L0Backpressure:
+    """LevelDB's MakeRoomForWrite pacing for a buffered store whose
+    flushes land in L0 of ``self.lsm``: a fixed delay per write past the
+    slowdown mark (cumulative stall), no rotation past the stop mark
+    (interval stall)."""
+
+    def _l0_slowdown(self) -> float:
+        if self.lsm.l0_table_count() >= self.options.l0_slowdown_tables:
+            return self._stall_delay(
+                STALL_L0_SLOWDOWN, self.options.slowdown_delay_s
+            )
+        return 0.0
+
+    def _rotate_gate(self) -> None:
+        self._stall_until(
+            STALL_L0_STOP,
+            lambda: self.lsm.l0_table_count() >= self.options.l0_stop_tables,
+            self.lsm.maybe_compact,
+        )
 
 
 class LeveledLSM:

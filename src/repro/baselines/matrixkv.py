@@ -19,22 +19,14 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.baselines.lsm import LeveledLSM
+from repro.baselines.lsm import LeveledLSM, pick_device
 from repro.bloom.filter import BloomFilter
-from repro.kvstore.api import KVStore
+from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
-from repro.obs.events import (
-    CAT_COMPACT,
-    CAT_FLUSH,
-    STALL_L0_SLOWDOWN,
-    STALL_L0_STOP,
-    STALL_MEMTABLE_FULL,
-)
+from repro.obs.events import CAT_COMPACT, STALL_L0_SLOWDOWN, STALL_L0_STOP
 from repro.persist.arena import Arena
-from repro.persist.wal import WriteAheadLog
-from repro.sim.rng import XorShiftRng
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
 from repro.sstable.table import entry_frame_bytes
@@ -107,7 +99,7 @@ class MatrixRow:
         return not self.entries
 
 
-class MatrixKVStore(KVStore):
+class MatrixKVStore(BufferedStore):
     """MatrixKV on a DRAM+NVM machine (lower levels on NVM or SSD)."""
 
     name = "matrixkv"
@@ -118,18 +110,8 @@ class MatrixKVStore(KVStore):
         options: Optional[MatrixKVOptions] = None,
         media: str = "nvm",
     ) -> None:
-        super().__init__(system, options or MatrixKVOptions())
-        self.device = system.nvm if media == "nvm" else system.ssd
-        if self.device is None:
-            raise ValueError(f"system has no {media} device")
-        self.rng = XorShiftRng(0x3A7B)
-        self.wal = WriteAheadLog(
-            system.nvm, f"{self.name}-wal",
-            fsync_policy=self.options.fsync_policy, clock=system.clock,
-        )
-        self.memtable = MemTable(system, self.options.memtable_bytes, self.rng.fork())
-        self.immutable: Optional[MemTable] = None
-        self._flush_job = None
+        self.device = pick_device(system, media)
+        super().__init__(system, options or MatrixKVOptions(), 0x3A7B, system.nvm)
         self.rows: List[MatrixRow] = []
         self.lsm = LeveledLSM(
             system,
@@ -152,25 +134,11 @@ class MatrixKVStore(KVStore):
         """Live bytes currently held by the matrix container."""
         return sum(row.data_bytes for row in self.rows)
 
-    def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = self._throttle()
-        if self.memtable.is_full:
-            if self._flush_job is not None and not self._flush_job.done:
-                stalled = self.system.executor.wait_for(self._flush_job)
-                self._stall_wait(STALL_MEMTABLE_FULL, stalled)
-            self._wait_while_container_stopped()
-            self._rotate_memtable()
-        if self.options.wal_enabled:
-            seconds += self.wal.append(seq, key, value, value_bytes)
-        seconds += self.memtable.insert(key, seq, value, value_bytes)
-        return seconds
-
-    def _throttle(self) -> float:
+    def _write_delay(self) -> float:
         """RocksDB-style delayed writes: container pressure or pending
         flush slow the foreground instead of blocking it."""
         fill = self.container_bytes() / float(self.options.container_bytes)
-        flush_pending = self._flush_job is not None and not self._flush_job.done
-        if fill >= self.options.slowdown_threshold or flush_pending:
+        if fill >= self.options.slowdown_threshold or self._flush_busy:
             # The matrix container plays L0's role, so container
             # pressure reports as the canonical l0-slowdown cause.
             return self._stall_delay(
@@ -178,26 +146,13 @@ class MatrixKVStore(KVStore):
             )
         return 0.0
 
-    def _wait_while_container_stopped(self) -> None:
+    def _rotate_gate(self) -> None:
         limit = self.options.stop_threshold * self.options.container_bytes
-        while self.container_bytes() >= limit:
-            self._maybe_column_compact()
-            deadline = self.system.executor.next_completion()
-            if deadline is None:
-                raise RuntimeError("container full with no background work pending")
-            before = self.system.clock.now
-            self.system.clock.advance_to(deadline)
-            self.system.executor.settle()
-            self._stall_wait(STALL_L0_STOP, self.system.clock.now - before)
-
-    def _rotate_memtable(self) -> None:
-        old = self.memtable
-        old.mark_immutable()
-        self.immutable = old
-        self.memtable = MemTable(
-            self.system, self.options.memtable_bytes, self.rng.fork()
+        self._stall_until(
+            STALL_L0_STOP,
+            lambda: self.container_bytes() >= limit,
+            self._maybe_column_compact,
         )
-        self._flush_job = self._schedule_flush(old)
 
     def _schedule_flush(self, table: MemTable):
         entries = memtable_entries(table)
@@ -206,28 +161,15 @@ class MatrixKVStore(KVStore):
             seconds = self.system.dram.read(table.data_bytes, sequential=True)
             seconds += self.system.cpu.serialize_time(row.data_bytes)
             seconds += self.system.nvm.write(row.data_bytes, sequential=True)
-        last_seq = max((e[1] for e in entries), default=self.seq)
 
         def apply() -> None:
             self.rows.append(row)
-            table.release()
-            if self.immutable is table:
-                self.immutable = None
-            if self.options.wal_enabled:
-                self.wal.truncate_through(last_seq)
+            self._retire(table)
             self._maybe_column_compact()
 
-        self.system.stats.add("flush.count", 1)
-        self.system.stats.add("flush.time_s", seconds)
-        self.system.stats.add("flush.bytes", table.data_bytes)
+        job = self._submit_flush(table, seconds, apply, f"{self.name}-flush")
         self.system.stats.add("serialize.time_s", self.system.cpu.serialize_time(row.data_bytes))
-        return self.system.executor.submit(
-            self.flush_worker, seconds, apply, name=f"{self.name}-flush",
-            meta={"cat": CAT_FLUSH, "bytes": table.data_bytes},
-            # The row was serialized from the rotated MemTable at
-            # submit; in flight only that frozen table is read.
-            accesses=(("r", "memtable:imm"),),
-        )
+        return job
 
     # ------------------------------------------------------- column compaction
 

@@ -17,21 +17,14 @@ interval stalls come from.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.baselines.lsm import LeveledLSM
-from repro.kvstore.api import KVStore
+from repro.baselines.lsm import L0Backpressure, LeveledLSM, pick_device
+from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
-from repro.obs.events import (
-    CAT_FLUSH,
-    STALL_L0_SLOWDOWN,
-    STALL_L0_STOP,
-    STALL_MEMTABLE_FULL,
-)
-from repro.persist.wal import WriteAheadLog
-from repro.sim.rng import XorShiftRng
+from repro.obs.events import CAT_FLUSH
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
 
@@ -48,7 +41,7 @@ class NoveLSMOptions(StoreOptions):
     mutable_nvm: bool = True
 
 
-class NoveLSMStore(KVStore):
+class NoveLSMStore(L0Backpressure, BufferedStore):
     """NoveLSM on a DRAM+NVM machine (SSTables on NVM or SSD)."""
 
     name = "novelsm"
@@ -59,60 +52,37 @@ class NoveLSMStore(KVStore):
         options: Optional[NoveLSMOptions] = None,
         media: str = "nvm",
     ) -> None:
-        super().__init__(system, options or NoveLSMOptions())
-        if not self.options.mutable_nvm:
+        options = options or NoveLSMOptions()
+        if options.mutable_nvm:
+            self.unlogged_writes = (
+                "flat NoveLSM acknowledges NVM-direct writes that never "
+                "enter the WAL the group ships"
+            )
+        else:
             self.name = "novelsm-hier"
-        self.device = system.nvm if media == "nvm" else system.ssd
-        if self.device is None:
-            raise ValueError(f"system has no {media} device")
-        self.rng = XorShiftRng(0x2073)
-        self.wal = WriteAheadLog(
-            system.nvm, f"{self.name}-wal",
-            fsync_policy=self.options.fsync_policy, clock=system.clock,
-        )
-        self.dram_mt = MemTable(system, self.options.memtable_bytes, self.rng.fork())
-        self.dram_imm: Optional[MemTable] = None
-        self._dram_flush_job = None
+        self.device = pick_device(system, media)
+        super().__init__(system, options, 0x2073, system.nvm)
         self.nvm_mt = MemTable(
             system, self.options.nvm_memtable_bytes, self.rng.fork(), placement="nvm"
         )
         self.nvm_imm: Optional[MemTable] = None
         self._nvm_chain_tail = None
         self.lsm = LeveledLSM(system, self.options, self.device, nworkers=1, label=self.name)
-        self.dram_flush_worker = system.executor.worker(f"{self.name}-dram-flush")
+        self.flush_worker = system.executor.worker(f"{self.name}-dram-flush")
         self.nvm_flush_worker = system.executor.worker(f"{self.name}-nvm-flush")
 
     # ------------------------------------------------------------ write path
 
     def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = 0.0
-        if self.lsm.l0_table_count() >= self.options.l0_slowdown_tables:
-            seconds += self._stall_delay(
-                STALL_L0_SLOWDOWN, self.options.slowdown_delay_s
-            )
-        if not self.dram_mt.is_full:
-            return seconds + self._dram_put(key, seq, value, value_bytes)
-
-        dram_flush_busy = (
-            self._dram_flush_job is not None and not self._dram_flush_job.done
-        )
-        if dram_flush_busy:
-            if self.options.mutable_nvm:
-                # Flat NoveLSM: bypass the busy DRAM buffer, update the
-                # persistent skip list in place (no WAL needed).
-                return seconds + self._nvm_direct_put(key, seq, value, value_bytes)
-            stalled = self.system.executor.wait_for(self._dram_flush_job)
-            self._stall_wait(STALL_MEMTABLE_FULL, stalled)
-        self._wait_while_l0_stopped()
-        self._rotate_dram()
-        return seconds + self._dram_put(key, seq, value, value_bytes)
-
-    def _dram_put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = 0.0
-        if self.options.wal_enabled:
-            seconds += self.wal.append(seq, key, value, value_bytes)
-        seconds += self.dram_mt.insert(key, seq, value, value_bytes)
-        return seconds
+        # The slowdown is added to the finished put cost here rather than
+        # seeding the skeleton's sum (its ``_write_delay`` stays 0.0):
+        # float addition does not associate, and results are pinned.
+        seconds = self._l0_slowdown()
+        if self.options.mutable_nvm and self.memtable.is_full and self._flush_busy:
+            # Flat NoveLSM: bypass the busy DRAM buffer, update the
+            # persistent skip list in place (no WAL needed).
+            return seconds + self._nvm_direct_put(key, seq, value, value_bytes)
+        return seconds + super()._put(key, seq, value, value_bytes)
 
     def _nvm_direct_put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         seconds = self._ensure_nvm_room(len(key) + value_bytes + 64)
@@ -127,22 +97,11 @@ class NoveLSMStore(KVStore):
         """
         if self.nvm_mt.skiplist.footprint_bytes + incoming <= self.nvm_mt.capacity_bytes:
             return 0.0
-        stalled = 0.0
-        if self.nvm_imm is not None:
-            if self._nvm_chain_tail is not None and not self._nvm_chain_tail.done:
-                stalled = self.system.executor.wait_for(self._nvm_chain_tail)
-                self._stall_wait(STALL_MEMTABLE_FULL, stalled)
+        stalled = self._await_flush(self._nvm_chain_tail)
         self._rotate_nvm()
         return stalled
 
-    def _rotate_dram(self) -> None:
-        old = self.dram_mt
-        old.mark_immutable()
-        self.dram_imm = old
-        self.dram_mt = MemTable(self.system, self.options.memtable_bytes, self.rng.fork())
-        self._dram_flush_job = self._schedule_dram_flush(old)
-
-    def _schedule_dram_flush(self, table: MemTable):
+    def _schedule_flush(self, table: MemTable):
         """Flush the immutable DRAM MemTable into the NVM skip list.
 
         Per the paper: each KV is located and copied one by one, paying an
@@ -160,38 +119,19 @@ class NoveLSMStore(KVStore):
                 node, hops = cursor.insert(key, seq, value, value_bytes)
                 seconds += self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
                 seconds += self.system.nvm.write(node.nbytes, sequential=False)
-        last_seq = max((e[1] for e in entries), default=self.seq)
 
-        def apply() -> None:
-            table.release()
-            if self.dram_imm is table:
-                self.dram_imm = None
-            if self.options.wal_enabled:
-                self.wal.truncate_through(last_seq)
-
-        self.system.stats.add("flush.count", 1)
-        self.system.stats.add("flush.time_s", seconds)
-        self.system.stats.add("flush.bytes", table.data_bytes)
-        return self.system.executor.submit(
-            self.dram_flush_worker, seconds, apply, name=f"{self.name}-dram-flush",
-            meta={"cat": CAT_FLUSH, "bytes": table.data_bytes},
-            # The NVM-side inserts happen synchronously at submit
-            # (foreground-ordered); in flight only the frozen DRAM
-            # MemTable is read.  Concurrent NVM-direct puts land in the
-            # *active* NVM MemTable, a disjoint region by design.
-            accesses=(("r", "memtable:imm"),),
+        # The NVM-side inserts happened synchronously above (foreground-
+        # ordered); in flight only the frozen DRAM MemTable is read.
+        # Concurrent NVM-direct puts land in the *active* NVM MemTable,
+        # a disjoint region by design.
+        return self._submit_flush(
+            table, seconds, lambda: self._retire(table),
+            f"{self.name}-dram-flush",
         )
 
     def _rotate_nvm(self) -> None:
-        old = self.nvm_mt
-        old.mark_immutable()
-        self.nvm_imm = old
-        self.nvm_mt = MemTable(
-            self.system,
-            self.options.nvm_memtable_bytes,
-            self.rng.fork(),
-            placement="nvm",
-        )
+        old = self.nvm_imm = self.nvm_mt
+        self.nvm_mt = old.rotate(self.rng)
         self._schedule_nvm_flush(old)
 
     def _schedule_nvm_flush(self, table: MemTable) -> None:
@@ -225,23 +165,12 @@ class NoveLSMStore(KVStore):
         self.system.stats.add("flush.bytes", table.data_bytes)
         self._nvm_chain_tail = tail
 
-    def _wait_while_l0_stopped(self) -> None:
-        while self.lsm.l0_table_count() >= self.options.l0_stop_tables:
-            self.lsm.maybe_compact()
-            deadline = self.system.executor.next_completion()
-            if deadline is None:
-                raise RuntimeError("L0 stopped with no background work pending")
-            before = self.system.clock.now
-            self.system.clock.advance_to(deadline)
-            self.system.executor.settle()
-            self._stall_wait(STALL_L0_STOP, self.system.clock.now - before)
-
     # ------------------------------------------------------------- read path
 
     def _batch_lookup(self):
         tables = tuple(
             t
-            for t in (self.dram_mt, self.dram_imm, self.nvm_mt, self.nvm_imm)
+            for t in (self.memtable, self.immutable, self.nvm_mt, self.nvm_imm)
             if t is not None
         )
         lsm_get = self.lsm.get
@@ -268,7 +197,7 @@ class NoveLSMStore(KVStore):
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
         seconds = 0.0
         best = None
-        for table in (self.dram_mt, self.dram_imm, self.nvm_mt, self.nvm_imm):
+        for table in (self.memtable, self.immutable, self.nvm_mt, self.nvm_imm):
             if table is None:
                 continue
             node, cost = table.get(key)
@@ -286,7 +215,7 @@ class NoveLSMStore(KVStore):
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(
-            self.dram_mt, self.dram_imm, self.nvm_mt, self.nvm_imm
+            self.memtable, self.immutable, self.nvm_mt, self.nvm_imm
         )
         sources.extend(self.lsm.scan_sources(start_key))
         return merged_scan(self.system, start_key, count, sources)

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.btree.tree import NODE_BYTES, BPlusTree
-from repro.kvstore.api import KVStore
+from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
-from repro.obs.events import CAT_COMPACT, CAT_FLUSH, STALL_MEMTABLE_FULL
+from repro.obs.events import CAT_COMPACT
 from repro.persist.arena import Arena
-from repro.persist.wal import WriteAheadLog
-from repro.sim.rng import XorShiftRng
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
 from repro.sstable.table import SSTable, build_sstable
@@ -43,51 +41,24 @@ class SLMDBOptions(StoreOptions):
     btree_order: int = 64
 
 
-class SLMDBStore(KVStore):
+class SLMDBStore(BufferedStore):
     """Single-level SSTables + NVM B+-tree index."""
 
     name = "slmdb"
 
     def __init__(self, system, options: Optional[SLMDBOptions] = None) -> None:
-        super().__init__(system, options or SLMDBOptions())
-        self.rng = XorShiftRng(0x51DB)
-        self.wal = WriteAheadLog(
-            system.nvm, f"{self.name}-wal",
-            fsync_policy=self.options.fsync_policy, clock=system.clock,
-        )
-        self.memtable = MemTable(system, self.options.memtable_bytes, self.rng.fork())
-        self.immutable: Optional[MemTable] = None
-        self._flush_job = None
+        super().__init__(system, options or SLMDBOptions(), 0x51DB, system.nvm)
         self.tables: List[SSTable] = []
         self.index = BPlusTree(self.options.btree_order)
         self.index_arena = Arena(system.nvm, 0, system.now, f"{self.name}-index")
         # One worker for BOTH flushing and compaction: index order must
         # be preserved, so they cannot overlap (the paper's criticism).
-        self.worker = system.executor.worker(f"{self.name}-background")
+        self.worker = self.flush_worker = system.executor.worker(
+            f"{self.name}-background"
+        )
         self.compactions_done = 0
 
     # ------------------------------------------------------------ write path
-
-    def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = 0.0
-        if self.memtable.is_full:
-            if self._flush_job is not None and not self._flush_job.done:
-                stalled = self.system.executor.wait_for(self._flush_job)
-                self._stall_wait(STALL_MEMTABLE_FULL, stalled)
-            self._rotate_memtable()
-        if self.options.wal_enabled:
-            seconds += self.wal.append(seq, key, value, value_bytes)
-        seconds += self.memtable.insert(key, seq, value, value_bytes)
-        return seconds
-
-    def _rotate_memtable(self) -> None:
-        old = self.memtable
-        old.mark_immutable()
-        self.immutable = old
-        self.memtable = MemTable(
-            self.system, self.options.memtable_bytes, self.rng.fork()
-        )
-        self._flush_job = self._schedule_flush(old)
 
     def _index_cost(self, visits: int, writes: int = 0) -> float:
         seconds = visits * self.system.cpu.hop_time("nvm")
@@ -116,27 +87,15 @@ class SLMDBStore(KVStore):
             for key, seq, __v, __vb in entries:
                 seconds += self._index_put(key, sst, seq)
         self._grow_index_arena(nodes_before)
-        last_seq = max((e[1] for e in entries), default=self.seq)
 
         def apply() -> None:
             self.tables.append(sst)
-            table.release()
-            if self.immutable is table:
-                self.immutable = None
-            if self.options.wal_enabled:
-                self.wal.truncate_through(last_seq)
+            self._retire(table)
             self._maybe_compact()
 
-        self.system.stats.add("flush.count", 1)
-        self.system.stats.add("flush.time_s", seconds)
-        self.system.stats.add("flush.bytes", table.data_bytes)
-        return self.system.executor.submit(
-            self.worker, seconds, apply, name=f"{self.name}-flush",
-            meta={"cat": CAT_FLUSH, "bytes": table.data_bytes},
-            # Only the rotated MemTable is read while in flight; the
-            # B+-tree index was already updated synchronously at submit.
-            accesses=(("r", "memtable:imm"),),
-        )
+        # Only the rotated MemTable is read while in flight; the B+-tree
+        # index was already updated synchronously above.
+        return self._submit_flush(table, seconds, apply, f"{self.name}-flush")
 
     def _grow_index_arena(self, nodes_before: int) -> None:
         grown = self.index.node_count - nodes_before

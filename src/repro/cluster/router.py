@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.placement import PlacementPolicy, make_placement
 from repro.sim.clock import SimClock
-from repro.sim.latency import LatencyRecorder
 from repro.sim.stats import StatsRegistry
 
 
@@ -208,13 +207,6 @@ class Cluster:
             recorders.append(recorder.attach(shard.system))
         return recorders
 
-    def merged_latency(self) -> LatencyRecorder:
-        """Store-level latency samples pooled across every shard."""
-        merged = LatencyRecorder()
-        for shard in self.shards:
-            merged.merge_from(shard.system.latency)
-        return merged
-
     def __repr__(self) -> str:
         return (
             f"Cluster({self.store_name!r}, shards={self.n_shards}, "
@@ -265,10 +257,6 @@ class ShardRouter:
         """Zero the traffic window (after a hot-shard check/rebalance)."""
         self.shard_ops = [0] * self.cluster.n_shards
         self.slot_ops = {}
-
-    def shard_store(self, shard_id: int):
-        """The store behind ``shard_id``."""
-        return self.cluster.shards[shard_id].store
 
     # ------------------------------------------------------- KVStore API
 

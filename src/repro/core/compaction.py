@@ -181,12 +181,6 @@ class CompactionManager:
             return True
         return False
 
-    # ------------------------------------------------------------- reporting
-
-    def buffer_table_count(self) -> int:
-        """PMTables currently in the elastic buffer."""
-        return sum(len(level) for level in self.store.levels)
-
     def __repr__(self) -> str:
         counts = [len(level) for level in self.store.levels]
         return f"CompactionManager(levels={counts})"

@@ -20,19 +20,16 @@ from repro.core.compaction import CompactionManager
 from repro.core.options import MioOptions
 from repro.core.pmtable import PMTable
 from repro.core.repository import NvmRepository, SsdRepository
-from repro.kvstore.api import KVStore
+from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.kvstore.values import value_nbytes
-from repro.obs.events import CAT_FLUSH, STALL_BUFFER_CAP, STALL_MEMTABLE_FULL
+from repro.obs.events import CAT_FLUSH, STALL_BUFFER_CAP
 from repro.persist.arena import Arena
-from repro.persist.crash import PASSIVE_INJECTOR
-from repro.persist.wal import WriteAheadLog
-from repro.sim.rng import XorShiftRng
 from repro.skiplist.node import TOMBSTONE
 
 
-class MioDB(KVStore):
+class MioDB(BufferedStore):
     """LSM-style KV store for hybrid DRAM/NVM memory (the paper's system)."""
 
     name = "miodb"
@@ -43,16 +40,9 @@ class MioDB(KVStore):
         options: Optional[MioOptions] = None,
         crash_injector=None,
     ) -> None:
-        super().__init__(system, options or MioOptions())
-        self.crash = crash_injector or PASSIVE_INJECTOR
-        self.rng = XorShiftRng(0x111D)
-        self.wal = WriteAheadLog(
-            system.nvm, "miodb-wal",
-            fsync_policy=self.options.fsync_policy, clock=system.clock,
+        super().__init__(
+            system, options or MioOptions(), 0x111D, system.nvm, crash_injector
         )
-        self.memtable = MemTable(system, self.options.memtable_bytes, self.rng.fork())
-        self.immutable: Optional[MemTable] = None
-        self._flush_tail = None
         self._inflight_pmtable: Optional[PMTable] = None
         self._bloom_geometry = None
         self.levels: List[List[PMTable]] = [
@@ -67,46 +57,23 @@ class MioDB(KVStore):
 
     # ------------------------------------------------------------ write path
 
-    def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = 0.0
-        if self.memtable.is_full:
-            if self._flush_tail is not None and not self._flush_tail.done:
-                stalled = self.system.executor.wait_for(self._flush_tail)
-                self._stall_wait(STALL_MEMTABLE_FULL, stalled)
-            self._respect_buffer_cap()
-            self._rotate_memtable()
-        if self.options.wal_enabled:
-            seconds += self.wal.append(seq, key, value, value_bytes)
-            self.crash.reach("put.after_wal")
-        seconds += self.memtable.insert(key, seq, value, value_bytes)
-        return seconds
-
-    def _respect_buffer_cap(self) -> None:
+    def _rotate_gate(self) -> None:
+        """Hold rotation while the elastic buffer is at its NVM cap."""
         cap = self.options.max_nvm_buffer_bytes
-        if cap is None:
-            return
-        while self.elastic_buffer_bytes() + self.options.memtable_bytes > cap:
-            self.compactor.check()
-            deadline = self.system.executor.next_completion()
-            if deadline is None:
-                if not self.compactor.force_progress():
-                    raise RuntimeError("NVM buffer cap hit with nothing to drain")
-                deadline = self.system.executor.next_completion()
-                if deadline is None:
-                    raise RuntimeError("NVM buffer cap hit with no background work")
-            before = self.system.clock.now
-            self.system.clock.advance_to(deadline)
-            self.system.executor.settle()
-            self._stall_wait(STALL_BUFFER_CAP, self.system.clock.now - before)
+        if cap is not None:
+            self._stall_until(
+                STALL_BUFFER_CAP,
+                lambda: self.elastic_buffer_bytes() + self.options.memtable_bytes > cap,
+                self._drain_buffer,
+            )
 
-    def _rotate_memtable(self) -> None:
-        old = self.memtable
-        old.mark_immutable()
-        self.immutable = old
-        self.memtable = MemTable(
-            self.system, self.options.memtable_bytes, self.rng.fork()
-        )
-        self._flush_tail = self._schedule_flush(old)
+    def _drain_buffer(self) -> None:
+        self.compactor.check()
+        if (
+            self.system.executor.next_completion() is None
+            and not self.compactor.force_progress()
+        ):
+            raise RuntimeError("NVM buffer cap hit with nothing to drain")
 
     def _schedule_flush(self, table: MemTable):
         """One-piece flush + background pointer swizzling (Section 4.2)."""
@@ -125,22 +92,18 @@ class MioDB(KVStore):
         self._inflight_pmtable = pmtable
 
         # One pass over the table's nodes gathers everything the flush
-        # needs -- bloom keys, pointer count, entry count, and the WAL
-        # truncation horizon (previously three separate iterations).
-        # An empty table (never produced by the put path, which only
-        # rotates a *full* MemTable, but reachable via direct calls)
-        # degenerates to last_seq = self.seq and a zero-work flush.
+        # needs -- bloom keys, pointer count and entry count.  An empty
+        # table (never produced by the put path, which only rotates a
+        # *full* MemTable, but reachable via direct calls) degenerates
+        # to a zero-work flush.
         entries = 0
         pointers = 0
-        last_seq = None
         with self.system.job_scope():
             if self.options.one_piece_flush:
                 bloom_keys = [] if bloom is not None else None
                 for node in table.skiplist.nodes():
                     entries += 1
                     pointers += node.height
-                    if last_seq is None or node.seq > last_seq:
-                        last_seq = node.seq
                     if bloom_keys is not None:
                         bloom_keys.append(node.key)
                 if bloom_keys:
@@ -165,8 +128,6 @@ class MioDB(KVStore):
                 copy_seconds = 0.0
                 for node in table.skiplist.nodes():
                     entries += 1
-                    if last_seq is None or node.seq > last_seq:
-                        last_seq = node.seq
                     if bloom is not None:
                         bloom.add(node.key)
                     hops = max(1, node.height * 3)
@@ -175,9 +136,6 @@ class MioDB(KVStore):
                         node.nbytes, sequential=False
                     )
                 swizzle_seconds = self.system.cpu.bloom_build_time(entries)
-
-        if last_seq is None:
-            last_seq = self.seq
 
         def copy_done() -> None:
             self.crash.reach("flush.after_copy")
@@ -188,24 +146,13 @@ class MioDB(KVStore):
             if self._inflight_pmtable is pmtable:
                 self._inflight_pmtable = None
             self.levels[0].append(pmtable)
-            table.release()
-            if self.immutable is table:
-                self.immutable = None
-            if self.options.wal_enabled:
-                self.wal.truncate_through(last_seq)
+            self._retire(table)
             self.compactor.check()
 
-        self.system.stats.add("flush.count", 1)
-        self.system.stats.add("flush.time_s", copy_seconds)
-        self.system.stats.add("flush.bytes", table.data_bytes)
-        self.system.stats.add("swizzle.time_s", swizzle_seconds)
-        self.system.executor.submit(
-            self.flush_worker, copy_seconds, copy_done,
-            name="miodb-one-piece-flush",
-            meta={"cat": CAT_FLUSH, "bytes": table.data_bytes, "entries": entries},
-            # One-piece flush reads the rotated immutable MemTable.
-            accesses=(("r", "memtable:imm"),),
+        self._submit_flush(
+            table, copy_seconds, copy_done, "miodb-one-piece-flush", entries=entries
         )
+        self.system.stats.add("swizzle.time_s", swizzle_seconds)
         return self.system.executor.submit(
             self.flush_worker, swizzle_seconds, swizzle_done,
             name="miodb-swizzle",
@@ -261,13 +208,7 @@ class MioDB(KVStore):
             seconds += self.wal.append_batch(items)
             self.crash.reach("write.after_wal_batch")
         for seq, key, value, nbytes in items:
-            if self.memtable.is_full:
-                if self._flush_tail is not None and not self._flush_tail.done:
-                    stalled = self.system.executor.wait_for(self._flush_tail)
-                    self._stall_wait(STALL_MEMTABLE_FULL, stalled)
-                self._respect_buffer_cap()
-                self._rotate_memtable()
-            seconds += self.memtable.insert(key, seq, value, nbytes)
+            seconds += self.stage_logged(key, seq, value, nbytes, stall=True)
         self.system.stats.add("user.bytes_written", user_bytes)
         self.system.stats.add("op.batch", 1)
         return self._finish("batch", start, seconds)

@@ -58,18 +58,14 @@ def recover(crashed: MioDB) -> Tuple[MioDB, float]:
             if node.seq > max_seq:
                 max_seq = node.seq
 
-    fresh_wal = store.wal
-    store.wal = crashed.wal
-    del fresh_wal  # never appended to; nothing to release
+    store.wal = crashed.wal  # the fresh one was never appended to
 
     # Replay intact WAL records into a fresh MemTable hierarchy.
     seconds = 0.0
     replayed = 0
     for record in store.wal.replay():
         seconds += system.nvm.read(record.frame_bytes, sequential=True)
-        if store.memtable.is_full:
-            store._rotate_memtable()
-        seconds += store.memtable.insert(
+        seconds += store.stage_logged(
             record.key, record.seq, record.value, record.value_bytes
         )
         if record.seq > max_seq:

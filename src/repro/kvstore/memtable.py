@@ -53,6 +53,9 @@ class MemTable:
             self.device, capacity_bytes, system.now, f"memtable-{self.table_id}"
         )
         self.immutable = False
+        #: Newest sequence number staged here (0 while empty): the WAL
+        #: may be truncated through it once this table is flushed.
+        self.last_seq = 0
 
     @property
     def data_bytes(self) -> int:
@@ -69,6 +72,8 @@ class MemTable:
         if self.immutable:
             raise ValueError("insert into an immutable MemTable")
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
+        if seq > self.last_seq:
+            self.last_seq = seq
         seconds = self.system.cpu.skiplist_search_time(self.placement, max(hops, 1))
         seconds += self.device.write(node.nbytes, sequential=False)
         return seconds
@@ -85,9 +90,10 @@ class MemTable:
             seconds += self.device.read(node.nbytes, sequential=False)
         return node, seconds
 
-    def mark_immutable(self) -> None:
-        """Freeze the table prior to flushing."""
+    def rotate(self, rng: XorShiftRng) -> "MemTable":
+        """Freeze this table prior to flushing; returns its empty successor."""
         self.immutable = True
+        return MemTable(self.system, self.capacity_bytes, rng.fork(), self.placement)
 
     def release(self) -> None:
         """Free the arena once flushing (and swizzling) completed."""

@@ -106,10 +106,6 @@ class HeadSampler:
             self._left = left
         return live
 
-    def advance_many(self, n: int) -> List[bool]:
-        """Decisions for the next ``n`` ops, one per op."""
-        return [self.advance() for __ in range(n)]
-
     def take(self, n: int) -> Tuple[int, bool]:
         """Consume up to ``n`` ops sharing the current decision.
 

@@ -6,10 +6,10 @@ clock -- behind the single-store read/write surface.  Writes go to the
 leader; the leader's fresh WAL frames are pulled into the group's
 replicated log and shipped to each follower over a per-follower link
 device (latency + bandwidth charged through a ``repro.mem`` profile).
-Followers replay shipped frames through the existing WAL apply path
-(append to their own WAL, insert into their MemTable, rotating/flushing
-exactly like a recovering store would), so follower state converges to
-the leader's byte-for-byte.
+Followers append shipped frames to their own WAL and stage them through
+``BufferedStore.stage_logged`` -- the entry point crash recovery replays
+through -- rotating/flushing exactly like a recovering store would, so
+follower state converges to the leader's byte-for-byte.
 
 Three LSN watermarks order everything (LSN = 1-based index into the
 group's replicated log):
@@ -35,6 +35,7 @@ already-shipped frame is applied before the new leader serves.
 
 from typing import Callable, List, Optional, Tuple
 
+from repro.kvstore.buffered import BufferedStore
 from repro.mem.device import Device
 from repro.obs.events import (
     CAT_REPL,
@@ -54,11 +55,6 @@ from repro.sim.stats import StatsRegistry
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
-
-#: Attributes a store must expose for follower replay (the WAL apply
-#: path shared with crash recovery).
-_REQUIRED_STORE_ATTRS = ("wal", "memtable", "_rotate_memtable")
-
 
 class Session:
     """Read-your-writes token: the last acked LSN per group.
@@ -206,12 +202,12 @@ class ReplicaGroup:
 
     def _make_member(self, rid: int) -> Replica:
         store, system = self._factory(rid)
-        for attr in _REQUIRED_STORE_ATTRS:
-            if not hasattr(store, attr):
-                raise ValueError(
-                    f"store {store.name!r} cannot be replicated: follower "
-                    f"replay needs {attr!r} (the WAL apply path)"
-                )
+        reason = (
+            store.unlogged_writes if isinstance(store, BufferedStore)
+            else "it has no WAL for the group to ship and replay"
+        )
+        if reason is not None:
+            raise ValueError(f"store {store.name!r} cannot be replicated: {reason}")
         if not store.options.wal_enabled:
             raise ValueError(
                 f"store {store.name!r} has wal_enabled=False; replication "
@@ -516,9 +512,9 @@ class ReplicaGroup:
     ) -> None:
         """Shipped frames arrived: append to the follower's WAL and apply.
 
-        The append/insert happen through the same WAL apply path crash
-        recovery uses, so follower flushes and compactions fire exactly
-        as they would on a recovering store.  Durability advances now;
+        Records are staged through ``stage_logged``, as crash recovery
+        does, so follower flushes and compactions fire exactly as they
+        would on a recovering store.  Durability advances now;
         read visibility (``applied_lsn``) advances when the apply job --
         charged the replay's simulated cost -- completes.
         """
@@ -528,9 +524,7 @@ class ReplicaGroup:
             seconds += store.wal.append(
                 record.seq, record.key, record.value, record.value_bytes
             )
-            if store.memtable.is_full:
-                store._rotate_memtable()
-            seconds += store.memtable.insert(
+            seconds += store.stage_logged(
                 record.key, record.seq, record.value, record.value_bytes
             )
             if record.seq > follower.last_seq:

@@ -36,13 +36,6 @@ class RunResult:
             return 0.0
         return self.ops / self.duration_s / 1e3
 
-    @property
-    def mb_per_s(self) -> float:
-        """User bytes written per second during the phase, in MB/s."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.stats_delta.get("user.bytes_written", 0.0) / self.duration_s / 2**20
-
     def __repr__(self) -> str:
         return (
             f"RunResult({self.name!r}, ops={self.ops}, "

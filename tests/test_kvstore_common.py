@@ -80,7 +80,7 @@ def test_memtable_fills_up(system):
 
 def test_memtable_immutable_rejects_inserts(system):
     table = MemTable(system, 1 << 20, XorShiftRng(1))
-    table.mark_immutable()
+    table.rotate(XorShiftRng(2))
     with pytest.raises(ValueError):
         table.insert(b"k", 1, b"v", 1)
 

@@ -245,7 +245,7 @@ def test_ingest_matches_per_node_original(seed):
 
 
 def reference_dram_flush(self, table):
-    """``NoveLSMStore._schedule_dram_flush`` as it was: one descent per KV."""
+    """``NoveLSMStore._schedule_flush`` as it was: one descent per KV."""
     self._ensure_nvm_room(table.skiplist.footprint_bytes)
     entries = memtable_entries(table)
     seconds = 0.0
@@ -258,8 +258,8 @@ def reference_dram_flush(self, table):
 
     def apply() -> None:
         table.release()
-        if self.dram_imm is table:
-            self.dram_imm = None
+        if self.immutable is table:
+            self.immutable = None
         if self.options.wal_enabled:
             self.wal.truncate_through(last_seq)
 
@@ -267,7 +267,7 @@ def reference_dram_flush(self, table):
     self.system.stats.add("flush.time_s", seconds)
     self.system.stats.add("flush.bytes", table.data_bytes)
     return self.system.executor.submit(
-        self.dram_flush_worker, seconds, apply, name=f"{self.name}-dram-flush",
+        self.flush_worker, seconds, apply, name=f"{self.name}-dram-flush",
         meta={"cat": CAT_FLUSH, "bytes": table.data_bytes},
         accesses=(("r", "memtable:imm"),),
     )
@@ -281,9 +281,9 @@ def drive_novelsm(reference: bool):
     )
     store = NoveLSMStore(system, options)
     if reference:
-        store._schedule_dram_flush = types.MethodType(reference_dram_flush, store)
+        store._schedule_flush = types.MethodType(reference_dram_flush, store)
     flushes = []
-    schedule = store._schedule_dram_flush
+    schedule = store._schedule_flush
 
     def spy(table):
         job = schedule(table)
@@ -292,7 +292,7 @@ def drive_novelsm(reference: bool):
         )
         return job
 
-    store._schedule_dram_flush = spy
+    store._schedule_flush = spy
     rng = XorShiftRng(99)
     latencies = []
     for i in range(2500):

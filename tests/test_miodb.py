@@ -64,7 +64,7 @@ def test_immutable_serves_reads_during_flush(system, tiny_mio_options):
         i += 1
     # flush + swizzle are still in flight; every written key must be
     # readable right now
-    assert store._flush_tail is not None and not store._flush_tail.done
+    assert store._flush_job is not None and not store._flush_job.done
     for j in range(i):
         value, __ = store.get(b"key%06d" % j)
         assert value is not None

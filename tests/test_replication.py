@@ -55,11 +55,17 @@ def test_quorum_math():
 
 
 def test_unreplicable_stores_are_rejected():
-    # novelsm-nosst has no WAL at all; novelsm replays into a persistent
-    # MemTable the generic apply path does not drive.
-    for name in ("novelsm", "novelsm-nosst"):
-        with pytest.raises(ValueError):
-            make_group(followers=1, store_name=name)
+    # Replication ships the leader's WAL and replays it through
+    # BufferedStore.stage_logged: novelsm-nosst has neither, and flat
+    # novelsm acknowledges writes the WAL never sees.
+    with pytest.raises(ValueError, match="'novelsm-nosst' cannot be replicated: it has no WAL"):
+        make_group(followers=1, store_name="novelsm-nosst")
+    with pytest.raises(
+        ValueError,
+        match="'novelsm' cannot be replicated: flat NoveLSM acknowledges "
+        "NVM-direct writes that never enter the WAL the group ships",
+    ):
+        make_group(followers=1, store_name="novelsm")
 
 
 # ------------------------------------------------------- shipping and acks

@@ -212,10 +212,9 @@ def old_scan(store, start_key, count):
         return old_nosst_scan(store, start_key, count)
     system = store.system
     cost = CostCell()
+    tables = (store.memtable, store.immutable)
     if isinstance(store, NoveLSMStore):
-        tables = (store.dram_mt, store.dram_imm, store.nvm_mt, store.nvm_imm)
-    else:
-        tables = (store.memtable, store.immutable)
+        tables += (store.nvm_mt, store.nvm_imm)
     streams = [
         skiplist_stream(system, t.skiplist, start_key, t.placement, cost)
         for t in tables
