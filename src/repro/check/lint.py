@@ -258,7 +258,7 @@ class _LintVisitor(ast.NodeVisitor):
                 self._check_iteration(node.args[0])
         # Stall-cause literals at the canonical call sites.
         if isinstance(func, ast.Attribute) and func.attr in (
-            "_stall_wait", "_stall_delay"
+            "_stall_wait", "_stall_delay", "_stall_until"
         ):
             if node.args:
                 cause = _const_str(node.args[0])

@@ -118,6 +118,8 @@ def test_voc001_flags_unknown_stall_cause():
     findings = lint_text(src)
     assert _rules(findings) == ["VOC001"]
     assert "made-up" in findings[0].message
+    src = "def f(self):\n    self._stall_until('made-up', blocked, kick)\n"
+    assert _rules(lint_text(src)) == ["VOC001"]
 
 
 def test_voc001_flags_unknown_cause_in_dict_literal():
