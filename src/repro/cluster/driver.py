@@ -139,6 +139,7 @@ class _ClientState:
     def __init__(self, index: int, spec: ClientSpec) -> None:
         self.index = index
         self.spec = spec
+        self.closed_loop = spec.closed_loop  # math.isinf once, not per request
         self.issued = 0
         self.completed = 0
         self.dropped = 0
@@ -297,14 +298,14 @@ def run_cluster(
         """Queue the client's next request; open-loop paces off ``base``."""
         if state.issued >= state.spec.n_ops:
             return
-        if state.spec.closed_loop:
+        if state.closed_loop:
             push(state.make_request(clock.now))
         else:
             push(state.make_request(base + state.next_gap()))
 
     for state in states:
         if state.spec.n_ops > 0:
-            if state.spec.closed_loop:
+            if state.closed_loop:
                 push(state.make_request(start_time))
             else:
                 push(state.make_request(start_time + state.next_gap()))
@@ -333,7 +334,7 @@ def run_cluster(
             )
         state = states[request.client]
         state.dropped += 1
-        if state.spec.closed_loop and state.issued < state.spec.n_ops:
+        if state.closed_loop and state.issued < state.spec.n_ops:
             # The closed-loop client saw the rejection; it retries its
             # *next* op after a short backoff rather than spinning at
             # the same instant.
@@ -370,7 +371,7 @@ def run_cluster(
                 depth = len(queues[shard])
                 if depth > max_depth[shard]:
                     max_depth[shard] = depth
-            if fresh and not states[request.client].spec.closed_loop:
+            if fresh and not states[request.client].closed_loop:
                 schedule_next(states[request.client], request.arrival)
 
         # Serve the earliest-admitted request (FIFO across shards).
@@ -469,7 +470,7 @@ def run_cluster(
             served += 1
             if dashboard is not None:
                 dashboard.maybe_refresh(now)
-            if state.spec.closed_loop:
+            if state.closed_loop:
                 schedule_next(state, now)
             if chaos is not None and chaos.maybe_fire(completed):
                 # A kill or restart just fired: the shard's leader (and

@@ -18,6 +18,7 @@ deterministic and identical across runs.
 
 import bisect
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.bloom.hashing import fnv1a_64
@@ -25,6 +26,7 @@ from repro.bloom.hashing import fnv1a_64
 _MASK64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=2048)
 def ring_hash(data: bytes) -> int:
     """64-bit ring position of ``data``.
 
@@ -32,6 +34,9 @@ def ring_hash(data: bytes) -> int:
     sequential keys (``user...0001``, ``user...0002``) and vnode labels
     would cluster into tight runs and defeat the ring's balancing.  A
     splitmix64 finalizer spreads them over the full 64-bit space.
+
+    Memoised because the router hashes every routed op's key and real
+    (skewed) traffic repeats keys; the bound keeps the memo near 0.5 MB.
     """
     h = fnv1a_64(data)
     h ^= h >> 30

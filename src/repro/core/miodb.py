@@ -16,6 +16,7 @@ levels are strictly age-ordered.
 from typing import List, Optional, Tuple
 
 from repro.bloom.filter import BloomFilter
+from repro.bloom.hashing import probe_positions
 from repro.core.compaction import CompactionManager
 from repro.core.options import MioOptions
 from repro.core.pmtable import PMTable
@@ -219,25 +220,28 @@ class MioDB(BufferedStore):
         tables = tuple(
             t for t in (self.memtable, self.immutable) if t is not None
         )
-        # One entry per PMTable in probe order, with the bloom gate
-        # pre-resolved: probe costs are pure functions of the filter
-        # geometry, and a saturated (or absent) filter always passes.
-        # Filters only change via settled background callbacks, after
-        # which multi_get requests a fresh closure.
-        cpu = self.system.cpu
+        # One ``(bits, get)`` entry per PMTable in probe order, with the
+        # bloom gate pre-resolved: ``bits`` is None for a table whose
+        # filter is absent or saturated (it always passes, for free).
+        # The saturation test builds a filter nobody has queried yet;
+        # ``bits()`` is then its live bit array, which adds and merges
+        # update in place.  Every filter shares the store's one
+        # geometry, so the probe costs are two constants.  Filters only
+        # change via settled background callbacks, after which multi_get
+        # requests a fresh closure.
         gated = []
+        k = nbits = 0
         for level_tables in self.levels:
             for pmtable in reversed(level_tables):
                 bloom = pmtable.bloom
                 if bloom is None or bloom.saturation > 0.9:
-                    gated.append((None, 0.0, 0.0, pmtable.get))
+                    gated.append((None, pmtable.get))
                 else:
-                    gated.append((
-                        bloom.may_contain,
-                        cpu.bloom_probe_time(bloom.k),
-                        cpu.bloom_probe_time(2),
-                        pmtable.get,
-                    ))
+                    k, nbits = bloom.k, bloom.nbits
+                    gated.append((bloom.bits(), pmtable.get))
+        cpu = self.system.cpu
+        hit_cost = cpu.bloom_probe_time(k)
+        miss_cost = cpu.bloom_probe_time(2)
         repo_get = self.repository.get
 
         def lookup(key):
@@ -247,13 +251,21 @@ class MioDB(BufferedStore):
                 seconds += cost
                 if node is not None:
                     return (None if node.is_tombstone else node.value), seconds
-            for may_contain, hit_cost, miss_cost, table_get in gated:
-                if may_contain is not None:
-                    if may_contain(key):
-                        seconds += hit_cost
+            # Hashed once per key, and only if some table is gated.
+            positions = probe_positions(key, k, nbits) if nbits else ()
+            for bits, table_get in gated:
+                if bits is not None:
+                    for pos in positions:
+                        if not bits[pos]:
+                            seconds += miss_cost
+                            break
                     else:
-                        seconds += miss_cost
-                        continue
+                        seconds += hit_cost
+                        node, cost = table_get(key)
+                        seconds += cost
+                        if node is not None:
+                            return (None if node.is_tombstone else node.value), seconds
+                    continue
                 node, cost = table_get(key)
                 seconds += cost
                 if node is not None:
@@ -275,12 +287,25 @@ class MioDB(BufferedStore):
             seconds += cost
             if node is not None:
                 return (None if node.is_tombstone else node.value), seconds
+        positions = None
         for level_tables in self.levels:
             for pmtable in reversed(level_tables):
-                possible, probe_cost = pmtable.may_contain(key)
-                seconds += probe_cost
-                if not possible:
-                    continue
+                bloom = pmtable.bloom
+                # The gate of ``PMTable.may_contain``: a saturated filter
+                # approves everything, so it is skipped for free; a
+                # definite miss short-circuits after ~2 probes.
+                if bloom is not None and bloom.saturation <= 0.9:
+                    if positions is None:
+                        # The first gated table: hash once for all of
+                        # them (they share the store's one geometry).
+                        positions = probe_positions(key, bloom.k, bloom.nbits)
+                        cpu = self.system.cpu
+                        hit_cost = cpu.bloom_probe_time(bloom.k)
+                        miss_cost = cpu.bloom_probe_time(2)
+                    if not bloom.probe(positions):
+                        seconds += miss_cost
+                        continue
+                    seconds += hit_cost
                 node, cost = pmtable.get(key)
                 seconds += cost
                 if node is not None:

@@ -60,6 +60,10 @@ class PMTable:
         pays all k probes.  Saturated filters on big merged tables thus
         cost more per query *and* admit more false-positive searches --
         the effect that caps the useful level depth (paper Section 4.6).
+
+        ``MioDB``'s read path applies this gate inline so that one get
+        hashes its key once for every table; this per-table form is the
+        reference it is held to (``tests/test_miodb_read_oracle.py``).
         """
         if self.bloom is None:
             return True, 0.0

@@ -148,14 +148,15 @@ class Executor:
         """
         if duration < 0:
             raise ValueError(f"job duration must be >= 0, got {duration}")
-        start = max(worker.busy_until, self.clock.now)
+        now = self.clock._now  # slot read; the property costs a call
+        start = max(worker.busy_until, now)
         if not_before is not None and not_before > start:
             start = not_before
         end = start + duration
         worker.busy_until = end
         worker.total_busy += duration
         worker.jobs_run += 1
-        job = Job(name, worker, start, end, callback, submitted_at=self.clock.now)
+        job = Job(name, worker, start, end, callback, submitted_at=now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))
         if self._submit_listeners:
             for listener in list(self._submit_listeners):
@@ -171,7 +172,7 @@ class Executor:
         callbacks applied.  Callbacks may submit new jobs; those are
         drained too if they also finish within the horizon.
         """
-        horizon = self.clock.now if until is None else until
+        horizon = self.clock._now if until is None else until
         applied = 0
         while self._heap and self._heap[0][0] <= horizon:
             __, __, job = heapq.heappop(self._heap)

@@ -36,7 +36,7 @@ def test_merge_is_commutative_on_bits(a_keys, b_keys):
     b2.add_all(b_keys)
     a1.merge_from(b1)
     b2.merge_from(a2)
-    assert a1._words == b2._words
+    assert a1.bits() == b2.bits()
 
 
 @given(key_lists)

@@ -1,0 +1,211 @@
+"""MioDB's read path against the per-table walk it replaced.
+
+``MioDB._get`` and the ``_batch_lookup`` closure hash a key once and test
+the positions against each PMTable's filter bits; before, every table
+ran ``PMTable.may_contain`` (saturation test, hash, probe) on its own.
+That per-table walk is kept below as the reference.  All three must
+return ``==`` values and float seconds, charge the same device reads and
+emit the same traced transfers.
+
+The second half pins what the laziness is for: writes, flushes, merges
+and ``quiesce`` hash nothing and build no filter; the first get does.
+"""
+
+import pytest
+
+from repro.baselines.leveldb import LevelDBStore
+from repro.bloom.hashing import probe_positions
+from repro.core import MioDB, MioOptions
+from repro.kvstore.options import StoreOptions
+from repro.kvstore.values import SizedValue
+from repro.mem.system import HybridMemorySystem
+from repro.obs.events import CAT_TRANSFER
+from repro.skiplist.node import TOMBSTONE
+from repro.workloads.dbbench import fill_random
+from repro.workloads.keys import key_for
+from repro.workloads.ycsb import load_phase
+
+KB = 1 << 10
+KEY_SPACE = 400
+
+
+def reference_get(store, key):
+    """``MioDB._get`` as it was: every PMTable gates the key itself."""
+    seconds = 0.0
+    for table in (store.memtable, store.immutable):
+        if table is None:
+            continue
+        node, cost = table.get(key)
+        seconds += cost
+        if node is not None:
+            return (None if node.is_tombstone else node.value), seconds
+    for level_tables in store.levels:
+        for pmtable in reversed(level_tables):
+            possible, probe_cost = pmtable.may_contain(key)
+            seconds += probe_cost
+            if not possible:
+                continue
+            node, cost = pmtable.get(key)
+            seconds += cost
+            if node is not None:
+                return (None if node.is_tombstone else node.value), seconds
+    value, cost = store.repository.get(key)
+    seconds += cost
+    if value is None or value is TOMBSTONE:
+        return None, seconds
+    return value, seconds
+
+
+def populated(n_puts, use_blooms=True, trace=False):
+    """An unquiesced store whose filters run from half full to saturated.
+
+    4 bits per key of *one* MemTable: an L0 table sits near 0.5, a table
+    merged from four or more is past the 0.9 cut-off and goes ungated.
+    """
+    system = HybridMemorySystem()
+    options = MioOptions(
+        memtable_bytes=8 * KB, sstable_bytes=8 * KB, num_levels=4,
+        bloom_bits_per_key=4, bloom_capacity_tables=1, use_blooms=use_blooms,
+    )
+    store = MioDB(system, options)
+    for i in range(n_puts):
+        store.put(b"key%06d" % ((i * 7919) % KEY_SPACE), SizedValue(i, 256))
+        if i % 13 == 5:
+            store.delete(b"key%06d" % ((i * 31) % KEY_SPACE))
+    recorder = system.attach_tracing() if trace else None
+    return store, system, recorder
+
+
+def probe_keys():
+    """Live, overwritten, deleted and absent keys, inside and outside the range."""
+    present = [b"key%06d" % i for i in range(KEY_SPACE)]
+    absent = [b"key%06dzz" % i for i in range(0, KEY_SPACE, 3)]
+    return present + absent + [b"", b"a", b"key", b"zzz"]
+
+
+def hash_calls():
+    """(hits, misses) of the position memo; any call at all moves one."""
+    info = probe_positions.cache_info()
+    return info.hits, info.misses
+
+
+def observe(system, recorder, lookup, key):
+    """One lookup's full footprint: result, device counters, transfers."""
+    devices = [d for d in (system.dram, system.nvm) if d is not None]
+    before = [(d.bytes_read, d.read_ops) for d in devices]
+    mark = len(recorder.events) if recorder is not None else 0
+    value, seconds = lookup(key)
+    reads = [
+        (d.bytes_read - b, d.read_ops - o)
+        for d, (b, o) in zip(devices, before)
+    ]
+    emitted = []
+    if recorder is not None:
+        emitted = [
+            (e.track, e.name, e.ts, sorted(e.args.items()))
+            for e in recorder.events[mark:]
+        ]
+        assert all(e.cat == CAT_TRANSFER for e in recorder.events[mark:])
+    return value, seconds, reads, emitted
+
+
+# Whichever path runs first is the one that finds the filters unbuilt.
+ORDERS = {
+    "get-first": ("get", "batch", "reference"),
+    "batch-first": ("batch", "reference", "get"),
+    "reference-first": ("reference", "get", "batch"),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("n_puts", [500, 900])
+def test_three_read_paths_agree(n_puts, order, trace):
+    store, system, recorder = populated(n_puts, trace=trace)
+    blooms = [t.bloom for level in store.levels for t in level]
+    assert not any(b.built for b in blooms)
+    closure = []
+
+    def batch(key):
+        # Taken on first use: asking for the closure already builds.
+        if not closure:
+            closure.append(store._batch_lookup())
+        return closure[0](key)
+
+    paths = {
+        "get": store._get,
+        "batch": batch,
+        "reference": lambda key: reference_get(store, key),
+    }
+    hits = misses = nvm_reads = 0
+    for key in probe_keys():
+        seen = [
+            observe(system, recorder, paths[name], key) for name in ORDERS[order]
+        ]
+        assert seen[0] == seen[1] == seen[2], key
+        value, __, reads, emitted = seen[0]
+        hits += value is not None
+        misses += value is None
+        nvm_reads += reads[1][1]
+        if trace:
+            assert len(emitted) == sum(ops for __, ops in reads)
+    # Vacuity guards: hits and misses, both gate outcomes, every tier.
+    assert hits > 100 and misses > 100 and nvm_reads > 100
+    saturations = [b.saturation for b in blooms]
+    assert max(saturations) > 0.9 and min(saturations) < 0.6
+    assert store.repository.entry_count > 0 or n_puts == 500
+    assert (store.immutable is not None) == (n_puts == 500)
+
+
+def test_three_read_paths_agree_without_blooms():
+    store, system, recorder = populated(900, use_blooms=False, trace=True)
+    assert all(t.bloom is None for level in store.levels for t in level)
+    before = hash_calls()
+    lookup = store._batch_lookup()
+    for key in probe_keys():
+        seen = [
+            observe(system, recorder, path, key)
+            for path in (store._get, lookup, lambda k: reference_get(store, k))
+        ]
+        assert seen[0] == seen[1] == seen[2], key
+    assert hash_calls() == before  # nothing gated: no hashing
+
+
+# ------------------------------------------- writes build nothing; reads do
+
+
+def test_miodb_fill_and_quiesce_build_no_filter(system):
+    before = hash_calls()
+    store = MioDB(system, MioOptions(memtable_bytes=8 * KB, num_levels=4))
+    fill_random(store, 900, 256, quiesce=True)
+    blooms = [t.bloom for level in store.levels for t in level]
+    assert len(blooms) >= 2
+    assert system.stats.get("compact.count") > 0  # merged filters included
+    assert not any(b.built for b in blooms)
+    assert sum(b.added for b in blooms) == sum(len(b._pending) for b in blooms)
+    assert hash_calls() == before
+
+    # An absent key walks every table, so the first get builds them all.
+    assert store.get(b"user-absent")[0] is None
+    assert all(b.built for b in blooms)
+    assert hash_calls()[1] > before[1]
+
+
+def test_leveldb_load_builds_no_filter(system):
+    before = hash_calls()
+    store = LevelDBStore(
+        system, StoreOptions(memtable_bytes=8 * KB, sstable_bytes=8 * KB)
+    )
+    load_phase(store, 600, 256)
+    store.quiesce()
+    blooms = store.lsm._blooms
+    assert len(blooms) >= 3
+    assert system.stats.get("compact.count") > 0
+    assert not any(b.built for b in blooms.values())
+    assert hash_calls() == before
+
+    # A get only builds the filters of the tables whose range covers it.
+    assert store.get(key_for(300))[0] is not None
+    built = sum(b.built for b in blooms.values())
+    assert 1 <= built <= len(blooms)
+    assert hash_calls()[1] > before[1]
