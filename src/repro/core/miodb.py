@@ -13,6 +13,7 @@ repository.  The first hit is the newest version because tables and
 levels are strictly age-ordered.
 """
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.bloom.filter import BloomFilter
@@ -217,65 +218,116 @@ class MioDB(BufferedStore):
     # ------------------------------------------------------------- read path
 
     def _batch_lookup(self):
-        tables = tuple(
-            t for t in (self.memtable, self.immutable) if t is not None
-        )
-        # One ``(bits, get)`` entry per PMTable in probe order, with the
-        # bloom gate pre-resolved: ``bits`` is None for a table whose
-        # filter is absent or saturated (it always passes, for free).
-        # The saturation test builds a filter nobody has queried yet;
-        # ``bits()`` is then its live bit array, which adds and merges
-        # update in place.  Every filter shares the store's one
-        # geometry, so the probe costs are two constants.  Filters only
-        # change via settled background callbacks, after which multi_get
-        # requests a fresh closure.
-        gated = []
+        """A flat probe plan: ``_get`` with every layer crossing hoisted.
+
+        One entry per MemTable, PMTable and (NVM) repository skip list
+        in probe order, each carrying the table's pre-resolved bloom gate
+        and its current ``frozen_index()`` arrays, so the closure serves
+        a key with one inline ``bisect_left`` and one ``Device.read`` per
+        probed table.  ``hops * unit`` is the cost model's
+        ``hops * (hop + compare)`` bit for bit.
+
+        The captured arrays are valid only until the next settled
+        background callback relinks a list or moves a table; ``multi_get``
+        then asks for a fresh closure, which is why this one must never
+        be stored.  A list whose index is in rebuild back-off keeps its
+        table's own ``get``; the others are credited with the keys the
+        closure served (``lookup.served``, once per batch), or the
+        back-off would take every captured index for an unused one.
+        """
+        system = self.system
+        cpu = system.cpu
+        nvm_unit = cpu.skiplist_search_time("nvm", 1)
+        nvm_read = system.nvm.read
+        captured = []
+
+        def entry(bits, skiplist, unit, read, table_get):
+            index = skiplist.frozen_index()
+            if index is None:
+                return (bits, None, None, None, 0, unit, read, table_get)
+            captured.append((skiplist, index))
+            keys, nodes, hops_at = index
+            return (bits, keys, nodes, hops_at, len(keys), unit, read, table_get)
+
+        plan = [
+            entry(
+                None, t.skiplist, cpu.skiplist_search_time(t.placement, 1),
+                t.device.read, t.get,
+            )
+            for t in (self.memtable, self.immutable) if t is not None
+        ]
+        # ``bits`` is None for a table whose filter is absent or
+        # saturated (it always passes, for free).  The saturation test
+        # builds a filter nobody has queried yet; ``bits()`` is then its
+        # live bit array, which adds and merges update in place.  Every
+        # filter shares the store's one geometry, so the probe costs are
+        # two constants.
         k = nbits = 0
         for level_tables in self.levels:
             for pmtable in reversed(level_tables):
                 bloom = pmtable.bloom
                 if bloom is None or bloom.saturation > 0.9:
-                    gated.append((None, pmtable.get))
+                    bits = None
                 else:
                     k, nbits = bloom.k, bloom.nbits
-                    gated.append((bloom.bits(), pmtable.get))
-        cpu = self.system.cpu
+                    bits = bloom.bits()
+                plan.append(
+                    entry(bits, pmtable.skiplist, nvm_unit, nvm_read, pmtable.get)
+                )
         hit_cost = cpu.bloom_probe_time(k)
         miss_cost = cpu.bloom_probe_time(2)
         repo_get = self.repository.get
+        if not self.options.ssd_mode:
+            last = entry(None, self.repository.skiplist, nvm_unit, nvm_read, None)
+            if last[1] is not None:
+                plan.append(last)
+                repo_get = None
 
         def lookup(key):
             seconds = 0.0
-            for table in tables:
-                node, cost = table.get(key)
-                seconds += cost
-                if node is not None:
-                    return (None if node.is_tombstone else node.value), seconds
-            # Hashed once per key, and only if some table is gated.
-            positions = probe_positions(key, k, nbits) if nbits else ()
-            for bits, table_get in gated:
+            positions = None
+            for bits, keys, nodes, hops_at, n, unit, read, table_get in plan:
                 if bits is not None:
+                    if positions is None:
+                        # Hashed once per key, by the first gated table.
+                        positions = probe_positions(key, k, nbits)
                     for pos in positions:
                         if not bits[pos]:
                             seconds += miss_cost
                             break
                     else:
                         seconds += hit_cost
-                        node, cost = table_get(key)
+                        bits = None
+                    if bits is not None:
+                        continue
+                if keys is None:
+                    node, cost = table_get(key)
+                    seconds += cost
+                    if node is None:
+                        continue
+                else:
+                    p = bisect_left(keys, key)
+                    cost = (hops_at[p] or 1) * unit
+                    if p == n or keys[p] != key:
                         seconds += cost
-                        if node is not None:
-                            return (None if node.is_tombstone else node.value), seconds
-                    continue
-                node, cost = table_get(key)
-                seconds += cost
-                if node is not None:
-                    return (None if node.is_tombstone else node.value), seconds
+                        continue
+                    node = nodes[p]
+                    seconds += cost + read(node.nbytes, False)
+                value = node.value
+                return (None if value is TOMBSTONE else value), seconds
+            if repo_get is None:
+                return None, seconds
             value, cost = repo_get(key)
             seconds += cost
             if value is None or value is TOMBSTONE:
                 return None, seconds
             return value, seconds
 
+        def served(count: int) -> None:
+            for skiplist, index in captured:
+                skiplist.credit_index(index, count)
+
+        lookup.served = served
         return lookup
 
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:

@@ -23,6 +23,13 @@ BATCH_EQUIVALENCE = {
 _MEMTABLE_REGION = ("memtable:active",)
 
 
+def _report_served(lookup, count: int) -> None:
+    """Tell a batch closure how many keys it served, if it asks to know."""
+    served = getattr(lookup, "served", None)
+    if served is not None:
+        served(count)
+
+
 class KVStore(ABC):
     """Base class wiring operations to the simulated machine.
 
@@ -128,23 +135,28 @@ class KVStore(ABC):
         require = self._require_key
         for key in keys:
             require(key)
+        results: List[Tuple[Optional[object], float]] = []
+        if not keys:
+            return results
         system = self.system
         clock = system.clock
         executor = system.executor
         heap = executor._heap
         settle = executor.settle
-        record = system.latency.record
+        stamp, sample = system.latency.appenders("get")
         obs = system.obs
         race = system.race
         coalesce = obs is not None and obs.coalesce_ops
         fallback = self._get
         lookup = self._batch_lookup() or fallback
-        results: List[Tuple[Optional[object], float]] = []
+        taken = 0
         starts: List[float] = []
         durs: List[float] = []
         for key in keys:
             if heap and heap[0][0] <= clock._now:
                 if settle():
+                    _report_served(lookup, len(results) - taken)
+                    taken = len(results)
                     lookup = self._batch_lookup() or fallback
             if race is not None:
                 race.op("get", reads=_MEMTABLE_REGION)
@@ -153,17 +165,18 @@ class KVStore(ABC):
             clock.advance(seconds)
             now = clock._now
             latency = now - start
-            record("get", now, latency)
+            stamp(now)
+            sample(latency)
             results.append((value, latency))
             if coalesce:
                 starts.append(start)
                 durs.append(latency)
             elif obs is not None:
                 obs.span("foreground", "get", "op", start, now)
-        if keys:
-            system.stats.add("op.get", float(len(keys)))
-            if coalesce:
-                obs.op_batch("foreground", "get", starts, durs)
+        _report_served(lookup, len(results) - taken)
+        system.stats.add("op.get", float(len(keys)))
+        if coalesce:
+            obs.op_batch("foreground", "get", starts, durs)
         return results
 
     def scan(self, start_key: bytes, count: int) -> Tuple[List[Tuple[bytes, object]], float]:
@@ -241,7 +254,9 @@ class KVStore(ABC):
         settled background callback may have moved tables around; the
         returned closure must produce byte-identical ``(value, seconds)``
         pairs to ``_get``.  Returning ``None`` (the default) makes the
-        batch loop fall back to ``_get`` per key.
+        batch loop fall back to ``_get`` per key.  A closure that sets a
+        ``served`` attribute has it called with the number of keys it
+        served when the loop drops it, at a refresh or at the end.
         """
         return None
 
@@ -258,17 +273,19 @@ class KVStore(ABC):
         defers only the stats-registry adds (pure integer sums, exact in
         float) and, in coalesced trace mode, the span emission.
         """
+        latencies: List[float] = []
+        if not ops:
+            return latencies
         system = self.system
         clock = system.clock
         executor = system.executor
         heap = executor._heap
         settle = executor.settle
-        record = system.latency.record
+        stamp, sample = system.latency.appenders(kind)
         put_ = self._put
         obs = system.obs
         race = system.race
         coalesce = obs is not None and obs.coalesce_ops
-        latencies: List[float] = []
         starts: List[float] = []
         durs: List[float] = []
         user_bytes = 0
@@ -283,7 +300,8 @@ class KVStore(ABC):
             clock.advance(seconds)
             now = clock._now
             latency = now - start
-            record(kind, now, latency)
+            stamp(now)
+            sample(latency)
             latencies.append(latency)
             user_bytes += key_len + value_bytes
             if coalesce:
@@ -291,12 +309,11 @@ class KVStore(ABC):
                 durs.append(latency)
             elif obs is not None:
                 obs.span("foreground", kind, "op", start, now)
-        if ops:
-            stats = system.stats
-            stats.add("user.bytes_written", user_bytes)
-            stats.add("op." + kind, float(len(ops)))
-            if coalesce:
-                obs.op_batch("foreground", kind, starts, durs)
+        stats = system.stats
+        stats.add("user.bytes_written", user_bytes)
+        stats.add("op." + kind, float(len(ops)))
+        if coalesce:
+            obs.op_batch("foreground", kind, starts, durs)
         return latencies
 
     def _finish(self, kind: str, start: float, seconds: float) -> float:

@@ -6,6 +6,7 @@ percentile latencies (Tables 2 and 3) and latency-over-time series
 """
 
 import math
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -62,28 +63,72 @@ def percentile(sorted_samples: Sequence[float], q: float) -> float:
     return sorted_samples[rank - 1]
 
 
+def _summarise(values: List[float]) -> LatencySummary:
+    """Summary of ``values``, which this sorts in place."""
+    if not values:
+        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    values.sort()
+    return LatencySummary(
+        count=len(values),
+        mean=sum(values) / len(values),
+        p50=percentile(values, 50),
+        p90=percentile(values, 90),
+        p99=percentile(values, 99),
+        p999=percentile(values, 99.9),
+        max_=values[-1],
+    )
+
+
 class LatencyRecorder:
-    """Collects (timestamp, latency) samples grouped by operation kind."""
+    """Collects (timestamp, latency) samples grouped by operation kind.
+
+    Each kind is two parallel ``array('d')`` columns, finish times and
+    latencies: a sample is sixteen bytes with no per-sample object, so a
+    long run neither holds a tuple and two floats per operation nor
+    feeds the garbage collector's allocation count.
+    """
 
     def __init__(self) -> None:
-        self._samples: Dict[str, List[Tuple[float, float]]] = {}
+        self._columns: Dict[str, Tuple[array, array]] = {}
         # Per-kind cursors for :meth:`window_snapshot`: index of the first
         # sample not yet consumed by a resetting snapshot.
         self._window_start: Dict[str, int] = {}
 
+    def _kind_columns(self, kind: str) -> Tuple[array, array]:
+        columns = self._columns.get(kind)
+        if columns is None:
+            columns = self._columns[kind] = (array("d"), array("d"))
+        return columns
+
     def record(self, kind: str, at_time: float, latency: float) -> None:
         """Record one operation of ``kind`` finishing at ``at_time``."""
-        self._samples.setdefault(kind, []).append((at_time, latency))
+        try:
+            times, lats = self._columns[kind]
+        except KeyError:
+            times, lats = self._kind_columns(kind)
+        times.append(at_time)
+        lats.append(latency)
+
+    def appenders(self, kind: str):
+        """``(append_time, append_latency)`` for a loop recording one kind.
+
+        Calling both, in that order, is :meth:`record` without the
+        per-sample dispatch.  Fetching them creates the kind, so a loop
+        that may turn out empty must not ask.
+        """
+        times, lats = self._kind_columns(kind)
+        return times.append, lats.append
 
     def kinds(self) -> List[str]:
         """Operation kinds seen so far."""
-        return sorted(self._samples)
+        return sorted(self._columns)
 
     def count(self, kind: Optional[str] = None) -> int:
         """Number of samples for ``kind`` (or across all kinds)."""
         if kind is not None:
-            return len(self._samples.get(kind, ()))
-        return sum(len(v) for v in self._samples.values())
+            columns = self._columns.get(kind)
+            return len(columns[1]) if columns else 0
+        return sum(len(lats) for __, lats in self._columns.values())
 
     def samples_since(self, kind: str, index: int) -> List[Tuple[float, float]]:
         """The ``(at_time, latency)`` samples of ``kind`` from ``index`` on.
@@ -95,16 +140,35 @@ class LatencyRecorder:
         """
         if index < 0:
             raise ValueError(f"sample index must be >= 0, got {index}")
-        rows = self._samples.get(kind)
-        if not rows:
+        columns = self._columns.get(kind)
+        if not columns:
             return []
-        return list(rows[index:])
+        times, lats = columns
+        return list(zip(times[index:], lats[index:]))
+
+    def since(self, counts: Dict[str, int]) -> "LatencyRecorder":
+        """A new recorder holding only the samples past ``counts``.
+
+        ``counts`` maps a kind to a count :meth:`count` returned earlier
+        (absent means 0).  Kinds with nothing new are left out, so the
+        window's :meth:`kinds` are the kinds that ran inside it.
+        """
+        window = LatencyRecorder()
+        for kind, (times, lats) in self._columns.items():
+            skip = counts.get(kind, 0)
+            if len(lats) > skip:
+                window._columns[kind] = (times[skip:], lats[skip:])
+        return window
 
     def latencies(self, kind: Optional[str] = None) -> List[float]:
         """Raw latency values for ``kind`` (or across all kinds)."""
         if kind is not None:
-            return [lat for __, lat in self._samples.get(kind, ())]
-        return [lat for rows in self._samples.values() for __, lat in rows]
+            columns = self._columns.get(kind)
+            return columns[1].tolist() if columns else []
+        values: List[float] = []
+        for __, lats in self._columns.values():
+            values.extend(lats)
+        return values
 
     def percentile(self, q: float, kind: Optional[str] = None) -> Optional[float]:
         """Nearest-rank ``q``-th percentile for ``kind`` (or all kinds).
@@ -126,19 +190,7 @@ class LatencyRecorder:
 
     def summary(self, kind: Optional[str] = None) -> LatencySummary:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
-        values = sorted(self.latencies(kind))
-        if not values:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        mean = sum(values) / len(values)
-        return LatencySummary(
-            count=len(values),
-            mean=mean,
-            p50=percentile(values, 50),
-            p90=percentile(values, 90),
-            p99=percentile(values, 99),
-            p999=percentile(values, 99.9),
-            max_=values[-1],
-        )
+        return _summarise(self.latencies(kind))
 
     def series(
         self, kind: Optional[str] = None, buckets: int = 100
@@ -149,9 +201,14 @@ class LatencyRecorder:
         buckets are skipped.
         """
         if kind is not None:
-            rows = list(self._samples.get(kind, ()))
+            columns = self._columns.get(kind)
+            rows = list(zip(*columns)) if columns else []
         else:
-            rows = [pair for sub in self._samples.values() for pair in sub]
+            rows = [
+                pair
+                for times, lats in self._columns.values()
+                for pair in zip(times, lats)
+            ]
         if not rows:
             return []
         rows.sort()
@@ -187,34 +244,24 @@ class LatencyRecorder:
         if kind is not None:
             kinds = (kind,)
         else:
-            kinds = tuple(self._samples)
+            kinds = tuple(self._columns)
         values: List[float] = []
         for k in kinds:
-            rows = self._samples.get(k)
-            if not rows:
+            columns = self._columns.get(k)
+            if not columns:
                 continue
-            start = self._window_start.get(k, 0)
-            values.extend(lat for __, lat in rows[start:])
+            lats = columns[1]
+            values.extend(lats[self._window_start.get(k, 0):])
             if reset:
-                self._window_start[k] = len(rows)
-        if not values:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        values.sort()
-        mean = sum(values) / len(values)
-        return LatencySummary(
-            count=len(values),
-            mean=mean,
-            p50=percentile(values, 50),
-            p90=percentile(values, 90),
-            p99=percentile(values, 99),
-            p999=percentile(values, 99.9),
-            max_=values[-1],
-        )
+                self._window_start[k] = len(lats)
+        return _summarise(values)
 
     def merge_from(self, other: "LatencyRecorder") -> None:
         """Absorb all samples from ``other``."""
-        for kind, rows in other._samples.items():
-            self._samples.setdefault(kind, []).extend(rows)
+        for kind, (times, lats) in other._columns.items():
+            mine = self._kind_columns(kind)
+            mine[0].extend(times)
+            mine[1].extend(lats)
 
     def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
         """A new recorder pooling this recorder's samples with ``other``'s.

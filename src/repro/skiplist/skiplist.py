@@ -149,6 +149,19 @@ class SkipList:
         self._index_misses = 0
         return self._index
 
+    def credit_index(self, index, hits: int) -> None:
+        """Count ``hits`` lookups a caller served from a captured ``index``.
+
+        A caller that bisects the arrays of :meth:`frozen_index` itself
+        (MioDB's batched read plan) bypasses the per-call hit count the
+        rebuild back-off reads, so it reports its use here, once per
+        batch.  ``index`` is the tuple it captured: if the list has
+        rebuilt since, the hits belonged to the snapshot that is gone
+        and say nothing about the new one.
+        """
+        if index is self._index:
+            self._index_hits += hits
+
     def lookup(self, key: bytes) -> Tuple[Optional[Node], int]:
         """Newest version of ``key``: index-accelerated :meth:`get`.
 

@@ -7,7 +7,7 @@ latency summary of exactly the operations issued inside the phase.
 
 from typing import Dict, Optional
 
-from repro.sim.latency import LatencyRecorder, LatencySummary
+from repro.sim.latency import LatencySummary
 
 
 class RunResult:
@@ -75,23 +75,17 @@ class Phase:
         self._result = self._measure()
 
     def _measure(self) -> RunResult:
-        recorder = self.system.latency
         duration = self.system.clock.now - self._start_time
-        window = LatencyRecorder()
-        ops = 0
-        for kind in recorder.kinds():
-            skip = self._start_counts.get(kind, 0)
-            rows = recorder.samples_since(kind, skip)
-            ops += len(rows)
-            for at, lat in rows:
-                window.record(kind, at, lat)
+        window = self.system.latency.since(self._start_counts)
         per_kind = {k: window.summary(k) for k in window.kinds()}
         end_stats = self.system.stats.snapshot()
         delta = {
             key: end_stats.get(key, 0.0) - self._start_stats.get(key, 0.0)
             for key in end_stats
         }
-        return RunResult(self.name, ops, duration, window.summary(), per_kind, delta)
+        return RunResult(
+            self.name, window.count(), duration, window.summary(), per_kind, delta
+        )
 
     def result(self) -> RunResult:
         """The phase's metrics (after the ``with`` block exits)."""

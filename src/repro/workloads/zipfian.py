@@ -7,8 +7,21 @@ rank so the popular items are spread over the key space, and
 (YCSB workload D).
 """
 
+from functools import lru_cache
+
 from repro.bloom.hashing import fnv1a_64
 from repro.sim.rng import XorShiftRng
+
+
+@lru_cache(maxsize=8192)
+def _scrambled(rank: int) -> int:
+    """``fnv1a_64`` of the rank's 8 little-endian bytes.
+
+    A zipfian stream draws the same few ranks over and over and the
+    hash is a pure-Python byte loop, so it is remembered: bounded, and
+    shared by every generator because it depends on the rank alone.
+    """
+    return fnv1a_64(rank.to_bytes(8, "little"))
 
 
 class UniformGenerator:
@@ -62,8 +75,7 @@ class ScrambledZipfian:
         self._zipf = ZipfianGenerator(n, rng, theta)
 
     def next(self) -> int:
-        rank = self._zipf.next()
-        return fnv1a_64(rank.to_bytes(8, "little")) % self.n
+        return _scrambled(self._zipf.next()) % self.n
 
 
 class LatestGenerator:

@@ -1,0 +1,370 @@
+"""The columnar ``LatencyRecorder`` against the tuple list it replaced.
+
+The recorder keeps two ``array('d')`` columns per kind instead of a list
+of ``(time, latency)`` tuples, and ``Phase`` takes its window by slicing
+them instead of re-recording every sample.  No return value may change,
+so the old recorder is kept here verbatim as the spec and one hypothesis
+op stream drives both, comparing every answer.  ``Phase._measure`` as it
+was is kept the same way.
+"""
+
+from typing import Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core import MioDB, MioOptions
+from repro.kvstore.values import SizedValue
+from repro.sim.latency import LatencyRecorder, LatencySummary, percentile
+from repro.workloads.dbbench import fill_random, read_random
+from repro.workloads.runner import Phase
+
+KB = 1 << 10
+
+
+# ---------------------------------------------------------- the replaced code
+
+
+class TupleListRecorder:
+    """``LatencyRecorder`` as it was: one ``(time, latency)`` tuple per sample."""
+
+    def __init__(self) -> None:
+        self._samples: Dict[str, List[Tuple[float, float]]] = {}
+        # Per-kind cursors for :meth:`window_snapshot`: index of the first
+        # sample not yet consumed by a resetting snapshot.
+        self._window_start: Dict[str, int] = {}
+
+    def record(self, kind: str, at_time: float, latency: float) -> None:
+        """Record one operation of ``kind`` finishing at ``at_time``."""
+        self._samples.setdefault(kind, []).append((at_time, latency))
+
+    def kinds(self) -> List[str]:
+        """Operation kinds seen so far."""
+        return sorted(self._samples)
+
+    def count(self, kind: Optional[str] = None) -> int:
+        """Number of samples for ``kind`` (or across all kinds)."""
+        if kind is not None:
+            return len(self._samples.get(kind, ()))
+        return sum(len(v) for v in self._samples.values())
+
+    def samples_since(self, kind: str, index: int) -> List[Tuple[float, float]]:
+        """The ``(at_time, latency)`` samples of ``kind`` from ``index`` on.
+
+        ``index`` is a count previously returned by :meth:`count`; the
+        slice is the samples recorded after that point.  This is the
+        supported way to window samples (phase measurement) without
+        reaching into the recorder's internals.
+        """
+        if index < 0:
+            raise ValueError(f"sample index must be >= 0, got {index}")
+        rows = self._samples.get(kind)
+        if not rows:
+            return []
+        return list(rows[index:])
+
+    def latencies(self, kind: Optional[str] = None) -> List[float]:
+        """Raw latency values for ``kind`` (or across all kinds)."""
+        if kind is not None:
+            return [lat for __, lat in self._samples.get(kind, ())]
+        return [lat for rows in self._samples.values() for __, lat in rows]
+
+    def percentile(self, q: float, kind: Optional[str] = None) -> Optional[float]:
+        """Nearest-rank ``q``-th percentile for ``kind`` (or all kinds).
+
+        Unlike the module-level :func:`percentile` (which reports 0.0
+        for an empty sequence), the edge cases that rolling SLO windows
+        hit routinely are made explicit: an empty recorder returns
+        ``None`` (no data is not the same as a zero latency), and a
+        single-sample recorder returns that sample for every ``q``.
+        """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile out of range: {q}")
+        values = self.latencies(kind)
+        if not values:
+            return None
+        if len(values) == 1:
+            return values[0]
+        return percentile(sorted(values), q)
+
+    def summary(self, kind: Optional[str] = None) -> LatencySummary:
+        """Percentile summary for ``kind`` (or pooled across kinds)."""
+        values = sorted(self.latencies(kind))
+        if not values:
+            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        mean = sum(values) / len(values)
+        return LatencySummary(
+            count=len(values),
+            mean=mean,
+            p50=percentile(values, 50),
+            p90=percentile(values, 90),
+            p99=percentile(values, 99),
+            p999=percentile(values, 99.9),
+            max_=values[-1],
+        )
+
+    def series(
+        self, kind: Optional[str] = None, buckets: int = 100
+    ) -> List[Tuple[float, float]]:
+        """Average latency per time bucket -- the Figure 8 style series.
+
+        Returns ``(bucket_midpoint_time, mean_latency)`` pairs; empty
+        buckets are skipped.
+        """
+        if kind is not None:
+            rows = list(self._samples.get(kind, ()))
+        else:
+            rows = [pair for sub in self._samples.values() for pair in sub]
+        if not rows:
+            return []
+        rows.sort()
+        t0, t1 = rows[0][0], rows[-1][0]
+        span = (t1 - t0) or 1e-12
+        width = span / buckets
+        sums = [0.0] * buckets
+        counts = [0] * buckets
+        for at, lat in rows:
+            idx = min(buckets - 1, int((at - t0) / width))
+            sums[idx] += lat
+            counts[idx] += 1
+        out = []
+        for i in range(buckets):
+            if counts[i]:
+                out.append((t0 + (i + 0.5) * width, sums[i] / counts[i]))
+        return out
+
+    def window_snapshot(
+        self, kind: Optional[str] = None, reset: bool = False
+    ) -> LatencySummary:
+        """Summary of the samples recorded since the last resetting snapshot.
+
+        Rolling-window consumers (the live telemetry plane's windowed
+        aggregation) call this once per tick.  Only the samples recorded
+        after the previous ``reset=True`` call are summarised, via a
+        per-kind cursor -- no per-tick copy of the full sample history.
+        With ``reset=False`` the window is peeked without consuming it;
+        with ``reset=True`` the cursor advances so the next snapshot
+        starts fresh.  ``kind=None`` pools every kind (and resets every
+        cursor when asked to).
+        """
+        if kind is not None:
+            kinds = (kind,)
+        else:
+            kinds = tuple(self._samples)
+        values: List[float] = []
+        for k in kinds:
+            rows = self._samples.get(k)
+            if not rows:
+                continue
+            start = self._window_start.get(k, 0)
+            values.extend(lat for __, lat in rows[start:])
+            if reset:
+                self._window_start[k] = len(rows)
+        if not values:
+            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        values.sort()
+        mean = sum(values) / len(values)
+        return LatencySummary(
+            count=len(values),
+            mean=mean,
+            p50=percentile(values, 50),
+            p90=percentile(values, 90),
+            p99=percentile(values, 99),
+            p999=percentile(values, 99.9),
+            max_=values[-1],
+        )
+
+    def merge_from(self, other: "TupleListRecorder") -> None:
+        """Absorb all samples from ``other``."""
+        for kind, rows in other._samples.items():
+            self._samples.setdefault(kind, []).extend(rows)
+
+    def merge(self, other: "TupleListRecorder") -> "TupleListRecorder":
+        """A new recorder pooling this recorder's samples with ``other``'s.
+
+        Neither input is mutated.  Percentiles of the merged recorder
+        equal percentiles computed over the pooled sample list -- the
+        property multi-shard runs rely on to report cluster-level tails
+        without concatenating sample lists ad hoc.
+        """
+        merged = TupleListRecorder()
+        merged.merge_from(self)
+        merged.merge_from(other)
+        return merged
+
+
+def old_measure(recorder, start_counts):
+    """``Phase._measure``'s window as it was: every sample re-recorded."""
+    window = TupleListRecorder()
+    ops = 0
+    for kind in recorder.kinds():
+        skip = start_counts.get(kind, 0)
+        rows = recorder.samples_since(kind, skip)
+        ops += len(rows)
+        for at, lat in rows:
+            window.record(kind, at, lat)
+    per_kind = {k: window.summary(k) for k in window.kinds()}
+    return ops, per_kind, window.summary()
+
+
+# ------------------------------------------------------------------ helpers
+
+
+def fields(summary):
+    """A ``LatencySummary`` as a comparable tuple."""
+    return tuple(getattr(summary, name) for name in LatencySummary.__slots__)
+
+
+def as_tuple_list(recorder):
+    """The same samples in an old-style recorder."""
+    old = TupleListRecorder()
+    for kind in recorder.kinds():
+        for at, lat in recorder.samples_since(kind, 0):
+            old.record(kind, at, lat)
+    return old
+
+
+KINDS = st.sampled_from(["get", "put", "scan"])
+MAYBE_KIND = st.one_of(st.none(), KINDS)
+# Few distinct values, so ties in time and in latency both occur.
+FLOATS = st.one_of(
+    st.sampled_from([0.0, 1e-6, 2.5e-6, 1.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+SLOT = st.integers(min_value=0, max_value=1)
+
+OPS = st.one_of(
+    st.tuples(st.just("record"), SLOT, KINDS, FLOATS, FLOATS),
+    st.tuples(st.just("appenders"), SLOT, KINDS, st.lists(
+        st.tuples(FLOATS, FLOATS), min_size=1, max_size=4)),
+    st.tuples(st.just("count"), SLOT, MAYBE_KIND),
+    st.tuples(st.just("kinds"), SLOT),
+    st.tuples(st.just("samples_since"), SLOT, KINDS, st.integers(0, 12)),
+    st.tuples(st.just("latencies"), SLOT, MAYBE_KIND),
+    st.tuples(st.just("percentile"), SLOT, MAYBE_KIND, st.sampled_from(
+        [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])),
+    st.tuples(st.just("summary"), SLOT, MAYBE_KIND),
+    st.tuples(st.just("series"), SLOT, MAYBE_KIND, st.sampled_from([1, 3, 100])),
+    st.tuples(st.just("window_snapshot"), SLOT, MAYBE_KIND, st.booleans()),
+    st.tuples(st.just("merge_from"), SLOT),
+    st.tuples(st.just("merge"), SLOT),
+)
+
+
+def apply(op, new, old):
+    """Run one op on both pairs of recorders; returns both answers."""
+    name, slot = op[0], op[1]
+    a, b = new[slot], old[slot]
+    if name == "record":
+        return a.record(*op[2:]), b.record(*op[2:])
+    if name == "appenders":
+        stamp, sample = a.appenders(op[2])
+        for at, lat in op[3]:
+            stamp(at)
+            sample(lat)
+            b.record(op[2], at, lat)
+        return None, None
+    if name == "kinds":
+        return a.kinds(), b.kinds()
+    if name in ("count", "latencies", "summary"):
+        return getattr(a, name)(op[2]), getattr(b, name)(op[2])
+    if name == "samples_since":
+        return a.samples_since(op[2], op[3]), b.samples_since(op[2], op[3])
+    if name == "percentile":
+        return a.percentile(op[3], op[2]), b.percentile(op[3], op[2])
+    if name == "series":
+        return a.series(op[2], op[3]), b.series(op[2], op[3])
+    if name == "window_snapshot":
+        return a.window_snapshot(op[2], op[3]), b.window_snapshot(op[2], op[3])
+    if name == "merge_from":
+        return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
+    merged = a.merge(new[1 - slot]), b.merge(old[1 - slot])
+    # The merge is a recorder of its own: compare all it holds.
+    return tuple(
+        (m.kinds(), [m.samples_since(k, 0) for k in m.kinds()], fields(m.summary()))
+        for m in merged
+    )
+
+
+# -------------------------------------------------------------------- tests
+
+
+@given(st.lists(OPS, max_size=40))
+def test_every_answer_equals_the_tuple_list_recorder(ops):
+    new = [LatencyRecorder(), LatencyRecorder()]
+    old = [TupleListRecorder(), TupleListRecorder()]
+    for op in ops:
+        got, want = apply(op, new, old)
+        if isinstance(want, LatencySummary):
+            got, want = fields(got), fields(want)
+        assert got == want, op
+    for a, b in zip(new, old):
+        assert a.kinds() == b.kinds()
+        assert a.count() == b.count()
+        assert a.latencies() == b.latencies()
+        for kind in b.kinds():
+            assert a.samples_since(kind, 0) == b.samples_since(kind, 0)
+
+
+def test_errors_are_the_same():
+    for recorder in (LatencyRecorder(), TupleListRecorder()):
+        recorder.record("get", 1.0, 2.0)
+        with pytest.raises(ValueError):
+            recorder.samples_since("get", -1)
+        with pytest.raises(ValueError):
+            recorder.percentile(100.5)
+        assert recorder.samples_since("absent", 3) == []
+        assert recorder.percentile(50.0, "absent") is None
+
+
+def test_since_is_the_window_phase_used_to_build():
+    recorder = LatencyRecorder()
+    for i in range(10):
+        recorder.record("put", float(i), i * 1e-6)
+    for i in range(4):
+        recorder.record("get", 10.0 + i, i * 2e-6)
+    window = recorder.since({"put": 7, "get": 4, "scan": 0})
+    assert window.kinds() == ["put"]  # nothing new: no kind
+    assert window.samples_since("put", 0) == recorder.samples_since("put", 7)
+    window.record("put", 99.0, 1.0)  # a copy, not a view
+    assert recorder.count("put") == 10
+    assert recorder.since({}).latencies() == recorder.latencies()
+
+
+def small_store(system):
+    return MioDB(system, MioOptions(memtable_bytes=8 * KB, num_levels=4))
+
+
+def test_phase_over_two_kinds_matches_the_old_measure(system):
+    store = small_store(system)
+    fill_random(store, 300, 256)  # samples from before the phase
+    with Phase("mixed", system) as phase:
+        start_counts = dict(phase._start_counts)
+        store.multi_put([(b"key%04d" % i, SizedValue(i, 256)) for i in range(120)])
+        store.multi_get([b"key%04d" % i for i in range(0, 150, 2)])
+        store.put(b"key-last", SizedValue(0, 64))
+        store.get(b"key-last")
+    result = phase.result()
+    ops, per_kind, pooled = old_measure(as_tuple_list(system.latency), start_counts)
+    assert start_counts == {"put": 300}
+    assert result.ops == ops == 121 + 76
+    assert list(result.per_kind) == list(per_kind) == ["get", "put"]
+    for kind in per_kind:
+        assert fields(result.per_kind[kind]) == fields(per_kind[kind])
+    assert fields(result.latency) == fields(pooled)
+
+
+def test_empty_batches_create_no_kind(system):
+    store = small_store(system)
+    with Phase("nothing", system) as phase:
+        assert store.multi_get([]) == []
+        assert store.multi_put([]) == []
+        assert store.multi_delete(iter(())) == []
+    assert system.latency.kinds() == []
+    assert phase.result().per_kind == {}
+    assert phase.result().ops == 0
+    assert system.stats.snapshot() == {}
+    read = read_random(store, 0, 10, batch_size=4)
+    assert read.per_kind == {} and system.latency.kinds() == []
+    store.multi_delete([b"gone"])
+    assert system.latency.kinds() == ["delete"]

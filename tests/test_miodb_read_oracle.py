@@ -7,7 +7,13 @@ That per-table walk is kept below as the reference.  All three must
 return ``==`` values and float seconds, charge the same device reads and
 emit the same traced transfers.
 
-The second half pins what the laziness is for: writes, flushes, merges
+The middle part is about the closure's flat probe plan: it bisects the
+``frozen_index()`` arrays it captured instead of calling into each table,
+so it must fall back to the table for a list in rebuild back-off, be
+replaced whenever settled background work relinks a list, and keep the
+back-off informed of the lookups it served.
+
+The last part pins what the laziness is for: writes, flushes, merges
 and ``quiesce`` hash nothing and build no filter; the first get does.
 """
 
@@ -21,6 +27,7 @@ from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.obs.events import CAT_TRANSFER
 from repro.skiplist.node import TOMBSTONE
+from repro.skiplist.skiplist import SkipList
 from repro.workloads.dbbench import fill_random
 from repro.workloads.keys import key_for
 from repro.workloads.ycsb import load_phase
@@ -169,6 +176,149 @@ def test_three_read_paths_agree_without_blooms():
         ]
         assert seen[0] == seen[1] == seen[2], key
     assert hash_calls() == before  # nothing gated: no hashing
+
+
+# --------------------------------------------------- the flat probe plan
+
+
+def live_lists(store):
+    """Every non-empty skip list a get can reach, by name."""
+    tables = [("memtable", store.memtable), ("immutable", store.immutable)]
+    tables += [
+        (f"L{level}#{t.table_id}", t)
+        for level, level_tables in enumerate(store.levels)
+        for t in level_tables
+    ]
+    tables.append(("repository", store.repository))
+    return {
+        name: t.skiplist for name, t in tables if t is not None and len(t.skiplist)
+    }
+
+
+def count_lookups(monkeypatch):
+    """Count ``SkipList.lookup`` calls per list from here on."""
+    calls = {}
+    plain = SkipList.lookup
+
+    def counted(self, key):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return plain(self, key)
+
+    monkeypatch.setattr(SkipList, "lookup", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("which", ["memtable", "pmtable", "repository"])
+def test_plan_falls_back_for_a_list_in_rebuild_backoff(which, trace, monkeypatch):
+    store, system, recorder = populated(900, trace=trace)
+    store._batch_lookup()  # every list now has an index to go stale
+    lists = live_lists(store)
+    if which == "pmtable":
+        # The biggest merged table: saturated filter, probed by every miss.
+        which = max(
+            (name for name in lists if name.startswith("L")),
+            key=lambda name: len(lists[name]),
+        )
+    stale = lists[which]
+    stale.insert(b"key-relinked", 1 << 40, SizedValue("x", 8), 8)
+    assert stale.frozen_index() is None
+    closure = store._batch_lookup()
+    assert stale.frozen_index() is None  # the build did not rebuild it
+
+    calls = count_lookups(monkeypatch)
+    from_closure = 0
+    others = (store._get, lambda key: reference_get(store, key))
+    for key in probe_keys() + [b"key-relinked"]:
+        seen = [observe(system, recorder, closure, key)]
+        # Only the stale list goes through its table's own get.
+        assert set(calls) <= {id(stale)}
+        from_closure += sum(calls.values())
+        seen += [observe(system, recorder, path, key) for path in others]
+        assert seen[0] == seen[1] == seen[2], key
+        calls.clear()
+    assert from_closure > 100
+
+
+def test_plan_on_a_quiesced_store_calls_no_table(system, monkeypatch):
+    store = MioDB(system, MioOptions(
+        memtable_bytes=8 * KB, num_levels=4,
+        bloom_bits_per_key=4, bloom_capacity_tables=1,
+    ))
+    fill_random(store, 900, 256, quiesce=True)
+    assert len(live_lists(store)) >= 4
+    calls = count_lookups(monkeypatch)
+    closure = store._batch_lookup()
+    keys = [key_for(i) for i in range(0, 900, 7)] + probe_keys()
+    found = [closure(key) for key in keys]
+    assert not calls
+    # ... which is not because nothing was found or nothing counts.
+    assert found == [store._get(key) for key in keys]
+    assert sum(value is not None for value, __ in found) > 100
+    assert len(calls) >= 4
+
+
+def test_batch_across_a_flush_and_merges_equals_the_get_stream():
+    keys = probe_keys()[:160]
+    batched, system_b, __ = populated(500)
+    single, system_s, __ = populated(500)
+    assert batched.immutable is not None  # a flush is in flight
+    merges = system_b.stats.get("compact.count")
+    plans = []
+    build = batched._batch_lookup
+
+    def counting_build():
+        plans.append(build())
+        return plans[-1]
+
+    batched._batch_lookup = counting_build
+    results = batched.multi_get(keys)
+    # The batch saw the flush land and merges relink lists under it.
+    assert batched.immutable is None
+    assert system_b.stats.get("compact.count") >= merges + 3
+    assert len(plans) >= 4
+
+    assert results == [single.get(key) for key in keys]
+    assert system_b.clock.now == system_s.clock.now
+    assert system_b.stats.snapshot() == system_s.stats.snapshot()
+    for kind in ("get", "put", "delete"):
+        assert system_b.latency.samples_since(kind, 0) == (
+            system_s.latency.samples_since(kind, 0)
+        )
+    for a, b in zip(system_b.devices(), system_s.devices()):
+        assert (a.bytes_read, a.read_ops) == (b.bytes_read, b.read_ops)
+
+
+@pytest.mark.parametrize("credited", [True, False], ids=["credited", "control"])
+def test_alternating_batches_and_merges_keep_the_rebuild_backoff_at_8(
+    credited, monkeypatch
+):
+    """A captured index is used through the plan alone, so the plan
+    reports its use; otherwise the back-off reads every index a plan
+    built as never used and doubles its rebuild threshold."""
+    if not credited:
+        monkeypatch.setattr(SkipList, "credit_index", lambda *args: None)
+    system = HybridMemorySystem()
+    store = MioDB(system, MioOptions(
+        memtable_bytes=8 * KB, num_levels=4, use_blooms=False,
+    ))
+    thresholds = set()
+    tag = 0
+    for rnd in range(8):
+        merges = system.stats.get("compact.count")
+        store.multi_put([
+            (b"key%06d" % ((tag + j) * 7919 % KEY_SPACE), SizedValue(tag + j, 256))
+            for j in range(100)
+        ])
+        tag += 100
+        store.quiesce()
+        assert system.stats.get("compact.count") > merges
+        # Absent keys: every one of them probes every list.
+        store.multi_get([b"key%06dzz" % (rnd * 64 + j) for j in range(64)])
+        lists = live_lists(store)
+        assert len(lists) >= 3
+        thresholds |= {skiplist._rebuild_after for skiplist in lists.values()}
+    assert thresholds == ({8} if credited else {8, 16})
 
 
 # ------------------------------------------- writes build nothing; reads do

@@ -70,6 +70,43 @@ def test_scrambled_zipfian_spreads_hot_keys():
     assert low_hits < len(draws) * 0.5
 
 
+def test_request_generators_draw_the_unmemoised_sequence():
+    """``ScrambledZipfian`` remembers the rank hash; the draws of all
+    three request generators stay the plain expressions over the rng."""
+    from repro.bloom.hashing import fnv1a_64
+    from repro.workloads.zipfian import _scrambled
+
+    def scrambled(n, seed):
+        ranks = ZipfianGenerator(n, XorShiftRng(seed))
+        return lambda: fnv1a_64(ranks.next().to_bytes(8, "little")) % n
+
+    def latest(n, seed):
+        ranks = ZipfianGenerator(n, XorShiftRng(seed))
+        return lambda: max(0, n - 1 - ranks.next())
+
+    def uniform(n, seed):
+        rng = XorShiftRng(seed)
+        return lambda: rng.next_below(n)
+
+    cases = [
+        (ScrambledZipfian, scrambled), (LatestGenerator, latest),
+        (UniformGenerator, uniform),
+    ]
+    # Twice over, and over two key spaces: the second pass and the second
+    # n are served from a memo the first filled (it is keyed by rank).
+    for n in (1000, 37, 1000):
+        for seed in (1, 9):
+            for cls, plain in cases:
+                gen, expected = cls(n, XorShiftRng(seed)), plain(n, seed)
+                assert [gen.next() for __ in range(3000)] == [
+                    expected() for __ in range(3000)
+                ], (cls.__name__, n, seed)
+    literal = ScrambledZipfian(1000, XorShiftRng(1))
+    assert [literal.next() for __ in range(5)] == [814, 783, 568, 769, 405]
+    info = _scrambled.cache_info()
+    assert info.hits > 10000 and 0 < info.currsize <= info.maxsize <= 32768
+
+
 def test_latest_generator_tracks_inserts():
     rng = XorShiftRng(1)
     gen = LatestGenerator(100, rng)
