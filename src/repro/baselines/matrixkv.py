@@ -298,44 +298,6 @@ class MatrixKVStore(BufferedStore):
 
     # ------------------------------------------------------------- read path
 
-    def _batch_lookup(self):
-        tables = tuple(
-            t for t in (self.memtable, self.immutable) if t is not None
-        )
-        lsm_get = self.lsm.get
-        nvm_read = self.system.nvm.read
-        deserialize_time = self.system.cpu.deserialize_time
-        cpu = self.system.cpu
-
-        def lookup(key):
-            seconds = 0.0
-            for table in tables:
-                node, cost = table.get(key)
-                seconds += cost
-                if node is not None:
-                    return (None if node.is_tombstone else node.value), seconds
-            for row in reversed(self.rows):
-                entry, cost = row.get(key, cpu)
-                seconds += cost
-                if entry is not None:
-                    value = entry[2]
-                    return (None if value is TOMBSTONE else value), seconds
-            inflight = self._inflight_column.get(key)
-            if inflight is not None:
-                nbytes = entry_frame_bytes(inflight)
-                seconds += nvm_read(nbytes, sequential=False)
-                seconds += deserialize_time(nbytes)
-                value = inflight[2]
-                return (None if value is TOMBSTONE else value), seconds
-            entry, cost = lsm_get(key)
-            seconds += cost
-            if entry is None:
-                return None, seconds
-            value = entry[2]
-            return (None if value is TOMBSTONE else value), seconds
-
-        return lookup
-
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
         seconds = 0.0
         for table in (self.memtable, self.immutable):

@@ -167,33 +167,6 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
 
     # ------------------------------------------------------------- read path
 
-    def _batch_lookup(self):
-        tables = tuple(
-            t
-            for t in (self.memtable, self.immutable, self.nvm_mt, self.nvm_imm)
-            if t is not None
-        )
-        lsm_get = self.lsm.get
-
-        def lookup(key):
-            seconds = 0.0
-            best = None
-            for table in tables:
-                node, cost = table.get(key)
-                seconds += cost
-                if node is not None and (best is None or node.seq > best.seq):
-                    best = node
-            if best is not None:
-                return (None if best.is_tombstone else best.value), seconds
-            entry, cost = lsm_get(key)
-            seconds += cost
-            if entry is None:
-                return None, seconds
-            value = entry[2]
-            return (None if value is TOMBSTONE else value), seconds
-
-        return lookup
-
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
         seconds = 0.0
         best = None

@@ -13,7 +13,6 @@ from repro.kvstore.api import KVStore
 from repro.kvstore.options import StoreOptions
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
-from repro.skiplist.node import TOMBSTONE
 from repro.skiplist.skiplist import SkipList
 
 
@@ -48,21 +47,6 @@ class NoveLSMNoSSTStore(KVStore):
             self.skiplist.unlink(dup, preds, to_garbage=False)
             self.arena.shrink(dup.nbytes, self.system.now)
             dropped += 1
-
-    def _batch_lookup(self):
-        sl_lookup = self.skiplist.lookup
-        search_time = self.system.cpu.skiplist_search_time
-        nvm_read = self.system.nvm.read
-
-        def lookup(key):
-            node, hops = sl_lookup(key)
-            seconds = search_time("nvm", max(hops, 1))
-            if node is None:
-                return None, seconds
-            seconds += nvm_read(node.nbytes, sequential=False)
-            return (None if node.is_tombstone else node.value), seconds
-
-        return lookup
 
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
         node, hops = self.skiplist.lookup(key)

@@ -203,46 +203,6 @@ class SLMDBStore(BufferedStore):
 
     # ------------------------------------------------------------- read path
 
-    def _batch_lookup(self):
-        tables = tuple(
-            t for t in (self.memtable, self.immutable) if t is not None
-        )
-        index_get = self.index.get
-        index_cost = self._index_cost
-        cpu = self.system.cpu
-        stats = self.system.stats
-
-        def lookup(key):
-            seconds = 0.0
-            for table in tables:
-                node, cost = table.get(key)
-                seconds += cost
-                if node is not None:
-                    return (None if node.is_tombstone else node.value), seconds
-            locator, visits = index_get(key)
-            seconds += index_cost(visits)
-            if locator is None:
-                return None, seconds
-            sst, __seq = locator
-            if sst.released:
-                for table in reversed(self.tables):
-                    if table.released or not table.min_key <= key <= table.max_key:
-                        continue
-                    entry, cost = table.get(key, cpu, stats)
-                    seconds += cost
-                    if entry is not None:
-                        value = entry[2]
-                        return (None if value is TOMBSTONE else value), seconds
-                return None, seconds
-            entry, cost = sst.get(key, cpu, stats)
-            seconds += cost
-            if entry is None:
-                return None, seconds
-            value = entry[2]
-            return (None if value is TOMBSTONE else value), seconds
-
-        return lookup
-
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
         seconds = 0.0
         for table in (self.memtable, self.immutable):

@@ -99,10 +99,6 @@ def _batch_arg(args):
 def _live_overrides(args) -> dict:
     """LiveConfig keyword overrides from the shared ``--live-*`` flags."""
     overrides = {"seed": args.seed}
-    if args.live_window_us > 0:
-        overrides["window_s"] = args.live_window_us * 1e-6
-    if args.head_rate > 0:
-        overrides["head_rate"] = args.head_rate
     if args.slo_threshold_us > 0:
         overrides["slo_threshold_s"] = args.slo_threshold_us * 1e-6
     if args.stall_alert_us > 0:
@@ -114,11 +110,6 @@ def _add_live_flags(parser) -> None:
     parser.add_argument("--live", action="store_true",
                         help="attach the sampled live-telemetry plane "
                              "instead of full tracing")
-    parser.add_argument("--live-window-us", type=float, default=0.0,
-                        help="aggregation window in simulated us "
-                             "(0 = default 1000)")
-    parser.add_argument("--head-rate", type=float, default=0.0,
-                        help="head-sampling rate in (0, 1] (0 = default 1/64)")
     parser.add_argument("--slo-threshold-us", type=float, default=0.0,
                         help="per-op latency SLO for burn-rate flight "
                              "triggers (0 = off)")
@@ -157,7 +148,7 @@ def cmd_dbbench(args) -> int:
             name, scale, ssd=args.ssd, fsync_policy=args.fsync_policy
         )
         recorder = _start_trace(system, args)
-        if args.mode in ("fillrandom", "all"):
+        if args.mode == "fillrandom":
             w = fill_random(store, n, args.value_size, seed=args.seed,
                             batch_size=batch)
         else:
@@ -336,7 +327,7 @@ def cmd_analyze(args) -> int:
             seed=args.seed,
             ssd=args.ssd,
         )
-        doc = analyze_run(recorder, system, name, top=args.top)
+        doc = analyze_run(recorder, system, name)
         if args.json:
             path = _trace_path(args.json, name, multi)
             write_artifact(path, analysis_json(doc))
@@ -373,28 +364,18 @@ def cmd_slo(args) -> int:
             ssd=args.ssd,
         )
         end_s = system.clock.now
-        samples = [
-            (attr.end, attr.measured_s)
-            for attr in attribute_ops(recorder)
-            if args.kind is None or attr.kind == args.kind
-        ]
+        samples = [(attr.end, attr.measured_s) for attr in attribute_ops(recorder)]
         # Windows default to fractions of the simulated run so one flag
-        # set works at any scale; explicit --short-ms/--long-ms override.
+        # set works at any scale; an explicit --long-ms overrides.
         long_s = args.long_ms * 1e-3 if args.long_ms else end_s / 10
-        short_s = args.short_ms * 1e-3 if args.short_ms else long_s / 5
+        short_s = long_s / 5
         objective = SloObjective(
-            args.objective, args.threshold_us * 1e-6, target=args.target
+            "op-latency", args.threshold_us * 1e-6, target=args.target
         )
         monitor = SloMonitor(
             objective, [BurnRateRule(short_s, long_s, args.factor)]
         )
-        series = rolling_series(
-            samples,
-            end_s,
-            long_s,
-            bins=args.bins,
-            min_kiops=args.min_kiops,
-        )
+        series = rolling_series(samples, end_s, long_s, min_kiops=args.min_kiops)
         doc = slo_document(monitor.run(samples), series, name, end_s)
         if args.json:
             path = _trace_path(args.json, name, multi)
@@ -442,10 +423,7 @@ def cmd_cluster(args) -> int:
         fsync_policy=args.fsync_policy,
     )
     router = ShardRouter(
-        cluster,
-        placement_name=args.placement,
-        key_space=args.key_space,
-        vnodes_per_shard=args.vnodes,
+        cluster, placement_name=args.placement, key_space=args.key_space
     )
     if args.live and (args.trace or args.analyze):
         print("--live replaces full tracing; drop --trace/--analyze or "
@@ -506,7 +484,6 @@ def cmd_cluster(args) -> int:
         clients,
         admission=admission,
         rebalance_every=args.rebalance_every,
-        hot_factor=args.hot_factor,
         batch_limit=_batch_arg(args),
         dashboard=dashboard,
         sessions=sessions,
@@ -627,8 +604,6 @@ def cmd_chaos(args) -> int:
             shards=args.shards,
             followers=args.followers,
             ops=args.ops,
-            kills=args.kills,
-            restart_gap=args.restart_gap,
             ack_policy=args.ack,
             read_policy=args.read_policy,
             trace=trace,
@@ -752,9 +727,9 @@ def cmd_perf(args) -> int:
     from repro.bench import perf
 
     argv = [
-        "--label", args.label, "--store", args.perf_store,
-        "--ops-scale", args.ops_scale, "--repeats", str(args.repeats),
-        "--json", args.json, "--band-factor", str(args.band_factor),
+        "--label", args.label, "--ops-scale", args.ops_scale,
+        "--repeats", str(args.repeats), "--json", args.json,
+        "--band-factor", str(args.band_factor),
     ]
     if args.kernels is not None:
         argv += ["--kernels", args.kernels]
@@ -807,7 +782,7 @@ def cmd_diff(args) -> int:
             label_a=pathlib.Path(args.a).name,
             label_b=pathlib.Path(args.b).name,
         )
-    print(render_diff(report, top=args.top), end="")
+    print(render_diff(report), end="")
     if args.out:
         path = pathlib.Path(args.out)
         path.write_text(diff_json(report))
@@ -843,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dbbench", help="LevelDB-style microbenchmark")
     _add_common(p)
-    p.add_argument("--mode", choices=["fillrandom", "fillseq", "all"],
+    p.add_argument("--mode", choices=["fillrandom", "fillseq"],
                    default="fillrandom")
     p.add_argument("--n", type=int, default=None, help="records to write")
     p.add_argument("--reads", type=int, default=2000)
@@ -919,8 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency attribution, critical paths, and WA from a traced run",
     )
     _add_traced_workload(p)
-    p.add_argument("--top", type=int, default=5,
-                   help="critical-path chains to keep (longest stalls)")
     p.add_argument("--no-profile", action="store_true",
                    help="skip the top-down time profile section")
     p.add_argument("--json", default=None, metavar="FILE",
@@ -932,22 +905,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="SLO compliance + burn-rate alert log from a traced run",
     )
     _add_traced_workload(p)
-    p.add_argument("--objective", default="op-latency",
-                   help="objective name used in the alert log")
     p.add_argument("--threshold-us", type=float, default=10.0,
                    help="per-op latency threshold in microseconds")
     p.add_argument("--target", type=float, default=0.999,
                    help="required fraction of ops under the threshold")
-    p.add_argument("--short-ms", type=float, default=0.0,
-                   help="short burn window (0 = long/5)")
     p.add_argument("--long-ms", type=float, default=0.0,
-                   help="long burn window (0 = run duration/10)")
+                   help="long burn window (0 = run duration/10); short = long/5")
     p.add_argument("--factor", type=float, default=2.0,
                    help="burn-rate factor both windows must exceed")
-    p.add_argument("--bins", type=int, default=20,
-                   help="grid points in the rolling series")
-    p.add_argument("--kind", default=None,
-                   help="restrict samples to one op kind (put/get/...)")
     p.add_argument("--min-kiops", type=float, default=None,
                    help="flag rolling-window throughput under this floor")
     p.add_argument("--json", default=None, metavar="FILE",
@@ -962,8 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of shard stores on the shared clock")
     p.add_argument("--placement", choices=["hash-ring", "range"],
                    default="hash-ring")
-    p.add_argument("--vnodes", type=int, default=32,
-                   help="virtual nodes per shard (hash-ring only)")
     p.add_argument("--clients", type=int, default=4,
                    help="independent load-generating clients")
     p.add_argument("--ops", type=int, default=1000, help="ops per client")
@@ -981,7 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="reject")
     p.add_argument("--rebalance-every", type=int, default=0, metavar="N",
                    help="hot-shard check every N completions (0 = off)")
-    p.add_argument("--hot-factor", type=float, default=1.5)
     p.add_argument("--followers", type=int, default=0, metavar="K",
                    help="replicate each shard across K followers (0 = off)")
     p.add_argument("--ack", choices=["leader", "quorum", "all"],
@@ -1021,10 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--followers", type=int, default=2, metavar="K")
     p.add_argument("--ops", type=int, default=400,
                    help="client ops per scenario")
-    p.add_argument("--kills", type=int, default=3,
-                   help="scheduled kills per scenario")
-    p.add_argument("--restart-gap", type=int, default=80, metavar="OPS",
-                   help="completed ops between a kill and its restart")
     p.add_argument("--ack", choices=["leader", "quorum", "all"],
                    default="quorum")
     p.add_argument("--read-policy",
@@ -1067,7 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         "perf", help="simulator wall-clock kernels (perf trajectory)"
     )
     p.add_argument("--label", default="current")
-    p.add_argument("--perf-store", default="miodb", metavar="STORE")
     p.add_argument("--ops-scale", choices=["tiny", "default"], default="default")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--kernels", default=None,
@@ -1098,8 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="STORE", help="store of the --perf runs")
     p.add_argument("--ops-scale", choices=["tiny", "default"],
                    default="default", help="ops scale of the --perf runs")
-    p.add_argument("--top", type=int, default=20, metavar="N",
-                   help="rows in the text report (default %(default)s)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also write the full diff document as JSON")
     p.set_defaults(func=cmd_diff)

@@ -24,6 +24,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.placement import PlacementPolicy, make_placement
+from repro.kvstore.api import paged_items
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatsRegistry
 
@@ -319,18 +320,7 @@ class ShardRouter:
     def items(self, start_key: bytes = b"\x00", end_key: Optional[bytes] = None,
               page_size: int = 128):
         """Iterate live ``(key, value)`` pairs cluster-wide in key order."""
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
-        cursor = start_key
-        while True:
-            pairs, __ = self.scan(cursor, page_size)
-            for key, value in pairs:
-                if end_key is not None and key >= end_key:
-                    return
-                yield key, value
-            if len(pairs) < page_size:
-                return
-            cursor = pairs[-1][0] + b"\x00"
+        return paged_items(self.scan, start_key, end_key, page_size)
 
     def quiesce(self) -> float:
         """Drain background work on every shard."""

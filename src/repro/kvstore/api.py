@@ -30,6 +30,23 @@ def _report_served(lookup, count: int) -> None:
         served(count)
 
 
+def paged_items(scan, start_key: bytes, end_key: Optional[bytes], page_size: int):
+    """The cursor loop behind every ``items()``: one ``scan`` per page,
+    through the store's, replica group's or shard router's own ``scan``."""
+    if page_size <= 0:
+        raise ValueError(f"page_size must be positive, got {page_size}")
+    cursor = start_key
+    while True:
+        pairs, __ = scan(cursor, page_size)
+        for key, value in pairs:
+            if end_key is not None and key >= end_key:
+                return
+            yield key, value
+        if len(pairs) < page_size:
+            return
+        cursor = pairs[-1][0] + b"\x00"
+
+
 class KVStore(ABC):
     """Base class wiring operations to the simulated machine.
 
@@ -201,18 +218,7 @@ class KVStore(ABC):
         unbounded when ``None``), fetching ``page_size`` pairs per
         underlying scan.  Each page is one simulated scan operation.
         """
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
-        cursor = start_key
-        while True:
-            pairs, __ = self.scan(cursor, page_size)
-            for key, value in pairs:
-                if end_key is not None and key >= end_key:
-                    return
-                yield key, value
-            if len(pairs) < page_size:
-                return
-            cursor = pairs[-1][0] + b"\x00"
+        return paged_items(self.scan, start_key, end_key, page_size)
 
     def write(self, batch) -> float:
         """Apply a :class:`~repro.kvstore.batch.WriteBatch`.
@@ -257,6 +263,14 @@ class KVStore(ABC):
         batch loop fall back to ``_get`` per key.  A closure that sets a
         ``served`` attribute has it called with the number of keys it
         served when the loop drops it, at a refresh or at the end.
+
+        Override it only where a ``BENCHMARK.json`` workload shows each
+        side winning; otherwise the engine has one read walk.  Only
+        MioDB qualifies (the closure on ``store-get``, ``_get`` on
+        ``cluster-k0``); the baselines measured as noise.  A second
+        implementer owes an oracle like ``tests/test_miodb_read_oracle.py``:
+        closure against ``_get``, every tier populated, structure moving
+        under it mid-batch.
         """
         return None
 

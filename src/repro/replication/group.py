@@ -35,6 +35,7 @@ already-shipped frame is applied before the new leader serves.
 
 from typing import Callable, List, Optional, Tuple
 
+from repro.kvstore.api import paged_items
 from repro.kvstore.buffered import BufferedStore
 from repro.mem.device import Device
 from repro.obs.events import (
@@ -641,18 +642,7 @@ class ReplicaGroup:
 
     def items(self, start_key: bytes = b"\x00", end_key=None, page_size: int = 128):
         """Iterate live ``(key, value)`` pairs from the leader in key order."""
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
-        cursor = start_key
-        while True:
-            pairs, __ = self.scan(cursor, page_size)
-            for key, value in pairs:
-                if end_key is not None and key >= end_key:
-                    return
-                yield key, value
-            if len(pairs) < page_size:
-                return
-            cursor = pairs[-1][0] + b"\x00"
+        return paged_items(self.scan, start_key, end_key, page_size)
 
     # ------------------------------------------------------------- failover
 

@@ -4,12 +4,8 @@ Four modes, matching LevelDB's tool: fillrandom, fillseq, readrandom,
 readseq.  Writes use 16-byte keys and a configurable nominal value size;
 reads query keys known to exist.
 
-Every phase accepts a ``batch_size``: chunks of that many consecutive
-operations from the *same* deterministic sequence go through the
-store's ``multi_*`` entry points instead of one call per op.  Batching
-changes only wall-clock time -- the op stream, simulated clock, stats,
-and latency samples are byte-identical either way (see
-docs/performance.md).
+Every phase builds its op stream once; ``batch_size`` only picks how
+:mod:`repro.workloads.runner` issues it (per op, or ``multi_*`` chunks).
 """
 
 from typing import Optional
@@ -17,12 +13,13 @@ from typing import Optional
 from repro.kvstore.values import SizedValue
 from repro.sim.rng import XorShiftRng
 from repro.workloads.keys import key_for
-from repro.workloads.runner import Phase, RunResult
-
-
-def _check_batch(batch_size: Optional[int]) -> None:
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+from repro.workloads.runner import (
+    Phase,
+    RunResult,
+    issue_deletes,
+    issue_gets,
+    issue_puts,
+)
 
 
 def fill_random(
@@ -34,21 +31,14 @@ def fill_random(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in random key order."""
-    _check_batch(batch_size)
     order = list(range(n))
     XorShiftRng(seed).shuffle(order)
+    items = (
+        (key_for(index), SizedValue(tag, value_size))
+        for tag, index in enumerate(order)
+    )
     with Phase("fillrandom", store.system) as phase:
-        if batch_size is None:
-            for tag, index in enumerate(order):
-                store.put(key_for(index), SizedValue(tag, value_size))
-        else:
-            for at in range(0, n, batch_size):
-                store.multi_put([
-                    (key_for(index), SizedValue(tag, value_size))
-                    for tag, index in enumerate(
-                        order[at:at + batch_size], start=at
-                    )
-                ])
+        issue_puts(store, items, batch_size)
         if quiesce:
             store.quiesce()
     return phase.result()
@@ -62,17 +52,9 @@ def fill_seq(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in ascending key order."""
-    _check_batch(batch_size)
+    items = ((key_for(index), SizedValue(index, value_size)) for index in range(n))
     with Phase("fillseq", store.system) as phase:
-        if batch_size is None:
-            for index in range(n):
-                store.put(key_for(index), SizedValue(index, value_size))
-        else:
-            for at in range(0, n, batch_size):
-                store.multi_put([
-                    (key_for(index), SizedValue(index, value_size))
-                    for index in range(at, min(at + batch_size, n))
-                ])
+        issue_puts(store, items, batch_size)
         if quiesce:
             store.quiesce()
     return phase.result()
@@ -87,24 +69,10 @@ def read_random(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Read ``n_reads`` uniformly random existing keys."""
-    _check_batch(batch_size)
     rng = XorShiftRng(seed)
-    misses = 0
+    keys = (key_for(rng.next_below(key_space)) for __ in range(n_reads))
     with Phase("readrandom", store.system) as phase:
-        if batch_size is None:
-            for __ in range(n_reads):
-                value, __lat = store.get(key_for(rng.next_below(key_space)))
-                if value is None:
-                    misses += 1
-        else:
-            for at in range(0, n_reads, batch_size):
-                keys = [
-                    key_for(rng.next_below(key_space))
-                    for __ in range(min(batch_size, n_reads - at))
-                ]
-                for value, __lat in store.multi_get(keys):
-                    if value is None:
-                        misses += 1
+        misses = issue_gets(store, keys, batch_size)
     if expect_hits and misses:
         raise AssertionError(f"readrandom missed {misses}/{n_reads} existing keys")
     return phase.result()
@@ -115,18 +83,10 @@ def read_seq(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Read keys in ascending order (db_bench's readseq)."""
-    _check_batch(batch_size)
     first = 0 if start is None else start
+    keys = (key_for((first + i) % key_space) for i in range(n_reads))
     with Phase("readseq", store.system) as phase:
-        if batch_size is None:
-            for i in range(n_reads):
-                store.get(key_for((first + i) % key_space))
-        else:
-            for at in range(0, n_reads, batch_size):
-                store.multi_get([
-                    key_for((first + i) % key_space)
-                    for i in range(at, min(at + batch_size, n_reads))
-                ])
+        issue_gets(store, keys, batch_size)
     return phase.result()
 
 
@@ -135,24 +95,13 @@ def overwrite(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Random overwrites of existing keys (db_bench's overwrite)."""
-    _check_batch(batch_size)
     rng = XorShiftRng(seed)
+    items = (
+        (key_for(rng.next_below(key_space)), SizedValue(("ow", tag), value_size))
+        for tag in range(n)
+    )
     with Phase("overwrite", store.system) as phase:
-        if batch_size is None:
-            for tag in range(n):
-                store.put(
-                    key_for(rng.next_below(key_space)),
-                    SizedValue(("ow", tag), value_size),
-                )
-        else:
-            for at in range(0, n, batch_size):
-                store.multi_put([
-                    (
-                        key_for(rng.next_below(key_space)),
-                        SizedValue(("ow", tag), value_size),
-                    )
-                    for tag in range(at, min(at + batch_size, n))
-                ])
+        issue_puts(store, items, batch_size)
     return phase.result()
 
 
@@ -161,18 +110,10 @@ def delete_random(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Random deletions (db_bench's deleterandom)."""
-    _check_batch(batch_size)
     rng = XorShiftRng(seed)
+    keys = (key_for(rng.next_below(key_space)) for __ in range(n))
     with Phase("deleterandom", store.system) as phase:
-        if batch_size is None:
-            for __ in range(n):
-                store.delete(key_for(rng.next_below(key_space)))
-        else:
-            for at in range(0, n, batch_size):
-                store.multi_delete([
-                    key_for(rng.next_below(key_space))
-                    for __ in range(min(batch_size, n - at))
-                ])
+        issue_deletes(store, keys, batch_size)
     return phase.result()
 
 

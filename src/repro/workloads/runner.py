@@ -1,11 +1,18 @@
-"""Phase measurement over the simulated clock.
+"""Phase measurement over the simulated clock, and the op issuers.
 
 A :class:`Phase` brackets a stretch of operations against one store and
 produces a :class:`RunResult`: simulated duration, throughput, and the
 latency summary of exactly the operations issued inside the phase.
+
+A workload builds its op stream once and hands it to :func:`issue_puts`,
+:func:`issue_gets` or :func:`issue_deletes`: ``batch_size=None`` is one
+store call per op, a number sends chunks of that many ops through the
+``multi_*`` entry point.  Only wall-clock time differs between the two
+(docs/performance.md).
 """
 
-from typing import Dict, Optional
+from itertools import islice
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.sim.latency import LatencySummary
 
@@ -92,3 +99,58 @@ class Phase:
         if self._result is None:
             raise RuntimeError("Phase.result() called before the phase finished")
         return self._result
+
+
+def check_batch_size(batch_size: int) -> None:
+    """Reject a chunk length below one (``None``, per-op, never gets here)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
+def _chunks(stream: Iterable, batch_size: int) -> Iterator[list]:
+    """Lists of up to ``batch_size`` consecutive items, drawn as issued."""
+    check_batch_size(batch_size)
+    stream = iter(stream)
+    while True:
+        chunk = list(islice(stream, batch_size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def issue_puts(store, items: Iterable, batch_size: Optional[int]) -> None:
+    """Write every ``(key, value)`` of ``items``, in order."""
+    if batch_size is None:
+        put = store.put
+        for key, value in items:
+            put(key, value)
+    else:
+        for chunk in _chunks(items, batch_size):
+            store.multi_put(chunk)
+
+
+def issue_gets(store, keys: Iterable[bytes], batch_size: Optional[int]) -> int:
+    """Read every key of ``keys``, in order; returns how many missed."""
+    misses = 0
+    if batch_size is None:
+        get = store.get
+        for key in keys:
+            if get(key)[0] is None:
+                misses += 1
+    else:
+        for chunk in _chunks(keys, batch_size):
+            for value, __ in store.multi_get(chunk):
+                if value is None:
+                    misses += 1
+    return misses
+
+
+def issue_deletes(store, keys: Iterable[bytes], batch_size: Optional[int]) -> None:
+    """Delete every key of ``keys``, in order."""
+    if batch_size is None:
+        delete = store.delete
+        for key in keys:
+            delete(key)
+    else:
+        for chunk in _chunks(keys, batch_size):
+            store.multi_delete(chunk)

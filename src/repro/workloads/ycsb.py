@@ -10,7 +10,7 @@ from typing import Dict, Optional
 from repro.kvstore.values import SizedValue
 from repro.sim.rng import XorShiftRng
 from repro.workloads.keys import key_for
-from repro.workloads.runner import Phase, RunResult
+from repro.workloads.runner import Phase, RunResult, check_batch_size, issue_puts
 from repro.workloads.zipfian import (
     LatestGenerator,
     ScrambledZipfian,
@@ -47,22 +47,14 @@ def load_phase(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """YCSB Load: insert ``n`` records in hashed (random-looking) order."""
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = list(range(n))
     XorShiftRng(seed).shuffle(order)
+    items = (
+        (key_for(index), SizedValue(("load", tag), value_size))
+        for tag, index in enumerate(order)
+    )
     with Phase("load", store.system) as phase:
-        if batch_size is None:
-            for tag, index in enumerate(order):
-                store.put(key_for(index), SizedValue(("load", tag), value_size))
-        else:
-            for at in range(0, n, batch_size):
-                store.multi_put([
-                    (key_for(index), SizedValue(("load", tag), value_size))
-                    for tag, index in enumerate(
-                        order[at:at + batch_size], start=at
-                    )
-                ])
+        issue_puts(store, items, batch_size)
     return phase.result()
 
 
@@ -87,8 +79,6 @@ def run_workload(
     every simulated number are unchanged; with ``check_reads`` a missed
     read is reported when its batch flushes rather than instantly.
     """
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = XorShiftRng(seed)
     if spec.distribution == "latest":
         chooser = LatestGenerator(record_count, rng.fork(1))
@@ -98,7 +88,59 @@ def run_workload(
         chooser = ScrambledZipfian(record_count, rng.fork(3))
     next_insert = record_count
     thresholds = _mix_thresholds(spec)
+    if batch_size is None:
+        read, write, flush = _per_op(store, check_reads)
+    else:
+        read, write, flush = _coalesced(store, check_reads, batch_size)
 
+    with Phase(f"ycsb-{spec.name}", store.system) as phase:
+        for op_index in range(n_ops):
+            draw = rng.next_float()
+            if draw < thresholds["read"]:
+                read(key_for(chooser.next()))
+            elif draw < thresholds["update"]:
+                write(
+                    key_for(chooser.next()),
+                    SizedValue(("upd", op_index), value_size),
+                )
+            elif draw < thresholds["insert"]:
+                write(
+                    key_for(next_insert),
+                    SizedValue(("ins", op_index), value_size),
+                )
+                if isinstance(chooser, LatestGenerator):
+                    chooser.observe_insert(next_insert)
+                next_insert += 1
+            elif draw < thresholds["scan"]:
+                flush()
+                store.scan(key_for(chooser.next()), spec.scan_length)
+            else:  # read-modify-write: the get must precede the put
+                key = key_for(chooser.next())
+                read(key)
+                write(key, SizedValue(("rmw", op_index), value_size))
+        flush()
+    return phase.result()
+
+
+def _per_op(store, check_reads: bool):
+    """``(read, write, flush)`` issuing each op as the mix loop draws it."""
+
+    def read(key: bytes) -> None:
+        value, __ = store.get(key)
+        if check_reads and value is None:
+            raise AssertionError("YCSB read missed a loaded key")
+
+    return read, store.put, lambda: None
+
+
+def _coalesced(store, check_reads: bool, batch_size: int):
+    """``(read, write, flush)`` buffering runs of consecutive same-kind ops.
+
+    A run goes out through ``multi_get`` / ``multi_put`` when the kind
+    changes, when it reaches ``batch_size``, or at ``flush()``, which the
+    mix loop calls before a scan and at the end.
+    """
+    check_batch_size(batch_size)
     buffer: list = []
     buffer_kind: Optional[str] = None
 
@@ -124,67 +166,13 @@ def run_workload(
         if len(buffer) >= batch_size:
             flush()
 
-    with Phase(f"ycsb-{spec.name}", store.system) as phase:
-        if batch_size is None:
-            for op_index in range(n_ops):
-                draw = rng.next_float()
-                if draw < thresholds["read"]:
-                    value, __ = store.get(key_for(chooser.next()))
-                    if check_reads and value is None:
-                        raise AssertionError("YCSB read missed a loaded key")
-                elif draw < thresholds["update"]:
-                    store.put(
-                        key_for(chooser.next()),
-                        SizedValue(("upd", op_index), value_size),
-                    )
-                elif draw < thresholds["insert"]:
-                    store.put(
-                        key_for(next_insert),
-                        SizedValue(("ins", op_index), value_size),
-                    )
-                    if isinstance(chooser, LatestGenerator):
-                        chooser.observe_insert(next_insert)
-                    next_insert += 1
-                elif draw < thresholds["scan"]:
-                    store.scan(key_for(chooser.next()), spec.scan_length)
-                else:  # read-modify-write
-                    key = key_for(chooser.next())
-                    store.get(key)
-                    store.put(key, SizedValue(("rmw", op_index), value_size))
-        else:
-            # Same draw sequence; consecutive same-kind ops coalesce.
-            for op_index in range(n_ops):
-                draw = rng.next_float()
-                if draw < thresholds["read"]:
-                    enqueue("get", key_for(chooser.next()))
-                elif draw < thresholds["update"]:
-                    enqueue(
-                        "put",
-                        (
-                            key_for(chooser.next()),
-                            SizedValue(("upd", op_index), value_size),
-                        ),
-                    )
-                elif draw < thresholds["insert"]:
-                    enqueue(
-                        "put",
-                        (
-                            key_for(next_insert),
-                            SizedValue(("ins", op_index), value_size),
-                        ),
-                    )
-                    if isinstance(chooser, LatestGenerator):
-                        chooser.observe_insert(next_insert)
-                    next_insert += 1
-                elif draw < thresholds["scan"]:
-                    flush()
-                    store.scan(key_for(chooser.next()), spec.scan_length)
-                else:  # read-modify-write: the get must precede the put
-                    key = key_for(chooser.next())
-                    enqueue("get", key)
-                    enqueue("put", (key, SizedValue(("rmw", op_index), value_size)))
-            flush()
-    return phase.result()
+    def read(key: bytes) -> None:
+        enqueue("get", key)
+
+    def write(key: bytes, value) -> None:
+        enqueue("put", (key, value))
+
+    return read, write, flush
 
 
 def _mix_thresholds(spec: YcsbSpec) -> Dict[str, float]:

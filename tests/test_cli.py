@@ -63,6 +63,12 @@ def test_unknown_store_rejected():
         parser.parse_args(["dbbench", "--store", "rocksdb"])
 
 
+def test_dbbench_mode_all_rejected():
+    # It was fillrandom under a second name: fill_seq never ran.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dbbench", "--mode", "all"])
+
+
 def test_store_all_expands():
     parser = build_parser()
     args = parser.parse_args(["dbbench", "--store", "all"])

@@ -55,9 +55,19 @@ def test_cluster_cli_skew_and_rebalance(tmp_path, capsys):
 
 
 def test_cluster_cli_range_placement(tmp_path, capsys):
-    text = run_cluster_cli(tmp_path, "range", "--placement", "range")
+    # Also the case that sets the load shape docs/cluster.md describes:
+    # an open-loop rate, a write-heavy mix, depth-1 queues that defer.
+    text = run_cluster_cli(
+        tmp_path, "range", "--placement", "range", "--rate", "2000000",
+        "--read-frac", "0.25", "--admission", "defer",
+        "--max-queue-depth", "1",
+    )
     doc = json.loads(text)
     assert doc["placement"]["policy"] == "range"
+    assert doc["cluster"]["cluster"]["deferred"] > 0
+    assert {s["max_queue_depth"] for s in doc["driver"]["per_shard"]} == {1}
+    gets = sum(s["counters"]["op"]["get"] for s in doc["shards"].values())
+    assert gets < doc["driver"]["completed"] / 2
     capsys.readouterr()
 
 

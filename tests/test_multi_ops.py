@@ -12,12 +12,31 @@ import pytest
 
 from repro.bench.config import BenchScale
 from repro.bench.factory import STORE_NAMES, make_store
+from repro.kvstore.api import KVStore
 from repro.kvstore.values import SizedValue
 from repro.obs import chrome_trace_json
 from repro.sim.rng import XorShiftRng
 
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
+
+#: Read branches the default options never reach: label -> (store,
+#: option overrides, probe).  The probe is asked before every ``_get``
+#: and must say yes at least once, or the run proved nothing.  The
+#: baselines serve ``multi_get`` through ``_get``, so this is where
+#: those branches are reached from the batched entry point.
+RARE_READ_BRANCHES = {
+    "matrixkv-inflight-column": (
+        "matrixkv", {"container_bytes": 32 * KB},
+        lambda store, key: key in store._inflight_column,
+    ),
+    "novelsm-four-memtables": (
+        "novelsm", {"nvm_memtable_bytes": 16 * KB},
+        lambda store, key: None not in (
+            store.memtable, store.immutable, store.nvm_mt, store.nvm_imm
+        ),
+    ),
+}
 
 
 def _op_sequence(n=700, key_space=220, seed=11):
@@ -36,9 +55,19 @@ def _op_sequence(n=700, key_space=220, seed=11):
     return ops
 
 
-def _run(name, batched, chunk=48, trace=False):
+def _run(label, batched, chunk=48, trace=False):
     """One run of the sequence; returns every observable artifact."""
-    store, system = make_store(name, SCALE)
+    name, overrides, probe = RARE_READ_BRANCHES.get(label, (label, {}, None))
+    store, system = make_store(name, SCALE, **overrides)
+    reached = []
+    if probe is not None:
+        engine_get = store._get
+
+        def probed_get(key):
+            reached.append(probe(store, key))
+            return engine_get(key)
+
+        store._get = probed_get
     recorder = system.attach_tracing() if trace else None
     ops = _op_sequence()
     outs = []
@@ -66,6 +95,7 @@ def _run(name, batched, chunk=48, trace=False):
             else:
                 outs.extend(store.multi_delete([k for __, k, __v in block]))
             i = j
+    assert probe is None or any(reached), f"{label}: branch never reached"
     store.quiesce()
     items = list(store.items())
     snapshot = system.stats.snapshot()
@@ -78,7 +108,7 @@ def _run(name, batched, chunk=48, trace=False):
     return outs, items, snapshot, clock, trace_text
 
 
-@pytest.mark.parametrize("name", STORE_NAMES)
+@pytest.mark.parametrize("name", STORE_NAMES + tuple(RARE_READ_BRANCHES))
 def test_batched_run_is_byte_identical(name):
     unbatched = _run(name, batched=False)
     batched = _run(name, batched=True)
@@ -100,6 +130,14 @@ def test_odd_chunk_sizes_do_not_matter():
     reference = _run("miodb", batched=False)
     for chunk in (1, 7, 700):
         assert _run("miodb", batched=True, chunk=chunk) == reference
+
+
+@pytest.mark.parametrize("name", [n for n in STORE_NAMES if n != "miodb"])
+def test_baselines_have_one_read_walk(name):
+    # A batched twin of _get stays only where a benchmarked workload
+    # shows each side winning (KVStore._batch_lookup); no baseline does.
+    store, __ = make_store(name, SCALE)
+    assert type(store)._batch_lookup is KVStore._batch_lookup
 
 
 # ----------------------------------------------------------- small contracts
