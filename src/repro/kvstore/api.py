@@ -142,10 +142,10 @@ class KVStore(ABC):
     def multi_get(self, keys) -> List[Tuple[Optional[object], float]]:
         """Look up many keys; returns ``(value_or_None, latency)`` pairs.
 
-        Equivalent to calling :meth:`get` per key.  Engines supply a
-        vectorized lookup via :meth:`_batch_lookup`; the base loop
-        re-requests it whenever settled background work may have
-        changed table structure, so mid-batch flushes and compactions
+        Equivalent to calling :meth:`get` per key.  ``_get`` serves each
+        key unless the engine supplies a closure via :meth:`_batch_lookup`;
+        the base loop re-requests it whenever settled background work may
+        have changed table structure, so mid-batch flushes and compactions
         land exactly where the one-op-at-a-time path would see them.
         """
         keys = list(keys)

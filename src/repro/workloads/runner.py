@@ -102,7 +102,7 @@ class Phase:
 
 
 def check_batch_size(batch_size: int) -> None:
-    """Reject a chunk length below one (``None``, per-op, never gets here)."""
+    """Reject a chunk length below one; a per-op run has none to check."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 

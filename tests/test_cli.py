@@ -64,7 +64,7 @@ def test_unknown_store_rejected():
 
 
 def test_dbbench_mode_all_rejected():
-    # It was fillrandom under a second name: fill_seq never ran.
+    # Every --mode runs its own fill; there is no umbrella mode.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dbbench", "--mode", "all"])
 
