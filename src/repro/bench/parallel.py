@@ -22,7 +22,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def discover(bench_dir: pathlib.Path, match: str = "") -> List[str]:
@@ -134,17 +134,3 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmarks directory (default: autodetected)",
     )
     return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    bench_dir = args.bench_dir or default_bench_dir()
-    if not bench_dir.is_dir():
-        print(f"benchmarks directory not found: {bench_dir}", file=sys.stderr)
-        return 2
-    failures, __, __ = run_suite(bench_dir, args.jobs, args.match)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,7 +28,7 @@ Suppression is explicit, never silent:
   directly above) suppresses that rule there;
 - ``# repro: allow-file[RULE] -- why`` anywhere in a file suppresses the
   rule for the whole file (for modules whose *purpose* is the flagged
-  behavior, e.g. wall-clock measurement in ``repro.bench.perf``);
+  behavior, e.g. timing subprocesses in ``repro.bench.parallel``);
 - pre-existing findings can be recorded in the checked-in baseline file
   instead (see ``repro.check.baseline``).
 """

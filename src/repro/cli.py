@@ -11,7 +11,7 @@ Run workloads against any store in the library from a shell::
     python -m repro cluster --shards 4 --followers 2 --ack quorum
     python -m repro chaos --store miodb --seeds 3,7,42 --report chaos.json
     python -m repro info
-    python -m repro perf --label after-change
+    python -m repro perf
     python -m repro bench --jobs 8
     python -m repro check --strict --races
 
@@ -723,65 +723,47 @@ def cmd_info(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """Wall-clock microbenchmark kernels -> BENCH_perf.json."""
-    from repro.bench import perf
+    """Every fingerprint kernel beside its pin; exit 1 when one drifted."""
+    from repro.bench.perf import KERNELS, PINNED, run_kernel
 
-    argv = [
-        "--label", args.label, "--ops-scale", args.ops_scale,
-        "--repeats", str(args.repeats), "--json", args.json,
-        "--band-factor", str(args.band_factor),
-    ]
-    if args.kernels is not None:
-        argv += ["--kernels", args.kernels]
-    if args.check_band is not None:
-        argv += ["--check-band", args.check_band]
-    if args.history:
-        argv += ["--history"]
-    return perf.main(argv)
+    pinned = PINNED[args.ops_scale]
+    rows = []
+    drifted = False
+    for name in KERNELS:
+        ops, fingerprint = run_kernel(name, args.ops_scale)
+        rows.append([name, ops, repr(fingerprint), repr(pinned[name])])
+        if fingerprint != pinned[name]:
+            drifted = True
+            print(
+                f"kernel {name}: fingerprint {fingerprint!r} != pinned "
+                f"{pinned[name]!r} (simulated model changed)",
+                file=sys.stderr,
+            )
+    print(format_table(["kernel", "ops", "fingerprint", "pinned"], rows))
+    return 1 if drifted else 0
 
 
 def cmd_diff(args) -> int:
-    """Differential analysis between two runs (see docs/observability.md).
-
-    Default mode diffs two ``repro analyze --json`` documents by file
-    path; ``--perf`` diffs two labelled runs from the perf history
-    instead (positionals become labels in ``BENCH_perf.json``).
-    """
+    """Diff two ``repro analyze --json`` documents (docs/observability.md)."""
     import json
 
-    from repro.obs.analyze import diff_analysis, diff_json, diff_perf, render_diff
+    from repro.obs.analyze import diff_analysis, diff_json, render_diff
 
-    if args.perf:
-        from repro.bench.perf import find_run, load_results
-
-        doc = load_results(pathlib.Path(args.json))
-        runs = []
-        for label in (args.a, args.b):
-            run = find_run(doc, args.diff_store, args.ops_scale, label)
-            if run is None:
-                print(
-                    f"no recorded run: label={label!r} "
-                    f"store={args.diff_store} ops_scale={args.ops_scale} "
-                    f"in {args.json}",
-                    file=sys.stderr,
-                )
-                return 2
-            runs.append(run)
-        report = diff_perf(runs[0], runs[1])
-    else:
-        docs = []
-        for path in (args.a, args.b):
-            try:
-                docs.append(json.loads(pathlib.Path(path).read_text()))
-            except (OSError, ValueError) as exc:
-                print(f"cannot read analysis JSON {path}: {exc}",
-                      file=sys.stderr)
-                return 2
-        report = diff_analysis(
-            docs[0], docs[1],
-            label_a=pathlib.Path(args.a).name,
-            label_b=pathlib.Path(args.b).name,
-        )
+    docs = []
+    for path in (args.a, args.b):
+        try:
+            doc = json.loads(pathlib.Path(path).read_text())
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        except (OSError, ValueError) as exc:
+            print(f"cannot read analysis JSON {path}: {exc}", file=sys.stderr)
+            return 2
+        docs.append(doc)
+    report = diff_analysis(
+        docs[0], docs[1],
+        label_a=pathlib.Path(args.a).name,
+        label_b=pathlib.Path(args.b).name,
+    )
     print(render_diff(report), end="")
     if args.out:
         path = pathlib.Path(args.out)
@@ -796,11 +778,13 @@ def cmd_bench(args) -> int:
 
     from repro.bench import parallel
 
+    bench_dir = args.bench_dir or parallel.default_bench_dir()
+    if not bench_dir.is_dir():
+        print(f"benchmarks directory not found: {bench_dir}", file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    argv = ["--jobs", str(jobs), "--match", args.match]
-    if args.bench_dir:
-        argv += ["--bench-dir", args.bench_dir]
-    return parallel.main(argv)
+    failures, __, __ = parallel.run_suite(bench_dir, jobs, args.match)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1022,39 +1006,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser(
-        "perf", help="simulator wall-clock kernels (perf trajectory)"
+        "perf", help="simulated-clock fingerprint kernels against their pins"
     )
-    p.add_argument("--label", default="current")
     p.add_argument("--ops-scale", choices=["tiny", "default"], default="default")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--kernels", default=None,
-                   help="comma list of kernels (default: all of them)")
-    p.add_argument("--json", default="BENCH_perf.json")
-    p.add_argument("--check-band", metavar="LABEL", default=None,
-                   help="compare against recorded run LABEL instead of "
-                        "recording; exit 1 on violation")
-    p.add_argument("--band-factor", type=float, default=3.0)
-    p.add_argument("--history", action="store_true",
-                   help="render the per-kernel trajectory across recorded "
-                        "runs instead of running kernels")
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
-        "diff",
-        help="differential analysis between two runs (analyze docs or "
-             "perf-history labels)",
+        "diff", help="differential analysis between two analyze documents"
     )
-    p.add_argument("a", help="analysis JSON path (or run label with --perf)")
-    p.add_argument("b", help="analysis JSON path (or run label with --perf)")
-    p.add_argument("--perf", action="store_true",
-                   help="diff two labelled BENCH_perf.json runs instead "
-                        "of two analysis documents")
-    p.add_argument("--json", default="BENCH_perf.json",
-                   help="perf history file for --perf (default %(default)s)")
-    p.add_argument("--store", dest="diff_store", default="miodb",
-                   metavar="STORE", help="store of the --perf runs")
-    p.add_argument("--ops-scale", choices=["tiny", "default"],
-                   default="default", help="ops scale of the --perf runs")
+    p.add_argument("a", help="analysis JSON path")
+    p.add_argument("b", help="analysis JSON path")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also write the full diff document as JSON")
     p.set_defaults(func=cmd_diff)
@@ -1064,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", "-j", type=int, default=None)
     p.add_argument("--match", default="")
-    p.add_argument("--bench-dir", default=None)
+    p.add_argument("--bench-dir", type=pathlib.Path, default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -17,7 +17,7 @@ report is byte-identical across same-seed runs.  The pieces:
   per-follower lag timelines, and quorum-straggler counts from the
   causal ``repl.*`` events;
 - :mod:`~repro.obs.analyze.diff` -- differential analysis between two
-  runs (analysis documents or perf-history entries) behind ``repro diff``;
+  analysis documents, behind ``repro diff``;
 - :mod:`~repro.obs.analyze.slo` -- rolling-window SLO monitors with
   multi-window burn-rate alerting on the simulated clock;
 - :mod:`~repro.obs.analyze.report` -- the assembled ``repro analyze``
@@ -35,7 +35,6 @@ from repro.obs.analyze.critical_path import (
 from repro.obs.analyze.diff import (
     diff_analysis,
     diff_json,
-    diff_perf,
     diff_verdict,
     render_diff,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "follower_lag_timeline",
     "replication_summary",
     "diff_analysis",
-    "diff_perf",
     "diff_verdict",
     "diff_json",
     "render_diff",

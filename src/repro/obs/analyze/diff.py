@@ -1,24 +1,17 @@
 """Differential trace analysis: what changed between two runs.
 
-Two deterministic comparisons back ``repro diff``:
+:func:`diff_analysis` backs ``repro diff``: it compares two ``repro
+analyze`` documents (same store, different code or configuration).
+Every numeric leaf of the comparable sections -- attribution buckets,
+stall causes, per-device and per-level time, write amplification,
+bytes-moved timeline bins, replication phases -- becomes one delta row,
+ranked by relative magnitude.  Two same-seed runs of the same code
+produce byte-identical analysis documents, so their diff has exactly
+zero rows.
 
-- :func:`diff_analysis` -- two ``repro analyze`` documents (same store,
-  different code or configuration).  Every numeric leaf of the
-  comparable sections -- attribution buckets, stall causes, per-device
-  and per-level time, write amplification, bytes-moved timeline bins,
-  replication phases -- becomes one delta row, ranked by relative
-  magnitude.  Two same-seed runs of the same code produce byte-identical
-  analysis documents, so their diff has exactly zero rows.
-- :func:`diff_perf` -- two labelled runs from ``BENCH_perf.json``
-  (the wall-clock trajectory).  Kernels present in both are compared on
-  wall time and throughput, ranked by speedup magnitude, and flagged
-  when the pinned simulated fingerprint changed (the model itself
-  drifted, which no optimization may do).
-
-Both emit the same document shape (``mode`` distinguishes them) with a
-one-line ``verdict`` -- the sentence CI embeds in band-violation
-messages.  Ranking keys are pure functions of the inputs and ties break
-on the metric name, so the report is byte-stable.
+The document carries a one-line ``verdict`` naming the biggest mover.
+Ranking keys are pure functions of the inputs and ties break on the
+metric name, so the report is byte-stable.
 """
 
 import json
@@ -137,84 +130,8 @@ def _analysis_verdict(doc: dict) -> str:
     )
 
 
-def diff_perf(run_a: dict, run_b: dict) -> dict:
-    """Per-kernel deltas between two ``BENCH_perf.json`` run entries.
-
-    ``speedup`` is ``a_wall / b_wall`` -- above 1 means ``b`` is faster.
-    Kernels with identical wall time and matching fingerprints are
-    dropped, so diffing a run against itself reports zero deltas.
-    Fingerprint mismatches always rank first: a changed fingerprint
-    means the simulated model drifted, which outranks any speed delta.
-    """
-    label_a = run_a.get("label", "a")
-    label_b = run_b.get("label", "b")
-    kernels_a = run_a.get("kernels", {})
-    kernels_b = run_b.get("kernels", {})
-    deltas: List[dict] = []
-    for kernel in kernels_a:
-        if kernel not in kernels_b:
-            continue
-        ka, kb = kernels_a[kernel], kernels_b[kernel]
-        match = ka.get("fingerprint") == kb.get("fingerprint")
-        if match and ka["wall_s"] == kb["wall_s"]:
-            continue
-        speedup = ka["wall_s"] / kb["wall_s"] if kb["wall_s"] > 0 else None
-        deltas.append({
-            "kernel": kernel,
-            "a_wall_s": ka["wall_s"],
-            "b_wall_s": kb["wall_s"],
-            "a_kops": ka["kops_wall"],
-            "b_kops": kb["kops_wall"],
-            "speedup": speedup,
-            "fingerprint_match": match,
-        })
-    deltas.sort(key=lambda row: (
-        row["fingerprint_match"],
-        -max(row["speedup"], 1.0 / row["speedup"])
-        if row["speedup"] else 0.0,
-        row["kernel"],
-    ))
-    doc = {
-        "schema": 1,
-        "mode": "perf",
-        "a": label_a,
-        "b": label_b,
-        "store_a": run_a.get("store"),
-        "store_b": run_b.get("store"),
-        "deltas": deltas,
-    }
-    doc["verdict"] = _perf_verdict(doc)
-    return doc
-
-
-def _perf_verdict(doc: dict) -> str:
-    deltas = doc["deltas"]
-    if not deltas:
-        return (
-            f"no differences: {doc['a']} and {doc['b']} match on every "
-            "shared kernel"
-        )
-    drifted = [row["kernel"] for row in deltas if not row["fingerprint_match"]]
-    if drifted:
-        return (
-            f"simulated model drifted on {len(drifted)} kernel(s): "
-            f"{', '.join(drifted)} ({doc['a']} vs {doc['b']})"
-        )
-    top = deltas[0]
-    speedup = top["speedup"]
-    if speedup >= 1.0:
-        direction = f"{speedup:.2f}x faster"
-    else:
-        direction = f"{1.0 / speedup:.2f}x slower"
-    return (
-        f"{len(deltas)} kernels changed; biggest: {top['kernel']} "
-        f"{direction} ({top['a_kops']:.3f} -> {top['b_kops']:.3f} kops) "
-        f"from {doc['a']} to {doc['b']}"
-    )
-
-
 def diff_verdict(doc: dict) -> str:
-    """The diff's one-line verdict (CI embeds this in band messages)."""
+    """The diff's one-line verdict."""
     return doc["verdict"]
 
 
@@ -231,31 +148,16 @@ def render_diff(doc: dict, top: Optional[int] = 20) -> str:
     ]
     deltas = doc["deltas"]
     shown = deltas if top is None else deltas[:top]
-    if doc["mode"] == "perf":
-        if shown:
-            lines.append(
-                f"{'kernel':<14} {'a kops':>10} {'b kops':>10} "
-                f"{'speedup':>9} {'model':>8}"
-            )
-        for row in shown:
-            speedup = row["speedup"]
-            lines.append(
-                f"{row['kernel']:<14} {row['a_kops']:>10.3f} "
-                f"{row['b_kops']:>10.3f} "
-                + (f"{speedup:>8.2f}x" if speedup else f"{'n/a':>9}")
-                + f" {'ok' if row['fingerprint_match'] else 'DRIFT':>8}"
-            )
-    else:
-        if shown:
-            lines.append(
-                f"{'metric':<44} {'a':>14} {'b':>14} {'shift':>8}"
-            )
-        for row in shown:
-            pct = _rel(row["a"], row["b"]) * 100.0
-            lines.append(
-                f"{row['metric']:<44} {_fmt(row['a']):>14} "
-                f"{_fmt(row['b']):>14} {pct:>7.1f}%"
-            )
+    if shown:
+        lines.append(
+            f"{'metric':<44} {'a':>14} {'b':>14} {'shift':>8}"
+        )
+    for row in shown:
+        pct = _rel(row["a"], row["b"]) * 100.0
+        lines.append(
+            f"{row['metric']:<44} {_fmt(row['a']):>14} "
+            f"{_fmt(row['b']):>14} {pct:>7.1f}%"
+        )
     if top is not None and len(deltas) > top:
         lines.append(f"... {len(deltas) - top} more rows (see --out JSON)")
     return "\n".join(lines) + "\n"

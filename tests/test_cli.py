@@ -82,22 +82,38 @@ def test_ssd_flag(capsys):
     assert rc == 0
 
 
-def test_perf_subcommand_writes_trajectory(tmp_path, capsys):
-    path = tmp_path / "BENCH_perf.json"
-    rc = main(
-        ["perf", "--label", "cli-smoke", "--ops-scale", "tiny",
-         "--repeats", "1", "--kernels", "compact", "--json", str(path)]
-    )
-    assert rc == 0
-    assert path.exists()
-    assert "cli-smoke" in capsys.readouterr().out
+def test_perf_subcommand_prints_every_kernel_beside_its_pin(capsys):
+    from repro.bench.perf import KERNELS
+
+    assert main(["perf", "--ops-scale", "tiny"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]  # header, rule
+    assert [row.split()[0] for row in rows] == list(KERNELS)
+    assert all(row.split()[2] == row.split()[3] for row in rows)
+    assert captured.err == ""
 
 
-def test_perf_subcommand_rejects_unknown_kernel(tmp_path):
-    rc = main(
-        ["perf", "--kernels", "fsync", "--json", str(tmp_path / "p.json")]
-    )
-    assert rc == 2
+def test_perf_subcommand_exits_1_and_names_the_drifted_kernel(monkeypatch, capsys):
+    from repro.bench.perf import PINNED
+
+    recorded = PINNED["tiny"]["flush"]
+    monkeypatch.setitem(PINNED["tiny"], "flush", 0.125)
+    assert main(["perf", "--ops-scale", "tiny"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "kernel flush" in line
+    assert repr(recorded) in line and "0.125" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["perf", "--kernels", "put"], ["perf", "--history"],
+     ["diff", "--perf", "a", "b"]],
+    ids=["perf-kernels", "perf-history", "diff-perf"],
+)
+def test_flags_of_the_removed_timing_harness_are_rejected(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_bench_subcommand_rejects_missing_dir(tmp_path, capsys):
@@ -283,19 +299,3 @@ def test_cluster_live_conflicts_with_trace_and_analyze(tmp_path):
         "cluster", "--shards", "2", "--clients", "1", "--ops", "10",
         "--live", "--analyze",
     ]) == 2
-
-
-def test_perf_history_subcommand(tmp_path, capsys):
-    path = tmp_path / "perf.json"
-    rc = main([
-        "perf", "--label", "r0", "--ops-scale", "tiny", "--repeats", "1",
-        "--kernels", "put", "--json", str(path),
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main(["perf", "--history", "--ops-scale", "tiny", "--json", str(path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "perf history" in out
-    assert "-- put --" in out
-    assert "r0" in out

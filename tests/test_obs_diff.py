@@ -1,28 +1,22 @@
 """Differential trace analysis (``repro diff``): ranking and verdicts.
 
-Two pinned behaviors anchor the module: a same-seed self-diff reports
+The pinned behavior anchoring the module: a same-seed self-diff reports
 exactly zero deltas (analysis documents are byte-identical, so nothing
-can differ), and diffing the repo's own recorded perf history across
-the batching PR ranks the put/get kernel improvements exactly as the
-history shows them.
+can differ).
 """
 
 import json
-import pathlib
 
 import pytest
 
 from repro.obs.analyze import (
     diff_analysis,
     diff_json,
-    diff_perf,
     diff_verdict,
     render_diff,
 )
 
 pytestmark = pytest.mark.obs_diff
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def analysis_doc(**overrides):
@@ -42,9 +36,6 @@ def analysis_doc(**overrides):
     }
     doc.update(overrides)
     return doc
-
-
-# ------------------------------------------------------------ analysis mode
 
 
 def test_self_diff_reports_exactly_zero_deltas():
@@ -101,86 +92,6 @@ def test_verdict_names_the_biggest_mover():
     assert "from old to new" in verdict
 
 
-# ---------------------------------------------------------------- perf mode
-
-
-def perf_run(label, wall_by_kernel, fingerprints=None):
-    kernels = {}
-    for name, wall in wall_by_kernel.items():
-        kernels[name] = {
-            "ops": 1000,
-            "wall_s": wall,
-            "kops_wall": 1.0 / wall,
-            "fingerprint": (fingerprints or {}).get(name, f"fp-{name}"),
-        }
-    return {"label": label, "store": "miodb", "ops_scale": "default",
-            "kernels": kernels}
-
-
-def test_perf_self_diff_is_empty():
-    run = perf_run("base", {"put": 0.1, "get": 0.05})
-    diff = diff_perf(run, run)
-    assert diff["deltas"] == []
-    assert diff_verdict(diff).startswith("no differences")
-
-
-def test_perf_diff_ranks_by_speedup_magnitude():
-    a = perf_run("old", {"put": 0.1, "get": 0.1, "scan": 0.1})
-    b = perf_run("new", {"put": 0.05, "get": 0.1, "scan": 0.08})
-    diff = diff_perf(a, b)
-    kernels = [row["kernel"] for row in diff["deltas"]]
-    assert kernels == ["put", "scan"]  # get unchanged -> dropped
-    assert diff["deltas"][0]["speedup"] == pytest.approx(2.0)
-    assert "put 2.00x faster" in diff_verdict(diff)
-
-
-def test_perf_diff_flags_fingerprint_drift_first():
-    a = perf_run("old", {"put": 0.1, "get": 0.1})
-    b = perf_run("new", {"put": 0.01, "get": 0.1},
-                 fingerprints={"get": "drifted"})
-    diff = diff_perf(a, b)
-    assert diff["deltas"][0]["kernel"] == "get"
-    assert diff["deltas"][0]["fingerprint_match"] is False
-    verdict = diff_verdict(diff)
-    assert "drifted" in verdict and "get" in verdict
-
-
-def test_repo_history_ranks_the_batching_pr_correctly():
-    """The recorded trajectory must diff exactly as history happened:
-    the batching PR's biggest wins were the get and put kernels."""
-    from repro.bench.perf import find_run, load_results
-
-    doc = load_results(REPO / "BENCH_perf.json")
-    a = find_run(doc, "miodb", "default", "pr5-obs")
-    b = find_run(doc, "miodb", "default", "pr6-batch")
-    if a is None or b is None:
-        pytest.skip("perf history lacks the pr5-obs/pr6-batch runs")
-    diff = diff_perf(a, b)
-    kernels = [row["kernel"] for row in diff["deltas"]]
-    assert kernels[0] == "get"
-    assert kernels[1] == "put"
-    for row in diff["deltas"]:
-        assert row["fingerprint_match"] is True
-    assert "get" in diff_verdict(diff)
-    assert "faster" in diff_verdict(diff)
-
-
-# ------------------------------------------------------- band-check verdict
-
-
-def test_check_band_embeds_the_diff_verdict():
-    from repro.bench.perf import check_band
-
-    ref = perf_run("base", {"put": 0.1, "get": 0.1})
-    cur = perf_run("current", {"put": 0.9, "get": 0.1})["kernels"]
-    violations = check_band(cur, ref, factor=3.0)
-    assert len(violations) == 1
-    assert "kernel put" in violations[0]
-    assert "; diff: " in violations[0]
-    assert "9.00x slower" in violations[0]
-    assert check_band(ref["kernels"], ref, factor=3.0) == []
-
-
 # -------------------------------------------------------------- CLI surface
 
 
@@ -212,31 +123,23 @@ def test_cli_diff_self_is_silent_about_deltas(tmp_path, capsys):
     assert "no differences" in capsys.readouterr().out
 
 
-def test_cli_diff_perf_mode_unknown_label_fails(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text", ["not json", "[1, 2]", "7"], ids=["text", "array", "number"]
+)
+def test_cli_diff_rejects_a_document_that_is_not_a_json_object(
+    tmp_path, capsys, text
+):
     from repro.cli import main
 
-    history = tmp_path / "perf.json"
-    history.write_text(json.dumps({"schema": 1, "runs": [
-        perf_run("only", {"put": 0.1}),
-    ]}))
-    rc = main(["diff", "--perf", "--json", str(history), "only", "missing"])
-    assert rc == 2
-    assert "no recorded run" in capsys.readouterr().err
-
-
-def test_cli_diff_perf_mode(tmp_path, capsys):
-    from repro.cli import main
-
-    history = tmp_path / "perf.json"
-    history.write_text(json.dumps({"schema": 1, "runs": [
-        perf_run("old", {"put": 0.1}),
-        perf_run("new", {"put": 0.05}),
-    ]}))
-    rc = main(["diff", "--perf", "--json", str(history), "old", "new"])
-    assert rc == 0
-    shown = capsys.readouterr().out
-    assert "repro diff (perf)" in shown
-    assert "put 2.00x faster" in shown
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    good.write_text(json.dumps(analysis_doc()))
+    bad.write_text(text)
+    for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+        assert main(["diff"] + argv) == 2
+        captured = capsys.readouterr()
+        assert f"cannot read analysis JSON {bad}" in captured.err
+        assert captured.out == ""
 
 
 def test_render_diff_truncates_with_a_pointer():

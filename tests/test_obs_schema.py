@@ -159,7 +159,7 @@ def test_chrome_trace_document_schema():
 #: Pinned fingerprint of `run_traced("miodb", n=512, value_size=1024,
 #: reads=64, seed=1)`.  The trace layer promises byte-reproducible
 #: artifacts; if an intentional change to the simulated model or the
-#: event vocabulary moves these, re-pin them alongside BENCH_perf.json.
+#: event vocabulary moves these, re-pin them alongside ``repro.bench.perf.PINNED``.
 PINNED_COUNTS = {"transfer": 1476, "op": 576, "flush": 16, "compact": 7, "stall": 5}
 PINNED_CLOCK = 0.0017989877593358522
 PINNED_SHA256 = "20bae2caa49a92e3a29d55eb6184d3168c0166ca96e7ade942db6bd0e9d0915b"

@@ -1,44 +1,36 @@
-"""Tiny-scale smoke tests for the perf microbenchmark kernels.
+"""Tier-1 pins for the fingerprint kernels (``repro.bench.perf``).
 
-Marked ``perf_smoke``: they run every kernel at the tiny preset inside
-the tier-1 time budget and pin the property that makes wall-clock
-optimization safe -- the *simulated* model is bit-deterministic, so the
-same operations always yield the same simulated seconds (or merge work
-counters).  An optimization that changes a fingerprint changes the
-paper's figures and must fail here.
+Marked ``perf_smoke``: every kernel runs at the tiny preset and must
+land exactly on its checked-in ``PINNED`` value -- the same operations
+always yield the same simulated seconds (or merge work counters).  A
+change that moves a fingerprint changes the paper's figures and must
+fail here, by kernel name.
 """
-
-import json
 
 import pytest
 
-from repro.bench.perf import (
-    KERNELS,
-    load_results,
-    record_run,
-    run_kernel,
-    run_kernels,
-    speedup_table,
-)
+from repro.bench.perf import KERNELS, PINNED, run_kernel
 
 pytestmark = pytest.mark.perf_smoke
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_is_deterministic_across_fresh_runs(kernel):
-    first = run_kernel(kernel, ops_scale="tiny", repeats=1)
-    second = run_kernel(kernel, ops_scale="tiny", repeats=1)
-    assert first["ops"] == second["ops"] > 0
-    assert first["wall_s"] > 0
-    # Same ops -> same simulated seconds (or exact merge counters).
-    assert first["fingerprint"] == second["fingerprint"]
+    ops, fingerprint = run_kernel(kernel, "tiny")
+    assert ops > 0
+    assert fingerprint == PINNED["tiny"][kernel]
 
 
-def test_repeats_cross_check_fingerprints():
-    # repeats>1 re-runs the kernel and asserts fingerprint equality
-    # internally; surviving it is itself a determinism check.
-    metrics = run_kernel("put", ops_scale="tiny", repeats=2)
-    assert metrics["kops_wall"] > 0
+@pytest.mark.parametrize("scale", ["tiny", "default"])
+def test_pin_table_has_no_holes(scale):
+    pins = PINNED[scale]
+    assert set(pins) == set(KERNELS)
+    # Ten values of its own per preset; the six "equal to plain" kernels
+    # are pinned to their plain kernel's entry, not to a second number.
+    assert len(set(pins.values())) == 10
+    for base in ("put", "get"):
+        for variant in ("traced", "live", "repl0"):
+            assert pins[f"{base}-{variant}"] == pins[base]
 
 
 def test_unknown_kernel_and_preset_rejected():
@@ -46,79 +38,11 @@ def test_unknown_kernel_and_preset_rejected():
         run_kernel("fsync")
     with pytest.raises(ValueError):
         run_kernel("put", ops_scale="huge")
-    with pytest.raises(ValueError):
-        run_kernel("put", repeats=0)
-
-
-def test_record_run_roundtrip(tmp_path):
-    path = tmp_path / "BENCH_perf.json"
-    kernels = run_kernels(("compact",), ops_scale="tiny", repeats=1)
-    doc = record_run(path, "smoke", kernels, "miodb", "tiny")
-    assert json.loads(path.read_text()) == doc
-    assert doc["runs"][0]["label"] == "smoke"
-    # Re-recording the same label replaces the run instead of duplicating.
-    doc = record_run(path, "smoke", kernels, "miodb", "tiny")
-    assert len(doc["runs"]) == 1
-    assert load_results(path) == doc
-    table = speedup_table(doc)
-    assert "smoke" in table and "compact_ms" in table
-
-
-def test_speedup_table_empty():
-    assert "no perf runs" in speedup_table({"runs": []})
 
 
 @pytest.mark.parametrize("base", ["put", "get"])
 def test_instrumented_kernels_share_the_plain_fingerprint(base):
     """Tracing (full or live) must add zero simulated time."""
-    plain = run_kernel(base, ops_scale="tiny", repeats=1)
-    traced = run_kernel(f"{base}-traced", ops_scale="tiny", repeats=1)
-    live = run_kernel(f"{base}-live", ops_scale="tiny", repeats=1)
-    assert traced["fingerprint"] == plain["fingerprint"]
-    assert live["fingerprint"] == plain["fingerprint"]
-    assert traced["ops"] == live["ops"] == plain["ops"]
-
-
-def test_check_band_violation_names_kernel_kops_and_band_edges():
-    from repro.bench.perf import check_band
-
-    ref = {"kernels": {"put": {
-        "wall_s": 0.01, "kops_wall": 100.0, "fingerprint": 1.0,
-    }}}
-    fresh = {"put": {"wall_s": 0.05, "kops_wall": 20.0, "fingerprint": 1.0}}
-    violations = check_band(fresh, ref, 3.0)
-    assert len(violations) == 1
-    line = violations[0]
-    assert "\n" not in line
-    assert "kernel put" in line
-    assert "20.000 kops" in line          # observed throughput
-    assert "0.010000s recorded" in line   # band lower edge
-    assert "0.030000s max" in line        # band upper edge
-    assert "3x" in line
-
-
-def test_history_table_renders_trajectory_and_flags_regressions():
-    from repro.bench.perf import history_table
-
-    doc = {"runs": [
-        {"label": "v0", "store": "miodb", "ops_scale": "tiny",
-         "kernels": {"put": {"wall_s": 0.010, "kops_wall": 100.0}}},
-        {"label": "v1", "store": "miodb", "ops_scale": "tiny",
-         "kernels": {"put": {"wall_s": 0.050, "kops_wall": 20.0}}},
-        {"label": "other-scale", "store": "miodb", "ops_scale": "default",
-         "kernels": {"put": {"wall_s": 1.0, "kops_wall": 1.0}}},
-    ]}
-    text = history_table(doc, "miodb", "tiny", band_factor=3.0)
-    assert "-- put --" in text
-    assert "v0" in text and "v1" in text
-    assert "other-scale" not in text  # filtered by ops_scale
-    lines = {l.split()[0]: l for l in text.splitlines() if l.startswith("  ")}
-    assert "REGRESSION" not in lines["v0"]  # first run is the baseline
-    assert "REGRESSION" in lines["v1"]      # 5x the best prior wall
-    assert text == history_table(doc, "miodb", "tiny", band_factor=3.0)
-
-
-def test_history_table_empty_doc():
-    from repro.bench.perf import history_table
-
-    assert "no perf runs" in history_table({"runs": []}, "miodb", "tiny")
+    plain = run_kernel(base, "tiny")
+    assert run_kernel(f"{base}-traced", "tiny") == plain
+    assert run_kernel(f"{base}-live", "tiny") == plain
