@@ -170,6 +170,38 @@ def test_per_shard_accounting_sums_to_totals():
     assert merged.summary("response").p99 == result.response.p99
 
 
+def test_queueing_run_is_pinned():
+    """Closed- and open-loop clients contending for depth-2 queues under
+    ``defer``: queues build, requests defer and some exhaust their
+    retries.  The digest was generated before the serve loop was reduced
+    to one request per scheduler turn; it covers the metrics document,
+    the final clock and every stored tag."""
+    import hashlib
+
+    router = make_router()
+    preload(router)
+    result = run_cluster(
+        router,
+        [
+            spec(seed=1, n_ops=300),
+            spec(seed=2, n_ops=300),
+            spec(seed=3, n_ops=300, rate_per_s=500_000.0, theta=0.9),
+            spec(seed=4, n_ops=300, rate_per_s=500_000.0),
+        ],
+        admission=AdmissionControl(policy="defer", max_queue_depth=2),
+    )
+    assert router.cluster.stats.get("cluster.deferred") > 0
+    assert result.drops == {DROP_RETRY_EXHAUSTED: 2}
+    assert max(d["max_queue_depth"] for d in result.per_shard) == 2
+    digest = hashlib.sha256()
+    digest.update(cluster_metrics_json(router.cluster, router, result).encode())
+    digest.update(repr(router.cluster.clock.now).encode())
+    digest.update(repr([(k, v.tag) for k, v in router.items()]).encode())
+    assert digest.hexdigest() == (
+        "61fce9f16c79814c77b839c11e4f914e66cf919b43752f3eeb5d22c524249a59"
+    )
+
+
 def test_batch_limit_validation():
     router = make_router(n_shards=2)
     with pytest.raises(ValueError):
