@@ -484,7 +484,6 @@ def cmd_cluster(args) -> int:
         clients,
         admission=admission,
         rebalance_every=args.rebalance_every,
-        batch_limit=_batch_arg(args),
         dashboard=dashboard,
         sessions=sessions,
     )
@@ -793,9 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_batch(p, default):
+    def _add_batch(p):
         p.add_argument(
-            "--batch-size", type=int, default=default, metavar="N",
+            "--batch-size", type=int, default=128, metavar="N",
             help="ops coalesced per multi_* call (wall-clock only; "
                  "0 = per-op loop, default %(default)s)",
         )
@@ -809,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fsync-policy", default="sync", metavar="POLICY",
                    help="WAL durability: sync, batch:N, or interval:T "
                         "(simulated seconds); default %(default)s")
-    _add_batch(p, 128)
+    _add_batch(p)
     p.set_defaults(func=cmd_dbbench)
 
     p = sub.add_parser("ycsb", help="YCSB load + workloads")
@@ -817,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", default="A,B,C")
     p.add_argument("--records", type=int, default=None)
     p.add_argument("--ops", type=int, default=1000)
-    _add_batch(p, 128)
+    _add_batch(p)
     p.set_defaults(func=cmd_ycsb)
 
     p = sub.add_parser("compare", help="headline store comparison")
@@ -940,7 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fsync-policy", default="sync", metavar="POLICY",
                    help="WAL durability: sync, batch:N, or interval:T "
                         "(simulated seconds); default %(default)s")
-    _add_batch(p, 32)
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="write the deterministic cluster metrics JSON")
     p.add_argument("--analyze", action="store_true",

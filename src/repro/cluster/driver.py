@@ -225,7 +225,6 @@ def run_cluster(
     rebalance_every: int = 0,
     hot_factor: float = 1.5,
     max_rebalances: int = 4,
-    batch_limit: Optional[int] = None,
     dashboard=None,
     chaos=None,
     sessions: Optional[List] = None,
@@ -239,14 +238,9 @@ def run_cluster(
     specs' seeds and the cluster's state, so two runs with the same
     inputs produce identical results.
 
-    The serve loop coalesces admission-queue drains into per-shard
-    batches: once the scheduler picks the shard holding the global FIFO
-    minimum, it keeps serving that shard's queue until another shard's
-    head becomes the minimum or a new arrival falls due, paying the
-    scheduler scan once per batch instead of once per request.  Service
-    order -- and with it every simulated number -- is identical to the
-    one-request-at-a-time loop; ``batch_limit`` (``None`` = unbounded)
-    only caps how long a single drain may run.
+    The loop serves one request per turn: admit every due arrival, pick
+    the queue head with the smallest ``(arrival, tag)`` across shards,
+    serve it.
 
     ``dashboard`` is an optional
     :class:`~repro.obs.live.dashboard.LiveDashboard`; it is offered each
@@ -256,9 +250,8 @@ def run_cluster(
     ``chaos`` is an optional
     :class:`~repro.replication.chaos.ChaosInjector`; it is offered the
     completed-op count after every completion and may kill or restart
-    replicas mid-run (the serve batch restarts afterwards, since the
-    shard's leader may have changed).  ``sessions`` is an optional
-    per-client list of :class:`~repro.replication.group.Session` tokens
+    replicas mid-run.  ``sessions`` is an optional list of
+    :class:`~repro.replication.group.Session` tokens, one per client,
     for read-your-writes routing on replicated clusters.
 
     On a replicated cluster a request whose shard is leaderless with no
@@ -271,8 +264,11 @@ def run_cluster(
 
     from repro.cluster.rebalance import maybe_rebalance
 
-    if batch_limit is not None and batch_limit < 1:
-        raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
+    if sessions is not None and len(sessions) != len(clients):
+        raise ValueError(
+            f"sessions must hold one token per client: got {len(sessions)} "
+            f"sessions for {len(clients)} clients"
+        )
     admission = admission or AdmissionControl()
     cluster = router.cluster
     clock = cluster.clock
@@ -340,6 +336,15 @@ def run_cluster(
             # the same instant.
             push(state.make_request(clock.now + admission.defer_s))
 
+    def defer_or_drop(request: _Request, shard: int, cause: str) -> None:
+        """Retry ``request`` after ``defer_s`` if the policy allows, else shed."""
+        if admission.policy == "defer" and request.retries < admission.max_retries:
+            request.retries += 1
+            stats.add("cluster.deferred", 1)
+            push(request, at=clock.now + admission.defer_s)
+        else:
+            drop(request, shard, cause)
+
     while heap or any(queues):
         if heap and not any(queues):
             # Idle: jump to the next arrival and apply background work.
@@ -352,20 +357,11 @@ def run_cluster(
             fresh = request.retries == 0
             shard = router.route(request.key)
             if len(queues[shard]) >= admission.max_queue_depth:
-                if (
-                    admission.policy == "defer"
-                    and request.retries < admission.max_retries
-                ):
-                    request.retries += 1
-                    stats.add("cluster.deferred", 1)
-                    push(request, at=clock.now + admission.defer_s)
-                else:
-                    cause = (
-                        DROP_RETRY_EXHAUSTED
-                        if request.retries
-                        else DROP_QUEUE_FULL
-                    )
-                    drop(request, shard, cause)
+                defer_or_drop(
+                    request,
+                    shard,
+                    DROP_RETRY_EXHAUSTED if request.retries else DROP_QUEUE_FULL,
+                )
             else:
                 queues[shard].append(request)
                 depth = len(queues[shard])
@@ -386,114 +382,72 @@ def run_cluster(
                     serve_shard = shard_id
         if serve_shard < 0:
             continue
-        # Serve a run of requests from the chosen shard.  Nothing is
-        # admitted while we serve (admission only happens above), so the
-        # other queues' heads keep their (arrival, tag) keys: the next
-        # request the one-at-a-time loop would pick stays ours until
-        # this queue's head stops being the global FIFO minimum or a new
-        # arrival falls due (closed-loop clients push one per
-        # completion).  Batching amortizes the scheduler scan and the
-        # per-request local setup; it never changes the service order.
-        other_key = None
-        for shard_id in range(n_shards):
-            if shard_id != serve_shard and queues[shard_id]:
-                head = queues[shard_id][0]
-                key = (head.arrival, head.tag)
-                if other_key is None or key < other_key:
-                    other_key = key
-        queue = queues[serve_shard]
+        request = queues[serve_shard].popleft()
         shard = cluster.shards[serve_shard]
         group = shard.group
-        store_get = shard.store.get
-        store_put = shard.store.put
-        record = recorders[serve_shard].record
+        if (
+            group is not None
+            and group.leader_idx is None
+            and not group.election_pending
+        ):
+            # Leaderless with no election in flight: the group is below
+            # its majority and cannot serve until a restart.  Defer
+            # (bounded) or shed with the no_leader cause -- never
+            # silently drop.
+            defer_or_drop(request, serve_shard, DROP_NO_LEADER)
+            continue
+        state = states[request.client]
         obs = shard.system.obs
-        served = 0
-        while True:
-            if (
-                group is not None
-                and group.leader_idx is None
-                and not group.election_pending
-            ):
-                # Leaderless with no election in flight: the group is
-                # below its majority and cannot serve until a restart.
-                # Defer (bounded) or shed with the no_leader cause --
-                # never silently drop.
-                request = queue.popleft()
-                if (
-                    admission.policy == "defer"
-                    and request.retries < admission.max_retries
-                ):
-                    request.retries += 1
-                    stats.add("cluster.deferred", 1)
-                    push(request, at=clock.now + admission.defer_s)
-                else:
-                    drop(request, serve_shard, DROP_NO_LEADER)
-                break
-            request = queue.popleft()
-            state = states[request.client]
-            if obs is not None:
-                # Admission-queue wait: arrival (or first defer) to
-                # service start.  One span per served request, so
-                # per-shard latency attribution can put the queueing
-                # component next to the op's own span (emitted right
-                # after, by the store).
-                obs.span(
-                    "router",
-                    request.kind,
-                    CAT_QUEUE,
-                    request.arrival,
-                    clock.now,
-                    {"client": request.client, "shard": serve_shard},
-                )
-            if group is not None:
-                session = sessions[request.client] if sessions else None
-                if request.kind == "get":
-                    group.get(request.key, session=session)
-                else:
-                    group.put(
-                        request.key,
-                        SizedValue(request.tag, state.spec.value_size),
-                        session=session,
-                    )
-            elif request.kind == "get":
-                store_get(request.key)
+        if obs is not None:
+            # Admission-queue wait: arrival (or first defer) to service
+            # start.  One span per served request, so per-shard latency
+            # attribution can put the queueing component next to the
+            # op's own span (emitted right after, by the store).
+            obs.span(
+                "router",
+                request.kind,
+                CAT_QUEUE,
+                request.arrival,
+                clock.now,
+                {"client": request.client, "shard": serve_shard},
+            )
+        if group is not None:
+            session = sessions[request.client] if sessions else None
+            if request.kind == "get":
+                group.get(request.key, session=session)
             else:
-                store_put(
-                    request.key, SizedValue(request.tag, state.spec.value_size)
+                group.put(
+                    request.key,
+                    SizedValue(request.tag, state.spec.value_size),
+                    session=session,
                 )
-            now = clock.now
-            record("response", now, now - request.arrival)
-            shard_completed[serve_shard] += 1
-            completed += 1
-            state.completed += 1
-            served += 1
-            if dashboard is not None:
-                dashboard.maybe_refresh(now)
-            if state.closed_loop:
-                schedule_next(state, now)
-            if chaos is not None and chaos.maybe_fire(completed):
-                # A kill or restart just fired: the shard's leader (and
-                # with it the hoisted store fast path) may be stale.
-                break
+        elif request.kind == "get":
+            shard.store.get(request.key)
+        else:
+            shard.store.put(
+                request.key, SizedValue(request.tag, state.spec.value_size)
+            )
+        now = clock.now
+        recorders[serve_shard].record("response", now, now - request.arrival)
+        shard_completed[serve_shard] += 1
+        completed += 1
+        state.completed += 1
+        if dashboard is not None:
+            dashboard.maybe_refresh(now)
+        if state.closed_loop:
+            schedule_next(state, now)
+        if chaos is not None:
+            chaos.maybe_fire(completed)
 
-            if rebalance_every > 0:
-                since_check += 1
-                if since_check >= rebalance_every:
-                    since_check = 0
-                    if len(rebalances) < max_rebalances:
-                        moved = maybe_rebalance(router, factor=hot_factor)
-                        if moved is not None:
-                            rebalances.append(moved)
-                    router.reset_window()
-
-            if not queue or served == batch_limit:
-                break
-            if heap and heap[0][0] <= clock.now:
-                break
-            head = queue[0]
-            if other_key is not None and (head.arrival, head.tag) > other_key:
-                break
+        if rebalance_every > 0:
+            since_check += 1
+            if since_check >= rebalance_every:
+                since_check = 0
+                if len(rebalances) < max_rebalances:
+                    moved = maybe_rebalance(router, factor=hot_factor)
+                    if moved is not None:
+                        rebalances.append(moved)
+                router.reset_window()
 
     duration = clock.now - start_time
     merged = LatencyRecorder()

@@ -58,6 +58,10 @@ def test_spec_and_admission_validation():
         AdmissionControl(policy="drop-all")
     with pytest.raises(ValueError):
         AdmissionControl(max_retries=-1)
+    router = make_router(n_shards=2)
+    with pytest.raises(ValueError, match="2 sessions for 1 clients"):
+        run_cluster(router, [spec()], sessions=[None, None])
+    assert router.cluster.clock.now == 0.0  # rejected before any op ran
     assert spec().closed_loop
     assert not spec(rate_per_s=1000.0).closed_loop
 
@@ -202,38 +206,9 @@ def test_queueing_run_is_pinned():
     )
 
 
-def test_batch_limit_validation():
-    router = make_router(n_shards=2)
-    with pytest.raises(ValueError):
-        run_cluster(router, [spec()], batch_limit=0)
-
-
-def test_batch_limit_does_not_change_simulated_results():
-    """Queue-drain coalescing is wall-clock only: every simulated number
-    -- metrics document, final clock, and store contents -- is identical
-    whether the driver serves one request per scheduler scan or drains
-    whole runs."""
-
-    def drive(limit):
-        router = make_router()
-        preload(router)
-        result = run_cluster(
-            router,
-            [spec(seed=s, n_ops=300) for s in (1, 2)],
-            batch_limit=limit,
-        )
-        doc = cluster_metrics_json(router.cluster, router, result)
-        items = [(k, v.tag) for k, v in router.items()]
-        return doc, router.cluster.clock.now, items
-
-    reference = drive(1)  # the one-request-at-a-time loop
-    for limit in (None, 4, 33):
-        assert drive(limit) == reference, limit
-
-
 def test_batched_driver_matches_flat_store_oracle():
-    """With one closed-loop client nothing reorders: the batched driver
-    must leave the cluster in exactly the state a flat store reaches by
+    """With one closed-loop client nothing reorders: the driver must
+    leave the cluster in exactly the state a flat store reaches by
     replaying the client's deterministic op stream."""
     from repro.bench.factory import make_store
     from repro.cluster.driver import _ClientState
@@ -241,7 +216,7 @@ def test_batched_driver_matches_flat_store_oracle():
     client = spec(n_ops=400, seed=7, read_fraction=0.4)
     router = make_router()
     preload(router)
-    result = run_cluster(router, [client], batch_limit=16)
+    result = run_cluster(router, [client])
     assert result.completed == 400 and result.dropped == 0
     router.quiesce()
 
