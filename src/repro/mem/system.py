@@ -88,24 +88,19 @@ class HybridMemorySystem:
             devices.append(self.ssd)
         return devices
 
-    def attach_tracing(self, coalesce_ops: bool = False, strict: bool = False):
+    def attach_tracing(self, strict: bool = False):
         """Attach a fresh :class:`~repro.obs.recorder.TraceRecorder`.
 
         Returns the recorder; every store on this system starts emitting
         op/stall/flush/compact/transfer events until
         :meth:`detach_tracing` (or ``recorder.detach()``) is called.
-        With ``coalesce_ops`` the ``multi_*`` entry points emit one
-        coalesced op span per batch instead of one span per op.  With
-        ``strict`` recording an event with an unknown category, stall
-        cause, or drop reason raises instead of widening the closed
-        vocabularies (the event stream itself is unchanged).
+        With ``strict`` recording an event with an unknown category,
+        stall cause, or drop reason raises instead of widening the
+        closed vocabularies (the event stream itself is unchanged).
         """
         from repro.obs.recorder import TraceRecorder
 
-        recorder = TraceRecorder(
-            self.clock, coalesce_ops=coalesce_ops, strict=strict
-        )
-        return recorder.attach(self)
+        return TraceRecorder(self.clock, strict=strict).attach(self)
 
     def detach_tracing(self) -> None:
         """Detach the current recorder, if any (idempotent)."""

@@ -142,16 +142,6 @@ def attribute_ops(recorder) -> List[OpAttribution]:
 
     Works on a single-store trace and on one shard's stream of a
     cluster run (where ``queue`` spans precede the op they delayed).
-
-    Coalesced op spans -- one span per multi-op batch, carrying
-    ``{"batch": N, "starts": [...], "durs": [...]}`` args (see
-    ``TraceRecorder.op_batch``) -- are decomposed back into N per-op
-    attributions.  Batched ops are contiguous on the simulated clock, so
-    each pending event is assigned to the unique op whose window covers
-    its timestamp (queue spans anchor on their end, which coincides with
-    the served op's start); the reconstruction is therefore exactly the
-    attribution the per-op event stream would have produced, and the
-    conservation invariant holds per decomposed op.
     """
     attributions: List[OpAttribution] = []
     pending: List = []
@@ -187,23 +177,19 @@ def attribute_ops(recorder) -> List[OpAttribution]:
                 )
                 attributions[-1].extend_repl(key, event.dur)
         elif cat == CAT_OP and event.track == "foreground":
-            args = event.args or {}
             last_op_end = event.end
-            if "batch" in args:
-                _attribute_batch(event, args, pending, attributions)
-            else:
-                queue_s, stall_s, device_s = _aggregate(pending)
-                attributions.append(
-                    OpAttribution(
-                        index=len(attributions),
-                        kind=event.name,
-                        start=event.ts,
-                        measured_s=event.dur + queue_s,
-                        queue_s=queue_s,
-                        stall_s=stall_s,
-                        device_s=device_s,
-                    )
+            queue_s, stall_s, device_s = _aggregate(pending)
+            attributions.append(
+                OpAttribution(
+                    index=len(attributions),
+                    kind=event.name,
+                    start=event.ts,
+                    measured_s=event.dur + queue_s,
+                    queue_s=queue_s,
+                    stall_s=stall_s,
+                    device_s=device_s,
                 )
+            )
             pending = []
     return attributions
 
@@ -234,45 +220,6 @@ def _aggregate(events):
             if event.dur is not None:
                 queue_s += event.dur
     return queue_s, stall_s, device_s
-
-
-def _attribute_batch(event, args, pending, attributions) -> None:
-    """Split one coalesced op span into per-op attributions.
-
-    Pending events arrive in chronological order, so a single cursor
-    walks the op windows: a non-queue event belongs to the op whose
-    ``[start, end)`` window holds its timestamp, a queue span to the op
-    starting exactly where it ends.
-    """
-    starts = args["starts"]
-    durs = args["durs"]
-    n = args["batch"]
-    ends = [starts[i] + durs[i] for i in range(n)]
-    buckets: List[List] = [[] for __ in range(n)]
-    cur = 0
-    for ev in pending:
-        if ev.cat == CAT_QUEUE:
-            anchor = ev.ts + ev.dur if ev.dur is not None else ev.ts
-            while cur < n - 1 and anchor > starts[cur]:
-                cur += 1
-        else:
-            anchor = ev.ts
-            while cur < n - 1 and anchor >= ends[cur]:
-                cur += 1
-        buckets[cur].append(ev)
-    for i in range(n):
-        queue_s, stall_s, device_s = _aggregate(buckets[i])
-        attributions.append(
-            OpAttribution(
-                index=len(attributions),
-                kind=event.name,
-                start=starts[i],
-                measured_s=durs[i] + queue_s,
-                queue_s=queue_s,
-                stall_s=stall_s,
-                device_s=device_s,
-            )
-        )
 
 
 def _merge_into(totals: Dict[str, float], parts: Dict[str, float]) -> None:

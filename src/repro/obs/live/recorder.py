@@ -125,13 +125,15 @@ class _LiveJobScope:
 class LiveRecorder(TraceRecorder):
     """Sampling trace recorder + flight ring + windowed aggregation."""
 
+    # The batched KVStore paths hand us whole batches (one ``op_batch``
+    # call, array arguments) instead of per-op spans -- the vectorised
+    # sampling below depends on it.
+    coalesce_ops = True
+
     def __init__(
         self, clock, config: Optional[LiveConfig] = None, shard_id=None
     ) -> None:
-        # coalesce_ops so the batched KVStore paths hand us whole
-        # batches (one call, array arguments) instead of per-op spans --
-        # the vectorised sampling below depends on it.
-        super().__init__(clock, coalesce_ops=True, strict=False)
+        super().__init__(clock, strict=False)
         cfg = config if config is not None else LiveConfig()
         self.config = cfg
         self.shard_id = shard_id

@@ -58,9 +58,13 @@ class _JobCostScope:
 class TraceRecorder:
     """Collects typed spans and instants from one simulated machine."""
 
-    def __init__(
-        self, clock, coalesce_ops: bool = False, strict: bool = False
-    ) -> None:
+    # Read by the batched KVStore paths (multi_get/multi_put/
+    # multi_delete): False means one :meth:`span` per op, True means the
+    # recorder takes the whole batch through ``op_batch`` (see
+    # :class:`~repro.obs.live.recorder.LiveRecorder`).
+    coalesce_ops = False
+
+    def __init__(self, clock, strict: bool = False) -> None:
         self.clock = clock
         self.events: List[TraceEvent] = []
         self._system = None
@@ -69,11 +73,6 @@ class TraceRecorder:
         # of silently widening the closed vocabularies.  Validation only
         # -- the recorded event stream is byte-identical either way.
         self.strict = strict
-        # When set, the batched KVStore paths (multi_get/multi_put/
-        # multi_delete) emit one coalesced op span per batch (see
-        # :meth:`op_batch`) instead of one span per op.  Off by default:
-        # the per-op event stream is the pinned schema.
-        self.coalesce_ops = coalesce_ops
         # Nesting depth of job-cost scopes (see :meth:`job_cost`).  Device
         # cost for a background job is computed inline -- during the
         # foreground op or callback that schedules the job -- so without
@@ -156,42 +155,6 @@ class TraceRecorder:
         if self.strict:
             self._check_vocab(name, cat, args)
         self.events.append(TraceEvent(track, name, cat, start, end - start, args))
-
-    def op_batch(
-        self,
-        track: str,
-        kind: str,
-        starts: List[float],
-        durs: List[float],
-    ) -> None:
-        """Record one coalesced op span covering a whole multi-op batch.
-
-        The span runs from the first op's start to the last op's end and
-        carries the per-op decomposition in its args::
-
-            {"batch": N, "starts": [t0, ...], "durs": [d0, ...]}
-
-        Batched foreground ops are contiguous (nothing advances the
-        clock between them), so ``starts[i] + durs[i] == starts[i+1]``
-        and the attribution engine can reconstruct the exact per-op
-        spans the unbatched path would have emitted.
-        """
-        n = len(starts)
-        if n == 0:
-            return
-        if len(durs) != n:
-            raise ValueError(f"starts/durs length mismatch: {n} vs {len(durs)}")
-        end = starts[-1] + durs[-1]
-        self.events.append(
-            TraceEvent(
-                track,
-                kind,
-                CAT_OP,
-                starts[0],
-                end - starts[0],
-                {"batch": n, "starts": list(starts), "durs": list(durs)},
-            )
-        )
 
     def instant(
         self,

@@ -167,52 +167,6 @@ def test_summarize_totals_equal_per_op_sums():
     assert doc["slowest"]["measured_s"] == max(a.measured_s for a in attrs)
 
 
-def _batched_pair():
-    """The same batched op sequence traced with and without coalescing."""
-    if "coalesce" not in _RUNS:
-        from repro.bench.factory import make_store
-        from repro.kvstore.values import SizedValue
-        from repro.workloads.keys import key_for
-
-        scale = BenchScale(
-            memtable_bytes=8 << 10, dataset_bytes=1 << 20, value_size=256
-        )
-
-        def drive(coalesce):
-            store, system = make_store("miodb", scale)
-            recorder = system.attach_tracing(coalesce_ops=coalesce)
-            for at in range(0, 384, 64):
-                store.multi_put([
-                    (key_for(i), SizedValue(("c", i), 256))
-                    for i in range(at, at + 64)
-                ])
-            for at in range(0, 96, 32):
-                store.multi_get([key_for(i) for i in range(at, at + 32)])
-            store.quiesce()
-            recorder.detach()
-            return recorder
-
-        _RUNS["coalesce"] = (drive(False), drive(True))
-    return _RUNS["coalesce"]
-
-
-def test_attribution_conserves_exactly_on_coalesced_spans():
-    __, coalesced = _batched_pair()
-    attrs = attribute_ops(coalesced)
-    # Every op inside every coalesced span is decomposed individually.
-    assert len(attrs) == 384 + 96
-    _assert_conserves(attrs)
-
-
-def test_coalesced_attribution_matches_per_op_attribution():
-    plain, coalesced = _batched_pair()
-    a = [attr.as_dict() for attr in attribute_ops(plain)]
-    b = [attr.as_dict() for attr in attribute_ops(coalesced)]
-    # Same ops, same measured latencies, same queue/stall/device split:
-    # coalescing changes the trace encoding, never the analysis.
-    assert a == b
-
-
 # ---------------------------------------------------------- critical paths
 
 

@@ -180,95 +180,6 @@ def test_trace_run_matches_pinned_fingerprint():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
 
 
-def _coalesced_run():
-    """A deterministic batched run traced in coalesced op-span mode."""
-    from repro.bench.config import BenchScale
-    from repro.bench.factory import make_store
-    from repro.kvstore.values import SizedValue
-    from repro.workloads.keys import key_for
-
-    scale = BenchScale(
-        memtable_bytes=8 << 10, dataset_bytes=1 << 20, value_size=256
-    )
-    store, system = make_store("miodb", scale)
-    recorder = system.attach_tracing(coalesce_ops=True)
-    for at in range(0, 256, 64):
-        store.multi_put([
-            (key_for(i), SizedValue(("c", i), 256)) for i in range(at, at + 64)
-        ])
-    for at in range(0, 64, 32):
-        store.multi_get([key_for(i) for i in range(at, at + 32)])
-    store.multi_delete([key_for(i) for i in range(8)])
-    store.quiesce()
-    recorder.detach()
-    return store, system, recorder
-
-
-#: Pinned fingerprint of the coalesced-mode trace built by
-#: :func:`_coalesced_run`: 256 puts in 4 batches, 64 gets in 2, 8
-#: deletes in 1 -- exactly 7 op spans, each carrying the batched-args
-#: schema.  Re-pin alongside PINNED_SHA256 on intentional model changes.
-PINNED_COALESCED_SHA256 = (
-    "8699e33c5b69e8b425aefe71f4cfa4b5387a1cb450cdbfc55fa372309a966d15"
-)
-
-
-def test_coalesced_op_span_schema():
-    __, system, recorder = _coalesced_run()
-    ops = recorder.spans(CAT_OP)
-    assert [(e.name, e.args["batch"]) for e in ops] == [
-        ("put", 64), ("put", 64), ("put", 64), ("put", 64),
-        ("get", 32), ("get", 32), ("delete", 8),
-    ]
-    horizon = system.clock.now
-    for event in ops:
-        starts, durs = event.args["starts"], event.args["durs"]
-        n = event.args["batch"]
-        assert len(starts) == len(durs) == n
-        # The span covers the batch exactly...
-        assert event.track == "foreground"
-        assert event.ts == starts[0]
-        assert event.ts + event.dur == starts[-1] + durs[-1] <= horizon
-        # ...and batched ops are contiguous on the simulated clock:
-        # nothing advances time between two ops of one batch.
-        for i in range(n - 1):
-            assert starts[i] + durs[i] == starts[i + 1]
-        assert all(d >= 0.0 for d in durs)
-
-
-def test_coalesced_trace_matches_pinned_fingerprint():
-    __, __, recorder = _coalesced_run()
-    text = chrome_trace_json(recorder, process_name="miodb")
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == PINNED_COALESCED_SHA256
-
-
-def test_coalesced_mode_changes_no_simulated_state():
-    """Coalescing rewrites the trace, never the simulated run."""
-    from repro.bench.config import BenchScale
-    from repro.bench.factory import make_store
-    from repro.kvstore.values import SizedValue
-    from repro.workloads.keys import key_for
-
-    scale = BenchScale(
-        memtable_bytes=8 << 10, dataset_bytes=1 << 20, value_size=256
-    )
-
-    def drive(coalesce):
-        store, system = make_store("miodb", scale)
-        system.attach_tracing(coalesce_ops=coalesce)
-        for at in range(0, 256, 64):
-            store.multi_put([
-                (key_for(i), SizedValue(("c", i), 256))
-                for i in range(at, at + 64)
-            ])
-        store.quiesce()
-        system.detach_tracing()
-        return system.clock.now, system.stats.snapshot(), list(store.items())
-
-    assert drive(False) == drive(True)
-
-
 def _traced_cluster():
     """A small traced 3-shard cluster run (one recorder per shard)."""
     import math
