@@ -12,7 +12,7 @@ Run:  python examples/compaction_timeline.py
 
 from repro import HybridMemorySystem, LevelDBStore, MioDB, MioOptions, SizedValue
 from repro.kvstore.options import StoreOptions
-from repro.sim.tracing import JobTracer
+from repro.obs import gantt
 
 KB = 1 << 10
 
@@ -23,24 +23,36 @@ def burst(store, n: int) -> None:
     store.quiesce()
 
 
+def peak_concurrency(recorder) -> int:
+    """Most background jobs in flight at one simulated instant."""
+    edges = []
+    for span in recorder.worker_spans():
+        edges += [(span.ts, 1), (span.end, -1)]
+    peak = running = 0
+    for __, delta in sorted(edges):
+        running += delta
+        peak = max(peak, running)
+    return peak
+
+
 def main() -> None:
     system = HybridMemorySystem()
-    tracer = JobTracer(system.executor)
+    recorder = system.attach_tracing()
     store = MioDB(system, MioOptions(memtable_bytes=32 * KB, num_levels=6))
     burst(store, 4000)
     print("MioDB: flush + per-level parallel compaction")
-    print(tracer.gantt())
-    print(f"peak background concurrency: {tracer.max_concurrency()}\n")
+    print(gantt(recorder))
+    print(f"peak background concurrency: {peak_concurrency(recorder)}\n")
 
     system = HybridMemorySystem()
-    tracer = JobTracer(system.executor)
+    recorder = system.attach_tracing()
     store = LevelDBStore(
         system, StoreOptions(memtable_bytes=32 * KB, sstable_bytes=32 * KB)
     )
     burst(store, 4000)
     print("LevelDB: one flush worker + one compaction worker")
-    print(tracer.gantt())
-    print(f"peak background concurrency: {tracer.max_concurrency()}")
+    print(gantt(recorder))
+    print(f"peak background concurrency: {peak_concurrency(recorder)}")
 
 
 if __name__ == "__main__":

@@ -250,9 +250,7 @@ def ascii_gantt(spans: Sequence[Tuple[str, float, float]], width: int = 72) -> s
     """ASCII gantt chart: one row per label, ``#`` where busy.
 
     ``spans`` is a sequence of ``(row_label, start, end)``; rows appear
-    sorted by label.  This is the renderer behind both
-    :meth:`repro.sim.tracing.JobTracer.gantt` and the recorder-based
-    :func:`gantt`.
+    sorted by label.  This is the renderer behind :func:`gantt`.
     """
     if not spans:
         return "(no jobs traced)"

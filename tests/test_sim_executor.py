@@ -194,3 +194,15 @@ def test_worker_accounting(executor):
     executor.submit(worker, 3.0)
     assert worker.total_busy == 5.0
     assert worker.jobs_run == 2
+
+
+def test_submit_listeners_receive_meta(executor):
+    seen = []
+    listener = lambda job, meta: seen.append((job.name, meta))  # noqa: E731
+    executor.add_submit_listener(listener)
+    worker = executor.worker("w")
+    executor.submit(worker, 1.0, name="a", meta={"cat": "flush", "bytes": 7})
+    executor.submit(worker, 1.0, name="b")
+    executor.remove_submit_listener(listener)
+    executor.submit(worker, 1.0, name="c")
+    assert seen == [("a", {"cat": "flush", "bytes": 7}), ("b", None)]

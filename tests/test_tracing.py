@@ -1,106 +1,45 @@
-"""Tests for the job tracer."""
+"""Background jobs as the trace recorder sees them: worker spans and the gantt."""
 
 from repro.core import MioDB, MioOptions
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
-from repro.sim.tracing import JobTracer
+from repro.obs import gantt
 
 KB = 1 << 10
 
 
-def test_tracer_records_spans(system):
-    tracer = JobTracer(system.executor)
-    worker = system.executor.worker("w")
-    system.executor.submit(worker, 1.0, name="job-a")
-    system.executor.submit(worker, 2.0, name="job-b")
-    assert len(tracer.spans) == 2
-    assert tracer.spans[0] == ("w", "job-a", 0.0, 1.0)
-    assert tracer.busy_time() == 3.0
-    assert tracer.busy_time("w") == 3.0
-    assert tracer.busy_time("other") == 0.0
-
-
-def test_tracer_detach(system):
-    tracer = JobTracer(system.executor)
-    tracer.detach()
-    system.executor.submit(system.executor.worker("w"), 1.0)
-    assert tracer.spans == []
-
-
-def test_max_concurrency(system):
-    tracer = JobTracer(system.executor)
-    for i in range(3):
-        system.executor.submit(system.executor.worker(f"w{i}"), 1.0)
-    system.executor.submit(system.executor.worker("w0"), 1.0)  # serialized
-    assert tracer.max_concurrency() == 3
-
-
 def test_empty_gantt(system):
-    assert "no jobs" in JobTracer(system.executor).gantt()
+    assert "no jobs" in gantt(system.attach_tracing())
 
 
 def test_gantt_renders_rows(system):
-    tracer = JobTracer(system.executor)
+    recorder = system.attach_tracing()
     system.executor.submit(system.executor.worker("alpha"), 1.0)
     system.executor.submit(system.executor.worker("beta"), 1.0)
-    chart = tracer.gantt(width=20)
+    chart = gantt(recorder, width=20)
     assert "alpha" in chart and "beta" in chart
     assert "#" in chart
 
 
-def test_concurrency_profile(system):
-    tracer = JobTracer(system.executor)
-    system.executor.submit(system.executor.worker("a"), 2.0)
-    system.executor.submit(system.executor.worker("b"), 2.0)
-    profile = tracer.concurrency_profile(samples=10)
-    assert profile
-    assert max(running for __, running in profile) == 2
-
-
-def test_submit_listeners_receive_meta(system):
-    seen = []
-    listener = lambda job, meta: seen.append((job.name, meta))  # noqa: E731
-    system.executor.add_submit_listener(listener)
-    worker = system.executor.worker("w")
-    system.executor.submit(worker, 1.0, name="a", meta={"cat": "flush", "bytes": 7})
-    system.executor.submit(worker, 1.0, name="b")
-    system.executor.remove_submit_listener(listener)
-    system.executor.submit(worker, 1.0, name="c")
-    assert seen == [("a", {"cat": "flush", "bytes": 7}), ("b", None)]
-
-
-def test_job_tracer_and_recorder_coexist(system):
-    from repro.obs import TraceRecorder
-
-    tracer = JobTracer(system.executor)
-    recorder = TraceRecorder(system.clock).attach(system)
-    system.executor.submit(system.executor.worker("w"), 1.0, name="job")
-    assert len(tracer.spans) == 1
-    assert len(list(recorder.worker_spans())) == 1
-    recorder.detach()
-    tracer.detach()
-
-
-def test_concurrency_profile_matches_brute_force(system):
-    tracer = JobTracer(system.executor)
-    for i in range(4):
-        system.executor.submit(system.executor.worker(f"w{i}"), float(i + 1))
-    system.executor.submit(system.executor.worker("w0"), 2.0)
-    profile = tracer.concurrency_profile(samples=50)
-    for t, running in profile:
-        expected = sum(1 for __, __n, s, e in tracer.spans if s <= t < e)
-        assert running == expected
-
-
 def test_miodb_parallel_compaction_visible_in_trace():
     system = HybridMemorySystem()
-    tracer = JobTracer(system.executor)
+    recorder = system.attach_tracing()
     store = MioDB(system, MioOptions(memtable_bytes=8 * KB, num_levels=5))
     for i in range(2000):
         store.put(b"key%06d" % ((i * 7919) % 2000), SizedValue(i, 512))
     store.quiesce()
-    # parallel per-level compaction: more than two background jobs overlap
-    assert tracer.max_concurrency() >= 3
-    workers = {w for w, __n, __s, __e in tracer.spans}
+    spans = list(recorder.worker_spans())
+    # parallel per-level compaction (paper section 4.5): more than two
+    # background jobs overlap.  An end sorts before a start at the same
+    # instant, so back-to-back jobs do not count as overlapping.
+    edges = sorted(
+        edge for s in spans for edge in ((s.ts, 1), (s.end, -1))
+    )
+    peak = running = 0
+    for __, delta in edges:
+        running += delta
+        peak = max(peak, running)
+    assert peak >= 3
+    workers = {s.track[len("worker:"):] for s in spans}
     assert any("compact-L" in w for w in workers)
     assert "miodb-flush" in workers
