@@ -15,7 +15,7 @@ from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bloom.filter import BloomFilter
-from repro.kvstore.scans import merged_scan
+
 from repro.obs.events import CAT_COMPACT, STALL_L0_SLOWDOWN, STALL_L0_STOP
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
@@ -296,12 +296,6 @@ class LeveledLSM:
             for table in level_tables
             if table.max_key >= key
         ]
-
-    def scan_from(self, key: bytes, count: int) -> Tuple[List[Entry], float]:
-        """Merged range read across all levels (newest live versions)."""
-        return merged_scan(
-            self.system, key, count, self.scan_sources(key), as_entries=True
-        )
 
     # ------------------------------------------------------------- reporting
 

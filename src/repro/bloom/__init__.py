@@ -7,11 +7,10 @@ the same size and hash family.
 """
 
 from repro.bloom.filter import BloomFilter
-from repro.bloom.hashing import double_hashes, fnv1a_64, fnv1a_pair, probe_positions
+from repro.bloom.hashing import fnv1a_64, fnv1a_pair, probe_positions
 
 __all__ = [
     "BloomFilter",
-    "double_hashes",
     "fnv1a_64",
     "fnv1a_pair",
     "probe_positions",

@@ -17,7 +17,6 @@ identical to building eagerly (``tests/test_bloom_lazy.py`` drives this
 class and the eager filter it replaced with one op stream).
 """
 
-import math
 from typing import Iterable, List, Optional, Sequence
 
 from repro.bloom.hashing import probe_positions
@@ -76,6 +75,7 @@ class BloomFilter:
         return cls(nbits, k)
 
     @property
+    # repro: allow[DEAD001] state probe for the lazy-build oracles in tests/
     def built(self) -> bool:
         """Whether a query has forced the bits into existence yet."""
         return self._bits is not None
@@ -199,13 +199,6 @@ class BloomFilter:
     def nbytes(self) -> int:
         """Accounted size of the filter in simulated bytes."""
         return self.nbits // 8
-
-    @staticmethod
-    def expected_fp_rate(nkeys: int, nbits: int, k: int) -> float:
-        """Textbook expectation: (1 - e^(-kn/m))^k."""
-        if nkeys <= 0:
-            return 0.0
-        return (1.0 - math.exp(-k * nkeys / nbits)) ** k
 
     def __repr__(self) -> str:
         state = (

@@ -28,7 +28,6 @@ never change a probe position, or simulated false-positive behaviour
 """
 
 from functools import lru_cache
-from typing import List
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -78,8 +77,3 @@ def probe_positions(key: bytes, k: int, nbits: int) -> "tuple":
     h1, h2 = fnv1a_pair(key)
     h2 |= 1  # odd stride hits all positions
     return tuple([((h1 + i * h2) & _MASK64) % nbits for i in range(k)])
-
-
-def double_hashes(key: bytes, k: int, nbits: int) -> List[int]:
-    """``k`` probe positions in ``[0, nbits)`` for ``key``."""
-    return list(probe_positions(key, k, nbits))

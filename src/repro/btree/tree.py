@@ -146,6 +146,7 @@ class BPlusTree:
 
     # ----------------------------------------------------------- invariants
 
+    # repro: allow[DEAD001] verification surface, called by tests/
     def check_invariants(self) -> None:
         """Raise AssertionError if structural invariants are violated."""
         keys = [k for k, __ in self.range_from(b"")]

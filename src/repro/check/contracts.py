@@ -19,12 +19,23 @@ contract actually holds:
   trace *content*; this pins the *schema*, so widening a vocabulary or
   renaming a field fails the check until the pin (and the docs) are
   deliberately updated together.
+- **Dead names** (DEAD001): every function, class and method under
+  ``src/repro`` is referred to from ``src/repro``, ``benchmarks/`` or
+  ``examples/``; API kept only for ``tests/`` says so with a pragma.
 """
 
+import ast
 import hashlib
 import inspect
+from collections import Counter
 from typing import Dict, List, Optional
 
+from repro.check.lint import (
+    _pragma_allows,
+    _suppressed,
+    iter_source_files,
+    package_root,
+)
 from repro.check.report import SEV_ERROR, Finding, sort_findings
 from repro.kvstore.api import BATCH_EQUIVALENCE, KVStore
 
@@ -245,10 +256,66 @@ def check_event_schema() -> List[Finding]:
     ]
 
 
+def _identifiers(tree: ast.AST) -> Counter:
+    """Occurrences of each identifier as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def check_dead_names(package=None, users=None) -> List[Finding]:
+    """DEAD001: a module-level function or class, or a method of one,
+    whose identifier occurs nowhere in ``package`` (default
+    ``src/repro``) or the ``users`` trees (default ``benchmarks/`` and
+    ``examples/`` beside it) outside its own definition.  Import lines
+    and ``__all__`` strings are not occurrences; dunders, ``visit_*``
+    and nested defs are not checked.
+    """
+    package = package or package_root()
+    base = package.parent.parent if package.parent.name == "src" else package.parent
+    if users is None:
+        users = [base / "benchmarks", base / "examples"]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    used: Counter = Counter()
+    defined = []
+    for root in (package, *users):
+        for path in iter_source_files(root):
+            source = path.read_text()
+            tree = ast.parse(source, filename=str(path))
+            used.update(_identifiers(tree))
+            if root is not package:
+                continue
+            allows = _pragma_allows(source.splitlines())
+            for node in tree.body:
+                if not isinstance(node, functions + (ast.ClassDef,)):
+                    continue
+                members = node.body if isinstance(node, ast.ClassDef) else ()
+                defined += [(path, allows, node)] + [
+                    (path, allows, m) for m in members if isinstance(m, functions)
+                ]
+    findings = []
+    for path, allows, node in defined:
+        name = node.name
+        if name.startswith(("__", "visit_")) or used[name] > _identifiers(node)[name]:
+            continue
+        finding = Finding(
+            "DEAD001", SEV_ERROR, path.relative_to(base).as_posix(), node.lineno,
+            f"{name} has no reference in src/repro, benchmarks/ or examples/:"
+            " delete it, or mark test-facing API `# repro: allow[DEAD001] why`",
+            snippet=f"def {name}",
+        )
+        if not _suppressed(finding, *allows):
+            findings.append(finding)
+    return findings
+
+
 def check_contracts() -> List[Finding]:
-    """All contract findings across the registered engines + the schema."""
+    """Engine contracts, the event schema and the dead-name sweep."""
     findings: List[Finding] = []
     for name, cls in store_classes().items():
         findings.extend(check_store_class(cls, name))
     findings.extend(check_event_schema())
+    findings.extend(check_dead_names())
     return sort_findings(findings)

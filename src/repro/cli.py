@@ -569,9 +569,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Seeded kill/restart chaos scenarios with post-run state audits."""
-    import json
-
-    from repro.replication import run_chaos
+    from repro.replication import chaos_report_json, run_chaos
 
     store_name = args.store[0]
     if len(args.store) > 1:
@@ -642,7 +640,7 @@ def cmd_chaos(args) -> int:
             "reports": reports,
         }
         path = pathlib.Path(args.report)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path.write_text(chaos_report_json(doc))
         print(f"# chaos report: {path}", file=sys.stderr)
     return 0 if all_ok else 1
 

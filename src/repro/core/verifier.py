@@ -32,6 +32,7 @@ def _fail(message: str) -> None:
     raise InvariantViolation(message)
 
 
+# repro: allow[DEAD001] verification surface, called by tests/
 def verify_store(store) -> None:
     """Check every invariant on a quiescent or live MioDB instance."""
     verify_age_ordering(store)

@@ -10,6 +10,7 @@ from typing import List, Tuple
 from repro.kvstore.values import value_nbytes
 
 
+# repro: allow[DEAD001] public API: the argument of KVStore.write
 class WriteBatch:
     """An ordered collection of put/delete operations.
 

@@ -16,7 +16,6 @@ from repro.mem.profiles import (
     DRAM_PROFILE,
     NVME_SSD_PROFILE,
     OPTANE_NVM_PROFILE,
-    scaled_profile,
 )
 from repro.mem.system import HybridMemorySystem
 
@@ -28,5 +27,4 @@ __all__ = [
     "DRAM_PROFILE",
     "OPTANE_NVM_PROFILE",
     "NVME_SSD_PROFILE",
-    "scaled_profile",
 ]

@@ -104,13 +104,6 @@ class Device:
             self.obs.transfer(self.profile.name, "write", nbytes, sequential, seconds)
         return seconds
 
-    def pointer_write(self) -> float:
-        """An 8-byte random (in-place) write -- one pointer update.
-
-        Zero-copy compaction's entire device traffic is made of these.
-        """
-        return self.write(8, sequential=False)
-
     # ---------------------------------------------------------------- space
 
     def allocate(self, nbytes: int, now: float = 0.0) -> None:
@@ -147,13 +140,6 @@ class Device:
         if self._usage_last_t <= 0:
             return float(self.bytes_in_use)
         return self._usage_area / self._usage_last_t
-
-    def reset_counters(self) -> None:
-        """Zero the traffic counters (space usage is left intact)."""
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_ops = 0
-        self.write_ops = 0
 
     def __repr__(self) -> str:
         return (

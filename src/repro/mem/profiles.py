@@ -69,22 +69,3 @@ REPL_LINK_PROFILE = DeviceProfile(
     rand_write_bw=3.0 * GB,
     persistent=False,
 )
-
-
-def scaled_profile(base: DeviceProfile, name: str, speedup: float) -> DeviceProfile:
-    """A copy of ``base`` that is ``speedup`` times faster in every respect.
-
-    Useful for sensitivity studies on the DRAM/NVM gap itself.
-    """
-    if speedup <= 0:
-        raise ValueError(f"speedup must be positive, got {speedup}")
-    return DeviceProfile(
-        name=name,
-        read_latency=base.read_latency / speedup,
-        write_latency=base.write_latency / speedup,
-        seq_read_bw=base.seq_read_bw * speedup,
-        seq_write_bw=base.seq_write_bw * speedup,
-        rand_read_bw=base.rand_read_bw * speedup,
-        rand_write_bw=base.rand_write_bw * speedup,
-        persistent=base.persistent,
-    )

@@ -170,13 +170,6 @@ class HybridMemorySystem:
             return 0.0
         return self.persistent_bytes_written() / user
 
-    def device_usage(self) -> Dict[str, int]:
-        """Live bytes per device, for NVM-consumption reporting."""
-        usage = {"dram": self.dram.bytes_in_use, "nvm": self.nvm.bytes_in_use}
-        if self.ssd is not None:
-            usage["ssd"] = self.ssd.bytes_in_use
-        return usage
-
     def drain_background(self) -> float:
         """Let all pending flushes/compactions finish; returns final time."""
         return self.executor.drain()

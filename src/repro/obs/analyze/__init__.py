@@ -35,7 +35,6 @@ from repro.obs.analyze.critical_path import (
 from repro.obs.analyze.diff import (
     diff_analysis,
     diff_json,
-    diff_verdict,
     render_diff,
 )
 from repro.obs.analyze.profile import render_profile, time_profile
@@ -77,7 +76,6 @@ __all__ = [
     "follower_lag_timeline",
     "replication_summary",
     "diff_analysis",
-    "diff_verdict",
     "diff_json",
     "render_diff",
     "MAX_CHAIN_DEPTH",

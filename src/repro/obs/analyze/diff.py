@@ -130,11 +130,6 @@ def _analysis_verdict(doc: dict) -> str:
     )
 
 
-def diff_verdict(doc: dict) -> str:
-    """The diff's one-line verdict."""
-    return doc["verdict"]
-
-
 def diff_json(doc: dict) -> str:
     """Deterministic serialization (sorted keys, trailing newline)."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -44,6 +44,7 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# repro: allow[DEAD001] reference the streaming HeadSampler is tested against
 def head_keep(seed: int, seq: int, rate: float, run_len: int = 16) -> bool:
     """Pure head-sampling decision for op ``seq`` at ``rate``.
 

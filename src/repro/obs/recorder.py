@@ -240,25 +240,9 @@ class TraceRecorder:
 
     # ------------------------------------------------------------- queries
 
-    def select(
-        self, cat: Optional[str] = None, track: Optional[str] = None
-    ) -> List[TraceEvent]:
-        """Events filtered by category and/or track, in emission order."""
-        return [
-            e
-            for e in self.events
-            if (cat is None or e.cat == cat) and (track is None or e.track == track)
-        ]
-
     def spans(self, cat: Optional[str] = None) -> List[TraceEvent]:
         """All span events, optionally limited to one category."""
         return [e for e in self.events if e.is_span and (cat is None or e.cat == cat)]
-
-    def instants(self, cat: Optional[str] = None) -> List[TraceEvent]:
-        """All instant events, optionally limited to one category."""
-        return [
-            e for e in self.events if not e.is_span and (cat is None or e.cat == cat)
-        ]
 
     def tracks(self) -> List[str]:
         """Track names in order of first appearance."""

@@ -51,23 +51,3 @@ class Arena:
         state = "released" if self.released else "live"
         return f"Arena({self.label!r}, {self.size}B on {self.device.name}, {state})"
 
-
-class ArenaPool:
-    """Optional bookkeeping for a family of arenas (usage reporting)."""
-
-    def __init__(self) -> None:
-        self.arenas = []
-
-    def create(self, device, size: int, now: float = 0.0, label: str = "") -> Arena:
-        """Allocate and track a new arena."""
-        arena = Arena(device, size, now, label)
-        self.arenas.append(arena)
-        return arena
-
-    def live_bytes(self) -> int:
-        """Total size of arenas not yet released."""
-        return sum(a.size for a in self.arenas if not a.released)
-
-    def prune(self) -> None:
-        """Forget released arenas."""
-        self.arenas = [a for a in self.arenas if not a.released]

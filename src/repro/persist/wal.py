@@ -221,6 +221,7 @@ class WriteAheadLog:
             self.device.release(freed)
         return freed
 
+    # repro: allow[DEAD001] fault-injection surface, driven by tests/
     def tear_tail(self, count: int = 1) -> None:
         """Mark the last ``count`` records as torn (partially written).
 
@@ -232,6 +233,7 @@ class WriteAheadLog:
         for record in self._records[-count:]:
             record.torn = True
 
+    # repro: allow[DEAD001] fault-injection surface, driven by tests/
     def crash_drop_unsynced(self) -> int:
         """Lose every buffered (unsynced) record, as a crash would.
 
@@ -288,11 +290,13 @@ class WriteAheadLog:
         return len(self._records)
 
     @property
+    # repro: allow[DEAD001] durability probe for the fsync-policy tests
     def pending_count(self) -> int:
         """Buffered records awaiting a group-commit flush."""
         return len(self._pending)
 
     @property
+    # repro: allow[DEAD001] durability probe for the fsync-policy tests
     def live_bytes(self) -> int:
         """Bytes the log currently occupies on its device."""
         return sum(r.frame_bytes for r in self._records if r.synced)
@@ -304,6 +308,7 @@ class WriteAheadLog:
                 return record.seq
         return None
 
+    # repro: allow[DEAD001] durability probe for the fsync-policy tests
     def last_synced_seq(self) -> Optional[int]:
         """Sequence number of the newest durable record, if any."""
         for record in reversed(self._records):

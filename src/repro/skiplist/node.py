@@ -48,6 +48,7 @@ class Node:
         """True when this version records a delete."""
         return self.value is TOMBSTONE
 
+    # repro: allow[DEAD001] the order SkipList._find_predecessors inlines, stated once
     def precedes(self, key: bytes, seq: int) -> bool:
         """Ordering test: does this node sort before (key, seq)?
 

@@ -211,29 +211,10 @@ class SkipList:
                 continue
             yield node.key, node.value
 
-    def first_node(self) -> Optional[Node]:
-        """The smallest node, or ``None`` when empty."""
-        return self.head.next[0]
-
     @property
     def is_empty(self) -> bool:
         """True when no nodes are linked at the bottom level."""
         return self.head.next[0] is None
-
-    def key_range(self) -> Optional[Tuple[bytes, bytes]]:
-        """(min_key, max_key) of live nodes, or ``None`` when empty."""
-        first = self.head.next[0]
-        if first is None:
-            return None
-        # Descend from the head's full-height tower, riding each level to
-        # its last node; the final bottom-level node is the maximum.
-        node = self.head
-        for level in range(MAX_HEIGHT - 1, -1, -1):
-            nxt = node.next[level]
-            while nxt is not None:
-                node = nxt
-                nxt = node.next[level]
-        return first.key, node.key
 
     # -------------------------------------------------------------- updates
 
@@ -347,12 +328,6 @@ class SkipList:
     def footprint_bytes(self) -> int:
         """Live plus not-yet-reclaimed bytes (arena footprint)."""
         return self.data_bytes + self.garbage_bytes
-
-    def reclaim_garbage(self) -> int:
-        """Drop the garbage accounting; returns bytes reclaimed."""
-        freed = self.garbage_bytes
-        self.garbage_bytes = 0
-        return freed
 
     def __len__(self) -> int:
         return self.entries

@@ -8,12 +8,11 @@ the two costs the paper identifies as the baselines' bottleneck.
 """
 
 from repro.sstable.table import BLOCK_BYTES, SSTable, build_sstable
-from repro.sstable.merge import merge_entry_streams, merge_tables
+from repro.sstable.merge import merge_entry_streams
 
 __all__ = [
     "SSTable",
     "build_sstable",
-    "merge_tables",
     "merge_entry_streams",
     "BLOCK_BYTES",
 ]

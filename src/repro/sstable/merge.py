@@ -1,7 +1,7 @@
 """K-way merging of sorted entry streams for compaction."""
 
 import heapq
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.sstable.table import Entry
 
@@ -36,20 +36,3 @@ def merge_entry_streams(
             continue
         yield entry
 
-
-def merge_tables(
-    tables: Sequence,
-    drop_shadowed: bool = True,
-    drop_tombstones: bool = False,
-    tombstone=None,
-) -> List[Entry]:
-    """Merge whole SSTables' entries (device costs are charged separately
-    by the caller via ``scan_all``)."""
-    return list(
-        merge_entry_streams(
-            [t.entries for t in tables],
-            drop_shadowed=drop_shadowed,
-            drop_tombstones=drop_tombstones,
-            tombstone=tombstone,
-        )
-    )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bloom.filter import BloomFilter
-from repro.bloom.hashing import double_hashes, fnv1a_64
+from repro.bloom.hashing import fnv1a_64, probe_positions
 
 
 def test_no_false_negatives():
@@ -78,23 +78,17 @@ def test_nbytes():
     assert BloomFilter(1024, 4).nbytes == 128
 
 
-def test_expected_fp_rate_monotone_in_keys():
-    low = BloomFilter.expected_fp_rate(10, 1024, 7)
-    high = BloomFilter.expected_fp_rate(1000, 1024, 7)
-    assert 0 <= low < high <= 1
-
-
 def test_fnv_hash_deterministic_and_seeded():
     assert fnv1a_64(b"hello") == fnv1a_64(b"hello")
     assert fnv1a_64(b"hello", seed=1) != fnv1a_64(b"hello", seed=2)
 
 
 def test_double_hashes_positions_in_range():
-    positions = double_hashes(b"key", 7, 100)
+    positions = probe_positions(b"key", 7, 100)
     assert len(positions) == 7
     assert all(0 <= p < 100 for p in positions)
 
 
 def test_double_hashes_rejects_bad_nbits():
     with pytest.raises(ValueError):
-        double_hashes(b"k", 3, 0)
+        probe_positions(b"k", 3, 0)

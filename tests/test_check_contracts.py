@@ -14,6 +14,7 @@ from repro.check.contracts import (
     PINNED_EVENT_SCHEMA,
     PUBLIC_API,
     check_contracts,
+    check_dead_names,
     check_event_schema,
     check_store_class,
     schema_fingerprint,
@@ -181,3 +182,23 @@ def test_schema_drift_changes_the_fingerprint():
     )
     dropped = schema_fingerprint(drop_causes=("queue_full",))
     assert len({widened, renamed, dropped, PINNED_EVENT_SCHEMA}) == 4
+
+
+def test_dead_name_is_reported_and_pragma_is_honoured(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text(
+        "from pkg.mod import planted\n__all__ = ['planted']\n"
+    )
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "def planted():\n    return planted\n\n"
+        "# repro: allow[DEAD001] test-facing\n"
+        "def kept():\n    pass\n\n"
+        "class Used:\n    def dead_method(self):\n        pass\n"
+    )
+    (tmp_path / "examples" / "demo.py").write_text("import pkg\npkg.mod.Used()\n")
+    found = check_dead_names(tmp_path / "pkg")
+    assert [(f.rule, f.path, f.line, f.snippet) for f in found] == [
+        ("DEAD001", "pkg/mod.py", 1, "def planted"),
+        ("DEAD001", "pkg/mod.py", 9, "def dead_method"),
+    ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.lsm import L0_COMPACTION_TRIGGER, LeveledLSM
 from repro.kvstore.options import StoreOptions
+from repro.kvstore.scans import merged_scan
 
 KB = 1 << 10
 
@@ -93,7 +94,9 @@ def test_compaction_releases_inputs(engine, system):
 def test_scan_from_merges_levels(engine, system):
     add_l0(engine, [b"a", b"c"], start_seq=1)
     add_l0(engine, [b"b", b"d"], start_seq=10)
-    entries, cost = engine.scan_from(b"a", 3)
+    entries, cost = merged_scan(
+        system, b"a", 3, engine.scan_sources(b"a"), as_entries=True
+    )
     assert [e[0] for e in entries] == [b"a", b"b", b"c"]
     assert cost > 0
 

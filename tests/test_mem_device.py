@@ -33,11 +33,6 @@ def test_traffic_counters(nvm):
     assert nvm.write_ops == 1
 
 
-def test_pointer_write_is_8_bytes(nvm):
-    nvm.pointer_write()
-    assert nvm.bytes_written == 8
-
-
 def test_negative_sizes_rejected(nvm):
     with pytest.raises(ValueError):
         nvm.read(-1)
@@ -73,14 +68,6 @@ def test_average_usage_time_weighted(nvm):
     nvm.allocate(100, now=1.0)  # 100 bytes for [0,1)
     avg = nvm.average_usage(now=2.0)  # then 200 bytes for [1,2)
     assert avg == pytest.approx(150.0)
-
-
-def test_reset_counters_preserves_space(nvm):
-    nvm.allocate(100)
-    nvm.write(50)
-    nvm.reset_counters()
-    assert nvm.bytes_written == 0
-    assert nvm.bytes_in_use == 100
 
 
 def test_paper_ratio_nvm_random_write_much_slower_than_dram():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mem.costs import CpuCostModel
-from repro.mem.profiles import OPTANE_NVM_PROFILE, scaled_profile
+from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.mem.system import HybridMemorySystem
 
 
@@ -36,29 +36,12 @@ def test_write_amplification_includes_ssd(ssd_system):
     assert ssd_system.write_amplification() == pytest.approx(2.0)
 
 
-def test_device_usage_keys(ssd_system):
-    usage = ssd_system.device_usage()
-    assert set(usage) == {"dram", "nvm", "ssd"}
-
-
 def test_drain_background_runs_jobs(system):
     fired = []
     system.executor.submit(system.executor.worker("w"), 1.0, lambda: fired.append(1))
     system.drain_background()
     assert fired == [1]
     assert system.now == 1.0
-
-
-def test_scaled_profile():
-    fast = scaled_profile(OPTANE_NVM_PROFILE, "fast-nvm", 2.0)
-    assert fast.seq_write_bw == OPTANE_NVM_PROFILE.seq_write_bw * 2
-    assert fast.read_latency == OPTANE_NVM_PROFILE.read_latency / 2
-    assert fast.persistent
-
-
-def test_scaled_profile_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        scaled_profile(OPTANE_NVM_PROFILE, "bad", 0)
 
 
 def test_cpu_cost_model_hops():

@@ -12,7 +12,6 @@ import pytest
 from repro.obs.analyze import (
     diff_analysis,
     diff_json,
-    diff_verdict,
     render_diff,
 )
 
@@ -42,7 +41,7 @@ def test_self_diff_reports_exactly_zero_deltas():
     doc = analysis_doc()
     diff = diff_analysis(doc, doc, "run-a", "run-b")
     assert diff["deltas"] == []
-    assert diff_verdict(diff).startswith("no differences")
+    assert diff["verdict"].startswith("no differences")
 
 
 def test_self_diff_is_byte_stable():
@@ -86,7 +85,7 @@ def test_bookkeeping_and_examples_never_alarm_a_diff():
 def test_verdict_names_the_biggest_mover():
     a = analysis_doc()
     b = analysis_doc(events=200)
-    verdict = diff_verdict(diff_analysis(a, b, "old", "new"))
+    verdict = diff_analysis(a, b, "old", "new")["verdict"]
     assert "events" in verdict
     assert "100" in verdict and "200" in verdict
     assert "from old to new" in verdict

@@ -72,7 +72,8 @@ def test_every_store_emits_op_spans_with_monotone_timestamps(name):
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_transfers_carry_byte_counts_per_device(name):
     __, system, recorder = _traced(name)
-    transfers = recorder.instants(CAT_TRANSFER)
+    transfers = [e for e in recorder.events if e.cat == CAT_TRANSFER]
+    assert not any(e.is_span for e in transfers)
     assert transfers
     for event in transfers:
         assert event.track.startswith("dev:")
@@ -100,7 +101,7 @@ def test_background_stores_emit_flush_compact_and_stalls(name):
         assert event.args["level"] >= 0
         assert event.args["bytes"] > 0
 
-    stalls = recorder.select(cat=CAT_STALL)
+    stalls = [e for e in recorder.events if e.cat == CAT_STALL]
     assert stalls, f"{name} traced no stalls at trace scale"
     for event in stalls:
         assert event.args["cause"] in STALL_CAUSES

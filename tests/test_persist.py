@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
-from repro.persist.arena import Arena, ArenaPool
+from repro.persist.arena import Arena
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.persist.wal import RECORD_HEADER_BYTES, WriteAheadLog
 
@@ -57,17 +57,6 @@ def test_arena_operations_after_release_rejected(nvm):
 def test_arena_negative_size_rejected(nvm):
     with pytest.raises(ValueError):
         Arena(nvm, -1)
-
-
-def test_arena_pool_live_bytes(nvm):
-    pool = ArenaPool()
-    a = pool.create(nvm, 100)
-    pool.create(nvm, 200)
-    assert pool.live_bytes() == 300
-    a.release()
-    assert pool.live_bytes() == 200
-    pool.prune()
-    assert len(pool.arenas) == 1
 
 
 # -------------------------------------------------------------------- WAL

@@ -22,7 +22,6 @@ def test_empty_list(sl):
     assert sl.is_empty
     assert len(sl) == 0
     assert sl.get(b"a") == (None, 0)
-    assert sl.key_range() is None
 
 
 def test_insert_and_get(sl):
@@ -130,12 +129,6 @@ def test_seek_matches_first_ge_across_mutations(sl):
     assert paths == {"index", "walk"}
 
 
-def test_key_range(sl):
-    for i, key in enumerate([b"m", b"a", b"z", b"q"]):
-        put(sl, key, i + 1)
-    assert sl.key_range() == (b"a", b"z")
-
-
 def test_data_bytes_accounting(sl):
     node = put(sl, b"abc", 1, vbytes=100)
     assert sl.data_bytes == node.nbytes
@@ -150,8 +143,6 @@ def test_unlink_moves_bytes_to_garbage(sl):
     assert sl.data_bytes == 0
     assert sl.garbage_bytes == node.nbytes
     assert sl.footprint_bytes == node.nbytes
-    assert sl.reclaim_garbage() == node.nbytes
-    assert sl.footprint_bytes == 0
 
 
 def test_unlink_without_garbage(sl):

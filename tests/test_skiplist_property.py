@@ -110,7 +110,7 @@ def test_bytes_accounting_is_conserved(pairs):
     total = sl.data_bytes
     # unlink everything; data should flow to garbage, not vanish
     while not sl.is_empty:
-        node = sl.first_node()
+        node = sl.head.next[0]
         sl.unlink(node, sl.predecessors_of(node))
     assert sl.data_bytes == 0
     assert sl.garbage_bytes == total

@@ -6,7 +6,7 @@ from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.skiplist.node import TOMBSTONE
-from repro.sstable.merge import merge_entry_streams, merge_tables
+from repro.sstable.merge import merge_entry_streams
 from repro.sstable.table import SSTable, build_sstable, entry_frame_bytes
 
 
@@ -93,10 +93,10 @@ def test_read_after_release_rejected(nvm, cpu):
 
 def test_scan_all_charges_sequential_read(nvm, cpu):
     table = SSTable(entries_for([b"a", b"b"]), nvm)
-    nvm.reset_counters()
+    before = nvm.bytes_read
     entries, seconds = table.scan_all(cpu)
     assert len(entries) == 2
-    assert nvm.bytes_read == table.data_bytes
+    assert nvm.bytes_read - before == table.data_bytes
     assert seconds > 0
 
 
@@ -140,7 +140,7 @@ def test_merge_streams_global_order():
 def test_merge_tables(nvm):
     t1 = SSTable(entries_for([b"a", b"c"], start_seq=1), nvm)
     t2 = SSTable(entries_for([b"b", b"c"], start_seq=10), nvm)
-    merged = merge_tables([t1, t2])
+    merged = list(merge_entry_streams([t1.entries, t2.entries]))
     keys = [e[0] for e in merged]
     assert keys == [b"a", b"b", b"c"]
     c_entry = merged[2]
