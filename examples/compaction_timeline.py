@@ -12,7 +12,7 @@ Run:  python examples/compaction_timeline.py
 
 from repro import HybridMemorySystem, LevelDBStore, MioDB, MioOptions, SizedValue
 from repro.kvstore.options import StoreOptions
-from repro.obs import gantt
+from repro.obs import gantt, queue_depth_csv
 
 KB = 1 << 10
 
@@ -25,14 +25,8 @@ def burst(store, n: int) -> None:
 
 def peak_concurrency(recorder) -> int:
     """Most background jobs in flight at one simulated instant."""
-    edges = []
-    for span in recorder.worker_spans():
-        edges += [(span.ts, 1), (span.end, -1)]
-    peak = running = 0
-    for __, delta in sorted(edges):
-        running += delta
-        peak = max(peak, running)
-    return peak
+    rows = queue_depth_csv(recorder).splitlines()[1:]  # "t_s,depth" steps
+    return max(int(row.split(",")[1]) for row in rows)
 
 
 def main() -> None:

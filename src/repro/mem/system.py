@@ -1,6 +1,6 @@
 """The simulated machine: devices + clock + executor + cost model + stats."""
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device, DeviceProfile

@@ -130,14 +130,14 @@ class ChaosInjector:
                 return False
         return True
 
-    def _kill(self, event: ChaosEvent, completed: int) -> bool:
+    def _kill(self, event: ChaosEvent, completed: int) -> None:
         group = self._group(event.group)
         if not self._healthy(group):
             self.skipped.append(
                 {"at": completed, "group": event.group,
                  "target": event.target, "why": "group not healthy"}
             )
-            return False
+            return
         if event.target == "leader":
             victim = group.leader_idx
         else:
@@ -147,7 +147,7 @@ class ChaosInjector:
                     {"at": completed, "group": event.group,
                      "target": event.target, "why": "no live follower"}
                 )
-                return False
+                return
             victim = min(f.replica_id for f in followers)
         group.crash_replica(victim)
         self.fired.append(
@@ -158,24 +158,19 @@ class ChaosInjector:
             (completed + self.schedule.restart_gap, event.group, victim)
         )
         self._restarts.sort()
-        return True
 
-    def maybe_fire(self, completed: int) -> bool:
-        """Fire every event due at ``completed``; True if any fired."""
-        fired = False
+    def maybe_fire(self, completed: int) -> None:
+        """Fire every restart and kill due at ``completed``."""
         while self._restarts and self._restarts[0][0] <= completed:
             __, group_id, replica = self._restarts.pop(0)
             self._group(group_id).restart_replica(replica)
-            fired = True
         while (
             self._next < len(self.schedule.events)
             and self.schedule.events[self._next].at <= completed
         ):
             event = self.schedule.events[self._next]
             self._next += 1
-            if self._kill(event, completed):
-                fired = True
-        return fired
+            self._kill(event, completed)
 
     def flush_restarts(self) -> int:
         """Fire every still-pending restart (end-of-run cleanup)."""

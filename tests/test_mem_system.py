@@ -1,9 +1,8 @@
-"""Unit tests for the machine wrapper and the scaled/cost helpers."""
+"""Unit tests for the machine wrapper and the cost helpers."""
 
 import pytest
 
 from repro.mem.costs import CpuCostModel
-from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.mem.system import HybridMemorySystem
 
 
