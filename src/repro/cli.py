@@ -97,7 +97,7 @@ def _batch_arg(args):
 
 
 def _live_overrides(args) -> dict:
-    """LiveConfig keyword overrides from the shared ``--live-*`` flags."""
+    """``attach_live`` keyword options from the shared live flags."""
     overrides = {"seed": args.seed}
     if args.slo_threshold_us > 0:
         overrides["slo_threshold_s"] = args.slo_threshold_us * 1e-6
@@ -447,7 +447,7 @@ def cmd_cluster(args) -> int:
 
         refresh_s = (
             args.live_refresh_us * 1e-6 if args.live_refresh_us > 0
-            else max(4e-3, 4 * live_recorders[0].config.window_s)
+            else 4 * live_recorders[0].window.window_s
         )
         dashboard = LiveDashboard(
             live_recorders,

@@ -21,9 +21,9 @@ produces byte-identical JSON.
 """
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.obs.export import metrics_snapshot
+from repro.obs.export import metrics_snapshot, process_trace_events
 
 
 def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
@@ -115,52 +115,16 @@ def cluster_chrome_trace(cluster, recorders: List[object]) -> dict:
         raise ValueError(
             f"expected {cluster.n_shards} recorders, got {len(recorders)}"
         )
-    us = 1e6
     trace_events: List[dict] = []
     for shard, recorder in zip(cluster.shards, recorders):
-        pid = shard.shard_id + 1
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {
-                    "name": f"shard{shard.shard_id}:{cluster.store_name}",
-                    "shard": shard.shard_id,
-                },
-            }
-        )
-        tids: Dict[str, int] = {}
-        for track in recorder.tracks():
-            tids[track] = len(tids) + 1
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tids[track],
-                    "name": "thread_name",
-                    "args": {"name": track},
-                }
+        trace_events.extend(
+            process_trace_events(
+                recorder,
+                f"shard{shard.shard_id}:{cluster.store_name}",
+                pid=shard.shard_id + 1,
+                shard=shard.shard_id,
             )
-        for event in recorder.events:
-            record = {
-                "name": event.name,
-                "cat": event.cat,
-                "pid": pid,
-                "tid": tids[event.track],
-                "ts": event.ts * us,
-            }
-            if event.dur is not None:
-                record["ph"] = "X"
-                record["dur"] = event.dur * us
-            else:
-                record["ph"] = "i"
-                record["s"] = "t"
-            args = dict(event.args) if event.args else {}
-            args["shard"] = shard.shard_id
-            record["args"] = args
-            trace_events.append(record)
+        )
     return {
         "displayTimeUnit": "ms",
         "otherData": {"generator": "repro.cluster", "schema": 1},

@@ -182,31 +182,26 @@ class Cluster:
                 shard.group.obs = None
             shard.system.detach_tracing()
 
-    def attach_live(self, config=None, **overrides) -> List[object]:
+    def attach_live(self, seed: int = 1, **options) -> List[object]:
         """Attach a live (sampled) recorder to every shard.
 
         Returns the recorders in shard order.  Each shard gets its own
-        sampling seed (base seed + shard id), so head-sampled runs are
+        sampling seed (``seed`` + shard id), so head-sampled runs are
         decorrelated across shards while every shard's retained set
-        stays a pure function of the cluster seed.  Config is a
-        :class:`~repro.obs.live.recorder.LiveConfig` (or keyword
-        overrides for one); detach with :meth:`detach_tracing`.
+        stays a pure function of the cluster seed.  ``options`` are
+        :class:`~repro.obs.live.recorder.LiveRecorder`'s
+        ``slo_threshold_s`` and ``stall_alert_s``; detach with
+        :meth:`detach_tracing`.
         """
-        from repro.obs.live.recorder import LiveConfig, LiveRecorder
+        from repro.obs.live.recorder import LiveRecorder
 
-        if config is None:
-            config = LiveConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass a LiveConfig or overrides, not both")
-        recorders = []
-        for shard in self.shards:
-            shard_cfg = LiveConfig(**config.as_dict())
-            shard_cfg.seed = config.seed + shard.shard_id
-            recorder = LiveRecorder(
-                self.clock, shard_cfg, shard_id=shard.shard_id
-            )
-            recorders.append(recorder.attach(shard.system))
-        return recorders
+        return [
+            LiveRecorder(
+                self.clock, seed + shard.shard_id,
+                shard_id=shard.shard_id, **options
+            ).attach(shard.system)
+            for shard in self.shards
+        ]
 
     def __repr__(self) -> str:
         return (

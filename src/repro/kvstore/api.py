@@ -113,8 +113,7 @@ class KVStore(ABC):
         """Apply many puts in one call; returns per-op latencies.
 
         Byte-identical to calling :meth:`put` once per ``(key, value)``
-        pair -- same simulated clock, stats totals, latency samples, and
-        (unless the trace recorder's coalesced mode is on) the same
+        pair -- same simulated clock, stats totals, latency samples and
         trace events -- while the per-op Python dispatch floor (settle
         checks, clock/stat attribute chases, plumbing calls) is paid
         once per batch.  All keys are validated before any op runs.
@@ -163,12 +162,9 @@ class KVStore(ABC):
         stamp, sample = system.latency.appenders("get")
         obs = system.obs
         race = system.race
-        coalesce = obs is not None and obs.coalesce_ops
         fallback = self._get
         lookup = self._batch_lookup() or fallback
         taken = 0
-        starts: List[float] = []
-        durs: List[float] = []
         for key in keys:
             if heap and heap[0][0] <= clock._now:
                 if settle():
@@ -185,15 +181,10 @@ class KVStore(ABC):
             stamp(now)
             sample(latency)
             results.append((value, latency))
-            if coalesce:
-                starts.append(start)
-                durs.append(latency)
-            elif obs is not None:
+            if obs is not None:
                 obs.span("foreground", "get", "op", start, now)
         _report_served(lookup, len(results) - taken)
         system.stats.add("op.get", float(len(keys)))
-        if coalesce:
-            obs.op_batch("foreground", "get", starts, durs)
         return results
 
     def scan(self, start_key: bytes, count: int) -> Tuple[List[Tuple[bytes, object]], float]:
@@ -283,9 +274,10 @@ class KVStore(ABC):
         tuples that already passed validation.  Per op this replays the
         exact sequence of the unbatched path -- settle due background
         work, stamp the start time, allocate the sequence number, apply
-        ``_put``, advance the clock, record the latency sample -- and
-        defers only the stats-registry adds (pure integer sums, exact in
-        float) and, in coalesced trace mode, the span emission.
+        ``_put``, advance the clock, record the latency sample, emit the
+        op span -- and defers only the stats-registry adds (pure integer
+        sums, exact in float) to the end of the batch; with a recorder
+        attached the user bytes are added ahead of each op span instead.
         """
         latencies: List[float] = []
         if not ops:
@@ -299,9 +291,7 @@ class KVStore(ABC):
         put_ = self._put
         obs = system.obs
         race = system.race
-        coalesce = obs is not None and obs.coalesce_ops
-        starts: List[float] = []
-        durs: List[float] = []
+        stats = system.stats
         user_bytes = 0
         for key, value, value_bytes, key_len in ops:
             if heap and heap[0][0] <= clock._now:
@@ -318,16 +308,14 @@ class KVStore(ABC):
             sample(latency)
             latencies.append(latency)
             user_bytes += key_len + value_bytes
-            if coalesce:
-                starts.append(start)
-                durs.append(latency)
-            elif obs is not None:
+            if obs is not None:
+                # A live recorder closes windows on op spans and reads
+                # write amplification then: no user bytes may be pending.
+                stats.add("user.bytes_written", user_bytes)
+                user_bytes = 0
                 obs.span("foreground", kind, "op", start, now)
-        stats = system.stats
         stats.add("user.bytes_written", user_bytes)
         stats.add("op." + kind, float(len(ops)))
-        if coalesce:
-            obs.op_batch("foreground", kind, starts, durs)
         return latencies
 
     def _finish(self, kind: str, start: float, seconds: float) -> float:

@@ -107,26 +107,20 @@ class HybridMemorySystem:
         if self.obs is not None:
             self.obs.detach()
 
-    def attach_live(self, config=None, **overrides):
+    def attach_live(self, **options):
         """Attach a :class:`~repro.obs.live.recorder.LiveRecorder`.
 
         The always-on telemetry posture: sampled op tracing (head +
         tail), a flight-recorder ring with incident-triggered dumps,
         and windowed aggregation -- at a fraction of full tracing's
-        overhead.  ``config`` is a
-        :class:`~repro.obs.live.recorder.LiveConfig`; keyword overrides
-        build one (e.g. ``attach_live(head_rate=1/32,
-        slo_threshold_s=5e-6)``).  Returns the attached recorder;
-        detach via :meth:`detach_tracing` as usual.
+        overhead.  ``options`` are the recorder's ``seed``,
+        ``slo_threshold_s`` and ``stall_alert_s`` (e.g.
+        ``attach_live(seed=3, slo_threshold_s=5e-6)``).  Returns the
+        attached recorder; detach via :meth:`detach_tracing` as usual.
         """
-        from repro.obs.live.recorder import LiveConfig, LiveRecorder
+        from repro.obs.live.recorder import LiveRecorder
 
-        if config is None:
-            config = LiveConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass a LiveConfig or overrides, not both")
-        recorder = LiveRecorder(self.clock, config)
-        return recorder.attach(self)
+        return LiveRecorder(self.clock, **options).attach(self)
 
     def attach_race_detection(self):
         """Attach a fresh :class:`~repro.check.races.RaceDetector`.

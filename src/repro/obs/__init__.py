@@ -69,7 +69,6 @@ from repro.obs.export import (
 from repro.obs.live import (
     FlightRecorder,
     HeadSampler,
-    LiveConfig,
     LiveDashboard,
     LiveRecorder,
     TailSampler,
@@ -122,7 +121,6 @@ __all__ = [
     "BurnRateRule",
     "SloMonitor",
     "LiveRecorder",
-    "LiveConfig",
     "LiveDashboard",
     "FlightRecorder",
     "WindowAggregator",

@@ -10,7 +10,7 @@ contract that lets tests pin trace fingerprints.
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.events import CAT_TRANSFER
 
@@ -38,31 +38,34 @@ def write_artifact(path, text: str, overwrite: bool = True) -> pathlib.Path:
 # ------------------------------------------------------- chrome/perfetto
 
 
-def to_chrome_trace(recorder, process_name: str = "repro") -> dict:
-    """The recorder's events as a Chrome trace-event JSON document.
+def process_trace_events(
+    recorder, process_name: str, pid: int = 1, shard: Optional[int] = None
+) -> List[dict]:
+    """One trace *process*: its metadata records, then every event.
 
     Spans become complete (``"ph": "X"``) events and instants become
     thread-scoped instant (``"ph": "i"``) events; each track maps to one
-    ``tid`` announced by ``thread_name`` metadata.  The document loads
-    directly in https://ui.perfetto.dev or ``chrome://tracing``.
+    ``tid`` (first-appearance order) announced by ``thread_name``
+    metadata.  With ``shard`` set, the process metadata and every
+    event's args carry it, so a merged multi-process document can be
+    filtered by shard.
     """
-    tids: Dict[str, int] = {}
-    for track in recorder.tracks():
-        tids[track] = len(tids) + 1
+    tag = {} if shard is None else {"shard": shard}
+    tids = {track: tid for tid, track in enumerate(recorder.tracks(), 1)}
     trace_events: List[dict] = [
         {
             "ph": "M",
-            "pid": 1,
+            "pid": pid,
             "tid": 0,
             "name": "process_name",
-            "args": {"name": process_name},
+            "args": {"name": process_name, **tag},
         }
     ]
     for track, tid in tids.items():
         trace_events.append(
             {
                 "ph": "M",
-                "pid": 1,
+                "pid": pid,
                 "tid": tid,
                 "name": "thread_name",
                 "args": {"name": track},
@@ -72,7 +75,7 @@ def to_chrome_trace(recorder, process_name: str = "repro") -> dict:
         record = {
             "name": event.name,
             "cat": event.cat,
-            "pid": 1,
+            "pid": pid,
             "tid": tids[event.track],
             "ts": event.ts * _US,
         }
@@ -82,13 +85,25 @@ def to_chrome_trace(recorder, process_name: str = "repro") -> dict:
         else:
             record["ph"] = "i"
             record["s"] = "t"
-        if event.args:
-            record["args"] = event.args
+        args = event.args
+        if tag:
+            args = {**(args or {}), **tag}
+        if args:
+            record["args"] = args
         trace_events.append(record)
+    return trace_events
+
+
+def to_chrome_trace(recorder, process_name: str = "repro") -> dict:
+    """The recorder's events as a Chrome trace-event JSON document.
+
+    One process (:func:`process_trace_events`); the document loads
+    directly in https://ui.perfetto.dev or ``chrome://tracing``.
+    """
     return {
         "displayTimeUnit": "ms",
         "otherData": {"generator": "repro.obs", "schema": 1},
-        "traceEvents": trace_events,
+        "traceEvents": process_trace_events(recorder, process_name),
     }
 
 

@@ -29,7 +29,7 @@ from repro.obs.live.flight import (
     FlightRecorder,
 )
 from repro.obs.live.openmetrics import openmetrics_text, write_openmetrics
-from repro.obs.live.recorder import LiveConfig, LiveRecorder
+from repro.obs.live.recorder import LiveRecorder
 from repro.obs.live.sampling import (
     HeadSampler,
     TailSampler,
@@ -39,7 +39,6 @@ from repro.obs.live.sampling import (
 from repro.obs.live.window import WindowAggregator
 
 __all__ = [
-    "LiveConfig",
     "LiveRecorder",
     "HeadSampler",
     "TailSampler",

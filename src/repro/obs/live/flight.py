@@ -29,6 +29,18 @@ TRIGGER_SLO = "slo-burn"
 TRIGGER_MANUAL = "manual"
 TRIGGERS = (TRIGGER_STALL, TRIGGER_DROPS, TRIGGER_SLO, TRIGGER_MANUAL)
 
+#: Ring entries kept, and dump documents kept per recorder.
+FLIGHT_CAPACITY = 4096
+MAX_DUMPS = 4
+
+#: A drop burst is this many drops within this many simulated seconds.
+DROP_BURST_N = 8
+DROP_BURST_S = 1e-3
+
+#: Short lookback of 5 simulated ms, long of 50 ms, firing at 2x budget
+#: burn -- scaled to trace-length runs rather than wall-clock SRE windows.
+BURN_RULE = BurnRateRule(short_s=5e-3, long_s=50e-3, factor=2.0)
+
 
 class FlightRecorder:
     """Ring buffer of recent events with trigger-driven dumps.
@@ -36,8 +48,6 @@ class FlightRecorder:
     Ring entries are plain tuples tagged by their first element:
 
     - ``("op", kind, start, dur)`` -- one foreground op
-    - ``("ops", kind, starts, durs)`` -- one coalesced batch (the lists
-      are shared with the emitted batch, zero-copy)
     - ``("stall", cause, ts, seconds)`` -- a stall span or instant
     - ``("job", worker, name, cat, start, end, wait_s)`` -- background job
     - ``("transfer", device, op, nbytes, sequential, seconds, ts)``
@@ -51,13 +61,13 @@ class FlightRecorder:
 
     def __init__(
         self,
-        capacity: int = 4096,
+        capacity: int = FLIGHT_CAPACITY,
         stall_alert_s: Optional[float] = None,
-        drop_burst_n: int = 8,
-        drop_burst_s: float = 1e-3,
+        drop_burst_n: int = DROP_BURST_N,
+        drop_burst_s: float = DROP_BURST_S,
         slo: Optional[SloObjective] = None,
-        burn_rule: Optional[BurnRateRule] = None,
-        max_dumps: int = 4,
+        burn_rule: BurnRateRule = BURN_RULE,
+        max_dumps: int = MAX_DUMPS,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"flight capacity must be >= 1, got {capacity}")
@@ -69,14 +79,7 @@ class FlightRecorder:
         self.drop_burst_n = drop_burst_n
         self.drop_burst_s = drop_burst_s
         self.slo = slo
-        # Default rule: short lookback of 5 simulated ms, long of 50ms,
-        # firing at 2x budget burn -- scaled to trace-length runs rather
-        # than wall-clock SRE windows.
-        self.burn_rule = (
-            burn_rule
-            if burn_rule is not None
-            else BurnRateRule(short_s=5e-3, long_s=50e-3, factor=2.0)
-        )
+        self.burn_rule = burn_rule
         self.max_dumps = max_dumps
         self.dumps: List[dict] = []
         #: Trigger counts, including triggers past the ``max_dumps`` cap.
@@ -85,9 +88,10 @@ class FlightRecorder:
         #: bookkeeping, recent window rows) embedded in each dump.
         self.context_provider = None
         self._drop_times: deque = deque()
-        # Per-window (ops, bad) history for burn-rate evaluation; rows
-        # are appended by the window aggregator via :meth:`on_window`.
-        self._slo_windows: List = []
+        # Per-window (t_s, ops, bad) history for burn-rate evaluation,
+        # no older than the rule's long lookback; rows are appended by
+        # the window aggregator via :meth:`on_window`.
+        self._slo_windows: deque = deque()
 
     # -------------------------------------------------------------- feeds
 
@@ -131,14 +135,17 @@ class FlightRecorder:
         """
         if self.slo is None:
             return
+        rule = self.burn_rule
         rows = self._slo_windows
         rows.append((t_s, ops, bad))
+        horizon = t_s - rule.long_s
+        while rows[0][0] < horizon:
+            rows.popleft()
         budget = 1.0 - self.slo.target
         if budget <= 0.0:
             return
-        rule = self.burn_rule
         short = self._burn(rows, t_s - rule.short_s, budget)
-        long_ = self._burn(rows, t_s - rule.long_s, budget)
+        long_ = self._burn(rows, horizon, budget)
         if short is None or long_ is None:
             return
         if short > rule.factor and long_ > rule.factor:

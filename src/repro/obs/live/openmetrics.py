@@ -28,6 +28,23 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+#: Gauge families read off each shard's last closed window:
+#: (family, help, row key, divisor or None, value before any window closed).
+_WINDOW_GAUGES = (
+    ("repro_window_kiops",
+     "Throughput of the last closed aggregation window (KIOPS).",
+     "kiops", None, 0.0),
+    ("repro_window_p50_seconds",
+     "p50 op latency of the last closed window.", "p50_us", 1e6, 0.0),
+    ("repro_window_p99_seconds",
+     "p99 op latency of the last closed window.", "p99_us", 1e6, 0.0),
+    ("repro_queue_depth",
+     "Background jobs pending on the shard executor.", "queue_depth", None, 0),
+    ("repro_write_amplification",
+     "Persistent bytes written over logical user bytes.", "wa", None, 0.0),
+)
+
+
 class _Doc:
     def __init__(self) -> None:
         self.lines: List[str] = []
@@ -122,50 +139,16 @@ def openmetrics_text(
         doc.sample("repro_queue_retained_total", [("shard", label)],
                    rec.queue_kept)
 
-    doc.family(
-        "repro_window_kiops", "gauge",
-        "Throughput of the last closed aggregation window (KIOPS).",
-    )
-    for label, rec in shards:
-        row = rec.window.last_row() if rec.window is not None else None
-        doc.sample("repro_window_kiops", [("shard", label)],
-                   row["kiops"] if row else 0.0)
-
-    doc.family(
-        "repro_window_p50_seconds", "gauge",
-        "p50 op latency of the last closed window.",
-    )
-    for label, rec in shards:
-        row = rec.window.last_row() if rec.window is not None else None
-        doc.sample("repro_window_p50_seconds", [("shard", label)],
-                   row["p50_us"] / 1e6 if row else 0.0)
-
-    doc.family(
-        "repro_window_p99_seconds", "gauge",
-        "p99 op latency of the last closed window.",
-    )
-    for label, rec in shards:
-        row = rec.window.last_row() if rec.window is not None else None
-        doc.sample("repro_window_p99_seconds", [("shard", label)],
-                   row["p99_us"] / 1e6 if row else 0.0)
-
-    doc.family(
-        "repro_queue_depth", "gauge",
-        "Background jobs pending on the shard executor.",
-    )
-    for label, rec in shards:
-        row = rec.window.last_row() if rec.window is not None else None
-        doc.sample("repro_queue_depth", [("shard", label)],
-                   row["queue_depth"] if row else 0)
-
-    doc.family(
-        "repro_write_amplification", "gauge",
-        "Persistent bytes written over logical user bytes.",
-    )
-    for label, rec in shards:
-        row = rec.window.last_row() if rec.window is not None else None
-        doc.sample("repro_write_amplification", [("shard", label)],
-                   row["wa"] if row else 0.0)
+    last_rows = [
+        rec.window.last_row() if rec.window is not None else None
+        for __, rec in shards
+    ]
+    for family, help_, key, divisor, empty in _WINDOW_GAUGES:
+        doc.family(family, "gauge", help_)
+        for (label, __), row in zip(shards, last_rows):
+            value = row[key] if row else empty
+            doc.sample(family, [("shard", label)],
+                       value / divisor if divisor else value)
 
     doc.family(
         "repro_windows", "counter", "Closed aggregation windows.",

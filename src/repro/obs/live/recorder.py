@@ -30,145 +30,57 @@ itself is never touched: clock, stats, and store state are byte-identical
 with the live plane attached or not.
 """
 
-import bisect
-from typing import List, Optional
+from typing import Optional
 
-from repro.obs.analyze.slo import BurnRateRule, SloObjective
-from repro.obs.events import (
-    CAT_OP,
-    CAT_QUEUE,
-    CAT_STALL,
-    CAT_TRANSFER,
-    TraceEvent,
-)
+from repro.obs.analyze.slo import SloObjective
+from repro.obs.events import CAT_OP, CAT_QUEUE, CAT_STALL
 from repro.obs.live.flight import FlightRecorder
 from repro.obs.live.sampling import HeadSampler, TailSampler
 from repro.obs.live.window import WindowAggregator
 from repro.obs.recorder import TraceRecorder
 
-
-class LiveConfig:
-    """Tuning knobs for the live telemetry plane (all deterministic)."""
-
-    __slots__ = (
-        "seed", "head_rate", "head_run", "tail_percentile", "tail_window",
-        "tail_refresh", "window_s", "flight_capacity", "stall_alert_s",
-        "drop_burst_n", "drop_burst_s", "slo_threshold_s", "slo_target",
-        "burn_short_s", "burn_long_s", "burn_factor", "max_dumps",
-    )
-
-    def __init__(
-        self,
-        seed: int = 1,
-        head_rate: float = 1.0 / 64.0,
-        head_run: int = 16,
-        tail_percentile: float = 99.0,
-        tail_window: int = 512,
-        tail_refresh: int = 256,
-        window_s: float = 1e-3,
-        flight_capacity: int = 4096,
-        stall_alert_s: Optional[float] = None,
-        drop_burst_n: int = 8,
-        drop_burst_s: float = 1e-3,
-        slo_threshold_s: Optional[float] = None,
-        slo_target: float = 0.999,
-        burn_short_s: float = 5e-3,
-        burn_long_s: float = 50e-3,
-        burn_factor: float = 2.0,
-        max_dumps: int = 4,
-    ) -> None:
-        self.seed = seed
-        self.head_rate = head_rate
-        self.head_run = head_run
-        self.tail_percentile = tail_percentile
-        self.tail_window = tail_window
-        self.tail_refresh = tail_refresh
-        self.window_s = window_s
-        self.flight_capacity = flight_capacity
-        self.stall_alert_s = stall_alert_s
-        self.drop_burst_n = drop_burst_n
-        self.drop_burst_s = drop_burst_s
-        self.slo_threshold_s = slo_threshold_s
-        self.slo_target = slo_target
-        self.burn_short_s = burn_short_s
-        self.burn_long_s = burn_long_s
-        self.burn_factor = burn_factor
-        self.max_dumps = max_dumps
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _LiveJobScope:
-    """Job-cost scope that re-enables device hooks for background work."""
-
-    __slots__ = ("_recorder",)
-
-    def __init__(self, recorder: "LiveRecorder") -> None:
-        self._recorder = recorder
-
-    def __enter__(self) -> "LiveRecorder":
-        recorder = self._recorder
-        recorder._job_depth += 1
-        if recorder._job_depth == 1:
-            recorder._set_devices(True)
-        return recorder
-
-    def __exit__(self, *exc) -> bool:
-        recorder = self._recorder
-        recorder._job_depth -= 1
-        if recorder._job_depth == 0:
-            recorder._set_devices(recorder.head.live)
-        return False
+#: Fraction of ops the ``slo_threshold_s`` objective expects to meet.
+SLO_TARGET = 0.999
 
 
 class LiveRecorder(TraceRecorder):
-    """Sampling trace recorder + flight ring + windowed aggregation."""
+    """Sampling trace recorder + flight ring + windowed aggregation.
 
-    # The batched KVStore paths hand us whole batches (one ``op_batch``
-    # call, array arguments) instead of per-op spans -- the vectorised
-    # sampling below depends on it.
-    coalesce_ops = True
+    ``seed`` keys the head sampler; ``slo_threshold_s`` (per-op latency
+    objective) arms the burn-rate flight trigger and the windows' bad-op
+    count; ``stall_alert_s`` arms the stall flight trigger.  Everything
+    else about the plane is a constant next to the component that reads
+    it (docs/observability.md lists them).
+    """
 
     def __init__(
-        self, clock, config: Optional[LiveConfig] = None, shard_id=None
+        self,
+        clock,
+        seed: int = 1,
+        slo_threshold_s: Optional[float] = None,
+        stall_alert_s: Optional[float] = None,
+        shard_id=None,
     ) -> None:
         super().__init__(clock, strict=False)
-        cfg = config if config is not None else LiveConfig()
-        self.config = cfg
         self.shard_id = shard_id
-        self.head = HeadSampler(cfg.seed, cfg.head_rate, cfg.head_run)
-        self.tail = TailSampler(
-            cfg.tail_percentile, cfg.tail_window, cfg.tail_refresh
-        )
+        self.head = HeadSampler(seed)
+        self.tail = TailSampler()
         slo = None
-        if cfg.slo_threshold_s is not None:
-            slo = SloObjective(
-                "live-latency", cfg.slo_threshold_s, cfg.slo_target
-            )
-        self.flight = FlightRecorder(
-            capacity=cfg.flight_capacity,
-            stall_alert_s=cfg.stall_alert_s,
-            drop_burst_n=cfg.drop_burst_n,
-            drop_burst_s=cfg.drop_burst_s,
-            slo=slo,
-            burn_rule=BurnRateRule(
-                cfg.burn_short_s, cfg.burn_long_s, cfg.burn_factor
-            ),
-            max_dumps=cfg.max_dumps,
-        )
+        if slo_threshold_s is not None:
+            slo = SloObjective("live-latency", slo_threshold_s, SLO_TARGET)
+        self.flight = FlightRecorder(stall_alert_s=stall_alert_s, slo=slo)
         self.flight.context_provider = self._dump_context
         self.window: Optional[WindowAggregator] = None
-        self._slo_threshold = cfg.slo_threshold_s
+        self._slo_threshold = slo_threshold_s
         # Ops retained by the tail/stall rules *only* (head-retained ops
         # are counted by the head sampler itself); seen == head.seen.
         self.retained_tail = 0
         self.retained_stall = 0
         self.queue_seen = 0
         self.queue_kept = 0
-        # Timestamps of stalls not yet pinned to an op; the op (or
-        # batch) completing after a stall consumes them and is retained.
-        self._pending_stalls: List[float] = []
+        # A stall happened since the last op completed: stall cost is
+        # charged inside the op that waited, so that op is retained.
+        self._stall_pending = False
         self._devices = ()
         self._devices_on = False
 
@@ -179,9 +91,7 @@ class LiveRecorder(TraceRecorder):
         self._devices = tuple(system.devices())
         self._devices_on = True
         self.window = WindowAggregator(
-            system,
-            window_s=self.config.window_s,
-            slo_threshold_s=self._slo_threshold,
+            system, slo_threshold_s=self._slo_threshold
         )
         self.window.set_window_listener(self.flight.on_window)
         # Consume latency samples recorded before attach (preloads) so
@@ -213,30 +123,26 @@ class LiveRecorder(TraceRecorder):
         for device in self._devices:
             device.obs = obs
 
-    def job_cost(self) -> _LiveJobScope:
-        return _LiveJobScope(self)
+    def _job_scope_changed(self, inside: bool) -> None:
+        # Background work is always traced, whatever the head decision.
+        self._set_devices(inside or self.head.live)
 
     # ------------------------------------------------------------ emission
 
     def span(self, track, name, cat, start, end, args=None) -> None:
         if cat == CAT_OP:
             dur = end - start
-            head = self.head.advance()
-            tail = self.tail.observe(dur)
-            if head:
-                self.events.append(
-                    TraceEvent(track, name, cat, start, dur, args)
-                )
-            elif tail or self._pending_stalls:
-                if tail:
-                    self.retained_tail += 1
-                else:
+            keep = self.head.advance()
+            if self.tail.observe(dur) and not keep:
+                self.retained_tail += 1
+                keep = True
+            if self._stall_pending:
+                self._stall_pending = False
+                if not keep:
                     self.retained_stall += 1
-                self.events.append(
-                    TraceEvent(track, name, cat, start, dur, args)
-                )
-            if self._pending_stalls:
-                del self._pending_stalls[:]
+                    keep = True
+            if keep:
+                super().span(track, name, cat, start, end, args)
             self.flight.ring.append(("op", name, start, dur))
             window = self.window
             threshold = self._slo_threshold
@@ -246,17 +152,7 @@ class LiveRecorder(TraceRecorder):
                 window.maybe_tick(end)
             if self.head.live != self._devices_on and not self._job_depth:
                 self._set_devices(self.head.live)
-            return
-        if cat == CAT_STALL:
-            seconds = end - start
-            cause = (args or {}).get("cause", "unknown")
-            self._pending_stalls.append(start)
-            self.events.append(
-                TraceEvent(track, name, cat, start, seconds, args)
-            )
-            self.flight.on_stall(cause, start, seconds)
-            return
-        if cat == CAT_QUEUE:
+        elif cat == CAT_QUEUE:
             # A router queue span precedes the store op it queued for,
             # so the *current* head decision is that op's decision.
             self.queue_seen += 1
@@ -267,104 +163,35 @@ class LiveRecorder(TraceRecorder):
             )
             if self.head.live:
                 self.queue_kept += 1
-                self.events.append(
-                    TraceEvent(track, name, cat, start, end - start, args)
-                )
-            return
-        # Anything else (rare, diagnostic) stays full fidelity.
-        self.events.append(TraceEvent(track, name, cat, start, end - start, args))
-
-    def op_batch(self, track, kind, starts, durs) -> None:
-        n = len(starts)
-        if n == 0:
-            return
-        if len(durs) != n:
-            raise ValueError(f"starts/durs length mismatch: {n} vs {len(durs)}")
-        head = self.head
-        # Head decisions in run-sized chunks: batch/run_len hashes, not
-        # one per op.
-        head_ranges = []
-        i = 0
-        while i < n:
-            k, live = head.take(n - i)
-            if live:
-                head_ranges.append((i, i + k))
-            i += k
-        tail_idx = self.tail.observe_many(durs)
-        stall_idx = None
-        if self._pending_stalls:
-            # Pin each stall to the op whose span contains it (stall
-            # cost is charged inside the op that waited).
-            stall_idx = []
-            for ts in self._pending_stalls:
-                j = bisect.bisect_right(starts, ts) - 1
-                stall_idx.append(j if j >= 0 else 0)
-            del self._pending_stalls[:]
-        if head_ranges or tail_idx or stall_idx:
-            # Retention priority head > tail > stall, mirroring the
-            # scalar path's bookkeeping.
-            marks = {}
-            for i0, i1 in head_ranges:
-                for j in range(i0, i1):
-                    marks[j] = 1
-            for j in tail_idx or ():
-                if j not in marks:
-                    marks[j] = 2
-            for j in stall_idx or ():
-                if j not in marks:
-                    marks[j] = 3
-            events = self.events
-            for j in sorted(marks):
-                mark = marks[j]
-                if mark == 2:
-                    self.retained_tail += 1
-                elif mark == 3:
-                    self.retained_stall += 1
-                events.append(
-                    TraceEvent(track, kind, CAT_OP, starts[j], durs[j], None)
-                )
-        self.flight.ring.append(("ops", kind, starts, durs))
-        window = self.window
-        threshold = self._slo_threshold
-        if threshold is not None:
-            bad = sum(1 for dur in durs if dur > threshold)
-            if bad:
-                window.bad_in_window += bad
-        end = starts[-1] + durs[-1]
-        if end >= window.next_edge:
-            window.maybe_tick(end)
-        if head.live != self._devices_on and not self._job_depth:
-            self._set_devices(head.live)
+                super().span(track, name, cat, start, end, args)
+        else:
+            # Anything else (rare, diagnostic) stays full fidelity.
+            super().span(track, name, cat, start, end, args)
+            if cat == CAT_STALL:
+                self._stalled(args, start, end - start)
 
     def instant(self, track, name, cat, args=None, ts=None) -> None:
-        when = self.clock.now if ts is None else ts
-        self.events.append(TraceEvent(track, name, cat, when, None, args))
+        super().instant(track, name, cat, args, ts)
+        when = self.events[-1].ts
         if cat == CAT_STALL:
-            args_ = args or {}
-            self._pending_stalls.append(when)
-            self.flight.on_stall(
-                args_.get("cause", "unknown"),
-                when,
-                args_.get("seconds", 0.0),
-            )
+            self._stalled(args, when, (args or {}).get("seconds", 0.0))
         elif cat == CAT_QUEUE and name == "drop":
             args_ = args or {}
             self.flight.on_drop(
                 args_.get("cause", "unknown"), args_.get("client", ""), when
             )
 
+    def _stalled(self, args, ts: float, seconds: float) -> None:
+        self._stall_pending = True
+        self.flight.on_stall((args or {}).get("cause", "unknown"), ts, seconds)
+
     def transfer(self, device_name, op, nbytes, sequential, seconds) -> None:
         # Only reachable while the device hooks are enabled: inside a
         # head-sampled run, or under a background-job cost scope.
-        args = {"bytes": nbytes, "seq": sequential, "seconds": seconds}
-        if self._job_depth:
-            args["job"] = True
-        now = self.clock.now
-        self.events.append(
-            TraceEvent(f"dev:{device_name}", op, CAT_TRANSFER, now, None, args)
-        )
+        super().transfer(device_name, op, nbytes, sequential, seconds)
         self.flight.ring.append(
-            ("transfer", device_name, op, nbytes, sequential, seconds, now)
+            ("transfer", device_name, op, nbytes, sequential, seconds,
+             self.events[-1].ts)
         )
 
     def _on_submit(self, job, meta) -> None:
@@ -381,9 +208,9 @@ class LiveRecorder(TraceRecorder):
         """Exact sampling bookkeeping, for attribution rescaling."""
         retained = self.head.kept + self.retained_tail + self.retained_stall
         return {
-            "seed": self.config.seed,
-            "head_rate": self.config.head_rate,
-            "head_run": self.config.head_run,
+            "seed": self.head.seed,
+            "head_rate": self.head.rate,
+            "head_run": self.head.run_len,
             "tail": self.tail.as_dict(),
             "ops_seen": self.head.seen,
             "ops_retained": retained,

@@ -22,12 +22,22 @@ class, so downstream attribution can rescale retained counts back to
 population estimates (``scale() == seen / retained``).
 """
 
-from typing import List, Optional, Tuple
+from typing import List
 
 _MASK64 = (1 << 64) - 1
 
 #: Golden-ratio increment used by the splitmix64 stream (Steele et al.).
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+#: Head sampling: the fraction of runs drawn, and ops per run.
+HEAD_RATE = 1.0 / 64.0
+HEAD_RUN = 16
+
+#: Tail sampling: the rolling percentile, the latencies it is taken
+#: over, and how many ops pass between threshold refreshes.
+TAIL_PERCENTILE = 99.0
+TAIL_WINDOW = 512
+TAIL_REFRESH = 256
 
 
 def splitmix64(x: int) -> int:
@@ -45,7 +55,9 @@ def splitmix64(x: int) -> int:
 
 
 # repro: allow[DEAD001] reference the streaming HeadSampler is tested against
-def head_keep(seed: int, seq: int, rate: float, run_len: int = 16) -> bool:
+def head_keep(
+    seed: int, seq: int, rate: float, run_len: int = HEAD_RUN
+) -> bool:
     """Pure head-sampling decision for op ``seq`` at ``rate``.
 
     True iff the run of ``run_len`` consecutive ops containing ``seq``
@@ -71,7 +83,9 @@ class HeadSampler:
     __slots__ = ("seed", "rate", "run_len", "live", "_threshold", "_left",
                  "_seq", "seen", "kept")
 
-    def __init__(self, seed: int, rate: float, run_len: int = 16) -> None:
+    def __init__(
+        self, seed: int, rate: float = HEAD_RATE, run_len: int = HEAD_RUN
+    ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"head rate must be in [0, 1], got {rate}")
         if run_len < 1:
@@ -107,30 +121,6 @@ class HeadSampler:
             self._left = left
         return live
 
-    def take(self, n: int) -> Tuple[int, bool]:
-        """Consume up to ``n`` ops sharing the current decision.
-
-        Returns ``(count, live)``: the number of ops consumed (bounded
-        by the remainder of the current run) and their shared decision.
-        The batched hot path walks a batch in run-sized chunks with this
-        -- ``batch/run_len`` calls instead of one per op -- and the
-        resulting per-op decisions are identical to ``advance()``'s.
-        """
-        left = self._left
-        k = n if n < left else left
-        live = self.live
-        self.seen += k
-        if live:
-            self.kept += k
-        self._seq += k
-        left -= k
-        if left == 0:
-            self._left = self.run_len
-            self.live = self._draw(self._seq // self.run_len)
-        else:
-            self._left = left
-        return k, live
-
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -158,9 +148,9 @@ class TailSampler:
 
     def __init__(
         self,
-        percentile: float = 99.0,
-        window: int = 512,
-        refresh: int = 256,
+        percentile: float = TAIL_PERCENTILE,
+        window: int = TAIL_WINDOW,
+        refresh: int = TAIL_REFRESH,
     ) -> None:
         if not 0.0 < percentile <= 100.0:
             raise ValueError(
@@ -198,58 +188,6 @@ class TailSampler:
         if self._since >= self.refresh:
             self._refresh_threshold()
         return outlier
-
-    def observe_many(self, latencies) -> Optional[List[int]]:
-        """Batched :meth:`observe`; returns outlier indices or ``None``.
-
-        Batch semantics differ from the scalar path in one documented
-        way: every op in the batch is judged against the threshold as of
-        the batch *start*, and the refresh check runs once at the batch
-        *end*.  Decisions stay a pure function of the latency stream and
-        its batching, so identical runs retain identical sets; the payoff
-        is that the whole batch is one ``max``, at most one outlier
-        comprehension, and two C-speed slice assignments -- no per-op
-        Python in the hot path.
-        """
-        n = len(latencies)
-        if not n:
-            return None
-        indices: Optional[List[int]] = None
-        threshold = self.threshold
-        if max(latencies) > threshold:
-            indices = [
-                i for i, lat in enumerate(latencies) if lat > threshold
-            ]
-            self.kept += len(indices)
-        buf = self._buf
-        idx = self._idx
-        window = self.window
-        if n >= window:
-            # The batch overwrites the whole ring; keep the scalar
-            # layout (newest item lands just before the final cursor).
-            final = (idx + n) % window
-            tail = latencies[n - window:]
-            split = window - final
-            buf[final:] = tail[:split]
-            buf[:final] = tail[split:]
-            self._idx = final
-            self._filled = window
-        else:
-            end = idx + n
-            if end <= window:
-                buf[idx:end] = latencies
-                self._idx = 0 if end == window else end
-            else:
-                split = window - idx
-                buf[idx:] = latencies[:split]
-                buf[:end - window] = latencies[split:]
-                self._idx = end - window
-            if self._filled < window:
-                self._filled = min(window, self._filled + n)
-        self._since += n
-        if self._since >= self.refresh:
-            self._refresh_threshold()
-        return indices or None
 
     def _refresh_threshold(self) -> None:
         from repro.sim.latency import percentile as nearest_rank

@@ -21,6 +21,9 @@ simulated time).
 
 from typing import List, Optional
 
+#: Width of one aggregation window, in simulated seconds.
+WINDOW_S = 1e-3
+
 
 class WindowAggregator:
     """Rolls one system's telemetry into fixed simulated-time windows."""
@@ -28,7 +31,7 @@ class WindowAggregator:
     def __init__(
         self,
         system,
-        window_s: float = 1e-3,
+        window_s: float = WINDOW_S,
         slo_threshold_s: Optional[float] = None,
         max_rows: int = 4096,
     ) -> None:

@@ -47,22 +47,22 @@ class _JobCostScope:
         self._recorder = recorder
 
     def __enter__(self) -> "TraceRecorder":
-        self._recorder._job_depth += 1
-        return self._recorder
+        recorder = self._recorder
+        recorder._job_depth += 1
+        if recorder._job_depth == 1:
+            recorder._job_scope_changed(True)
+        return recorder
 
     def __exit__(self, *exc) -> bool:
-        self._recorder._job_depth -= 1
+        recorder = self._recorder
+        recorder._job_depth -= 1
+        if recorder._job_depth == 0:
+            recorder._job_scope_changed(False)
         return False
 
 
 class TraceRecorder:
     """Collects typed spans and instants from one simulated machine."""
-
-    # Read by the batched KVStore paths (multi_get/multi_put/
-    # multi_delete): False means one :meth:`span` per op, True means the
-    # recorder takes the whole batch through ``op_batch`` (see
-    # :class:`~repro.obs.live.recorder.LiveRecorder`).
-    coalesce_ops = False
 
     def __init__(self, clock, strict: bool = False) -> None:
         self.clock = clock
@@ -209,6 +209,9 @@ class TraceRecorder:
         here when tracing is attached.
         """
         return _JobCostScope(self)
+
+    def _job_scope_changed(self, inside: bool) -> None:
+        """Hook: the outermost :meth:`job_cost` scope was entered or left."""
 
     def _on_submit(self, job, meta) -> None:
         """Executor hook: every background job becomes a worker-track span.

@@ -30,9 +30,9 @@ def run_traced(
     operations of workload X).
 
     ``live`` switches from the full-fidelity recorder to the sampled
-    :class:`~repro.obs.live.recorder.LiveRecorder`: pass a dict of
-    :class:`~repro.obs.live.recorder.LiveConfig` keyword overrides (or
-    ``{}`` for defaults).  The workload, clock, and store state are
+    :class:`~repro.obs.live.recorder.LiveRecorder`: pass a dict of its
+    ``seed`` / ``slo_threshold_s`` / ``stall_alert_s`` options (or ``{}``
+    for defaults).  The workload, clock, and store state are
     identical either way -- only what the recorder retains differs.
 
     The recorder is detached before returning, so the caller can export

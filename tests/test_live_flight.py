@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.obs.live import FlightRecorder, LiveConfig, LiveRecorder
+from repro.obs.live import FlightRecorder, LiveRecorder
 from repro.obs.live.flight import (
     FLIGHT_SCHEMA,
     TRIGGER_DROPS,
@@ -115,12 +115,25 @@ def test_dump_embeds_sampling_context():
 
 
 def test_live_recorder_ring_stays_within_capacity():
-    cfg = LiveConfig(flight_capacity=32)
     from repro.mem.system import HybridMemorySystem
 
     system = HybridMemorySystem()
-    rec = LiveRecorder(system.clock, cfg).attach(system)
-    for i in range(500):
+    rec = LiveRecorder(system.clock).attach(system)
+    for i in range(5000):
         rec.span("foreground", "put", "op", i * 1e-6, i * 1e-6 + 1e-7)
-    assert len(rec.flight.ring) == 32
+    assert len(rec.flight.ring) == rec.flight.capacity == 4096
     rec.detach()
+
+
+def test_slo_window_history_is_bounded_by_the_long_lookback():
+    from repro.obs.analyze.slo import SloObjective
+
+    # No op is ever bad, so the SLO trigger never fires (and never
+    # clears the history): only the long lookback bounds it.
+    flight = FlightRecorder(slo=SloObjective("t", 1e-6, 0.999))
+    window_s = 1e-3
+    bound = flight.burn_rule.long_s / window_s + 1
+    for i in range(1, 10_001):
+        flight.on_window(i * window_s, 100, 0)
+        assert len(flight._slo_windows) <= bound
+    assert not flight.dumps

@@ -70,44 +70,7 @@ def test_head_sampler_matches_head_keep_and_counts_exactly():
     assert sampler.kept == sum(expected)
 
 
-def test_head_sampler_take_chunks_equal_scalar_walk():
-    scalar = HeadSampler(seed=9, rate=1.0 / 64.0, run_len=16)
-    flags = [scalar.advance() for _ in range(1000)]
-    chunked = HeadSampler(seed=9, rate=1.0 / 64.0, run_len=16)
-    rebuilt = []
-    remaining = 1000
-    while remaining:
-        count, live = chunked.take(remaining)
-        rebuilt.extend([live] * count)
-        remaining -= count
-    assert rebuilt == flags
-    assert (chunked.seen, chunked.kept) == (scalar.seen, scalar.kept)
-
-
 # ------------------------------------------------------------- tail sampler
-
-
-def test_tail_batches_are_deterministic():
-    stream = [((i * 37) % 100) / 1e6 for i in range(2000)]
-
-    def run():
-        tail = TailSampler(99.0, 512, 256)
-        out = []
-        for i in range(0, len(stream), 256):
-            out.append(tail.observe_many(stream[i:i + 256]))
-        return out, tail.threshold, tail.kept
-
-    assert run() == run()
-
-
-def test_tail_judges_batch_against_threshold_at_batch_start():
-    tail = TailSampler(50.0, 8, 4)
-    assert tail.observe_many([1.0, 2.0, 3.0, 4.0]) is None  # threshold inf
-    assert tail.threshold == 2.0  # refreshed at batch end (p50 of buffer)
-    # Everything above 2.0 in the next batch is an outlier, judged
-    # against 2.0 even though the batch itself shifts the distribution.
-    assert tail.observe_many([1.0, 5.0, 2.5, 0.5]) == [1, 2]
-    assert tail.kept == 2
 
 
 def test_tail_scalar_observe_matches_manual_threshold():

@@ -14,7 +14,7 @@ from repro.bench.config import BenchScale
 from repro.bench.factory import STORE_NAMES, make_store
 from repro.kvstore.api import KVStore
 from repro.kvstore.values import SizedValue
-from repro.obs import chrome_trace_json
+from repro.obs import chrome_trace_json, openmetrics_text
 from repro.sim.rng import XorShiftRng
 
 KB = 1 << 10
@@ -55,8 +55,13 @@ def _op_sequence(n=700, key_space=220, seed=11):
     return ops
 
 
-def _run(label, batched, chunk=48, trace=False):
-    """One run of the sequence; returns every observable artifact."""
+def _run(label, batched, chunk=48, trace=False, live=False):
+    """One run of the sequence; returns every observable artifact.
+
+    ``live`` attaches the sampled live plane in place of the full
+    recorder, with both flight triggers armed low enough to fire: the
+    artifact is then what it retained, counted, exported and dumped.
+    """
     name, overrides, probe = RARE_READ_BRANCHES.get(label, (label, {}, None))
     store, system = make_store(name, SCALE, **overrides)
     reached = []
@@ -68,7 +73,11 @@ def _run(label, batched, chunk=48, trace=False):
             return engine_get(key)
 
         store._get = probed_get
-    recorder = system.attach_tracing() if trace else None
+    recorder = None
+    if live:
+        recorder = system.attach_live(stall_alert_s=1e-5, slo_threshold_s=5e-6)
+    elif trace:
+        recorder = system.attach_tracing()
     ops = _op_sequence()
     outs = []
     if not batched:
@@ -105,6 +114,12 @@ def _run(label, batched, chunk=48, trace=False):
         trace_text = chrome_trace_json(recorder, name)
     else:
         trace_text = ""
+    if live:
+        assert recorder.flight.dumps, "no flight trigger fired"
+        trace_text = (
+            trace_text, recorder.sampling_meta(), openmetrics_text(recorder),
+            recorder.flight.dumps,
+        )
     return outs, items, snapshot, clock, trace_text
 
 
@@ -124,12 +139,16 @@ def test_batched_trace_is_byte_identical_miodb():
     batched = _run("miodb", batched=True, trace=True)
     assert unbatched[4] == batched[4]
     assert unbatched[:4] == batched[:4]
+    # The live plane's retention is batch-invariant like everything else.
+    assert _run("miodb", False, live=True) == _run("miodb", True, live=True)
 
 
 def test_odd_chunk_sizes_do_not_matter():
     reference = _run("miodb", batched=False)
+    live = _run("miodb", batched=False, live=True)
     for chunk in (1, 7, 700):
         assert _run("miodb", batched=True, chunk=chunk) == reference
+        assert _run("miodb", batched=True, chunk=chunk, live=True) == live
 
 
 @pytest.mark.parametrize("name", [n for n in STORE_NAMES if n != "miodb"])
@@ -245,6 +264,40 @@ def test_ycsb_batch_size_is_equivalent():
 
     for wl in ("A", "D", "E", "F"):
         assert drive(None, wl) == drive(29, wl), wl
+
+
+def test_live_artifacts_do_not_depend_on_batch_size():
+    # Long enough to close windows, stall and fire flight triggers in
+    # the middle of a batch (the 700-op sequence above fits one window).
+    from repro.bench.config import MB
+    from repro.workloads.dbbench import fill_random, read_random
+
+    scale = BenchScale(
+        memtable_bytes=64 * KB, dataset_bytes=2 * MB, value_size=KB,
+        nvm_buffer_bytes=512 * KB,
+    )
+
+    def drive(batch):
+        store, system = make_store(
+            "miodb", scale, max_nvm_buffer_bytes=256 * KB
+        )
+        rec = system.attach_live(stall_alert_s=1e-5, slo_threshold_s=5e-6)
+        fill_random(store, 2048, KB, batch_size=batch)
+        read_random(store, 512, 2048, batch_size=batch)
+        store.quiesce()
+        rec.detach()
+        return (
+            chrome_trace_json(rec, "miodb"), rec.sampling_meta(),
+            rec.window.rows, openmetrics_text(rec), rec.flight.dumps,
+        )
+
+    per_op = drive(None)
+    meta, rows, dumps = per_op[1], per_op[2], per_op[4]
+    assert meta["retained_tail"] and meta["retained_stall"]
+    assert len(rows) > 4
+    assert {d["trigger"] for d in dumps} == {"stall-alert", "slo-burn"}
+    for batch in (37, 256):
+        assert drive(batch) == per_op, batch
 
 
 def test_workload_batch_size_validation():
