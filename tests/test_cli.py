@@ -299,3 +299,53 @@ def test_cluster_live_conflicts_with_trace_and_analyze(tmp_path):
         "cluster", "--shards", "2", "--clients", "1", "--ops", "10",
         "--live", "--analyze",
     ]) == 2
+
+
+# ------------------------------------------------- default namespace pins
+
+#: Every subcommand's parsed defaults (``func`` by name), digested.  A
+#: parser refactor must not move these; print ``_namespace(cmd)`` to see
+#: what changed when one does.
+REQUIRED_ARGS = {"diff": ["a.json", "b.json"]}
+
+PINNED_NAMESPACES = {
+    "analyze": "bf094f257577bbe7",
+    "bench": "dea759c0ad673279",
+    "chaos": "060c3f1eb9d44cc9",
+    "check": "a7b4729286122218",
+    "cluster": "2ba3d50d213040fb",
+    "compare": "a13a5c7b3f0d5496",
+    "dbbench": "d37f4f9d5691ad5a",
+    "diff": "41e05b7dbcbab40e",
+    "info": "623d5374b3ac39bc",
+    "perf": "03eedd4ff960849d",
+    "slo": "1b486ec7637e5994",
+    "trace": "5b57d91641b9b21b",
+    "ycsb": "28c9d257a9af6397",
+}
+
+
+def _namespace(command):
+    args = build_parser().parse_args([command, *REQUIRED_ARGS.get(command, [])])
+    doc = dict(vars(args), func=args.func.__name__)
+    return sorted(doc.items())
+
+
+def _namespace_digest(command):
+    import hashlib
+
+    return hashlib.sha256(repr(_namespace(command)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_NAMESPACES))
+def test_subcommand_default_namespace_is_pinned(command):
+    assert _namespace_digest(command) == PINNED_NAMESPACES[command], (
+        _namespace(command)
+    )
+
+
+def test_every_subcommand_has_a_namespace_pin():
+    sub = next(
+        a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+    )
+    assert sorted(sub.choices) == sorted(PINNED_NAMESPACES)
