@@ -33,9 +33,15 @@ STORE_NAMES = (
 )
 
 
-def make_system(ssd: bool = False) -> HybridMemorySystem:
-    """A fresh simulated machine (optionally with an SSD)."""
-    return HybridMemorySystem.with_ssd() if ssd else HybridMemorySystem()
+def make_system(ssd: bool = False, clock=None) -> HybridMemorySystem:
+    """A fresh simulated machine (optionally with an SSD).
+
+    ``clock`` puts it on a shared timeline: a cluster's shards and a
+    replica group's members are each their own machine on one clock.
+    """
+    if ssd:
+        return HybridMemorySystem.with_ssd(clock=clock)
+    return HybridMemorySystem(clock=clock)
 
 
 def make_store(

@@ -46,6 +46,10 @@ from repro.workloads.zipfian import UniformGenerator, ZipfianGenerator
 
 ADMISSION_POLICIES = ("reject", "defer")
 
+#: Ownership moves one ``run_cluster`` call performs at most; the hot
+#: threshold is :func:`~repro.cluster.rebalance.maybe_rebalance`'s own.
+MAX_REBALANCES = 4
+
 
 class AdmissionControl:
     """Backpressure policy: bounded per-shard queues with reject/defer."""
@@ -223,8 +227,6 @@ def run_cluster(
     clients: List[ClientSpec],
     admission: Optional[AdmissionControl] = None,
     rebalance_every: int = 0,
-    hot_factor: float = 1.5,
-    max_rebalances: int = 4,
     dashboard=None,
     chaos=None,
     sessions: Optional[List] = None,
@@ -233,7 +235,7 @@ def run_cluster(
 
     ``rebalance_every`` > 0 runs a hot-shard check every that many
     completed requests (see :mod:`repro.cluster.rebalance`); at most
-    ``max_rebalances`` ownership moves are performed.  Everything --
+    :data:`MAX_REBALANCES` ownership moves are performed.  Everything --
     arrivals, routing, shedding, migration -- is a pure function of the
     specs' seeds and the cluster's state, so two runs with the same
     inputs produce identical results.
@@ -411,21 +413,12 @@ def run_cluster(
                 clock.now,
                 {"client": request.client, "shard": serve_shard},
             )
-        if group is not None:
-            session = sessions[request.client] if sessions else None
-            if request.kind == "get":
-                group.get(request.key, session=session)
-            else:
-                group.put(
-                    request.key,
-                    SizedValue(request.tag, state.spec.value_size),
-                    session=session,
-                )
-        elif request.kind == "get":
-            shard.store.get(request.key)
+        session = sessions[request.client] if sessions else None
+        if request.kind == "get":
+            shard.get(request.key, session)
         else:
-            shard.store.put(
-                request.key, SizedValue(request.tag, state.spec.value_size)
+            shard.put(
+                request.key, SizedValue(request.tag, state.spec.value_size), session
             )
         now = clock.now
         recorders[serve_shard].record("response", now, now - request.arrival)
@@ -443,8 +436,8 @@ def run_cluster(
             since_check += 1
             if since_check >= rebalance_every:
                 since_check = 0
-                if len(rebalances) < max_rebalances:
-                    moved = maybe_rebalance(router, factor=hot_factor)
+                if len(rebalances) < MAX_REBALANCES:
+                    moved = maybe_rebalance(router)
                     if moved is not None:
                         rebalances.append(moved)
                 router.reset_window()

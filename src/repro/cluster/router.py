@@ -36,6 +36,12 @@ class Shard:
     :class:`~repro.replication.group.ReplicaGroup`: ``group`` is set,
     and ``store``/``system`` track the group's *current leader* (the
     group repoints them on failover).
+
+    ``put``/``get``/``delete``/``scan``/``items`` are the one door into
+    the shard: each looks ``group`` and ``store`` up at call time, so
+    the router, the driver and the rebalancer never ask whether a shard
+    is replicated -- and a caller that reassigns either attribute (a
+    benchmark's ledger proxy) still sees every op.
     """
 
     __slots__ = ("shard_id", "store", "system", "group")
@@ -45,6 +51,42 @@ class Shard:
         self.store = store
         self.system = system
         self.group = group
+
+    def put(self, key: bytes, value, session=None) -> float:
+        """Insert or update ``key`` (leader write + ack policy if replicated)."""
+        if self.group is not None:
+            return self.group.put(key, value, session=session)
+        return self.store.put(key, value)
+
+    def get(self, key: bytes, session=None) -> Tuple[Optional[object], float]:
+        """Point lookup (read-policy routed if replicated)."""
+        if self.group is not None:
+            return self.group.get(key, session=session)
+        return self.store.get(key)
+
+    def delete(self, key: bytes, session=None) -> float:
+        """Tombstone ``key``."""
+        if self.group is not None:
+            return self.group.delete(key, session=session)
+        return self.store.delete(key)
+
+    def scan(self, start_key: bytes, count: int):
+        """The first ``count`` live pairs from ``start_key``."""
+        if self.group is not None:
+            return self.group.scan(start_key, count)
+        return self.store.scan(start_key, count)
+
+    def items(self):
+        """Iterate the shard's live ``(key, value)`` pairs in key order."""
+        if self.group is not None:
+            return self.group.items()
+        return self.store.items()
+
+    def systems(self):
+        """Every live simulated machine behind this shard."""
+        if self.group is None:
+            return [self.system]
+        return [m.system for m in self.group.members if m.alive]
 
     def __repr__(self) -> str:
         return f"Shard({self.shard_id}, {self.store.name})"
@@ -66,8 +108,7 @@ class Cluster:
         # Imported here: the bench factory imports stores which import
         # obs; keeping cluster importable without the factory at module
         # import time avoids any cycle if stores ever grow cluster hooks.
-        from repro.bench.factory import make_store
-        from repro.mem.system import HybridMemorySystem
+        from repro.bench.factory import make_store, make_system
 
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -79,38 +120,31 @@ class Cluster:
         self.replication = replication
         self.shards: List[Shard] = []
 
-        def build_system():
-            if ssd:
-                return HybridMemorySystem.with_ssd(clock=self.clock)
-            return HybridMemorySystem(clock=self.clock)
+        def build(rid=None):
+            """One store on a fresh machine that shares the cluster clock."""
+            return make_store(
+                store_name, scale, system=make_system(ssd, clock=self.clock),
+                ssd=ssd, **overrides
+            )
 
+        if replication is not None:
+            from repro.replication.group import ReplicaGroup
         for shard_id in range(n_shards):
             if replication is not None:
-                from repro.replication.group import ReplicaGroup
-
-                def factory(rid, _build=build_system):
-                    system = _build()
-                    return make_store(
-                        store_name, scale, system=system, ssd=ssd, **overrides
-                    )
-
                 group = ReplicaGroup(
                     shard_id,
                     self.clock,
-                    factory,
+                    build,
                     replication,
                     stats=self.stats,
                     crash_injector=crash_injector,
                 )
-                leader = group.members[group.leader_idx]
-                shard = Shard(shard_id, leader.store, leader.system, group)
+                shard = Shard(
+                    shard_id, group.leader.store, group.leader.system, group
+                )
                 group.shard = shard
             else:
-                system = build_system()
-                store, __ = make_store(
-                    store_name, scale, system=system, ssd=ssd, **overrides
-                )
-                shard = Shard(shard_id, store, system)
+                shard = Shard(shard_id, *build())
             self.shards.append(shard)
 
     @property
@@ -123,15 +157,10 @@ class Cluster:
         return [shard.group for shard in self.shards]
 
     def _systems(self):
-        """Every live simulated machine: shard systems, then -- with
-        replication on -- each group member's own system."""
+        """Every live simulated machine: shard systems, or -- with
+        replication on -- each live group member's own system."""
         for shard in self.shards:
-            if shard.group is not None:
-                for member in shard.group.members:
-                    if member.alive:
-                        yield member.system
-            else:
-                yield shard.system
+            yield from shard.systems()
 
     def settle_all(self) -> None:
         """Apply every shard's background effects due at the current time."""
@@ -167,13 +196,10 @@ class Cluster:
         into the shard's recorder, so quorum-ack latency decomposes on
         the same timeline as the leader's op spans.
         """
-        recorders = []
-        for shard in self.shards:
-            recorder = shard.system.attach_tracing()
-            if shard.group is not None:
-                shard.group.obs = recorder
-            recorders.append(recorder)
-        return recorders
+        return [
+            (shard.system if shard.group is None else shard.group).attach_tracing()
+            for shard in self.shards
+        ]
 
     def detach_tracing(self) -> None:
         """Detach every shard's recorder (idempotent)."""
@@ -269,24 +295,15 @@ class ShardRouter:
         replica group (leader write + ack policy); if the group is
         mid-election this blocks until a leader is up.
         """
-        shard = self.cluster.shards[self.route(key)]
-        if shard.group is not None:
-            return shard.group.put(key, value, session=session)
-        return shard.store.put(key, value)
+        return self.cluster.shards[self.route(key)].put(key, value, session)
 
     def get(self, key: bytes, session=None) -> Tuple[Optional[object], float]:
         """Point lookup on the owning shard (read-policy routed)."""
-        shard = self.cluster.shards[self.route(key)]
-        if shard.group is not None:
-            return shard.group.get(key, session=session)
-        return shard.store.get(key)
+        return self.cluster.shards[self.route(key)].get(key, session)
 
     def delete(self, key: bytes, session=None) -> float:
         """Tombstone ``key`` on its owning shard."""
-        shard = self.cluster.shards[self.route(key)]
-        if shard.group is not None:
-            return shard.group.delete(key, session=session)
-        return shard.store.delete(key)
+        return self.cluster.shards[self.route(key)].delete(key, session)
 
     def scan(self, start_key: bytes, count: int):
         """Scatter-gather range query across every shard.
@@ -301,13 +318,9 @@ class ShardRouter:
         if count < 0:
             raise ValueError(f"scan count must be >= 0, got {count}")
         start = self.cluster.clock.now
-        results = []
-        for shard in self.cluster.shards:
-            if shard.group is not None:
-                pairs, __ = shard.group.scan(start_key, count)
-            else:
-                pairs, __ = shard.store.scan(start_key, count)
-            results.append(pairs)
+        results = [
+            shard.scan(start_key, count)[0] for shard in self.cluster.shards
+        ]
         self.cluster.stats.add("cluster.scatter_scans", 1)
         merged = list(islice(heapq.merge(*results, key=itemgetter(0)), count))
         return merged, self.cluster.clock.now - start

@@ -31,6 +31,9 @@ from repro.replication.config import (
 )
 from repro.sim.rng import XorShiftRng
 
+#: Completed ops between a kill and its victim's restart.
+RESTART_GAP_OPS = 80
+
 
 class ChaosEvent:
     """One scheduled fault: kill a replica when ``at`` ops completed."""
@@ -50,13 +53,10 @@ class ChaosEvent:
 
 
 class ChaosSchedule:
-    """A seeded list of kill events plus the restart delay policy."""
+    """A seeded list of kill events."""
 
-    def __init__(self, events: List[ChaosEvent], restart_gap: int) -> None:
-        if restart_gap < 1:
-            raise ValueError(f"restart_gap must be >= 1, got {restart_gap}")
+    def __init__(self, events: List[ChaosEvent]) -> None:
         self.events = sorted(events, key=lambda e: e.at)
-        self.restart_gap = restart_gap
 
     @classmethod
     def generate(
@@ -65,7 +65,6 @@ class ChaosSchedule:
         n_groups: int,
         kills: int = 3,
         span_ops: int = 400,
-        restart_gap: int = 80,
     ) -> "ChaosSchedule":
         """Draw ``kills`` kill points inside the middle of the run.
 
@@ -89,7 +88,7 @@ class ChaosSchedule:
             group = rng.next_below(n_groups)
             target = "leader" if rng.next_float() < 0.5 else "follower"
             events.append(ChaosEvent(at, group, target))
-        return cls(events, restart_gap)
+        return cls(events)
 
     def describe(self) -> List[dict]:
         return [event.describe() for event in self.events]
@@ -105,7 +104,7 @@ class ChaosInjector:
     where quorum acks promise zero acknowledged-write loss.  Kills that
     find an unhealthy group are recorded as skipped, keeping the report
     honest about coverage.  Each kill schedules the victim's restart
-    ``restart_gap`` completed ops later.
+    :data:`RESTART_GAP_OPS` completed ops later.
     """
 
     def __init__(self, router, schedule: ChaosSchedule) -> None:
@@ -155,7 +154,7 @@ class ChaosInjector:
              "target": event.target, "replica": victim}
         )
         self._restarts.append(
-            (completed + self.schedule.restart_gap, event.group, victim)
+            (completed + RESTART_GAP_OPS, event.group, victim)
         )
         self._restarts.sort()
 
@@ -203,14 +202,12 @@ def run_chaos(
     followers: int = 2,
     ops: int = 400,
     kills: int = 3,
-    restart_gap: int = 80,
     key_space: int = 512,
     read_fraction: float = 0.3,
     value_size: int = 128,
     ack_policy: str = ACK_QUORUM,
     read_policy: str = READ_LEADER,
     scale=None,
-    schedule: Optional[ChaosSchedule] = None,
     trace: Optional[str] = None,
 ) -> dict:
     """One seeded kill/restart scenario; returns the audit report.
@@ -234,10 +231,7 @@ def run_chaos(
     )
     router = ShardRouter(cluster)
     recorders = cluster.attach_tracing() if trace is not None else None
-    if schedule is None:
-        schedule = ChaosSchedule.generate(
-            seed, shards, kills=kills, span_ops=ops, restart_gap=restart_gap
-        )
+    schedule = ChaosSchedule.generate(seed, shards, kills=kills, span_ops=ops)
     injector = ChaosInjector(router, schedule)
     clients = [
         ClientSpec(
@@ -259,7 +253,7 @@ def run_chaos(
     )
     injector.flush_restarts()
     cluster.quiesce()
-    groups = [shard.group for shard in cluster.shards]
+    groups = cluster.groups
     for group in groups:
         group.catch_up()
     cluster.quiesce()

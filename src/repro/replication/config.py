@@ -2,12 +2,9 @@
 
 One :class:`ReplicationConfig` describes a group's shape (leader + K
 followers), its durability contract (ack policy), its read routing
-(read policy), and the simulated link the WAL ships over.
+(read policy).  The simulated link the WAL ships over is fixed:
+``REPL_LINK_PROFILE``, read by :mod:`repro.replication.group`.
 """
-
-from typing import Optional
-
-from repro.mem.profiles import REPL_LINK_PROFILE
 
 #: When is a write acknowledged back to the client?
 ACK_LEADER = "leader"      #: leader WAL append alone (fastest, weakest)
@@ -37,13 +34,11 @@ class ReplicationConfig:
         election_timeout_s: simulated seconds a failover election takes
             (detection + vote), serialized after the winner's pending
             tail replay.
-        link_profile: device profile charging ship latency/bandwidth
-            (one standalone link device per follower).
     """
 
     __slots__ = (
         "followers", "ack_policy", "read_policy", "ship_batch",
-        "election_timeout_s", "link_profile",
+        "election_timeout_s",
     )
 
     def __init__(
@@ -53,7 +48,6 @@ class ReplicationConfig:
         read_policy: str = READ_LEADER,
         ship_batch: int = 8,
         election_timeout_s: float = 200e-6,
-        link_profile=None,
     ) -> None:
         if followers < 0:
             raise ValueError(f"followers must be >= 0, got {followers}")
@@ -77,7 +71,6 @@ class ReplicationConfig:
         self.read_policy = read_policy
         self.ship_batch = ship_batch
         self.election_timeout_s = election_timeout_s
-        self.link_profile = link_profile or REPL_LINK_PROFILE
 
     @property
     def group_size(self) -> int:

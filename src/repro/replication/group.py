@@ -38,6 +38,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.kvstore.api import paged_items
 from repro.kvstore.buffered import BufferedStore
 from repro.mem.device import Device
+from repro.mem.profiles import REPL_LINK_PROFILE
 from repro.obs.events import (
     CAT_REPL,
     CAT_REPL_ACK,
@@ -47,7 +48,6 @@ from repro.obs.events import (
 )
 from repro.persist.crash import PASSIVE_INJECTOR
 from repro.replication.config import (
-    ACK_LEADER,
     READ_FOLLOWER_RYW,
     READ_LEADER,
     ReplicationConfig,
@@ -56,6 +56,7 @@ from repro.sim.stats import StatsRegistry
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
+
 
 class Session:
     """Read-your-writes token: the last acked LSN per group.
@@ -150,7 +151,7 @@ class ReplicaGroup:
         self.shard = None
         self._pulled_seq = 0
         self._rr = 0
-        self._election_pending = False
+        #: The winner of the election job in flight, or None.
         self._election_member: Optional[Replica] = None
         #: Causal replication tracing sink (a TraceRecorder), or None.
         #: Every emission site guards on this, so a group with tracing
@@ -174,30 +175,25 @@ class ReplicaGroup:
         scale=None,
         config: Optional[ReplicationConfig] = None,
         ssd: bool = False,
-        group_id: int = 0,
         stats: Optional[StatsRegistry] = None,
         crash_injector=None,
         clock=None,
         **overrides,
     ) -> "ReplicaGroup":
-        """A standalone group of ``store_name`` stores on one fresh clock."""
-        from repro.bench.factory import make_store
-        from repro.mem.system import HybridMemorySystem
+        """A standalone group (id 0) of ``store_name`` stores on one clock."""
+        from repro.bench.factory import make_store, make_system
         from repro.sim.clock import SimClock
 
         shared_clock = clock or SimClock()
 
         def factory(rid: int):
-            if ssd:
-                system = HybridMemorySystem.with_ssd(clock=shared_clock)
-            else:
-                system = HybridMemorySystem(clock=shared_clock)
             return make_store(
-                store_name, scale, system=system, ssd=ssd, **overrides
+                store_name, scale, system=make_system(ssd, clock=shared_clock),
+                ssd=ssd, **overrides
             )
 
         return cls(
-            group_id, shared_clock, factory, config,
+            0, shared_clock, factory, config,
             stats=stats, crash_injector=crash_injector,
         )
 
@@ -214,8 +210,9 @@ class ReplicaGroup:
                 f"store {store.name!r} has wal_enabled=False; replication "
                 "ships WAL frames and needs the log"
             )
-        link = Device(self.config.link_profile)
-        replica = Replica(rid, store, system, link)
+        # One standalone link device per member charges ship latency and
+        # bandwidth.
+        replica = Replica(rid, store, system, Device(REPL_LINK_PROFILE))
         replica.ship_worker = system.executor.worker(
             f"repl-ship-g{self.group_id}-r{rid}"
         )
@@ -226,18 +223,15 @@ class ReplicaGroup:
 
     # ------------------------------------------------------------- tracing
 
-    def attach_tracing(self, recorder=None):
+    def attach_tracing(self):
         """Start causal replication tracing (``repl.*`` events).
 
-        Without a ``recorder``, attaches a fresh one to the current
-        leader's system (so leader op/stall/transfer events land in the
-        same trace).  Pass an existing recorder -- e.g. the cluster
-        layer's per-shard recorder -- to share one event stream.
+        Attaches a fresh recorder to the current leader's system, so
+        leader op/stall/transfer events land in the same trace; a
+        failover moves it to the new leader's system.
         """
-        if recorder is None:
-            recorder = self.system.attach_tracing()
-        self.obs = recorder
-        return recorder
+        self.obs = self.system.attach_tracing()
+        return self.obs
 
     def detach_tracing(self) -> None:
         """Stop emitting ``repl.*`` events (recorded events stay readable)."""
@@ -251,21 +245,50 @@ class ReplicaGroup:
         self._span_seq += 1
         return self._span_seq
 
-    @property
-    def _track(self) -> str:
-        """The group-level track (appends, acks, failover machinery)."""
-        return f"repl:g{self.group_id}"
+    def _emit(
+        self, name: str, cat: str, args: dict, parent: Optional[int] = None,
+        member: Optional[int] = None, span: Optional[int] = None,
+        interval: Optional[Tuple[float, float]] = None,
+    ) -> int:
+        """Record one causal ``repl.*`` event; returns its span id.
 
-    def _member_track(self, replica_id: int) -> str:
-        """One member's track (ship/durable/apply events)."""
-        return f"repl:g{self.group_id}:r{replica_id}"
+        Callers guard on ``self.obs``.  The event lands on the group
+        track (appends, acks, failover machinery) or, with ``member``,
+        on that replica's track (ship/durable/apply).  ``span`` is an id
+        drawn earlier (a closure needed it before the event's timing was
+        known); ``interval`` makes the event a span over ``(start,
+        end)`` instead of an instant.
+        """
+        if span is None:
+            span = self._next_span()
+        args = {"span": span, **args}
+        if parent is not None:
+            args["parent"] = parent
+        track = f"repl:g{self.group_id}"
+        if member is not None:
+            track += f":r{member}"
+        if interval is None:
+            self.obs.instant(track, name, cat, args)
+        else:
+            self.obs.span(track, name, cat, *interval, args)
+        return span
+
+    def _note(self, event: str, facts: dict, parent: Optional[int] = None):
+        """One membership event: a ``history`` row for the chaos report
+        and, when tracing, the same facts on the group track.  Returns
+        the trace span id (``None`` with tracing off)."""
+        facts = {"group": self.group_id, **facts}
+        self.history.append({"t": self.clock.now, "event": event, **facts})
+        if self.obs is None:
+            return None
+        return self._emit(event, CAT_REPL_ELECTION, facts, parent=parent)
 
     # ---------------------------------------------------------- membership
 
     @property
     def election_pending(self) -> bool:
         """True while a failover election job is in flight."""
-        return self._election_pending
+        return self._election_member is not None
 
     @property
     def leader(self) -> Optional[Replica]:
@@ -326,16 +349,14 @@ class ReplicaGroup:
         self.clock.advance_to(deadline)
         self._settle_members()
 
-    def _await_leader(self) -> float:
-        """Block (advance simulated time) until the group has a leader."""
-        if self.leader_idx is not None:
-            return 0.0
-        start = self.clock.now
-        while self.leader_idx is None:
-            self._advance_once("awaiting leader election")
-        waited = self.clock.now - start
-        self.stats.add("repl.leader_wait_s", waited)
-        return waited
+    def _await_leader(self) -> Replica:
+        """Block (advance simulated time) until a leader is up; returns it."""
+        if self.leader_idx is None:
+            start = self.clock.now
+            while self.leader_idx is None:
+                self._advance_once("awaiting leader election")
+            self.stats.add("repl.leader_wait_s", self.clock.now - start)
+        return self.members[self.leader_idx]
 
     # ----------------------------------------------------------- write path
 
@@ -349,9 +370,8 @@ class ReplicaGroup:
 
     def _write(self, kind: str, key: bytes, value, session) -> float:
         self._settle_members()
-        self._await_leader()
+        leader = self._await_leader()
         self.crash.reach("repl.put")
-        leader = self.members[self.leader_idx]
         if kind == "put":
             latency = leader.store.put(key, value)
         else:
@@ -378,11 +398,9 @@ class ReplicaGroup:
         leader.durable_lsn = len(self.log)
         leader.applied_lsn = len(self.log)
         if self.obs is not None:
-            span = self._next_span()
-            self._append_span = span
-            self.obs.instant(
-                self._track, "append", CAT_REPL_SHIP,
-                {"span": span, "lsn": len(self.log), "records": len(fresh)},
+            self._append_span = self._emit(
+                "append", CAT_REPL_SHIP,
+                {"lsn": len(self.log), "records": len(fresh)},
             )
         self._pump_all()
 
@@ -431,15 +449,15 @@ class ReplicaGroup:
             for f in followers
             if f.alive and f.durable_lsn >= lsn
         )
-        span = self._next_span()
-        args = {"span": span, "lsn": lsn, "needed": needed}
+        args = {"lsn": lsn, "needed": needed}
+        parent = None
         if reached:
             straggler = reached[min(needed, len(reached)) - 1][2]
             args["straggler"] = straggler.replica_id
-            if straggler.durable_span is not None:
-                args["parent"] = straggler.durable_span
-        self.obs.span(
-            self._track, "ack", CAT_REPL_ACK, start, self.clock.now, args
+            parent = straggler.durable_span
+        self._emit(
+            "ack", CAT_REPL_ACK, args, parent=parent,
+            interval=(start, self.clock.now),
         )
 
     # ------------------------------------------------------------- shipping
@@ -477,7 +495,7 @@ class ReplicaGroup:
             follower.ship_worker,
             seconds,
             delivered,
-            name=f"repl-ship-g{self.group_id}-r{follower.replica_id}",
+            name=follower.ship_worker.name,
             meta={
                 "cat": CAT_REPL,
                 "lsn": end,
@@ -489,27 +507,24 @@ class ReplicaGroup:
             # The executor computes the job's start/end at submit time,
             # so the ship span carries exact simulated link timing.
             job = follower.ship_job
-            args = {
-                "span": ship_span,
-                "lsn": end,
-                "replica": follower.replica_id,
-                "records": end - start,
-                "bytes": total,
-                "wait_s": job.start - job.submitted_at,
-            }
-            if self._append_span is not None:
-                args["parent"] = self._append_span
-            self.obs.span(
-                self._member_track(follower.replica_id), "ship",
-                CAT_REPL_SHIP, job.start, job.end, args,
+            self._emit(
+                "ship", CAT_REPL_SHIP,
+                {
+                    "lsn": end,
+                    "replica": follower.replica_id,
+                    "records": end - start,
+                    "bytes": total,
+                    "wait_s": job.start - job.submitted_at,
+                },
+                parent=self._append_span, member=follower.replica_id,
+                span=ship_span, interval=(job.start, job.end),
             )
         follower.shipped_lsn = end
         self.stats.add("repl.shipped_records", end - start)
         self.stats.add("repl.shipped_bytes", total)
 
     def _deliver(
-        self, follower: Replica, frames, end_lsn: int,
-        ship_span: Optional[int] = None,
+        self, follower: Replica, frames, end_lsn: int, ship_span: Optional[int]
     ) -> None:
         """Shipped frames arrived: append to the follower's WAL and apply.
 
@@ -537,16 +552,10 @@ class ReplicaGroup:
         self.crash.reach("repl.apply")
         count = len(frames)
         if self.obs is not None:
-            args = {
-                "span": self._next_span(),
-                "lsn": end_lsn,
-                "replica": follower.replica_id,
-            }
-            if ship_span is not None:
-                args["parent"] = ship_span
-            self.obs.instant(
-                self._member_track(follower.replica_id), "durable",
-                CAT_REPL_APPLY, args,
+            self._emit(
+                "durable", CAT_REPL_APPLY,
+                {"lsn": end_lsn, "replica": follower.replica_id},
+                parent=ship_span, member=follower.replica_id,
             )
 
         def applied() -> None:
@@ -562,7 +571,7 @@ class ReplicaGroup:
             follower.apply_worker,
             seconds,
             applied,
-            name=f"repl-apply-g{self.group_id}-r{follower.replica_id}",
+            name=follower.apply_worker.name,
             meta={
                 "cat": CAT_REPL,
                 "lsn": end_lsn,
@@ -571,18 +580,16 @@ class ReplicaGroup:
             },
         )
         if self.obs is not None:
-            args = {
-                "span": self._next_span(),
-                "lsn": end_lsn,
-                "replica": follower.replica_id,
-                "records": count,
-                "wait_s": apply_job.start - apply_job.submitted_at,
-            }
-            if ship_span is not None:
-                args["parent"] = ship_span
-            self.obs.span(
-                self._member_track(follower.replica_id), "apply",
-                CAT_REPL_APPLY, apply_job.start, apply_job.end, args,
+            self._emit(
+                "apply", CAT_REPL_APPLY,
+                {
+                    "lsn": end_lsn,
+                    "replica": follower.replica_id,
+                    "records": count,
+                    "wait_s": apply_job.start - apply_job.submitted_at,
+                },
+                parent=ship_span, member=follower.replica_id,
+                interval=(apply_job.start, apply_job.end),
             )
         # Ship/apply pipelining: the next transfer can start immediately.
         self._pump(follower)
@@ -595,19 +602,18 @@ class ReplicaGroup:
         """Policy-routed lookup; returns ``(value_or_None, latency)``."""
         self._settle_members()
         policy = self.config.read_policy
-        if policy == READ_LEADER:
-            self._await_leader()
-            return self.members[self.leader_idx].store.get(key)
-        follower = self._choose_follower()
-        if follower is None:
-            self._await_leader()
-            return self.members[self.leader_idx].store.get(key)
-        if policy == READ_FOLLOWER_RYW and session is not None:
+        reader = None if policy == READ_LEADER else self._choose_follower()
+        if (
+            reader is not None
+            and policy == READ_FOLLOWER_RYW
+            and session is not None
+        ):
             target = min(session.required_lsn(self.group_id), len(self.log))
-            if not self._await_applied(follower, target):
-                self._await_leader()
-                return self.members[self.leader_idx].store.get(key)
-        return follower.store.get(key)
+            if not self._await_applied(reader, target):
+                reader = None
+        if reader is None:
+            reader = self._await_leader()
+        return reader.store.get(key)
 
     def _choose_follower(self) -> Optional[Replica]:
         followers = self.alive_followers()
@@ -637,8 +643,7 @@ class ReplicaGroup:
     def scan(self, start_key: bytes, count: int):
         """Range query on the leader (linearizable)."""
         self._settle_members()
-        self._await_leader()
-        return self.members[self.leader_idx].store.scan(start_key, count)
+        return self._await_leader().store.scan(start_key, count)
 
     def items(self, start_key: bytes = b"\x00", end_key=None, page_size: int = 128):
         """Iterate live ``(key, value)`` pairs from the leader in key order."""
@@ -655,29 +660,12 @@ class ReplicaGroup:
         member.system.executor.crash_reset()
         member.ship_job = None
         self.stats.add("repl.kills", 1)
-        self.history.append({
-            "t": self.clock.now,
-            "event": "kill",
-            "group": self.group_id,
-            "replica": replica_id,
-            "role": member.role,
-        })
-        if self.obs is not None:
-            span = self._next_span()
-            self._kill_span = span
-            self.obs.instant(
-                self._track, "kill", CAT_REPL_ELECTION,
-                {
-                    "span": span,
-                    "group": self.group_id,
-                    "replica": replica_id,
-                    "role": member.role,
-                },
-            )
+        self._kill_span = self._note(
+            "kill", {"replica": replica_id, "role": member.role}
+        )
         if self._election_member is member:
             # The winner died mid-election; the pending election job was
             # cancelled with its executor.
-            self._election_pending = False
             self._election_member = None
         if self.leader_idx == replica_id:
             self.leader_idx = None
@@ -686,29 +674,15 @@ class ReplicaGroup:
             self._maybe_elect()
 
     def _maybe_elect(self) -> None:
-        if self.leader_idx is not None or self._election_pending:
+        if self.leader_idx is not None or self._election_member is not None:
             return
         alive = self.alive_members()
         if len(alive) < self.config.quorum_size:
-            self.history.append({
-                "t": self.clock.now,
-                "event": "election-blocked",
-                "group": self.group_id,
-                "alive": len(alive),
-                "quorum": self.config.quorum_size,
-            })
-            if self.obs is not None:
-                args = {
-                    "span": self._next_span(),
-                    "group": self.group_id,
-                    "alive": len(alive),
-                    "quorum": self.config.quorum_size,
-                }
-                if self._kill_span is not None:
-                    args["parent"] = self._kill_span
-                self.obs.instant(
-                    self._track, "election-blocked", CAT_REPL_ELECTION, args
-                )
+            self._note(
+                "election-blocked",
+                {"alive": len(alive), "quorum": self.config.quorum_size},
+                parent=self._kill_span,
+            )
             return
         # Most-caught-up wins; ties break toward the lowest replica id.
         winner = alive[0]
@@ -724,28 +698,24 @@ class ReplicaGroup:
             del self.log[winner.durable_lsn:]
             self.stats.add("repl.truncated_records", truncated)
             if self.obs is not None:
-                args = {
-                    "span": self._next_span(),
-                    "group": self.group_id,
-                    "records": truncated,
-                    "lsn": winner.durable_lsn,
-                }
-                if self._kill_span is not None:
-                    args["parent"] = self._kill_span
-                self.obs.instant(
-                    self._track, "truncate", CAT_REPL_ELECTION, args
+                self._emit(
+                    "truncate", CAT_REPL_ELECTION,
+                    {
+                        "group": self.group_id,
+                        "records": truncated,
+                        "lsn": winner.durable_lsn,
+                    },
+                    parent=self._kill_span,
                 )
         self.epoch += 1
         for member in alive:
             if member is not winner:
                 member.shipped_lsn = member.durable_lsn
                 member.ship_job = None
-        self._election_pending = True
         self._election_member = winner
         elect_span = self._next_span() if self.obs is not None else None
 
         def elected() -> None:
-            self._election_pending = False
             self._election_member = None
             if not winner.alive:
                 self._maybe_elect()
@@ -766,16 +736,14 @@ class ReplicaGroup:
                 "epoch": self.epoch,
             })
             if self.obs is not None:
-                args = {
-                    "span": self._next_span(),
-                    "group": self.group_id,
-                    "replica": winner.replica_id,
-                    "epoch": self.epoch,
-                }
-                if elect_span is not None:
-                    args["parent"] = elect_span
-                self.obs.instant(
-                    self._track, "repoint", CAT_REPL_ELECTION, args
+                self._emit(
+                    "repoint", CAT_REPL_ELECTION,
+                    {
+                        "group": self.group_id,
+                        "replica": winner.replica_id,
+                        "epoch": self.epoch,
+                    },
+                    parent=elect_span,
                 )
             if self.shard is not None:
                 self.shard.store = winner.store
@@ -797,17 +765,15 @@ class ReplicaGroup:
             },
         )
         if elect_span is not None:
-            args = {
-                "span": elect_span,
-                "group": self.group_id,
-                "replica": winner.replica_id,
-                "durable_lsn": winner.durable_lsn,
-            }
-            if self._kill_span is not None:
-                args["parent"] = self._kill_span
-            self.obs.span(
-                self._track, "elect", CAT_REPL_ELECTION,
-                election_job.start, election_job.end, args,
+            self._emit(
+                "elect", CAT_REPL_ELECTION,
+                {
+                    "group": self.group_id,
+                    "replica": winner.replica_id,
+                    "durable_lsn": winner.durable_lsn,
+                },
+                parent=self._kill_span, span=elect_span,
+                interval=(election_job.start, election_job.end),
             )
 
     def restart_replica(self, replica_id: int) -> None:
@@ -818,44 +784,11 @@ class ReplicaGroup:
         catch-up transfer), so it rejoins with no divergence regardless
         of what its previous incarnation held.
         """
-        member = self.members[replica_id]
-        if member.alive:
+        if self.members[replica_id].alive:
             return
-        store, system = self._factory(replica_id)
-        member.store = store
-        member.system = system
-        member.link = Device(self.config.link_profile)
-        member.ship_worker = system.executor.worker(
-            f"repl-ship-g{self.group_id}-r{replica_id}"
-        )
-        member.apply_worker = system.executor.worker(
-            f"repl-apply-g{self.group_id}-r{replica_id}"
-        )
-        member.alive = True
-        member.role = ROLE_FOLLOWER
-        member.shipped_lsn = 0
-        member.durable_lsn = 0
-        member.applied_lsn = 0
-        member.ship_job = None
-        member.last_seq = 0
-        member.durable_t = 0.0
-        member.durable_span = None
+        member = self.members[replica_id] = self._make_member(replica_id)
         self.stats.add("repl.restarts", 1)
-        self.history.append({
-            "t": self.clock.now,
-            "event": "restart",
-            "group": self.group_id,
-            "replica": replica_id,
-        })
-        if self.obs is not None:
-            self.obs.instant(
-                self._track, "restart", CAT_REPL_ELECTION,
-                {
-                    "span": self._next_span(),
-                    "group": self.group_id,
-                    "replica": replica_id,
-                },
-            )
+        self._note("restart", {"replica": replica_id})
         if self.leader_idx is None:
             self._maybe_elect()
         self._pump(member)
