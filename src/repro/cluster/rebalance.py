@@ -7,11 +7,12 @@ the routed-traffic window exceeds ``factor`` times the fair share;
 busiest ring arcs to the coldest shard and migrates the keys that now
 route elsewhere.
 
-Migration is performed *through the stores*: moved keys are read off
-the source shard with scans and replayed as puts on the destination
-(plus tombstones on the source), so every migrated byte flows through
-the simulated devices and is charged to the cost model -- a rebalance
-is never free.  All choices (hot shard, destination, arcs, key order)
+Migration is performed *through the shards' serving surface*: moved
+keys are read off the source shard with scans and replayed as puts on
+the destination (plus tombstones on the source), so every migrated byte
+flows through the simulated devices -- and, on a replicated cluster,
+through both groups' logs to their followers -- and is charged to the
+cost model: a rebalance is never free.  All choices (hot shard, destination, arcs, key order)
 are pure functions of observed counts and ring state, keeping runs
 bit-deterministic.
 
@@ -181,11 +182,13 @@ def _migrate(router, source_shard: int):
 
     The source shard is scanned in key order; every live pair whose
     owner changed is put on its new shard and tombstoned on the source.
-    Both sides go through the ordinary store write paths, so WAL
-    appends, flushes, and compactions triggered by the migration are
-    all simulated and billed.
+    Both sides go through the shard door -- the ordinary store write
+    paths, and on a replicated cluster the group log, so followers and
+    a later failover see the move -- and WAL appends, flushes, and
+    compactions triggered by the migration are all simulated and billed.
     """
-    source = router.cluster.shards[source_shard].store
+    shards = router.cluster.shards
+    source = shards[source_shard]
     placement = router.placement
     moved = [
         (key, value)
@@ -194,8 +197,7 @@ def _migrate(router, source_shard: int):
     ]
     moved_bytes = 0
     for key, value in moved:
-        owner = placement.shard_for(key)
-        router.cluster.shards[owner].store.put(key, value)
+        shards[placement.shard_for(key)].put(key, value)
         source.delete(key)
         moved_bytes += len(key) + value_nbytes(value)
     return len(moved), moved_bytes

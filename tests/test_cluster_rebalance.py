@@ -144,3 +144,36 @@ def test_maybe_rebalance_moves_when_hot():
     result = maybe_rebalance(router)
     assert result is not None
     assert result.moved_slots
+
+
+# ------------------------------------------------- rebalance + replication
+
+
+def test_rebalance_on_a_replicated_cluster_goes_through_the_group_log():
+    """Migrated keys enter the destination group's log (and the source's
+    tombstones its own): followers converge on their leader, and a
+    leader kill on the destination loses nothing."""
+    from repro.replication import ReplicationConfig
+
+    cluster = Cluster(
+        "miodb", n_shards=2, scale=SCALE,
+        replication=ReplicationConfig(followers=2),
+    )
+    router = ShardRouter(cluster)
+    n = 400
+    hot = load_skewed(router, n=n)
+    result = rebalance_hot_shard(router, hot)
+    assert result.moved_keys > 0
+    for group in cluster.groups:
+        group.catch_up()
+        leader_state = dict(group.items())
+        for follower in group.alive_followers():
+            assert dict(follower.store.items()) == leader_state, (
+                group.group_id, follower.replica_id
+            )
+    destination = cluster.groups[result.to_shard]
+    destination.crash_replica(destination.leader_idx)
+    for i in range(n):
+        value, __ = router.get(key_for(i))
+        assert value is not None and value.tag == i, i
+    assert cluster.stats.get("repl.acked_lost") == 0
