@@ -745,6 +745,11 @@ class ReplicaGroup:
                     },
                     parent=elect_span,
                 )
+            if self.obs is not None and self.obs.attached:
+                # The recorder follows the leader, or every op span,
+                # stall and transfer after the election goes unrecorded.
+                self.obs.detach()
+                self.obs.attach(winner.system)
             if self.shard is not None:
                 self.shard.store = winner.store
                 self.shard.system = winner.system

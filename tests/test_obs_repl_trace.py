@@ -267,6 +267,35 @@ def test_unreplicated_trace_has_no_replication_summary():
     assert replication_summary(recorder) is None
 
 
+# ------------------------------------------------- recorder follows leader
+
+
+def test_shard_recorder_follows_the_leader_across_failover():
+    """Ops served by the new leader land in the shard's recorder: the
+    recorder moves to the winner's machine with the shard's repoint."""
+    from repro.cluster import Cluster, ShardRouter
+    from repro.obs.events import CAT_OP
+
+    cluster = Cluster(
+        "miodb", n_shards=1, scale=SCALE,
+        replication=ReplicationConfig(followers=2),
+    )
+    router = ShardRouter(cluster)
+    (recorder,) = cluster.attach_tracing()
+    for i in range(50):
+        router.put(key_for(i), SizedValue(i, 256))
+    group = cluster.groups[0]
+    group.crash_replica(group.leader_idx)
+    for i in range(50, 100):
+        router.put(key_for(i), SizedValue(i, 256))
+    shard = cluster.shards[0]
+    assert shard.system is group.leader.system
+    assert shard.system.obs is recorder
+    assert sum(1 for e in recorder.events if e.cat == CAT_OP) == 100
+    cluster.detach_tracing()
+    assert shard.system.obs is None and not recorder.attached
+
+
 # -------------------------------------------------------------- strict vocab
 
 

@@ -23,9 +23,9 @@ CHAOS_PINS = {
     "report.json":
         "0ef1295c32086eb338d8262eb592e02e314cc99106d72badc9877242ac6d1821",
     "chaos-s3.json":
-        "945abcfd490b8314cb1351b8aaac97489cb33c0412ebc3c9c9f093e9310e03bf",
+        "4e4395dd1ddb5bd187d608292c62c4da8890a1ec0615e9d8bb2826f2b0f7dfbb",
     "chaos-s7.json":
-        "266458a23d392a14b62e8d2f0eb4f6baea69393ab22bd70eeed8c6bc4cf24b3f",
+        "9c82d9376b04041e0dfd849997a75aa73c8b8941e067f64ffacd4beefcf16210",
     "chaos-s42.json":
         "432ec6313f3203b70d60bf6116ab411a96f80af0bcccb5254cd7bec528ec3d43",
 }
