@@ -256,49 +256,67 @@ def check_event_schema() -> List[Finding]:
     ]
 
 
-def _identifiers(tree: ast.AST) -> Counter:
+def _identifiers(tree: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
     """Occurrences of each identifier as a name or an attribute."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     )
 
 
 def check_dead_names(package=None, users=None) -> List[Finding]:
     """DEAD001: a module-level function or class, or a method of one,
-    whose identifier occurs nowhere in ``package`` (default
-    ``src/repro``) or the ``users`` trees (default ``benchmarks/`` and
-    ``examples/`` beside it) outside its own definition.  Import lines
-    and ``__all__`` strings are not occurrences; dunders, ``visit_*``
-    and nested defs are not checked.
+    that nothing in ``package`` (default ``src/repro``) or the ``users``
+    trees (default ``benchmarks/`` and ``examples/`` beside it) refers
+    to outside its own definition.  A function or class is referred to
+    by any occurrence of its identifier; a method only by an attribute
+    access (``x.name``) or a bare name in its own class body (``visit_B
+    = _visit_a``) -- a local variable that happens to share its
+    spelling does not keep it alive.  Import lines and ``__all__``
+    strings are not occurrences; dunders, ``visit_*`` and nested defs
+    are not checked.
     """
     package = package or package_root()
     base = package.parent.parent if package.parent.name == "src" else package.parent
     if users is None:
         users = [base / "benchmarks", base / "examples"]
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    used: Counter = Counter()
+    names: Counter = Counter()
+    attrs: Counter = Counter()
     defined = []
     for root in (package, *users):
         for path in iter_source_files(root):
             source = path.read_text()
             tree = ast.parse(source, filename=str(path))
-            used.update(_identifiers(tree))
+            names.update(_identifiers(tree, ast.Name))
+            attrs.update(_identifiers(tree, ast.Attribute))
             if root is not package:
                 continue
             allows = _pragma_allows(source.splitlines())
             for node in tree.body:
                 if not isinstance(node, functions + (ast.ClassDef,)):
                     continue
-                members = node.body if isinstance(node, ast.ClassDef) else ()
-                defined += [(path, allows, node)] + [
-                    (path, allows, m) for m in members if isinstance(m, functions)
-                ]
+                defined.append((path, allows, node, None))
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (path, allows, m, node)
+                        for m in node.body if isinstance(m, functions)
+                    ]
     findings = []
-    for path, allows, node in defined:
+    for path, allows, node, owner in defined:
         name = node.name
-        if name.startswith(("__", "visit_")) or used[name] > _identifiers(node)[name]:
+        if name.startswith(("__", "visit_")):
+            continue
+        if owner is None:
+            used = names[name] + attrs[name] > _identifiers(node)[name]
+        else:
+            used = (
+                attrs[name] > _identifiers(node, ast.Attribute)[name]
+                or _identifiers(owner, ast.Name)[name]
+                > _identifiers(node, ast.Name)[name]
+            )
+        if used:
             continue
         finding = Finding(
             "DEAD001", SEV_ERROR, path.relative_to(base).as_posix(), node.lineno,

@@ -243,10 +243,6 @@ class TraceRecorder:
 
     # ------------------------------------------------------------- queries
 
-    def spans(self, cat: Optional[str] = None) -> List[TraceEvent]:
-        """All span events, optionally limited to one category."""
-        return [e for e in self.events if e.is_span and (cat is None or e.cat == cat)]
-
     def tracks(self) -> List[str]:
         """Track names in order of first appearance."""
         seen = {}

@@ -50,11 +50,6 @@ class Job:
         self.done = False
         self.cancelled = False
 
-    @property
-    def duration(self) -> float:
-        """Simulated seconds the job occupies its worker."""
-        return self.end - self.start
-
     def _complete(self) -> None:
         if self.done or self.cancelled:
             return

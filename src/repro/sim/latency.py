@@ -1,8 +1,8 @@
 """Per-operation latency recording and summarisation.
 
 Reproduces the paper's latency metrics: average, 90th, 99th, and 99.9th
-percentile latencies (Tables 2 and 3) and latency-over-time series
-(Figure 8).
+percentile latencies (Tables 2 and 3); ``samples_since`` feeds the
+latency-over-time series (Figure 8) its ``(time, latency)`` samples.
 """
 
 import math
@@ -191,41 +191,6 @@ class LatencyRecorder:
     def summary(self, kind: Optional[str] = None) -> LatencySummary:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
         return _summarise(self.latencies(kind))
-
-    def series(
-        self, kind: Optional[str] = None, buckets: int = 100
-    ) -> List[Tuple[float, float]]:
-        """Average latency per time bucket -- the Figure 8 style series.
-
-        Returns ``(bucket_midpoint_time, mean_latency)`` pairs; empty
-        buckets are skipped.
-        """
-        if kind is not None:
-            columns = self._columns.get(kind)
-            rows = list(zip(*columns)) if columns else []
-        else:
-            rows = [
-                pair
-                for times, lats in self._columns.values()
-                for pair in zip(times, lats)
-            ]
-        if not rows:
-            return []
-        rows.sort()
-        t0, t1 = rows[0][0], rows[-1][0]
-        span = (t1 - t0) or 1e-12
-        width = span / buckets
-        sums = [0.0] * buckets
-        counts = [0] * buckets
-        for at, lat in rows:
-            idx = min(buckets - 1, int((at - t0) / width))
-            sums[idx] += lat
-            counts[idx] += 1
-        out = []
-        for i in range(buckets):
-            if counts[i]:
-                out.append((t0 + (i + 0.5) * width, sums[i] / counts[i]))
-        return out
 
     def window_snapshot(
         self, kind: Optional[str] = None, reset: bool = False

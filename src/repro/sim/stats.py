@@ -67,11 +67,6 @@ class StatsRegistry:
         self._values[key] = total
         return total
 
-    def set(self, key: str, value: float) -> None:
-        """Overwrite ``key`` with ``value``."""
-        self._check(key)
-        self._values[key] = float(value)
-
     def get(self, key: str, default: float = 0.0) -> float:
         """Current value of ``key`` (``default`` when never touched)."""
         return self._values.get(key, default)
@@ -101,10 +96,6 @@ class StatsRegistry:
             family, __, metric = key.partition(".")
             grouped.setdefault(family, {})[metric] = self._values[key]
         return grouped
-
-    def reset(self) -> None:
-        """Zero out all counters."""
-        self._values.clear()
 
     def __contains__(self, key: str) -> bool:
         return key in self._values

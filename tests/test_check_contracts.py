@@ -202,3 +202,27 @@ def test_dead_name_is_reported_and_pragma_is_honoured(tmp_path):
         ("DEAD001", "pkg/mod.py", 1, "def planted"),
         ("DEAD001", "pkg/mod.py", 9, "def dead_method"),
     ]
+
+
+def test_a_method_is_kept_alive_by_attribute_access_not_by_spelling(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "class Recorder:\n"
+        "    def series(self):\n"          # dead: only a local shares its name
+        "        return self.series()\n"   # (self-recursion does not count)
+        "    def total(self):\n"           # alive: read as an attribute below
+        "        return 0\n"
+        "    def _visit(self):\n"          # alive: bare name in its class body
+        "        return 1\n"
+        "    alias = _visit\n\n"
+        "def report(recorder):\n"
+        "    series = [recorder.total(), recorder.alias()]\n"
+        "    return series\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.mod import Recorder, report\nreport(Recorder())\n"
+    )
+    found = check_dead_names(tmp_path / "pkg")
+    assert [(f.line, f.snippet) for f in found] == [(2, "def series")]

@@ -103,36 +103,6 @@ class TupleListRecorder:
             max_=values[-1],
         )
 
-    def series(
-        self, kind: Optional[str] = None, buckets: int = 100
-    ) -> List[Tuple[float, float]]:
-        """Average latency per time bucket -- the Figure 8 style series.
-
-        Returns ``(bucket_midpoint_time, mean_latency)`` pairs; empty
-        buckets are skipped.
-        """
-        if kind is not None:
-            rows = list(self._samples.get(kind, ()))
-        else:
-            rows = [pair for sub in self._samples.values() for pair in sub]
-        if not rows:
-            return []
-        rows.sort()
-        t0, t1 = rows[0][0], rows[-1][0]
-        span = (t1 - t0) or 1e-12
-        width = span / buckets
-        sums = [0.0] * buckets
-        counts = [0] * buckets
-        for at, lat in rows:
-            idx = min(buckets - 1, int((at - t0) / width))
-            sums[idx] += lat
-            counts[idx] += 1
-        out = []
-        for i in range(buckets):
-            if counts[i]:
-                out.append((t0 + (i + 0.5) * width, sums[i] / counts[i]))
-        return out
-
     def window_snapshot(
         self, kind: Optional[str] = None, reset: bool = False
     ) -> LatencySummary:
@@ -244,7 +214,6 @@ OPS = st.one_of(
     st.tuples(st.just("percentile"), SLOT, MAYBE_KIND, st.sampled_from(
         [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])),
     st.tuples(st.just("summary"), SLOT, MAYBE_KIND),
-    st.tuples(st.just("series"), SLOT, MAYBE_KIND, st.sampled_from([1, 3, 100])),
     st.tuples(st.just("window_snapshot"), SLOT, MAYBE_KIND, st.booleans()),
     st.tuples(st.just("merge_from"), SLOT),
     st.tuples(st.just("merge"), SLOT),
@@ -272,8 +241,6 @@ def apply(op, new, old):
         return a.samples_since(op[2], op[3]), b.samples_since(op[2], op[3])
     if name == "percentile":
         return a.percentile(op[3], op[2]), b.percentile(op[3], op[2])
-    if name == "series":
-        return a.series(op[2], op[3]), b.series(op[2], op[3])
     if name == "window_snapshot":
         return a.window_snapshot(op[2], op[3]), b.window_snapshot(op[2], op[3])
     if name == "merge_from":

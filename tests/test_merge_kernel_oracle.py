@@ -288,7 +288,7 @@ def drive_novelsm(reference: bool):
     def spy(table):
         job = schedule(table)
         flushes.append(
-            (job.duration, towers(store.nvm_mt.skiplist), accounting(store.nvm_mt.skiplist))
+            (job.end - job.start, towers(store.nvm_mt.skiplist), accounting(store.nvm_mt.skiplist))
         )
         return job
 

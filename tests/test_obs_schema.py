@@ -38,6 +38,10 @@ BACKGROUND_STORES = tuple(n for n in STORE_NAMES if n != "novelsm-nosst")
 _RUNS = {}
 
 
+def _spans(recorder, cat):
+    return [e for e in recorder.events if e.is_span and e.cat == cat]
+
+
 def _traced(name):
     """One traced run per store, shared across the schema tests."""
     if name not in _RUNS:
@@ -51,7 +55,7 @@ def _traced(name):
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_every_store_emits_op_spans_with_monotone_timestamps(name):
     store, system, recorder = _traced(name)
-    ops = recorder.spans(CAT_OP)
+    ops = _spans(recorder, CAT_OP)
     assert len(ops) == 2048 + 256
     assert {e.name for e in ops} == {"put", "get"}
     last = 0.0
@@ -87,14 +91,14 @@ def test_transfers_carry_byte_counts_per_device(name):
 @pytest.mark.parametrize("name", BACKGROUND_STORES)
 def test_background_stores_emit_flush_compact_and_stalls(name):
     __, __, recorder = _traced(name)
-    flushes = recorder.spans(CAT_FLUSH)
+    flushes = _spans(recorder, CAT_FLUSH)
     assert flushes, f"{name} traced no flush jobs"
     assert all(e.track.startswith("worker:") for e in flushes)
     assert all(
         e.args["bytes"] > 0 for e in flushes if e.args and "bytes" in e.args
     )
 
-    compacts = recorder.spans(CAT_COMPACT)
+    compacts = _spans(recorder, CAT_COMPACT)
     assert compacts, f"{name} traced no compactions"
     for event in compacts:
         assert event.track.startswith("worker:")
@@ -116,7 +120,7 @@ def test_nosst_store_emits_no_background_events():
 
 def test_miodb_compactions_cover_multiple_levels():
     __, __, recorder = _traced("miodb")
-    levels = {e.args["level"] for e in recorder.spans(CAT_COMPACT)}
+    levels = {e.args["level"] for e in _spans(recorder, CAT_COMPACT)}
     assert len(levels) >= 2
 
 

@@ -22,7 +22,6 @@ def test_submit_returns_job_with_times(executor):
     job = executor.submit(executor.worker("w"), 2.0, name="j")
     assert job.start == 0.0
     assert job.end == 2.0
-    assert job.duration == 2.0
     assert not job.done
 
 

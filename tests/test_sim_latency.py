@@ -110,20 +110,6 @@ def test_as_micros():
     assert micros["avg"] == pytest.approx(15.7)
 
 
-def test_series_buckets_average():
-    rec = LatencyRecorder()
-    for i in range(100):
-        rec.record("put", float(i), 1e-6 if i < 50 else 3e-6)
-    series = rec.series("put", buckets=2)
-    assert len(series) == 2
-    assert series[0][1] == pytest.approx(1e-6)
-    assert series[1][1] == pytest.approx(3e-6)
-
-
-def test_series_empty():
-    assert LatencyRecorder().series() == []
-
-
 def test_merge_from():
     a = LatencyRecorder()
     b = LatencyRecorder()

@@ -25,13 +25,6 @@ def test_get_default():
     assert stats.get("missing", -1.0) == -1.0
 
 
-def test_set_overwrites():
-    stats = StatsRegistry()
-    stats.add("x", 5.0)
-    stats.set("x", 1.0)
-    assert stats.get("x") == 1.0
-
-
 def test_max_keeps_running_maximum():
     stats = StatsRegistry()
     stats.max("peak", 3.0)
@@ -56,14 +49,6 @@ def test_contains():
     assert "x" in stats
 
 
-def test_reset():
-    stats = StatsRegistry()
-    stats.add("x", 1.0)
-    stats.reset()
-    assert stats.get("x") == 0.0
-    assert "x" not in stats
-
-
 def test_snapshot_grouped_nests_by_family():
     stats = StatsRegistry()
     stats.add("flush.count", 2.0)
@@ -79,8 +64,6 @@ def test_strict_mode_rejects_unknown_family():
     stats = StatsRegistry(strict=True)
     with pytest.raises(KeyError, match="unknown stats family"):
         stats.add("made_up.metric")
-    with pytest.raises(KeyError):
-        stats.set("nor_this.one", 1.0)
     with pytest.raises(KeyError):
         stats.max("nope.peak", 1.0)
 
