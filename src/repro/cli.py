@@ -51,20 +51,127 @@ def _stores_arg(value: str) -> List[str]:
     return names
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _traced_mode_arg(value: str) -> str:
+    if value in ("fillrandom", "fillseq"):
+        return value
+    if value.startswith("ycsb-") and value[5:].upper() in YCSB_WORKLOADS:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"unknown mode {value!r}; use fillrandom, fillseq or "
+        f"ycsb-<{'|'.join(sorted(YCSB_WORKLOADS)).lower()}>"
+    )
+
+
+def _parse_seeds(value: str) -> List[int]:
+    return [int(s) for s in value.split(",") if s.strip()]
+
+
+def _seeds_arg(value: str) -> str:
+    """Validates only: ``cmd_chaos`` parses, so the flag's value stays a str."""
+    try:
+        seeds = _parse_seeds(value)
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integer seeds, got {value!r}"
+        )
+    return value
+
+
+# Flag groups shared between subcommands, as argparse ``parents=``.  Each
+# call builds a fresh parent: a child's ``set_defaults`` rewrites the
+# defaults of the (shared) action objects it inherited.
+
+
+def _flags(parents=()) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _workload_flags(value_size: int) -> argparse.ArgumentParser:
+    """What every workload-running subcommand takes."""
+    flags = _flags()
+    flags.add_argument(
         "--store", type=_stores_arg, default=["miodb"],
         help="store name, comma list, or 'all'",
     )
-    parser.add_argument("--value-size", type=int, default=4096)
-    parser.add_argument("--ssd", action="store_true",
-                        help="use the DRAM-NVM-SSD hierarchy")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
+    flags.add_argument("--value-size", type=int, default=value_size)
+    flags.add_argument("--ssd", action="store_true",
+                       help="use the DRAM-NVM-SSD hierarchy")
+    flags.add_argument("--seed", type=int, default=1)
+    return flags
+
+
+def _common_flags() -> argparse.ArgumentParser:
+    flags = _flags([_workload_flags(4096)])
+    flags.add_argument(
         "--trace", metavar="FILE", default=None,
         help="write a Chrome/Perfetto trace of each store's run to FILE "
              "(with multiple stores the store name is suffixed)",
     )
+    return flags
+
+
+def _traced_flags() -> argparse.ArgumentParser:
+    """The ``run_traced`` workload: ``trace``, ``analyze`` and ``slo``."""
+    flags = _flags([_workload_flags(1024)])
+    flags.add_argument("--n", type=int, default=2048, help="records to write")
+    flags.add_argument(
+        "--mode", type=_traced_mode_arg, default="fillrandom",
+        help="fillrandom, fillseq, or ycsb-<letter> (e.g. ycsb-a)",
+    )
+    flags.add_argument("--reads", type=int, default=256,
+                       help="reads after the fill (0 to skip), or workload "
+                            "ops (ycsb)")
+    return flags
+
+
+def _replication_flags(followers: int) -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument("--followers", type=int, default=followers, metavar="K",
+                       help="follower replicas per shard (0 = unreplicated)")
+    flags.add_argument("--ack", choices=["leader", "quorum", "all"],
+                       default="quorum", help="write ack policy")
+    flags.add_argument("--read-policy",
+                       choices=["leader", "follower-eventual", "follower-ryw"],
+                       default="leader", help="read routing policy")
+    return flags
+
+
+def _fsync_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument("--fsync-policy", default="sync", metavar="POLICY",
+                       help="WAL durability: sync, batch:N, or interval:T "
+                            "(simulated seconds); default %(default)s")
+    return flags
+
+
+def _batch_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--batch-size", type=int, default=128, metavar="N",
+        help="ops coalesced per multi_* call (wall-clock only; "
+             "0 = per-op loop, default %(default)s)",
+    )
+    return flags
+
+
+def _live_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument("--live", action="store_true",
+                       help="attach the sampled live-telemetry plane "
+                            "instead of full tracing")
+    flags.add_argument("--slo-threshold-us", type=float, default=0.0,
+                       help="per-op latency SLO for burn-rate flight "
+                            "triggers (0 = off)")
+    flags.add_argument("--stall-alert-us", type=float, default=0.0,
+                       help="stall duration that triggers a flight dump "
+                            "(0 = off)")
+    flags.add_argument("--openmetrics", default=None, metavar="FILE",
+                       help="write the OpenMetrics exposition document")
+    flags.add_argument("--flight-dir", default=None, metavar="DIR",
+                       help="write flight-recorder dump JSON files here")
+    return flags
 
 
 def _trace_path(base: str, store_name: str, multi: bool) -> pathlib.Path:
@@ -106,20 +213,14 @@ def _live_overrides(args) -> dict:
     return overrides
 
 
-def _add_live_flags(parser) -> None:
-    parser.add_argument("--live", action="store_true",
-                        help="attach the sampled live-telemetry plane "
-                             "instead of full tracing")
-    parser.add_argument("--slo-threshold-us", type=float, default=0.0,
-                        help="per-op latency SLO for burn-rate flight "
-                             "triggers (0 = off)")
-    parser.add_argument("--stall-alert-us", type=float, default=0.0,
-                        help="stall duration that triggers a flight dump "
-                             "(0 = off)")
-    parser.add_argument("--openmetrics", default=None, metavar="FILE",
-                        help="write the OpenMetrics exposition document")
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="write flight-recorder dump JSON files here")
+def _run_traced(name: str, args, live=None):
+    """``run_traced`` on the shared traced-workload flags."""
+    from repro.obs import run_traced
+
+    return run_traced(
+        name, n=args.n, value_size=args.value_size, mode=args.mode,
+        reads=args.reads, seed=args.seed, ssd=args.ssd, live=live,
+    )
 
 
 def _write_flight_dumps(recorders, labels, out_dir) -> List[pathlib.Path]:
@@ -251,7 +352,6 @@ def cmd_trace(args) -> int:
         bandwidth_csv,
         gantt,
         queue_depth_csv,
-        run_traced,
         write_artifact,
         write_chrome_trace,
         write_metrics,
@@ -259,15 +359,8 @@ def cmd_trace(args) -> int:
 
     multi = len(args.store) > 1
     for name in args.store:
-        store, system, recorder = run_traced(
-            name,
-            n=args.n,
-            value_size=args.value_size,
-            mode=args.mode,
-            reads=args.reads,
-            seed=args.seed,
-            ssd=args.ssd,
-            live=_live_overrides(args) if args.live else None,
+        store, system, recorder = _run_traced(
+            name, args, live=_live_overrides(args) if args.live else None
         )
         out = _trace_path(args.out, name, multi)
         write_chrome_trace(recorder, out, process_name=name)
@@ -313,20 +406,12 @@ def cmd_trace(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Traced run + latency attribution / critical-path / WA report."""
-    from repro.obs import run_traced, write_artifact
+    from repro.obs import write_artifact
     from repro.obs.analyze import analysis_json, analyze_run, render_analysis
 
     multi = len(args.store) > 1
     for name in args.store:
-        store, system, recorder = run_traced(
-            name,
-            n=args.n,
-            value_size=args.value_size,
-            mode=args.mode,
-            reads=args.reads,
-            seed=args.seed,
-            ssd=args.ssd,
-        )
+        store, system, recorder = _run_traced(name, args)
         doc = analyze_run(recorder, system, name)
         if args.json:
             path = _trace_path(args.json, name, multi)
@@ -340,7 +425,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_slo(args) -> int:
     """Traced run + SLO compliance, burn-rate alert log, rolling tails."""
-    from repro.obs import run_traced, write_artifact
+    from repro.obs import write_artifact
     from repro.obs.analyze import (
         BurnRateRule,
         SloMonitor,
@@ -354,15 +439,7 @@ def cmd_slo(args) -> int:
 
     multi = len(args.store) > 1
     for name in args.store:
-        store, system, recorder = run_traced(
-            name,
-            n=args.n,
-            value_size=args.value_size,
-            mode=args.mode,
-            reads=args.reads,
-            seed=args.seed,
-            ssd=args.ssd,
-        )
+        store, system, recorder = _run_traced(name, args)
         end_s = system.clock.now
         samples = [(attr.end, attr.measured_s) for attr in attribute_ops(recorder)]
         # Windows default to fractions of the simulated run so one flag
@@ -576,10 +653,7 @@ def cmd_chaos(args) -> int:
         print("chaos drives one store per run; pick one with --store",
               file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 2
+    seeds = _parse_seeds(args.seeds)
     reports = []
     rows = []
     all_ok = True
@@ -790,56 +864,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_batch(p):
-        p.add_argument(
-            "--batch-size", type=int, default=128, metavar="N",
-            help="ops coalesced per multi_* call (wall-clock only; "
-                 "0 = per-op loop, default %(default)s)",
-        )
-
-    p = sub.add_parser("dbbench", help="LevelDB-style microbenchmark")
-    _add_common(p)
+    p = sub.add_parser(
+        "dbbench", help="LevelDB-style microbenchmark",
+        parents=[_common_flags(), _fsync_flags(), _batch_flags()],
+    )
     p.add_argument("--mode", choices=["fillrandom", "fillseq"],
                    default="fillrandom")
     p.add_argument("--n", type=int, default=None, help="records to write")
     p.add_argument("--reads", type=int, default=2000)
-    p.add_argument("--fsync-policy", default="sync", metavar="POLICY",
-                   help="WAL durability: sync, batch:N, or interval:T "
-                        "(simulated seconds); default %(default)s")
-    _add_batch(p)
     p.set_defaults(func=cmd_dbbench)
 
-    p = sub.add_parser("ycsb", help="YCSB load + workloads")
-    _add_common(p)
+    p = sub.add_parser(
+        "ycsb", help="YCSB load + workloads",
+        parents=[_common_flags(), _batch_flags()],
+    )
     p.add_argument("--workloads", default="A,B,C")
     p.add_argument("--records", type=int, default=None)
     p.add_argument("--ops", type=int, default=1000)
-    _add_batch(p)
     p.set_defaults(func=cmd_ycsb)
 
-    p = sub.add_parser("compare", help="headline store comparison")
-    _add_common(p)
+    p = sub.add_parser(
+        "compare", help="headline store comparison", parents=[_common_flags()]
+    )
     p.add_argument("--analyze", action="store_true",
                    help="also print per-store latency attribution reports")
-    p.set_defaults(func=cmd_compare)
-    p.set_defaults(store=list(STORE_NAMES))
+    p.set_defaults(func=cmd_compare, store=list(STORE_NAMES))
 
     p = sub.add_parser(
-        "trace", help="run a traced workload, write Perfetto/CSV artifacts"
+        "trace", help="run a traced workload, write Perfetto/CSV artifacts",
+        parents=[_traced_flags(), _live_flags()],
     )
-    p.add_argument(
-        "--store", type=_stores_arg, default=["miodb"],
-        help="store name, comma list, or 'all'",
-    )
-    p.add_argument("--n", type=int, default=2048, help="records to write")
-    p.add_argument("--value-size", type=int, default=1024)
-    p.add_argument("--mode", choices=["fillrandom", "fillseq"],
-                   default="fillrandom")
-    p.add_argument("--reads", type=int, default=256,
-                   help="random reads after the fill (0 to skip)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--ssd", action="store_true",
-                   help="use the DRAM-NVM-SSD hierarchy")
     p.add_argument("--out", default="trace.json", metavar="FILE",
                    help="Chrome/Perfetto trace-event JSON output")
     p.add_argument("--metrics", default=None, metavar="FILE",
@@ -850,31 +904,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the background queue-depth time series")
     p.add_argument("--gantt", action="store_true",
                    help="print an ASCII gantt of background jobs")
-    _add_live_flags(p)
     p.set_defaults(func=cmd_trace)
-
-    def _add_traced_workload(p):
-        p.add_argument(
-            "--store", type=_stores_arg, default=["miodb"],
-            help="store name, comma list, or 'all'",
-        )
-        p.add_argument("--n", type=int, default=2048, help="records to write")
-        p.add_argument("--value-size", type=int, default=1024)
-        p.add_argument(
-            "--mode", default="fillrandom",
-            help="fillrandom, fillseq, or ycsb-<letter> (e.g. ycsb-a)",
-        )
-        p.add_argument("--reads", type=int, default=256,
-                       help="reads (fill modes) or workload ops (ycsb)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--ssd", action="store_true",
-                       help="use the DRAM-NVM-SSD hierarchy")
 
     p = sub.add_parser(
         "analyze",
         help="latency attribution, critical paths, and WA from a traced run",
+        parents=[_traced_flags()],
     )
-    _add_traced_workload(p)
     p.add_argument("--no-profile", action="store_true",
                    help="skip the top-down time profile section")
     p.add_argument("--json", default=None, metavar="FILE",
@@ -884,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "slo",
         help="SLO compliance + burn-rate alert log from a traced run",
+        parents=[_traced_flags()],
     )
-    _add_traced_workload(p)
     p.add_argument("--threshold-us", type=float, default=10.0,
                    help="per-op latency threshold in microseconds")
     p.add_argument("--target", type=float, default=0.999,
@@ -901,9 +937,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slo)
 
     p = sub.add_parser(
-        "cluster", help="sharded serving layer: routed load + backpressure"
+        "cluster", help="sharded serving layer: routed load + backpressure",
+        parents=[
+            _common_flags(), _replication_flags(0), _fsync_flags(),
+            _live_flags(),
+        ],
     )
-    _add_common(p)
     p.add_argument("--shards", type=int, default=4,
                    help="number of shard stores on the shared clock")
     p.add_argument("--placement", choices=["hash-ring", "range"],
@@ -925,25 +964,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="reject")
     p.add_argument("--rebalance-every", type=int, default=0, metavar="N",
                    help="hot-shard check every N completions (0 = off)")
-    p.add_argument("--followers", type=int, default=0, metavar="K",
-                   help="replicate each shard across K followers (0 = off)")
-    p.add_argument("--ack", choices=["leader", "quorum", "all"],
-                   default="quorum",
-                   help="write ack policy (with --followers > 0)")
-    p.add_argument("--read-policy",
-                   choices=["leader", "follower-eventual", "follower-ryw"],
-                   default="leader",
-                   help="read routing policy (with --followers > 0)")
-    p.add_argument("--fsync-policy", default="sync", metavar="POLICY",
-                   help="WAL durability: sync, batch:N, or interval:T "
-                        "(simulated seconds); default %(default)s")
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="write the deterministic cluster metrics JSON")
     p.add_argument("--analyze", action="store_true",
                    help="print the router-merged latency attribution report")
     p.add_argument("--analyze-json", default=None, metavar="FILE",
                    help="also write the cluster analysis document (JSON)")
-    _add_live_flags(p)
     p.add_argument("--live-refresh-us", type=float, default=0.0,
                    help="dashboard refresh cadence in simulated us "
                         "(0 = 4x the aggregation window)")
@@ -952,22 +978,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos",
         help="seeded replica kill/restart scenarios with state audits",
+        parents=[_replication_flags(2)],
     )
     p.add_argument(
         "--store", type=_stores_arg, default=["miodb"],
         help="store to replicate (one per run)",
     )
-    p.add_argument("--seeds", default="1", metavar="S1,S2,...",
-                   help="comma list of scenario seeds")
+    p.add_argument("--seeds", type=_seeds_arg, default="1",
+                   metavar="S1,S2,...", help="comma list of scenario seeds")
     p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--followers", type=int, default=2, metavar="K")
     p.add_argument("--ops", type=int, default=400,
                    help="client ops per scenario")
-    p.add_argument("--ack", choices=["leader", "quorum", "all"],
-                   default="quorum")
-    p.add_argument("--read-policy",
-                   choices=["leader", "follower-eventual", "follower-ryw"],
-                   default="leader")
     p.add_argument("--report", default=None, metavar="FILE",
                    help="write the deterministic chaos report JSON")
     p.add_argument("--trace", default=None, metavar="FILE",

@@ -301,6 +301,27 @@ def test_cluster_live_conflicts_with_trace_and_analyze(tmp_path):
     ]) == 2
 
 
+# ------------------------------------------------------ bad values exit 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "slo"])
+def test_traced_commands_reject_an_unknown_mode(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--mode", "bogus", "--n", "64"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--mode" in error and "bogus" in error
+
+
+@pytest.mark.parametrize("seeds", ["abc", "3,x", ""])
+def test_chaos_rejects_malformed_seeds(seeds, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--seeds", seeds])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--seeds" in error
+
+
 # ------------------------------------------------- default namespace pins
 
 #: Every subcommand's parsed defaults (``func`` by name), digested.  A
