@@ -102,13 +102,23 @@ def _workload_flags(value_size: int) -> argparse.ArgumentParser:
     return flags
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _common_flags(fsync=False, batch=False) -> argparse.ArgumentParser:
     flags = _flags([_workload_flags(4096)])
     flags.add_argument(
         "--trace", metavar="FILE", default=None,
         help="write a Chrome/Perfetto trace of each store's run to FILE "
              "(with multiple stores the store name is suffixed)",
     )
+    if fsync:
+        flags.add_argument("--fsync-policy", default="sync", metavar="POLICY",
+                           help="WAL durability: sync, batch:N, or interval:T "
+                                "(simulated seconds); default %(default)s")
+    if batch:
+        flags.add_argument(
+            "--batch-size", type=int, default=128, metavar="N",
+            help="ops coalesced per multi_* call (wall-clock only; "
+                 "0 = per-op loop, default %(default)s)",
+        )
     return flags
 
 
@@ -138,24 +148,6 @@ def _replication_flags(followers: int) -> argparse.ArgumentParser:
     return flags
 
 
-def _fsync_flags() -> argparse.ArgumentParser:
-    flags = _flags()
-    flags.add_argument("--fsync-policy", default="sync", metavar="POLICY",
-                       help="WAL durability: sync, batch:N, or interval:T "
-                            "(simulated seconds); default %(default)s")
-    return flags
-
-
-def _batch_flags() -> argparse.ArgumentParser:
-    flags = _flags()
-    flags.add_argument(
-        "--batch-size", type=int, default=128, metavar="N",
-        help="ops coalesced per multi_* call (wall-clock only; "
-             "0 = per-op loop, default %(default)s)",
-    )
-    return flags
-
-
 def _live_flags() -> argparse.ArgumentParser:
     flags = _flags()
     flags.add_argument("--live", action="store_true",
@@ -175,7 +167,7 @@ def _live_flags() -> argparse.ArgumentParser:
 
 
 def _trace_path(base: str, store_name: str, multi: bool) -> pathlib.Path:
-    """Per-store output path: ``trace.json`` -> ``trace-miodb.json``."""
+    """Per-store (chaos: per-seed) path: ``trace.json`` -> ``trace-miodb.json``."""
     path = pathlib.Path(base)
     if not multi:
         return path
@@ -661,13 +653,7 @@ def cmd_chaos(args) -> int:
     for seed in seeds:
         trace = None
         if args.trace:
-            base = pathlib.Path(args.trace)
-            if len(seeds) > 1:
-                trace = str(base.with_name(
-                    f"{base.stem}-s{seed}{base.suffix}"
-                ))
-            else:
-                trace = str(base)
+            trace = str(_trace_path(args.trace, f"s{seed}", len(seeds) > 1))
             trace_paths.append(trace)
         report = run_chaos(
             store_name,
@@ -866,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dbbench", help="LevelDB-style microbenchmark",
-        parents=[_common_flags(), _fsync_flags(), _batch_flags()],
+        parents=[_common_flags(fsync=True, batch=True)],
     )
     p.add_argument("--mode", choices=["fillrandom", "fillseq"],
                    default="fillrandom")
@@ -876,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ycsb", help="YCSB load + workloads",
-        parents=[_common_flags(), _batch_flags()],
+        parents=[_common_flags(batch=True)],
     )
     p.add_argument("--workloads", default="A,B,C")
     p.add_argument("--records", type=int, default=None)
@@ -938,10 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster", help="sharded serving layer: routed load + backpressure",
-        parents=[
-            _common_flags(), _replication_flags(0), _fsync_flags(),
-            _live_flags(),
-        ],
+        parents=[_common_flags(fsync=True), _replication_flags(0), _live_flags()],
     )
     p.add_argument("--shards", type=int, default=4,
                    help="number of shard stores on the shared clock")

@@ -39,11 +39,9 @@ def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
             for shard in cluster.shards
         },
     }
-    if any(shard.group is not None for shard in cluster.shards):
+    if cluster.replication is not None:
         doc["replication"] = {
-            str(shard.shard_id): shard.group.snapshot()
-            for shard in cluster.shards
-            if shard.group is not None
+            str(group.group_id): group.snapshot() for group in cluster.groups
         }
     if router is not None:
         doc["placement"] = router.placement.describe()
@@ -95,9 +93,8 @@ def cluster_openmetrics_text(cluster, recorders: List[object]) -> str:
             f"expected {cluster.n_shards} recorders, got {len(recorders)}"
         )
     labels = [str(shard.shard_id) for shard in cluster.shards]
-    groups = [shard.group for shard in cluster.shards]
-    if any(group is not None for group in groups):
-        return openmetrics_text(recorders, labels, groups=groups)
+    if cluster.replication is not None:
+        return openmetrics_text(recorders, labels, groups=cluster.groups)
     return openmetrics_text(recorders, labels)
 
 

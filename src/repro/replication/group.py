@@ -804,13 +804,7 @@ class ReplicaGroup:
         """Run until every live follower has applied the whole log."""
         self._await_leader()
         start = self.clock.now
-        while True:
-            lagging = [
-                f for f in self.alive_followers()
-                if f.applied_lsn < len(self.log)
-            ]
-            if not lagging:
-                break
+        while self.lag() > 0:
             self._advance_once("catching followers up")
         return self.clock.now - start
 
