@@ -256,13 +256,16 @@ def check_event_schema() -> List[Finding]:
     ]
 
 
-def _identifiers(tree: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
-    """Occurrences of each identifier as a name or an attribute."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, kinds)
-    )
+def _references(tree: ast.AST):
+    """Identifier occurrences as bare names and as attribute accesses."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+    return names, attrs
 
 
 def check_dead_names(package=None, users=None) -> List[Finding]:
@@ -284,13 +287,14 @@ def check_dead_names(package=None, users=None) -> List[Finding]:
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     names: Counter = Counter()
     attrs: Counter = Counter()
-    defined = []
+    defined = []  # (path, pragmas, def node, its class body's names | None)
     for root in (package, *users):
         for path in iter_source_files(root):
             source = path.read_text()
             tree = ast.parse(source, filename=str(path))
-            names.update(_identifiers(tree, ast.Name))
-            attrs.update(_identifiers(tree, ast.Attribute))
+            file_names, file_attrs = _references(tree)
+            names.update(file_names)
+            attrs.update(file_attrs)
             if root is not package:
                 continue
             allows = _pragma_allows(source.splitlines())
@@ -299,23 +303,21 @@ def check_dead_names(package=None, users=None) -> List[Finding]:
                     continue
                 defined.append((path, allows, node, None))
                 if isinstance(node, ast.ClassDef):
+                    in_class = _references(node)[0]
                     defined += [
-                        (path, allows, m, node)
+                        (path, allows, m, in_class)
                         for m in node.body if isinstance(m, functions)
                     ]
     findings = []
-    for path, allows, node, owner in defined:
+    for path, allows, node, in_class in defined:
         name = node.name
         if name.startswith(("__", "visit_")):
             continue
-        if owner is None:
-            used = names[name] + attrs[name] > _identifiers(node)[name]
+        own_names, own_attrs = _references(node)
+        if in_class is None:
+            used = names[name] + attrs[name] > own_names[name] + own_attrs[name]
         else:
-            used = (
-                attrs[name] > _identifiers(node, ast.Attribute)[name]
-                or _identifiers(owner, ast.Name)[name]
-                > _identifiers(node, ast.Name)[name]
-            )
+            used = attrs[name] > own_attrs[name] or in_class[name] > own_names[name]
         if used:
             continue
         finding = Finding(

@@ -86,7 +86,7 @@ class Shard:
         """Every live simulated machine behind this shard."""
         if self.group is None:
             return [self.system]
-        return [m.system for m in self.group.members if m.alive]
+        return [member.system for member in self.group.alive_members()]
 
     def __repr__(self) -> str:
         return f"Shard({self.shard_id}, {self.store.name})"

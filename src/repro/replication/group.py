@@ -273,7 +273,9 @@ class ReplicaGroup:
             self.obs.span(track, name, cat, *interval, args)
         return span
 
-    def _note(self, event: str, facts: dict, parent: Optional[int] = None):
+    def _note(
+        self, event: str, facts: dict, parent: Optional[int] = None
+    ) -> Optional[int]:
         """One membership event: a ``history`` row for the chaos report
         and, when tracing, the same facts on the group track.  Returns
         the trace span id (``None`` with tracing off)."""
