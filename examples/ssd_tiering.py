@@ -15,7 +15,7 @@ MB = 1 << 20
 
 
 def main() -> None:
-    system = HybridMemorySystem.with_ssd()
+    system = HybridMemorySystem(ssd=True)
     db = MioDB(
         system,
         MioOptions(memtable_bytes=256 * KB, num_levels=4, ssd_mode=True),

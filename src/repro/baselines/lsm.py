@@ -72,7 +72,6 @@ class LeveledLSM:
         device,
         nworkers: int = 1,
         label: str = "lsm",
-        bottom_level_hint: Optional[int] = None,
     ) -> None:
         self.system = system
         self.options = options
@@ -86,9 +85,7 @@ class LeveledLSM:
         self._blooms = {}
         self._listeners = []
         self.compactions_done = 0
-        self.bottom_level = (
-            options.num_levels - 1 if bottom_level_hint is None else bottom_level_hint
-        )
+        self.bottom_level = options.num_levels - 1
 
     # ------------------------------------------------------------- ingestion
 

@@ -34,7 +34,7 @@ class NoveLSMNoSSTStore(KVStore):
         # In-place shadowing: older versions of the key are dropped
         # immediately (the structure is its own storage; no compaction).
         dropped = self._drop_older_versions(node)
-        seconds += dropped * self.system.cpu.nvm_hop
+        seconds += dropped * self.system.cpu.NVM_HOP
         return seconds
 
     def _drop_older_versions(self, node) -> int:
@@ -69,6 +69,6 @@ class NoveLSMNoSSTStore(KVStore):
                     pairs.append((node.key, node.value))
                     touched += node.nbytes
             node = node.next[0]
-            seconds += self.system.cpu.nvm_hop
+            seconds += self.system.cpu.NVM_HOP
         seconds += self.system.nvm.read(touched, sequential=True)
         return pairs, seconds

@@ -147,7 +147,7 @@ class SLMDBStore(BufferedStore):
         if len(candidates) < 2:
             return
         with self.system.job_scope():
-            seconds = len(self.tables) * self.system.cpu.compare_cost * 8  # selection
+            seconds = len(self.tables) * self.system.cpu.COMPARE_COST * 8  # selection
             streams = []
             for table in candidates:
                 entries, cost = table.scan_all(self.system.cpu)

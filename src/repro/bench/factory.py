@@ -39,9 +39,7 @@ def make_system(ssd: bool = False, clock=None) -> HybridMemorySystem:
     ``clock`` puts it on a shared timeline: a cluster's shards and a
     replica group's members are each their own machine on one clock.
     """
-    if ssd:
-        return HybridMemorySystem.with_ssd(clock=clock)
-    return HybridMemorySystem(clock=clock)
+    return HybridMemorySystem(ssd=ssd, clock=clock)
 
 
 def make_store(

@@ -33,8 +33,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-# fnv1a_64 seeds its state as OFFSET ^ (seed * golden-ratio); the two
-# probe hashes always use seeds 1 and 2, so their offsets are constants.
+# A seeded FNV-1a starts from OFFSET ^ (seed * golden-ratio); the two
+# probe hashes are seeds 1 and 2 (fnv1a_64 itself is the unseeded hash).
 _OFFSET_SEED1 = _FNV_OFFSET ^ (1 * 0x9E3779B97F4A7C15 & _MASK64)
 _OFFSET_SEED2 = _FNV_OFFSET ^ (2 * 0x9E3779B97F4A7C15 & _MASK64)
 
@@ -45,9 +45,9 @@ _SEEDS = _OFFSET_SEED1 | (_OFFSET_SEED2 << _LANE_SHIFT)
 _SPREAD = tuple(byte | (byte << _LANE_SHIFT) for byte in range(256))
 
 
-def fnv1a_64(data: bytes, seed: int = 0) -> int:
-    """64-bit FNV-1a hash of ``data``, tweaked by ``seed``."""
-    h = _FNV_OFFSET ^ (seed * 0x9E3779B97F4A7C15 & _MASK64)
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a hash of ``data``."""
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -57,7 +57,7 @@ def fnv1a_64(data: bytes, seed: int = 0) -> int:
 def fnv1a_pair(data: bytes) -> "tuple":
     """Both probe hashes (seeds 1 and 2) in a single pass over ``data``.
 
-    Bit-identical to ``(fnv1a_64(data, 1), fnv1a_64(data, 2))``; both
+    Bit-identical to two one-lane FNV-1a loops from those offsets; both
     states advance in one lane-packed integer (see the module docstring).
     """
     h = _SEEDS

@@ -6,25 +6,19 @@ runs under (``repro check`` on the CLI, the ``check`` CI job):
 - :mod:`repro.check.lint` -- AST determinism lint over ``src/repro``:
   wall-clock/entropy escapes, unordered set iteration, closed-vocabulary
   violations, unregistered stats families.  Rules have IDs and
-  severities; suppression is via ``# repro: allow[...]`` pragmas or the
-  checked-in baseline (:mod:`repro.check.baseline`).
+  severities; suppression is via ``# repro: allow[...]`` pragmas.
 - :mod:`repro.check.races` -- opt-in happens-before race detection over
   the simulated executor: unsynchronized read-write pairs between
   background flush/compaction jobs and foreground ops.
 - :mod:`repro.check.contracts` -- reflection checks that all engines
   implement the full KVStore surface, batched paths have registered
-  per-op oracles, and the trace-event schema matches its pinned hash.
+  per-op oracles, and the trace-event schema matches its pinned hash;
+  AST sweeps for names nothing refers to (DEAD001) and defaulted
+  parameters nothing sets (OPT001).
 
 See docs/static_analysis.md.
 """
 
-from repro.check.baseline import (
-    BASELINE_NAME,
-    apply_baseline,
-    default_baseline_path,
-    load_baseline,
-    save_baseline,
-)
 from repro.check.contracts import (
     PINNED_EVENT_SCHEMA,
     check_contracts,
@@ -42,7 +36,6 @@ from repro.check.report import (
 )
 
 __all__ = [
-    "BASELINE_NAME",
     "Finding",
     "PINNED_EVENT_SCHEMA",
     "Race",
@@ -50,16 +43,12 @@ __all__ = [
     "RULES",
     "SEV_ERROR",
     "SEV_WARNING",
-    "apply_baseline",
     "check_contracts",
     "check_store_class",
-    "default_baseline_path",
     "lint_text",
-    "load_baseline",
     "race_smoke",
     "render_findings",
     "run_lint",
-    "save_baseline",
     "schema_fingerprint",
     "sort_findings",
 ]

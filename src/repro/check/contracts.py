@@ -22,6 +22,15 @@ contract actually holds:
 - **Dead names** (DEAD001): every function, class and method under
   ``src/repro`` is referred to from ``src/repro``, ``benchmarks/`` or
   ``examples/``; API kept only for ``tests/`` says so with a pragma.
+- **Unset options** (OPT001): every defaulted parameter of those
+  functions and methods is set by some call in the same three trees --
+  by keyword or by position.  Calls resolve by name: ``f(...)`` and
+  ``x.f(...)`` reach every definition called ``f``; a class name,
+  ``cls(...)`` and ``super().m(...)`` reach the method the class
+  inherits; ``partial(f, ...)`` is a call of ``f``.  A function's own
+  ``**kwargs`` forwards what *its* callers passed beyond its named
+  parameters, one hop; ``*args`` or any other ``**dict`` may set
+  anything.  A parameter with one value in use is a constant.
 """
 
 import ast
@@ -31,6 +40,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.check.lint import (
+    _dotted,
     _pragma_allows,
     _suppressed,
     iter_source_files,
@@ -98,8 +108,7 @@ def _finding(cls: type, rule: str, message: str) -> Finding:
         line = inspect.getsourcelines(cls)[1]
     except (OSError, TypeError):
         pass
-    return Finding(rule, SEV_ERROR, _where(cls), line, message,
-                   snippet=f"class {cls.__name__}")
+    return Finding(rule, SEV_ERROR, _where(cls), line, message)
 
 
 def _signature_compatible(base_fn, override_fn) -> Optional[str]:
@@ -208,6 +217,7 @@ def check_store_class(cls: type, name: Optional[str] = None) -> List[Finding]:
     return findings
 
 
+# repro: allow[OPT001] lint fixtures fingerprint hypothetical schemas
 def schema_fingerprint(
     slots=None, categories=None, stall_causes=None, drop_causes=None,
     repl_names=None,
@@ -251,7 +261,6 @@ def check_event_schema() -> List[Finding]:
             f"pinned {PINNED_EVENT_SCHEMA[:16]}...; update "
             "repro.check.contracts.PINNED_EVENT_SCHEMA deliberately, "
             "together with docs and the pinned traces",
-            snippet="trace-event schema",
         )
     ]
 
@@ -268,11 +277,35 @@ def _references(tree: ast.AST):
     return names, attrs
 
 
-def check_dead_names(package=None, users=None) -> List[Finding]:
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def read_sources(package):
+    """What DEAD001 and OPT001 read: every ``*.py`` under ``package`` and
+    under ``benchmarks/`` and ``examples/`` beside it, parsed once, as
+    ``(repo-relative path, tree, pragmas)`` -- pragmas are None for the
+    two user trees, whose definitions are not checked.
+    """
+    base = package.parent.parent if package.parent.name == "src" else package.parent
+    files = []
+    for root in (package, base / "benchmarks", base / "examples"):
+        for path in iter_source_files(root):
+            source = path.read_text()
+            allows = _pragma_allows(source.splitlines()) if root is package else None
+            files.append((path.relative_to(base).as_posix(),
+                          ast.parse(source, filename=str(path)), allows))
+    return files
+
+
+def _unsuppressed(rule, path, allows, node, message) -> List[Finding]:
+    finding = Finding(rule, SEV_ERROR, path, node.lineno, message)
+    return [] if _suppressed(finding, *allows) else [finding]
+
+
+def check_dead_names(sources) -> List[Finding]:
     """DEAD001: a module-level function or class, or a method of one,
-    that nothing in ``package`` (default ``src/repro``) or the ``users``
-    trees (default ``benchmarks/`` and ``examples/`` beside it) refers
-    to outside its own definition.  A function or class is referred to
+    that nothing in :func:`read_sources` refers to outside its own
+    definition.  A function or class is referred to
     by any occurrence of its identifier; a method only by an attribute
     access (``x.name``) or a bare name in its own class body (``visit_B
     = _visit_a``) -- a local variable that happens to share its
@@ -280,34 +313,25 @@ def check_dead_names(package=None, users=None) -> List[Finding]:
     strings are not occurrences; dunders, ``visit_*`` and nested defs
     are not checked.
     """
-    package = package or package_root()
-    base = package.parent.parent if package.parent.name == "src" else package.parent
-    if users is None:
-        users = [base / "benchmarks", base / "examples"]
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     names: Counter = Counter()
     attrs: Counter = Counter()
     defined = []  # (path, pragmas, def node, its class body's names | None)
-    for root in (package, *users):
-        for path in iter_source_files(root):
-            source = path.read_text()
-            tree = ast.parse(source, filename=str(path))
-            file_names, file_attrs = _references(tree)
-            names.update(file_names)
-            attrs.update(file_attrs)
-            if root is not package:
+    for path, tree, allows in sources:
+        file_names, file_attrs = _references(tree)
+        names.update(file_names)
+        attrs.update(file_attrs)
+        if allows is None:
+            continue
+        for node in tree.body:
+            if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
                 continue
-            allows = _pragma_allows(source.splitlines())
-            for node in tree.body:
-                if not isinstance(node, functions + (ast.ClassDef,)):
-                    continue
-                defined.append((path, allows, node, None))
-                if isinstance(node, ast.ClassDef):
-                    in_class = _references(node)[0]
-                    defined += [
-                        (path, allows, m, in_class)
-                        for m in node.body if isinstance(m, functions)
-                    ]
+            defined.append((path, allows, node, None))
+            if isinstance(node, ast.ClassDef):
+                in_class = _references(node)[0]
+                defined += [
+                    (path, allows, m, in_class)
+                    for m in node.body if isinstance(m, _FUNCTIONS)
+                ]
     findings = []
     for path, allows, node, in_class in defined:
         name = node.name
@@ -318,24 +342,123 @@ def check_dead_names(package=None, users=None) -> List[Finding]:
             used = names[name] + attrs[name] > own_names[name] + own_attrs[name]
         else:
             used = attrs[name] > own_attrs[name] or in_class[name] > own_names[name]
-        if used:
-            continue
-        finding = Finding(
-            "DEAD001", SEV_ERROR, path.relative_to(base).as_posix(), node.lineno,
-            f"{name} has no reference in src/repro, benchmarks/ or examples/:"
-            " delete it, or mark test-facing API `# repro: allow[DEAD001] why`",
-            snippet=f"def {name}",
-        )
-        if not _suppressed(finding, *allows):
-            findings.append(finding)
+        if not used:
+            findings += _unsuppressed(
+                "DEAD001", path, allows, node,
+                f"{name} has no reference in src/repro, benchmarks/ or examples/:"
+                " delete it, or mark test-facing API `# repro: allow[DEAD001] why`",
+            )
     return findings
 
 
+class _Def:
+    """One function or method under the package, and what calls pass it."""
+
+    def __init__(self, path, allows, node, owner=None) -> None:
+        self.path, self.allows, self.node = path, allows, node
+        self.label = owner if node.name == "__init__" else node.name
+        static = any(_dotted(d) == ("staticmethod",) for d in node.decorator_list)
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        self.positional = positional[1:] if owner and not static else positional
+        self.named = set(positional) | {a.arg for a in args.kwonlyargs}
+        self.defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        #: Names some call passed (parameters, ``**kwargs`` keys); ``"*"``
+        #: when one spread ``*args`` or a ``**dict``, which may set anything.
+        self.set = set()
+
+
+def _calls(node, cls=None, fn=None):
+    """Each call under ``node`` with the class and function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _calls(child, child, None)
+        elif isinstance(child, _FUNCTIONS):
+            yield from _calls(child, cls, child)
+        else:
+            if isinstance(child, ast.Call):
+                yield child, cls, fn
+            yield from _calls(child, cls, fn)
+
+
+def option_defs(sources) -> List[_Def]:
+    """Every function and method DEAD001 checks, with what calls set
+    (the module docstring says how a call finds its definitions)."""
+    by_name: Dict[str, List[_Def]] = {}
+    classes = {}  # name -> (base names, {method name: _Def})
+    for path, tree, allows in sources:
+        for node in tree.body if allows is not None else ():
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            members = node.body if owner else [node]
+            defs = {m.name: _Def(path, allows, m, owner)
+                    for m in members if isinstance(m, _FUNCTIONS)}
+            for name, d in defs.items():
+                by_name.setdefault(name, []).append(d)
+            if owner:
+                classes[owner] = ([b[-1] for b in map(_dotted, node.bases) if b], defs)
+    by_node = {id(d.node): d for defs in by_name.values() for d in defs}
+
+    def inherited(cls_names, method):
+        for bases, methods in (classes[c] for c in cls_names if c in classes):
+            found = [methods[method]] if method in methods else inherited(bases, method)
+            if found:
+                return found
+        return []
+
+    forwards = []  # (the _Def whose **kwargs is spread, the _Def it reaches)
+    for _, tree, _ in sources:
+        for call, cls, fn in _calls(tree):
+            func, args = call.func, call.args
+            if (_dotted(func) or ("",))[-1] == "partial" and args:
+                func, args = args[0], args[1:]
+            name = (_dotted(func) or ("",))[-1]
+            if cls and isinstance(func, ast.Attribute) and isinstance(
+                    func.value, ast.Call) and _dotted(func.value.func) == ("super",):
+                targets = inherited(classes.get(cls.name, ((),))[0], func.attr)
+            elif name in classes or (name == "cls" and cls):
+                targets = inherited([cls.name if name == "cls" else name], "__init__")
+            else:
+                targets = by_name.get(name, ()) if name != "__init__" else ()
+            via = by_node.get(id(fn))  # the checked definition around the call
+            own_kwargs = via and fn.args.kwarg and fn.args.kwarg.arg
+            for target in targets:
+                target.set.update(target.positional[:len(args)])
+                target.set.update("*" for a in args if isinstance(a, ast.Starred))
+                for kw in call.keywords:
+                    if kw.arg or not own_kwargs or _dotted(kw.value) != (own_kwargs,):
+                        target.set.add(kw.arg or "*")
+                    else:
+                        forwards.append((via, target))
+    for to, names in [(to, via.set - via.named) for via, to in forwards]:
+        to.set |= names
+    return list(by_node.values())
+
+
+def check_unset_options(sources) -> List[Finding]:
+    """OPT001: a defaulted parameter no call sets has one value in use."""
+    return [
+        finding
+        for d in option_defs(sources) if "*" not in d.set
+        for param in d.defaulted if param not in d.set
+        for finding in _unsuppressed(
+            "OPT001", d.path, d.allows, d.node,
+            f"{d.label}({param}=) is set by no call in src/repro, benchmarks/ "
+            "or examples/: make it a constant beside the code that reads it, or "
+            "mark test-facing API `# repro: allow[OPT001] why` on its def",
+        )
+    ]
+
+
 def check_contracts() -> List[Finding]:
-    """Engine contracts, the event schema and the dead-name sweep."""
+    """Engine contracts, the event schema, and the dead-name and
+    unset-option sweeps."""
     findings: List[Finding] = []
     for name, cls in store_classes().items():
         findings.extend(check_store_class(cls, name))
     findings.extend(check_event_schema())
-    findings.extend(check_dead_names())
+    sources = read_sources(package_root())
+    findings.extend(check_dead_names(sources))
+    findings.extend(check_unset_options(sources))
     return sort_findings(findings)

@@ -28,9 +28,7 @@ Suppression is explicit, never silent:
   directly above) suppresses that rule there;
 - ``# repro: allow-file[RULE] -- why`` anywhere in a file suppresses the
   rule for the whole file (for modules whose *purpose* is the flagged
-  behavior, e.g. timing subprocesses in ``repro.bench.parallel``);
-- pre-existing findings can be recorded in the checked-in baseline file
-  instead (see ``repro.check.baseline``).
+  behavior, e.g. timing subprocesses in ``repro.bench.parallel``).
 """
 
 import ast
@@ -153,9 +151,8 @@ def _const_str(node) -> Optional[str]:
 class _LintVisitor(ast.NodeVisitor):
     """One file's AST walk; emits findings through :meth:`flag`."""
 
-    def __init__(self, relpath: str, lines: List[str]) -> None:
+    def __init__(self, relpath: str) -> None:
         self.relpath = relpath
-        self.lines = lines
         self.findings: List[Finding] = []
         self.entropy_exempt = any(relpath.endswith(s) for s in _ENTROPY_SEAM)
         #: Local names bound by ``from <mod> import <name>`` to a
@@ -167,10 +164,8 @@ class _LintVisitor(ast.NodeVisitor):
     def flag(self, rule_id: str, node, message: str) -> None:
         rule = RULES[rule_id]
         line_no = getattr(node, "lineno", 1)
-        snippet = self.lines[line_no - 1] if line_no <= len(self.lines) else ""
         self.findings.append(
-            Finding(rule.id, rule.severity, self.relpath, line_no,
-                    message, snippet)
+            Finding(rule.id, rule.severity, self.relpath, line_no, message)
         )
 
     def _check_iteration(self, iter_node) -> None:
@@ -395,16 +390,16 @@ def repo_root() -> pathlib.Path:
     return root.parent
 
 
+# repro: allow[OPT001] lint fixtures look under a pragma with respect_pragmas=False
 def lint_text(
     source: str, relpath: str = "<memory>", respect_pragmas: bool = True
 ) -> List[Finding]:
     """Lint one source string; the unit under every rule test."""
-    lines = source.splitlines()
-    visitor = _LintVisitor(relpath, lines)
+    visitor = _LintVisitor(relpath)
     visitor.visit(ast.parse(source, filename=relpath))
     findings = visitor.findings
     if respect_pragmas:
-        by_line, file_wide = _pragma_allows(lines)
+        by_line, file_wide = _pragma_allows(source.splitlines())
         findings = [
             f for f in findings if not _suppressed(f, by_line, file_wide)
         ]
@@ -415,13 +410,11 @@ def iter_source_files(root: pathlib.Path) -> List[pathlib.Path]:
     return sorted(root.rglob("*.py"))
 
 
-def run_lint(
-    root: Optional[pathlib.Path] = None, respect_pragmas: bool = True
-) -> List[Finding]:
+def run_lint(root: Optional[pathlib.Path] = None) -> List[Finding]:
     """Lint every Python file under ``root`` (default: ``src/repro``).
 
-    Paths in findings are repo-relative when possible, so fingerprints
-    in the baseline file are stable across checkouts.
+    Paths in findings are repo-relative when possible, so a report
+    reads the same from any checkout.
     """
     scan_root = package_root() if root is None else pathlib.Path(root)
     base = repo_root() if root is None else scan_root.parent
@@ -431,7 +424,5 @@ def run_lint(
             rel = path.relative_to(base).as_posix()
         except ValueError:
             rel = path.as_posix()
-        findings.extend(
-            lint_text(path.read_text(), rel, respect_pragmas=respect_pragmas)
-        )
+        findings.extend(lint_text(path.read_text(), rel))
     return sort_findings(findings)

@@ -293,13 +293,13 @@ class RaceDetector:
 NO_BACKGROUND_STORES = ("novelsm-nosst",)
 
 
-def race_smoke(
-    store_names=None,
-    n: int = 256,
-    value_size: int = 256,
-    reads: int = 64,
-    seed: int = 1,
-) -> Dict[str, List[Race]]:
+#: The smoke workload: nominal value bytes, reads after the fill, seed.
+_SMOKE_VALUE_SIZE = 256
+_SMOKE_READS = 64
+_SMOKE_SEED = 1
+
+
+def race_smoke(store_names=None, n: int = 256) -> Dict[str, List[Race]]:
     """Run every store under a small dbbench fill+read with detection on.
 
     Returns ``{store_name: [races...]}``; all lists empty means the real
@@ -315,16 +315,16 @@ def race_smoke(
     scale = BenchScale(
         memtable_bytes=8 << 10,
         dataset_bytes=1 << 20,
-        value_size=value_size,
+        value_size=_SMOKE_VALUE_SIZE,
         nvm_buffer_bytes=64 << 10,
     )
     results: Dict[str, List[Race]] = {}
     for name in store_names or STORE_NAMES:
         store, system = make_store(name, scale)
         detector = system.attach_race_detection()
-        fill_random(store, n, value_size, seed=seed)
+        fill_random(store, n, _SMOKE_VALUE_SIZE, seed=_SMOKE_SEED)
         store.quiesce()
-        read_random(store, min(reads, n), n, seed=seed + 1)
+        read_random(store, min(_SMOKE_READS, n), n, seed=_SMOKE_SEED + 1)
         system.detach_race_detection()
         if not detector.jobs_observed and name not in NO_BACKGROUND_STORES:
             raise AssertionError(

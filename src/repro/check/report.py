@@ -3,13 +3,10 @@
 A :class:`Finding` is one diagnostic -- a lint hit, a contract
 violation, or a race -- with a rule ID, a severity, and a location.
 Findings render deterministically (sorted by path, line, rule) so check
-output is byte-stable across runs, and each carries a *fingerprint*
-(rule + path + a hash of the flagged source line, independent of line
-numbers) used by the baseline workflow (see ``repro.check.baseline``).
+output is byte-stable across runs.
 """
 
-import hashlib
-from typing import List, Optional
+from typing import List
 
 #: Finding that must be fixed (or explicitly suppressed) before merging.
 SEV_ERROR = "error"
@@ -22,7 +19,7 @@ SEVERITIES = (SEV_ERROR, SEV_WARNING)
 class Finding:
     """One diagnostic emitted by a check engine."""
 
-    __slots__ = ("rule", "severity", "path", "line", "message", "snippet")
+    __slots__ = ("rule", "severity", "path", "line", "message")
 
     def __init__(
         self,
@@ -31,7 +28,6 @@ class Finding:
         path: str,
         line: int,
         message: str,
-        snippet: str = "",
     ) -> None:
         if severity not in SEVERITIES:
             raise ValueError(
@@ -42,17 +38,6 @@ class Finding:
         self.path = path
         self.line = line
         self.message = message
-        self.snippet = snippet
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline file.
-
-        Hashes the stripped source line rather than the line number, so
-        unrelated edits above a baselined finding do not invalidate it.
-        """
-        digest = hashlib.sha256(self.snippet.strip().encode()).hexdigest()[:12]
-        return f"{self.rule} {self.path} {digest}"
 
     def render(self) -> str:
         return (
@@ -77,11 +62,6 @@ def sort_findings(findings: List[Finding]) -> List[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
-def render_findings(findings: List[Finding], title: Optional[str] = None) -> str:
+def render_findings(findings: List[Finding]) -> str:
     """A plain-text report, one finding per line, stable across runs."""
-    lines = []
-    if title is not None:
-        lines.append(title)
-    for finding in sort_findings(findings):
-        lines.append(finding.render())
-    return "\n".join(lines)
+    return "\n".join(finding.render() for finding in sort_findings(findings))

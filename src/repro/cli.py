@@ -79,6 +79,30 @@ def _seeds_arg(value: str) -> str:
     return value
 
 
+def _number_arg(cast, accept, expected: str):
+    """A ``type=`` callable: ``cast`` the text, then ``accept`` the number."""
+
+    def parse(value: str):
+        try:
+            number = cast(value)
+        except ValueError:
+            number = None
+        if number is None or not accept(number):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive_int = _number_arg(int, lambda n: n >= 1, "an integer >= 1")
+_positive_float = _number_arg(float, lambda x: x > 0, "a number > 0")
+_fraction = _number_arg(float, lambda x: 0 <= x <= 1, "a fraction in [0, 1]")
+_slo_target = _number_arg(float, lambda x: 0 < x < 1, "a fraction in (0, 1)")
+_nonnegative_float = _number_arg(float, lambda x: x >= 0, "a number >= 0")
+#: ``ChaosSchedule`` keeps kills inside the middle 80 % of the run.
+_chaos_ops = _number_arg(int, lambda n: n >= 10, "an integer >= 10")
+
+
 # Flag groups shared between subcommands, as argparse ``parents=``.  Each
 # call builds a fresh parent: a child's ``set_defaults`` rewrites the
 # defaults of the (shared) action objects it inherited.
@@ -513,10 +537,11 @@ def cmd_cluster(args) -> int:
         # serving (its window cursor skips pre-attach samples anyway).
         live_recorders = cluster.attach_live(**_live_overrides(args))
         from repro.obs.live import LiveDashboard
+        from repro.obs.live.window import WINDOW_S
 
         refresh_s = (
             args.live_refresh_us * 1e-6 if args.live_refresh_us > 0
-            else 4 * live_recorders[0].window.window_s
+            else 4 * WINDOW_S
         )
         dashboard = LiveDashboard(
             live_recorders,
@@ -602,7 +627,6 @@ def cmd_cluster(args) -> int:
             write_artifact(
                 args.openmetrics,
                 cluster_openmetrics_text(cluster, live_recorders),
-                overwrite=True,
             )
             print(f"# openmetrics: {args.openmetrics}", file=sys.stderr)
         if args.flight_dir:
@@ -707,45 +731,19 @@ def cmd_chaos(args) -> int:
 
 def cmd_check(args) -> int:
     """Static analysis: determinism lint, API contracts, race smoke."""
-    import pathlib as _pathlib
-
-    from repro.check import (
-        apply_baseline,
-        check_contracts,
-        default_baseline_path,
-        load_baseline,
-        race_smoke,
-        render_findings,
-        run_lint,
-        save_baseline,
-    )
+    from repro.check import check_contracts, race_smoke, render_findings, run_lint
 
     failed = False
     findings = []
     if not args.skip_lint:
-        root = _pathlib.Path(args.path) if args.path else None
+        root = pathlib.Path(args.path) if args.path else None
         findings.extend(run_lint(root))
     if not args.skip_contracts:
         findings.extend(check_contracts())
-    baseline_path = (
-        _pathlib.Path(args.baseline) if args.baseline
-        else default_baseline_path()
-    )
-    if args.update_baseline:
-        target = save_baseline(findings, baseline_path)
-        print(f"# baseline: {target} ({len(findings)} fingerprints)",
-              file=sys.stderr)
-        return 0
-    fresh, suppressed = apply_baseline(findings, load_baseline(baseline_path))
-    if fresh:
-        print(render_findings(fresh))
-        failed = failed or args.strict or any(
-            f.severity == "error" for f in fresh
-        )
-    summary = f"check: {len(fresh)} finding(s)"
-    if suppressed:
-        summary += f", {suppressed} baselined"
-    print(summary)
+    if findings:
+        print(render_findings(findings))
+        failed = args.strict or any(f.severity == "error" for f in findings)
+    print(f"check: {len(findings)} finding(s)")
     if args.races:
         results = race_smoke(store_names=args.store, n=args.races_n)
         total = sum(len(races) for races in results.values())
@@ -908,13 +906,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="SLO compliance + burn-rate alert log from a traced run",
         parents=[_traced_flags()],
     )
-    p.add_argument("--threshold-us", type=float, default=10.0,
+    p.add_argument("--threshold-us", type=_positive_float, default=10.0,
                    help="per-op latency threshold in microseconds")
-    p.add_argument("--target", type=float, default=0.999,
+    p.add_argument("--target", type=_slo_target, default=0.999,
                    help="required fraction of ops under the threshold")
-    p.add_argument("--long-ms", type=float, default=0.0,
+    p.add_argument("--long-ms", type=_nonnegative_float, default=0.0,
                    help="long burn window (0 = run duration/10); short = long/5")
-    p.add_argument("--factor", type=float, default=2.0,
+    p.add_argument("--factor", type=_positive_float, default=2.0,
                    help="burn-rate factor both windows must exceed")
     p.add_argument("--min-kiops", type=float, default=None,
                    help="flag rolling-window throughput under this floor")
@@ -926,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster", help="sharded serving layer: routed load + backpressure",
         parents=[_common_flags(fsync=True), _replication_flags(0), _live_flags()],
     )
-    p.add_argument("--shards", type=int, default=4,
+    p.add_argument("--shards", type=_positive_int, default=4,
                    help="number of shard stores on the shared clock")
     p.add_argument("--placement", choices=["hash-ring", "range"],
                    default="hash-ring")
@@ -938,11 +936,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(<= 0 means closed-loop)")
     p.add_argument("--theta", type=float, default=0.0,
                    help="zipfian skew in (0, 1); 0 means uniform keys")
-    p.add_argument("--read-frac", type=float, default=0.5)
-    p.add_argument("--key-space", type=int, default=10000)
+    p.add_argument("--read-frac", type=_fraction, default=0.5)
+    p.add_argument("--key-space", type=_positive_int, default=10000)
     p.add_argument("--preload", type=int, default=2000,
                    help="keys written through the router before driving")
-    p.add_argument("--max-queue-depth", type=int, default=64)
+    p.add_argument("--max-queue-depth", type=_positive_int, default=64)
     p.add_argument("--admission", choices=["reject", "defer"],
                    default="reject")
     p.add_argument("--rebalance-every", type=int, default=0, metavar="N",
@@ -969,9 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=_seeds_arg, default="1",
                    metavar="S1,S2,...", help="comma list of scenario seeds")
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--ops", type=int, default=400,
-                   help="client ops per scenario")
+    p.add_argument("--shards", type=_positive_int, default=2)
+    p.add_argument("--ops", type=_chaos_ops, default=400,
+                   help="client ops per scenario (>= 10)")
     p.add_argument("--report", default=None, metavar="FILE",
                    help="write the deterministic chaos report JSON")
     p.add_argument("--trace", default=None, metavar="FILE",
@@ -985,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="determinism lint, API contracts, and the race-detector smoke",
     )
     p.add_argument("--strict", action="store_true",
-                   help="fail on any non-baselined finding (CI gate)")
+                   help="fail on any finding, warnings included (CI gate)")
     p.add_argument("--races", action="store_true",
                    help="also run the simulated-race smoke workload")
     p.add_argument("--races-n", type=int, default=256, metavar="N",
@@ -996,10 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-contracts", action="store_true")
     p.add_argument("--path", default=None, metavar="DIR",
                    help="lint this directory instead of src/repro")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline file (default: <repo>/.repro-check-baseline)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from the current findings")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("info", help="stores, device profiles, scaling")
@@ -1031,6 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# repro: allow[OPT001] tests drive the CLI in-process with an argv list
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)

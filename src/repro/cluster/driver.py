@@ -99,7 +99,6 @@ class ClientSpec:
         theta: Optional[float] = None,
         value_size: int = 256,
         seed: int = 1,
-        poisson: bool = True,
     ) -> None:
         if n_ops < 0:
             raise ValueError(f"n_ops must be >= 0, got {n_ops}")
@@ -118,7 +117,6 @@ class ClientSpec:
         self.theta = theta
         self.value_size = value_size
         self.seed = seed
-        self.poisson = poisson
 
     @property
     def closed_loop(self) -> bool:
@@ -157,10 +155,9 @@ class _ClientState:
             self._keys = ZipfianGenerator(spec.key_space, key_rng, spec.theta)
 
     def next_gap(self) -> float:
-        if self.spec.poisson:
-            u = self._gap_rng.next_float()
-            return -math.log(1.0 - u) / self.spec.rate_per_s
-        return 1.0 / self.spec.rate_per_s
+        """The next Poisson inter-arrival gap."""
+        u = self._gap_rng.next_float()
+        return -math.log(1.0 - u) / self.spec.rate_per_s
 
     def make_request(self, arrival: float) -> _Request:
         kind = (
@@ -185,7 +182,6 @@ class ClusterRunResult:
         response: LatencySummary,
         per_shard: List[dict],
         rebalances: List[object],
-        recorders: List[LatencyRecorder],
     ) -> None:
         self.offered = offered
         self.completed = completed
@@ -194,7 +190,6 @@ class ClusterRunResult:
         self.response = response
         self.per_shard = per_shard
         self.rebalances = rebalances
-        self.recorders = recorders
 
     @property
     def dropped(self) -> int:
@@ -206,13 +201,6 @@ class ClusterRunResult:
         if self.duration_s <= 0:
             return 0.0
         return self.completed / self.duration_s / 1e3
-
-    def merged_recorder(self) -> LatencyRecorder:
-        """Response samples of every shard pooled into one recorder."""
-        merged = LatencyRecorder()
-        for recorder in self.recorders:
-            merged = merged.merge(recorder)
-        return merged
 
     def __repr__(self) -> str:
         return (
@@ -443,9 +431,9 @@ def run_cluster(
                 router.reset_window()
 
     duration = clock.now - start_time
-    merged = LatencyRecorder()
+    pooled = LatencyRecorder()
     for recorder in recorders:
-        merged = merged.merge(recorder)
+        pooled.merge_from(recorder)
     per_shard = []
     for shard_id in range(n_shards):
         summary = recorders[shard_id].summary("response")
@@ -466,8 +454,7 @@ def run_cluster(
         completed=completed,
         drops=dict(sorted(drops.items())),
         duration_s=duration,
-        response=merged.summary("response"),
+        response=pooled.summary("response"),
         per_shard=per_shard,
         rebalances=rebalances,
-        recorders=recorders,
     )

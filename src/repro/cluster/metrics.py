@@ -9,8 +9,8 @@ This module assembles them into cluster-level artifacts:
   deterministic grouped-metrics document: per-shard counter families,
   device traffic, and latency summaries, plus placement state,
   cluster counters (routed ops, drops by cause, migration bytes), and
-  -- when a driver result is supplied -- response-time percentiles
-  pooled with :meth:`LatencyRecorder.merge`.
+  -- when a driver result is supplied -- its pooled response-time
+  percentiles.
 - :func:`cluster_chrome_trace` / :func:`write_cluster_trace` -- the
   shards' trace streams merged into one Chrome/Perfetto document, one
   *process* per shard (``pid`` = shard id + 1) with shard-id metadata,
@@ -47,14 +47,13 @@ def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
         doc["placement"] = router.placement.describe()
         doc["window_shard_ops"] = list(router.shard_ops)
     if result is not None:
-        merged = result.merged_recorder()
         doc["driver"] = {
             "offered": result.offered,
             "completed": result.completed,
             "drops": dict(sorted(result.drops.items())),
             "duration_s": result.duration_s,
             "throughput_kiops": result.throughput_kiops,
-            "response_us": merged.summary("response").as_micros(),
+            "response_us": result.response.as_micros(),
             "per_shard": result.per_shard,
             "rebalances": [
                 {
@@ -135,11 +134,8 @@ def cluster_trace_json(cluster, recorders: List[object]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_cluster_trace(
-    cluster, recorders: List[object], path, overwrite: bool = True
-) -> None:
+def write_cluster_trace(cluster, recorders: List[object], path) -> None:
     """Serialize the merged shard trace to ``path`` (byte-reproducible)."""
     from repro.obs.export import write_artifact
 
-    write_artifact(path, cluster_trace_json(cluster, recorders),
-                   overwrite=overwrite)
+    write_artifact(path, cluster_trace_json(cluster, recorders))

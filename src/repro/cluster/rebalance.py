@@ -87,11 +87,7 @@ def detect_hot_shard(router, factor: float = 1.5) -> HotShardReport:
     return HotShardReport(router.shard_ops, factor)
 
 
-def rebalance_hot_shard(
-    router,
-    hot_shard: int,
-    to_shard: Optional[int] = None,
-) -> RebalanceResult:
+def rebalance_hot_shard(router, hot_shard: int) -> RebalanceResult:
     """Move the hot shard's busiest ring arcs to the coldest shard.
 
     Arcs (virtual-node ownership slots) are moved hottest-first until
@@ -113,14 +109,11 @@ def rebalance_hot_shard(
         raise ValueError("cannot rebalance a single-shard cluster")
     if not 0 <= hot_shard < n:
         raise ValueError(f"hot_shard {hot_shard} out of range")
-    if to_shard is None:
-        # Coldest shard by window traffic; ties toward the lowest id.
-        to_shard = min(
-            (i for i in range(n) if i != hot_shard),
-            key=lambda i: (router.shard_ops[i], i),
-        )
-    if to_shard == hot_shard:
-        raise ValueError("source and destination shards are the same")
+    # Coldest shard by window traffic; ties toward the lowest id.
+    to_shard = min(
+        (i for i in range(n) if i != hot_shard),
+        key=lambda i: (router.shard_ops[i], i),
+    )
 
     slots = placement.slots_of(hot_shard)
     if len(slots) < 2:

@@ -23,7 +23,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.placement import PlacementPolicy, make_placement
+from repro.cluster.placement import make_placement
 from repro.kvstore.api import paged_items
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatsRegistry
@@ -102,7 +102,6 @@ class Cluster:
         scale=None,
         ssd: bool = False,
         replication=None,
-        crash_injector=None,
         **overrides,
     ) -> None:
         # Imported here: the bench factory imports stores which import
@@ -137,7 +136,6 @@ class Cluster:
                     build,
                     replication,
                     stats=self.stats,
-                    crash_injector=crash_injector,
                 )
                 shard = Shard(
                     shard_id, group.leader.store, group.leader.system, group
@@ -242,18 +240,12 @@ class ShardRouter:
     def __init__(
         self,
         cluster: Cluster,
-        placement: Optional[PlacementPolicy] = None,
         placement_name: str = "hash-ring",
         key_space: Optional[int] = None,
         vnodes_per_shard: int = 32,
     ) -> None:
-        if placement is not None and placement.n_shards != cluster.n_shards:
-            raise ValueError(
-                f"placement covers {placement.n_shards} shards but the "
-                f"cluster has {cluster.n_shards}"
-            )
         self.cluster = cluster
-        self.placement = placement or make_placement(
+        self.placement = make_placement(
             placement_name,
             cluster.n_shards,
             key_space=key_space,
@@ -325,6 +317,7 @@ class ShardRouter:
         merged = list(islice(heapq.merge(*results, key=itemgetter(0)), count))
         return merged, self.cluster.clock.now - start
 
+    # repro: allow[OPT001] same paging surface as KVStore.items, driven by tests/
     def items(self, start_key: bytes = b"\x00", end_key: Optional[bytes] = None,
               page_size: int = 128):
         """Iterate live ``(key, value)`` pairs cluster-wide in key order."""

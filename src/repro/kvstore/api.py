@@ -201,6 +201,7 @@ class KVStore(ABC):
         latency = self._finish("scan", start, seconds)
         return pairs, latency
 
+    # repro: allow[OPT001] paging and key bounds are the tests' window onto paged_items
     def items(self, start_key: bytes = b"\x00", end_key: Optional[bytes] = None,
               page_size: int = 128):
         """Iterate live ``(key, value)`` pairs in key order.

@@ -30,13 +30,11 @@ def merged_scan(
     start_key: bytes,
     count: int,
     sources: Sequence[tuple],
-    as_entries: bool = False,
 ) -> Tuple[List[tuple], float]:
     """Newest live version per key from ``start_key``, up to ``count`` keys.
 
-    Returns ``(pairs, seconds)`` with ``(key, value)`` pairs, or with
-    ``(key, seq, value, nbytes)`` entries when ``as_entries`` is set.
-    Tombstones shadow older versions and produce no output.
+    Returns ``(pairs, seconds)`` with ``(key, value)`` pairs.  Tombstones
+    shadow older versions and produce no output.
 
     The simulated cost is order-sensitive (float addition, traced device
     transfers), so the contract is exact: seeks are charged source by
@@ -86,12 +84,7 @@ def merged_scan(
             last_key = key
             value = cursor.value if run is None else run[cursor][2]
             if value is not TOMBSTONE:
-                if not as_entries:
-                    out.append((key, value))
-                elif run is None:
-                    out.append((key, -neg_seq, value, cursor.nbytes))
-                else:
-                    out.append(run[cursor])
+                out.append((key, value))
                 if len(out) >= count:
                     break
         if run is None:

@@ -14,50 +14,47 @@ GB = 1 << 30
 NS = 1e-9
 
 
-class CpuCostModel:
-    """Tunable CPU costs, all in seconds (or seconds per byte)."""
+#: Nominal key size the bloom build cost hashes per key.
+_KEY_BYTES = 16
 
-    def __init__(
-        self,
-        serialize_bw: float = 1.2 * GB,
-        deserialize_bw: float = 0.9 * GB,
-        dram_hop: float = 25 * NS,
-        nvm_hop: float = 120 * NS,
-        compare_cost: float = 10 * NS,
-        bloom_base_cost: float = 150 * NS,
-        bloom_probe_cost: float = 15 * NS,
-        hash_bw: float = 3.0 * GB,
-    ) -> None:
-        self.serialize_bw = serialize_bw
-        self.deserialize_bw = deserialize_bw
-        self.dram_hop = dram_hop
-        self.nvm_hop = nvm_hop
-        self.compare_cost = compare_cost
-        self.bloom_base_cost = bloom_base_cost
-        self.bloom_probe_cost = bloom_probe_cost
-        self.hash_bw = hash_bw
+
+class CpuCostModel:
+    """CPU costs, all in seconds (or bytes per second).
+
+    The eight class constants are the calibration table
+    (docs/cost_model.md); every figure was produced with these values.
+    """
+
+    SERIALIZE_BW = 1.2 * GB
+    DESERIALIZE_BW = 0.9 * GB
+    DRAM_HOP = 25 * NS
+    NVM_HOP = 120 * NS
+    COMPARE_COST = 10 * NS
+    BLOOM_BASE_COST = 150 * NS
+    BLOOM_PROBE_COST = 15 * NS
+    HASH_BW = 3.0 * GB
 
     def serialize_time(self, nbytes: int) -> float:
         """CPU seconds to encode ``nbytes`` of KV data into block format."""
-        return nbytes / self.serialize_bw
+        return nbytes / self.SERIALIZE_BW
 
     def deserialize_time(self, nbytes: int) -> float:
         """CPU seconds to decode ``nbytes`` of block data back into KVs."""
-        return nbytes / self.deserialize_bw
+        return nbytes / self.DESERIALIZE_BW
 
     def hop_time(self, device_name: str) -> float:
         """CPU+latency cost of following one skip-list pointer."""
         if device_name == "dram":
-            return self.dram_hop
-        return self.nvm_hop
+            return self.DRAM_HOP
+        return self.NVM_HOP
 
     def skiplist_search_time(self, device_name: str, hops: int) -> float:
         """Cost of a search that followed ``hops`` pointers."""
-        return hops * (self.hop_time(device_name) + self.compare_cost)
+        return hops * (self.hop_time(device_name) + self.COMPARE_COST)
 
-    def bloom_build_time(self, nkeys: int, key_bytes: int = 16) -> float:
+    def bloom_build_time(self, nkeys: int) -> float:
         """Cost of hashing ``nkeys`` keys into a bloom filter."""
-        return nkeys * key_bytes / self.hash_bw
+        return nkeys * _KEY_BYTES / self.HASH_BW
 
     def bloom_probe_time(self, probes: int = 1) -> float:
         """Cost of one membership test that evaluated ``probes`` hashes.
@@ -66,4 +63,4 @@ class CpuCostModel:
         plus a small per-hash cost; misses short-circuit after ~2 hashes,
         "maybe" answers evaluate all k.
         """
-        return self.bloom_base_cost + probes * self.bloom_probe_cost
+        return self.BLOOM_BASE_COST + probes * self.BLOOM_PROBE_COST

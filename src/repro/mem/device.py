@@ -1,7 +1,5 @@
 """Device model: latency + bandwidth cost, byte accounting, space usage."""
 
-from typing import Optional
-
 
 class DeviceProfile:
     """Performance characteristics of one memory/storage device.
@@ -60,9 +58,8 @@ class DeviceProfile:
 class Device:
     """One simulated device: charges time and counts traffic and usage."""
 
-    def __init__(self, profile: DeviceProfile, capacity: Optional[int] = None) -> None:
+    def __init__(self, profile: DeviceProfile) -> None:
         self.profile = profile
-        self.capacity = capacity
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_ops = 0
@@ -112,11 +109,6 @@ class Device:
             raise ValueError(f"negative allocation: {nbytes}")
         self._integrate_usage(now)
         self.bytes_in_use += nbytes
-        if self.capacity is not None and self.bytes_in_use > self.capacity:
-            raise MemoryError(
-                f"device {self.name} over capacity: "
-                f"{self.bytes_in_use} > {self.capacity}"
-            )
         if self.bytes_in_use > self.peak_bytes_in_use:
             self.peak_bytes_in_use = self.bytes_in_use
 

@@ -3,7 +3,7 @@
 from typing import Optional
 
 from repro.mem.costs import CpuCostModel
-from repro.mem.device import Device, DeviceProfile
+from repro.mem.device import Device
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
 from repro.sim.clock import SimClock
 from repro.sim.executor import Executor
@@ -34,26 +34,17 @@ class HybridMemorySystem:
     counters, a latency recorder, and a stats registry.
     """
 
-    def __init__(
-        self,
-        dram_profile: DeviceProfile = DRAM_PROFILE,
-        nvm_profile: DeviceProfile = OPTANE_NVM_PROFILE,
-        ssd_profile: Optional[DeviceProfile] = None,
-        dram_capacity: Optional[int] = None,
-        nvm_capacity: Optional[int] = None,
-        ssd_capacity: Optional[int] = None,
-        cpu: Optional[CpuCostModel] = None,
-        clock: Optional[SimClock] = None,
-    ) -> None:
+    def __init__(self, ssd: bool = False, clock: Optional[SimClock] = None) -> None:
+        # ``ssd`` adds the NVMe tier (the paper's Section 5.4 hierarchy).
         # ``clock`` lets several systems share one timeline -- the
         # repro.cluster layer builds N shard machines on one SimClock so
         # their foreground ops and background jobs are mutually ordered.
         self.clock = clock if clock is not None else SimClock()
         self.executor = Executor(self.clock)
-        self.dram = Device(dram_profile, dram_capacity)
-        self.nvm = Device(nvm_profile, nvm_capacity)
-        self.ssd = Device(ssd_profile, ssd_capacity) if ssd_profile else None
-        self.cpu = cpu or CpuCostModel()
+        self.dram = Device(DRAM_PROFILE)
+        self.nvm = Device(OPTANE_NVM_PROFILE)
+        self.ssd = Device(NVME_SSD_PROFILE) if ssd else None
+        self.cpu = CpuCostModel()
         self.stats = StatsRegistry()
         self.latency = LatencyRecorder()
         #: The attached TraceRecorder, or None (tracing off -- the default).
@@ -62,12 +53,6 @@ class HybridMemorySystem:
         #: default).  Like ``obs``, every instrumentation site guards on
         #: this, so the disabled cost is one attribute load per op.
         self.race = None
-
-    @classmethod
-    def with_ssd(cls, **kwargs) -> "HybridMemorySystem":
-        """A DRAM-NVM-SSD machine (the paper's Section 5.4 hierarchy)."""
-        kwargs.setdefault("ssd_profile", NVME_SSD_PROFILE)
-        return cls(**kwargs)
 
     @property
     def now(self) -> float:

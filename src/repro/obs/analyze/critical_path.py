@@ -67,7 +67,7 @@ def _job_record(span) -> dict:
     return record
 
 
-def critical_paths(recorder, max_depth: int = MAX_CHAIN_DEPTH) -> List[StallChain]:
+def critical_paths(recorder) -> List[StallChain]:
     """A :class:`StallChain` for every interval stall in the trace."""
     jobs = list(recorder.worker_spans())
     by_end: Dict[float, List] = {}
@@ -107,7 +107,7 @@ def critical_paths(recorder, max_depth: int = MAX_CHAIN_DEPTH) -> List[StallChai
         seen = set()
         job = releasing_job(event.end)
         depth = 0
-        while job is not None and depth < max_depth:
+        while job is not None and depth < MAX_CHAIN_DEPTH:
             if id(job) in seen:
                 break
             seen.add(id(job))

@@ -15,7 +15,7 @@ metric name, so the report is byte-stable.
 """
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Analysis-document sections compared leaf-by-leaf.  Unlisted sections
 #: are either non-numeric narratives (critical paths, profile trees,
@@ -135,14 +135,18 @@ def diff_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def render_diff(doc: dict, top: Optional[int] = 20) -> str:
+#: Rows ``render_diff`` prints before pointing at the JSON.
+_TOP_ROWS = 20
+
+
+def render_diff(doc: dict) -> str:
     """The diff document as a fixed-width text report."""
     lines = [
         f"== repro diff ({doc['mode']}): {doc['a']} -> {doc['b']} ==",
         doc["verdict"],
     ]
     deltas = doc["deltas"]
-    shown = deltas if top is None else deltas[:top]
+    shown = deltas[:_TOP_ROWS]
     if shown:
         lines.append(
             f"{'metric':<44} {'a':>14} {'b':>14} {'shift':>8}"
@@ -153,6 +157,6 @@ def render_diff(doc: dict, top: Optional[int] = 20) -> str:
             f"{row['metric']:<44} {_fmt(row['a']):>14} "
             f"{_fmt(row['b']):>14} {pct:>7.1f}%"
         )
-    if top is not None and len(deltas) > top:
-        lines.append(f"... {len(deltas) - top} more rows (see --out JSON)")
+    if len(deltas) > _TOP_ROWS:
+        lines.append(f"... {len(deltas) - _TOP_ROWS} more rows (see --out JSON)")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ same seed produce byte-identical JSON and text output.
 """
 
 import json
-from typing import List, Optional
+from typing import List
 
 from repro.obs.analyze.attribution import attribute_ops, summarize
 from repro.obs.analyze.critical_path import critical_paths, stall_blame
@@ -42,13 +42,7 @@ def conservation_check(attributions) -> dict:
     }
 
 
-def analyze_run(
-    recorder,
-    system,
-    store_name: str,
-    top: int = TOP_CHAINS,
-    timeline_bins: int = 20,
-) -> dict:
+def analyze_run(recorder, system, store_name: str) -> dict:
     """The full analysis document for one traced store run.
 
     Works on full-fidelity and live (sampled) recorders alike; a live
@@ -60,7 +54,7 @@ def analyze_run(
     chains = critical_paths(recorder)
     chains_by_len = sorted(
         chains, key=lambda c: (-c.duration_s, c.start)
-    )[: max(0, top)]
+    )[:TOP_CHAINS]
     end_s = system.clock.now
     user_bytes = system.stats.get("user.bytes_written")
     sampling = None
@@ -91,16 +85,11 @@ def analyze_run(
             "user_bytes": user_bytes,
             "write_amplification": write_amplification(recorder, user_bytes),
         },
-        "timeline": bytes_moved_timeline(recorder, end_s, bins=timeline_bins),
+        "timeline": bytes_moved_timeline(recorder, end_s),
     }
 
 
-def analyze_cluster(
-    cluster,
-    recorders: List[object],
-    top: int = TOP_CHAINS,
-    timeline_bins: int = 20,
-) -> dict:
+def analyze_cluster(cluster, recorders: List[object]) -> dict:
     """Per-shard analysis plus the router-merged attribution summary.
 
     ``recorders`` is the list from ``cluster.attach_tracing()`` (shard
@@ -117,11 +106,7 @@ def analyze_cluster(
     merged_attrs = []
     for shard, recorder in zip(cluster.shards, recorders):
         doc = analyze_run(
-            recorder,
-            shard.system,
-            f"shard{shard.shard_id}:{cluster.store_name}",
-            top=top,
-            timeline_bins=timeline_bins,
+            recorder, shard.system, f"shard{shard.shard_id}:{cluster.store_name}"
         )
         shard_docs[str(shard.shard_id)] = doc
         merged_attrs.extend(attribute_ops(recorder))
@@ -272,19 +257,15 @@ def slo_document(
     series: dict,
     store_name: str,
     sim_time_s: float,
-    extra: Optional[dict] = None,
 ) -> dict:
     """Assemble the ``repro slo`` document (monitor + rolling series)."""
-    doc = {
+    return {
         "schema": 1,
         "store": store_name,
         "sim_time_s": sim_time_s,
         "monitor": monitor_report,
         "series": series,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def render_slo(doc: dict) -> str:

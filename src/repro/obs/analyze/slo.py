@@ -147,15 +147,18 @@ class SloMonitor:
         }
 
 
+#: Grid steps and percentile of :func:`rolling_series`.
+SERIES_BINS = 20
+SERIES_PERCENTILE = 99.0
+
+
 def rolling_series(
     samples: List[Sample],
     end_s: float,
     window_s: float,
-    bins: int = 20,
-    p: float = 99.0,
     min_kiops: Optional[float] = None,
 ) -> dict:
-    """Rolling-window p-th percentile and throughput on a fixed grid.
+    """Rolling-window p99 and throughput on a fixed grid.
 
     One row per grid point: window sample count, throughput in KIOPS,
     and the window percentile in microseconds (``None`` for an empty
@@ -163,10 +166,9 @@ def rolling_series(
     undershoots it are listed as breaches (skipping the leading
     partial-window rows before the first sample).
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
     if window_s <= 0:
         raise ValueError(f"window_s must be positive, got {window_s}")
+    bins, p = SERIES_BINS, SERIES_PERCENTILE
     times = [t for t, __ in samples]
     rows: List[dict] = []
     breaches: List[dict] = []

@@ -66,15 +66,18 @@ def per_level_bytes(recorder) -> Dict[str, dict]:
     return {label: levels[label] for label in sorted(levels)}
 
 
-def bytes_moved_timeline(recorder, end_s: float, bins: int = 20) -> List[dict]:
+#: Steps of the analysis document's bytes-moved grid.
+TIMELINE_BINS = 20
+
+
+def bytes_moved_timeline(recorder, end_s: float) -> List[dict]:
     """Cumulative written bytes per device on a fixed time grid.
 
     Returns one row per grid point: ``{"t_s", "<device>": bytes, ...}``.
-    The grid spans ``[0, end_s]`` with ``bins`` equal steps, so repeated
-    runs of the same seed produce identical rows.
+    The grid spans ``[0, end_s]`` in :data:`TIMELINE_BINS` equal steps,
+    so repeated runs of the same seed produce identical rows.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    bins = TIMELINE_BINS
     if end_s < 0:
         raise ValueError(f"end_s must be >= 0, got {end_s}")
     events = sorted(

@@ -16,19 +16,20 @@ from repro.obs.events import CAT_TRANSFER
 
 #: Microseconds per simulated second (the trace-event format's unit).
 _US = 1e6
+#: Rows of the ``--bandwidth-csv`` series.
+_BANDWIDTH_BINS = 100
+#: Cells across an ASCII gantt chart.
+_GANTT_WIDTH = 72
 
 
-def write_artifact(path, text: str, overwrite: bool = True) -> pathlib.Path:
+def write_artifact(path, text: str) -> pathlib.Path:
     """Write a deterministic text artifact to ``path``.
 
     The one place every exporter's file handling goes through: the
-    parent directory is created if missing, and ``overwrite=False``
-    refuses to clobber an existing file (useful when pinning golden
-    artifacts).  Returns the path written.
+    parent directory is created if missing and an existing file is
+    replaced.  Returns the path written.
     """
     target = pathlib.Path(path)
-    if not overwrite and target.exists():
-        raise FileExistsError(f"refusing to overwrite {target}")
     if target.parent != pathlib.Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
@@ -113,12 +114,9 @@ def chrome_trace_json(recorder, process_name: str = "repro") -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_chrome_trace(
-    recorder, path, process_name: str = "repro", overwrite: bool = True
-) -> None:
+def write_chrome_trace(recorder, path, process_name: str = "repro") -> None:
     """Serialize the trace to ``path`` (byte-reproducible)."""
-    write_artifact(path, chrome_trace_json(recorder, process_name),
-                   overwrite=overwrite)
+    write_artifact(path, chrome_trace_json(recorder, process_name))
 
 
 # -------------------------------------------------------------- metrics
@@ -193,20 +191,22 @@ def metrics_json(system, recorder=None) -> str:
                       indent=2) + "\n"
 
 
-def write_metrics(system, path, recorder=None, overwrite: bool = True) -> None:
+def write_metrics(system, path, recorder=None) -> None:
     """Serialize the metrics snapshot to ``path`` (byte-reproducible)."""
-    write_artifact(path, metrics_json(system, recorder), overwrite=overwrite)
+    write_artifact(path, metrics_json(system, recorder))
 
 
 # ------------------------------------------------------------ csv series
 
 
-def bandwidth_csv(recorder, bins: int = 100) -> str:
+def bandwidth_csv(recorder) -> str:
     """Per-device read/write bandwidth over time, as CSV text.
 
-    Transfer instants are bucketed into ``bins`` equal slices of the
-    traced window; each row reports MB/s per device and direction.
+    Transfer instants are bucketed into :data:`_BANDWIDTH_BINS` equal
+    slices of the traced window; each row reports MB/s per device and
+    direction.
     """
+    bins = _BANDWIDTH_BINS
     transfers = [e for e in recorder.events if e.cat == CAT_TRANSFER]
     devices = []
     for event in transfers:
@@ -261,14 +261,16 @@ def queue_depth_csv(recorder) -> str:
 # ----------------------------------------------------------- ascii gantt
 
 
-def ascii_gantt(spans: Sequence[Tuple[str, float, float]], width: int = 72) -> str:
-    """ASCII gantt chart: one row per label, ``#`` where busy.
+def ascii_gantt(spans: Sequence[Tuple[str, float, float]]) -> str:
+    """ASCII gantt chart, :data:`_GANTT_WIDTH` cells wide: one row per
+    label, ``#`` where busy.
 
     ``spans`` is a sequence of ``(row_label, start, end)``; rows appear
     sorted by label.  This is the renderer behind :func:`gantt`.
     """
     if not spans:
         return "(no jobs traced)"
+    width = _GANTT_WIDTH
     t0 = min(s[1] for s in spans)
     t1 = max(s[2] for s in spans)
     window = (t1 - t0) or 1e-12
@@ -289,10 +291,10 @@ def ascii_gantt(spans: Sequence[Tuple[str, float, float]], width: int = 72) -> s
     return "\n".join(lines)
 
 
-def gantt(recorder, width: int = 72) -> str:
+def gantt(recorder) -> str:
     """The recorder's background work as an ASCII gantt chart."""
     rows = [
         (span.track[len("worker:"):], span.ts, span.end)
         for span in recorder.worker_spans()
     ]
-    return ascii_gantt(rows, width)
+    return ascii_gantt(rows)

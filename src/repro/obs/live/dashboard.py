@@ -12,11 +12,13 @@ from typing import List, Optional, Sequence
 
 #: Sparkline ramp, dimmest to brightest (shared ASCII-art convention).
 SPARK_CHARS = " .:-=+*#"
+#: Windows one sparkline shows.
+SPARK_WIDTH = 24
 
 
-def sparkline(values: Sequence[float], width: int = 24) -> str:
-    """Last ``width`` values scaled onto :data:`SPARK_CHARS`."""
-    tail = list(values)[-width:]
+def sparkline(values: Sequence[float]) -> str:
+    """Last :data:`SPARK_WIDTH` values scaled onto :data:`SPARK_CHARS`."""
+    tail = list(values)[-SPARK_WIDTH:]
     if not tail:
         return ""
     top = max(tail)
@@ -32,7 +34,6 @@ def render_frame(
     recorders,
     labels: Optional[Sequence[str]] = None,
     now: float = 0.0,
-    spark_width: int = 24,
     groups: Optional[Sequence[object]] = None,
 ) -> str:
     """One dashboard frame over one or more live recorders.
@@ -84,7 +85,7 @@ def render_frame(
         rows.append(cells)
         series = [r["p99_us"] for r in window.rows] if window is not None else []
         spark_lines.append(
-            f"  shard {label} p99 [{sparkline(series, spark_width):<{spark_width}}]"
+            f"  shard {label} p99 [{sparkline(series):<{SPARK_WIDTH}}]"
         )
     headers = ["shard", "kiops", "p50_us", "p99_us", "qdepth", "wa",
                "sampled", "dumps"]
@@ -110,7 +111,6 @@ class LiveDashboard:
         labels: Optional[Sequence[str]] = None,
         refresh_s: float = 4e-3,
         sink=None,
-        spark_width: int = 24,
         groups: Optional[Sequence[object]] = None,
     ) -> None:
         if refresh_s <= 0:
@@ -125,7 +125,6 @@ class LiveDashboard:
         )
         self.refresh_s = refresh_s
         self.sink = sink
-        self.spark_width = spark_width
         self.frames: List[str] = []
         self.next_refresh = refresh_s
 
@@ -144,8 +143,7 @@ class LiveDashboard:
 
     def _render(self, now: float) -> str:
         frame = render_frame(
-            self.recorders, self.labels, now=now,
-            spark_width=self.spark_width, groups=self.groups,
+            self.recorders, self.labels, now=now, groups=self.groups
         )
         self.frames.append(frame)
         if self.sink is not None:

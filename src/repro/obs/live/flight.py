@@ -54,35 +54,21 @@ class FlightRecorder:
     - ``("queue", kind, arrival, end, client, shard)`` -- served request
     - ``("drop", cause, client, ts)`` -- shed request
 
-    Dump documents are capped at ``max_dumps`` (oldest kept: the first
+    Dump documents are capped at ``MAX_DUMPS`` (oldest kept: the first
     dumps after an incident usually hold the interesting window); further
     triggers only count.
     """
 
     def __init__(
         self,
-        capacity: int = FLIGHT_CAPACITY,
         stall_alert_s: Optional[float] = None,
-        drop_burst_n: int = DROP_BURST_N,
-        drop_burst_s: float = DROP_BURST_S,
         slo: Optional[SloObjective] = None,
-        burn_rule: BurnRateRule = BURN_RULE,
-        max_dumps: int = MAX_DUMPS,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"flight capacity must be >= 1, got {capacity}")
-        if max_dumps < 0:
-            raise ValueError(f"max_dumps must be >= 0, got {max_dumps}")
-        self.capacity = capacity
-        self.ring: deque = deque(maxlen=capacity)
+        self.ring: deque = deque(maxlen=FLIGHT_CAPACITY)
         self.stall_alert_s = stall_alert_s
-        self.drop_burst_n = drop_burst_n
-        self.drop_burst_s = drop_burst_s
         self.slo = slo
-        self.burn_rule = burn_rule
-        self.max_dumps = max_dumps
         self.dumps: List[dict] = []
-        #: Trigger counts, including triggers past the ``max_dumps`` cap.
+        #: Trigger counts, including triggers past the ``MAX_DUMPS`` cap.
         self.trigger_counts = {name: 0 for name in TRIGGERS}
         #: Optional zero-arg callable returning extra context (sampling
         #: bookkeeping, recent window rows) embedded in each dump.
@@ -110,17 +96,17 @@ class FlightRecorder:
         self.ring.append(("drop", cause, client, ts))
         times = self._drop_times
         times.append(ts)
-        horizon = ts - self.drop_burst_s
+        horizon = ts - DROP_BURST_S
         while times and times[0] < horizon:
             times.popleft()
-        if len(times) >= self.drop_burst_n:
+        if len(times) >= DROP_BURST_N:
             self._trigger(
                 TRIGGER_DROPS, ts,
                 {
                     "cause": cause,
                     "drops_in_window": len(times),
-                    "burst_n": self.drop_burst_n,
-                    "burst_window_s": self.drop_burst_s,
+                    "burst_n": DROP_BURST_N,
+                    "burst_window_s": DROP_BURST_S,
                 },
             )
             times.clear()
@@ -135,7 +121,7 @@ class FlightRecorder:
         """
         if self.slo is None:
             return
-        rule = self.burn_rule
+        rule = BURN_RULE
         rows = self._slo_windows
         rows.append((t_s, ops, bad))
         horizon = t_s - rule.long_s
@@ -177,16 +163,16 @@ class FlightRecorder:
 
     def _trigger(self, name: str, at_s: float, detail: dict) -> None:
         self.trigger_counts[name] += 1
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             return
         self.dumps.append(self._dump_doc(name, at_s, detail))
 
     # repro: allow[DEAD001] the producer of the closed vocabulary's manual trigger
-    def dump_now(self, at_s: float, reason: str = TRIGGER_MANUAL) -> dict:
+    def dump_now(self, at_s: float) -> dict:
         """Force a dump of the current ring (e.g. at end of run)."""
         self.trigger_counts[TRIGGER_MANUAL] += 1
-        doc = self._dump_doc(reason, at_s, {})
-        if len(self.dumps) < self.max_dumps:
+        doc = self._dump_doc(TRIGGER_MANUAL, at_s, {})
+        if len(self.dumps) < MAX_DUMPS:
             self.dumps.append(doc)
         return doc
 
@@ -209,6 +195,6 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return (
-            f"FlightRecorder({len(self.ring)}/{self.capacity} events, "
+            f"FlightRecorder({len(self.ring)}/{FLIGHT_CAPACITY} events, "
             f"{len(self.dumps)} dumps)"
         )

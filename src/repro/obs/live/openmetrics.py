@@ -221,10 +221,10 @@ def openmetrics_text(
     return doc.text()
 
 
-def write_openmetrics(path: str, recorders, labels=None, groups=None) -> str:
+def write_openmetrics(path: str, recorders, labels=None) -> str:
     """Write the exposition document to ``path``; returns the text."""
     from repro.obs.export import write_artifact
 
-    text = openmetrics_text(recorders, labels, groups=groups)
-    write_artifact(path, text, overwrite=True)
+    text = openmetrics_text(recorders, labels)
+    write_artifact(path, text)
     return text

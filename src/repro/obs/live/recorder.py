@@ -35,7 +35,7 @@ from typing import Optional
 from repro.obs.analyze.slo import SloObjective
 from repro.obs.events import CAT_OP, CAT_QUEUE, CAT_STALL
 from repro.obs.live.flight import FlightRecorder
-from repro.obs.live.sampling import HeadSampler, TailSampler
+from repro.obs.live.sampling import HEAD_RATE, HEAD_RUN, HeadSampler, TailSampler
 from repro.obs.live.window import WindowAggregator
 from repro.obs.recorder import TraceRecorder
 
@@ -90,9 +90,7 @@ class LiveRecorder(TraceRecorder):
         super().attach(system)
         self._devices = tuple(system.devices())
         self._devices_on = True
-        self.window = WindowAggregator(
-            system, slo_threshold_s=self._slo_threshold
-        )
+        self.window = WindowAggregator(system)
         self.window.set_window_listener(self.flight.on_window)
         # Consume latency samples recorded before attach (preloads) so
         # the first window only covers ops observed live.
@@ -170,8 +168,8 @@ class LiveRecorder(TraceRecorder):
             if cat == CAT_STALL:
                 self._stalled(args, start, end - start)
 
-    def instant(self, track, name, cat, args=None, ts=None) -> None:
-        super().instant(track, name, cat, args, ts)
+    def instant(self, track, name, cat, args=None) -> None:
+        super().instant(track, name, cat, args)
         when = self.events[-1].ts
         if cat == CAT_STALL:
             self._stalled(args, when, (args or {}).get("seconds", 0.0))
@@ -209,8 +207,8 @@ class LiveRecorder(TraceRecorder):
         retained = self.head.kept + self.retained_tail + self.retained_stall
         return {
             "seed": self.head.seed,
-            "head_rate": self.head.rate,
-            "head_run": self.head.run_len,
+            "head_rate": HEAD_RATE,
+            "head_run": HEAD_RUN,
             "tail": self.tail.as_dict(),
             "ops_seen": self.head.seen,
             "ops_retained": retained,

@@ -32,6 +32,7 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 #: Head sampling: the fraction of runs drawn, and ops per run.
 HEAD_RATE = 1.0 / 64.0
 HEAD_RUN = 16
+_HEAD_THRESHOLD = int(HEAD_RATE * float(1 << 64))
 
 #: Tail sampling: the rolling percentile, the latencies it is taken
 #: over, and how many ops pass between threshold refreshes.
@@ -54,7 +55,7 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# repro: allow[DEAD001] reference the streaming HeadSampler is tested against
+# repro: allow[DEAD001, OPT001] reference the streaming HeadSampler is tested against
 def head_keep(
     seed: int, seq: int, rate: float, run_len: int = HEAD_RUN
 ) -> bool:
@@ -80,22 +81,12 @@ class HeadSampler:
     for the *current* sequence number.
     """
 
-    __slots__ = ("seed", "rate", "run_len", "live", "_threshold", "_left",
-                 "_seq", "seen", "kept")
+    __slots__ = ("seed", "live", "_left", "_seq", "seen", "kept")
 
-    def __init__(
-        self, seed: int, rate: float = HEAD_RATE, run_len: int = HEAD_RUN
-    ) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"head rate must be in [0, 1], got {rate}")
-        if run_len < 1:
-            raise ValueError(f"run_len must be >= 1, got {run_len}")
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.rate = rate
-        self.run_len = run_len
-        self._threshold = int(rate * float(1 << 64))
         self._seq = 0
-        self._left = run_len
+        self._left = HEAD_RUN
         self.live = self._draw(0)
         self.seen = 0
         self.kept = 0
@@ -103,7 +94,7 @@ class HeadSampler:
     def _draw(self, run_index: int) -> bool:
         return (
             splitmix64(self.seed ^ (run_index * _SPLITMIX_GAMMA))
-            < self._threshold
+            < _HEAD_THRESHOLD
         )
 
     def advance(self) -> bool:
@@ -115,8 +106,8 @@ class HeadSampler:
         self._seq += 1
         left = self._left - 1
         if left == 0:
-            self._left = self.run_len
-            self.live = self._draw(self._seq // self.run_len)
+            self._left = HEAD_RUN
+            self.live = self._draw(self._seq // HEAD_RUN)
         else:
             self._left = left
         return live
@@ -124,8 +115,8 @@ class HeadSampler:
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "rate": self.rate,
-            "run_len": self.run_len,
+            "rate": HEAD_RATE,
+            "run_len": HEAD_RUN,
             "seen": self.seen,
             "kept": self.kept,
         }
@@ -134,37 +125,20 @@ class HeadSampler:
 class TailSampler:
     """Rolling-percentile outlier detector over recent op latencies.
 
-    Keeps the last ``window`` latencies in a circular buffer and refreshes
-    the retention threshold (the ``percentile``-th of the buffer) every
-    ``refresh`` observed ops.  Until the first refresh the threshold is
-    ``inf`` -- nothing tail-samples on latency while the distribution is
-    still unknown (stall retention is handled by the recorder and does
-    not wait).  All state is a pure function of the observed latency
+    Keeps the last ``TAIL_WINDOW`` latencies in a circular buffer and
+    refreshes the retention threshold (the ``TAIL_PERCENTILE``-th of the
+    buffer) every ``TAIL_REFRESH`` observed ops.  Until the first refresh
+    the threshold is ``inf`` -- nothing tail-samples on latency while the
+    distribution is still unknown (stall retention is handled by the
+    recorder and does not wait).  All state is a pure function of the observed latency
     stream, so tail decisions are as deterministic as head decisions.
     """
 
-    __slots__ = ("percentile", "window", "refresh", "threshold",
-                 "_buf", "_idx", "_filled", "_since", "kept")
+    __slots__ = ("threshold", "_buf", "_idx", "_filled", "_since", "kept")
 
-    def __init__(
-        self,
-        percentile: float = TAIL_PERCENTILE,
-        window: int = TAIL_WINDOW,
-        refresh: int = TAIL_REFRESH,
-    ) -> None:
-        if not 0.0 < percentile <= 100.0:
-            raise ValueError(
-                f"tail percentile must be in (0, 100], got {percentile}"
-            )
-        if window < 1:
-            raise ValueError(f"tail window must be >= 1, got {window}")
-        if refresh < 1:
-            raise ValueError(f"tail refresh must be >= 1, got {refresh}")
-        self.percentile = percentile
-        self.window = window
-        self.refresh = refresh
+    def __init__(self) -> None:
         self.threshold = float("inf")
-        self._buf: List[float] = [0.0] * window
+        self._buf: List[float] = [0.0] * TAIL_WINDOW
         self._idx = 0
         self._filled = 0
         self._since = 0
@@ -179,13 +153,13 @@ class TailSampler:
         idx = self._idx
         buf[idx] = latency
         idx += 1
-        if idx == self.window:
+        if idx == TAIL_WINDOW:
             idx = 0
         self._idx = idx
-        if self._filled < self.window:
+        if self._filled < TAIL_WINDOW:
             self._filled += 1
         self._since += 1
-        if self._since >= self.refresh:
+        if self._since >= TAIL_REFRESH:
             self._refresh_threshold()
         return outlier
 
@@ -194,13 +168,13 @@ class TailSampler:
 
         self._since = 0
         live = sorted(self._buf[: self._filled])
-        self.threshold = nearest_rank(live, self.percentile)
+        self.threshold = nearest_rank(live, TAIL_PERCENTILE)
 
     def as_dict(self) -> dict:
         return {
-            "percentile": self.percentile,
-            "window": self.window,
-            "refresh": self.refresh,
+            "percentile": TAIL_PERCENTILE,
+            "window": TAIL_WINDOW,
+            "refresh": TAIL_REFRESH,
             "threshold": self.threshold if self.threshold != float("inf")
             else None,
             "kept": self.kept,

@@ -1,7 +1,7 @@
 """Windowed aggregation of live telemetry on the simulated clock.
 
 The live recorder cannot keep per-op events, so continuous signals come
-from fixed-width windows instead: every ``window_s`` of simulated time
+from fixed-width windows instead: every ``WINDOW_S`` of simulated time
 it closes a row with the window's op count, throughput, p50/p99, the
 executor queue depth, and the system's write amplification.  Rows are
 pure functions of the simulated run, so two identical runs produce
@@ -23,32 +23,21 @@ from typing import List, Optional
 
 #: Width of one aggregation window, in simulated seconds.
 WINDOW_S = 1e-3
+#: Rows kept per aggregator; the oldest leaves (and is counted) past it.
+MAX_ROWS = 4096
 
 
 class WindowAggregator:
     """Rolls one system's telemetry into fixed simulated-time windows."""
 
-    def __init__(
-        self,
-        system,
-        window_s: float = WINDOW_S,
-        slo_threshold_s: Optional[float] = None,
-        max_rows: int = 4096,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
+    def __init__(self, system) -> None:
         self.system = system
-        self.window_s = window_s
-        self.slo_threshold_s = slo_threshold_s
-        self.max_rows = max_rows
         self.rows: List[dict] = []
         self.dropped_rows = 0
         # First tick closes the window containing the first op; align
-        # edges to multiples of window_s from t=0 so identical runs tick
+        # edges to multiples of WINDOW_S from t=0 so identical runs tick
         # at identical instants regardless of when attach happened.
-        self.next_edge = window_s
+        self.next_edge = WINDOW_S
         # Ops whose latency exceeded the SLO threshold in the open
         # window (maintained by the recorder; consumed at tick time).
         self.bad_in_window = 0
@@ -73,9 +62,9 @@ class WindowAggregator:
         # The row's edge is the last crossed boundary: ops since the
         # previous tick completed at or before it.
         edge = self.next_edge
-        while edge + self.window_s <= now:
-            edge += self.window_s
-        self.next_edge = edge + self.window_s
+        while edge + WINDOW_S <= now:
+            edge += WINDOW_S
+        self.next_edge = edge + WINDOW_S
         bad = self.bad_in_window
         self.bad_in_window = 0
         if snap.count == 0:
@@ -96,13 +85,13 @@ class WindowAggregator:
         row = {
             "t_s": t_s,
             "ops": snap.count,
-            "kiops": snap.count / self.window_s / 1e3,
+            "kiops": snap.count / WINDOW_S / 1e3,
             "p50_us": snap.p50 * 1e6,
             "p99_us": snap.p99 * 1e6,
             "queue_depth": self.system.executor.pending,
             "wa": self.system.write_amplification(),
         }
-        if len(self.rows) >= self.max_rows:
+        if len(self.rows) >= MAX_ROWS:
             self.rows.pop(0)
             self.dropped_rows += 1
         self.rows.append(row)
@@ -115,5 +104,5 @@ class WindowAggregator:
     def __repr__(self) -> str:
         return (
             f"WindowAggregator({len(self.rows)} rows, "
-            f"window={self.window_s * 1e3:g}ms)"
+            f"window={WINDOW_S * 1e3:g}ms)"
         )

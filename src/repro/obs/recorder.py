@@ -162,13 +162,11 @@ class TraceRecorder:
         name: str,
         cat: str,
         args: Optional[dict] = None,
-        ts: Optional[float] = None,
     ) -> None:
-        """Record a point event (defaults to the current simulated time)."""
+        """Record a point event at the current simulated time."""
         if self.strict:
             self._check_vocab(name, cat, args)
-        when = self.clock.now if ts is None else ts
-        self.events.append(TraceEvent(track, name, cat, when, None, args))
+        self.events.append(TraceEvent(track, name, cat, self.clock.now, None, args))
 
     def transfer(
         self,

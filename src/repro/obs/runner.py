@@ -19,7 +19,6 @@ def run_traced(
     reads: int = 256,
     seed: int = 1,
     ssd: bool = False,
-    scale=None,
     live=None,
 ) -> Tuple[object, object, object]:
     """Run a traced workload; returns ``(store, system, recorder)``.
@@ -36,14 +35,13 @@ def run_traced(
     identical either way -- only what the recorder retains differs.
 
     The recorder is detached before returning, so the caller can export
-    its events without further mutation.  ``scale`` is a
-    :class:`~repro.bench.config.BenchScale`; when ``None`` a
-    *trace-tuned* scale is used instead of the benchmark default: a
-    small MemTable so a few thousand operations drive many flushes and
-    multi-level compactions, and (for MioDB) a capped elastic buffer so
-    the trace also shows write stalls.  MioDB's whole point is that it
-    barely stalls, so without the cap a short trace would contain no
-    stall spans to look at.
+    its events without further mutation.  The store runs at a
+    *trace-tuned* scale, not the benchmark default: a small MemTable so
+    a few thousand operations drive many flushes and multi-level
+    compactions, and (for MioDB) a capped elastic buffer so the trace
+    also shows write stalls.  MioDB's whole point is that it barely
+    stalls, so without the cap a short trace would contain no stall
+    spans to look at.
     """
     # Imported here, not at module scope: the stores import the event
     # vocabulary from this package, so pulling the bench layer in at
@@ -71,16 +69,15 @@ def run_traced(
         raise ValueError(
             f"unknown trace mode {mode!r} (use fillrandom|fillseq|ycsb-<X>)"
         )
+    scale = BenchScale(
+        memtable_bytes=64 * KB,
+        dataset_bytes=2 * MB,
+        value_size=KB,
+        nvm_buffer_bytes=512 * KB,
+    )
     overrides = {}
-    if scale is None:
-        scale = BenchScale(
-            memtable_bytes=64 * KB,
-            dataset_bytes=2 * MB,
-            value_size=KB,
-            nvm_buffer_bytes=512 * KB,
-        )
-        if store_name == "miodb":
-            overrides["max_nvm_buffer_bytes"] = 256 * KB
+    if store_name == "miodb":
+        overrides["max_nvm_buffer_bytes"] = 256 * KB
     store, system = make_store(store_name, scale, ssd=ssd, **overrides)
     if live is not None:
         recorder = system.attach_live(**live)

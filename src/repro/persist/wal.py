@@ -221,7 +221,7 @@ class WriteAheadLog:
             self.device.release(freed)
         return freed
 
-    # repro: allow[DEAD001] fault-injection surface, driven by tests/
+    # repro: allow[DEAD001, OPT001] fault-injection surface, driven by tests/
     def tear_tail(self, count: int = 1) -> None:
         """Mark the last ``count`` records as torn (partially written).
 

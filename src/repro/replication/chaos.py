@@ -33,6 +33,13 @@ from repro.sim.rng import XorShiftRng
 
 #: Completed ops between a kill and its victim's restart.
 RESTART_GAP_OPS = 80
+#: Kill points one schedule draws.
+KILLS = 3
+#: The scenario's one closed-loop client: key universe, share of gets,
+#: nominal value bytes.
+KEY_SPACE = 512
+READ_FRACTION = 0.3
+VALUE_SIZE = 128
 
 
 class ChaosEvent:
@@ -63,25 +70,22 @@ class ChaosSchedule:
         cls,
         seed: int,
         n_groups: int,
-        kills: int = 3,
         span_ops: int = 400,
     ) -> "ChaosSchedule":
-        """Draw ``kills`` kill points inside the middle of the run.
+        """Draw :data:`KILLS` kill points inside the middle of the run.
 
         Kill times land in ``[span*0.1, span*0.9]`` so the run has a
         warm-up and a post-fault tail; each event picks its group and
         whether to target the leader or a follower from the same seeded
         stream.
         """
-        if kills < 0:
-            raise ValueError(f"kills must be >= 0, got {kills}")
         if span_ops < 10:
             raise ValueError(f"span_ops must be >= 10, got {span_ops}")
         rng = XorShiftRng(seed)
         lo = span_ops // 10
         hi = max(lo + 1, (span_ops * 9) // 10)
         points = set()
-        while len(points) < kills:
+        while len(points) < KILLS:
             points.add(lo + rng.next_below(hi - lo))
         events = []
         for at in sorted(points):
@@ -201,10 +205,6 @@ def run_chaos(
     shards: int = 2,
     followers: int = 2,
     ops: int = 400,
-    kills: int = 3,
-    key_space: int = 512,
-    read_fraction: float = 0.3,
-    value_size: int = 128,
     ack_policy: str = ACK_QUORUM,
     read_policy: str = READ_LEADER,
     scale=None,
@@ -231,15 +231,15 @@ def run_chaos(
     )
     router = ShardRouter(cluster)
     recorders = cluster.attach_tracing() if trace is not None else None
-    schedule = ChaosSchedule.generate(seed, shards, kills=kills, span_ops=ops)
+    schedule = ChaosSchedule.generate(seed, shards, span_ops=ops)
     injector = ChaosInjector(router, schedule)
     clients = [
         ClientSpec(
             n_ops=ops,
             rate_per_s=float("inf"),
-            key_space=key_space,
-            read_fraction=read_fraction,
-            value_size=value_size,
+            key_space=KEY_SPACE,
+            read_fraction=READ_FRACTION,
+            value_size=VALUE_SIZE,
             seed=seed,
         )
     ]

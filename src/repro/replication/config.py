@@ -22,6 +22,10 @@ READ_FOLLOWER_RYW = "follower-ryw"        #: followers, but never behind the
 
 READ_POLICIES = (READ_LEADER, READ_FOLLOWER_EVENTUAL, READ_FOLLOWER_RYW)
 
+#: Simulated seconds a failover election takes (detection + vote),
+#: serialized after the winner's pending tail replay.
+ELECTION_TIMEOUT_S = 200e-6
+
 
 class ReplicationConfig:
     """Shape and policies of one replica group.
@@ -31,23 +35,17 @@ class ReplicationConfig:
         ack_policy: one of :data:`ACK_POLICIES`.
         read_policy: one of :data:`READ_POLICIES`.
         ship_batch: max WAL frames bundled into one ship transfer.
-        election_timeout_s: simulated seconds a failover election takes
-            (detection + vote), serialized after the winner's pending
-            tail replay.
     """
 
-    __slots__ = (
-        "followers", "ack_policy", "read_policy", "ship_batch",
-        "election_timeout_s",
-    )
+    __slots__ = ("followers", "ack_policy", "read_policy", "ship_batch")
 
+    # repro: allow[OPT001] the write-path pin lags its followers with ship_batch=64
     def __init__(
         self,
         followers: int = 2,
         ack_policy: str = ACK_QUORUM,
         read_policy: str = READ_LEADER,
         ship_batch: int = 8,
-        election_timeout_s: float = 200e-6,
     ) -> None:
         if followers < 0:
             raise ValueError(f"followers must be >= 0, got {followers}")
@@ -62,15 +60,10 @@ class ReplicationConfig:
             )
         if ship_batch < 1:
             raise ValueError(f"ship_batch must be >= 1, got {ship_batch}")
-        if election_timeout_s <= 0:
-            raise ValueError(
-                f"election_timeout_s must be positive, got {election_timeout_s}"
-            )
         self.followers = followers
         self.ack_policy = ack_policy
         self.read_policy = read_policy
         self.ship_batch = ship_batch
-        self.election_timeout_s = election_timeout_s
 
     @property
     def group_size(self) -> int:

@@ -48,6 +48,7 @@ from repro.obs.events import (
 )
 from repro.persist.crash import PASSIVE_INJECTOR
 from repro.replication.config import (
+    ELECTION_TIMEOUT_S,
     READ_FOLLOWER_RYW,
     READ_LEADER,
     ReplicationConfig,
@@ -169,33 +170,27 @@ class ReplicaGroup:
     # ------------------------------------------------------------ building
 
     @classmethod
+    # repro: allow[OPT001] fault injection: tests crash the leader at a repl.* point
     def build(
         cls,
         store_name: str = "miodb",
         scale=None,
         config: Optional[ReplicationConfig] = None,
-        ssd: bool = False,
-        stats: Optional[StatsRegistry] = None,
         crash_injector=None,
-        clock=None,
         **overrides,
     ) -> "ReplicaGroup":
         """A standalone group (id 0) of ``store_name`` stores on one clock."""
         from repro.bench.factory import make_store, make_system
         from repro.sim.clock import SimClock
 
-        shared_clock = clock or SimClock()
+        clock = SimClock()
 
         def factory(rid: int):
             return make_store(
-                store_name, scale, system=make_system(ssd, clock=shared_clock),
-                ssd=ssd, **overrides
+                store_name, scale, system=make_system(clock=clock), **overrides
             )
 
-        return cls(
-            0, shared_clock, factory, config,
-            stats=stats, crash_injector=crash_injector,
-        )
+        return cls(0, clock, factory, config, crash_injector=crash_injector)
 
     def _make_member(self, rid: int) -> Replica:
         store, system = self._factory(rid)
@@ -647,6 +642,7 @@ class ReplicaGroup:
         self._settle_members()
         return self._await_leader().store.scan(start_key, count)
 
+    # repro: allow[OPT001] same paging surface as KVStore.items, driven by tests/
     def items(self, start_key: bytes = b"\x00", end_key=None, page_size: int = 128):
         """Iterate live ``(key, value)`` pairs from the leader in key order."""
         return paged_items(self.scan, start_key, end_key, page_size)
@@ -762,7 +758,7 @@ class ReplicaGroup:
         # takes over as leader.
         election_job = winner.system.executor.submit(
             winner.apply_worker,
-            self.config.election_timeout_s,
+            ELECTION_TIMEOUT_S,
             elected,
             name=f"repl-elect-g{self.group_id}-r{winner.replica_id}",
             meta={

@@ -121,15 +121,14 @@ class Executor:
         duration: float,
         callback: Optional[Callable[[], None]] = None,
         name: str = "job",
-        not_before: Optional[float] = None,
         meta: Optional[dict] = None,
         accesses: Optional[tuple] = None,
     ) -> Job:
         """Queue ``duration`` seconds of work on ``worker``.
 
         The job starts when the worker is free (but never before the
-        current simulated time, nor before ``not_before`` when given) and
-        its callback fires when the simulation settles past its end time.
+        current simulated time) and its callback fires when the
+        simulation settles past its end time.
         ``meta`` is opaque annotation passed through to submit listeners
         (e.g. the trace category and byte counts of a flush).
 
@@ -145,8 +144,6 @@ class Executor:
             raise ValueError(f"job duration must be >= 0, got {duration}")
         now = self.clock._now  # slot read; the property costs a call
         start = max(worker.busy_until, now)
-        if not_before is not None and not_before > start:
-            start = not_before
         end = start + duration
         worker.busy_until = end
         worker.total_busy += duration
@@ -160,14 +157,14 @@ class Executor:
             self.race.on_submit(job, accesses)
         return job
 
-    def settle(self, until: Optional[float] = None) -> int:
-        """Apply effects of every job ending at or before ``until``.
+    def settle(self) -> int:
+        """Apply effects of every job that ended by the current clock time.
 
-        Defaults to the current clock time.  Returns the number of job
-        callbacks applied.  Callbacks may submit new jobs; those are
-        drained too if they also finish within the horizon.
+        Returns the number of job callbacks applied.  Callbacks may
+        submit new jobs; those are drained too if they also finish
+        within the horizon.
         """
-        horizon = self.clock._now if until is None else until
+        horizon = self.clock._now
         applied = 0
         while self._heap and self._heap[0][0] <= horizon:
             __, __, job = heapq.heappop(self._heap)

@@ -192,33 +192,22 @@ class LatencyRecorder:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
         return _summarise(self.latencies(kind))
 
-    def window_snapshot(
-        self, kind: Optional[str] = None, reset: bool = False
-    ) -> LatencySummary:
+    def window_snapshot(self, reset: bool = False) -> LatencySummary:
         """Summary of the samples recorded since the last resetting snapshot.
 
         Rolling-window consumers (the live telemetry plane's windowed
         aggregation) call this once per tick.  Only the samples recorded
-        after the previous ``reset=True`` call are summarised, via a
-        per-kind cursor -- no per-tick copy of the full sample history.
-        With ``reset=False`` the window is peeked without consuming it;
-        with ``reset=True`` the cursor advances so the next snapshot
-        starts fresh.  ``kind=None`` pools every kind (and resets every
-        cursor when asked to).
+        after the previous ``reset=True`` call are summarised, pooled
+        over every kind via a per-kind cursor -- no per-tick copy of the
+        full sample history.  With ``reset=False`` the window is peeked
+        without consuming it; with ``reset=True`` every cursor advances
+        so the next snapshot starts fresh.
         """
-        if kind is not None:
-            kinds = (kind,)
-        else:
-            kinds = tuple(self._columns)
         values: List[float] = []
-        for k in kinds:
-            columns = self._columns.get(k)
-            if not columns:
-                continue
-            lats = columns[1]
-            values.extend(lats[self._window_start.get(k, 0):])
+        for kind, (__, lats) in self._columns.items():
+            values.extend(lats[self._window_start.get(kind, 0):])
             if reset:
-                self._window_start[k] = len(lats)
+                self._window_start[kind] = len(lats)
         return _summarise(values)
 
     def merge_from(self, other: "LatencyRecorder") -> None:
@@ -227,16 +216,3 @@ class LatencyRecorder:
             mine = self._kind_columns(kind)
             mine[0].extend(times)
             mine[1].extend(lats)
-
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """A new recorder pooling this recorder's samples with ``other``'s.
-
-        Neither input is mutated.  Percentiles of the merged recorder
-        equal percentiles computed over the pooled sample list -- the
-        property multi-shard runs rely on to report cluster-level tails
-        without concatenating sample lists ad hoc.
-        """
-        merged = LatencyRecorder()
-        merged.merge_from(self)
-        merged.merge_from(other)
-        return merged

@@ -200,16 +200,15 @@ class SkipList:
             yield node
             node = node.next[0]
 
-    def items(self, include_tombstones: bool = False):
-        """Newest version per key, as ``(key, value)`` pairs."""
+    def items(self):
+        """Newest live version per key, as ``(key, value)`` pairs."""
         last_key = None
         for node in self.nodes():
             if node.key == last_key:
                 continue
             last_key = node.key
-            if node.is_tombstone and not include_tombstones:
-                continue
-            yield node.key, node.value
+            if not node.is_tombstone:
+                yield node.key, node.value
 
     @property
     def is_empty(self) -> bool:
@@ -224,7 +223,6 @@ class SkipList:
         seq: int,
         value,
         value_bytes: int,
-        height: Optional[int] = None,
     ) -> Tuple[Node, int]:
         """Insert one version; returns ``(node, hops)``.
 
@@ -235,10 +233,8 @@ class SkipList:
         at = preds[0].next[0]
         if at is not None and at.key == key and at.seq == seq:
             raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
-        if height is None:
-            height = random_height(self._rng)
         nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
-        node = Node(key, seq, value, nbytes, height)
+        node = Node(key, seq, value, nbytes, random_height(self._rng))
         self._splice_in(node, preds)
         return node, hops
 
@@ -485,17 +481,14 @@ class SkipListCursor:
         seq: int,
         value,
         value_bytes: int,
-        height: Optional[int] = None,
     ) -> Tuple[Node, int]:
         """:meth:`SkipList.insert` through the cursor; same contract."""
         preds, hops = self.seek(key, seq)
         at = preds[0].next[0]
         if at is not None and at.key == key and at.seq == seq:
             raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
-        if height is None:
-            height = random_height(self._list._rng)
         nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
-        node = Node(key, seq, value, nbytes, height)
+        node = Node(key, seq, value, nbytes, random_height(self._list._rng))
         self._link(node, preds)
         return node, hops
 

@@ -27,7 +27,6 @@ def fill_random(
     n: int,
     value_size: int,
     seed: int = 1,
-    quiesce: bool = False,
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in random key order."""
@@ -39,8 +38,6 @@ def fill_random(
     )
     with Phase("fillrandom", store.system) as phase:
         issue_puts(store, items, batch_size)
-        if quiesce:
-            store.quiesce()
     return phase.result()
 
 
@@ -48,15 +45,12 @@ def fill_seq(
     store,
     n: int,
     value_size: int,
-    quiesce: bool = False,
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in ascending key order."""
     items = ((key_for(index), SizedValue(index, value_size)) for index in range(n))
     with Phase("fillseq", store.system) as phase:
         issue_puts(store, items, batch_size)
-        if quiesce:
-            store.quiesce()
     return phase.result()
 
 
@@ -65,7 +59,6 @@ def read_random(
     n_reads: int,
     key_space: int,
     seed: int = 2,
-    expect_hits: bool = True,
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Read ``n_reads`` uniformly random existing keys."""
@@ -73,18 +66,16 @@ def read_random(
     keys = (key_for(rng.next_below(key_space)) for __ in range(n_reads))
     with Phase("readrandom", store.system) as phase:
         misses = issue_gets(store, keys, batch_size)
-    if expect_hits and misses:
+    if misses:
         raise AssertionError(f"readrandom missed {misses}/{n_reads} existing keys")
     return phase.result()
 
 
 def read_seq(
-    store, n_reads: int, key_space: int, start: Optional[int] = None,
-    batch_size: Optional[int] = None,
+    store, n_reads: int, key_space: int, batch_size: Optional[int] = None
 ) -> RunResult:
-    """Read keys in ascending order (db_bench's readseq)."""
-    first = 0 if start is None else start
-    keys = (key_for((first + i) % key_space) for i in range(n_reads))
+    """Read keys in ascending order from the first (db_bench's readseq)."""
+    keys = (key_for(i % key_space) for i in range(n_reads))
     with Phase("readseq", store.system) as phase:
         issue_gets(store, keys, batch_size)
     return phase.result()

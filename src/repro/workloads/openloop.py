@@ -7,7 +7,7 @@ arrive at a fixed rate whether or not the store is ready) a stall also
 queues every request behind it -- the queueing delay that dominates
 production tail latency.
 
-``run_open_loop`` replays an operation stream with exponential or fixed
+``run_open_loop`` replays an operation stream with exponential
 inter-arrival gaps and reports *response times* (completion minus
 arrival), which include time spent waiting for the store.  Passing
 ``rate_per_s=math.inf`` selects the closed-loop fast path: each request
@@ -59,15 +59,14 @@ def run_open_loop(
     n_ops: int,
     rate_per_s: float,
     seed: int = 1,
-    poisson: bool = True,
 ) -> OpenLoopResult:
     """Issue ``n_ops`` calls of ``operations(i)`` at ``rate_per_s``.
 
     ``operations`` performs exactly one store operation per call (the
     store advances the simulated clock by its service time).  Arrivals
-    are scheduled independently; if the store is still busy when a
-    request arrives, the request queues and its response time includes
-    the wait.  ``rate_per_s=math.inf`` runs closed-loop: every request
+    are a Poisson process scheduled independently; if the store is still
+    busy when a request arrives, the request queues and its response time
+    includes the wait.  ``rate_per_s=math.inf`` runs closed-loop: every request
     arrives exactly when the previous one finished (no queueing).
     """
     closed_loop = math.isinf(rate_per_s)
@@ -86,11 +85,7 @@ def run_open_loop(
             # response time is exactly the service time.
             arrival = clock.now
         else:
-            if poisson:
-                gap = -math.log(1.0 - rng.next_float()) / rate_per_s
-            else:
-                gap = 1.0 / rate_per_s
-            arrival += gap
+            arrival += -math.log(1.0 - rng.next_float()) / rate_per_s
             # the server (store) is free at clock.now; the request starts
             # at whichever is later
             if arrival > clock.now:
@@ -102,8 +97,10 @@ def run_open_loop(
         recorder.record("response", clock.now, clock.now - arrival)
 
     samples = recorder.samples_since("response", 0)
-    first_arrival = samples[0][0] - samples[0][1]
-    total_span = samples[-1][0] - first_arrival
+    total_span = 0.0
+    if samples:
+        first_arrival = samples[0][0] - samples[0][1]
+        total_span = samples[-1][0] - first_arrival
     achieved = n_ops / total_span if total_span > 0 else 0.0
     return OpenLoopResult(
         ops=n_ops,

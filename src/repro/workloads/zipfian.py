@@ -70,9 +70,9 @@ class ZipfianGenerator:
 class ScrambledZipfian:
     """Zipfian ranks hashed over the key space (YCSB's default)."""
 
-    def __init__(self, n: int, rng: XorShiftRng, theta: float = 0.99) -> None:
+    def __init__(self, n: int, rng: XorShiftRng) -> None:
         self.n = n
-        self._zipf = ZipfianGenerator(n, rng, theta)
+        self._zipf = ZipfianGenerator(n, rng)
 
     def next(self) -> int:
         return _scrambled(self._zipf.next()) % self.n
@@ -81,8 +81,8 @@ class ScrambledZipfian:
 class LatestGenerator:
     """Skewed toward the most recent insert (workload D's read side)."""
 
-    def __init__(self, n: int, rng: XorShiftRng, theta: float = 0.99) -> None:
-        self._zipf = ZipfianGenerator(max(1, n), rng, theta)
+    def __init__(self, n: int, rng: XorShiftRng) -> None:
+        self._zipf = ZipfianGenerator(max(1, n), rng)
         self.max_index = n - 1
 
     def observe_insert(self, index: int) -> None:

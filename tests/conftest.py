@@ -28,7 +28,7 @@ def system():
 @pytest.fixture
 def ssd_system():
     """A fresh DRAM+NVM+SSD machine."""
-    return HybridMemorySystem.with_ssd()
+    return HybridMemorySystem(ssd=True)
 
 
 @pytest.fixture

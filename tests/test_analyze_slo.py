@@ -93,8 +93,8 @@ def test_alert_log_is_deterministic_on_a_traced_run():
 
 
 def test_rolling_series_empty_windows_report_none():
-    series = rolling_series([], end_s=1.0, window_s=0.1, bins=4)
-    assert len(series["rows"]) == 5
+    series = rolling_series([], end_s=1.0, window_s=0.1)
+    assert len(series["rows"]) == 21
     assert all(row["p99_us"] is None for row in series["rows"])
     assert all(row["count"] == 0 for row in series["rows"])
     assert series["throughput_breaches"] == []
@@ -102,19 +102,17 @@ def test_rolling_series_empty_windows_report_none():
 
 def test_rolling_series_counts_and_percentiles():
     samples = [(0.01 * (i + 1), 1e-4 * (i + 1)) for i in range(100)]
-    series = rolling_series(samples, end_s=1.0, window_s=0.25, bins=4, p=50.0)
+    series = rolling_series(samples, end_s=1.0, window_s=0.25)
     by_t = {row["t_s"]: row for row in series["rows"]}
     assert by_t[0.0]["count"] == 0
     assert by_t[0.5]["count"] == 25  # samples in (0.25, 0.5]
     assert by_t[1.0]["count"] == 25
-    assert by_t[1.0]["p50_us"] is not None
+    assert by_t[1.0]["p99_us"] == pytest.approx(1e-4 * 100 * 1e6)  # nearest rank of 25
 
 
 def test_rolling_series_flags_throughput_breaches():
     samples = [(0.01 * (i + 1), 1e-4) for i in range(50)]  # stop at 0.5s
-    series = rolling_series(
-        samples, end_s=1.0, window_s=0.25, bins=4, min_kiops=0.05
-    )
+    series = rolling_series(samples, end_s=1.0, window_s=0.25, min_kiops=0.05)
     # After the load stops the windows empty out and undershoot the floor.
     assert any(b["t_s"] >= 0.75 for b in series["throughput_breaches"])
     # Leading edge before the first sample is not counted as a breach.
@@ -124,5 +122,3 @@ def test_rolling_series_flags_throughput_breaches():
 def test_rolling_series_validation():
     with pytest.raises(ValueError):
         rolling_series([], end_s=1.0, window_s=0.0)
-    with pytest.raises(ValueError):
-        rolling_series([], end_s=1.0, window_s=0.1, bins=0)

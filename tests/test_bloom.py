@@ -79,8 +79,9 @@ def test_nbytes():
 
 
 def test_fnv_hash_deterministic_and_seeded():
-    assert fnv1a_64(b"hello") == fnv1a_64(b"hello")
-    assert fnv1a_64(b"hello", seed=1) != fnv1a_64(b"hello", seed=2)
+    # The published FNV-1a vector; the probe pair's seeds are pinned in
+    # test_bloom_lazy.py.
+    assert fnv1a_64(b"hello") == 0xA430D84680AABD0B
 
 
 def test_double_hashes_positions_in_range():

@@ -17,6 +17,8 @@ from repro.check.contracts import (
     check_dead_names,
     check_event_schema,
     check_store_class,
+    check_unset_options,
+    read_sources,
     schema_fingerprint,
     store_classes,
 )
@@ -197,10 +199,10 @@ def test_dead_name_is_reported_and_pragma_is_honoured(tmp_path):
         "class Used:\n    def dead_method(self):\n        pass\n"
     )
     (tmp_path / "examples" / "demo.py").write_text("import pkg\npkg.mod.Used()\n")
-    found = check_dead_names(tmp_path / "pkg")
-    assert [(f.rule, f.path, f.line, f.snippet) for f in found] == [
-        ("DEAD001", "pkg/mod.py", 1, "def planted"),
-        ("DEAD001", "pkg/mod.py", 9, "def dead_method"),
+    found = check_dead_names(read_sources(tmp_path / "pkg"))
+    assert [(f.rule, f.path, f.line, f.message.split()[0]) for f in found] == [
+        ("DEAD001", "pkg/mod.py", 1, "planted"),
+        ("DEAD001", "pkg/mod.py", 9, "dead_method"),
     ]
 
 
@@ -224,5 +226,101 @@ def test_a_method_is_kept_alive_by_attribute_access_not_by_spelling(tmp_path):
     (tmp_path / "examples" / "demo.py").write_text(
         "from pkg.mod import Recorder, report\nreport(Recorder())\n"
     )
-    found = check_dead_names(tmp_path / "pkg")
-    assert [(f.line, f.snippet) for f in found] == [(2, "def series")]
+    found = check_dead_names(read_sources(tmp_path / "pkg"))
+    assert [(f.line, f.message.split()[0]) for f in found] == [(2, "series")]
+
+
+# ---------------------------------------------------------------- OPT001
+
+
+def _unset(tmp_path, definition, use):
+    """OPT001 over a one-module package and one ``examples/`` caller."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "mod.py").write_text(definition)
+    (tmp_path / "examples" / "demo.py").write_text(use)
+    found = check_unset_options(read_sources(tmp_path / "pkg"))
+    assert {f.rule for f in found} <= {"OPT001"}
+    return [(f.line, f.message.split()[0]) for f in found]
+
+
+_KNOB = "def tune(x, depth=3, width=4):\n    return x, depth, width\n"
+_BASE = "class Base:\n    def __init__(self, size=1, seed=2):\n        pass\n"
+
+
+@pytest.mark.parametrize("definition, use, unset", [
+    pytest.param(_KNOB, "tune(1, width=2, depth=1)\n", [], id="keyword"),
+    pytest.param(_KNOB, "import pkg.mod\npkg.mod.tune(1, 2, 3)\n", [], id="position"),
+    pytest.param(_KNOB, "tune(1, 2)\n", [(1, "tune(width=)")], id="one-short"),
+    pytest.param(
+        _KNOB,
+        "from functools import partial\nhalf = partial(tune, 1, 2)\n"
+        "partial(tune, width=5)\n", [], id="partial"),
+    pytest.param(_KNOB, "tune(*row)\n", [], id="star-args"),
+    pytest.param(_KNOB, "tune(1, **options)\n", [], id="star-dict"),
+    pytest.param(
+        _BASE + "class Child(Base):\n    def __init__(self):\n"
+                "        super().__init__(4, seed=5)\n",
+        "Child()\n", [], id="super-init"),
+    pytest.param(
+        _BASE + "class Child(Base):\n    pass\n", "Child(size=3)\n",
+        [(2, "Base(seed=)")], id="inherited-init"),
+    pytest.param(
+        _BASE.replace("pass", "pass\n    @classmethod\n    def small(cls):\n"
+                              "        return cls(1, 2)"),
+        "Base.small()\n", [], id="cls-call"),
+    pytest.param(
+        "def tune(self, depth=3):\n    pass\n"
+        "class T:\n    def tune(self, depth=3):\n        pass\n",
+        "t.tune(1)\n", [(1, "tune(depth=)")], id="a-method's-self-is-bound"),
+])
+def test_the_ways_a_parameter_is_set(tmp_path, definition, use, unset):
+    assert _unset(tmp_path, definition, use) == unset
+
+
+def test_kwargs_forward_one_hop_and_hide_nothing(tmp_path):
+    definition = (
+        "class Machine:\n"
+        "    def __init__(self, ssd=None, clock=None, cpu=None):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def with_ssd(cls, label='m', **kwargs):\n"
+        "        return cls(ssd=True, **kwargs)\n"
+        "def outer(**kwargs):\n"
+        "    return Machine.with_ssd(**kwargs)\n"
+    )
+    # with_ssd's callers pass clock=: it reaches Machine through the
+    # **kwargs; label= is with_ssd's own; cpu= reaches nothing.  outer's
+    # cpu= is two hops from Machine and does not count.
+    use = "Machine.with_ssd(label='x', clock=1)\nouter(cpu=2)\n"
+    assert _unset(tmp_path, definition, use) == [(2, "Machine(cpu=)")]
+
+
+def test_unset_option_pragma_is_honoured_on_the_def(tmp_path):
+    definition = (
+        "# repro: allow[OPT001] test-facing\n"
+        "def kept(x, page=8):\n    pass\n"
+        "class Store:\n"
+        "    @staticmethod\n"
+        "    # repro: allow[OPT001] test-facing\n"
+        "    def items(start=0, page=8):\n        pass\n"
+        "def flagged(x, page=8):\n    pass\n"
+    )
+    assert _unset(tmp_path, definition, "kept(1)\nflagged(1)\nStore.items()\n") == [
+        (9, "flagged(page=)")
+    ]
+
+
+def test_the_tree_has_no_unset_option_and_few_pragmas():
+    from repro.check.contracts import option_defs
+    from repro.check.lint import package_root
+
+    sources = read_sources(package_root())
+    assert check_unset_options(sources) == []
+    allowed = [
+        d for d in option_defs(sources)
+        if any("OPT001" in d.allows[0].get(line, ())
+               for line in (d.node.lineno, d.node.lineno - 1))
+    ]
+    assert 0 < len(allowed) <= 24

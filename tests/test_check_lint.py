@@ -1,4 +1,4 @@
-"""Determinism lint: per-rule fixtures, pragmas, and the baseline flow.
+"""Determinism lint: per-rule fixtures and pragmas.
 
 Every rule gets a positive fixture (the escape is flagged, with the
 right ID and severity) and a negative one (the idiomatic repo pattern
@@ -8,7 +8,6 @@ property the CI ``check`` job gates on.
 
 import pytest
 
-from repro.check.baseline import apply_baseline, load_baseline, save_baseline
 from repro.check.lint import RULES, lint_text, run_lint
 from repro.check.report import SEV_ERROR, SEV_WARNING
 
@@ -230,39 +229,6 @@ def test_pragmas_can_be_ignored():
     src = "import time\nt = time.time()  # repro: allow[DET001] -- test\n"
     findings = lint_text(src, respect_pragmas=False)
     assert _rules(findings) == ["DET001"]
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = lint_text("import time\nt = time.time()\n", "src/x.py")
-    assert findings
-    path = save_baseline(findings, tmp_path / "baseline")
-    loaded = load_baseline(path)
-    assert loaded == {f.fingerprint for f in findings}
-    fresh, suppressed = apply_baseline(findings, loaded)
-    assert fresh == []
-    assert suppressed == len(findings)
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent") == set()
-
-
-def test_fingerprint_ignores_indentation():
-    a = lint_text("import time\nt = time.time()\n", "src/x.py")[0]
-    b = lint_text("import time\nif True:\n    t = time.time()\n", "src/x.py")[0]
-    assert a.fingerprint == b.fingerprint
-
-
-def test_new_finding_survives_stale_baseline(tmp_path):
-    old = lint_text("import time\nt = time.time()\n", "src/x.py")
-    path = save_baseline(old, tmp_path / "baseline")
-    new = lint_text("import time\nt = time.monotonic()\n", "src/x.py")
-    fresh, suppressed = apply_baseline(new, load_baseline(path))
-    assert _rules(fresh) == ["DET001"]
-    assert suppressed == 0
 
 
 # ---------------------------------------------------------------- the tree

@@ -115,8 +115,6 @@ def test_rebalance_validation():
     load_skewed(router)
     with pytest.raises(ValueError):
         rebalance_hot_shard(router, 99)
-    with pytest.raises(ValueError):
-        rebalance_hot_shard(router, 1, to_shard=1)
     single = make_router(n_shards=1)
     with pytest.raises(ValueError):
         rebalance_hot_shard(single, 0)

@@ -10,7 +10,6 @@ from repro.cluster import (
     AdmissionControl,
     ClientSpec,
     Cluster,
-    HashRingPlacement,
     ShardRouter,
     run_cluster,
 )
@@ -40,7 +39,7 @@ def test_cluster_validation():
         Cluster("miodb", n_shards=0, scale=SCALE)
     cluster = Cluster("miodb", n_shards=2, scale=SCALE)
     with pytest.raises(ValueError):
-        ShardRouter(cluster, placement=HashRingPlacement(4))
+        ShardRouter(cluster, placement_name="bogus")
 
 
 def test_put_get_delete_route_consistently():

@@ -149,19 +149,6 @@ class TupleListRecorder:
         for kind, rows in other._samples.items():
             self._samples.setdefault(kind, []).extend(rows)
 
-    def merge(self, other: "TupleListRecorder") -> "TupleListRecorder":
-        """A new recorder pooling this recorder's samples with ``other``'s.
-
-        Neither input is mutated.  Percentiles of the merged recorder
-        equal percentiles computed over the pooled sample list -- the
-        property multi-shard runs rely on to report cluster-level tails
-        without concatenating sample lists ad hoc.
-        """
-        merged = TupleListRecorder()
-        merged.merge_from(self)
-        merged.merge_from(other)
-        return merged
-
 
 def old_measure(recorder, start_counts):
     """``Phase._measure``'s window as it was: every sample re-recorded."""
@@ -214,9 +201,8 @@ OPS = st.one_of(
     st.tuples(st.just("percentile"), SLOT, MAYBE_KIND, st.sampled_from(
         [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])),
     st.tuples(st.just("summary"), SLOT, MAYBE_KIND),
-    st.tuples(st.just("window_snapshot"), SLOT, MAYBE_KIND, st.booleans()),
+    st.tuples(st.just("window_snapshot"), SLOT, st.booleans()),
     st.tuples(st.just("merge_from"), SLOT),
-    st.tuples(st.just("merge"), SLOT),
 )
 
 
@@ -242,15 +228,10 @@ def apply(op, new, old):
     if name == "percentile":
         return a.percentile(op[3], op[2]), b.percentile(op[3], op[2])
     if name == "window_snapshot":
-        return a.window_snapshot(op[2], op[3]), b.window_snapshot(op[2], op[3])
-    if name == "merge_from":
-        return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
-    merged = a.merge(new[1 - slot]), b.merge(old[1 - slot])
-    # The merge is a recorder of its own: compare all it holds.
-    return tuple(
-        (m.kinds(), [m.samples_since(k, 0) for k in m.kinds()], fields(m.summary()))
-        for m in merged
-    )
+        # The columns pool every kind; the reference's kind=None does.
+        return a.window_snapshot(op[2]), b.window_snapshot(None, op[2])
+    assert name == "merge_from"
+    return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
 
 
 # -------------------------------------------------------------------- tests

@@ -6,7 +6,11 @@ import pytest
 
 from repro.obs.live import FlightRecorder, LiveRecorder
 from repro.obs.live.flight import (
+    BURN_RULE,
+    DROP_BURST_N,
+    FLIGHT_CAPACITY,
     FLIGHT_SCHEMA,
+    MAX_DUMPS,
     TRIGGER_DROPS,
     TRIGGER_MANUAL,
     TRIGGER_SLO,
@@ -29,15 +33,15 @@ LIVE = {"seed": 1, "stall_alert_s": 1e-5, "slo_threshold_s": 5e-6}
 
 
 def test_ring_is_bounded():
-    flight = FlightRecorder(capacity=8)
-    for i in range(100):
+    flight = FlightRecorder()
+    for i in range(FLIGHT_CAPACITY + 100):
         flight.ring.append(("op", "put", float(i), 1e-6))
-    assert len(flight.ring) == 8
-    assert flight.ring[0][2] == 92.0  # oldest surviving entry
+    assert len(flight.ring) == FLIGHT_CAPACITY == 4096
+    assert flight.ring[0][2] == 100.0  # oldest surviving entry
 
 
 def test_stall_trigger_fires_at_threshold():
-    flight = FlightRecorder(capacity=16, stall_alert_s=1e-5)
+    flight = FlightRecorder(stall_alert_s=1e-5)
     flight.on_stall("memtable-full", 1.0, 9e-6)  # below threshold
     assert not flight.dumps
     flight.on_stall("memtable-full", 2.0, 1e-5)  # at threshold
@@ -51,24 +55,20 @@ def test_stall_trigger_fires_at_threshold():
 
 
 def test_drop_burst_trigger_needs_n_drops_within_window():
-    flight = FlightRecorder(capacity=64, drop_burst_n=3, drop_burst_s=1e-3)
+    flight = FlightRecorder()
     flight.on_drop("queue_full", "c0", 0.0)
-    flight.on_drop("queue_full", "c1", 2e-3)  # first drop aged out
-    flight.on_drop("queue_full", "c2", 2.5e-3)
+    for i in range(DROP_BURST_N - 1):  # the first drop has aged out
+        flight.on_drop("queue_full", f"c{i + 1}", 2e-3 + i * 1e-4)
     assert not flight.dumps
-    flight.on_drop("queue_full", "c3", 2.6e-3)  # third within 1ms
+    flight.on_drop("queue_full", "c8", 2.7e-3)  # eighth within 1ms
     assert [d["trigger"] for d in flight.dumps] == [TRIGGER_DROPS]
-    assert flight.dumps[0]["detail"]["drops_in_window"] == 3
+    assert flight.dumps[0]["detail"]["drops_in_window"] == DROP_BURST_N == 8
 
 
 def test_slo_burn_trigger_needs_short_and_long_lookbacks():
-    from repro.obs.analyze.slo import BurnRateRule, SloObjective
+    from repro.obs.analyze.slo import SloObjective
 
-    flight = FlightRecorder(
-        capacity=16,
-        slo=SloObjective("t", 1e-6, 0.9),  # 10% error budget
-        burn_rule=BurnRateRule(short_s=2e-3, long_s=10e-3, factor=2.0),
-    )
+    flight = FlightRecorder(slo=SloObjective("t", 1e-6, 0.9))  # 10% error budget
     # 50% bad = 5x budget burn on both lookbacks once windows exist.
     flight.on_window(1e-3, 100, 50)
     assert [d["trigger"] for d in flight.dumps] == [TRIGGER_SLO]
@@ -76,19 +76,21 @@ def test_slo_burn_trigger_needs_short_and_long_lookbacks():
 
 
 def test_dumps_are_capped_but_triggers_keep_counting():
-    flight = FlightRecorder(capacity=8, stall_alert_s=0.0, max_dumps=2)
-    for i in range(5):
+    flight = FlightRecorder(stall_alert_s=0.0)
+    for i in range(MAX_DUMPS + 3):
         flight.on_stall("memtable-full", float(i), 1.0)
-    assert len(flight.dumps) == 2  # oldest kept
-    assert [d["at_s"] for d in flight.dumps] == [0.0, 1.0]
-    assert flight.trigger_counts[TRIGGER_STALL] == 5
+    assert len(flight.dumps) == MAX_DUMPS == 4  # oldest kept
+    assert [d["at_s"] for d in flight.dumps] == [0.0, 1.0, 2.0, 3.0]
+    assert flight.trigger_counts[TRIGGER_STALL] == MAX_DUMPS + 3
 
 
 def test_manual_dump_always_returns_a_document():
-    flight = FlightRecorder(capacity=8, max_dumps=0)
-    doc = flight.dump_now(3.0)
+    flight = FlightRecorder(stall_alert_s=0.0)
+    for i in range(MAX_DUMPS):
+        flight.on_stall("memtable-full", float(i), 1.0)
+    doc = flight.dump_now(9.0)
     assert doc["trigger"] == TRIGGER_MANUAL
-    assert not flight.dumps  # cap honoured
+    assert doc not in flight.dumps and len(flight.dumps) == MAX_DUMPS  # cap honoured
     assert flight.trigger_counts[TRIGGER_MANUAL] == 1
 
 
@@ -121,7 +123,7 @@ def test_live_recorder_ring_stays_within_capacity():
     rec = LiveRecorder(system.clock).attach(system)
     for i in range(5000):
         rec.span("foreground", "put", "op", i * 1e-6, i * 1e-6 + 1e-7)
-    assert len(rec.flight.ring) == rec.flight.capacity == 4096
+    assert len(rec.flight.ring) == FLIGHT_CAPACITY
     rec.detach()
 
 
@@ -132,7 +134,7 @@ def test_slo_window_history_is_bounded_by_the_long_lookback():
     # clears the history): only the long lookback bounds it.
     flight = FlightRecorder(slo=SloObjective("t", 1e-6, 0.999))
     window_s = 1e-3
-    bound = flight.burn_rule.long_s / window_s + 1
+    bound = BURN_RULE.long_s / window_s + 1
     for i in range(1, 10_001):
         flight.on_window(i * window_s, 100, 0)
         assert len(flight._slo_windows) <= bound

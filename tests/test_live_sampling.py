@@ -17,6 +17,7 @@ from repro.obs.live import (
     openmetrics_text,
     splitmix64,
 )
+from repro.obs.live.sampling import HEAD_RATE, HEAD_RUN, TAIL_REFRESH
 from repro.obs.runner import run_traced
 
 pytestmark = pytest.mark.obs_live
@@ -62,23 +63,26 @@ def test_head_keep_rate_edges():
 
 
 def test_head_sampler_matches_head_keep_and_counts_exactly():
-    sampler = HeadSampler(seed=5, rate=0.25, run_len=8)
-    decisions = [sampler.advance() for _ in range(400)]
-    expected = [head_keep(5, s, 0.25, 8) for s in range(400)]
+    sampler = HeadSampler(seed=5)
+    decisions = [sampler.advance() for _ in range(8000)]
+    expected = [head_keep(5, s, HEAD_RATE, HEAD_RUN) for s in range(8000)]
     assert decisions == expected
-    assert sampler.seen == 400
-    assert sampler.kept == sum(expected)
+    assert sampler.seen == 8000
+    assert sampler.kept == sum(expected) > 0
 
 
 # ------------------------------------------------------------- tail sampler
 
 
 def test_tail_scalar_observe_matches_manual_threshold():
-    tail = TailSampler(50.0, 4, 2)
-    assert not tail.observe(1.0)  # threshold still inf
-    assert not tail.observe(3.0)  # refresh fires after this op
-    assert tail.threshold > 0
+    tail = TailSampler()
+    for i in range(TAIL_REFRESH - 1):
+        assert not tail.observe(float(i + 1))  # threshold still inf
+    assert tail.threshold == float("inf")
+    assert not tail.observe(float(TAIL_REFRESH))  # refresh fires after this op
+    assert tail.threshold == 254.0  # nearest-rank p99 of 1..256
     assert tail.observe(tail.threshold + 1.0)
+    assert not tail.observe(tail.threshold)
 
 
 # ------------------------------------------------------- end-to-end retention

@@ -9,6 +9,7 @@ from repro.obs.live import (
     openmetrics_text,
 )
 from repro.obs.live.dashboard import render_frame, sparkline
+from repro.obs.live.window import MAX_ROWS
 from repro.obs.runner import run_traced
 
 pytestmark = pytest.mark.obs_live
@@ -26,7 +27,7 @@ def _fill(system, t0, n, kind="put", lat=1e-6, step=1e-5):
 
 def test_windows_align_to_multiples_of_window_size():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system, window_s=1e-3)
+    wa = WindowAggregator(system)
     _fill(system, 0.0, 10)
     assert wa.maybe_tick(9e-4) is False  # edge not crossed yet
     assert wa.maybe_tick(1e-3) is True
@@ -39,7 +40,7 @@ def test_windows_align_to_multiples_of_window_size():
 
 def test_empty_windows_produce_no_rows():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system, window_s=1e-3)
+    wa = WindowAggregator(system)
     _fill(system, 0.0, 4)
     assert wa.maybe_tick(1e-3)
     # A long idle stretch then one op: exactly one more row, no zeros.
@@ -52,7 +53,7 @@ def test_empty_windows_produce_no_rows():
 
 def test_finalize_flushes_the_partial_window():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system, window_s=1e-3)
+    wa = WindowAggregator(system)
     _fill(system, 0.0, 3)
     wa.finalize(4.5e-4)
     assert len(wa.rows) == 1
@@ -64,18 +65,18 @@ def test_finalize_flushes_the_partial_window():
 
 def test_row_cap_drops_oldest_and_counts():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system, window_s=1e-3, max_rows=2)
-    for i in range(4):
-        _fill(system, i * 1e-3, 2)
-        wa.maybe_tick((i + 1) * 1e-3)
-    assert len(wa.rows) == 2
+    wa = WindowAggregator(system)
+    for i in range(MAX_ROWS + 2):
+        _fill(system, i * 1e-3, 1)
+        wa.maybe_tick((i + 1.5) * 1e-3)  # mid-window: one edge per tick
+    assert len(wa.rows) == MAX_ROWS == 4096
     assert wa.dropped_rows == 2
     assert wa.rows[0]["t_s"] == pytest.approx(3e-3)
 
 
 def test_window_listener_receives_bad_counts():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system, window_s=1e-3, slo_threshold_s=1e-6)
+    wa = WindowAggregator(system)
     seen = []
     wa.set_window_listener(lambda t_s, ops, bad: seen.append((t_s, ops, bad)))
     _fill(system, 0.0, 5)
@@ -231,12 +232,12 @@ def test_replicated_cluster_openmetrics_exports_follower_lag():
 
 
 def test_sparkline_renders_last_width_values_monotonically():
-    assert sparkline([], width=6) == ""
-    assert len(sparkline([0.0, 0.5, 1.0], width=6)) == 3
-    assert len(sparkline([float(i) for i in range(40)], width=6)) == 6
-    from repro.obs.live.dashboard import SPARK_CHARS
+    from repro.obs.live.dashboard import SPARK_CHARS, SPARK_WIDTH
 
-    chars = sparkline([float(i) for i in range(8)], width=8)
+    assert sparkline([]) == ""
+    assert len(sparkline([0.0, 0.5, 1.0])) == 3
+    assert len(sparkline([float(i) for i in range(40)])) == SPARK_WIDTH == 24
+    chars = sparkline([float(i) for i in range(8)])
     ranks = [SPARK_CHARS.index(c) for c in chars]
     assert ranks == sorted(ranks), "ramp should render monotonically"
 

@@ -94,10 +94,8 @@ def test_compaction_releases_inputs(engine, system):
 def test_scan_from_merges_levels(engine, system):
     add_l0(engine, [b"a", b"c"], start_seq=1)
     add_l0(engine, [b"b", b"d"], start_seq=10)
-    entries, cost = merged_scan(
-        system, b"a", 3, engine.scan_sources(b"a"), as_entries=True
-    )
-    assert [e[0] for e in entries] == [b"a", b"b", b"c"]
+    pairs, cost = merged_scan(system, b"a", 3, engine.scan_sources(b"a"))
+    assert [key for key, __ in pairs] == [b"a", b"b", b"c"]
     assert cost > 0
 
 

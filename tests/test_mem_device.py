@@ -56,13 +56,6 @@ def test_release_more_than_allocated_rejected(nvm):
         nvm.release(11)
 
 
-def test_capacity_enforced():
-    dev = Device(OPTANE_NVM_PROFILE, capacity=100)
-    dev.allocate(100)
-    with pytest.raises(MemoryError):
-        dev.allocate(1)
-
-
 def test_average_usage_time_weighted(nvm):
     nvm.allocate(100, now=0.0)
     nvm.allocate(100, now=1.0)  # 100 bytes for [0,1)

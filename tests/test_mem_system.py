@@ -47,7 +47,7 @@ def test_cpu_cost_model_hops():
     cpu = CpuCostModel()
     assert cpu.hop_time("nvm") > cpu.hop_time("dram")
     assert cpu.skiplist_search_time("dram", 10) == pytest.approx(
-        10 * (cpu.dram_hop + cpu.compare_cost)
+        10 * (cpu.DRAM_HOP + cpu.COMPARE_COST)
     )
 
 
@@ -61,7 +61,7 @@ def test_bloom_costs_positive():
     cpu = CpuCostModel()
     assert cpu.bloom_build_time(100) > 0
     assert cpu.bloom_probe_time(3) == pytest.approx(
-        cpu.bloom_base_cost + 3 * cpu.bloom_probe_cost
+        cpu.BLOOM_BASE_COST + 3 * cpu.BLOOM_PROBE_COST
     )
     # a short-circuited miss is cheaper than a full k-hash "maybe"
     assert cpu.bloom_probe_time(2) < cpu.bloom_probe_time(11)

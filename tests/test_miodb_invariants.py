@@ -68,7 +68,7 @@ def test_invariants_hold_after_recovery():
 
 
 def test_invariants_hold_in_ssd_mode():
-    system = HybridMemorySystem.with_ssd()
+    system = HybridMemorySystem(ssd=True)
     store = MioDB(system, MioOptions(memtable_bytes=4 * KB, num_levels=3,
                                      ssd_mode=True))
     for i in range(1500):

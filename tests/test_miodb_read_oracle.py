@@ -245,7 +245,8 @@ def test_plan_on_a_quiesced_store_calls_no_table(system, monkeypatch):
         memtable_bytes=8 * KB, num_levels=4,
         bloom_bits_per_key=4, bloom_capacity_tables=1,
     ))
-    fill_random(store, 900, 256, quiesce=True)
+    fill_random(store, 900, 256)
+    store.quiesce()
     assert len(live_lists(store)) >= 4
     calls = count_lookups(monkeypatch)
     closure = store._batch_lookup()
@@ -327,7 +328,8 @@ def test_alternating_batches_and_merges_keep_the_rebuild_backoff_at_8(
 def test_miodb_fill_and_quiesce_build_no_filter(system):
     before = hash_calls()
     store = MioDB(system, MioOptions(memtable_bytes=8 * KB, num_levels=4))
-    fill_random(store, 900, 256, quiesce=True)
+    fill_random(store, 900, 256)
+    store.quiesce()
     blooms = [t.bloom for level in store.levels for t in level]
     assert len(blooms) >= 2
     assert system.stats.get("compact.count") > 0  # merged filters included

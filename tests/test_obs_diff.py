@@ -144,8 +144,8 @@ def test_cli_diff_rejects_a_document_that_is_not_a_json_object(
 def test_render_diff_truncates_with_a_pointer():
     a = analysis_doc()
     b = analysis_doc()
-    b["stall_seconds_by_cause"] = {f"cause{i}": float(i + 1) for i in range(9)}
+    b["stall_seconds_by_cause"] = {f"cause{i}": float(i + 1) for i in range(25)}
     # Not in the stall vocabulary, but diff inputs are plain documents.
     diff = diff_analysis(a, b)
-    text = render_diff(diff, top=3)
-    assert "more rows" in text
+    text = render_diff(diff)
+    assert f"... {len(diff['deltas']) - 20} more rows" in text

@@ -27,6 +27,7 @@ from repro.obs.events import (
     CAT_REPL_SHIP,
 )
 from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication.config import ELECTION_TIMEOUT_S
 from repro.workloads.keys import key_for
 
 pytestmark = pytest.mark.obs_smoke
@@ -211,7 +212,7 @@ def test_failover_timeline_links_kill_to_repoint():
     assert tl["epoch"] == 1
     # The election runs exactly one election timeout on the simulated clock.
     assert tl["elect_end_s"] - tl["elect_start_s"] == pytest.approx(
-        group.config.election_timeout_s
+        ELECTION_TIMEOUT_S
     )
     assert tl["repoint_t_s"] >= tl["elect_end_s"]
     assert tl["duration_s"] == tl["repoint_t_s"] - tl["kill_t_s"]
@@ -306,6 +307,6 @@ def test_strict_recorder_rejects_unknown_repl_event_names():
 
     clock = SimClock()
     recorder = TraceRecorder(clock, strict=True)
-    recorder.instant("repl:g0", "append", SHIP, 0.0, {"span": 1, "lsn": 1})
+    recorder.instant("repl:g0", "append", SHIP, {"span": 1, "lsn": 1})
     with pytest.raises(ValueError):
-        recorder.instant("repl:g0", "enqueue", SHIP, 0.0, {"span": 2})
+        recorder.instant("repl:g0", "enqueue", SHIP, {"span": 2})

@@ -26,8 +26,7 @@ def test_rate_validation():
 
 def test_low_rate_response_equals_service_time():
     store, __ = make_store("miodb", SCALE)
-    result = run_open_loop(store, writer(store), 500, rate_per_s=1000,
-                           poisson=False)
+    result = run_open_loop(store, writer(store), 500, rate_per_s=1000)
     # far below capacity: no queueing, response ~ a few microseconds
     assert not result.saturated
     assert result.response.p999 < 1e-3
@@ -55,13 +54,11 @@ def test_miodb_sustains_higher_open_loop_rate_than_leveldb():
     assert achieved["miodb"] > achieved["leveldb"]
 
 
-def test_poisson_and_fixed_arrivals_differ():
+def test_zero_ops_is_an_empty_result():
     store, __ = make_store("miodb", SCALE)
-    fixed = run_open_loop(store, writer(store), 400, 50_000, poisson=False)
-    store2, __ = make_store("miodb", SCALE)
-    pois = run_open_loop(store2, writer(store2), 400, 50_000, poisson=True)
-    # bursty arrivals produce a worse tail than a perfectly paced stream
-    assert pois.response.p999 >= fixed.response.p999
+    result = run_open_loop(store, writer(store), 0, rate_per_s=1000)
+    assert (result.ops, result.achieved_rate, result.max_queue_delay) == (0, 0.0, 0.0)
+    assert result.response.count == 0 and result.response.p999 == 0.0
 
 
 def test_infinite_rate_runs_closed_loop():

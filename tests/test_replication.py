@@ -41,8 +41,6 @@ def test_config_validation():
         ReplicationConfig(read_policy="nearest")
     with pytest.raises(ValueError):
         ReplicationConfig(ship_batch=0)
-    with pytest.raises(ValueError):
-        ReplicationConfig(election_timeout_s=0.0)
 
 
 def test_quorum_math():

@@ -12,6 +12,7 @@ from repro.replication import (
     chaos_report_json,
     run_chaos,
 )
+from repro.replication.chaos import KILLS
 
 pytestmark = pytest.mark.chaos_smoke
 
@@ -21,7 +22,6 @@ SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
 
 def run(store_name, seed, **kwargs):
     kwargs.setdefault("ops", 300)
-    kwargs.setdefault("kills", 3)
     return run_chaos(store_name, seed=seed, scale=SCALE, **kwargs)
 
 
@@ -57,16 +57,16 @@ def test_chaos_reports_differ_across_seeds():
 
 
 def test_chaos_schedule_generation_is_deterministic():
-    sched_a = ChaosSchedule.generate(seed=5, n_groups=2, kills=4)
-    sched_b = ChaosSchedule.generate(seed=5, n_groups=2, kills=4)
+    sched_a = ChaosSchedule.generate(seed=5, n_groups=2)
+    sched_b = ChaosSchedule.generate(seed=5, n_groups=2)
     assert [
         (e.at, e.group, e.target) for e in sched_a.events
     ] == [(e.at, e.group, e.target) for e in sched_b.events]
-    assert len({e.at for e in sched_a.events}) == 4  # distinct kill points
+    assert len({e.at for e in sched_a.events}) == KILLS  # distinct kill points
 
 
 def test_quorum_acks_survive_every_fired_kill():
-    report = run("matrixkv", 13, ack_policy=ACK_QUORUM, kills=4, ops=400)
+    report = run("matrixkv", 13, ack_policy=ACK_QUORUM, ops=400)
     assert report["acked_lost"] == 0
     assert report["ok"], report["checks"]
 

@@ -45,12 +45,6 @@ def test_job_starts_no_earlier_than_clock(executor):
     assert job.start == 5.0
 
 
-def test_not_before_delays_start(executor):
-    job = executor.submit(executor.worker("w"), 1.0, not_before=4.0)
-    assert job.start == 4.0
-    assert job.end == 5.0
-
-
 def test_negative_duration_rejected(executor):
     with pytest.raises(ValueError):
         executor.submit(executor.worker("w"), -1.0)

@@ -131,9 +131,10 @@ def test_merge_returns_new_recorder_equal_to_pooled_samples():
         target = a if i % 3 else b
         target.record("response", i * 1e-4, sample)
         pooled.record("response", i * 1e-4, sample)
-    merged = a.merge(b)
-    # ``merge`` is pure: a new recorder, inputs untouched.
-    assert merged is not a and merged is not b
+    merged = LatencyRecorder()
+    merged.merge_from(a)
+    merged.merge_from(b)
+    # ``merge_from`` only reads its argument.
     assert a.count("response") + b.count("response") == 500
     got = merged.summary("response")
     want = pooled.summary("response")
@@ -147,7 +148,9 @@ def test_merge_keeps_kinds_separate():
     b = LatencyRecorder()
     a.record("get", 0.0, 1e-6)
     b.record("put", 0.0, 2e-6)
-    merged = a.merge(b)
+    merged = LatencyRecorder()
+    merged.merge_from(a)
+    merged.merge_from(b)
     assert merged.kinds() == ["get", "put"]
     assert merged.count("get") == 1
     assert merged.count("put") == 1
@@ -181,13 +184,13 @@ def test_window_snapshot_reset_advances_the_cursor():
 def test_window_snapshot_per_kind_cursors_are_independent():
     rec = LatencyRecorder()
     rec.record("put", 0.0, 1e-6)
+    assert rec.window_snapshot(reset=True).count == 1
+    # "get" first appears after "put"'s cursor moved: its own starts at 0.
     rec.record("get", 0.0, 3e-6)
-    assert rec.window_snapshot(kind="put", reset=True).count == 1
-    # Resetting "put" leaves "get"'s window untouched.
-    assert rec.window_snapshot(kind="get").count == 1
+    rec.record("put", 1.0, 2e-6)
     pooled = rec.window_snapshot(reset=True)
-    assert pooled.count == 1  # only the unconsumed "get" sample
-    assert pooled.p50 == 3e-6
+    assert pooled.count == 2  # the new "put" and the whole of "get"
+    assert (pooled.p50, pooled.max) == (2e-6, 3e-6)
     assert rec.window_snapshot().count == 0
 
 

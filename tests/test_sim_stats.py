@@ -61,7 +61,8 @@ def test_snapshot_grouped_nests_by_family():
 
 
 def test_strict_mode_rejects_unknown_family():
-    stats = StatsRegistry(strict=True)
+    stats = StatsRegistry()
+    stats.strict = True
     with pytest.raises(KeyError, match="unknown stats family"):
         stats.add("made_up.metric")
     with pytest.raises(KeyError):
@@ -69,7 +70,8 @@ def test_strict_mode_rejects_unknown_family():
 
 
 def test_strict_mode_accepts_every_registered_family():
-    stats = StatsRegistry(strict=True)
+    stats = StatsRegistry()
+    stats.strict = True
     for family in KEY_FAMILIES:
         stats.add(f"{family}.probe", 1.0)
     assert len(stats.snapshot()) == len(KEY_FAMILIES)

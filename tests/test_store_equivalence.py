@@ -39,7 +39,7 @@ def build_store(name):
         system = HybridMemorySystem()
         return MioDB(system, MioOptions(memtable_bytes=2 * KB, num_levels=3))
     if name == "miodb-ssd":
-        system = HybridMemorySystem.with_ssd()
+        system = HybridMemorySystem(ssd=True)
         return MioDB(
             system,
             MioOptions(memtable_bytes=2 * KB, sstable_bytes=2 * KB,

@@ -16,7 +16,7 @@ def test_gantt_renders_rows(system):
     recorder = system.attach_tracing()
     system.executor.submit(system.executor.worker("alpha"), 1.0)
     system.executor.submit(system.executor.worker("beta"), 1.0)
-    chart = gantt(recorder, width=20)
+    chart = gantt(recorder)
     assert "alpha" in chart and "beta" in chart
     assert "#" in chart
 

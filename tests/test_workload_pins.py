@@ -26,9 +26,11 @@ from repro.workloads.dbbench import (
     fill_seq,
     overwrite,
     read_random,
-    read_seq,
     seek_random,
 )
+from repro.sim.rng import XorShiftRng
+from repro.workloads.keys import key_for
+from repro.workloads.runner import Phase, issue_gets
 from repro.workloads.ycsb import YCSB_WORKLOADS, load_phase, run_workload
 
 KB = 1 << 10
@@ -44,17 +46,28 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+def _gets(store, name, keys, batch):
+    """A read phase from the runner's parts: ``readseq`` from the middle
+    of the key space, ``readrandom`` over keys a delete phase removed."""
+    with Phase(name, store.system) as phase:
+        issue_gets(store, keys, batch)
+    return phase.result()
+
+
 def _dbbench_phases(store, batch):
     """All seven db_bench phases on one store, writes and reads interleaved."""
     n = 600
     yield fill_random(store, n, VALUE, seed=1, batch_size=batch)
     yield read_random(store, 250, n, seed=2, batch_size=batch)
     yield overwrite(store, 300, n, VALUE, seed=3, batch_size=batch)
-    yield read_seq(store, 200, n, start=450, batch_size=batch)
+    yield _gets(store, "readseq", (key_for((450 + i) % n) for i in range(200)), batch)
     yield delete_random(store, 150, n, seed=4, batch_size=batch)
     yield seek_random(store, 60, n, scan_length=12, seed=5)
-    yield fill_seq(store, 400, VALUE, quiesce=True, batch_size=batch)
-    yield read_random(store, 150, n, seed=6, expect_hits=False, batch_size=batch)
+    result = fill_seq(store, 400, VALUE, batch_size=batch)
+    store.quiesce()
+    yield result
+    rng = XorShiftRng(6)
+    yield _gets(store, "readrandom", (key_for(rng.next_below(n)) for __ in range(150)), batch)
 
 
 def _ycsb_phases(store, batch, letter):
