@@ -16,7 +16,7 @@ Scheduling rules, straight from the paper:
 from typing import List, Optional
 
 from repro.core.pmtable import PMTable
-from repro.obs.events import CAT_COMPACT
+from repro.kvstore.buffered import submit_compaction
 from repro.skiplist.merge import ZeroCopyMerge
 
 
@@ -36,8 +36,6 @@ class CompactionManager:
         else:
             single = executor.worker("miodb-compact")
             self.workers = [single] * self.options.num_levels
-        self.zero_copy_merges = 0
-        self.lazy_copies = 0
 
     # ------------------------------------------------------------ scheduling
 
@@ -81,24 +79,19 @@ class CompactionManager:
             older.absorb(newer)
             older.level = level + 1
             self.store.levels[level + 1].append(older)
-            self.zero_copy_merges += 1
             self.system.stats.add("compact.count", 1)
             self.store.crash.reach("compact.after_zero_copy")
             self.check()
 
-        self.system.stats.add("compact.time_s", seconds)
-        self.system.executor.submit(
-            self.workers[level], seconds, apply, name=f"miodb-zero-copy-L{level}",
-            meta={
-                "cat": CAT_COMPACT,
-                "level": level,
-                "kind": "zero-copy",
-                "bytes": older.data_bytes + newer.data_bytes,
-            },
+        submit_compaction(
+            self.system, self.workers[level], seconds, apply,
+            f"miodb-zero-copy-L{level}",
             # The merge ran eagerly at submit (crash-consistent
             # insertion marks); in flight the busy-marked input tables
             # are only read by foreground gets.
-            accesses=(("r", f"pmtable:L{level}"),),
+            (("r", f"pmtable:L{level}"),),
+            level=level, kind="zero-copy",
+            bytes=older.data_bytes + newer.data_bytes,
         )
 
     def _run_pointer_merge(self, newer: PMTable, older: PMTable) -> float:
@@ -141,25 +134,19 @@ class CompactionManager:
             table.busy = False
             self.store.levels[level].remove(table)
             freed = table.reclaim(self.system.now)
-            self.lazy_copies += 1
             self.system.stats.add("gc.reclaimed_bytes", freed)
             self.system.stats.add("compact.lazy_count", 1)
             self.store.crash.reach("compact.after_lazy_copy")
             self.check()
 
-        self.system.stats.add("compact.time_s", seconds)
         self.system.stats.add("compact.lazy_time_s", seconds)
-        self.system.executor.submit(
-            self.workers[level], seconds, apply, name=f"miodb-lazy-copy-L{level}",
-            meta={
-                "cat": CAT_COMPACT,
-                "level": level,
-                "kind": "lazy-copy",
-                "bytes": table.data_bytes,
-            },
+        submit_compaction(
+            self.system, self.workers[level], seconds, apply,
+            f"miodb-lazy-copy-L{level}",
             # Lazy copy reads the source PMTable; the compacted copy is
             # staged privately until the callback installs it.
-            accesses=(("r", f"pmtable:L{level}"),),
+            (("r", f"pmtable:L{level}"),),
+            level=level, kind="lazy-copy", bytes=table.data_bytes,
         )
 
     def force_progress(self) -> bool:

@@ -39,6 +39,8 @@ class SSTable:
         self.min_key = self.entries[0][0]
         self.max_key = self.entries[-1][0]
         self.released = False
+        #: Key filter, attached by an engine that builds one (LeveledLSM).
+        self.bloom = None
         device.allocate(self.data_bytes)
 
     def release(self) -> int:

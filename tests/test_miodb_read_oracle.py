@@ -350,14 +350,14 @@ def test_leveldb_load_builds_no_filter(system):
     )
     load_phase(store, 600, 256)
     store.quiesce()
-    blooms = store.lsm._blooms
+    blooms = [t.bloom for level in store.lsm.levels for t in level]
     assert len(blooms) >= 3
     assert system.stats.get("compact.count") > 0
-    assert not any(b.built for b in blooms.values())
+    assert not any(b.built for b in blooms)
     assert hash_calls() == before
 
     # A get only builds the filters of the tables whose range covers it.
     assert store.get(key_for(300))[0] is not None
-    built = sum(b.built for b in blooms.values())
+    built = sum(b.built for b in blooms)
     assert 1 <= built <= len(blooms)
     assert hash_calls()[1] > before[1]
