@@ -216,7 +216,7 @@ PINS = {
     'miodb-ssd': (
         '0.0014521848570299273',
         '0.0341429593741353',
-        'e2df060a41bf4a34',
+        'fa2afce535c97feb',
         '8640318fe96b951b',
         48,
         'miodb-ssd-compact-0,miodb-compact-L0,miodb-compact-L1,miodb-compact-L2,miodb-compact-L3,miodb-compact-L4,miodb-compact-L5,miodb-compact-L6,miodb-compact-L7,miodb-flush',
