@@ -102,7 +102,7 @@ class ClientSpec:
     ) -> None:
         if n_ops < 0:
             raise ValueError(f"n_ops must be >= 0, got {n_ops}")
-        if not math.isinf(rate_per_s) and rate_per_s <= 0:
+        if not rate_per_s > 0:  # NaN included
             raise ValueError(f"rate must be positive or inf, got {rate_per_s}")
         if key_space <= 0:
             raise ValueError(f"key_space must be positive, got {key_space}")

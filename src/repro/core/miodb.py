@@ -205,10 +205,8 @@ class MioDB(BufferedStore):
                 value, nbytes = TOMBSTONE, 0
             items.append((self.seq, key, value, nbytes))
             user_bytes += len(key) + nbytes
-        seconds = 0.0
-        if self.options.wal_enabled:
-            seconds += self.wal.append_batch(items)
-            self.crash.reach("write.after_wal_batch")
+        seconds = self.wal.append_batch(items)
+        self.crash.reach("write.after_wal_batch")
         for seq, key, value, nbytes in items:
             seconds += self.stage_logged(key, seq, value, nbytes, stall=True)
         self.system.stats.add("user.bytes_written", user_bytes)

@@ -124,8 +124,6 @@ def verify_repository(store) -> None:
 
 
 def verify_wal(store) -> None:
-    if not store.options.wal_enabled:
-        return
     flushed_max = 0
     for level_tables in store.levels:
         for pmtable in level_tables:

@@ -22,14 +22,11 @@ class StoreOptions:
         level_fanout: capacity ratio between adjacent levels (paper: 10).
         num_levels: number of on-media levels.
         l0_slowdown_tables: L0 table count that triggers write slowdown.
-        l0_stop_tables: L0 table count that blocks writes entirely.
         slowdown_delay_s: per-write delay while in slowdown (LevelDB: 1ms).
-        wal_enabled: append to a write-ahead log before MemTable inserts.
         fsync_policy: WAL durability policy -- ``"sync"`` (every append
             is a device write), ``"batch:N"`` (group commit every N
             records), or ``"interval:T"`` (group commit every T
             simulated seconds).  See ``repro.persist.wal``.
-        key_bytes: nominal key size used for capacity estimates.
     """
 
     memtable_bytes: int = 1 * MB
@@ -37,11 +34,8 @@ class StoreOptions:
     level_fanout: int = 10
     num_levels: int = 7
     l0_slowdown_tables: int = 8
-    l0_stop_tables: int = 12
     slowdown_delay_s: float = 1e-3
-    wal_enabled: bool = True
     fsync_policy: str = "sync"
-    key_bytes: int = 16
 
     def level_capacity_bytes(self, level: int) -> int:
         """Byte budget of ``level`` in a leveled LSM (L1 = fanout x L0)."""

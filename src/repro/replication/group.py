@@ -200,11 +200,6 @@ class ReplicaGroup:
         )
         if reason is not None:
             raise ValueError(f"store {store.name!r} cannot be replicated: {reason}")
-        if not store.options.wal_enabled:
-            raise ValueError(
-                f"store {store.name!r} has wal_enabled=False; replication "
-                "ships WAL frames and needs the log"
-            )
         # One standalone link device per member charges ship latency and
         # bandwidth.
         replica = Replica(rid, store, system, Device(REPL_LINK_PROFILE))

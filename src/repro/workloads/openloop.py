@@ -69,9 +69,9 @@ def run_open_loop(
     includes the wait.  ``rate_per_s=math.inf`` runs closed-loop: every request
     arrives exactly when the previous one finished (no queueing).
     """
+    if not rate_per_s > 0:  # NaN included
+        raise ValueError(f"rate must be positive or inf, got {rate_per_s}")
     closed_loop = math.isinf(rate_per_s)
-    if not closed_loop and rate_per_s <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_s}")
     clock = store.system.clock
     rng = XorShiftRng(seed)
     recorder = LatencyRecorder()

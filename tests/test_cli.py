@@ -318,6 +318,21 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["chaos", "--ops", "9"],
     ["chaos", "--shards", "0"],
     ["cluster", "--shards", "two"],
+    ["cluster", "--rate", "nan"],
+    ["cluster", "--theta", "1.5"],
+    ["cluster", "--theta", "1"],
+    ["cluster", "--theta", "nan"],
+    ["cluster", "--ops", "-1"],
+    ["cluster", "--preload", "-1"],
+    ["cluster", "--rebalance-every", "-1"],
+    ["cluster", "--clients", "0"],
+    ["dbbench", "--value-size", "-5"],
+    ["dbbench", "--n", "-1"],
+    ["dbbench", "--reads", "-1"],
+    ["dbbench", "--batch-size", "-2"],
+    ["ycsb", "--records", "-1"],
+    ["ycsb", "--ops", "-1"],
+    ["check", "--races-n", "0"],
 ])
 def test_out_of_range_numbers_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -335,6 +350,16 @@ def test_boundary_numbers_still_parse():
     args = build_parser().parse_args(["cluster", "--read-frac", "1", "--shards", "1"])
     assert (args.read_frac, args.shards) == (1.0, 1)
     assert build_parser().parse_args(["chaos", "--ops", "10"]).ops == 10
+    args = build_parser().parse_args([
+        "cluster", "--rate", "-1", "--theta", "0.99", "--ops", "0",
+        "--preload", "0", "--rebalance-every", "0", "--clients", "1",
+        "--value-size", "0",
+    ])
+    assert (args.rate, args.theta, args.ops, args.preload) == (-1.0, 0.99, 0, 0)
+    assert (args.rebalance_every, args.clients, args.value_size) == (0, 1, 0)
+    args = build_parser().parse_args(["dbbench", "--batch-size", "0", "--n", "0"])
+    assert (args.batch_size, args.n) == (0, 0)
+    assert build_parser().parse_args(["check", "--races-n", "1"]).races_n == 1
 
 
 # ------------------------------------------------- default namespace pins

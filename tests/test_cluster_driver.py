@@ -49,6 +49,8 @@ def test_spec_and_admission_validation():
     with pytest.raises(ValueError):
         ClientSpec(n_ops=1, rate_per_s=0.0, key_space=10)
     with pytest.raises(ValueError):
+        ClientSpec(n_ops=1, rate_per_s=float("nan"), key_space=10)
+    with pytest.raises(ValueError):
         ClientSpec(n_ops=1, rate_per_s=1.0, key_space=0)
     with pytest.raises(ValueError):
         ClientSpec(n_ops=1, rate_per_s=1.0, key_space=10, read_fraction=1.5)

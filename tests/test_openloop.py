@@ -24,6 +24,12 @@ def test_rate_validation():
         run_open_loop(store, writer(store), 10, 0)
 
 
+def test_nan_rate_is_rejected():
+    store, __ = make_store("miodb", SCALE)
+    with pytest.raises(ValueError):
+        run_open_loop(store, writer(store), 10, rate_per_s=float("nan"))
+
+
 def test_low_rate_response_equals_service_time():
     store, __ = make_store("miodb", SCALE)
     result = run_open_loop(store, writer(store), 500, rate_per_s=1000)
