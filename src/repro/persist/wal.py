@@ -23,7 +23,7 @@ Fsync policy
   (requires the shared ``clock``).
 
 Buffered records are *not yet durable*: a crash loses them
-(:meth:`WriteAheadLog.crash_drop_unsynced`), replay skips them, and
+(:meth:`WriteAheadLog.truncate_to_replay`), replay skips them, and
 they occupy no device bytes until synced.  ``append_batch`` is always a
 commit barrier: it flushes any buffered records first.
 """
@@ -233,20 +233,24 @@ class WriteAheadLog:
         for record in self._records[-count:]:
             record.torn = True
 
-    # repro: allow[DEAD001] fault-injection surface, driven by tests/
-    def crash_drop_unsynced(self) -> int:
-        """Lose every buffered (unsynced) record, as a crash would.
+    def truncate_to_replay(self) -> List[WalRecord]:
+        """Cut the log to the records :meth:`replay` surfaces; return them.
 
-        Returns the number of records dropped.  ``sync`` policy never
-        buffers, so there the call is a no-op returning 0.
+        What a restarting process does with the log a crash left: the
+        buffered (unsynced) records are lost, and the torn tail and any
+        batch whose commit never landed are discarded.  Kept, a lost
+        record would be synced by a later append, and a torn one would
+        hide every later append from the next replay.
         """
-        if not self._pending:
-            return 0
-        dropped = len(self._pending)
-        self._records = [r for r in self._records if r.synced]
+        kept = list(self.replay())
+        freed = sum(r.frame_bytes for r in self._records if r.synced)
+        freed -= sum(r.frame_bytes for r in kept)
+        self._records = kept
         self._pending = []
         self._window_start = None
-        return dropped
+        if freed:
+            self.device.release(freed)
+        return kept
 
     def replay(self) -> Iterator[WalRecord]:
         """Yield intact durable records in append order, stopping at a torn one.
