@@ -67,6 +67,11 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         )
         self.nvm_imm: Optional[MemTable] = None
         self._nvm_chain_tail = None
+        #: Newest NVM-direct seq per key.  The full DRAM MemTable a direct
+        #: put bypassed holds older versions, and it can reach a MemTable
+        #: younger than the one holding the direct write, which may by
+        #: then be in L0: a MemTable hit older than this seq is stale.
+        self._direct_seq = {}
         self.lsm = LeveledLSM(system, self.options, self.device, nworkers=1, label=self.name)
         self.flush_worker = system.executor.worker(f"{self.name}-dram-flush")
         self.nvm_flush_worker = system.executor.worker(f"{self.name}-nvm-flush")
@@ -87,6 +92,7 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
     def _nvm_direct_put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         seconds = self._ensure_nvm_room(len(key) + value_bytes + 64)
         seconds += self.nvm_mt.insert(key, seq, value, value_bytes)
+        self._direct_seq[key] = seq
         return seconds
 
     def _ensure_nvm_room(self, incoming: int) -> float:
@@ -177,8 +183,9 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
             seconds += cost
             if node is not None and (best is None or node.seq > best.seq):
                 best = node
-        if best is not None:
+        if best is not None and best.seq >= self._direct_seq.get(key, 0):
             return (None if best.is_tombstone else best.value), seconds
+        # No MemTable hit, or a stale one: the newest version is in L0.
         entry, cost = self.lsm.get(key)
         seconds += cost
         if entry is None:
