@@ -1,7 +1,7 @@
 """Behavioural tests for the baseline stores.
 
-Functional equivalence across every store is covered by
-``test_store_equivalence.py``; these tests pin down the *design*
+Every store is held to a dict by the model checker
+(``test_model_checker.py``); these tests pin down the *design*
 behaviours the paper attributes to each baseline.
 """
 

@@ -78,23 +78,3 @@ def test_metamorphic_insert_order_irrelevant_for_final_state(name):
             k: v.tag for k, v in ((key, store.get(key)[0]) for key in keys)
         }
     assert contents[0] == contents[1]
-
-
-def test_metamorphic_quiesce_never_changes_visible_state():
-    store, __ = make_store("miodb", SMALL)
-    rng = XorShiftRng(31)
-    model = {}
-    for i in range(600):
-        key = key_for(rng.next_below(120))
-        if rng.next_below(6) == 0:
-            store.delete(key)
-            model.pop(key, None)
-        else:
-            store.put(key, SizedValue(i, 512))
-            model[key] = i
-    before = {key_for(i): store.get(key_for(i))[0] for i in range(120)}
-    store.quiesce()
-    after = {key_for(i): store.get(key_for(i))[0] for i in range(120)}
-    assert before == after
-    for key, tag in model.items():
-        assert after[key].tag == tag

@@ -1,164 +1,22 @@
-"""Failure-injection tests: crash MioDB at interesting points, recover,
-and verify no acknowledged write is lost (paper Section 4.7)."""
+"""Crash recovery replays only the WAL tail (paper Section 4.7).
 
-import pytest
+Recovery correctness -- every crash point, torn tails, fsync policies,
+repeated crashes -- is the model checker's ``crash_and_recover`` rule
+(``tests/test_model_checker.py``).  This file keeps the cost claim.
+"""
 
 from repro.core import MioDB, MioOptions, recover
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
-from repro.persist.crash import CrashInjector, SimulatedCrash
 
 KB = 1 << 10
 
 
-def run_until_crash(store, injector, point, after_hits, n=3000, key_space=500):
-    """Write until the armed crash fires.
-
-    Returns ``(acked, crashed, inflight)`` where ``inflight`` is the
-    (key, tag) of the write interrupted by the crash -- it was never
-    acknowledged, so recovery may legally surface either version.
-    """
-    acked = {}
-    try:
-        for i in range(n):
-            key = b"key%06d" % ((i * 7919) % key_space)
-            store.put(key, SizedValue(i, 512))
-            acked[key] = i
-    except SimulatedCrash:
-        return acked, True, (key, i)
-    return acked, False, None
-
-
-def make_store(point, after_hits):
-    system = HybridMemorySystem()
-    injector = CrashInjector()
-    injector.arm(point, after_hits)
-    options = MioOptions(memtable_bytes=4 * KB, num_levels=3)
-    return MioDB(system, options, crash_injector=injector), injector
-
-
-def verify_all_present(store, acked, inflight=None):
-    """Every acknowledged write is present and newest; the single
-    unacknowledged in-flight write may legally surface instead."""
-    for key, tag in acked.items():
-        value, __ = store.get(key)
-        assert value is not None, key
-        if inflight is not None and key == inflight[0]:
-            assert value.tag in (tag, inflight[1]), (key, value.tag)
-        else:
-            assert value.tag == tag, (key, value.tag, tag)
-
-
-@pytest.mark.parametrize("after_hits", [50, 500, 1500, 2500])
-def test_crash_after_wal_append_loses_nothing_acked(after_hits):
-    store, injector = make_store("put.after_wal", after_hits)
-    acked, crashed, inflight = run_until_crash(
-        store, injector, "put.after_wal", after_hits
-    )
-    assert crashed
-    recovered, seconds = recover(store)
-    assert seconds >= 0
-    verify_all_present(recovered, acked, inflight)
-
-
-@pytest.mark.parametrize("after_hits", [1, 3, 10])
-def test_crash_between_copy_and_swizzle(after_hits):
-    store, injector = make_store("flush.after_copy", after_hits)
-    acked, crashed, inflight = run_until_crash(
-        store, injector, "flush.after_copy", after_hits
-    )
-    assert crashed
-    recovered, __ = recover(store)
-    verify_all_present(recovered, acked, inflight)
-
-
-@pytest.mark.parametrize("after_hits", [1, 5, 12])
-def test_crash_right_after_swizzle(after_hits):
-    store, injector = make_store("flush.after_swizzle", after_hits)
-    acked, crashed, inflight = run_until_crash(
-        store, injector, "flush.after_swizzle", after_hits
-    )
-    assert crashed
-    recovered, __ = recover(store)
-    verify_all_present(recovered, acked, inflight)
-
-
-def test_recovered_store_accepts_new_writes():
-    store, injector = make_store("put.after_wal", 800)
-    acked, __crashed, inflight = run_until_crash(store, injector, "put.after_wal", 800)
-    recovered, __ = recover(store)
-    recovered.put(b"after-crash", SizedValue("fresh", 128))
-    value, __ = recovered.get(b"after-crash")
-    assert value.tag == "fresh"
-    recovered.quiesce()
-    verify_all_present(recovered, acked, inflight)
-
-
 def test_recovery_replays_only_wal_tail():
-    store, injector = make_store("put.after_wal", 2000)
-    acked, __crashed, __inflight = run_until_crash(store, injector, "put.after_wal", 2000)
-    system = store.system
-    recovered, __ = recover(store)
+    system = HybridMemorySystem()
+    store = MioDB(system, MioOptions(memtable_bytes=4 * KB, num_levels=3))
+    for i in range(2000):
+        store.put(b"key%06d" % (i * 7919 % 500), SizedValue(i, 512))
+    recover(store)
     replayed = system.stats.get("recover.replayed")
-    assert 0 < replayed < len(acked)  # most data came from PMTables, not WAL
-
-
-def test_torn_wal_tail_is_skipped():
-    store, injector = make_store("put.after_wal", 600)
-    acked, __crashed, __inflight = run_until_crash(store, injector, "put.after_wal", 600)
-    # the in-flight record was only partially written
-    store.wal.tear_tail(1)
-    recovered, __ = recover(store)
-    # every key except possibly the torn one must be intact and newest
-    torn_ok = 0
-    for key, tag in acked.items():
-        value, __lat = recovered.get(key)
-        if value is None or value.tag != tag:
-            torn_ok += 1
-    assert torn_ok <= 1
-
-
-def test_double_crash_and_recover():
-    store, injector = make_store("put.after_wal", 700)
-    acked, __crashed, first = run_until_crash(store, injector, "put.after_wal", 700)
-    # the first crash's unacknowledged write survived in the WAL and was
-    # replayed by the first recovery, so it is now durable state
-    if first is not None:
-        acked[first[0]] = first[1]
-    recovered, __ = recover(store)
-    injector.arm("put.after_wal", 300)
-    more, crashed, inflight = run_until_crash(recovered, injector, "put.after_wal", 300)
-    assert crashed
-    acked.update(more)
-    final, __ = recover(recovered)
-    verify_all_present(final, acked, inflight)
-
-
-@pytest.mark.parametrize("point", ["compact.after_zero_copy", "compact.after_lazy_copy"])
-@pytest.mark.parametrize("after_hits", [1, 4])
-def test_crash_around_compactions(point, after_hits):
-    """Zero-copy merges are made of atomic pointer writes and lazy copies
-    are idempotent inserts, so a crash at a compaction boundary must
-    leave a fully readable store (paper Section 4.7)."""
-    store, injector = make_store(point, after_hits)
-    acked, crashed, inflight = run_until_crash(store, injector, point, after_hits)
-    if not crashed:
-        pytest.skip(f"{point} not reached {after_hits} times at this scale")
-    recovered, __ = recover(store)
-    verify_all_present(recovered, acked, inflight)
-    from repro.core.verifier import verify_store
-
-    verify_store(recovered)
-
-
-def test_recovery_preserves_sequence_monotonicity():
-    store, injector = make_store("put.after_wal", 500)
-    acked, __crashed, __inflight = run_until_crash(store, injector, "put.after_wal", 500)
-    recovered, __ = recover(store)
-    old_seq = recovered.seq
-    recovered.put(b"k-new", SizedValue(1, 64))
-    assert recovered.seq == old_seq + 1
-    # the new write must shadow any replayed version
-    recovered.put(next(iter(acked)), SizedValue("winner", 64))
-    value, __ = recovered.get(next(iter(acked)))
-    assert value.tag == "winner"
+    assert 0 < replayed < 2000  # most data came from PMTables, not the WAL
