@@ -299,7 +299,7 @@ def read_sources(package):
 
 def _unsuppressed(rule, path, allows, node, message) -> List[Finding]:
     finding = Finding(rule, SEV_ERROR, path, node.lineno, message)
-    return [] if _suppressed(finding, *allows) else [finding]
+    return [] if _suppressed(finding, allows) else [finding]
 
 
 def check_dead_names(sources) -> List[Finding]:

@@ -22,13 +22,9 @@ STAT001   error     ``stats.add/set/max`` keys whose family is not
                     registered in ``repro.sim.stats.KEY_FAMILIES``
 ========  ========  =====================================================
 
-Suppression is explicit, never silent:
-
-- ``# repro: allow[RULE] -- why`` on the flagged line (or the line
-  directly above) suppresses that rule there;
-- ``# repro: allow-file[RULE] -- why`` anywhere in a file suppresses the
-  rule for the whole file (for modules whose *purpose* is the flagged
-  behavior, e.g. timing subprocesses in ``repro.bench.parallel``).
+Suppression is explicit, never silent, and has one form:
+``# repro: allow[RULE] -- why`` on the flagged line (or the line directly
+above) suppresses that rule there.
 """
 
 import ast
@@ -116,7 +112,6 @@ _SET_WRAPPERS = ("list", "tuple", "enumerate")
 _CAUSE_VOCAB = frozenset(STALL_CAUSES) | frozenset(DROP_CAUSES)
 
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_\-, ]+)\]")
-_FILE_PRAGMA = re.compile(r"#\s*repro:\s*allow-file\[([A-Za-z0-9_\-, ]+)\]")
 
 
 def _dotted(node) -> Optional[Tuple[str, ...]]:
@@ -344,28 +339,19 @@ class _LintVisitor(ast.NodeVisitor):
 # ---------------------------------------------------------------- pragmas
 
 
-def _pragma_allows(lines: List[str]):
-    """Per-line and per-file suppression pragmas in a source file."""
+def _pragma_allows(lines: List[str]) -> Dict[int, frozenset]:
+    """The suppression pragmas of a source file, by line number."""
     by_line: Dict[int, frozenset] = {}
-    file_wide: set = set()
     for number, text in enumerate(lines, start=1):
-        match = _FILE_PRAGMA.search(text)
-        if match:
-            file_wide.update(
-                p.strip() for p in match.group(1).split(",") if p.strip()
-            )
-            continue
         match = _PRAGMA.search(text)
         if match:
             by_line[number] = frozenset(
                 p.strip() for p in match.group(1).split(",") if p.strip()
             )
-    return by_line, frozenset(file_wide)
+    return by_line
 
 
-def _suppressed(finding: Finding, by_line, file_wide) -> bool:
-    if finding.rule in file_wide:
-        return True
+def _suppressed(finding: Finding, by_line) -> bool:
     for line in (finding.line, finding.line - 1):
         if finding.rule in by_line.get(line, ()):
             return True
@@ -399,10 +385,8 @@ def lint_text(
     visitor.visit(ast.parse(source, filename=relpath))
     findings = visitor.findings
     if respect_pragmas:
-        by_line, file_wide = _pragma_allows(source.splitlines())
-        findings = [
-            f for f in findings if not _suppressed(f, by_line, file_wide)
-        ]
+        by_line = _pragma_allows(source.splitlines())
+        findings = [f for f in findings if not _suppressed(f, by_line)]
     return sort_findings(findings)
 
 

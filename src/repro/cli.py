@@ -12,7 +12,6 @@ Run workloads against any store in the library from a shell::
     python -m repro chaos --store miodb --seeds 3,7,42 --report chaos.json
     python -m repro info
     python -m repro perf
-    python -m repro bench --jobs 8
     python -m repro check --strict --races
 
 Every run is deterministic (simulated time); throughput and latency
@@ -169,7 +168,8 @@ def _traced_flags() -> argparse.ArgumentParser:
 
 def _replication_flags(followers: int) -> argparse.ArgumentParser:
     flags = _flags()
-    flags.add_argument("--followers", type=int, default=followers, metavar="K",
+    flags.add_argument("--followers", type=_nonnegative_int, default=followers,
+                       metavar="K",
                        help="follower replicas per shard (0 = unreplicated)")
     flags.add_argument("--ack", choices=["leader", "quorum", "all"],
                        default="quorum", help="write ack policy")
@@ -184,10 +184,10 @@ def _live_flags() -> argparse.ArgumentParser:
     flags.add_argument("--live", action="store_true",
                        help="attach the sampled live-telemetry plane "
                             "instead of full tracing")
-    flags.add_argument("--slo-threshold-us", type=float, default=0.0,
+    flags.add_argument("--slo-threshold-us", type=_nonnegative_float, default=0.0,
                        help="per-op latency SLO for burn-rate flight "
                             "triggers (0 = off)")
-    flags.add_argument("--stall-alert-us", type=float, default=0.0,
+    flags.add_argument("--stall-alert-us", type=_nonnegative_float, default=0.0,
                        help="stall duration that triggers a flight dump "
                             "(0 = off)")
     flags.add_argument("--openmetrics", default=None, metavar="FILE",
@@ -834,21 +834,6 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Parallel regeneration of every figure/table artifact."""
-    import os
-
-    from repro.bench import parallel
-
-    bench_dir = args.bench_dir or parallel.default_bench_dir()
-    if not bench_dir.is_dir():
-        print(f"benchmarks directory not found: {bench_dir}", file=sys.stderr)
-        return 2
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    failures, __, __ = parallel.run_suite(bench_dir, jobs, args.match)
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MioDB reproduction workload runner"
@@ -922,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="long burn window (0 = run duration/10); short = long/5")
     p.add_argument("--factor", type=_positive_float, default=2.0,
                    help="burn-rate factor both windows must exceed")
-    p.add_argument("--min-kiops", type=float, default=None,
+    p.add_argument("--min-kiops", type=_nonnegative_float, default=None,
                    help="flag rolling-window throughput under this floor")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="also write the full SLO document (JSON)")
@@ -961,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the router-merged latency attribution report")
     p.add_argument("--analyze-json", default=None, metavar="FILE",
                    help="also write the cluster analysis document (JSON)")
-    p.add_argument("--live-refresh-us", type=float, default=0.0,
+    p.add_argument("--live-refresh-us", type=_nonnegative_float, default=0.0,
                    help="dashboard refresh cadence in simulated us "
                         "(0 = 4x the aggregation window)")
     p.set_defaults(func=cmd_cluster, value_size=256)
@@ -1024,20 +1009,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the full diff document as JSON")
     p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser(
-        "bench", help="regenerate all figure/table artifacts in parallel"
-    )
-    p.add_argument("--jobs", "-j", type=int, default=None)
-    p.add_argument("--match", default="")
-    p.add_argument("--bench-dir", type=pathlib.Path, default=None)
-    p.set_defaults(func=cmd_bench)
-
     return parser
+
+
+def _refuse_unreplicable(parser, names) -> None:
+    """``parser.error`` naming the first store a replica group refuses."""
+    from repro.replication.group import replication_refusal
+
+    for name in names:
+        reason = replication_refusal(make_store(name)[0])
+        if reason is not None:
+            parser.error(
+                f"argument --store: expected a replicable store, got "
+                f"{name!r} (cannot be replicated: {reason})"
+            )
 
 
 # repro: allow[OPT001] tests drive the CLI in-process with an argv list
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_chaos or getattr(args, "followers", 0) > 0:
+        _refuse_unreplicable(parser, args.store)
     return args.func(args)
 
 

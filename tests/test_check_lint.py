@@ -215,16 +215,6 @@ def test_pragma_for_the_wrong_rule_does_not_suppress():
     assert _rules(lint_text(src)) == ["DET001"]
 
 
-def test_file_pragma_suppresses_everywhere():
-    src = (
-        "# repro: allow-file[DET001] -- timing module\n"
-        "import time\n"
-        "a = time.time()\n"
-        "b = time.monotonic()\n"
-    )
-    assert lint_text(src) == []
-
-
 def test_pragmas_can_be_ignored():
     src = "import time\nt = time.time()  # repro: allow[DET001] -- test\n"
     findings = lint_text(src, respect_pragmas=False)

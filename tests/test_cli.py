@@ -116,11 +116,6 @@ def test_flags_of_the_removed_timing_harness_are_rejected(argv):
     assert exit_info.value.code == 2
 
 
-def test_bench_subcommand_rejects_missing_dir(tmp_path, capsys):
-    rc = main(["bench", "--bench-dir", str(tmp_path / "nope")])
-    assert rc == 2
-
-
 def test_analyze_subcommand_is_byte_identical(tmp_path, capsys):
     argv = ["analyze", "--store", "miodb", "--n", "512", "--reads", "64"]
     outs, jsons = [], []
@@ -333,6 +328,14 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["ycsb", "--records", "-1"],
     ["ycsb", "--ops", "-1"],
     ["check", "--races-n", "0"],
+    ["cluster", "--followers", "-1"],
+    ["chaos", "--followers", "-1"],
+    ["chaos", "--store", "novelsm"],
+    ["cluster", "--store", "novelsm-nosst", "--followers", "1"],
+    ["cluster", "--live-refresh-us", "nan"],
+    ["trace", "--slo-threshold-us", "nan"],
+    ["trace", "--stall-alert-us", "nan"],
+    ["slo", "--min-kiops", "nan"],
 ])
 def test_out_of_range_numbers_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -371,7 +374,6 @@ REQUIRED_ARGS = {"diff": ["a.json", "b.json"]}
 
 PINNED_NAMESPACES = {
     "analyze": "bf094f257577bbe7",
-    "bench": "dea759c0ad673279",
     "chaos": "060c3f1eb9d44cc9",
     "check": "2eaf6f8c5a10fc04",  # PR 24: --baseline, --update-baseline gone
     "cluster": "2ba3d50d213040fb",
