@@ -98,6 +98,11 @@ class WindowAggregator:
         if self._on_window is not None:
             self._on_window(t_s, snap.count, bad)
 
+    @property
+    def closed(self) -> int:
+        """Windows closed so far, counting the rows dropped past the cap."""
+        return len(self.rows) + self.dropped_rows
+
     def last_row(self) -> Optional[dict]:
         return self.rows[-1] if self.rows else None
 

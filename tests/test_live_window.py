@@ -74,6 +74,18 @@ def test_row_cap_drops_oldest_and_counts():
     assert wa.rows[0]["t_s"] == pytest.approx(3e-3)
 
 
+def test_window_counters_count_every_closed_window(monkeypatch):
+    # The row cap bounds memory, not the counters: repro_windows_total
+    # and live.windows count the rows dropped past it too.
+    import repro.obs.live.window as window
+
+    monkeypatch.setattr(window, "MAX_ROWS", 1)
+    __, system, rec = run_traced("miodb", n=512, reads=64, live=dict(LIVE))
+    assert len(rec.window.rows) == 1 and rec.window.dropped_rows == 1
+    assert 'repro_windows_total{shard="0"} 2' in openmetrics_text(rec).splitlines()
+    assert system.stats.get("live.windows") == 2
+
+
 def test_window_listener_receives_bad_counts():
     system = HybridMemorySystem()
     wa = WindowAggregator(system)
