@@ -374,6 +374,7 @@ def cmd_trace(args) -> int:
     from repro.obs import (
         bandwidth_csv,
         gantt,
+        openmetrics_text,
         queue_depth_csv,
         write_artifact,
         write_chrome_trace,
@@ -398,10 +399,8 @@ def cmd_trace(args) -> int:
                 file=sys.stderr,
             )
             if args.openmetrics:
-                from repro.obs.live import write_openmetrics
-
                 path = _trace_path(args.openmetrics, name, multi)
-                write_openmetrics(path, recorder, labels=["0"])
+                write_artifact(path, openmetrics_text(recorder, labels=["0"]))
                 print(f"# openmetrics: {path}", file=sys.stderr)
             if args.flight_dir:
                 written = _write_flight_dumps(

@@ -23,7 +23,7 @@ produces byte-identical JSON.
 import json
 from typing import Dict, List
 
-from repro.obs.export import metrics_snapshot, process_trace_events
+from repro.obs.export import metrics_snapshot, process_trace_events, write_artifact
 
 
 def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
@@ -92,9 +92,8 @@ def cluster_openmetrics_text(cluster, recorders: List[object]) -> str:
             f"expected {cluster.n_shards} recorders, got {len(recorders)}"
         )
     labels = [str(shard.shard_id) for shard in cluster.shards]
-    if cluster.replication is not None:
-        return openmetrics_text(recorders, labels, groups=cluster.groups)
-    return openmetrics_text(recorders, labels)
+    groups = cluster.groups if cluster.replication is not None else None
+    return openmetrics_text(recorders, labels, groups=groups)
 
 
 def cluster_chrome_trace(cluster, recorders: List[object]) -> dict:
@@ -136,6 +135,4 @@ def cluster_trace_json(cluster, recorders: List[object]) -> str:
 
 def write_cluster_trace(cluster, recorders: List[object], path) -> None:
     """Serialize the merged shard trace to ``path`` (byte-reproducible)."""
-    from repro.obs.export import write_artifact
-
     write_artifact(path, cluster_trace_json(cluster, recorders))

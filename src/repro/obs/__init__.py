@@ -24,110 +24,48 @@ Quickstart::
     write_chrome_trace(recorder, "trace.json")
 """
 
-from repro.obs.analyze import (
-    BurnRateRule,
-    SloMonitor,
-    SloObjective,
-    analyze_cluster,
-    analyze_run,
-    attribute_ops,
-    critical_paths,
-)
 from repro.obs.events import (
     CAT_COMPACT,
     CAT_FLUSH,
-    CAT_JOB,
     CAT_OP,
     CAT_QUEUE,
     CAT_STALL,
     CAT_TRANSFER,
-    CATEGORIES,
     DROP_CAUSES,
-    DROP_QUEUE_FULL,
-    DROP_RETRY_EXHAUSTED,
-    STALL_BUFFER_CAP,
     STALL_CAUSES,
-    STALL_L0_SLOWDOWN,
-    STALL_L0_STOP,
-    STALL_MEMTABLE_FULL,
-    TraceEvent,
 )
 from repro.obs.export import (
-    ascii_gantt,
     bandwidth_csv,
     chrome_trace_json,
     gantt,
-    latency_histogram,
-    metrics_json,
-    metrics_snapshot,
     queue_depth_csv,
     to_chrome_trace,
     write_artifact,
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.live import (
-    FlightRecorder,
-    HeadSampler,
-    LiveDashboard,
-    LiveRecorder,
-    TailSampler,
-    WindowAggregator,
-    head_keep,
-    openmetrics_text,
-    splitmix64,
-    write_openmetrics,
-)
+from repro.obs.live import openmetrics_text
 from repro.obs.recorder import TraceRecorder
 from repro.obs.runner import run_traced
 
 __all__ = [
     "TraceRecorder",
-    "TraceEvent",
-    "CATEGORIES",
     "CAT_OP",
     "CAT_STALL",
     "CAT_FLUSH",
     "CAT_COMPACT",
-    "CAT_JOB",
     "CAT_TRANSFER",
     "CAT_QUEUE",
     "DROP_CAUSES",
-    "DROP_QUEUE_FULL",
-    "DROP_RETRY_EXHAUSTED",
     "STALL_CAUSES",
-    "STALL_MEMTABLE_FULL",
-    "STALL_L0_SLOWDOWN",
-    "STALL_L0_STOP",
-    "STALL_BUFFER_CAP",
     "to_chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
-    "metrics_snapshot",
-    "metrics_json",
     "write_metrics",
     "write_artifact",
-    "latency_histogram",
     "bandwidth_csv",
     "queue_depth_csv",
-    "ascii_gantt",
     "gantt",
     "run_traced",
-    "attribute_ops",
-    "critical_paths",
-    "analyze_run",
-    "analyze_cluster",
-    "SloObjective",
-    "BurnRateRule",
-    "SloMonitor",
-    "LiveRecorder",
-    "LiveDashboard",
-    "FlightRecorder",
-    "WindowAggregator",
-    "HeadSampler",
-    "TailSampler",
-    "head_keep",
-    "splitmix64",
     "openmetrics_text",
-    "write_openmetrics",
 ]

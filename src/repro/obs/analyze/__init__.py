@@ -1,8 +1,9 @@
 """Deterministic trace analysis: attribution, critical paths, SLOs.
 
 Everything in this package consumes a :class:`~repro.obs.recorder.TraceRecorder`
-after a run and computes pure functions of its event list, so every
-report is byte-identical across same-seed runs.  The pieces:
+after a run and computes pure functions of its events, classified once
+by :meth:`~repro.obs.recorder.TraceRecorder.index`, so every report is
+byte-identical across same-seed runs.  The pieces:
 
 - :mod:`~repro.obs.analyze.attribution` -- per-op latency decomposition
   (queue wait, stalls by cause, device time by device, residual other)
@@ -24,10 +25,8 @@ report is byte-identical across same-seed runs.  The pieces:
   and ``repro slo`` documents and their text renderings.
 """
 
-from repro.obs.analyze.attribution import OpAttribution, attribute_ops, summarize
+from repro.obs.analyze.attribution import attribute_ops, summarize
 from repro.obs.analyze.critical_path import (
-    MAX_CHAIN_DEPTH,
-    StallChain,
     critical_paths,
     failover_timelines,
     stall_blame,
@@ -37,7 +36,7 @@ from repro.obs.analyze.diff import (
     diff_json,
     render_diff,
 )
-from repro.obs.analyze.profile import render_profile, time_profile
+from repro.obs.analyze.profile import time_profile
 from repro.obs.analyze.replication import (
     follower_lag_timeline,
     replication_summary,
@@ -58,18 +57,11 @@ from repro.obs.analyze.slo import (
     SloObjective,
     rolling_series,
 )
-from repro.obs.analyze.timeline import (
-    bytes_moved_timeline,
-    per_level_bytes,
-    persistent_write_bytes,
-    write_amplification,
-)
+from repro.obs.analyze.timeline import per_level_bytes, persistent_write_bytes
 
 __all__ = [
-    "OpAttribution",
     "attribute_ops",
     "summarize",
-    "StallChain",
     "critical_paths",
     "stall_blame",
     "failover_timelines",
@@ -78,13 +70,9 @@ __all__ = [
     "diff_analysis",
     "diff_json",
     "render_diff",
-    "MAX_CHAIN_DEPTH",
     "time_profile",
-    "render_profile",
     "persistent_write_bytes",
-    "write_amplification",
     "per_level_bytes",
-    "bytes_moved_timeline",
     "SloObjective",
     "BurnRateRule",
     "SloMonitor",

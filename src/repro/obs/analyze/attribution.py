@@ -35,10 +35,10 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs.events import (
     CAT_OP,
-    CAT_QUEUE,
     CAT_REPL_ACK,
     CAT_STALL,
     CAT_TRANSFER,
+    stall_seconds,
 )
 
 
@@ -146,16 +146,9 @@ def attribute_ops(recorder) -> List[OpAttribution]:
     attributions: List[OpAttribution] = []
     pending: List = []
     last_op_end = None
-    for event in recorder.events:
+    for event in recorder.index().foreground:
         cat = event.cat
-        if cat == CAT_TRANSFER:
-            args = event.args or {}
-            if args.get("job"):
-                continue
-            pending.append(event)
-        elif cat == CAT_STALL or cat == CAT_QUEUE:
-            pending.append(event)
-        elif cat == CAT_REPL_ACK:
+        if cat == CAT_REPL_ACK:
             # The ack span is emitted synchronously inside the replicated
             # write: nothing advances the clock between the leader op's
             # completion and the start of the ack wait, so an ack belongs
@@ -176,7 +169,7 @@ def attribute_ops(recorder) -> List[OpAttribution]:
                     else f"ack:g{group}:r{straggler}"
                 )
                 attributions[-1].extend_repl(key, event.dur)
-        elif cat == CAT_OP and event.track == "foreground":
+        elif cat == CAT_OP:
             last_op_end = event.end
             queue_s, stall_s, device_s = _aggregate(pending)
             attributions.append(
@@ -191,6 +184,8 @@ def attribute_ops(recorder) -> List[OpAttribution]:
                 )
             )
             pending = []
+        else:
+            pending.append(event)
     return attributions
 
 
@@ -210,12 +205,8 @@ def _aggregate(events):
             device = event.track.split(":", 1)[1]
             device_s[device] = device_s.get(device, 0.0) + args.get("seconds", 0.0)
         elif cat == CAT_STALL:
-            args = event.args or {}
-            cause = args.get("cause", "unknown")
-            amount = (
-                event.dur if event.dur is not None else args.get("seconds", 0.0)
-            )
-            stall_s[cause] = stall_s.get(cause, 0.0) + amount
+            cause = (event.args or {}).get("cause", "unknown")
+            stall_s[cause] = stall_s.get(cause, 0.0) + stall_seconds(event)
         else:  # CAT_QUEUE
             if event.dur is not None:
                 queue_s += event.dur
@@ -227,14 +218,8 @@ def _merge_into(totals: Dict[str, float], parts: Dict[str, float]) -> None:
         totals[key] = totals.get(key, 0.0) + value
 
 
-def summarize(attributions: Iterable[OpAttribution]) -> dict:
-    """Aggregate per-op attributions into a deterministic summary doc.
-
-    Components are totalled overall and per op kind; keys are sorted so
-    the JSON serialization is byte-stable.  Shard lists from a cluster
-    run can simply be concatenated before summarizing.
-    """
-    total = {
+def _bucket() -> dict:
+    return {
         "ops": 0,
         "measured_s": 0.0,
         "queue_s": 0.0,
@@ -243,21 +228,22 @@ def summarize(attributions: Iterable[OpAttribution]) -> dict:
         "device_s": {},
         "repl_s": {},
     }
+
+
+def summarize(attributions: Iterable[OpAttribution]) -> dict:
+    """Aggregate per-op attributions into a deterministic summary doc.
+
+    Components are totalled overall and per op kind; keys are sorted so
+    the JSON serialization is byte-stable.  Shard lists from a cluster
+    run can simply be concatenated before summarizing.
+    """
+    total = _bucket()
     by_kind: Dict[str, dict] = {}
     max_measured: Optional[OpAttribution] = None
     for attr in attributions:
-        for bucket in (total, by_kind.setdefault(
-            attr.kind,
-            {
-                "ops": 0,
-                "measured_s": 0.0,
-                "queue_s": 0.0,
-                "other_s": 0.0,
-                "stall_s": {},
-                "device_s": {},
-                "repl_s": {},
-            },
-        )):
+        if attr.kind not in by_kind:
+            by_kind[attr.kind] = _bucket()
+        for bucket in (total, by_kind[attr.kind]):
             bucket["ops"] += 1
             bucket["measured_s"] += attr.measured_s
             bucket["queue_s"] += attr.queue_s

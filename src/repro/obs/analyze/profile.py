@@ -15,6 +15,7 @@ embedded as JSON in the analysis report.
 from typing import Dict, List
 
 from repro.obs.analyze.attribution import OpAttribution
+from repro.obs.analyze.timeline import per_level_bytes
 
 _BAR_WIDTH = 24
 
@@ -43,7 +44,6 @@ def time_profile(attributions: List[OpAttribution], recorder, total_s: float) ->
         children["other"] = children.get("other", 0.0) + attr.other_s
 
     workers: Dict[str, dict] = {}
-    per_level: Dict[str, dict] = {}
     for span in recorder.worker_spans():
         worker = span.track.split(":", 1)[1]
         node = workers.setdefault(worker, {"busy_s": 0.0, "jobs": {}})
@@ -53,16 +53,7 @@ def time_profile(attributions: List[OpAttribution], recorder, total_s: float) ->
         )
         job["count"] += 1
         job["seconds"] += span.dur
-        args = span.args or {}
-        job["bytes"] += args.get("bytes", 0)
-        if span.cat in ("flush", "compact"):
-            label = f"L{args['level']}" if "level" in args else "flush"
-            level = per_level.setdefault(
-                label, {"jobs": 0, "seconds": 0.0, "bytes": 0}
-            )
-            level["jobs"] += 1
-            level["seconds"] += span.dur
-            level["bytes"] += args.get("bytes", 0)
+        job["bytes"] += (span.args or {}).get("bytes", 0)
 
     return {
         "total_s": total_s,
@@ -72,7 +63,7 @@ def time_profile(attributions: List[OpAttribution], recorder, total_s: float) ->
             "ops": {kind: foreground[kind] for kind in sorted(foreground)},
         },
         "workers": {name: workers[name] for name in sorted(workers)},
-        "per_level": {label: per_level[label] for label in sorted(per_level)},
+        "per_level": per_level_bytes(recorder),
     }
 
 

@@ -25,8 +25,6 @@ from repro.obs.events import (
     CAT_REPL_SHIP,
 )
 
-_REPL_CATS = (CAT_REPL_SHIP, CAT_REPL_APPLY, CAT_REPL_ACK, CAT_REPL_ELECTION)
-
 
 def _member_key(track: str) -> str:
     """``"g<gid>:r<rid>"`` from a member track ``repl:g<gid>:r<rid>``."""
@@ -42,7 +40,7 @@ def follower_lag_timeline(recorder) -> Dict[str, List[dict]]:
     """
     head: Dict[str, int] = {}
     series: Dict[str, List[dict]] = {}
-    for event in recorder.events:
+    for event in recorder.index().repl:
         args = event.args or {}
         if event.cat == CAT_REPL_SHIP and event.name == "append":
             head[event.track] = args.get("lsn", 0)
@@ -69,12 +67,14 @@ def replication_summary(recorder) -> Optional[dict]:
     """
     from repro.obs.analyze.critical_path import failover_timelines
 
+    events = recorder.index().repl
+    if not events:
+        return None
     phases = {"ship_s": 0.0, "apply_s": 0.0, "ack_s": 0.0, "election_s": 0.0}
     followers: Dict[str, dict] = {}
     stragglers: Dict[str, int] = {}
     appends = 0
     acks = 0
-    seen = False
 
     def follower_row(key: str) -> dict:
         return followers.setdefault(
@@ -83,11 +83,8 @@ def replication_summary(recorder) -> Optional[dict]:
              "applied_records": 0, "straggler_acks": 0},
         )
 
-    for event in recorder.events:
+    for event in events:
         cat = event.cat
-        if cat not in _REPL_CATS:
-            continue
-        seen = True
         args = event.args or {}
         if cat == CAT_REPL_SHIP:
             if event.name == "append":
@@ -116,8 +113,6 @@ def replication_summary(recorder) -> Optional[dict]:
         elif cat == CAT_REPL_ELECTION:
             if event.name == "elect" and event.dur is not None:
                 phases["election_s"] += event.dur
-    if not seen:
-        return None
     return {
         "phases": phases,
         "appends": appends,

@@ -13,12 +13,7 @@ from repro.obs.analyze.attribution import attribute_ops, summarize
 from repro.obs.analyze.critical_path import critical_paths, stall_blame
 from repro.obs.analyze.profile import render_profile, time_profile
 from repro.obs.analyze.replication import replication_summary
-from repro.obs.analyze.timeline import (
-    bytes_moved_timeline,
-    per_level_bytes,
-    persistent_write_bytes,
-    write_amplification,
-)
+from repro.obs.analyze.timeline import bytes_moved_timeline, persistent_write_bytes
 
 #: Critical paths kept in a report (the longest stalls).
 TOP_CHAINS = 5
@@ -49,6 +44,7 @@ def analyze_run(recorder, system, store_name: str) -> dict:
     recorder additionally contributes a ``"sampling"`` section with its
     exact seen/retained bookkeeping, so readers know the op-level
     numbers cover a retained subset and by what factor to rescale.
+    Every section reads the recorder's one classified index.
     """
     attrs = attribute_ops(recorder)
     chains = critical_paths(recorder)
@@ -57,6 +53,8 @@ def analyze_run(recorder, system, store_name: str) -> dict:
     )[:TOP_CHAINS]
     end_s = system.clock.now
     user_bytes = system.stats.get("user.bytes_written")
+    persistent = persistent_write_bytes(recorder)
+    profile = time_profile(attrs, recorder, end_s)
     sampling = None
     meta_fn = getattr(recorder, "sampling_meta", None)
     if meta_fn is not None:
@@ -78,12 +76,15 @@ def analyze_run(recorder, system, store_name: str) -> dict:
         ),
         "stall_blame": stall_blame(chains),
         "critical_paths": [chain.as_dict() for chain in chains_by_len],
-        "profile": time_profile(attrs, recorder, end_s),
-        "per_level": per_level_bytes(recorder),
+        "profile": profile,
+        "per_level": profile["per_level"],
         "write": {
-            "persistent_bytes": persistent_write_bytes(recorder),
+            "persistent_bytes": persistent,
             "user_bytes": user_bytes,
-            "write_amplification": write_amplification(recorder, user_bytes),
+            # The fig-11 ratio: persistent traffic over logical user writes.
+            "write_amplification": (
+                persistent / user_bytes if user_bytes > 0 else 0.0
+            ),
         },
         "timeline": bytes_moved_timeline(recorder, end_s),
     }
@@ -135,23 +136,25 @@ def _component_line(label: str, seconds: float, measured: float) -> str:
     return f"  {label:<24} {_fmt_seconds(seconds):>12}  {share:5.1f}%"
 
 
+def _attribution_lines(attribution: dict, queue: bool) -> List[str]:
+    """One line per attribution component, then the measured total."""
+    parts = [("queue (admission)", attribution["queue_s"])] if queue else []
+    parts += [(f"stall:{c}", s) for c, s in attribution["stall_s"].items()]
+    parts += [(f"dev:{d}", s) for d, s in attribution["device_s"].items()]
+    parts += [("other (cpu)", attribution["other_s"]),
+              ("measured total", attribution["measured_s"])]
+    measured = attribution["measured_s"]
+    return [_component_line(label, seconds, measured) for label, seconds in parts]
+
+
 def render_analysis(doc: dict, profile: bool = True) -> str:
     """The analysis document as a fixed-width text report."""
-    lines: List[str] = []
     attribution = doc["attribution"]
-    measured = attribution["measured_s"]
-    lines.append(
+    lines = [
         f"== latency attribution: {doc['store']} "
         f"({attribution['ops']} ops, {_fmt_seconds(doc['sim_time_s'])} simulated) =="
-    )
-    if attribution.get("queue_s"):
-        lines.append(_component_line("queue (admission)", attribution["queue_s"], measured))
-    for cause, seconds in attribution["stall_s"].items():
-        lines.append(_component_line(f"stall:{cause}", seconds, measured))
-    for device, seconds in attribution["device_s"].items():
-        lines.append(_component_line(f"dev:{device}", seconds, measured))
-    lines.append(_component_line("other (cpu)", attribution["other_s"], measured))
-    lines.append(_component_line("measured total", measured, measured))
+    ]
+    lines += _attribution_lines(attribution, bool(attribution.get("queue_s")))
     conservation = doc["conservation"]
     lines.append(
         f"conservation: {'exact' if conservation['exact'] else 'RESIDUAL'} "
@@ -218,15 +221,7 @@ def render_cluster_analysis(doc: dict) -> str:
         f"== cluster attribution: {doc['store']} x{doc['n_shards']} shards "
         f"({doc['attribution']['ops']} ops) ==",
     ]
-    attribution = doc["attribution"]
-    measured = attribution["measured_s"]
-    lines.append(_component_line("queue (admission)", attribution["queue_s"], measured))
-    for cause, seconds in attribution["stall_s"].items():
-        lines.append(_component_line(f"stall:{cause}", seconds, measured))
-    for device, seconds in attribution["device_s"].items():
-        lines.append(_component_line(f"dev:{device}", seconds, measured))
-    lines.append(_component_line("other (cpu)", attribution["other_s"], measured))
-    lines.append(_component_line("measured total", measured, measured))
+    lines += _attribution_lines(doc["attribution"], queue=True)
     conservation = doc["conservation"]
     lines.append(
         f"conservation: {'exact' if conservation['exact'] else 'RESIDUAL'} "

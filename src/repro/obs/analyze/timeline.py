@@ -7,10 +7,7 @@ compactions) its level.  This module aggregates them into:
 - :func:`persistent_write_bytes` -- total bytes written to persistent
   media according to the trace; when tracing covered the whole run this
   equals ``system.persistent_bytes_written()`` *exactly*, which is the
-  numerator of the fig-11 write-amplification metric
-  (``benchmarks/test_fig11_write_amp.py`` cross-checks it);
-- :func:`write_amplification` -- the fig-11 ratio computed from the
-  trace's persistent traffic and the caller-supplied logical user bytes;
+  numerator of the fig-11 write-amplification metric;
 - :func:`per_level_bytes` -- bytes/jobs/seconds moved per level label
   (``flush`` for memtable flushes, ``L<n>`` for compactions);
 - :func:`bytes_moved_timeline` -- cumulative per-device written bytes
@@ -27,10 +24,7 @@ _VOLATILE_DEVICES = frozenset({"dram"})
 
 
 def _transfer_writes(recorder):
-    for event in recorder.events:
-        if event.cat != CAT_TRANSFER or event.name != "write":
-            continue
-        yield event
+    return [e for e in recorder.index().of(CAT_TRANSFER) if e.name == "write"]
 
 
 def persistent_write_bytes(recorder) -> int:
@@ -42,13 +36,6 @@ def persistent_write_bytes(recorder) -> int:
             continue
         total += (event.args or {}).get("bytes", 0)
     return total
-
-
-def write_amplification(recorder, user_bytes: int) -> float:
-    """The fig-11 ratio: persistent traffic over logical user writes."""
-    if user_bytes <= 0:
-        return 0.0
-    return persistent_write_bytes(recorder) / user_bytes
 
 
 def per_level_bytes(recorder) -> Dict[str, dict]:

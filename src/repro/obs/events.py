@@ -165,3 +165,11 @@ class TraceEvent:
             f"TraceEvent({self.track!r}, {self.name!r}, cat={self.cat!r}, "
             f"ts={self.ts:.9f}, {shape})"
         )
+
+
+def stall_seconds(event: TraceEvent) -> float:
+    """Simulated seconds one stall event cost: an interval stall's span
+    duration, a cumulative slowdown instant's ``seconds`` argument."""
+    if event.dur is not None:
+        return event.dur
+    return (event.args or {}).get("seconds", 0.0)

@@ -52,7 +52,7 @@ def process_trace_events(
     filtered by shard.
     """
     tag = {} if shard is None else {"shard": shard}
-    tids = {track: tid for tid, track in enumerate(recorder.tracks(), 1)}
+    tids = {track: tid for tid, track in enumerate(recorder.index().tracks, 1)}
     trace_events: List[dict] = [
         {
             "ph": "M",
@@ -185,15 +185,10 @@ def metrics_snapshot(system, recorder=None) -> dict:
     return doc
 
 
-def metrics_json(system, recorder=None) -> str:
-    """The metrics snapshot serialized deterministically."""
-    return json.dumps(metrics_snapshot(system, recorder), sort_keys=True,
-                      indent=2) + "\n"
-
-
 def write_metrics(system, path, recorder=None) -> None:
     """Serialize the metrics snapshot to ``path`` (byte-reproducible)."""
-    write_artifact(path, metrics_json(system, recorder))
+    doc = metrics_snapshot(system, recorder)
+    write_artifact(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ------------------------------------------------------------ csv series
@@ -207,7 +202,7 @@ def bandwidth_csv(recorder) -> str:
     direction.
     """
     bins = _BANDWIDTH_BINS
-    transfers = [e for e in recorder.events if e.cat == CAT_TRANSFER]
+    transfers = recorder.index().of(CAT_TRANSFER)
     devices = []
     for event in transfers:
         name = event.track[len("dev:"):]
@@ -261,13 +256,15 @@ def queue_depth_csv(recorder) -> str:
 # ----------------------------------------------------------- ascii gantt
 
 
-def ascii_gantt(spans: Sequence[Tuple[str, float, float]]) -> str:
-    """ASCII gantt chart, :data:`_GANTT_WIDTH` cells wide: one row per
-    label, ``#`` where busy.
-
-    ``spans`` is a sequence of ``(row_label, start, end)``; rows appear
-    sorted by label.  This is the renderer behind :func:`gantt`.
+def gantt(recorder) -> str:
+    """The recorder's background work as an ASCII gantt chart,
+    :data:`_GANTT_WIDTH` cells wide: one row per worker (sorted), ``#``
+    where busy.
     """
+    spans = [
+        (span.track[len("worker:"):], span.ts, span.end)
+        for span in recorder.worker_spans()
+    ]
     if not spans:
         return "(no jobs traced)"
     width = _GANTT_WIDTH
@@ -289,12 +286,3 @@ def ascii_gantt(spans: Sequence[Tuple[str, float, float]]) -> str:
         lines.append(f"{label.ljust(label_width)} |{''.join(cells)}|")
     lines.append(f"{' ' * label_width} t={t0 * 1e3:.2f}ms ... {t1 * 1e3:.2f}ms")
     return "\n".join(lines)
-
-
-def gantt(recorder) -> str:
-    """The recorder's background work as an ASCII gantt chart."""
-    rows = [
-        (span.track[len("worker:"):], span.ts, span.end)
-        for span in recorder.worker_spans()
-    ]
-    return ascii_gantt(rows)

@@ -1,14 +1,15 @@
 """Always-on live telemetry: sampled tracing, flight recorder, windows.
 
-The full-fidelity :class:`~repro.obs.recorder.TraceRecorder` (PR2) costs
+The full-fidelity :class:`~repro.obs.recorder.TraceRecorder` costs
 too much to leave attached in steady state; this package is the
-production posture.  :class:`LiveRecorder` plugs into the same hook
-points but *samples* foreground op spans (deterministic splitmix64 head
-sampling plus rolling-percentile/stall tail sampling, with exact
-seen/retained bookkeeping), feeds a bounded :class:`FlightRecorder` ring
-that dumps full recent windows on incident triggers, and rolls
-continuous per-shard series through a :class:`WindowAggregator` for
-OpenMetrics export and the live ASCII dashboard.
+production posture.  :class:`LiveRecorder` replaces the recorder's sink
+with a retention policy: it *samples* foreground op spans
+(deterministic splitmix64 head sampling plus rolling-percentile/stall
+tail sampling, with exact seen/retained bookkeeping), feeds a bounded
+:class:`FlightRecorder` ring that dumps full recent windows on incident
+triggers, and rolls continuous per-shard series through a
+:class:`WindowAggregator` for OpenMetrics export and the live ASCII
+dashboard.
 
 Attach via :meth:`HybridMemorySystem.attach_live
 <repro.mem.system.HybridMemorySystem.attach_live>` (or
@@ -18,17 +19,9 @@ metrics text, dashboards, and flight dumps are byte-identical across
 identical runs.  See docs/observability.md ("Live telemetry & sampling").
 """
 
-from repro.obs.live.dashboard import LiveDashboard, render_frame, sparkline
-from repro.obs.live.flight import (
-    FLIGHT_SCHEMA,
-    TRIGGER_DROPS,
-    TRIGGER_MANUAL,
-    TRIGGER_SLO,
-    TRIGGER_STALL,
-    TRIGGERS,
-    FlightRecorder,
-)
-from repro.obs.live.openmetrics import openmetrics_text, write_openmetrics
+from repro.obs.live.dashboard import LiveDashboard
+from repro.obs.live.flight import FlightRecorder
+from repro.obs.live.openmetrics import openmetrics_text
 from repro.obs.live.recorder import LiveRecorder
 from repro.obs.live.sampling import (
     HeadSampler,
@@ -45,16 +38,7 @@ __all__ = [
     "head_keep",
     "splitmix64",
     "FlightRecorder",
-    "FLIGHT_SCHEMA",
-    "TRIGGERS",
-    "TRIGGER_STALL",
-    "TRIGGER_DROPS",
-    "TRIGGER_SLO",
-    "TRIGGER_MANUAL",
     "WindowAggregator",
     "openmetrics_text",
-    "write_openmetrics",
     "LiveDashboard",
-    "render_frame",
-    "sparkline",
 ]

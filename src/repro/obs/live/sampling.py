@@ -112,15 +112,6 @@ class HeadSampler:
             self._left = left
         return live
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rate": HEAD_RATE,
-            "run_len": HEAD_RUN,
-            "seen": self.seen,
-            "kept": self.kept,
-        }
-
 
 class TailSampler:
     """Rolling-percentile outlier detector over recent op latencies.

@@ -10,24 +10,24 @@ native hook points:
   spans, one per worker track);
 - the devices (per-transfer instants with byte counts).
 
+Every hook builds one event and hands it to :attr:`TraceRecorder.keep`,
+the one place an event is kept: keep-all here, a retention policy in
+:class:`~repro.obs.live.recorder.LiveRecorder`.  Readers take the kept
+events classified once, from :meth:`TraceRecorder.index`.
+
 Tracing is strictly opt-in: a system starts with ``system.obs is None``
 and every instrumentation site guards on that, so the disabled cost is
 one attribute load per site.  Attach with
 ``system.attach_tracing()`` / detach with ``system.detach_tracing()``.
 """
 
-from typing import Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.events import (
-    CAT_COMPACT,
-    CAT_FLUSH,
     CAT_JOB,
     CAT_OP,
     CAT_QUEUE,
     CAT_REPL_ACK,
-    CAT_REPL_APPLY,
-    CAT_REPL_ELECTION,
-    CAT_REPL_SHIP,
     CAT_STALL,
     CAT_TRANSFER,
     CATEGORIES,
@@ -35,7 +35,68 @@ from repro.obs.events import (
     REPL_EVENT_NAMES,
     STALL_CAUSES,
     TraceEvent,
+    stall_seconds,
 )
+
+#: Categories charged to the foreground op span that follows them.
+_CHARGED = frozenset({CAT_STALL, CAT_QUEUE, CAT_REPL_ACK})
+#: The causal replication categories (``repl.*``).
+_REPL = frozenset(REPL_EVENT_NAMES)
+
+
+class EventIndex:
+    """A recorder's events classified in one pass, emission order kept.
+
+    - ``by_cat``: category -> its events, categories in first-appearance
+      order (:meth:`of` reads one);
+    - ``tracks``: track names in first-appearance order;
+    - ``workers``: background job spans (``worker:*`` tracks);
+    - ``foreground``: what per-op attribution walks -- foreground op
+      spans and the stalls, queue waits, replication acks and non-job
+      transfers charged to them;
+    - ``repl``: the causal ``repl.*`` events.
+    """
+
+    __slots__ = ("size", "by_cat", "tracks", "workers", "foreground", "repl")
+
+    def __init__(self, events: List[TraceEvent]) -> None:
+        self.size = len(events)
+        by_cat: Dict[str, List[TraceEvent]] = {}
+        tracks: Dict[str, None] = {}
+        workers: List[TraceEvent] = []
+        foreground: List[TraceEvent] = []
+        repl: List[TraceEvent] = []
+        for event in events:
+            cat = event.cat
+            track = event.track
+            bucket = by_cat.get(cat)
+            if bucket is None:
+                bucket = by_cat[cat] = []
+            bucket.append(event)
+            if track not in tracks:
+                tracks[track] = None
+            if cat == CAT_TRANSFER:
+                if not (event.args or {}).get("job"):
+                    foreground.append(event)
+                continue
+            if cat == CAT_OP:
+                if track == "foreground":
+                    foreground.append(event)
+            elif cat in _CHARGED:
+                foreground.append(event)
+            if event.dur is not None and track.startswith("worker:"):
+                workers.append(event)
+            if cat in _REPL:
+                repl.append(event)
+        self.by_cat = by_cat
+        self.tracks = list(tracks)
+        self.workers = workers
+        self.foreground = foreground
+        self.repl = repl
+
+    def of(self, cat: str) -> List[TraceEvent]:
+        """The events of one category (empty when there are none)."""
+        return self.by_cat.get(cat, [])
 
 
 class _JobCostScope:
@@ -67,6 +128,10 @@ class TraceRecorder:
     def __init__(self, clock, strict: bool = False) -> None:
         self.clock = clock
         self.events: List[TraceEvent] = []
+        #: The sink every hook hands its event to, and the only place an
+        #: event is kept.  A subclass with a retention policy replaces it.
+        self.keep = self.events.append
+        self._index: Optional[EventIndex] = None
         self._system = None
         # Strict mode: recording an event with an unknown category, an
         # unknown stall cause, or an unknown drop reason raises instead
@@ -154,7 +219,7 @@ class TraceRecorder:
         """Record a closed interval of activity on ``track``."""
         if self.strict:
             self._check_vocab(name, cat, args)
-        self.events.append(TraceEvent(track, name, cat, start, end - start, args))
+        self.keep(TraceEvent(track, name, cat, start, end - start, args))
 
     def instant(
         self,
@@ -166,7 +231,7 @@ class TraceRecorder:
         """Record a point event at the current simulated time."""
         if self.strict:
             self._check_vocab(name, cat, args)
-        self.events.append(TraceEvent(track, name, cat, self.clock.now, None, args))
+        self.keep(TraceEvent(track, name, cat, self.clock.now, None, args))
 
     def transfer(
         self,
@@ -188,7 +253,7 @@ class TraceRecorder:
         args = {"bytes": nbytes, "seq": sequential, "seconds": seconds}
         if self._job_depth:
             args["job"] = True
-        self.events.append(
+        self.keep(
             TraceEvent(
                 f"dev:{device_name}",
                 op,
@@ -228,7 +293,7 @@ class TraceRecorder:
                 f"unknown trace category {cat!r} in job meta for {job.name!r}"
             )
         args["wait_s"] = job.start - job.submitted_at
-        self.events.append(
+        self.keep(
             TraceEvent(
                 f"worker:{job.worker.name}",
                 job.name,
@@ -241,40 +306,28 @@ class TraceRecorder:
 
     # ------------------------------------------------------------- queries
 
-    def tracks(self) -> List[str]:
-        """Track names in order of first appearance."""
-        seen = {}
-        for event in self.events:
-            seen.setdefault(event.track, None)
-        return list(seen)
+    def index(self) -> EventIndex:
+        """The kept events classified once; rebuilt after new ones arrive."""
+        index = self._index
+        if index is None or index.size != len(self.events):
+            index = self._index = EventIndex(self.events)
+        return index
 
     def stall_seconds_by_cause(self) -> dict:
-        """Total stalled simulated seconds per cause, over all stall events.
-
-        Interval stalls contribute their span duration; cumulative
-        slowdown instants contribute their ``seconds`` argument.
-        """
+        """Total stalled simulated seconds per cause, over all stall events."""
         totals: dict = {}
-        for event in self.events:
-            if event.cat != CAT_STALL:
-                continue
+        for event in self.index().of(CAT_STALL):
             cause = (event.args or {}).get("cause", "unknown")
-            amount = event.dur if event.dur is not None else (
-                (event.args or {}).get("seconds", 0.0)
-            )
-            totals[cause] = totals.get(cause, 0.0) + amount
+            totals[cause] = totals.get(cause, 0.0) + stall_seconds(event)
         return totals
 
     def counts_by_category(self) -> dict:
         """Event counts per category, for summaries."""
-        counts: dict = {}
-        for event in self.events:
-            counts[event.cat] = counts.get(event.cat, 0) + 1
-        return counts
+        return {cat: len(events) for cat, events in self.index().by_cat.items()}
 
-    def worker_spans(self) -> Iterator[TraceEvent]:
-        """Spans on worker tracks (background jobs)."""
-        return (e for e in self.events if e.is_span and e.track.startswith("worker:"))
+    def worker_spans(self) -> List[TraceEvent]:
+        """Spans on worker tracks (background jobs), in emission order."""
+        return self.index().workers
 
     def __len__(self) -> int:
         return len(self.events)
@@ -282,20 +335,3 @@ class TraceRecorder:
     def __repr__(self) -> str:
         state = "attached" if self.attached else "detached"
         return f"TraceRecorder({len(self.events)} events, {state})"
-
-
-# Re-exported so instrumentation sites can import categories from one place.
-__all__ = [
-    "TraceRecorder",
-    "CAT_OP",
-    "CAT_STALL",
-    "CAT_FLUSH",
-    "CAT_COMPACT",
-    "CAT_JOB",
-    "CAT_TRANSFER",
-    "CAT_QUEUE",
-    "CAT_REPL_SHIP",
-    "CAT_REPL_APPLY",
-    "CAT_REPL_ACK",
-    "CAT_REPL_ELECTION",
-]

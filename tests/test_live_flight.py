@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.obs.events import CAT_OP, CAT_QUEUE, CAT_STALL, TraceEvent
 from repro.obs.live import FlightRecorder, LiveRecorder
 from repro.obs.live.flight import (
     BURN_RULE,
@@ -32,19 +33,30 @@ PINNED_DUMP_SHA256 = (
 LIVE = {"seed": 1, "stall_alert_s": 1e-5, "slo_threshold_s": 5e-6}
 
 
+def _stall(ts, seconds):
+    """A ``memtable-full`` interval stall of ``seconds`` starting at ``ts``."""
+    return TraceEvent("foreground", "stall", CAT_STALL, ts, seconds,
+                      {"cause": "memtable-full"})
+
+
+def _drop(client, ts):
+    return TraceEvent("router", "drop", CAT_QUEUE, ts, None,
+                      {"cause": "queue_full", "client": client})
+
+
 def test_ring_is_bounded():
     flight = FlightRecorder()
     for i in range(FLIGHT_CAPACITY + 100):
-        flight.ring.append(("op", "put", float(i), 1e-6))
+        flight.record(TraceEvent("foreground", "put", CAT_OP, float(i), 1e-6))
     assert len(flight.ring) == FLIGHT_CAPACITY == 4096
-    assert flight.ring[0][2] == 100.0  # oldest surviving entry
+    assert flight.ring[0].ts == 100.0  # oldest surviving entry
 
 
 def test_stall_trigger_fires_at_threshold():
     flight = FlightRecorder(stall_alert_s=1e-5)
-    flight.on_stall("memtable-full", 1.0, 9e-6)  # below threshold
+    flight.record(_stall(1.0, 9e-6))  # below threshold
     assert not flight.dumps
-    flight.on_stall("memtable-full", 2.0, 1e-5)  # at threshold
+    flight.record(_stall(2.0, 1e-5))  # at threshold
     assert [d["trigger"] for d in flight.dumps] == [TRIGGER_STALL]
     doc = flight.dumps[0]
     assert doc["schema"] == FLIGHT_SCHEMA
@@ -56,11 +68,11 @@ def test_stall_trigger_fires_at_threshold():
 
 def test_drop_burst_trigger_needs_n_drops_within_window():
     flight = FlightRecorder()
-    flight.on_drop("queue_full", "c0", 0.0)
+    flight.record(_drop("c0", 0.0))
     for i in range(DROP_BURST_N - 1):  # the first drop has aged out
-        flight.on_drop("queue_full", f"c{i + 1}", 2e-3 + i * 1e-4)
+        flight.record(_drop(f"c{i + 1}", 2e-3 + i * 1e-4))
     assert not flight.dumps
-    flight.on_drop("queue_full", "c8", 2.7e-3)  # eighth within 1ms
+    flight.record(_drop("c8", 2.7e-3))  # eighth within 1ms
     assert [d["trigger"] for d in flight.dumps] == [TRIGGER_DROPS]
     assert flight.dumps[0]["detail"]["drops_in_window"] == DROP_BURST_N == 8
 
@@ -78,7 +90,7 @@ def test_slo_burn_trigger_needs_short_and_long_lookbacks():
 def test_dumps_are_capped_but_triggers_keep_counting():
     flight = FlightRecorder(stall_alert_s=0.0)
     for i in range(MAX_DUMPS + 3):
-        flight.on_stall("memtable-full", float(i), 1.0)
+        flight.record(_stall(float(i), 1.0))
     assert len(flight.dumps) == MAX_DUMPS == 4  # oldest kept
     assert [d["at_s"] for d in flight.dumps] == [0.0, 1.0, 2.0, 3.0]
     assert flight.trigger_counts[TRIGGER_STALL] == MAX_DUMPS + 3
@@ -87,7 +99,7 @@ def test_dumps_are_capped_but_triggers_keep_counting():
 def test_manual_dump_always_returns_a_document():
     flight = FlightRecorder(stall_alert_s=0.0)
     for i in range(MAX_DUMPS):
-        flight.on_stall("memtable-full", float(i), 1.0)
+        flight.record(_stall(float(i), 1.0))
     doc = flight.dump_now(9.0)
     assert doc["trigger"] == TRIGGER_MANUAL
     assert doc not in flight.dumps and len(flight.dumps) == MAX_DUMPS  # cap honoured
