@@ -12,13 +12,22 @@ ordered list of acked writes.
   and under quorum acks; under ``batch:N`` / ``interval:T``, every write
   acked while the WAL had nothing buffered.  The one in-flight,
   unacknowledged write may have landed or not.
-- After every step: ``verify_store`` on MioDB, and on the traced
-  replicated target one op span per point op issued.
+- After every step: ``verify_store`` on MioDB; on the traced
+  replicated target one op span per point op issued; and on the traced
+  bare stores, conservation between the stats and the trace:
+  ``compact.time_s`` is the summed compact-span durations,
+  ``flush.time_s + swizzle.time_s`` the summed flush-span durations
+  (MioDB's swizzle is a second flush span; NoveLSM's NVM flush is
+  chunked), and every counted compaction has a span -- the count is
+  added at apply, the span at submit, so a quiesce makes them equal.
+  Jobs a crash drops or interrupts are spans that never count.
 
 A failure is shrunk and printed as a step list (``state = CheckMiodb()``,
 ``state.put(k=3)``, ...); pasted into a test it replays the failure
 (docs/simulation.md, "Model checker").
 """
+
+import math
 
 from hypothesis import Phase, settings, strategies as st
 from hypothesis.stateful import (
@@ -37,6 +46,7 @@ from repro.core.verifier import verify_store
 from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
+from repro.obs.events import CAT_COMPACT, CAT_FLUSH
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.replication import READ_FOLLOWER_RYW, READ_LEADER, ReplicationConfig
 
@@ -101,7 +111,7 @@ class ModelChecker(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         target = self.TARGET
-        self.store = self.injector = self.router = None
+        self.store = self.injector = self.router = self.recorder = None
         self.session = self.recorders = None
         self.groups = []
         if target.shards:
@@ -128,6 +138,13 @@ class ModelChecker(RuleBasedStateMachine):
                                crash_injector=self.injector)
         else:
             self.store, __ = make_store(target.store, SCALE)
+        if target.traced and self.router is None:
+            self.recorder = self.store.system.attach_tracing()
+        # Conservation bookkeeping: the trace read so far, the compact
+        # spans and the compact / flush span seconds in it, and the
+        # compactions crashes lost before they counted.
+        self.traced = self.compact_spans = self.lost_compactions = 0
+        self.compact_s = self.flush_s = 0.0
         self.acked = []
         self.model = {}
         self.durable = 0
@@ -184,6 +201,20 @@ class ModelChecker(RuleBasedStateMachine):
         assert state == self.model, sorted(
             set(state.items()) ^ set(self.model.items())
         )
+
+    def _counted_compactions(self) -> float:
+        """Trace the new events; compactions counted, plus those lost."""
+        events = self.recorder.events
+        for event in events[self.traced:]:
+            if event.cat == CAT_COMPACT:
+                self.compact_spans += 1
+                self.compact_s += event.dur
+            elif event.cat == CAT_FLUSH:
+                self.flush_s += event.dur
+        self.traced = len(events)
+        stats = self.store.system.stats
+        counted = stats.get("compact.count") + stats.get("compact.lazy_count")
+        return counted + self.lost_compactions
 
     def _check_recovered(self, inflight=()) -> None:
         """``items()`` is the model at some prefix of the acked writes
@@ -264,6 +295,8 @@ class ModelChecker(RuleBasedStateMachine):
     def quiesce(self):
         self.subject.quiesce()
         self._check_state()
+        if self.recorder is not None:
+            assert self._counted_compactions() == self.compact_spans
 
     @precondition(lambda self: self.injector is not None)
     @rule(point=st.sampled_from(CRASH_POINTS), hits=st.integers(1, 3),
@@ -288,6 +321,9 @@ class ModelChecker(RuleBasedStateMachine):
         else:
             self.injector.disarm(point)
             return
+        if self.recorder is not None:
+            counted = self._counted_compactions()
+            self.lost_compactions += self.compact_spans - counted
         if tear and point in CRASH_POINTS[:2]:
             self.store.wal.tear_tail(1)
         self.store, __ = recover(self.store)
@@ -342,6 +378,16 @@ class ModelChecker(RuleBasedStateMachine):
             verify_store(self.store)
 
     @invariant()
+    def background_work_conserves(self):
+        if self.recorder is None:
+            return
+        assert self._counted_compactions() <= self.compact_spans
+        stats = self.store.system.stats
+        assert math.isclose(stats.get("compact.time_s"), self.compact_s)
+        flush_s = stats.get("flush.time_s") + stats.get("swizzle.time_s")
+        assert math.isclose(flush_s, self.flush_s)
+
+    @invariant()
     def one_op_span_per_point_op(self):
         if self.recorders is not None:
             spans = sum(
@@ -352,16 +398,16 @@ class ModelChecker(RuleBasedStateMachine):
 
 
 TARGETS = {
-    "Miodb": Target("miodb"),
-    "MiodbSsd": Target("miodb", ssd=True),
+    "Miodb": Target("miodb", traced=True),
+    "MiodbSsd": Target("miodb", ssd=True, traced=True),
     "MiodbBatch4": Target("miodb", fsync="batch:4"),
     "MiodbInterval": Target("miodb", fsync="interval:1e-05"),
-    "Matrixkv": Target("matrixkv"),
-    "Novelsm": Target("novelsm"),
-    "NovelsmHier": Target("novelsm-hier"),
-    "NovelsmNosst": Target("novelsm-nosst"),
-    "Leveldb": Target("leveldb"),
-    "Slmdb": Target("slmdb"),
+    "Matrixkv": Target("matrixkv", traced=True),
+    "Novelsm": Target("novelsm", traced=True),
+    "NovelsmHier": Target("novelsm-hier", traced=True),
+    "NovelsmNosst": Target("novelsm-nosst", traced=True),
+    "Leveldb": Target("leveldb", traced=True),
+    "Slmdb": Target("slmdb", traced=True),
     "ClusterMiodb": Target("miodb", shards=4),
     "ReplMiodbK0": Target("miodb", shards=2, followers=0),
     "ReplMiodbK2": Target("miodb", shards=2, followers=2, traced=True),
