@@ -368,9 +368,12 @@ class MioDB(BufferedStore):
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)
-        for level_tables in self.levels:
-            sources.extend((pmtable.skiplist, "nvm") for pmtable in level_tables)
-        sources.extend(self.repository.scan_sources(start_key))
+        sources += [
+            (pmtable.skiplist, "nvm")
+            for level_tables in self.levels
+            for pmtable in level_tables
+        ]
+        sources += self.repository.scan_sources(start_key)
         return merged_scan(self.system, start_key, count, sources)
 
     # ------------------------------------------------------------- reporting

@@ -192,12 +192,16 @@ class KVStore(ABC):
         self._require_key(start_key)
         if count < 0:
             raise ValueError(f"scan count must be >= 0, got {count}")
-        self.system.executor.settle()
-        if self.system.race is not None:
-            self.system.race.op("scan", reads=_MEMTABLE_REGION)
-        start = self.system.clock.now
+        system = self.system
+        executor = system.executor
+        heap = executor._heap
+        if heap and heap[0][0] <= system.clock._now:
+            executor.settle()
+        if system.race is not None:
+            system.race.op("scan", reads=_MEMTABLE_REGION)
+        start = system.clock._now
         pairs, seconds = self._scan(start_key, count)
-        self.system.stats.add("op.scan", 1)
+        system.stats.add("op.scan", 1)
         latency = self._finish("scan", start, seconds)
         return pairs, latency
 
@@ -320,12 +324,13 @@ class KVStore(ABC):
         return latencies
 
     def _finish(self, kind: str, start: float, seconds: float) -> float:
-        self.system.clock.advance(seconds)
-        latency = self.system.clock.now - start
-        self.system.latency.record(kind, self.system.clock.now, latency)
-        obs = self.system.obs
+        system = self.system
+        now = system.clock.advance(seconds)
+        latency = now - start
+        system.latency.record(kind, now, latency)
+        obs = system.obs
         if obs is not None:
-            obs.span("foreground", kind, "op", start, self.system.clock.now)
+            obs.span("foreground", kind, "op", start, now)
         return latency
 
     def _stall_wait(self, cause: str, seconds: float) -> float:

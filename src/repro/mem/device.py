@@ -90,6 +90,18 @@ class Device:
             self.obs.transfer(self.profile.name, "read", nbytes, sequential, seconds)
         return seconds
 
+    def add_reads(self, nbytes: int, ops: int) -> None:
+        """Count ``ops`` reads of ``nbytes`` in total whose time a caller charged.
+
+        The scan kernel charges every read itself (``read_time``'s
+        expression, its transfer event at the charge) and commits its
+        totals for this device here, once per scan.
+        """
+        if nbytes < 0 or ops < 0:
+            raise ValueError(f"negative read totals: {nbytes} bytes in {ops} ops")
+        self.bytes_read += nbytes
+        self.read_ops += ops
+
     def write(self, nbytes: int, sequential: bool = True) -> float:
         """Account a write and return its simulated duration in seconds."""
         if nbytes < 0:

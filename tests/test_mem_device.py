@@ -40,6 +40,18 @@ def test_negative_sizes_rejected(nvm):
         nvm.write(-1)
 
 
+def test_add_reads_commits_totals(nvm):
+    nvm.read(10)
+    nvm.add_reads(300, 4)
+    nvm.add_reads(0, 0)
+    assert (nvm.bytes_read, nvm.read_ops) == (310, 5)
+    for nbytes, ops in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            nvm.add_reads(nbytes, ops)
+    assert (nvm.bytes_read, nvm.read_ops) == (310, 5)
+    assert nvm.bytes_written == nvm.write_ops == 0
+
+
 def test_allocate_release_and_peak(nvm):
     nvm.allocate(100)
     nvm.allocate(200)

@@ -126,6 +126,18 @@ def test_merged_scan_laziness():
     assert system.nvm.read_ops == len(sources) + len(pairs) - 1
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("index", [0, 1], ids=["advance", "head"])
+def test_negative_read_size_rejected(index, traced):
+    system = HybridMemorySystem()
+    if traced:
+        system.attach_tracing()
+    # frame bytes 1 - 100 + 24 < 0: read as the run's head, or on advance
+    run = [(b"a", 2, "v", 1), (b"b", 1, "v", -100)]
+    with pytest.raises(ValueError, match="negative read size"):
+        merged_scan(system, b"a", 10, [(run, index, system.nvm)])
+
+
 # ------------------------------------------------------------------ oracle
 #
 # The implementation the cursor kernel replaced, verbatim: three stacked
@@ -310,7 +322,7 @@ def device_counters(system):
     }
 
 
-def build(name: str, key_space: int, old: bool, traced: bool):
+def build(name: str, key_space: int, old: bool, mode: str):
     ssd = name.endswith("+ssd")
     scale = BenchScale(memtable_bytes=4 * KB, nvm_buffer_bytes=32 * KB)
     # few buffer levels, so 600 keys already reach MioDB's repository
@@ -319,16 +331,22 @@ def build(name: str, key_space: int, old: bool, traced: bool):
     populate(store, key_space)
     if old:
         store._scan = lambda start_key, count: old_scan(store, start_key, count)
-    recorder = system.attach_tracing() if traced else None
+    recorder = None
+    if mode == "traced":
+        recorder = system.attach_tracing()
+    elif mode == "live":
+        # The live recorder switches the device hooks on only for
+        # head-sampled runs; seed 4 samples two of drive_scans' ops.
+        recorder = system.attach_live(seed=4)
     return store, system, recorder
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("mode", ["plain", "traced", "live"])
 @pytest.mark.parametrize("name", STORE_NAMES + ("miodb+ssd",))
-def test_scan_matches_generator_oracle(name, traced):
+def test_scan_matches_generator_oracle(name, mode):
     key_space = 600
-    new, new_system, new_rec = build(name, key_space, old=False, traced=traced)
-    old, old_system, old_rec = build(name, key_space, old=True, traced=traced)
+    new, new_system, new_rec = build(name, key_space, old=False, mode=mode)
+    old, old_system, old_rec = build(name, key_space, old=True, mode=mode)
     if isinstance(new, MioDB):
         # vacuity guard: MemTable, several PMTables and the repository all hold data
         assert len(new.memtable.skiplist) > 0
@@ -343,7 +361,7 @@ def test_scan_matches_generator_oracle(name, traced):
     assert new_results == old_results
     assert new_system.clock.now == old_system.clock.now
     assert device_counters(new_system) == device_counters(old_system)
-    if traced:
+    if new_rec is not None:
         def transfers(recorder):
             return [
                 (e.track, e.name, e.ts, sorted(e.args.items()))
@@ -351,5 +369,7 @@ def test_scan_matches_generator_oracle(name, traced):
                 if e.cat == CAT_TRANSFER
             ]
 
-        assert len(transfers(new_rec)) >= len(new_results)
+        # a live recorder keeps the transfers of head-sampled runs only
+        floor = len(new_results) if mode == "traced" else 16
+        assert len(transfers(new_rec)) >= floor
         assert transfers(new_rec) == transfers(old_rec)
