@@ -50,6 +50,10 @@ ADMISSION_POLICIES = ("reject", "defer")
 #: threshold is :func:`~repro.cluster.rebalance.maybe_rebalance`'s own.
 MAX_REBALANCES = 4
 
+#: Requests' worth of a client's gap, op-kind and key streams drawn per
+#: refill: the columns stay this short however many ops a client issues.
+COLUMN_CHUNK = 1024
+
 
 class AdmissionControl:
     """Backpressure policy: bounded per-shard queues with reject/defer."""
@@ -110,6 +114,10 @@ class ClientSpec:
             raise ValueError(
                 f"read_fraction must be in [0, 1], got {read_fraction}"
             )
+        if theta is not None and not 0.0 < theta < 1.0:  # NaN included
+            raise ValueError(f"theta must be None or in (0, 1), got {theta}")
+        if value_size < 0:
+            raise ValueError(f"value_size must be >= 0, got {value_size}")
         self.n_ops = n_ops
         self.rate_per_s = rate_per_s
         self.key_space = key_space
@@ -136,7 +144,13 @@ class _Request:
 
 
 class _ClientState:
-    """Deterministic per-client op stream and arrival process."""
+    """Deterministic per-client op stream and arrival process.
+
+    The gap, op-kind and key streams are independent forks of the
+    client's seed, so each is drawn ahead into a column of at most
+    :data:`COLUMN_CHUNK` values, never past the client's ``n_ops``, and
+    consumed in order: the values one draw per request would give.
+    """
 
     def __init__(self, index: int, spec: ClientSpec) -> None:
         self.index = index
@@ -153,21 +167,45 @@ class _ClientState:
             self._keys = UniformGenerator(spec.key_space, key_rng)
         else:
             self._keys = ZipfianGenerator(spec.key_space, key_rng, spec.theta)
+        self._gaps: List[float] = []
+        self._gap_at = 0
+        self._kinds: List[str] = []
+        self._key_column: List[bytes] = []
+        self._at = 0
+
+    def _chunk(self) -> int:
+        return min(COLUMN_CHUNK, self.spec.n_ops - self.issued)
 
     def next_gap(self) -> float:
         """The next Poisson inter-arrival gap."""
-        u = self._gap_rng.next_float()
-        return -math.log(1.0 - u) / self.spec.rate_per_s
+        at = self._gap_at
+        if at == len(self._gaps):
+            # An open-loop client draws one gap per request, just before
+            # making it, so the gaps still owed are the requests unissued.
+            rate = self.spec.rate_per_s
+            self._gaps = [
+                -math.log(1.0 - u) / rate for u in self._gap_rng.floats(self._chunk())
+            ]
+            at = 0
+        self._gap_at = at + 1
+        return self._gaps[at]
 
     def make_request(self, arrival: float) -> _Request:
-        kind = (
-            "get"
-            if self._op_rng.next_float() < self.spec.read_fraction
-            else "put"
-        )
+        at = self._at
+        if at == len(self._kinds):
+            n = self._chunk()
+            read_fraction = self.spec.read_fraction
+            self._kinds = [
+                "get" if u < read_fraction else "put" for u in self._op_rng.floats(n)
+            ]
+            self._key_column = [key_for(i) for i in self._keys.take(n)]
+            at = 0
+        self._at = at + 1
         tag = (self.index, self.issued)
         self.issued += 1
-        return _Request(self.index, kind, key_for(self._keys.next()), tag, arrival)
+        return _Request(
+            self.index, self._kinds[at], self._key_column[at], tag, arrival
+        )
 
 
 class ClusterRunResult:
@@ -335,45 +373,54 @@ def run_cluster(
         else:
             drop(request, shard, cause)
 
-    while heap or any(queues):
-        if heap and not any(queues):
+    queued = 0  # requests waiting in ``queues``
+    route = router.route
+    heappop = heapq.heappop
+    shards = cluster.shards
+    max_queue_depth = admission.max_queue_depth
+    while heap or queued:
+        if not queued:
             # Idle: jump to the next arrival and apply background work.
             clock.advance_to(heap[0][0])
             cluster.settle_all()
 
-        # Admit every arrival that is due.
-        while heap and heap[0][0] <= clock.now:
-            __, __, request = heapq.heappop(heap)
+        # Admit every arrival that is due (admission never moves the clock).
+        now = clock._now
+        while heap and heap[0][0] <= now:
+            __, __, request = heappop(heap)
             fresh = request.retries == 0
-            shard = router.route(request.key)
-            if len(queues[shard]) >= admission.max_queue_depth:
+            shard = route(request.key)
+            queue = queues[shard]
+            if len(queue) >= max_queue_depth:
                 defer_or_drop(
                     request,
                     shard,
                     DROP_RETRY_EXHAUSTED if request.retries else DROP_QUEUE_FULL,
                 )
             else:
-                queues[shard].append(request)
-                depth = len(queues[shard])
+                queue.append(request)
+                queued += 1
+                depth = len(queue)
                 if depth > max_depth[shard]:
                     max_depth[shard] = depth
             if fresh and not states[request.client].closed_loop:
                 schedule_next(states[request.client], request.arrival)
+        if not queued:
+            continue
 
         # Serve the earliest-admitted request (FIFO across shards).
         serve_shard = -1
         serve_key = None
-        for shard_id in range(n_shards):
-            if queues[shard_id]:
-                head = queues[shard_id][0]
+        for shard_id, queue in enumerate(queues):
+            if queue:
+                head = queue[0]
                 key = (head.arrival, head.tag)
                 if serve_key is None or key < serve_key:
                     serve_key = key
                     serve_shard = shard_id
-        if serve_shard < 0:
-            continue
         request = queues[serve_shard].popleft()
-        shard = cluster.shards[serve_shard]
+        queued -= 1
+        shard = shards[serve_shard]
         group = shard.group
         if (
             group is not None

@@ -161,9 +161,22 @@ class Cluster:
             yield from shard.systems()
 
     def settle_all(self) -> None:
-        """Apply every shard's background effects due at the current time."""
-        for system in self._systems():
-            system.executor.settle()
+        """Apply every shard's background effects due at the current time.
+
+        Skips each executor with nothing due (``Executor.settle``'s skip
+        rule); a replicated shard settles its live members through its
+        group.
+        """
+        clock = self.clock
+        for shard in self.shards:
+            group = shard.group
+            if group is None:
+                executor = shard.system.executor
+                heap = executor._heap
+                if heap and heap[0][0] <= clock._now:
+                    executor.settle()
+            else:
+                group.settle_members()
 
     def quiesce(self) -> float:
         """Drain background work on every shard; returns the final time.

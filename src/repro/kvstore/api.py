@@ -74,38 +74,50 @@ class KVStore(ABC):
         """
         self._require_key(key)
         nbytes = value_nbytes(value)
-        self.system.executor.settle()
-        if self.system.race is not None:
-            self.system.race.op("put", writes=_MEMTABLE_REGION)
-        start = self.system.clock.now
+        system = self.system
+        executor = system.executor
+        heap = executor._heap
+        if heap and heap[0][0] <= system.clock._now:
+            executor.settle()
+        if system.race is not None:
+            system.race.op("put", writes=_MEMTABLE_REGION)
+        start = system.clock._now
         self.seq += 1
         seconds = self._put(key, self.seq, value, nbytes)
-        self.system.stats.add("user.bytes_written", len(key) + nbytes)
-        self.system.stats.add("op.put", 1)
+        system.stats.add("user.bytes_written", len(key) + nbytes)
+        system.stats.add("op.put", 1)
         return self._finish("put", start, seconds)
 
     def delete(self, key: bytes) -> float:
         """Delete ``key`` by writing a tombstone; returns the latency."""
         self._require_key(key)
-        self.system.executor.settle()
-        if self.system.race is not None:
-            self.system.race.op("delete", writes=_MEMTABLE_REGION)
-        start = self.system.clock.now
+        system = self.system
+        executor = system.executor
+        heap = executor._heap
+        if heap and heap[0][0] <= system.clock._now:
+            executor.settle()
+        if system.race is not None:
+            system.race.op("delete", writes=_MEMTABLE_REGION)
+        start = system.clock._now
         self.seq += 1
         seconds = self._put(key, self.seq, TOMBSTONE, 0)
-        self.system.stats.add("user.bytes_written", len(key))
-        self.system.stats.add("op.delete", 1)
+        system.stats.add("user.bytes_written", len(key))
+        system.stats.add("op.delete", 1)
         return self._finish("delete", start, seconds)
 
     def get(self, key: bytes) -> Tuple[Optional[object], float]:
         """Look up ``key``; returns ``(value_or_None, latency)``."""
         self._require_key(key)
-        self.system.executor.settle()
-        if self.system.race is not None:
-            self.system.race.op("get", reads=_MEMTABLE_REGION)
-        start = self.system.clock.now
+        system = self.system
+        executor = system.executor
+        heap = executor._heap
+        if heap and heap[0][0] <= system.clock._now:
+            executor.settle()
+        if system.race is not None:
+            system.race.op("get", reads=_MEMTABLE_REGION)
+        start = system.clock._now
         value, seconds = self._get(key)
-        self.system.stats.add("op.get", 1)
+        system.stats.add("op.get", 1)
         latency = self._finish("get", start, seconds)
         return value, latency
 

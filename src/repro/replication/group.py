@@ -321,17 +321,30 @@ class ReplicaGroup:
 
     # ------------------------------------------------------------- plumbing
 
-    def _settle_members(self) -> None:
+    def settle_members(self) -> None:
+        """Apply every live member's background effects due now,
+        skipping executors with nothing due (``Executor.settle``)."""
+        clock = self.clock
         for member in self.members:
             if member.alive:
-                member.system.executor.settle()
+                executor = member.system.executor
+                heap = executor._heap
+                if heap and heap[0][0] <= clock._now:
+                    executor.settle()
 
     def _next_completion(self) -> Optional[float]:
         deadline = None
         for member in self.members:
             if not member.alive:
                 continue
-            end = member.system.executor.next_completion()
+            executor = member.system.executor
+            heap = executor._heap
+            if not heap:
+                continue
+            head = heap[0]
+            # A cancelled head goes through next_completion(), which
+            # pops it (lazy deletion) and peeks at the next live job.
+            end = head[0] if not head[2].cancelled else executor.next_completion()
             if end is not None and (deadline is None or end < deadline):
                 deadline = end
         return deadline
@@ -348,7 +361,7 @@ class ReplicaGroup:
                 "no pending work on any live member"
             )
         self.clock.advance_to(deadline)
-        self._settle_members()
+        self.settle_members()
 
     def _await_leader(self) -> Replica:
         """Block (advance simulated time) until a leader is up; returns it."""
@@ -370,7 +383,7 @@ class ReplicaGroup:
         return self._write("delete", key, None, session)
 
     def _write(self, kind: str, key: bytes, value, session) -> float:
-        self._settle_members()
+        self.settle_members()
         leader = self._await_leader()
         self.crash.reach("repl.put")
         if kind == "put":
@@ -464,12 +477,24 @@ class ReplicaGroup:
     # ------------------------------------------------------------- shipping
 
     def _pump_all(self) -> None:
+        # _pump's own guard, tested here so a follower that cannot ship
+        # costs no call: most writes find a ship already in flight.
+        log_lsn = len(self.log)
         for member in self.members:
-            if member.role == ROLE_FOLLOWER:
+            if (
+                member.role == ROLE_FOLLOWER
+                and member.alive
+                and member.ship_job is None
+                and member.shipped_lsn < log_lsn
+            ):
                 self._pump(member)
 
     def _pump(self, follower: Replica) -> None:
-        """Start the follower's next ship transfer if one is due."""
+        """Start the follower's next ship transfer if one is due.
+
+        Hot callers test the guard below themselves and call only for a
+        follower that can ship; the guard stays for every other caller.
+        """
         if (
             not follower.alive
             or follower.role != ROLE_FOLLOWER
@@ -566,7 +591,12 @@ class ReplicaGroup:
                 follower.applied_lsn = end_lsn
             self.stats.add("repl.applied_records", count)
             self.stats.max("repl.lag_peak", len(self.log) - follower.applied_lsn)
-            self._pump(follower)
+            if (
+                follower.ship_job is None
+                and follower.role == ROLE_FOLLOWER
+                and follower.shipped_lsn < len(self.log)
+            ):
+                self._pump(follower)
 
         apply_job = follower.system.executor.submit(
             follower.apply_worker,
@@ -593,7 +623,10 @@ class ReplicaGroup:
                 interval=(apply_job.start, apply_job.end),
             )
         # Ship/apply pipelining: the next transfer can start immediately.
-        self._pump(follower)
+        # delivered() cleared ship_job and checked liveness and epoch (an
+        # unchanged epoch means the follower is still a follower).
+        if follower.shipped_lsn < len(self.log):
+            self._pump(follower)
         if follower.bootstrap_lsn and self._bootstrapped(follower):
             follower.bootstrap_lsn = 0
             if self.leader_idx is None:
@@ -606,7 +639,7 @@ class ReplicaGroup:
         self, key: bytes, session: Optional[Session] = None
     ) -> Tuple[Optional[object], float]:
         """Policy-routed lookup; returns ``(value_or_None, latency)``."""
-        self._settle_members()
+        self.settle_members()
         policy = self.config.read_policy
         reader = None if policy == READ_LEADER else self._choose_follower()
         if (
@@ -638,7 +671,7 @@ class ReplicaGroup:
             if deadline is None:
                 return False
             self.clock.advance_to(deadline)
-            self._settle_members()
+            self.settle_members()
         if not follower.alive:
             return False
         waited = self.clock.now - start
@@ -648,7 +681,7 @@ class ReplicaGroup:
 
     def scan(self, start_key: bytes, count: int):
         """Range query on the leader (linearizable)."""
-        self._settle_members()
+        self.settle_members()
         return self._await_leader().store.scan(start_key, count)
 
     # repro: allow[OPT001] same paging surface as KVStore.items, driven by tests/

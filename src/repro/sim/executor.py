@@ -163,6 +163,13 @@ class Executor:
         Returns the number of job callbacks applied.  Callbacks may
         submit new jobs; those are drained too if they also finish
         within the horizon.
+
+        The skip rule: when ``_heap`` is empty or ``_heap[0][0]`` (the
+        head job's end) is after ``clock._now``, this call applies and
+        pops nothing, so a hot caller may test exactly that and skip
+        it.  The test must read ``clock._now`` afresh for each executor,
+        because a callback applied by an earlier settle may advance
+        the clock.
         """
         horizon = self.clock._now
         applied = 0

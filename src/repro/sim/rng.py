@@ -7,6 +7,7 @@ bit-for-bit reproducible from a seed, independent of Python's global
 """
 
 _MASK64 = (1 << 64) - 1
+_FLOAT_SCALE = float(1 << 53)
 
 
 class XorShiftRng:
@@ -27,7 +28,25 @@ class XorShiftRng:
 
     def next_float(self) -> float:
         """Uniform float in [0, 1)."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return (self.next_u64() >> 11) / _FLOAT_SCALE
+
+    def floats(self, n: int) -> list:
+        """``n`` draws of :meth:`next_float`, bit for bit, in one call.
+
+        Leaves the generator where ``n`` calls would.  The ``& _MASK64``
+        after each right shift in :meth:`next_u64` is a no-op on a
+        64-bit state, so it is dropped here.
+        """
+        x = self._state
+        out = []
+        append = out.append
+        for __ in range(n):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            append((((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) / _FLOAT_SCALE)
+        self._state = x
+        return out
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""

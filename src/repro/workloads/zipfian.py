@@ -36,6 +36,12 @@ class UniformGenerator:
     def next(self) -> int:
         return self._rng.next_below(self.n)
 
+    def take(self, count: int) -> list:
+        """``count`` draws of :meth:`next`, in one call."""
+        below = self._rng.next_below
+        n = self.n
+        return [below(n) for __ in range(count)]
+
 
 class ZipfianGenerator:
     """Zipf-distributed ranks over ``[0, n)`` (most popular = 0)."""
@@ -51,7 +57,13 @@ class ZipfianGenerator:
         self._zetan = self._zeta(n, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
+        # With n <= 2 every draw is rank 0 or 1, so eta is never read
+        # (and at n == 2 its denominator is zero).
+        self._eta = (
+            (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
+            if n > 2
+            else 0.0
+        )
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -65,6 +77,22 @@ class ZipfianGenerator:
         if uz < 1.0 + 0.5 ** self.theta:
             return 1
         return int(self.n * ((self._eta * u - self._eta + 1) ** self._alpha))
+
+    def take(self, count: int) -> list:
+        """``count`` draws of :meth:`next`, bit for bit, in one call."""
+        n, zetan, eta, alpha = self.n, self._zetan, self._eta, self._alpha
+        rank_one = 1.0 + 0.5 ** self.theta
+        ranks = []
+        append = ranks.append
+        for u in self._rng.floats(count):
+            uz = u * zetan
+            if uz < 1.0:
+                append(0)
+            elif uz < rank_one:
+                append(1)
+            else:
+                append(int(n * ((eta * u - eta + 1) ** alpha)))
+        return ranks
 
 
 class ScrambledZipfian:

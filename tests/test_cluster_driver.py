@@ -54,6 +54,12 @@ def test_spec_and_admission_validation():
         ClientSpec(n_ops=1, rate_per_s=1.0, key_space=0)
     with pytest.raises(ValueError):
         ClientSpec(n_ops=1, rate_per_s=1.0, key_space=10, read_fraction=1.5)
+    for theta in (0.0, 1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="theta"):
+            ClientSpec(n_ops=1, rate_per_s=1.0, key_space=10, theta=theta)
+    with pytest.raises(ValueError, match="value_size"):
+        ClientSpec(n_ops=1, rate_per_s=1.0, key_space=10, value_size=-5)
+    assert spec(value_size=0).value_size == 0  # empty values are fine
     with pytest.raises(ValueError):
         AdmissionControl(max_queue_depth=0)
     with pytest.raises(ValueError):
@@ -200,6 +206,50 @@ def test_queueing_run_is_pinned():
     digest.update(repr([(k, v.tag) for k, v in router.items()]).encode())
     assert digest.hexdigest() == (
         "61fce9f16c79814c77b839c11e4f914e66cf919b43752f3eeb5d22c524249a59"
+    )
+
+
+def test_replicated_queueing_run_is_pinned():
+    """The same contention on replicated shards: two followers per group,
+    read-your-writes follower reads with one session per client, so
+    reads wait on ``_await_applied``, writes on quorum acks, and idle
+    turns settle every live member.  The digest was generated before
+    the serve loop skipped settles with nothing due; it covers the
+    metrics document (group snapshots included), the final clock and
+    every stored tag."""
+    import hashlib
+
+    from repro.replication import ReplicationConfig
+
+    cluster = Cluster(
+        "miodb", n_shards=2, scale=SCALE,
+        replication=ReplicationConfig(followers=2, read_policy="follower-ryw"),
+    )
+    router = ShardRouter(cluster)
+    preload(router)
+    clients = [
+        spec(seed=1, n_ops=150),
+        spec(seed=2, n_ops=150),
+        spec(seed=3, n_ops=150, rate_per_s=500_000.0, theta=0.9),
+        spec(seed=4, n_ops=150, rate_per_s=500_000.0),
+    ]
+    result = run_cluster(
+        router,
+        clients,
+        admission=AdmissionControl(policy="defer", max_queue_depth=2),
+        sessions=[router.session() for __ in clients],
+    )
+    stats = cluster.stats
+    assert stats.get("cluster.deferred") > 0
+    assert stats.get("repl.ryw_wait_s") > 0
+    assert stats.get("repl.ack_wait_s") > 0
+    assert max(d["max_queue_depth"] for d in result.per_shard) == 2
+    digest = hashlib.sha256()
+    digest.update(cluster_metrics_json(cluster, router, result).encode())
+    digest.update(repr(cluster.clock.now).encode())
+    digest.update(repr([(k, v.tag) for k, v in router.items()]).encode())
+    assert digest.hexdigest() == (
+        "cca07282bdc9eefa4c6d193f39b9c6846f35276dc2bae3b4a6386fbff8dc8c76"
     )
 
 

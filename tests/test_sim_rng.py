@@ -50,6 +50,13 @@ def test_shuffle_is_permutation():
     assert shuffled != items  # astronomically unlikely to be identity
 
 
+@pytest.mark.parametrize("n", [0, 1, 1025])
+def test_floats_equals_repeated_next_float(n):
+    batched, single = XorShiftRng(13), XorShiftRng(13)
+    assert batched.floats(n) == [single.next_float() for _ in range(n)]
+    assert batched.next_u64() == single.next_u64()
+
+
 def test_fork_produces_independent_stream():
     rng = XorShiftRng(5)
     child = rng.fork()

@@ -60,6 +60,27 @@ def test_zipfian_validation():
         ZipfianGenerator(10, rng, theta=1.0)
 
 
+@pytest.mark.parametrize("theta", [0.6, 0.99])
+@pytest.mark.parametrize("n", [2, 1000])
+def test_zipfian_take_equals_repeated_next(theta, n):
+    """A key space of 2 lands every draw on the rank-0 / rank-1 branches."""
+    batched = ZipfianGenerator(n, XorShiftRng(5), theta)
+    single = ZipfianGenerator(n, XorShiftRng(5), theta)
+    draws = batched.take(3000)
+    assert draws == [single.next() for __ in range(3000)]
+    assert batched.take(0) == []
+    assert batched.next() == single.next()
+    if n == 2:
+        assert set(draws) == {0, 1}
+
+
+def test_uniform_take_equals_repeated_next():
+    batched = UniformGenerator(37, XorShiftRng(8))
+    single = UniformGenerator(37, XorShiftRng(8))
+    assert batched.take(2000) == [single.next() for __ in range(2000)]
+    assert batched.next() == single.next()
+
+
 def test_scrambled_zipfian_spreads_hot_keys():
     rng = XorShiftRng(1)
     gen = ScrambledZipfian(1000, rng)
