@@ -11,7 +11,6 @@ Run workloads against any store in the library from a shell::
     python -m repro cluster --shards 4 --followers 2 --ack quorum
     python -m repro chaos --store miodb --seeds 3,7,42 --report chaos.json
     python -m repro info
-    python -m repro perf
     python -m repro check --strict --races
 
 Every run is deterministic (simulated time); throughput and latency
@@ -28,6 +27,7 @@ from typing import List
 
 from repro.bench import STORE_NAMES, default_scale, format_table, make_store
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
+from repro.persist.wal import parse_fsync_policy
 from repro.workloads import (
     YCSB_WORKLOADS,
     fill_random,
@@ -66,19 +66,6 @@ def _parse_seeds(value: str) -> List[int]:
     return [int(s) for s in value.split(",") if s.strip()]
 
 
-def _seeds_arg(value: str) -> str:
-    """Validates only: ``cmd_chaos`` parses, so the flag's value stays a str."""
-    try:
-        seeds = _parse_seeds(value)
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma list of integer seeds, got {value!r}"
-        )
-    return value
-
-
 def _number_arg(cast, accept, expected: str):
     """A ``type=`` callable: ``cast`` the text, then ``accept`` the number."""
 
@@ -106,6 +93,31 @@ _rate = _number_arg(
 _zipf_theta = _number_arg(float, lambda x: 0 <= x < 1, "a number in [0, 1)")
 #: ``ChaosSchedule`` keeps kills inside the middle 80 % of the run.
 _chaos_ops = _number_arg(int, lambda n: n >= 10, "an integer >= 10")
+
+
+def _text_arg(valid, expected: str):
+    """A ``type=`` callable that keeps the text, which the command parses:
+    ``valid(text)`` must be truthy and raise no ``ValueError``."""
+    check = _number_arg(valid, bool, expected)
+
+    def parse(value: str) -> str:
+        check(value)
+        return value
+
+    return parse
+
+
+_seeds_arg = _text_arg(_parse_seeds, "a comma list of integer seeds")
+_fsync_policy_arg = _text_arg(
+    parse_fsync_policy, "sync, batch:N (N >= 1) or interval:T (T > 0 seconds)"
+)
+_workloads_arg = _text_arg(
+    lambda value: all(w.strip().upper() in YCSB_WORKLOADS for w in value.split(",")),
+    f"a comma list of YCSB workloads ({', '.join(sorted(YCSB_WORKLOADS))})",
+)
+_directory_arg = _text_arg(
+    lambda value: pathlib.Path(value).is_dir(), "an existing directory"
+)
 
 
 # Flag groups shared between subcommands, as argparse ``parents=``.  Each
@@ -139,7 +151,8 @@ def _common_flags(fsync=False, batch=False) -> argparse.ArgumentParser:
              "(with multiple stores the store name is suffixed)",
     )
     if fsync:
-        flags.add_argument("--fsync-policy", default="sync", metavar="POLICY",
+        flags.add_argument("--fsync-policy", type=_fsync_policy_arg,
+                           default="sync", metavar="POLICY",
                            help="WAL durability: sync, batch:N, or interval:T "
                                 "(simulated seconds); default %(default)s")
     if batch:
@@ -154,7 +167,7 @@ def _common_flags(fsync=False, batch=False) -> argparse.ArgumentParser:
 def _traced_flags() -> argparse.ArgumentParser:
     """The ``run_traced`` workload: ``trace``, ``analyze`` and ``slo``."""
     flags = _flags([_workload_flags(1024)])
-    flags.add_argument("--n", type=_nonnegative_int, default=2048,
+    flags.add_argument("--n", type=_positive_int, default=2048,
                        help="records to write")
     flags.add_argument(
         "--mode", type=_traced_mode_arg, default="fillrandom",
@@ -299,10 +312,6 @@ def cmd_ycsb(args) -> int:
     scale = default_scale()
     n = args.records or scale.records_for(args.value_size)
     workloads = [w.strip().upper() for w in args.workloads.split(",")]
-    for wl in workloads:
-        if wl not in YCSB_WORKLOADS:
-            print(f"unknown YCSB workload {wl!r}", file=sys.stderr)
-            return 2
     batch = _batch_arg(args)
     rows = []
     multi = len(args.store) > 1
@@ -783,27 +792,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    """Every fingerprint kernel beside its pin; exit 1 when one drifted."""
-    from repro.bench.perf import KERNELS, PINNED, run_kernel
-
-    pinned = PINNED[args.ops_scale]
-    rows = []
-    drifted = False
-    for name in KERNELS:
-        ops, fingerprint = run_kernel(name, args.ops_scale)
-        rows.append([name, ops, repr(fingerprint), repr(pinned[name])])
-        if fingerprint != pinned[name]:
-            drifted = True
-            print(
-                f"kernel {name}: fingerprint {fingerprint!r} != pinned "
-                f"{pinned[name]!r} (simulated model changed)",
-                file=sys.stderr,
-            )
-    print(format_table(["kernel", "ops", "fingerprint", "pinned"], rows))
-    return 1 if drifted else 0
-
-
 def cmd_diff(args) -> int:
     """Diff two ``repro analyze --json`` documents (docs/observability.md)."""
     import json
@@ -854,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ycsb", help="YCSB load + workloads",
         parents=[_common_flags(batch=True)],
     )
-    p.add_argument("--workloads", default="A,B,C")
+    p.add_argument("--workloads", type=_workloads_arg, default="A,B,C")
     p.add_argument("--records", type=_nonnegative_int, default=None)
     p.add_argument("--ops", type=_nonnegative_int, default=1000)
     p.set_defaults(func=cmd_ycsb)
@@ -986,18 +974,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stores for the race smoke (default: all)")
     p.add_argument("--skip-lint", action="store_true")
     p.add_argument("--skip-contracts", action="store_true")
-    p.add_argument("--path", default=None, metavar="DIR",
+    p.add_argument("--path", type=_directory_arg, default=None, metavar="DIR",
                    help="lint this directory instead of src/repro")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("info", help="stores, device profiles, scaling")
     p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser(
-        "perf", help="simulated-clock fingerprint kernels against their pins"
-    )
-    p.add_argument("--ops-scale", choices=["tiny", "default"], default="default")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
         "diff", help="differential analysis between two analyze documents"

@@ -182,7 +182,7 @@ class ReplicaGroup:
     # ------------------------------------------------------------ building
 
     @classmethod
-    # repro: allow[OPT001] fault injection: tests crash the leader at a repl.* point
+    # repro: allow[DEAD001, OPT001] tests build standalone groups and crash their leader
     def build(
         cls,
         store_name: str = "miodb",

@@ -50,11 +50,10 @@ def test_ycsb(capsys):
 
 
 def test_ycsb_rejects_unknown_workload(capsys):
-    rc = main(
-        ["ycsb", "--store", "miodb", "--workloads", "Z", "--records", "100",
-         "--ops", "10"]
-    )
-    assert rc == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ycsb", "--store", "miodb", "--workloads", "Z", "--records", "100",
+              "--ops", "10"])
+    assert exit_info.value.code == 2
 
 
 def test_unknown_store_rejected():
@@ -80,28 +79,6 @@ def test_ssd_flag(capsys):
         ["dbbench", "--store", "miodb", "--ssd", "--n", "200", "--reads", "20"]
     )
     assert rc == 0
-
-
-def test_perf_subcommand_prints_every_kernel_beside_its_pin(capsys):
-    from repro.bench.perf import KERNELS
-
-    assert main(["perf", "--ops-scale", "tiny"]) == 0
-    captured = capsys.readouterr()
-    rows = captured.out.splitlines()[2:]  # header, rule
-    assert [row.split()[0] for row in rows] == list(KERNELS)
-    assert all(row.split()[2] == row.split()[3] for row in rows)
-    assert captured.err == ""
-
-
-def test_perf_subcommand_exits_1_and_names_the_drifted_kernel(monkeypatch, capsys):
-    from repro.bench.perf import PINNED
-
-    recorded = PINNED["tiny"]["flush"]
-    monkeypatch.setitem(PINNED["tiny"], "flush", 0.125)
-    assert main(["perf", "--ops-scale", "tiny"]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert "kernel flush" in line
-    assert repr(recorded) in line and "0.125" in line
 
 
 @pytest.mark.parametrize(
@@ -336,6 +313,14 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["trace", "--slo-threshold-us", "nan"],
     ["trace", "--stall-alert-us", "nan"],
     ["slo", "--min-kiops", "nan"],
+    ["check", "--path", "no-such-dir"],
+    ["dbbench", "--fsync-policy", "bogus"],
+    ["dbbench", "--fsync-policy", "batch:0"],
+    ["cluster", "--fsync-policy", "interval:-1"],
+    ["slo", "--n", "0"],
+    ["analyze", "--n", "0", "--mode", "ycsb-a"],
+    ["ycsb", "--workloads", "A,Z"],
+    ["ycsb", "--workloads", ","],
 ])
 def test_out_of_range_numbers_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -367,25 +352,12 @@ def test_boundary_numbers_still_parse():
 
 # ------------------------------------------------- default namespace pins
 
-#: Every subcommand's parsed defaults (``func`` by name), digested.  A
-#: parser refactor must not move these; print ``_namespace(cmd)`` to see
-#: what changed when one does.
+#: Every subcommand's parsed defaults (``func`` by name), digested: a
+#: parser refactor must not move them.
 REQUIRED_ARGS = {"diff": ["a.json", "b.json"]}
-
-PINNED_NAMESPACES = {
-    "analyze": "bf094f257577bbe7",
-    "chaos": "060c3f1eb9d44cc9",
-    "check": "2eaf6f8c5a10fc04",  # PR 24: --baseline, --update-baseline gone
-    "cluster": "2ba3d50d213040fb",
-    "compare": "a13a5c7b3f0d5496",
-    "dbbench": "d37f4f9d5691ad5a",
-    "diff": "41e05b7dbcbab40e",
-    "info": "623d5374b3ac39bc",
-    "perf": "03eedd4ff960849d",
-    "slo": "1b486ec7637e5994",
-    "trace": "5b57d91641b9b21b",
-    "ycsb": "28c9d257a9af6397",
-}
+SUBCOMMANDS = sorted(next(
+    a.choices for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+))
 
 
 def _namespace(command):
@@ -394,21 +366,17 @@ def _namespace(command):
     return sorted(doc.items())
 
 
-def _namespace_digest(command):
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_default_namespace_is_pinned(command, pin):
     import hashlib
 
-    return hashlib.sha256(repr(_namespace(command)).encode()).hexdigest()[:16]
-
-
-@pytest.mark.parametrize("command", sorted(PINNED_NAMESPACES))
-def test_subcommand_default_namespace_is_pinned(command):
-    assert _namespace_digest(command) == PINNED_NAMESPACES[command], (
-        _namespace(command)
-    )
+    digest = hashlib.sha256(repr(_namespace(command)).encode()).hexdigest()[:16]
+    pin(f"cli-namespace/{command}", digest)
 
 
 def test_every_subcommand_has_a_namespace_pin():
-    sub = next(
-        a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
-    )
-    assert sorted(sub.choices) == sorted(PINNED_NAMESPACES)
+    from tests.conftest import load_pins
+
+    family = "cli-namespace/"
+    pinned = sorted(n[len(family):] for n in load_pins() if n.startswith(family))
+    assert pinned == SUBCOMMANDS

@@ -21,15 +21,6 @@ from repro.obs.runner import run_traced
 
 pytestmark = pytest.mark.obs_live
 
-#: Byte-stability pin for the seeded SLO-breach scenario below: the first
-#: flight dump of ``run_traced("miodb", n=512, reads=64)`` with the live
-#: plane at seed 1, a 10us stall alert, and a 5us SLO threshold.  If this
-#: changes, either the simulation or the dump format changed -- both must
-#: be deliberate.
-PINNED_DUMP_SHA256 = (
-    "06472fd580b428dbdcd659ff786c21921938e22a0dd3a9af6a6f88c5d88a1e1b"
-)
-
 LIVE = {"seed": 1, "stall_alert_s": 1e-5, "slo_threshold_s": 5e-6}
 
 
@@ -106,7 +97,10 @@ def test_manual_dump_always_returns_a_document():
     assert flight.trigger_counts[TRIGGER_MANUAL] == 1
 
 
-def test_seeded_slo_breach_dump_is_byte_identical_and_pinned():
+def test_seeded_slo_breach_dump_is_byte_identical_and_pinned(pin):
+    """The first flight dump of ``run_traced("miodb", n=512, reads=64)``
+    with the live plane at seed 1, a 10us stall alert and a 5us SLO
+    threshold.  If it moves, the simulation or the dump format changed."""
     texts = []
     for __ in range(2):
         __, __, rec = run_traced("miodb", n=512, reads=64, live=dict(LIVE))
@@ -116,8 +110,7 @@ def test_seeded_slo_breach_dump_is_byte_identical_and_pinned():
         ]
         texts.append(rec.flight.dump_json(dumps[0]))
     assert texts[0] == texts[1]
-    digest = hashlib.sha256(texts[0].encode()).hexdigest()
-    assert digest == PINNED_DUMP_SHA256
+    pin("obs/flight-dump", hashlib.sha256(texts[0].encode()).hexdigest())
 
 
 def test_dump_embeds_sampling_context():

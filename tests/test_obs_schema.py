@@ -161,28 +161,14 @@ def test_chrome_trace_document_schema():
 
 # ------------------------------------------------------------- determinism
 
-#: Pinned fingerprint of `run_traced("miodb", n=512, value_size=1024,
-#: reads=64, seed=1)`.  The trace layer promises byte-reproducible
-#: artifacts; if an intentional change to the simulated model or the
-#: event vocabulary moves these, re-pin them alongside ``repro.bench.perf.PINNED``.
-PINNED_COUNTS = {"transfer": 1476, "op": 576, "flush": 16, "compact": 7, "stall": 5}
-PINNED_CLOCK = 0.0017989877593358522
-PINNED_SHA256 = "20bae2caa49a92e3a29d55eb6184d3168c0166ca96e7ade942db6bd0e9d0915b"
-
-#: Pinned fingerprint of the 3-shard cluster trace built by
-#: :func:`_traced_cluster` below -- one recorder (one Perfetto process)
-#: per shard, merged by ``cluster_trace_json``.
-PINNED_CLUSTER_SHA256 = (
-    "321864ed6c04d78335d2791d4f9fdd77c0c2858ae8d327a8573eb250c2ac9d0c"
-)
-
-
-def test_trace_run_matches_pinned_fingerprint():
+def test_trace_run_matches_pinned_fingerprint(pin):
     __, system, recorder = run_traced("miodb", n=512, value_size=1024, reads=64)
-    assert recorder.counts_by_category() == PINNED_COUNTS
-    assert system.clock.now == PINNED_CLOCK
     text = chrome_trace_json(recorder, process_name="miodb")
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+    pin("obs/trace-run", {
+        "counts": recorder.counts_by_category(),
+        "clock": system.clock.now,
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    })
 
 
 def _traced_cluster():
@@ -214,7 +200,9 @@ def _traced_cluster():
     return cluster, recorders
 
 
-def test_multi_shard_trace_matches_pinned_fingerprint():
+def test_multi_shard_trace_matches_pinned_fingerprint(pin):
+    """One recorder (one Perfetto process) per shard of
+    :func:`_traced_cluster`, merged by ``cluster_trace_json``."""
     from repro.cluster import cluster_trace_json
 
     cluster, recorders = _traced_cluster()
@@ -222,7 +210,7 @@ def test_multi_shard_trace_matches_pinned_fingerprint():
     assert len(recorders) == 3
     assert all(len(r) > 0 for r in recorders)
     text = cluster_trace_json(cluster, recorders)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLUSTER_SHA256
+    pin("obs/cluster-trace", hashlib.sha256(text.encode()).hexdigest())
     doc = json.loads(text)
     pids = {
         e["pid"]
@@ -256,92 +244,9 @@ OBS_COMMANDS = {
                      "--openmetrics", "{d}/metrics.om"],
 }
 
-OBS_PINS = {
-    "analyze-all": {
-        "stdout":
-            "608af51e0555a8c48895c7b00e76cc4b1d32c1f490407e797056995f7eefa26f",
-        "analysis-leveldb.json":
-            "ba2de8ae5d434cae45c77e0895c46b25ebb9270994f3114f5d3719d3c83ba5ac",
-        "analysis-matrixkv.json":
-            "00ef90786ecb994a2ea0940e424359e66ce991020889371f0546584988b68e17",
-        "analysis-miodb.json":
-            "ef7ce13c2c802433f43fb4af5672db48517a1f0066fdd068f2b9a0a26ae9e66a",
-        "analysis-novelsm-hier.json":
-            "dcf367cdf12a60712497298d76d53b057fbcb61b752c3033cfb0334d9b570925",
-        "analysis-novelsm-nosst.json":
-            "44a8cbf5ed012d196338740fa5d81a2bb6af60020baff29cf8cbbbe79db97272",
-        "analysis-novelsm.json":
-            "073a661a5bb637c9a9ec84f75a4bb731ad816a8562af07cdfafd75f875e179d9",
-        "analysis-slmdb.json":
-            "b4f4ab7df1b42ebd655b303356f9aecb3a88f856d34a66be4821aca6f6402b1d",
-    },
-    "analyze-ycsb": {
-        "stdout":
-            "d28ea7e93207fbd8f2651055a6c18a951990fb9acb65b107bc802538864f3d8a",
-        "analysis-leveldb.json":
-            "17f31200e21fafb817828b52e31c0eb9b69e369732728f24973527d886bd9959",
-        "analysis-miodb.json":
-            "09d0c1679563f6147613cd220a72e0510371ad530225718c3aa47dbbd45d9db2",
-    },
-    "cluster-live": {
-        "stdout":
-            "36bfdc58ea2b558e264f77c94b6cbb8d825942c419ce2ea6225c0d5dbd0f0220",
-        "metrics.om":
-            "762db1b32c04b9d4f916babcc3bce1a174ed387413c0741927ced68c454549da",
-    },
-    "compare-analyze": {
-        "stdout":
-            "c4475819526d28e8076aad2082fd278e6d47ea472debdd00893ac34a5385d7c4",
-    },
-    "slo": {
-        "stdout":
-            "246982f4ea0163c92fc5ec691ba3e78387605da316092ce320e9f0f236fc0521",
-        "slo-leveldb.json":
-            "7077a919e74153e205ee05aab313f7181c6f21b473bb4a2a4bf64d57f4c29039",
-        "slo-miodb.json":
-            "4dce526bca27402863d6d45c8c02810d6c177956b76915b30a8fb0ab2d56b97a",
-    },
-    "trace-exports": {
-        "stdout":
-            "18d57ec1a34beb5fcf81d276055510215638f2a698a5e624641f66875327fabd",
-        "bandwidth-matrixkv.csv":
-            "e5d27320855b2f2bd199f7fb0e8aa3b9042a698df1f0979e1dc765c219b85e06",
-        "bandwidth-miodb.csv":
-            "b8b581fa9f767a612b3be35f32d844b62f75c5e1343aa1737cb51f188e3fa276",
-        "metrics-matrixkv.json":
-            "80208bd2de6713f5255e5ae3e370327408f0b39050fea3e46255db1860628d61",
-        "metrics-miodb.json":
-            "5b2af01009d19842658791cd45f4b6c9f4f9104618a18bff3df476ef96a68160",
-        "queue-matrixkv.csv":
-            "60d015191969ea5ad30afc0613d152313c338f7f60b0730d3d49ae5df381cfea",
-        "queue-miodb.csv":
-            "3ace951b20b2e237b3157cb02f947d83bd061dea66060b431c7d72aeb85e3a3c",
-        "trace-matrixkv.json":
-            "c37640d1aa87c270a88eb39d107414e988b76ae52f240d7307bdde2e1e5fa1c0",
-        "trace-miodb.json":
-            "2f1de7a5ef2cf6240bb7c8546bb5577b01af0af2d405599958cd366751338723",
-    },
-    "trace-live": {
-        "stdout":
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "flight/flight-miodb-0-stall-alert.json":
-            "ecadbfdaa4fb500d7931e776e6ba6f0c62f0cd0dd6f94a52803b7371afd5ba8c",
-        "flight/flight-miodb-1-stall-alert.json":
-            "9f11b3cd0f79aae1e075180acf254eb371dcfac460adcbdad4eec35bee2412cc",
-        "flight/flight-miodb-2-slo-burn.json":
-            "1b43fe780b4a5144d67fe5265be30ab10c6ada3232ac6cbd0005072788cd19a9",
-        "flight/flight-miodb-3-stall-alert.json":
-            "287dfa161a37f0e52f1c0856c926c7c4ebfa59f4af246f77630f7b3604ec16c8",
-        "metrics.om":
-            "179dc8aa46eb82c3f3a51327e2ae931d290150f25a005fb044adf42f0e718276",
-        "trace.json":
-            "72bfb5d5933db7feff14c0f8ff8102df0e8b83bf41621add18b7d977b95ead5e",
-    },
-}
-
 
 @pytest.mark.parametrize("label", sorted(OBS_COMMANDS))
-def test_obs_cli_artifacts_are_pinned(label, tmp_path, capsys):
+def test_obs_cli_artifacts_are_pinned(label, tmp_path, capsys, pin):
     from repro.cli import main
 
     argv = [arg.format(d=tmp_path) for arg in OBS_COMMANDS[label]]
@@ -354,7 +259,7 @@ def test_obs_cli_artifacts_are_pinned(label, tmp_path, capsys):
             digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(
                 path.read_bytes()
             ).hexdigest()
-    assert digests == OBS_PINS[label]
+    pin(f"obs-cli/{label}", digests)
 
 
 def test_trace_cli_is_byte_identical_across_runs(tmp_path):
