@@ -209,13 +209,6 @@ class LeveledLSM:
 
         submit_compaction(
             self.system, worker, seconds, apply, f"{self.label}-compact-L{level}",
-            # Inputs were scanned at submit; in flight the compaction
-            # reads the busy-marked tables of both levels (foreground
-            # gets may read them too -- read/read, never a conflict).
-            (
-                ("r", f"tables:{self.label}:L{level}"),
-                ("r", f"tables:{self.label}:L{target}"),
-            ),
             level=level, bytes=bytes_moved,
         )
 

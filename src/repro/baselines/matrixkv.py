@@ -263,10 +263,6 @@ class MatrixKVStore(BufferedStore):
 
         submit_compaction(
             self.system, self.column_worker, seconds, apply, f"{self.name}-column",
-            # Column compaction reads the taken container rows (kept
-            # readable via _inflight_column) and the overlapping L1
-            # tables; both stay foreground-read-only while in flight.
-            (("r", "container:rows"), ("r", "tables:matrixkv:L1")),
             level=0, kind="column", bytes=taken_bytes,
         )
 

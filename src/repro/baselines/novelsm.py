@@ -164,8 +164,6 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
             tail = self.system.executor.submit(
                 self.nvm_flush_worker, seconds, apply, name=f"{self.name}-nvm-flush",
                 meta={"cat": CAT_FLUSH, "bytes": chunk_bytes},
-                # Each chunk job reads the immutable NVM MemTable only.
-                accesses=(("r", "memtable:nvm-imm"),),
             )
         self.system.stats.add("flush.count", 1)
         self.system.stats.add("flush.bytes", table.data_bytes)

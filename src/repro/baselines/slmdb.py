@@ -192,9 +192,6 @@ class SLMDBStore(BufferedStore):
 
         submit_compaction(
             self.system, self.worker, seconds, apply, f"{self.name}-compact",
-            # The selected candidate tables stay readable while the
-            # merged replacement is built off to the side.
-            (("r", "tables:slmdb:L1"),),
             level=1, bytes=sum(t.data_bytes for t in candidates),
         )
 
@@ -214,18 +211,6 @@ class SLMDBStore(BufferedStore):
         if locator is None:
             return None, seconds
         sst, __seq = locator
-        if sst.released:
-            # The index was updated eagerly while a compaction job is
-            # still in flight; the data is in one of the live tables.
-            for table in reversed(self.tables):
-                if table.released or not table.min_key <= key <= table.max_key:
-                    continue
-                entry, cost = table.get(key, self.system.cpu, self.system.stats)
-                seconds += cost
-                if entry is not None:
-                    value = entry[2]
-                    return (None if value is TOMBSTONE else value), seconds
-            return None, seconds
         entry, cost = sst.get(key, self.system.cpu, self.system.stats)
         seconds += cost
         if entry is None:

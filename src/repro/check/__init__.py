@@ -1,4 +1,4 @@
-"""Machine-checked invariants: lint, race detection, API contracts.
+"""Machine-checked invariants: lint and API contracts.
 
 ``repro.check`` is the correctness-tooling layer the rest of the repo
 runs under (``repro check`` on the CLI, the ``check`` CI job):
@@ -7,9 +7,6 @@ runs under (``repro check`` on the CLI, the ``check`` CI job):
   wall-clock/entropy escapes, unordered set iteration, closed-vocabulary
   violations, unregistered stats families.  Rules have IDs and
   severities; suppression is via ``# repro: allow[...]`` pragmas.
-- :mod:`repro.check.races` -- opt-in happens-before race detection over
-  the simulated executor: unsynchronized read-write pairs between
-  background flush/compaction jobs and foreground ops.
 - :mod:`repro.check.contracts` -- reflection checks that all engines
   implement the full KVStore surface, batched paths have registered
   per-op oracles, and the trace-event schema matches its pinned hash;
@@ -26,7 +23,6 @@ from repro.check.contracts import (
     schema_fingerprint,
 )
 from repro.check.lint import RULES, lint_text, run_lint
-from repro.check.races import Race, RaceDetector, race_smoke
 from repro.check.report import (
     SEV_ERROR,
     SEV_WARNING,
@@ -38,15 +34,12 @@ from repro.check.report import (
 __all__ = [
     "Finding",
     "PINNED_EVENT_SCHEMA",
-    "Race",
-    "RaceDetector",
     "RULES",
     "SEV_ERROR",
     "SEV_WARNING",
     "check_contracts",
     "check_store_class",
     "lint_text",
-    "race_smoke",
     "render_findings",
     "run_lint",
     "schema_fingerprint",

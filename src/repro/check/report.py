@@ -1,7 +1,7 @@
 """Findings: the common currency of every ``repro.check`` engine.
 
-A :class:`Finding` is one diagnostic -- a lint hit, a contract
-violation, or a race -- with a rule ID, a severity, and a location.
+A :class:`Finding` is one diagnostic -- a lint hit or a contract
+violation -- with a rule ID, a severity, and a location.
 Findings render deterministically (sorted by path, line, rule) so check
 output is byte-stable across runs.
 """

@@ -11,7 +11,7 @@ Run workloads against any store in the library from a shell::
     python -m repro cluster --shards 4 --followers 2 --ack quorum
     python -m repro chaos --store miodb --seeds 3,7,42 --report chaos.json
     python -m repro info
-    python -m repro check --strict --races
+    python -m repro check --strict
 
 Every run is deterministic (simulated time); throughput and latency
 numbers are directly comparable across stores and invocations, and
@@ -745,8 +745,8 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Static analysis: determinism lint, API contracts, race smoke."""
-    from repro.check import check_contracts, race_smoke, render_findings, run_lint
+    """Static analysis: determinism lint and API contracts."""
+    from repro.check import check_contracts, render_findings, run_lint
 
     failed = False
     findings = []
@@ -759,15 +759,6 @@ def cmd_check(args) -> int:
         print(render_findings(findings))
         failed = args.strict or any(f.severity == "error" for f in findings)
     print(f"check: {len(findings)} finding(s)")
-    if args.races:
-        results = race_smoke(store_names=args.store, n=args.races_n)
-        total = sum(len(races) for races in results.values())
-        for name, races in sorted(results.items()):
-            status = "clean" if not races else f"{len(races)} race(s)"
-            print(f"races [{name}]: {status}")
-            for race in races:
-                print(f"  {race.render()}")
-        failed = failed or total > 0
     return 1 if failed else 0
 
 
@@ -960,18 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "adds failover timelines to the report")
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser(
-        "check",
-        help="determinism lint, API contracts, and the race-detector smoke",
-    )
+    p = sub.add_parser("check", help="determinism lint and API contracts")
     p.add_argument("--strict", action="store_true",
                    help="fail on any finding, warnings included (CI gate)")
-    p.add_argument("--races", action="store_true",
-                   help="also run the simulated-race smoke workload")
-    p.add_argument("--races-n", type=_positive_int, default=256, metavar="N",
-                   help="records in the race smoke fill (default %(default)s)")
-    p.add_argument("--store", type=_stores_arg, default=None,
-                   help="stores for the race smoke (default: all)")
     p.add_argument("--skip-lint", action="store_true")
     p.add_argument("--skip-contracts", action="store_true")
     p.add_argument("--path", type=_directory_arg, default=None, metavar="DIR",
@@ -1013,7 +995,3 @@ def main(argv=None) -> int:
     if args.func is cmd_chaos or getattr(args, "followers", 0) > 0:
         _refuse_unreplicable(parser, args.store)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

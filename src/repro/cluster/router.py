@@ -216,7 +216,8 @@ class Cluster:
         """Detach every shard's recorder (idempotent)."""
         for shard in self.shards:
             if shard.group is not None:
-                shard.group.obs = None
+                shard.group.detach_tracing()
+            # attach_live attaches to the shard's system, not its group.
             shard.system.detach_tracing()
 
     def attach_live(self, seed: int = 1, **options) -> List[object]:

@@ -85,12 +85,7 @@ class CompactionManager:
 
         submit_compaction(
             self.system, self.workers[level], seconds, apply,
-            f"miodb-zero-copy-L{level}",
-            # The merge ran eagerly at submit (crash-consistent
-            # insertion marks); in flight the busy-marked input tables
-            # are only read by foreground gets.
-            (("r", f"pmtable:L{level}"),),
-            level=level, kind="zero-copy",
+            f"miodb-zero-copy-L{level}", level=level, kind="zero-copy",
             bytes=older.data_bytes + newer.data_bytes,
         )
 
@@ -143,9 +138,6 @@ class CompactionManager:
         submit_compaction(
             self.system, self.workers[level], seconds, apply,
             f"miodb-lazy-copy-L{level}",
-            # Lazy copy reads the source PMTable; the compacted copy is
-            # staged privately until the callback installs it.
-            (("r", f"pmtable:L{level}"),),
             level=level, kind="lazy-copy", bytes=table.data_bytes,
         )
 

@@ -159,10 +159,6 @@ class MioDB(BufferedStore):
             self.flush_worker, swizzle_seconds, swizzle_done,
             name="miodb-swizzle",
             meta={"cat": CAT_FLUSH, "phase": "swizzle", "pointers": pointers},
-            # Swizzling rewrites the PMTable's not-yet-published
-            # pointers; readers only follow already-swizzled (8-byte
-            # atomic) words, so the unswizzled region is job-private.
-            accesses=(("w", "pmtable:unswizzled"),),
         )
 
     def _make_bloom(self, entry_count: int) -> BloomFilter:

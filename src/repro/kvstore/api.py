@@ -18,10 +18,6 @@ BATCH_EQUIVALENCE = {
     "multi_get": "get",
 }
 
-#: Coarse shared-state region the race detector tracks for every
-#: foreground op: the mutable MemTable (see repro.check.races).
-_MEMTABLE_REGION = ("memtable:active",)
-
 
 def _report_served(lookup, count: int) -> None:
     """Tell a batch closure how many keys it served, if it asks to know."""
@@ -79,8 +75,6 @@ class KVStore(ABC):
         heap = executor._heap
         if heap and heap[0][0] <= system.clock._now:
             executor.settle()
-        if system.race is not None:
-            system.race.op("put", writes=_MEMTABLE_REGION)
         start = system.clock._now
         self.seq += 1
         seconds = self._put(key, self.seq, value, nbytes)
@@ -96,8 +90,6 @@ class KVStore(ABC):
         heap = executor._heap
         if heap and heap[0][0] <= system.clock._now:
             executor.settle()
-        if system.race is not None:
-            system.race.op("delete", writes=_MEMTABLE_REGION)
         start = system.clock._now
         self.seq += 1
         seconds = self._put(key, self.seq, TOMBSTONE, 0)
@@ -113,8 +105,6 @@ class KVStore(ABC):
         heap = executor._heap
         if heap and heap[0][0] <= system.clock._now:
             executor.settle()
-        if system.race is not None:
-            system.race.op("get", reads=_MEMTABLE_REGION)
         start = system.clock._now
         value, seconds = self._get(key)
         system.stats.add("op.get", 1)
@@ -173,7 +163,6 @@ class KVStore(ABC):
         settle = executor.settle
         stamp, sample = system.latency.appenders("get")
         obs = system.obs
-        race = system.race
         fallback = self._get
         lookup = self._batch_lookup() or fallback
         taken = 0
@@ -183,8 +172,6 @@ class KVStore(ABC):
                     _report_served(lookup, len(results) - taken)
                     taken = len(results)
                     lookup = self._batch_lookup() or fallback
-            if race is not None:
-                race.op("get", reads=_MEMTABLE_REGION)
             start = clock._now
             value, seconds = lookup(key)
             clock.advance(seconds)
@@ -209,8 +196,6 @@ class KVStore(ABC):
         heap = executor._heap
         if heap and heap[0][0] <= system.clock._now:
             executor.settle()
-        if system.race is not None:
-            system.race.op("scan", reads=_MEMTABLE_REGION)
         start = system.clock._now
         pairs, seconds = self._scan(start_key, count)
         system.stats.add("op.scan", 1)
@@ -307,14 +292,11 @@ class KVStore(ABC):
         stamp, sample = system.latency.appenders(kind)
         put_ = self._put
         obs = system.obs
-        race = system.race
         stats = system.stats
         user_bytes = 0
         for key, value, value_bytes, key_len in ops:
             if heap and heap[0][0] <= clock._now:
                 settle()
-            if race is not None:
-                race.op(kind, writes=_MEMTABLE_REGION)
             start = clock._now
             self.seq += 1
             seconds = put_(key, self.seq, value, value_bytes)

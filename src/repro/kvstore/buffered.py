@@ -20,16 +20,13 @@ from repro.persist.wal import WriteAheadLog
 from repro.sim.rng import XorShiftRng
 
 
-def submit_compaction(
-    system, worker, seconds: float, apply, name: str, accesses, **meta
-):
+def submit_compaction(system, worker, seconds: float, apply, name: str, **meta):
     """Account one compaction job and queue it on ``worker``: every
     engine's compactions enter the executor here, so ``compact.time_s``
     is the sum of the traced ``compact`` spans."""
     system.stats.add("compact.time_s", seconds)
     return system.executor.submit(
-        worker, seconds, apply, name=name,
-        meta={"cat": CAT_COMPACT, **meta}, accesses=accesses,
+        worker, seconds, apply, name=name, meta={"cat": CAT_COMPACT, **meta},
     )
 
 
@@ -141,9 +138,6 @@ class BufferedStore(KVStore):
         return self.system.executor.submit(
             self.flush_worker, seconds, done, name=name,
             meta={"cat": CAT_FLUSH, "bytes": table.data_bytes, **meta},
-            # In flight a flush only reads the rotated (frozen) MemTable;
-            # the active one stays foreground-writable.
-            accesses=(("r", "memtable:imm"),),
         )
 
     def _retire(self, table: MemTable) -> None:

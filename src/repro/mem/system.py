@@ -49,10 +49,6 @@ class HybridMemorySystem:
         self.latency = LatencyRecorder()
         #: The attached TraceRecorder, or None (tracing off -- the default).
         self.obs = None
-        #: The attached RaceDetector, or None (race checking off -- the
-        #: default).  Like ``obs``, every instrumentation site guards on
-        #: this, so the disabled cost is one attribute load per op.
-        self.race = None
 
     @property
     def now(self) -> float:
@@ -106,24 +102,6 @@ class HybridMemorySystem:
         from repro.obs.live.recorder import LiveRecorder
 
         return LiveRecorder(self.clock, **options).attach(self)
-
-    def attach_race_detection(self):
-        """Attach a fresh :class:`~repro.check.races.RaceDetector`.
-
-        Returns the detector; foreground ops and background jobs on this
-        system start recording happens-before metadata until
-        :meth:`detach_race_detection` (or ``detector.detach()``) is
-        called.  Opt-in diagnostics only: nothing about the simulation
-        (clock, stats, traces) changes while a detector is attached.
-        """
-        from repro.check.races import RaceDetector
-
-        return RaceDetector().attach(self)
-
-    def detach_race_detection(self) -> None:
-        """Detach the current race detector, if any (idempotent)."""
-        if self.race is not None:
-            self.race.detach()
 
     def job_scope(self):
         """Context manager marking device traffic as background-job cost.

@@ -20,7 +20,7 @@ from typing import Dict, List
 #: Analysis-document sections compared leaf-by-leaf.  Unlisted sections
 #: are either non-numeric narratives (critical paths, profile trees,
 #: failover timelines) or meta-data that must not alarm a diff
-#: (conservation bookkeeping, sampling counters).
+#: (conservation bookkeeping).
 ANALYSIS_SECTIONS = (
     "sim_time_s",
     "events",

@@ -40,10 +40,6 @@ def conservation_check(attributions) -> dict:
 def analyze_run(recorder, system, store_name: str) -> dict:
     """The full analysis document for one traced store run.
 
-    Works on full-fidelity and live (sampled) recorders alike; a live
-    recorder additionally contributes a ``"sampling"`` section with its
-    exact seen/retained bookkeeping, so readers know the op-level
-    numbers cover a retained subset and by what factor to rescale.
     Every section reads the recorder's one classified index.
     """
     attrs = attribute_ops(recorder)
@@ -55,15 +51,10 @@ def analyze_run(recorder, system, store_name: str) -> dict:
     user_bytes = system.stats.get("user.bytes_written")
     persistent = persistent_write_bytes(recorder)
     profile = time_profile(attrs, recorder, end_s)
-    sampling = None
-    meta_fn = getattr(recorder, "sampling_meta", None)
-    if meta_fn is not None:
-        sampling = meta_fn()
     # Present only on traces with repl.* events, so unreplicated
     # analysis documents stay byte-identical.
     replication = replication_summary(recorder)
     return {
-        **({"sampling": sampling} if sampling is not None else {}),
         **({"replication": replication} if replication is not None else {}),
         "schema": 1,
         "store": store_name,
@@ -185,30 +176,6 @@ def render_analysis(doc: dict, profile: bool = True) -> str:
             f"({write['persistent_bytes']} persistent B / "
             f"{write['user_bytes']} user B)"
         )
-    replication = doc.get("replication")
-    if replication:
-        lines.append("")
-        lines.append("== replication phases ==")
-        phases = replication["phases"]
-        for label, key in (
-            ("ship (link)", "ship_s"),
-            ("apply (replay)", "apply_s"),
-            ("ack wait", "ack_s"),
-            ("election", "election_s"),
-        ):
-            lines.append(f"  {label:<24} {_fmt_seconds(phases[key]):>12}")
-        for key, count in replication["stragglers"].items():
-            lines.append(f"  straggler {key:<14} {count:>5} acks")
-        for timeline in replication["failovers"]:
-            took = timeline["duration_s"]
-            lines.append(
-                f"  failover g{timeline['group']}: kill r{timeline['replica']} "
-                f"at {_fmt_seconds(timeline['kill_t_s'])} -> "
-                + (
-                    f"r{timeline['winner']} repointed after {_fmt_seconds(took)}"
-                    if took is not None else "unresolved"
-                )
-            )
     out = "\n".join(lines) + "\n"
     if profile and "profile" in doc:
         out += "\n" + render_profile(doc["profile"])

@@ -32,16 +32,15 @@ def sparkline(values: Sequence[float]) -> str:
 
 def render_frame(
     recorders,
-    labels: Optional[Sequence[str]] = None,
+    labels: Sequence[str],
     now: float = 0.0,
     groups: Optional[Sequence[object]] = None,
 ) -> str:
-    """One dashboard frame over one or more live recorders.
+    """One dashboard frame over a list of live recorders.
 
     ``groups`` is an optional per-shard list of
-    :class:`~repro.replication.group.ReplicaGroup` objects (``None``
-    entries allowed); when any group is present the table gains a
-    ``role`` column (the serving replica, e.g. ``r1:leader``, or
+    :class:`~repro.replication.group.ReplicaGroup` objects; with it the
+    table gains a ``role`` column (the serving replica, e.g. ``r1:leader``, or
     ``electing`` during failover) and a ``lag`` column (worst live
     follower replication lag, in records).  Without groups the frame is
     byte-identical to the unreplicated dashboard.
@@ -51,11 +50,6 @@ def render_frame(
     # would make ``import repro.obs`` circular.
     from repro.bench.report import format_table
 
-    if not isinstance(recorders, (list, tuple)):
-        recorders = [recorders]
-    if labels is None:
-        labels = [str(i) for i in range(len(recorders))]
-    replicated = groups is not None and any(g is not None for g in groups)
     rows = []
     spark_lines = []
     for index, (label, rec) in enumerate(zip(labels, recorders)):
@@ -74,14 +68,13 @@ def render_frame(
             f"{retained}/{seen}",
             len(rec.flight.dumps),
         ]
-        if replicated:
-            group = groups[index] if index < len(groups) else None
-            if group is None:
-                cells.extend(["-", "-"])
-            elif group.leader_idx is None:
-                cells.extend(["electing", group.lag()])
-            else:
-                cells.extend([f"r{group.leader_idx}:leader", group.lag()])
+        if groups is not None:
+            group = groups[index]
+            role = (
+                "electing" if group.leader_idx is None
+                else f"r{group.leader_idx}:leader"
+            )
+            cells.extend([role, group.lag()])
         rows.append(cells)
         series = [r["p99_us"] for r in window.rows] if window is not None else []
         spark_lines.append(
@@ -89,7 +82,7 @@ def render_frame(
         )
     headers = ["shard", "kiops", "p50_us", "p99_us", "qdepth", "wa",
                "sampled", "dumps"]
-    if replicated:
+    if groups is not None:
         headers.extend(["role", "lag"])
     table = format_table(headers, rows)
     header = f"== live telemetry @ t={now * 1e3:.3f}ms =="
@@ -115,8 +108,6 @@ class LiveDashboard:
     ) -> None:
         if refresh_s <= 0:
             raise ValueError(f"refresh_s must be positive, got {refresh_s}")
-        if not isinstance(recorders, (list, tuple)):
-            recorders = [recorders]
         self.groups = list(groups) if groups is not None else None
         self.recorders = list(recorders)
         self.labels = (

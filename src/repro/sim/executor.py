@@ -84,10 +84,6 @@ class Executor:
         self._tiebreak = itertools.count()
         self._workers = {}
         self._submit_listeners: List[Callable] = []
-        #: The attached RaceDetector, or None (race checking off -- the
-        #: default).  See ``repro.check.races``; every hook below guards
-        #: on this, so the disabled cost is one attribute load per site.
-        self.race = None
 
     def worker(self, name: str) -> Worker:
         """Return the named worker, creating it on first use."""
@@ -122,7 +118,6 @@ class Executor:
         callback: Optional[Callable[[], None]] = None,
         name: str = "job",
         meta: Optional[dict] = None,
-        accesses: Optional[tuple] = None,
     ) -> Job:
         """Queue ``duration`` seconds of work on ``worker``.
 
@@ -131,14 +126,6 @@ class Executor:
         simulation settles past its end time.
         ``meta`` is opaque annotation passed through to submit listeners
         (e.g. the trace category and byte counts of a flush).
-
-        ``accesses`` declares which shared store regions the job's
-        in-flight work logically touches, as ``(mode, region)`` pairs
-        with mode ``"r"`` or ``"w"`` (e.g. ``(("r", "memtable:imm"),)``
-        for a flush reading the frozen MemTable).  It is consumed only
-        by an attached :class:`~repro.check.races.RaceDetector` -- it is
-        deliberately *not* part of ``meta`` so declaring accesses never
-        changes the traced event stream.
         """
         if duration < 0:
             raise ValueError(f"job duration must be >= 0, got {duration}")
@@ -153,8 +140,6 @@ class Executor:
         if self._submit_listeners:
             for listener in list(self._submit_listeners):
                 listener(job, meta)
-        if self.race is not None:
-            self.race.on_submit(job, accesses)
         return job
 
     def settle(self) -> int:
@@ -177,8 +162,6 @@ class Executor:
             __, __, job = heapq.heappop(self._heap)
             if job.cancelled:
                 continue
-            if self.race is not None:
-                self.race.on_apply(job)
             job._complete()
             applied += 1
         return applied
@@ -219,8 +202,6 @@ class Executor:
         for __, __, job in self._heap:
             if not job.done and not job.cancelled:
                 job.cancelled = True
-                if self.race is not None:
-                    self.race.on_cancel(job)
                 cancelled += 1
         self._heap.clear()
         for worker in self._workers.values():

@@ -11,11 +11,7 @@ from repro.kvstore.values import SizedValue
 from repro.sim.rng import XorShiftRng
 from repro.workloads.keys import key_for
 from repro.workloads.runner import Phase, RunResult, check_batch_size, issue_puts
-from repro.workloads.zipfian import (
-    LatestGenerator,
-    ScrambledZipfian,
-    UniformGenerator,
-)
+from repro.workloads.zipfian import LatestGenerator, ScrambledZipfian
 
 
 @dataclass
@@ -82,8 +78,6 @@ def run_workload(
     rng = XorShiftRng(seed)
     if spec.distribution == "latest":
         chooser = LatestGenerator(record_count, rng.fork(1))
-    elif spec.distribution == "uniform":
-        chooser = UniformGenerator(record_count, rng.fork(2))
     else:
         chooser = ScrambledZipfian(record_count, rng.fork(3))
     next_insert = record_count

@@ -266,7 +266,6 @@ def reference_dram_flush(self, table):
     return self.system.executor.submit(
         self.flush_worker, seconds, apply, name=f"{self.name}-dram-flush",
         meta={"cat": CAT_FLUSH, "bytes": table.data_bytes},
-        accesses=(("r", "memtable:imm"),),
     )
 
 

@@ -233,6 +233,51 @@ def test_follower_kill_produces_no_leader_timeline():
     assert len(kills) == 1 and kills[0].args["replica"] == victim
 
 
+def test_leader_ack_failover_truncates_the_unshipped_log():
+    """Leader acks return before any ship: killing the leader loses every
+    acked write, and the election truncates the log under the kill span."""
+    group = ReplicaGroup.build(
+        "miodb", config=ReplicationConfig(followers=2, ack_policy="leader")
+    )
+    recorder = group.attach_tracing()
+    for i in range(5):
+        group.put(key_for(i), SizedValue(i, 256))
+    group.crash_replica(group.leader_idx)
+    group.settle_members()
+    assert group.stats.get("repl.truncated_records") == 5
+    assert group.stats.get("repl.acked_lost") == 5
+    election = {e.name: e for e in recorder.events if e.cat == CAT_REPL_ELECTION}
+    truncate = election["truncate"]
+    assert truncate.args["records"] == 5 and truncate.args["lsn"] == 0
+    assert truncate.args["parent"] == election["kill"].args["span"]
+
+
+def test_traced_admission_drops_emit_router_drop_instants():
+    from repro.cluster import (
+        AdmissionControl, ClientSpec, Cluster, ShardRouter, run_cluster,
+    )
+    from repro.obs.events import CAT_QUEUE, DROP_CAUSES
+
+    cluster = Cluster(
+        "miodb", n_shards=2, scale=SCALE,
+        replication=ReplicationConfig(followers=1),
+    )
+    router = ShardRouter(cluster)
+    recorders = cluster.attach_tracing()
+    result = run_cluster(
+        router,
+        [ClientSpec(n_ops=200, rate_per_s=5_000_000.0, key_space=200, seed=s)
+         for s in (1, 2)],
+        admission=AdmissionControl(max_queue_depth=2, policy="reject"),
+    )
+    cluster.detach_tracing()
+    drops = [e for recorder in recorders for e in recorder.events
+             if e.cat == CAT_QUEUE and e.name == "drop"]
+    assert result.dropped > 0 and len(drops) == result.dropped
+    assert all(e.track == "router" and e.args["cause"] in DROP_CAUSES
+               for e in drops)
+
+
 def test_lag_timeline_covers_every_follower():
     __, recorder = traced_run(n_ops=20)
     lag = follower_lag_timeline(recorder)
