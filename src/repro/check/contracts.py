@@ -1,24 +1,5 @@
-"""API-contract checker: the six engines must stay interchangeable.
+"""Whole-tree sweeps: what nothing refers to, and what nothing sets.
 
-Every benchmark, workload, and cluster component in this repo treats
-stores as drop-in replacements behind :class:`repro.kvstore.api.KVStore`.
-This module verifies, by reflection (no store is instantiated), that the
-contract actually holds:
-
-- **Surface** (API001): every registered engine class implements the
-  full public KVStore surface and its abstract hooks, with signatures a
-  base-class caller can rely on -- same required parameters, extras
-  only with defaults, no leftover abstract methods.
-- **Batch oracles** (API002): every ``multi_*`` entry point an engine
-  exposes has a registered per-op equivalence oracle in
-  :data:`repro.kvstore.api.BATCH_EQUIVALENCE` (the method each batched
-  op must be byte-identical to), and the oracle method exists.
-- **Event schema** (API003): the trace-event shape -- ``TraceEvent``
-  slots, the category tuple, and the closed stall/drop vocabularies --
-  hashes to the pinned fingerprint.  ``tests/test_obs_schema.py`` pins
-  trace *content*; this pins the *schema*, so widening a vocabulary or
-  renaming a field fails the check until the pin (and the docs) are
-  deliberately updated together.
 - **Dead names** (DEAD001): every function, class and method under
   ``src/repro`` is referred to from ``src/repro``, ``benchmarks/`` or
   ``examples/``; API kept only for ``tests/`` says so with a pragma.
@@ -31,13 +12,15 @@ contract actually holds:
   ``**kwargs`` forwards what *its* callers passed beyond its named
   parameters, one hop; ``*args`` or any other ``**dict`` may set
   anything.  A parameter with one value in use is a constant.
+
+The engine interface and the event schema are not checked here: the
+model checker (``tests/test_model_checker.py``) calls every public
+method on every store, and the schema is a pin in ``tests/pins.json``.
 """
 
 import ast
-import hashlib
-import inspect
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.check.lint import (
     _dotted,
@@ -47,222 +30,6 @@ from repro.check.lint import (
     package_root,
 )
 from repro.check.report import SEV_ERROR, Finding, sort_findings
-from repro.kvstore.api import BATCH_EQUIVALENCE, KVStore
-
-#: Public methods every engine must serve (the benchmark surface).
-PUBLIC_API = (
-    "put",
-    "delete",
-    "get",
-    "multi_put",
-    "multi_delete",
-    "multi_get",
-    "scan",
-    "items",
-    "write",
-    "quiesce",
-)
-
-#: Engine hooks the base class dispatches to.
-ENGINE_HOOKS = ("_put", "_get", "_scan", "_batch_lookup")
-
-#: Pinned fingerprint of the trace-event schema (see
-#: :func:`schema_fingerprint`).  Update deliberately, together with
-#: docs/observability.md and the pinned traces in tests/test_obs_schema.py.
-PINNED_EVENT_SCHEMA = (
-    "7f4d3bfc6425a024feeda57e0df3909020e4b97fd2d405b236bd8fc66ad4c7b4"
-)
-
-
-def store_classes() -> Dict[str, type]:
-    """The registered engine classes, keyed by benchmark store name."""
-    from repro.baselines import (
-        LevelDBStore,
-        MatrixKVStore,
-        NoveLSMNoSSTStore,
-        NoveLSMStore,
-        SLMDBStore,
-    )
-    from repro.core import MioDB
-
-    return {
-        "miodb": MioDB,
-        "matrixkv": MatrixKVStore,
-        "novelsm": NoveLSMStore,
-        "novelsm-hier": NoveLSMStore,
-        "novelsm-nosst": NoveLSMNoSSTStore,
-        "leveldb": LevelDBStore,
-        "slmdb": SLMDBStore,
-    }
-
-
-def _where(cls: type) -> str:
-    module = inspect.getmodule(cls)
-    path = getattr(module, "__file__", None) or f"<{cls.__module__}>"
-    return path
-
-
-def _finding(cls: type, rule: str, message: str) -> Finding:
-    line = 1
-    try:
-        line = inspect.getsourcelines(cls)[1]
-    except (OSError, TypeError):
-        pass
-    return Finding(rule, SEV_ERROR, _where(cls), line, message)
-
-
-def _signature_compatible(base_fn, override_fn) -> Optional[str]:
-    """None when ``override_fn`` can serve every base-signature call.
-
-    Required: the base's parameters appear in the override with the
-    same names, in the same order, and no stricter kinds; any extra
-    parameters the override adds must carry defaults (or be ``*args``/
-    ``**kwargs``).  Returns a human-readable mismatch description.
-    """
-    base_params = [
-        p for p in inspect.signature(base_fn).parameters.values()
-        if p.name != "self"
-    ]
-    over_params = [
-        p for p in inspect.signature(override_fn).parameters.values()
-        if p.name != "self"
-    ]
-    catch_all = {
-        inspect.Parameter.VAR_POSITIONAL,
-        inspect.Parameter.VAR_KEYWORD,
-    }
-    over_named = [p for p in over_params if p.kind not in catch_all]
-    has_var = any(p.kind in catch_all for p in over_params)
-    for at, base_param in enumerate(base_params):
-        if at >= len(over_named):
-            if has_var:
-                continue
-            return f"missing parameter {base_param.name!r}"
-        over_param = over_named[at]
-        if over_param.name != base_param.name:
-            return (
-                f"parameter {at + 1} is {over_param.name!r}, "
-                f"expected {base_param.name!r}"
-            )
-        if (
-            base_param.default is not inspect.Parameter.empty
-            and over_param.default is inspect.Parameter.empty
-        ):
-            return f"parameter {base_param.name!r} lost its default"
-    for extra in over_named[len(base_params):]:
-        if extra.default is inspect.Parameter.empty:
-            return f"extra required parameter {extra.name!r}"
-    return None
-
-
-def check_store_class(cls: type, name: Optional[str] = None) -> List[Finding]:
-    """Contract findings for one engine class (empty when conformant)."""
-    label = name or getattr(cls, "name", cls.__name__)
-    findings: List[Finding] = []
-    if not issubclass(cls, KVStore):
-        findings.append(_finding(
-            cls, "API001", f"{label}: {cls.__name__} is not a KVStore"
-        ))
-        return findings
-    abstract = getattr(cls, "__abstractmethods__", frozenset())
-    if abstract:
-        findings.append(_finding(
-            cls, "API001",
-            f"{label}: abstract methods not implemented: "
-            f"{', '.join(sorted(abstract))}",
-        ))
-    for method_name in PUBLIC_API + ENGINE_HOOKS:
-        base_fn = getattr(KVStore, method_name, None)
-        override_fn = getattr(cls, method_name, None)
-        if override_fn is None:
-            findings.append(_finding(
-                cls, "API001", f"{label}: missing method {method_name}()"
-            ))
-            continue
-        if base_fn is None or override_fn is base_fn:
-            continue
-        mismatch = _signature_compatible(base_fn, override_fn)
-        if mismatch is not None:
-            findings.append(_finding(
-                cls, "API001",
-                f"{label}: incompatible signature for {method_name}(): "
-                f"{mismatch}",
-            ))
-    store_name = getattr(cls, "name", None)
-    if not isinstance(store_name, str) or store_name in ("", "abstract"):
-        findings.append(_finding(
-            cls, "API001",
-            f"{label}: class must set a concrete `name` attribute",
-        ))
-    # Every batched entry point needs a per-op equivalence oracle.
-    for attr in sorted(dir(cls)):
-        if not attr.startswith("multi_") or not callable(
-            getattr(cls, attr, None)
-        ):
-            continue
-        oracle = BATCH_EQUIVALENCE.get(attr)
-        if oracle is None:
-            findings.append(_finding(
-                cls, "API002",
-                f"{label}: batched path {attr}() has no per-op "
-                "equivalence oracle registered in "
-                "repro.kvstore.api.BATCH_EQUIVALENCE",
-            ))
-        elif not callable(getattr(cls, oracle, None)):
-            findings.append(_finding(
-                cls, "API002",
-                f"{label}: {attr}()'s registered oracle {oracle}() "
-                "does not exist",
-            ))
-    return findings
-
-
-# repro: allow[OPT001] lint fixtures fingerprint hypothetical schemas
-def schema_fingerprint(
-    slots=None, categories=None, stall_causes=None, drop_causes=None,
-    repl_names=None,
-) -> str:
-    """SHA-256 over the canonical trace-event schema description.
-
-    Defaults to the live definitions in ``repro.obs.events``; the
-    keyword arguments exist so tests can fingerprint hypothetical
-    schemas and assert that any drift changes the hash.
-    """
-    from repro.obs.events import (
-        CATEGORIES,
-        DROP_CAUSES,
-        REPL_EVENT_NAMES,
-        STALL_CAUSES,
-        TraceEvent,
-    )
-
-    names = REPL_EVENT_NAMES if repl_names is None else repl_names
-    description = repr((
-        tuple(TraceEvent.__slots__ if slots is None else slots),
-        tuple(CATEGORIES if categories is None else categories),
-        tuple(sorted(STALL_CAUSES if stall_causes is None else stall_causes)),
-        tuple(DROP_CAUSES if drop_causes is None else drop_causes),
-        tuple((cat, tuple(names[cat])) for cat in sorted(names)),
-    ))
-    return hashlib.sha256(description.encode()).hexdigest()
-
-
-def check_event_schema() -> List[Finding]:
-    """API003: the live event schema must match the pinned fingerprint."""
-    live = schema_fingerprint()
-    if live == PINNED_EVENT_SCHEMA:
-        return []
-    from repro.obs import events
-
-    return [
-        Finding(
-            "API003", SEV_ERROR, events.__file__, 1,
-            f"trace-event schema drifted: fingerprint {live[:16]}... != "
-            f"pinned {PINNED_EVENT_SCHEMA[:16]}...; update "
-            "repro.check.contracts.PINNED_EVENT_SCHEMA deliberately, "
-            "together with docs and the pinned traces",
-        )
-    ]
 
 
 def _references(tree: ast.AST):
@@ -452,13 +219,6 @@ def check_unset_options(sources) -> List[Finding]:
 
 
 def check_contracts() -> List[Finding]:
-    """Engine contracts, the event schema, and the dead-name and
-    unset-option sweeps."""
-    findings: List[Finding] = []
-    for name, cls in store_classes().items():
-        findings.extend(check_store_class(cls, name))
-    findings.extend(check_event_schema())
+    """The dead-name and unset-option sweeps over the package."""
     sources = read_sources(package_root())
-    findings.extend(check_dead_names(sources))
-    findings.extend(check_unset_options(sources))
-    return sort_findings(findings)
+    return sort_findings(check_dead_names(sources) + check_unset_options(sources))

@@ -533,10 +533,6 @@ def cmd_cluster(args) -> int:
     router = ShardRouter(
         cluster, placement_name=args.placement, key_space=args.key_space
     )
-    if args.live and (args.trace or args.analyze):
-        print("--live replaces full tracing; drop --trace/--analyze or "
-              "--live", file=sys.stderr)
-        return 2
     recorders = (
         cluster.attach_tracing() if (args.trace or args.analyze) else None
     )
@@ -745,7 +741,7 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Static analysis: determinism lint and API contracts."""
+    """Static analysis: determinism lint, dead names and unset options."""
     from repro.check import check_contracts, render_findings, run_lint
 
     failed = False
@@ -951,7 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "adds failover timelines to the report")
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("check", help="determinism lint and API contracts")
+    p = sub.add_parser(
+        "check", help="determinism lint, dead names and unset options"
+    )
     p.add_argument("--strict", action="store_true",
                    help="fail on any finding, warnings included (CI gate)")
     p.add_argument("--skip-lint", action="store_true")
@@ -988,10 +986,33 @@ def _refuse_unreplicable(parser, names) -> None:
             )
 
 
+#: Flags that do nothing without another one (``dest`` -> the one it needs).
+_NEEDS = {
+    "openmetrics": "live", "flight_dir": "live", "slo_threshold_us": "live",
+    "stall_alert_us": "live", "live_refresh_us": "live", "analyze_json": "analyze",
+}
+
+
+def _refuse_idle_flags(parser, args) -> None:
+    """``parser.error`` for a flag that does nothing without its partner,
+    and for ``--live`` beside the full tracing it replaces."""
+    for dest, needed in _NEEDS.items():
+        value = getattr(args, dest, None)
+        if value and not getattr(args, needed):
+            parser.error(f"argument --{dest.replace('_', '-')}: expected with "
+                         f"--{needed}, got {str(value)!r} without it")
+    if getattr(args, "live", False):
+        for dest in ("trace", "analyze"):
+            if getattr(args, dest, None):
+                parser.error(f"argument --live: expected no full tracing, "
+                             f"got '--{dest}'")
+
+
 # repro: allow[OPT001] tests drive the CLI in-process with an argv list
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _refuse_idle_flags(parser, args)
     if args.func is cmd_chaos or getattr(args, "followers", 0) > 0:
         _refuse_unreplicable(parser, args.store)
     return args.func(args)

@@ -6,19 +6,6 @@ from typing import List, Optional, Tuple
 from repro.kvstore.values import value_nbytes
 from repro.skiplist.node import TOMBSTONE
 
-#: Per-op equivalence oracles for the batched entry points: each
-#: ``multi_*`` method must be byte-identical (clock, stats, latency
-#: samples, per-op trace events) to calling the mapped method once per
-#: element.  ``repro.check.contracts`` verifies every ``multi_*`` an
-#: engine exposes is registered here; ``tests/test_multi_ops.py`` checks
-#: the behavioral equivalence itself.
-BATCH_EQUIVALENCE = {
-    "multi_put": "put",
-    "multi_delete": "delete",
-    "multi_get": "get",
-}
-
-
 def _report_served(lookup, count: int) -> None:
     """Tell a batch closure how many keys it served, if it asks to know."""
     served = getattr(lookup, "served", None)

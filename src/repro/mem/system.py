@@ -69,19 +69,16 @@ class HybridMemorySystem:
             devices.append(self.ssd)
         return devices
 
-    def attach_tracing(self, strict: bool = False):
+    def attach_tracing(self):
         """Attach a fresh :class:`~repro.obs.recorder.TraceRecorder`.
 
         Returns the recorder; every store on this system starts emitting
         op/stall/flush/compact/transfer events until
         :meth:`detach_tracing` (or ``recorder.detach()``) is called.
-        With ``strict`` recording an event with an unknown category,
-        stall cause, or drop reason raises instead of widening the
-        closed vocabularies (the event stream itself is unchanged).
         """
         from repro.obs.recorder import TraceRecorder
 
-        return TraceRecorder(self.clock, strict=strict).attach(self)
+        return TraceRecorder(self.clock).attach(self)
 
     def detach_tracing(self) -> None:
         """Detach the current recorder, if any (idempotent)."""

@@ -112,9 +112,9 @@ STALL_CAUSES = frozenset(
 # -------------------------------------------------------------- drop causes
 #
 # The closed load-shedding vocabulary.  Defined here (rather than in
-# ``repro.cluster.driver``, which re-exports them) so the recorder's
-# strict mode and ``repro.check`` can validate drop reasons without an
-# obs -> cluster import cycle.
+# ``repro.cluster.driver``, which re-exports them) so
+# ``check_vocabulary`` and ``repro.check`` can validate drop reasons
+# without an obs -> cluster import cycle.
 
 #: Rejected outright: the shard's admission queue was at capacity.
 DROP_QUEUE_FULL = "queue_full"

@@ -64,7 +64,7 @@ class LiveRecorder(TraceRecorder):
         stall_alert_s: Optional[float] = None,
         shard_id=None,
     ) -> None:
-        super().__init__(clock, strict=False)
+        super().__init__(clock)
         self.keep = self._retain
         self.shard_id = shard_id
         self.head = HeadSampler(seed)

@@ -13,7 +13,8 @@ native hook points:
 Every hook builds one event and hands it to :attr:`TraceRecorder.keep`,
 the one place an event is kept: keep-all here, a retention policy in
 :class:`~repro.obs.live.recorder.LiveRecorder`.  Readers take the kept
-events classified once, from :meth:`TraceRecorder.index`.
+events classified once, from :meth:`TraceRecorder.index`; one of them,
+:func:`check_vocabulary`, holds a run to the closed vocabularies.
 
 Tracing is strictly opt-in: a system starts with ``system.obs is None``
 and every instrumentation site guards on that, so the disabled cost is
@@ -99,6 +100,43 @@ class EventIndex:
         return self.by_cat.get(cat, [])
 
 
+def check_vocabulary(recorder) -> None:
+    """Raise ``ValueError`` at the first kept event outside the closed
+    vocabularies: an unknown category, ``repl.*`` name, stall cause or
+    drop reason.  Recording never validates; this reads the spine after
+    the run, so an event stream is byte-identical checked or not.
+    """
+    index = recorder.index()
+    for cat, events in index.by_cat.items():
+        if cat not in CATEGORIES:
+            raise ValueError(
+                f"unknown trace category {cat!r}; expected one of {CATEGORIES}"
+            )
+        names = REPL_EVENT_NAMES.get(cat)
+        if names is None:
+            continue
+        for event in events:
+            if event.name not in names:
+                raise ValueError(
+                    f"unknown {cat!r} event name {event.name!r}; the closed "
+                    f"vocabulary is {list(names)} (repro.obs.events.REPL_EVENT_NAMES)"
+                )
+    for event in index.of(CAT_STALL):
+        cause = (event.args or {}).get("cause")
+        if cause not in STALL_CAUSES:
+            raise ValueError(
+                f"unknown stall cause {cause!r}; the closed vocabulary is "
+                f"{sorted(STALL_CAUSES)} (repro.obs.events.STALL_CAUSES)"
+            )
+    for event in index.of(CAT_QUEUE):
+        cause = (event.args or {}).get("cause")
+        if event.name == "drop" and cause not in DROP_CAUSES:
+            raise ValueError(
+                f"unknown drop reason {cause!r}; the closed vocabulary is "
+                f"{list(DROP_CAUSES)} (repro.obs.events.DROP_CAUSES)"
+            )
+
+
 class _JobCostScope:
     """Marks transfers emitted inside it as background-job cost."""
 
@@ -125,7 +163,7 @@ class _JobCostScope:
 class TraceRecorder:
     """Collects typed spans and instants from one simulated machine."""
 
-    def __init__(self, clock, strict: bool = False) -> None:
+    def __init__(self, clock) -> None:
         self.clock = clock
         self.events: List[TraceEvent] = []
         #: The sink every hook hands its event to, and the only place an
@@ -133,11 +171,6 @@ class TraceRecorder:
         self.keep = self.events.append
         self._index: Optional[EventIndex] = None
         self._system = None
-        # Strict mode: recording an event with an unknown category, an
-        # unknown stall cause, or an unknown drop reason raises instead
-        # of silently widening the closed vocabularies.  Validation only
-        # -- the recorded event stream is byte-identical either way.
-        self.strict = strict
         # Nesting depth of job-cost scopes (see :meth:`job_cost`).  Device
         # cost for a background job is computed inline -- during the
         # foreground op or callback that schedules the job -- so without
@@ -177,36 +210,6 @@ class TraceRecorder:
 
     # ------------------------------------------------------------ emission
 
-    def _check_vocab(self, name: str, cat: str, args: Optional[dict]) -> None:
-        """Strict-mode guard: reject events outside the closed vocabularies."""
-        if cat not in CATEGORIES:
-            raise ValueError(
-                f"unknown trace category {cat!r}; expected one of {CATEGORIES}"
-            )
-        repl_names = REPL_EVENT_NAMES.get(cat)
-        if repl_names is not None and name not in repl_names:
-            raise ValueError(
-                f"unknown {cat!r} event name {name!r}; the closed "
-                f"vocabulary is {list(repl_names)} "
-                "(repro.obs.events.REPL_EVENT_NAMES)"
-            )
-        if args is None:
-            return
-        if cat == CAT_STALL:
-            cause = args.get("cause")
-            if cause not in STALL_CAUSES:
-                raise ValueError(
-                    f"unknown stall cause {cause!r}; the closed vocabulary is "
-                    f"{sorted(STALL_CAUSES)} (repro.obs.events.STALL_CAUSES)"
-                )
-        elif cat == CAT_QUEUE and name == "drop":
-            cause = args.get("cause")
-            if cause not in DROP_CAUSES:
-                raise ValueError(
-                    f"unknown drop reason {cause!r}; the closed vocabulary is "
-                    f"{list(DROP_CAUSES)} (repro.obs.events.DROP_CAUSES)"
-                )
-
     def span(
         self,
         track: str,
@@ -217,8 +220,6 @@ class TraceRecorder:
         args: Optional[dict] = None,
     ) -> None:
         """Record a closed interval of activity on ``track``."""
-        if self.strict:
-            self._check_vocab(name, cat, args)
         self.keep(TraceEvent(track, name, cat, start, end - start, args))
 
     def instant(
@@ -229,8 +230,6 @@ class TraceRecorder:
         args: Optional[dict] = None,
     ) -> None:
         """Record a point event at the current simulated time."""
-        if self.strict:
-            self._check_vocab(name, cat, args)
         self.keep(TraceEvent(track, name, cat, self.clock.now, None, args))
 
     def transfer(
@@ -288,10 +287,6 @@ class TraceRecorder:
         else:
             cat = meta.get("cat", CAT_JOB)
             args = {k: v for k, v in meta.items() if k != "cat"}
-        if self.strict and cat not in CATEGORIES:
-            raise ValueError(
-                f"unknown trace category {cat!r} in job meta for {job.name!r}"
-            )
         args["wait_s"] = job.start - job.submitted_at
         self.keep(
             TraceEvent(

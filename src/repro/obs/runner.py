@@ -10,6 +10,8 @@ pinned-determinism tests rely on.
 
 from typing import Tuple
 
+from repro.obs.recorder import check_vocabulary
+
 
 def run_traced(
     store_name: str,
@@ -35,7 +37,9 @@ def run_traced(
     identical either way -- only what the recorder retains differs.
 
     The recorder is detached before returning, so the caller can export
-    its events without further mutation.  The store runs at a
+    its events without further mutation; ``check_vocabulary`` then
+    raises ``ValueError`` on any event outside the closed vocabularies
+    rather than let a run widen the pinned schema.  The store runs at a
     *trace-tuned* scale, not the benchmark default: a small MemTable so
     a few thousand operations drive many flushes and multi-level
     compactions, and (for MioDB) a capped elastic buffer so the trace
@@ -79,13 +83,9 @@ def run_traced(
     if store_name == "miodb":
         overrides["max_nvm_buffer_bytes"] = 256 * KB
     store, system = make_store(store_name, scale, ssd=ssd, **overrides)
-    if live is not None:
-        recorder = system.attach_live(**live)
-    else:
-        # Strict: an event outside the closed vocabularies raises here
-        # rather than silently widening the pinned schema.  Validation
-        # only -- the recorded stream (and its pinned hash) is unchanged.
-        recorder = system.attach_tracing(strict=True)
+    recorder = (
+        system.attach_live(**live) if live is not None else system.attach_tracing()
+    )
     try:
         if ycsb_name is not None:
             load_phase(store, n, value_size, seed=seed)
@@ -103,4 +103,5 @@ def run_traced(
         store.quiesce()
     finally:
         recorder.detach()
+    check_vocabulary(recorder)
     return store, system, recorder

@@ -1,189 +1,53 @@
-"""API-contract checker: the engines conform, and drift is caught.
+"""Whole-tree sweeps: the tree is clean, and each rule catches its case.
 
-``DriftedStore`` below is the deliberately broken subclass from the
-issue: a renamed parameter on a public method and an unregistered
-``multi_*`` path.  The checker must flag exactly those, while every
-registered engine and the pinned trace-event schema pass clean.
+The engine interface and the trace-event schema are not checked here:
+the model checker calls every public method on every store, DEAD001
+catches an unregistered batched path nothing calls, and the schema's
+fingerprint is the ``schema/trace-events`` pin in ``tests/pins.json``.
 """
 
 import pytest
 
-from repro.bench.factory import STORE_NAMES
 from repro.check.contracts import (
-    ENGINE_HOOKS,
-    PINNED_EVENT_SCHEMA,
-    PUBLIC_API,
     check_contracts,
     check_dead_names,
-    check_event_schema,
-    check_store_class,
     check_unset_options,
     read_sources,
-    schema_fingerprint,
-    store_classes,
 )
-from repro.kvstore.api import BATCH_EQUIVALENCE, KVStore
-from repro.obs.events import STALL_CAUSES, TraceEvent
-
-
-class _ConformingStore(KVStore):
-    """A minimal subclass that satisfies the whole contract."""
-
-    name = "conforming"
-
-    def _put(self, key, seq, value, value_bytes):
-        return 0.0
-
-    def _get(self, key):
-        return None, 0.0
-
-    def _scan(self, start_key, count):
-        return [], 0.0
-
-
-class DriftedStore(_ConformingStore):
-    """Deliberate contract drift, each kind asserted on below."""
-
-    name = "drifted"
-
-    # API001: first parameter renamed from `key`.
-    def put(self, k, value):
-        return 0.0
-
-    # API001: extra parameter without a default.
-    def get(self, key, flavor):
-        return None, 0.0
-
-    # API002: a batched path with no registered per-op oracle.
-    def multi_upsert(self, items):
-        return []
-
-
-def _messages(findings):
-    return [f"{f.rule}: {f.message}" for f in findings]
-
-
-# ---------------------------------------------------------- real engines
 
 
 def test_registered_engines_conform():
+    """``repro check``'s sweeps find no dead name and no unset option."""
     assert check_contracts() == []
 
 
 def test_registry_covers_every_benchmark_store():
-    assert set(store_classes()) == set(STORE_NAMES)
+    """The engine interface's gate reaches every engine: each benchmark
+    store is a bare-store target of the model checker."""
+    from repro.bench.factory import STORE_NAMES
+    from tests.test_model_checker import TARGETS
+
+    assert {t.store for t in TARGETS.values() if not t.shards} == set(STORE_NAMES)
 
 
-def test_public_api_matches_batch_oracles():
-    for multi, oracle in BATCH_EQUIVALENCE.items():
-        assert multi in PUBLIC_API
-        assert oracle in PUBLIC_API
-    assert set(ENGINE_HOOKS) == {"_put", "_get", "_scan", "_batch_lookup"}
-
-
-def test_conforming_subclass_passes():
-    assert check_store_class(_ConformingStore) == []
-
-
-# ----------------------------------------------------------------- drift
-
-
-def test_drifted_store_is_flagged():
-    findings = check_store_class(DriftedStore)
-    messages = _messages(findings)
-    assert any(
-        "API001" in m and "put()" in m and "'k'" in m for m in messages
-    ), messages
-    assert any(
-        "API001" in m and "get()" in m and "flavor" in m for m in messages
-    ), messages
-    assert any(
-        "API002" in m and "multi_upsert()" in m for m in messages
-    ), messages
-    assert all(f.severity == "error" for f in findings)
-
-
-def test_abstract_methods_flagged():
-    class Incomplete(KVStore):
-        name = "incomplete"
-
-        def _put(self, key, seq, value, value_bytes):
-            return 0.0
-
-    findings = check_store_class(Incomplete)
-    assert any(
-        f.rule == "API001" and "abstract" in f.message for f in findings
+def test_drifted_store_is_flagged(tmp_path):
+    """A batched entry point that nothing calls -- so no test or run
+    holds it to its per-op twin -- is a DEAD001 finding."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "store.py").write_text(
+        "class DriftedStore:\n"
+        "    def put(self, key, value):\n        return 0.0\n"
+        "    def multi_upsert(self, items):\n        return []\n"
     )
-
-
-def test_missing_name_attribute_flagged():
-    class Nameless(_ConformingStore):
-        name = "abstract"  # never overridden from the base placeholder
-
-    findings = check_store_class(Nameless)
-    assert any(
-        f.rule == "API001" and "`name`" in f.message for f in findings
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.store import DriftedStore\nDriftedStore().put(b'k', 1)\n"
     )
-
-
-def test_lost_default_flagged():
-    class NoDefaults(_ConformingStore):
-        name = "nodefaults"
-
-        def items(self, start_key, end_key, page_size):
-            return iter(())
-
-    findings = check_store_class(NoDefaults)
-    assert any(
-        f.rule == "API001" and "lost its default" in f.message
-        for f in findings
-    )
-
-
-def test_var_args_override_is_compatible():
-    class Forwarding(_ConformingStore):
-        name = "forwarding"
-
-        def put(self, *args, **kwargs):
-            return 0.0
-
-    assert check_store_class(Forwarding) == []
-
-
-def test_unknown_oracle_method_flagged(monkeypatch):
-    monkeypatch.setitem(BATCH_EQUIVALENCE, "multi_put", "put_one")
-    findings = check_store_class(_ConformingStore)
-    assert any(
-        f.rule == "API002" and "put_one" in f.message for f in findings
-    )
-
-
-def test_non_kvstore_class_rejected():
-    class NotAStore:
-        name = "imposter"
-
-    findings = check_store_class(NotAStore)
-    assert [f.rule for f in findings] == ["API001"]
-    assert "not a KVStore" in findings[0].message
-
-
-# ---------------------------------------------------------------- schema
-
-
-def test_schema_fingerprint_matches_pin():
-    assert schema_fingerprint() == PINNED_EVENT_SCHEMA
-    assert check_event_schema() == []
-
-
-def test_schema_drift_changes_the_fingerprint():
-    widened = schema_fingerprint(
-        stall_causes=tuple(STALL_CAUSES) + ("brand-new-cause",)
-    )
-    renamed = schema_fingerprint(
-        slots=tuple(s + "_" for s in TraceEvent.__slots__)
-    )
-    dropped = schema_fingerprint(drop_causes=("queue_full",))
-    assert len({widened, renamed, dropped, PINNED_EVENT_SCHEMA}) == 4
+    found = check_dead_names(read_sources(tmp_path / "pkg"))
+    assert [(f.rule, f.line, f.message.split()[0]) for f in found] == [
+        ("DEAD001", 4, "multi_upsert"),
+    ]
 
 
 def test_dead_name_is_reported_and_pragma_is_honoured(tmp_path):

@@ -156,8 +156,8 @@ def test_voc001_passes_registered_trace_categories():
 
 
 def test_voc001_ignores_dynamic_trace_categories():
-    # Non-literal categories (the CAT_* constants) are checked at
-    # runtime by the strict recorder, not statically.
+    # Non-literal categories (the CAT_* constants) are checked after a
+    # run by ``check_vocabulary``, not statically.
     src = "def f(obs, cat, t):\n    obs.span('x', 'ev', cat, t, t)\n"
     assert lint_text(src) == []
 

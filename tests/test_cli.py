@@ -232,18 +232,6 @@ def test_cluster_live_renders_dashboard_frames(tmp_path, capsys):
     assert 'shard="1"' in text
 
 
-@pytest.mark.obs_live
-def test_cluster_live_conflicts_with_trace_and_analyze(tmp_path):
-    assert main([
-        "cluster", "--shards", "2", "--clients", "1", "--ops", "10",
-        "--live", "--trace", str(tmp_path / "t"),
-    ]) == 2
-    assert main([
-        "cluster", "--shards", "2", "--clients", "1", "--ops", "10",
-        "--live", "--analyze",
-    ]) == 2
-
-
 # ------------------------------------------------------ bad values exit 2
 
 
@@ -311,6 +299,20 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["analyze", "--n", "0", "--mode", "ycsb-a"],
     ["ycsb", "--workloads", "A,Z"],
     ["ycsb", "--workloads", ","],
+    # A flag that would do nothing without --live / --analyze, or that
+    # --live would undo, is refused at parse time too.
+    ["trace", "--openmetrics", "m.om"],
+    ["trace", "--flight-dir", "."],
+    ["trace", "--slo-threshold-us", "2.5"],
+    ["trace", "--stall-alert-us", "2.5"],
+    ["cluster", "--openmetrics", "m.om"],
+    ["cluster", "--flight-dir", "."],
+    ["cluster", "--slo-threshold-us", "2.5"],
+    ["cluster", "--stall-alert-us", "2.5"],
+    ["cluster", "--live-refresh-us", "2.5"],
+    ["cluster", "--analyze-json", "a.json"],
+    ["cluster", "--live", "--trace", "t.json"],
+    ["cluster", "--live", "--analyze"],
 ])
 def test_out_of_range_numbers_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -21,6 +21,12 @@ ordered list of acked writes.
   chunked), and every counted compaction has a span -- the count is
   added at apply, the span at submit, so a quiesce makes them equal.
   Jobs a crash drops or interrupts are spans that never count.
+- After every quiesce, on every target: each stats registry it writes
+  (store, cluster, replica group, every shard and member machine) holds
+  only ``KEY_FAMILIES`` families, and every traced recorder passes
+  ``check_vocabulary`` (categories, ``repl.*`` names, stall and drop
+  causes).  With every public method called on every store, this is
+  the engine-interface and vocabulary contract's runtime gate.
 
 A failure is shrunk and printed as a step list (``state = CheckMiodb()``,
 ``state.put(k=3)``, ...); pasted into a test it replays the failure
@@ -47,8 +53,10 @@ from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.obs.events import CAT_COMPACT, CAT_FLUSH
+from repro.obs.recorder import check_vocabulary
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.replication import READ_FOLLOWER_RYW, READ_LEADER, ReplicationConfig
+from repro.sim.stats import KEY_FAMILIES
 
 KB = 1 << 10
 KEYS = 24
@@ -291,12 +299,28 @@ class ModelChecker(RuleBasedStateMachine):
         self.store.write(batch)
         self._ack(entry)
 
+    def _registries(self):
+        """Every stats registry the target writes: the store's, or the
+        cluster's, each group's and each shard and member machine's."""
+        if self.router is None:
+            return [self.store.system.stats]
+        cluster = self.router.cluster
+        return [cluster.stats, *(g.stats for g in self.groups),
+                *(shard.system.stats for shard in cluster.shards),
+                *(m.system.stats for g in self.groups for m in g.members)]
+
     @rule()
     def quiesce(self):
         self.subject.quiesce()
         self._check_state()
         if self.recorder is not None:
             assert self._counted_compactions() == self.compact_spans
+        for stats in self._registries():
+            families = set(stats.snapshot_grouped())
+            assert families <= set(KEY_FAMILIES), families - set(KEY_FAMILIES)
+        for recorder in self.recorders or [self.recorder]:
+            if recorder is not None:
+                check_vocabulary(recorder)
 
     @precondition(lambda self: self.injector is not None)
     @rule(point=st.sampled_from(CRASH_POINTS), hits=st.integers(1, 3),

@@ -347,11 +347,12 @@ def test_shard_recorder_follows_the_leader_across_failover():
 
 def test_strict_recorder_rejects_unknown_repl_event_names():
     from repro.obs.events import CAT_REPL_SHIP as SHIP
-    from repro.obs.recorder import TraceRecorder
+    from repro.obs.recorder import TraceRecorder, check_vocabulary
     from repro.sim.clock import SimClock
 
-    clock = SimClock()
-    recorder = TraceRecorder(clock, strict=True)
+    recorder = TraceRecorder(SimClock())
     recorder.instant("repl:g0", "append", SHIP, {"span": 1, "lsn": 1})
-    with pytest.raises(ValueError):
-        recorder.instant("repl:g0", "enqueue", SHIP, {"span": 2})
+    check_vocabulary(recorder)
+    recorder.instant("repl:g0", "enqueue", SHIP, {"span": 2})
+    with pytest.raises(ValueError, match="'enqueue'"):
+        check_vocabulary(recorder)

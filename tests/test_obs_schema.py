@@ -276,77 +276,81 @@ def test_trace_cli_is_byte_identical_across_runs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Schema fingerprint and strict-mode vocabulary enforcement
+# Schema fingerprint and closed-vocabulary checks
 # ---------------------------------------------------------------------------
 
 
-def test_schema_fingerprint_is_pinned():
-    """The contract checker's schema pin tracks this file's vocabulary.
+def test_trace_event_schema_is_pinned(pin):
+    """The event *schema* -- ``TraceEvent`` slots, the category tuple and
+    the closed stall / drop / ``repl.*`` vocabularies -- hashes to the
+    ``schema/trace-events`` pin.  The pins above hold trace *content*;
+    this one moves when a vocabulary widens or a field is renamed, so
+    that change is one deliberate ``--regen-pins`` with the docs."""
+    from repro.obs.events import (
+        CATEGORIES,
+        DROP_CAUSES,
+        REPL_EVENT_NAMES,
+        TraceEvent,
+    )
 
-    tests/test_check_contracts.py owns the drift cases; this cross-check
-    keeps the two pins (trace *content* here, trace *schema* there) from
-    diverging silently.
-    """
-    from repro.check.contracts import PINNED_EVENT_SCHEMA, schema_fingerprint
+    description = repr((
+        tuple(TraceEvent.__slots__),
+        tuple(CATEGORIES),
+        tuple(sorted(STALL_CAUSES)),
+        tuple(DROP_CAUSES),
+        tuple((cat, tuple(REPL_EVENT_NAMES[cat])) for cat in sorted(REPL_EVENT_NAMES)),
+    ))
+    pin("schema/trace-events", hashlib.sha256(description.encode()).hexdigest())
 
-    assert schema_fingerprint() == PINNED_EVENT_SCHEMA
 
-
-def _strict_recorder():
-    from repro.obs import TraceRecorder
+def _recorded(*events):
+    """A recorder holding ``(name, cat, args)`` instants, and its check."""
+    from repro.obs.recorder import TraceRecorder, check_vocabulary
     from repro.sim.clock import SimClock
 
-    return TraceRecorder(SimClock(), strict=True)
+    recorder = TraceRecorder(SimClock())
+    for name, cat, args in events:
+        recorder.instant("foreground", name, cat, args)
+    return recorder, lambda: check_vocabulary(recorder)
 
 
 def test_strict_recorder_rejects_unknown_category():
-    recorder = _strict_recorder()
+    recorder, check = _recorded(("op", "bogus-cat", None))
     with pytest.raises(ValueError, match="unknown trace category"):
-        recorder.span("foreground", "op", "bogus-cat", 0.0, 1.0)
+        check()
 
 
 def test_strict_recorder_rejects_unknown_stall_cause():
-    recorder = _strict_recorder()
+    __, check = _recorded(("stall", CAT_STALL, {"cause": "novel-cause"}))
     with pytest.raises(ValueError, match="unknown stall cause"):
-        recorder.span(
-            "foreground", "stall", CAT_STALL, 0.0, 1.0,
-            {"cause": "novel-cause"},
-        )
+        check()
+    recorder, check = _recorded()
+    recorder.span("foreground", "stall", CAT_STALL, 0.0, 1.0,
+                  {"cause": "novel-cause"})
     with pytest.raises(ValueError, match="unknown stall cause"):
-        recorder.instant(
-            "foreground", "stall", CAT_STALL, {"cause": "novel-cause"}
-        )
+        check()
 
 
 def test_strict_recorder_rejects_unknown_drop_reason():
     from repro.obs import CAT_QUEUE
 
-    recorder = _strict_recorder()
+    __, check = _recorded(("drop", CAT_QUEUE, {"cause": "cosmic-rays"}))
     with pytest.raises(ValueError, match="unknown drop reason"):
-        recorder.instant(
-            "shard0", "drop", CAT_QUEUE, {"cause": "cosmic-rays"}
-        )
+        check()
 
 
 def test_strict_recorder_accepts_the_closed_vocabularies():
     from repro.obs import CAT_QUEUE, DROP_CAUSES
 
-    recorder = _strict_recorder()
-    for cause in sorted(STALL_CAUSES):
-        recorder.span(
-            "foreground", "stall", CAT_STALL, 0.0, 1.0, {"cause": cause}
-        )
-    for cause in DROP_CAUSES:
-        recorder.instant("shard0", "drop", CAT_QUEUE, {"cause": cause})
+    recorder, check = _recorded(
+        *[("stall", CAT_STALL, {"cause": cause}) for cause in sorted(STALL_CAUSES)],
+        *[("drop", CAT_QUEUE, {"cause": cause}) for cause in DROP_CAUSES],
+    )
+    check()
     assert len(recorder) == len(STALL_CAUSES) + len(DROP_CAUSES)
 
 
 def test_lenient_recorder_still_accepts_anything():
-    """Default mode is unchanged: validation is strictly opt-in."""
-    from repro.obs import TraceRecorder
-    from repro.sim.clock import SimClock
-
-    recorder = TraceRecorder(SimClock())
-    recorder.span("foreground", "stall", CAT_STALL, 0.0, 1.0,
-                  {"cause": "novel-cause"})
+    """Recording never validates: the check is a reader after the run."""
+    recorder, __ = _recorded(("stall", CAT_STALL, {"cause": "novel-cause"}))
     assert len(recorder) == 1

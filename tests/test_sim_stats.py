@@ -1,7 +1,5 @@
 """Unit tests for the stats registry."""
 
-import pytest
-
 from repro.sim.stats import KEY_FAMILIES, StatsRegistry
 
 
@@ -60,23 +58,6 @@ def test_snapshot_grouped_nests_by_family():
     }
 
 
-def test_strict_mode_rejects_unknown_family():
-    stats = StatsRegistry()
-    stats.strict = True
-    with pytest.raises(KeyError, match="unknown stats family"):
-        stats.add("made_up.metric")
-    with pytest.raises(KeyError):
-        stats.max("nope.peak", 1.0)
-
-
-def test_strict_mode_accepts_every_registered_family():
-    stats = StatsRegistry()
-    stats.strict = True
-    for family in KEY_FAMILIES:
-        stats.add(f"{family}.probe", 1.0)
-    assert len(stats.snapshot()) == len(KEY_FAMILIES)
-
-
 def test_stores_emit_only_registered_families():
     """Every store's counters stay inside the documented vocabulary."""
     from repro.bench.config import BenchScale
@@ -89,7 +70,6 @@ def test_stores_emit_only_registered_families():
     )
     for name in STORE_NAMES:
         store, system = make_store(name, scale)
-        system.stats.strict = True  # raise on any unregistered key
         fill_random(store, 128, scale.value_size, seed=1)
         store.quiesce()
         families = set(system.stats.snapshot_grouped())
