@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from repro.baselines.lsm import LeveledLSM
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
-from repro.skiplist.node import NODE_OVERHEAD_BYTES, TOMBSTONE
+from repro.skiplist.node import TOMBSTONE, payload_bytes
 from repro.skiplist.skiplist import SkipList
 
 
@@ -60,23 +60,23 @@ class NvmRepository:
         PMTable stays readable above until the manager retires it, so
         queries see duplicates, never gaps).
         """
-        search_time = self.system.cpu.skiplist_search_time
+        hop = self.system.cpu.hop_cost("nvm")
         nvm = self.system.nvm
         now = self.system.now
         skiplist = self.skiplist
-        # The PMTable is a sorted run: one monotone cursor finds, per
+        # The PMTable is a sorted run: one monotone cursor seek finds, per
         # key, both the repository's version and the insert position.
         cursor = skiplist.cursor()
         seconds = 0.0
         for node in newest_versions(table.skiplist):
             key = node.key
-            value_bytes = max(0, node.nbytes - len(key) - NODE_OVERHEAD_BYTES)
             preds, hops = cursor.seek(key, 1 << 62)
-            seconds += search_time("nvm", max(hops, 1))
+            search = max(hops, 1) * hop
+            seconds += search
             existing = preds[0].next[0]
             if existing is not None and existing.key != key:
                 existing = None
-            if node.is_tombstone:
+            if node.value is TOMBSTONE:
                 if existing is not None:
                     cursor.unlink_next(to_garbage=False)
                     seconds += nvm.write(8 * existing.height, sequential=False)
@@ -86,7 +86,7 @@ class NvmRepository:
                 if node.seq <= existing.seq:
                     continue
                 delta = skiplist.update_in_place(
-                    existing, node.seq, node.value, value_bytes
+                    existing, node.seq, node.value, payload_bytes(node)
                 )
                 if delta > 0:
                     self.arena.grow(delta, now)
@@ -94,13 +94,11 @@ class NvmRepository:
                     self.arena.shrink(-delta, now)
                 seconds += nvm.write(existing.nbytes, sequential=False)
             else:
-                # The key is absent, so the insert position is where the
-                # lookup ended (no second descent); the model still
-                # charges the copy's own search.
-                new_node, ins_hops = cursor.insert(
-                    key, node.seq, node.value, value_bytes
-                )
-                seconds += search_time("nvm", max(ins_hops, 1))
+                # The key is absent, so the insert position is the seek's
+                # (no second descent); the model still charges the copy's
+                # own search, which would have paid the same hops.
+                new_node = cursor.link(key, node.seq, node.value, payload_bytes(node))
+                seconds += search
                 seconds += nvm.write(new_node.nbytes, sequential=False)
                 self.arena.grow(new_node.nbytes, now)
         return seconds, None
@@ -141,12 +139,7 @@ class SsdRepository:
     def ingest(self, table) -> Tuple[float, Optional[callable]]:
         """Serialize a PMTable's newest versions into SSD L0 tables."""
         entries = [
-            (
-                n.key,
-                n.seq,
-                n.value,
-                max(0, n.nbytes - len(n.key) - NODE_OVERHEAD_BYTES),
-            )
+            (n.key, n.seq, n.value, payload_bytes(n))
             for n in newest_versions(table.skiplist)
         ]
         # One sorted run, one version per key: merging only splits it.

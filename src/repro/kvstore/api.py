@@ -153,24 +153,26 @@ class KVStore(ABC):
         fallback = self._get
         lookup = self._batch_lookup() or fallback
         taken = 0
-        for key in keys:
-            if heap and heap[0][0] <= clock._now:
-                if settle():
-                    _report_served(lookup, len(results) - taken)
-                    taken = len(results)
-                    lookup = self._batch_lookup() or fallback
-            start = clock._now
-            value, seconds = lookup(key)
-            clock.advance(seconds)
-            now = clock._now
-            latency = now - start
-            stamp(now)
-            sample(latency)
-            results.append((value, latency))
-            if obs is not None:
-                obs.span("foreground", "get", "op", start, now)
-        _report_served(lookup, len(results) - taken)
-        system.stats.add("op.get", float(len(keys)))
+        try:
+            for key in keys:
+                if heap and heap[0][0] <= clock._now:
+                    if settle():
+                        _report_served(lookup, len(results) - taken)
+                        taken = len(results)
+                        lookup = self._batch_lookup() or fallback
+                start = clock._now
+                value, seconds = lookup(key)
+                clock.advance(seconds)
+                now = clock._now
+                latency = now - start
+                stamp(now)
+                sample(latency)
+                results.append((value, latency))
+                if obs is not None:
+                    obs.span("foreground", "get", "op", start, now)
+        finally:  # a settle may raise: served gets count, as per-op ones do
+            _report_served(lookup, len(results) - taken)
+            system.stats.add("op.get", float(len(results)))
         return results
 
     def scan(self, start_key: bytes, count: int) -> Tuple[List[Tuple[bytes, object]], float]:
@@ -281,27 +283,29 @@ class KVStore(ABC):
         obs = system.obs
         stats = system.stats
         user_bytes = 0
-        for key, value, value_bytes, key_len in ops:
-            if heap and heap[0][0] <= clock._now:
-                settle()
-            start = clock._now
-            self.seq += 1
-            seconds = put_(key, self.seq, value, value_bytes)
-            clock.advance(seconds)
-            now = clock._now
-            latency = now - start
-            stamp(now)
-            sample(latency)
-            latencies.append(latency)
-            user_bytes += key_len + value_bytes
-            if obs is not None:
-                # A live recorder closes windows on op spans and reads
-                # write amplification then: no user bytes may be pending.
-                stats.add("user.bytes_written", user_bytes)
-                user_bytes = 0
-                obs.span("foreground", kind, "op", start, now)
-        stats.add("user.bytes_written", user_bytes)
-        stats.add("op." + kind, float(len(ops)))
+        try:
+            for key, value, value_bytes, key_len in ops:
+                if heap and heap[0][0] <= clock._now:
+                    settle()
+                start = clock._now
+                self.seq += 1
+                seconds = put_(key, self.seq, value, value_bytes)
+                clock.advance(seconds)
+                now = clock._now
+                latency = now - start
+                stamp(now)
+                sample(latency)
+                latencies.append(latency)
+                user_bytes += key_len + value_bytes
+                if obs is not None:
+                    # A live recorder closes windows on op spans and reads
+                    # write amplification then: no user bytes may be pending.
+                    stats.add("user.bytes_written", user_bytes)
+                    user_bytes = 0
+                    obs.span("foreground", kind, "op", start, now)
+        finally:  # ``_put`` or a settle may raise: completed ops count
+            stats.add("user.bytes_written", user_bytes)
+            stats.add("op." + kind, float(len(latencies)))
         return latencies
 
     def _finish(self, kind: str, start: float, seconds: float) -> float:

@@ -10,7 +10,7 @@ from typing import Optional
 
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
-from repro.skiplist.node import NODE_OVERHEAD_BYTES
+from repro.skiplist.node import payload_bytes
 from repro.skiplist.skiplist import SkipList
 
 
@@ -20,10 +20,7 @@ def memtable_entries(table: "MemTable"):
     Entries are ``(key, seq, value, value_bytes)`` already sorted by
     (key ascending, seq descending) -- the skip list's native order.
     """
-    return [
-        (n.key, n.seq, n.value, max(0, n.nbytes - len(n.key) - NODE_OVERHEAD_BYTES))
-        for n in table.skiplist.nodes()
-    ]
+    return [(n.key, n.seq, n.value, payload_bytes(n)) for n in table.skiplist.nodes()]
 
 
 class MemTable:
@@ -48,6 +45,7 @@ class MemTable:
         self.capacity_bytes = capacity_bytes
         self.placement = placement
         self.device = system.dram if placement == "dram" else system.nvm
+        self._hop_cost = system.cpu.hop_cost(placement)
         self.skiplist = SkipList(rng or XorShiftRng(0xA5F0 + self.table_id))
         self.arena = Arena(
             self.device, capacity_bytes, system.now, f"memtable-{self.table_id}"
@@ -65,7 +63,8 @@ class MemTable:
     @property
     def is_full(self) -> bool:
         """True once the arena budget is exhausted."""
-        return self.skiplist.footprint_bytes >= self.capacity_bytes
+        sl = self.skiplist
+        return sl.data_bytes + sl.garbage_bytes >= self.capacity_bytes
 
     def insert(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         """Stage one write; returns the simulated device cost."""
@@ -74,9 +73,9 @@ class MemTable:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
         if seq > self.last_seq:
             self.last_seq = seq
-        seconds = self.system.cpu.skiplist_search_time(self.placement, max(hops, 1))
-        seconds += self.device.write(node.nbytes, sequential=False)
-        return seconds
+        return max(hops, 1) * self._hop_cost + self.device.write(
+            node.nbytes, sequential=False
+        )
 
     def get(self, key: bytes):
         """Look up the newest version; returns ``(node_or_None, cost)``.
@@ -85,7 +84,7 @@ class MemTable:
         entry payload from the table's device.
         """
         node, hops = self.skiplist.lookup(key)
-        seconds = self.system.cpu.skiplist_search_time(self.placement, max(hops, 1))
+        seconds = max(hops, 1) * self._hop_cost
         if node is not None:
             seconds += self.device.read(node.nbytes, sequential=False)
         return node, seconds

@@ -48,9 +48,13 @@ class CpuCostModel:
             return self.DRAM_HOP
         return self.NVM_HOP
 
+    def hop_cost(self, device_name: str) -> float:
+        """Search cost per hop (pointer chase plus one key compare)."""
+        return self.hop_time(device_name) + self.COMPARE_COST
+
     def skiplist_search_time(self, device_name: str, hops: int) -> float:
         """Cost of a search that followed ``hops`` pointers."""
-        return hops * (self.hop_time(device_name) + self.COMPARE_COST)
+        return hops * self.hop_cost(device_name)
 
     def bloom_build_time(self, nkeys: int) -> float:
         """Cost of hashing ``nkeys`` keys into a bloom filter."""

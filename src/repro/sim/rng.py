@@ -54,6 +54,21 @@ class XorShiftRng:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
+    def tower_height(self, branching: int, cap: int) -> int:
+        """``h = 1; while h < cap and next_below(branching) == 0: h += 1``,
+        bit for bit (same heights, same final state), in one frame."""
+        x = self._state
+        height = 1
+        while height < cap:
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            if ((x * 0x2545F4914F6CDD1D) & _MASK64) % branching:
+                break
+            height += 1
+        self._state = x
+        return height
+
     def shuffle(self, items: list) -> None:
         """Fisher-Yates shuffle in place."""
         for i in range(len(items) - 1, 0, -1):

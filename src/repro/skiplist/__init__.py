@@ -10,7 +10,7 @@ paper's zero-copy compaction (Section 4.3) relies on.
 mark; it is resumable so crash-recovery tests can stop it mid-merge.
 """
 
-from repro.skiplist.node import MAX_HEIGHT, TOMBSTONE, Node, random_height
+from repro.skiplist.node import MAX_HEIGHT, TOMBSTONE, Node
 from repro.skiplist.skiplist import SkipList
 from repro.skiplist.merge import ZeroCopyMerge
 
@@ -20,5 +20,4 @@ __all__ = [
     "ZeroCopyMerge",
     "TOMBSTONE",
     "MAX_HEIGHT",
-    "random_height",
 ]

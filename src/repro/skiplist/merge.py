@@ -15,18 +15,15 @@ Two drivers produce the same merged table and the same cost counters:
   query rule -- consult the newtable, then the insertion mark, then the
   oldtable.
 - :meth:`ZeroCopyMerge.run` is what the stores call: the whole merge at
-  once, as one pass over the newtable's bottom level through a monotone
-  :class:`~repro.skiplist.skiplist.SkipListCursor` on the oldtable.  A
-  sorted run never needs to search backwards, so each splice costs the
-  distance from the previous one instead of a descent from the head;
-  the cursor reports the hop count that descent *would* have paid, which
-  is what the cost model charges.  ``step`` is its oracle
-  (``tests/test_merge_kernel_oracle.py``).
+  once, as one two-way merge of both bottom chains that relinks every
+  tower and charges each moved node the hops a descent from the head
+  *would* have paid, which is what the cost model charges.  ``step`` is
+  its oracle (``tests/test_merge_kernel_oracle.py``).
 """
 
 from typing import Optional, Tuple
 
-from repro.skiplist.node import Node
+from repro.skiplist.node import MAX_HEIGHT, Node
 from repro.skiplist.skiplist import SkipList
 
 
@@ -92,48 +89,84 @@ class ZeroCopyMerge:
     def run(self) -> "ZeroCopyMerge":
         """Drive the merge to completion; returns self for chaining.
 
-        One pass over the newtable's bottom level, splicing through a
-        monotone cursor on the oldtable (the run is sorted, so no search
-        restarts from the head).  Counters, hop charges and the
-        resulting structure are identical to a :meth:`step` loop.  Runs
-        synchronously (no queries interleave), so the insertion mark is
-        not maintained.
+        One pass over both bottom chains in ``(key asc, seq desc)``
+        order; each node that stays is linked behind ``last[level]``,
+        the merged tail at each of its levels.  A moved node's hops are
+        ``sum(cnt)`` over the prefix, kept as the cursor keeps them
+        (docs/performance.md, "hop-accounting invariant").  Walking both
+        tables in full costs what seeking would: they are two tables of
+        one level, of similar size.  Synchronous, so there is no
+        insertion mark; everything else is identical to a :meth:`step` loop.
         """
         if self.done:
             return self
         new = self.new
-        cursor = self.old.cursor()
-        splice = cursor.splice
-        pointer_writes = 0
-        search_hops = 0
-        nodes_moved = 0
-        nodes_dropped = 0
-        key = None
+        old = self.old
+        last = [old.head] * MAX_HEIGHT
+        cnt = [0] * MAX_HEIGHT
+        hops = search_hops = pointer_writes = 0
+        nodes_moved = old_dropped = new_dropped = moved_bytes = 0
+        tallest = old._tallest
+        key = None  # the last moved key: its older versions drop
         node = new.take_all()
-        while node is not None:
-            following = node.next[0]
-            if node.key == key:
-                # An older version inside the newtable: never migrates.
-                new.garbage_bytes += node.nbytes
-                pointer_writes += node.height
-                nodes_dropped += 1
-            else:
-                key = node.key
-                search_hops += splice(node)
-                pointer_writes += 2 * node.height
+        other = old.head.next[0]
+        while node is not None or other is not None:
+            if node is not None and (
+                other is None
+                or not (
+                    other.key < node.key if other.key != node.key
+                    else other.seq > node.seq
+                )
+            ):
+                item = node
+                node = node.next[0]
+                height = item.height
+                if item.key == key:
+                    # An older version inside the newtable: never migrates.
+                    new.garbage_bytes += item.nbytes
+                    pointer_writes += height
+                    new_dropped += 1
+                    continue
+                key = item.key
+                search_hops += hops
+                pointer_writes += 2 * height
                 nodes_moved += 1
-                # Older versions that now follow it in the oldtable.
-                dup = node.next[0]
-                while dup is not None and dup.key == key:
-                    cursor.unlink_next(to_garbage=True)
-                    pointer_writes += dup.height
-                    nodes_dropped += 1
-                    dup = node.next[0]
-            node = following
+                moved_bytes += item.nbytes
+                if height > tallest:
+                    tallest = height
+            else:
+                item = other
+                other = other.next[0]
+                height = item.height
+                if item.key == key:
+                    # An older version the moved node now shadows.
+                    old.data_bytes -= item.nbytes
+                    old.garbage_bytes += item.nbytes
+                    pointer_writes += height
+                    old_dropped += 1
+                    continue
+            # Join the prefix: the tallest node behind the tail below its
+            # top level, one more visited node at it.
+            top = height - 1
+            for level in range(top):
+                last[level].next[level] = item
+                last[level] = item
+                hops -= cnt[level]
+                cnt[level] = 0
+            last[top].next[top] = item
+            last[top] = item
+            cnt[top] += 1
+            hops += 1
+        for level, tail in enumerate(last):
+            tail.next[level] = None
+        old.entries += nodes_moved - old_dropped
+        old.data_bytes += moved_bytes
+        old._tallest = tallest
+        old._version += 1
         self.pointer_writes += pointer_writes
         self.search_hops += search_hops
         self.nodes_moved += nodes_moved
-        self.nodes_dropped += nodes_dropped
+        self.nodes_dropped += old_dropped + new_dropped
         self._finish()
         return self
 

@@ -1,4 +1,4 @@
-"""Skip-list nodes and tower-height generation."""
+"""Skip-list nodes and their accounted sizes."""
 
 from typing import List, Optional
 
@@ -63,9 +63,7 @@ class Node:
         return f"Node({self.key!r}, seq={self.seq}, h={self.height})"
 
 
-def random_height(rng) -> int:
-    """Draw a tower height with P(h >= k) = BRANCHING^-(k-1), capped."""
-    height = 1
-    while height < MAX_HEIGHT and rng.next_below(BRANCHING) == 0:
-        height += 1
-    return height
+def payload_bytes(node: Node) -> int:
+    """The value bytes ``node`` was staged with: its accounted size less
+    the key and :data:`NODE_OVERHEAD_BYTES` (0 for a tombstone)."""
+    return max(0, node.nbytes - len(node.key) - NODE_OVERHEAD_BYTES)

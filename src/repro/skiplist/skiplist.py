@@ -14,12 +14,7 @@ charged hops without searching from the head for each node.
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
-from repro.skiplist.node import (
-    MAX_HEIGHT,
-    NODE_OVERHEAD_BYTES,
-    Node,
-    random_height,
-)
+from repro.skiplist.node import BRANCHING, MAX_HEIGHT, NODE_OVERHEAD_BYTES, Node
 from repro.sim.rng import XorShiftRng
 
 
@@ -53,10 +48,10 @@ class SkipList:
     ) -> Tuple[List[Node], int]:
         """Predecessor at every level for position (key, seq); plus hops.
 
-        This is the simulator's hottest loop (every insert, get, scan
-        seek, and merge splice lands here), so ``Node.precedes`` is
-        inlined: keys ascend, and among equal keys larger sequence
-        numbers (newer versions) come first.  The descent never needs a
+        Every walking get and scan seek lands here (:meth:`insert`
+        inlines a copy), so ``Node.precedes`` is inlined: keys ascend,
+        and among equal keys larger sequence numbers (newer versions)
+        come first.  The descent never needs a
         tower-height guard -- a node reached at ``level`` spans it, and
         the head spans every level.
         """
@@ -227,15 +222,39 @@ class SkipList:
         """Insert one version; returns ``(node, hops)``.
 
         Duplicate (key, seq) pairs are rejected -- sequence numbers are
-        globally unique in every store built on this structure.
+        globally unique in every store built on this structure -- before
+        the height draw, so a rejected insert consumes no randomness.
+        Every MemTable put lands here, so the descent of
+        :meth:`_find_predecessors` and :meth:`_splice_in` are inlined.
         """
-        preds, hops = self._find_predecessors(key, seq)
-        at = preds[0].next[0]
+        node = self.head
+        preds = [node] * MAX_HEIGHT
+        hops = 0
+        for level in range(self._tallest - 1, -1, -1):
+            nxt = node.next[level]
+            while nxt is not None:
+                nkey = nxt.key
+                if not (nkey < key if nkey != key else nxt.seq > seq):
+                    break
+                node = nxt
+                nxt = node.next[level]
+                hops += 1
+            preds[level] = node
+        at = node.next[0]
         if at is not None and at.key == key and at.seq == seq:
             raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
-        nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
-        node = Node(key, seq, value, nbytes, random_height(self._rng))
-        self._splice_in(node, preds)
+        height = self._rng.tower_height(BRANCHING, MAX_HEIGHT)
+        node = Node(key, seq, value, len(key) + value_bytes + NODE_OVERHEAD_BYTES, height)
+        tower = node.next
+        for level in range(height):
+            pred = preds[level]
+            tower[level] = pred.next[level]
+            pred.next[level] = node
+        self.entries += 1
+        self.data_bytes += node.nbytes
+        if height > self._tallest:
+            self._tallest = height
+        self._version += 1
         return node, hops
 
     def _splice_in(self, node: Node, preds: List[Node]) -> None:
@@ -356,7 +375,7 @@ class SkipListCursor:
     misuses raise ``ValueError`` instead of returning wrong hop counts:
     a ``_version`` the cursor did not produce, and a target the cursor
     has already passed (one that does not sort after its bottom-level
-    predecessor; a node it spliced counts as passed).  The returned
+    predecessor; a node it linked counts as passed).  The returned
     ``preds`` list is the cursor's own and changes with the next call.
     """
 
@@ -433,27 +452,25 @@ class SkipListCursor:
         self._hops = hops
         return preds, hops
 
-    def splice(self, node: Node) -> int:
-        """Link an unlinked ``node`` at its ``(key, seq)`` position.
+    def link(self, key: bytes, seq: int, value, value_bytes: int) -> Node:
+        """Insert a new version at the cursor's position; returns the node.
 
-        Returns the hops of the search, like :meth:`SkipList.insert`.
-        The node joins the prefix behind the cursor: it becomes the
-        predecessor at each of its levels and one more visited node at
-        its top level, with nothing visited below that.
+        The position is the last :meth:`seek`'s, which the caller knows
+        to be ``(key, seq)``'s: the seek was to it, or to a target with
+        no node between them (``(key, 1 << 62)`` for a key the list does
+        not hold).  The node joins the prefix behind the cursor: below
+        its top level it becomes the predecessor with nothing visited
+        behind it; at its top level it is one more visited node.
         """
-        preds, hops = self.seek(node.key, node.seq)
-        self._link(node, preds)
-        return hops
-
-    def _link(self, node: Node, preds: List[Node]) -> None:
-        # SkipList._splice_in fused with the finger update, because
-        # this runs once per merged node: below the node's top level it
-        # becomes the predecessor with nothing visited behind it; at its
-        # top level it is one more visited node.
+        lst = self._list
+        if lst._version != self._version:
+            raise self._foreign_move()
+        height = lst._rng.tower_height(BRANCHING, MAX_HEIGHT)
+        node = Node(key, seq, value, len(key) + value_bytes + NODE_OVERHEAD_BYTES, height)
+        preds = self._preds
         cnt = self._cnt
         hops = self._hops + 1
         nxt = node.next
-        height = node.height
         top = height - 1
         for level in range(top):
             pred = preds[level]
@@ -468,12 +485,12 @@ class SkipListCursor:
         preds[top] = node
         cnt[top] += 1
         self._hops = hops
-        lst = self._list
         lst.entries += 1
         lst.data_bytes += node.nbytes
         if height > lst._tallest:
             lst._tallest = height
         lst._version = self._version = lst._version + 1
+        return node
 
     def insert(
         self,
@@ -487,10 +504,7 @@ class SkipListCursor:
         at = preds[0].next[0]
         if at is not None and at.key == key and at.seq == seq:
             raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
-        nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
-        node = Node(key, seq, value, nbytes, random_height(self._list._rng))
-        self._link(node, preds)
-        return node, hops
+        return self.link(key, seq, value, value_bytes), hops
 
     def unlink_next(self, to_garbage: bool = True) -> Node:
         """Unlink the node right after the cursor; returns it.

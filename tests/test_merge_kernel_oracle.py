@@ -1,12 +1,14 @@
-"""Oracles for the sorted-run merge kernel.
+"""Oracles for the sorted-run merge kernels.
 
-Three call sites merge a sorted run into a skip list through one
-monotone cursor: ``ZeroCopyMerge.run``, ``NvmRepository.ingest`` and
-NoveLSM's DRAM->NVM flush.  Each is checked against the per-node,
-search-from-the-head procedure it replaced: ``ZeroCopyMerge.step`` (still
-the resumable path in ``src/``) and, for the other two, the original
-bodies kept below.  Equality is exact: counters, float seconds, tower
-links, device counters and traced transfers.
+Three call sites merge a sorted run into a skip list and charge each
+node the hops of a from-head search: ``ZeroCopyMerge.run`` (one two-way
+merge of both bottom chains, hop counts kept as the cursor keeps them),
+and ``NvmRepository.ingest`` and NoveLSM's DRAM->NVM flush (one monotone
+cursor).  Each is checked against the per-node, search-from-the-head
+procedure it replaced: ``ZeroCopyMerge.step`` (still the resumable path
+in ``src/``) and, for the other two, the original bodies kept below.
+Equality is exact: counters, float seconds, tower links, device
+counters and traced transfers.
 """
 
 import types
@@ -60,33 +62,26 @@ keys = st.binary(min_size=1, max_size=2)
 versions = st.lists(st.tuples(keys, st.integers(1, 40)), max_size=50)
 
 
-def build_pair(old_spec, new_spec, seed):
-    """(new, old) tables; the newtable's seqs sit above the oldtable's."""
+def build_pair(old_spec, new_spec, seed, interleave=False):
+    """(new, old) tables.  The newtable's seqs sit above the oldtable's,
+    as in every store, or with ``interleave`` alternate with them."""
     old = SkipList(XorShiftRng(seed))
     new = SkipList(XorShiftRng(seed + 1))
-    for table, spec, base in ((old, old_spec, 0), (new, new_spec, 1000)):
+    for table, spec, newer in ((old, old_spec, 0), (new, new_spec, 1)):
         seen = set()
         for key, seq in spec:
             if (key, seq) not in seen:
                 seen.add((key, seq))
-                table.insert(key, base + seq, ("v", base + seq), 8 + seq)
+                seq_no = 2 * seq + newer if interleave else 1000 * newer + seq
+                table.insert(key, seq_no, ("v", seq_no), 8 + seq)
     return new, old
 
 
-@settings(max_examples=200)
-@given(versions, versions, st.integers(1, 1 << 16))
-def test_run_equals_step_loop(old_spec, new_spec, seed):
-    new, old = build_pair(old_spec, new_spec, seed)
-    ref_new, ref_old = build_pair(old_spec, new_spec, seed)
-    originals = {(n.key, n.seq): n for sl in (new, old) for n in sl.nodes()}
-    old.frozen_index()
-    new.frozen_index()
-
+def assert_run_equals_step_loop(new, old, ref_new, ref_old):
     merge = ZeroCopyMerge(new, old).run()
     ref = ZeroCopyMerge(ref_new, ref_old)
     while ref.step():
         pass
-
     assert merge.done and ref.done
     assert (
         merge.pointer_writes, merge.search_hops, merge.nodes_moved, merge.nodes_dropped
@@ -95,6 +90,19 @@ def test_run_equals_step_loop(old_spec, new_spec, seed):
     assert towers(new) == towers(ref_new) == [[]] * MAX_HEIGHT
     assert accounting(old) == accounting(ref_old)
     assert accounting(new) == accounting(ref_new)
+    return merge
+
+
+@settings(max_examples=200)
+@given(versions, versions, st.integers(1, 1 << 16), st.booleans())
+def test_run_equals_step_loop(old_spec, new_spec, seed, interleave):
+    new, old = build_pair(old_spec, new_spec, seed, interleave)
+    ref_new, ref_old = build_pair(old_spec, new_spec, seed, interleave)
+    originals = {(n.key, n.seq): n for sl in (new, old) for n in sl.nodes()}
+    old.frozen_index()
+    new.frozen_index()
+
+    merge = assert_run_equals_step_loop(new, old, ref_new, ref_old)
     # zero-copy: the merged table links the very node objects it was given
     assert all(n is originals[(n.key, n.seq)] for n in old.nodes())
     if merge.nodes_moved:
@@ -111,18 +119,27 @@ def test_run_equals_step_loop_on_a_large_interleaved_pair():
             new.insert(b"%06d" % (2 * i), 10_000 + i, i, 100)
         return new, old
 
+    merge = assert_run_equals_step_loop(*pair(), *pair())
+    assert merge.nodes_dropped == 1000
+
+
+def test_run_links_a_single_node_between_two():
+    def pair():
+        new = SkipList(XorShiftRng(3))
+        new.insert(b"b", 5, "new", 8)
+        old = SkipList(XorShiftRng(1))
+        for seq, key in enumerate([b"a", b"c"], start=1):
+            old.insert(key, seq, "old", 8)
+        return new, old
+
     new, old = pair()
-    ref_new, ref_old = pair()
-    merge = ZeroCopyMerge(new, old).run()
-    ref = ZeroCopyMerge(ref_new, ref_old)
-    while ref.step():
-        pass
-    assert merge.nodes_dropped == ref.nodes_dropped == 1000
-    assert (merge.pointer_writes, merge.search_hops, merge.nodes_moved) == (
-        ref.pointer_writes, ref.search_hops, ref.nodes_moved
-    )
-    assert towers(old) == towers(ref_old)
-    assert accounting(old) == accounting(ref_old)
+    node = new.head.next[0]
+    want = old._find_predecessors(node.key, node.seq)[1]
+    merge = assert_run_equals_step_loop(new, old, *pair())
+    assert merge.search_hops == want
+    assert [n.key for n in old.nodes()] == [b"a", b"b", b"c"]
+    assert old.head.next[0].next[0] is node
+    assert old.entries == 3
 
 
 # ------------------------------------- (c) NvmRepository.ingest vs original

@@ -15,6 +15,7 @@ from repro.bench.factory import STORE_NAMES, make_store
 from repro.kvstore.api import KVStore
 from repro.kvstore.values import SizedValue
 from repro.obs import chrome_trace_json, openmetrics_text
+from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.sim.rng import XorShiftRng
 
 KB = 1 << 10
@@ -149,6 +150,54 @@ def test_odd_chunk_sizes_do_not_matter():
     for chunk in (1, 7, 700):
         assert _run("miodb", batched=True, chunk=chunk) == reference
         assert _run("miodb", batched=True, chunk=chunk, live=True) == live
+
+
+def _crash_run(case, batched):
+    """A batch cut short by a crash point; returns what was accounted.
+
+    ``put``: the 5th ``_put`` crashes after its WAL append.  ``get``: a
+    flush is in flight when the batch starts, and the settle that
+    retires it crashes in its swizzle callback.
+    """
+    store, system = make_store("miodb", SCALE)
+    store.crash = CrashInjector()
+    keys = [b"key%05d" % i for i in range(60)]
+    if case == "put":
+        store.crash.arm("put.after_wal", 5)
+        ops = [(key, SizedValue(i, 96)) for i, key in enumerate(keys[:10])]
+    else:
+        for i, key in enumerate(keys):
+            store.put(key, SizedValue(i, 256))
+            if store._flush_busy:
+                break
+        assert store._flush_busy
+        store.crash.arm("flush.after_swizzle")
+        ops = [key for key in keys[:i + 1] for __ in range(8)]
+    with pytest.raises(SimulatedCrash):
+        if case == "put" and batched:
+            store.multi_put(ops)
+        elif case == "put":
+            for key, value in ops:
+                store.put(key, value)
+        elif batched:
+            store.multi_get(ops)
+        else:
+            for key in ops:
+                store.get(key)
+    return system.stats.snapshot(), system.clock.now, system.latency.latencies()
+
+
+@pytest.mark.parametrize("case", ["put", "get"])
+def test_batch_cut_by_a_crash_counts_its_completed_ops(case):
+    unbatched = _crash_run(case, batched=False)
+    batched = _crash_run(case, batched=True)
+    assert unbatched == batched
+    stats = batched[0]
+    if case == "put":
+        assert stats["op.put"] == 4.0
+        assert stats["user.bytes_written"] == 4 * (8 + 96)
+    else:
+        assert 0 < stats["op.get"] < 8 * 60
 
 
 @pytest.mark.parametrize("name", [n for n in STORE_NAMES if n != "miodb"])

@@ -1,11 +1,19 @@
 """Unit tests for the multi-version skip list."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import XorShiftRng
 from repro.skiplist.merge import ZeroCopyMerge
-from repro.skiplist.node import MAX_HEIGHT, TOMBSTONE, Node, random_height
+from repro.skiplist.node import (
+    BRANCHING,
+    MAX_HEIGHT,
+    NODE_OVERHEAD_BYTES,
+    TOMBSTONE,
+    Node,
+)
 from repro.skiplist.skiplist import SkipList
+from tests.test_merge_kernel_oracle import towers
 
 
 @pytest.fixture
@@ -190,13 +198,75 @@ def test_update_in_place_rejects_seq_regression(sl):
         sl.update_in_place(node, 4, b"x", 1)
 
 
-def test_random_height_distribution():
+def test_tower_height_distribution():
     rng = XorShiftRng(7)
-    heights = [random_height(rng) for _ in range(4000)]
+    heights = [rng.tower_height(BRANCHING, MAX_HEIGHT) for _ in range(4000)]
     assert min(heights) == 1
     assert max(heights) <= MAX_HEIGHT
     ones = sum(1 for h in heights if h == 1)
     assert 0.65 < ones / len(heights) < 0.85  # P(h=1) = 3/4
+
+
+# ----------------------------------- fused kernels vs their step-wise oracle
+
+
+def reference_height(rng, branching=BRANCHING, cap=MAX_HEIGHT):
+    """One ``next_below`` draw at a time: the loop ``tower_height`` inlines."""
+    height = 1
+    while height < cap and rng.next_below(branching) == 0:
+        height += 1
+    return height
+
+
+def reference_insert(sl, key, seq, value, value_bytes):
+    """``SkipList.insert`` as separate steps: descend, reject, draw, splice."""
+    preds, hops = sl._find_predecessors(key, seq)
+    at = preds[0].next[0]
+    if at is not None and at.key == key and at.seq == seq:
+        raise ValueError(f"duplicate (key, seq): ({key!r}, {seq})")
+    nbytes = len(key) + value_bytes + NODE_OVERHEAD_BYTES
+    node = Node(key, seq, value, nbytes, reference_height(sl._rng))
+    sl._splice_in(node, preds)
+    return node, hops
+
+
+@pytest.mark.parametrize("branching, cap", [(BRANCHING, MAX_HEIGHT), (2, 5), (4, 1)])
+def test_tower_height_is_the_next_below_loop(branching, cap):
+    for seed in range(300):
+        fused, ref = XorShiftRng(seed), XorShiftRng(seed)
+        for __ in range(20):
+            assert fused.tower_height(branching, cap) == reference_height(ref, branching, cap)
+            assert fused._state == ref._state
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.binary(min_size=1, max_size=2), st.integers(1, 30),
+                  st.integers(0, 300)),
+        max_size=80,
+    ),
+    st.integers(1, 1 << 32),
+)
+def test_insert_matches_stepwise_oracle(ops, seed):
+    fused, ref = SkipList(XorShiftRng(seed)), SkipList(XorShiftRng(seed))
+    for key, seq, value_bytes in ops:
+        try:
+            want = reference_insert(ref, key, seq, ("v", seq), value_bytes)
+        except ValueError:
+            # a rejected duplicate consumes no randomness on either side
+            with pytest.raises(ValueError, match="duplicate"):
+                fused.insert(key, seq, ("v", seq), value_bytes)
+        else:
+            node, hops = fused.insert(key, seq, ("v", seq), value_bytes)
+            assert (node.key, node.seq, node.nbytes, node.height, hops) == (
+                want[0].key, want[0].seq, want[0].nbytes, want[0].height, want[1]
+            )
+        assert fused._rng._state == ref._rng._state
+        assert towers(fused) == towers(ref)
+        assert (fused.entries, fused.data_bytes, fused._tallest, fused._version) == (
+            ref.entries, ref.data_bytes, ref._tallest, ref._version
+        )
 
 
 def test_node_height_bounds():

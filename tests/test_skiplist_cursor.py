@@ -2,7 +2,7 @@
 
 The from-head descent ``SkipList._find_predecessors`` is the oracle: a
 cursor ``seek`` must return the same predecessor at every level and the
-same hop count, whatever was spliced or unlinked through the cursor on
+same hop count, whatever was linked or unlinked through the cursor on
 the way.
 """
 
@@ -102,16 +102,6 @@ def test_seek_same_target_twice_is_free():
     cursor = sl.cursor()
     first = cursor.seek(b"d", 9)
     assert cursor.seek(b"d", 9) == first
-
-
-def test_splice_links_an_existing_node():
-    src = build([b"b"], seed=3)
-    node = src.take_all()
-    sl = build([b"a", b"c"])
-    want = sl._find_predecessors(node.key, node.seq)[1]
-    assert sl.cursor().splice(node) == want
-    assert [n.key for n in sl.nodes()] == [b"a", b"b", b"c"]
-    assert sl.entries == 3
 
 
 # ------------------------------------------------------------------ misuse
