@@ -17,9 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bloom.filter import BloomFilter
 from repro.kvstore.buffered import submit_compaction
 from repro.obs.events import STALL_L0_SLOWDOWN, STALL_L0_STOP
-from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
-from repro.sstable.table import Entry, SSTable, build_sstable, entry_frame_bytes
+from repro.sstable.table import Entry, SSTable, build_sstable, frame_sizes
 
 #: L0 table count that makes L0 the most urgent compaction.
 L0_COMPACTION_TRIGGER = 4
@@ -101,7 +100,7 @@ class LeveledLSM:
             "serialize.time_s", self.system.cpu.serialize_time(table.data_bytes)
         )
         bloom = BloomFilter.for_capacity(max(1, len(entries)), SSTABLE_BLOOM_BITS)
-        bloom.add_all(e[0] for e in entries)
+        bloom.add_all(table._keys)
         seconds += self.system.cpu.bloom_build_time(len(entries))
         table.bloom = bloom
         return table, seconds
@@ -121,19 +120,18 @@ class LeveledLSM:
         run across two tables would let an older version land in a
         younger table and break the read path's newest-first ordering.
         """
+        limit = self.options.sstable_bytes
+        last = len(entries) - 1
         chunks: List[List[Entry]] = []
-        current: List[Entry] = []
-        used = 0
-        for i, entry in enumerate(entries):
-            current.append(entry)
-            used += entry_frame_bytes(entry)
-            next_key = entries[i + 1][0] if i + 1 < len(entries) else None
-            if used >= self.options.sstable_bytes and next_key != entry[0]:
-                chunks.append(current)
-                current = []
+        start = used = 0
+        for i, size in enumerate(frame_sizes(entries)):
+            used += size
+            if used >= limit and (i == last or entries[i + 1][0] != entries[i][0]):
+                chunks.append(entries[start : i + 1])
+                start = i + 1
                 used = 0
-        if current:
-            chunks.append(current)
+        if start <= last:
+            chunks.append(entries[start:])
         return chunks
 
     # ------------------------------------------------------------ compaction
@@ -227,14 +225,7 @@ class LeveledLSM:
             entries, cost = table.scan_all(self.system.cpu)
             seconds += cost
             streams.append(entries)
-        merged = list(
-            merge_entry_streams(
-                streams,
-                drop_shadowed=True,
-                drop_tombstones=drop_tombstones,
-                tombstone=TOMBSTONE,
-            )
-        )
+        merged = merge_entry_streams(streams, drop_tombstones)
         outputs: List[SSTable] = []
         for i, chunk in enumerate(self.split_entries(merged)):
             table, cost = self.build_table(chunk, f"{label}-{i}")

@@ -17,6 +17,8 @@ Faithful to the paper's description (Section 2.3 and Figure 1(d)):
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.baselines.lsm import LeveledLSM, pick_device
@@ -28,7 +30,7 @@ from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import STALL_L0_SLOWDOWN, STALL_L0_STOP
 from repro.persist.arena import Arena
 from repro.skiplist.node import TOMBSTONE
-from repro.sstable.table import entry_frame_bytes
+from repro.sstable.table import entry_frame_bytes, frame_sizes, run_bytes
 
 #: Container fill (fraction of ``container_bytes``) that starts column
 #: compaction, that slows every write, and that blocks rotation.
@@ -57,7 +59,7 @@ class MatrixRow:
         self.system = system
         self.entries = list(entries)
         self.keys = [e[0] for e in self.entries]  # DRAM index
-        self.data_bytes = sum(entry_frame_bytes(e) for e in self.entries)
+        self.data_bytes = run_bytes(self.entries)
         self.arena = Arena(
             system.nvm, self.data_bytes, system.now, label or f"row-{self.row_id}"
         )
@@ -91,7 +93,7 @@ class MatrixRow:
             return []
         self.entries = self.entries[:lo] + self.entries[hi:]
         self.keys = self.keys[:lo] + self.keys[hi:]
-        freed = sum(entry_frame_bytes(e) for e in taken)
+        freed = run_bytes(taken)
         self.data_bytes -= freed
         self.arena.shrink(freed, self.system.now)
         return taken
@@ -202,15 +204,12 @@ class MatrixKVStore(BufferedStore):
         if not candidates:
             self._column_cursor = None
             return None
-        candidates.sort(key=lambda e: e[0])
-        used = 0
-        high = candidates[-1][0]
-        for entry in candidates:
-            used += entry_frame_bytes(entry)
-            if used >= self.options.column_target_bytes:
-                high = entry[0]
-                break
-        return low, high
+        candidates.sort(key=itemgetter(0))
+        # The column ends at the first entry whose running size reaches
+        # the target, or at the container's last key.
+        used = list(accumulate(frame_sizes(candidates)))
+        end = bisect.bisect_left(used, self.options.column_target_bytes)
+        return low, candidates[min(end, len(used) - 1)][0]
 
     def _schedule_column_compaction(self) -> None:
         column = self._pick_column()
@@ -232,7 +231,7 @@ class MatrixKVStore(BufferedStore):
         taken_streams = [
             taken for taken in (row.take_range(low, high) for row in self.rows) if taken
         ]
-        taken_bytes = sum(entry_frame_bytes(e) for s in taken_streams for e in s)
+        taken_bytes = sum(map(run_bytes, taken_streams))
         self.rows = [row for row in self.rows if not row.is_empty]
         # Keep the in-flight column readable until the result is applied.
         for stream in taken_streams:

@@ -26,7 +26,6 @@ from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import CAT_FLUSH
 from repro.skiplist.node import TOMBSTONE
-from repro.sstable.merge import merge_entry_streams
 
 
 @dataclass
@@ -120,11 +119,13 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         # Entries arrive in the skip list's own order, so one monotone
         # cursor locates each; the charged hops are the from-head ones.
         cursor = self.nvm_mt.skiplist.cursor()
+        hop = self.system.cpu.hop_cost("nvm")
+        write = self.system.nvm.write
         with self.system.job_scope():
             for key, seq, value, value_bytes in entries:
                 node, hops = cursor.insert(key, seq, value, value_bytes)
-                seconds += self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
-                seconds += self.system.nvm.write(node.nbytes, sequential=False)
+                seconds += max(hops, 1) * hop
+                seconds += write(node.nbytes, False)
 
         # The NVM-side inserts happened synchronously above (foreground-
         # ordered); in flight only the frozen DRAM MemTable is read.
@@ -142,8 +143,7 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
 
     def _schedule_nvm_flush(self, table: MemTable) -> None:
         """Serialize the big NVM MemTable into a run of L0 SSTables."""
-        entries = merge_entry_streams([memtable_entries(table)], drop_shadowed=False)
-        chunks = self.lsm.split_entries(list(entries))
+        chunks = self.lsm.split_entries(memtable_entries(table))
         tail = None
         for i, chunk in enumerate(chunks):
             chunk_bytes = sum(len(k) + vb for (k, __, __, vb) in chunk)

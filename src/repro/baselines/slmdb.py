@@ -60,17 +60,9 @@ class SLMDBStore(BufferedStore):
 
     # ------------------------------------------------------------ write path
 
-    def _index_cost(self, visits: int, writes: int = 0) -> float:
-        seconds = visits * self.system.cpu.hop_time("nvm")
-        if writes:
-            seconds += self.system.nvm.write(writes * 64, sequential=False)
-        return seconds
-
     def _schedule_flush(self, table: MemTable):
         """Serialize the MemTable into one L1 table and index every key."""
-        entries = list(
-            merge_entry_streams([memtable_entries(table)], drop_shadowed=True)
-        )
+        entries = merge_entry_streams([memtable_entries(table)])
         with self.system.job_scope():
             seconds = self.system.dram.read(table.data_bytes, sequential=True)
             sst, build_cost = build_sstable(
@@ -84,8 +76,7 @@ class SLMDBStore(BufferedStore):
             # plus an in-place node write (this is what makes SLM-DB's
             # flush+compaction path slow).
             nodes_before = self.index.node_count
-            for key, seq, __v, __vb in entries:
-                seconds += self._index_put(key, sst, seq)
+            seconds = self._index_run(seconds, entries, sst)
         self._grow_index_arena(nodes_before)
 
         def apply() -> None:
@@ -102,18 +93,35 @@ class SLMDBStore(BufferedStore):
         if grown > 0:
             self.index_arena.grow(grown * NODE_BYTES, self.system.now)
 
-    def _index_put(self, key: bytes, sst: SSTable, seq: int) -> float:
-        """Point the index at (sst, seq) unless a newer locator exists.
+    def _index_run(
+        self, seconds: float, entries, sst: SSTable, unindex: bool = False
+    ) -> float:
+        """Point the index at ``sst`` for each entry; returns ``seconds``
+        plus the NVM pointer chases and node writes.
 
-        Compactions re-index old versions; a locator installed by a more
-        recent flush must never be overwritten by them.
+        A locator installed by a more recent flush is never overwritten:
+        compactions re-index old versions.  With ``unindex`` a tombstone
+        (which the compaction drops) removes its key's entry instead.
         """
-        current, visits = self.index.get(key)
-        seconds = self._index_cost(visits)
-        if current is not None and current[1] > seq:
-            return seconds
-        visits, writes = self.index.insert(key, (sst, seq))
-        return seconds + self._index_cost(visits, writes)
+        hop = self.system.cpu.hop_time("nvm")
+        write = self.system.nvm.write
+        index = self.index
+        for key, seq, value, __vb in entries:
+            if unindex and value is TOMBSTONE:
+                current, visits = index.get(key)
+                seconds += visits * hop
+                if current is not None and current[1] <= seq:
+                    __, visits = index.delete(key)
+                    seconds += visits * hop + write(64, False)
+                continue
+            visits, writes = index.insert(key, (sst, seq), keep_newer=True)
+            chase = visits * hop
+            if writes:
+                # charged as the get plus the insert the update fuses
+                seconds += chase + (chase + write(writes * 64, False))
+            else:
+                seconds += chase
+        return seconds
 
     # ------------------------------------------------------------ compaction
 
@@ -153,7 +161,7 @@ class SLMDBStore(BufferedStore):
                 entries, cost = table.scan_all(self.system.cpu)
                 seconds += cost
                 streams.append(entries)
-            newest = list(merge_entry_streams(streams, drop_shadowed=True))
+            newest = merge_entry_streams(streams)
             # A tombstone may only be dropped when every older version of its
             # key is inside this compaction; with other tables live in the
             # single level, the tombstone must survive to keep shadowing them.
@@ -169,16 +177,7 @@ class SLMDBStore(BufferedStore):
             )
             seconds += build_cost
             nodes_before = self.index.node_count
-            for key, seq, value, __vb in newest:
-                if value is TOMBSTONE:
-                    # drop the index entry unless a newer flush superseded it
-                    current, visits = self.index.get(key)
-                    seconds += self._index_cost(visits)
-                    if current is not None and current[1] <= seq:
-                        __, visits = self.index.delete(key)
-                        seconds += self._index_cost(visits, 1)
-                else:
-                    seconds += self._index_put(key, sst, seq)
+            seconds = self._index_run(seconds, newest, sst, unindex=dropping_all)
         self._grow_index_arena(nodes_before)
         candidate_ids = {t.table_id for t in candidates}
 
@@ -207,7 +206,7 @@ class SLMDBStore(BufferedStore):
             if node is not None:
                 return (None if node.is_tombstone else node.value), seconds
         locator, visits = self.index.get(key)
-        seconds += self._index_cost(visits)
+        seconds += visits * self.system.cpu.hop_time("nvm")
         if locator is None:
             return None, seconds
         sst, __seq = locator

@@ -69,8 +69,13 @@ class BPlusTree:
 
     # --------------------------------------------------------------- update
 
-    def insert(self, key: bytes, value) -> Tuple[int, int]:
-        """Insert or overwrite; returns ``(nodes_visited, nodes_written)``."""
+    def insert(self, key: bytes, value, keep_newer: bool = False) -> Tuple[int, int]:
+        """Insert or overwrite; returns ``(nodes_visited, nodes_written)``.
+
+        With ``keep_newer`` values are ``(locator, seq)`` pairs, and a
+        present value with a larger seq stays (0 nodes written): a get
+        then insert in one descent, which visits as many nodes as each.
+        """
         path: List[Tuple[_Node, int]] = []
         node = self.root
         visits = 1
@@ -82,6 +87,8 @@ class BPlusTree:
 
         idx = bisect.bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
+            if keep_newer and node.values[idx][1] > value[1]:
+                return visits, 0
             node.values[idx] = value
             return visits, 1
         node.keys.insert(idx, key)

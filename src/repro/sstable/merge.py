@@ -1,38 +1,36 @@
 """K-way merging of sorted entry streams for compaction."""
 
-import heapq
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress
+from operator import itemgetter, ne
+from typing import Iterable, List, Sequence
 
+from repro.skiplist.node import TOMBSTONE
 from repro.sstable.table import Entry
+
+_KEY = itemgetter(0)
+_SEQ = itemgetter(1)
 
 
 def merge_entry_streams(
-    streams: Sequence[Iterable[Entry]],
-    drop_shadowed: bool = True,
-    drop_tombstones: bool = False,
-    tombstone=None,
-) -> Iterator[Entry]:
-    """Merge entry streams sorted by (key, -seq) into one such stream.
+    streams: Sequence[Iterable[Entry]], drop_tombstones: bool = False
+) -> List[Entry]:
+    """Merge entry streams sorted by (key, -seq), keeping each key's
+    newest version, into one such list.
 
-    Earlier streams win ties only through sequence numbers -- sequence
-    numbers are globally unique, so ordering is total.  With
-    ``drop_shadowed`` only the newest version of each key survives (the
-    normal compaction behaviour); ``drop_tombstones`` additionally removes
+    Sequence numbers are globally unique, so two stable sorts (seq
+    descending, then key ascending) give the merged order without a
+    per-entry comparison in Python.  ``drop_tombstones`` also removes
     delete markers (legal only when merging into the bottom level).
     """
-
-    def keyed(stream):
-        for key, seq, value, vbytes in stream:
-            yield (key, -seq), (key, seq, value, vbytes)
-
-    merged = heapq.merge(*[keyed(s) for s in streams])
-    last_key = None
-    for __, entry in merged:
-        key, __, value, __ = entry
-        if drop_shadowed and key == last_key:
-            continue
-        last_key = key
-        if drop_tombstones and value is tombstone:
-            continue
-        yield entry
-
+    if len(streams) == 1:
+        run = list(streams[0])
+    else:
+        run = list(chain.from_iterable(streams))
+        run.sort(key=_SEQ, reverse=True)
+        run.sort(key=_KEY)
+    keys = list(map(_KEY, run))
+    # The first entry of each key run is its newest version.
+    newest = list(compress(run, map(ne, keys, [None] + keys)))
+    if drop_tombstones:
+        return [e for e in newest if e[2] is not TOMBSTONE]
+    return newest

@@ -1,7 +1,9 @@
 """SSTable representation, building, and point reads."""
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from operator import add, itemgetter, lt
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 BLOCK_BYTES = 4096
 
@@ -18,6 +20,23 @@ def entry_frame_bytes(entry: Entry) -> int:
     return len(key) + value_bytes + ENTRY_OVERHEAD_BYTES
 
 
+_KEY = itemgetter(0)
+_VALUE_BYTES = itemgetter(3)
+
+
+def frame_sizes(entries: Sequence[Entry]) -> Iterator[int]:
+    """``entry_frame_bytes`` of each entry of a run, computed in C."""
+    return map(
+        partial(add, ENTRY_OVERHEAD_BYTES),
+        map(add, map(len, map(_KEY, entries)), map(_VALUE_BYTES, entries)),
+    )
+
+
+def run_bytes(entries: Sequence[Entry]) -> int:
+    """On-media size of a serialized run of entries."""
+    return sum(frame_sizes(entries))
+
+
 class SSTable:
     """An immutable sorted run on a persistent device."""
 
@@ -26,16 +45,20 @@ class SSTable:
     def __init__(self, entries: Sequence[Entry], device, label: str = "") -> None:
         if not entries:
             raise ValueError("an SSTable cannot be empty")
-        for prev, cur in zip(entries, entries[1:]):
-            if not (prev[0] < cur[0] or (prev[0] == cur[0] and prev[1] > cur[1])):
-                raise ValueError("SSTable entries not sorted by (key, -seq)")
+        keys = list(map(_KEY, entries))
+        # Distinct ascending keys is the common case; a run holding
+        # several versions of a key checks (key, -seq) pair by pair.
+        if not all(map(lt, keys, keys[1:])):
+            for prev, cur in zip(entries, entries[1:]):
+                if not (prev[0] < cur[0] or (prev[0] == cur[0] and prev[1] > cur[1])):
+                    raise ValueError("SSTable entries not sorted by (key, -seq)")
         SSTable._ids += 1
         self.table_id = SSTable._ids
         self.entries: List[Entry] = list(entries)
         self.device = device
         self.label = label or f"sst-{self.table_id}"
-        self._keys = [e[0] for e in self.entries]
-        self.data_bytes = sum(entry_frame_bytes(e) for e in self.entries)
+        self._keys = keys
+        self.data_bytes = run_bytes(self.entries)
         self.min_key = self.entries[0][0]
         self.max_key = self.entries[-1][0]
         self.released = False

@@ -1,7 +1,7 @@
 """Unit and property tests for the B+-tree substrate."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btree.tree import BPlusTree
 
@@ -136,3 +136,47 @@ def test_delete_matches_dict_model(pairs, to_delete):
         got, __ = tree.get(key)
         assert got == value
     assert [k for k, __ in tree.range_from(b"")] == sorted(model)
+
+
+def get_then_insert(tree, key, locator):
+    """SLM-DB's update before it was fused: a get, then an insert unless
+    the present locator is newer.  Returns (get visits, insert visits,
+    writes); the insert's visits are None when it is skipped."""
+    current, get_visits = tree.get(key)
+    if current is not None and current[1] > locator[1]:
+        return get_visits, None, 0
+    visits, writes = tree.insert(key, locator)
+    return get_visits, visits, writes
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 120), st.integers(0, 400)),
+        min_size=1,
+        max_size=300,
+    )
+)
+@example([((i * 37) % 120, (i * 53) % 400) for i in range(300)])
+def test_keep_newer_insert_matches_get_then_insert(ops):
+    fused, oracle = BPlusTree(order=4), BPlusTree(order=4)
+    for key_no, seq in ops:
+        key = b"k%03d" % key_no
+        height = fused.height
+        visits, writes = fused.insert(key, ("sst", seq), keep_newer=True)
+        get_visits, insert_visits, oracle_writes = get_then_insert(
+            oracle, key, ("sst", seq)
+        )
+        assert visits == get_visits == height
+        assert insert_visits in (None, visits)
+        assert writes == oracle_writes
+        assert (fused.node_count, fused.height) == (oracle.node_count, oracle.height)
+        fused.check_invariants()
+    assert list(fused.range_from(b"")) == list(oracle.range_from(b""))
+
+
+def test_keep_newer_insert_example_splits_the_root_twice():
+    tree = BPlusTree(order=4)
+    for i in range(300):
+        tree.insert(b"k%03d" % ((i * 37) % 120), ("sst", (i * 53) % 400), True)
+    assert tree.height >= 3

@@ -104,3 +104,33 @@ def test_index_arena_accounts_nvm(system, options):
     store.quiesce()
     assert store.index_arena.size > 0
     assert system.nvm.bytes_in_use >= store.index_arena.size
+
+
+def test_kept_tombstone_still_shadows_older_tables(system):
+    # A selective compaction that keeps a tombstone (other tables stay
+    # live) must index it: unindexing it let a later compaction of an
+    # older table re-point the key at the deleted version.
+    store = SLMDBStore(
+        system,
+        SLMDBOptions(
+            memtable_bytes=1000, sstable_bytes=1000,
+            compaction_trigger_tables=2, compaction_fanin=2,
+        ),
+    )
+    for batch in (
+        [(b"a", 1), (b"k", 1)],
+        [(b"j", 1), (b"k", None), (b"l", 1)],
+        [(b"kb", 1), (b"kc", 1)],
+        [(b"b", 1), (b"c", 1)],
+    ):
+        for key, value in batch:
+            if value is None:
+                store.delete(key)
+            else:
+                store.put(key, SizedValue(value, 10))
+        store._make_room()
+        store.quiesce()
+    assert system.stats.get("compact.count") == 2
+    assert store.get(b"k")[0] is None
+    assert b"k" not in dict(store.items())
+    store.index.check_invariants()

@@ -1,13 +1,16 @@
 """Unit tests for SSTables: building, reading, merging."""
 
+import heapq
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
-from repro.sstable.table import SSTable, build_sstable, entry_frame_bytes
+from repro.sstable.table import SSTable, build_sstable, entry_frame_bytes, run_bytes
 
 
 @pytest.fixture
@@ -104,6 +107,12 @@ def test_entry_frame_bytes():
     assert entry_frame_bytes((b"abc", 1, b"v", 100)) == 3 + 100 + 24
 
 
+def test_run_bytes_sums_entry_frames():
+    run = [(b"k%d" % i * (i % 5), i, b"v", i * 37 % 300) for i in range(50)]
+    assert run_bytes(run) == sum(map(entry_frame_bytes, run))
+    assert run_bytes([]) == 0
+
+
 # ------------------------------------------------------------------ merging
 
 
@@ -114,19 +123,10 @@ def test_merge_streams_dedups_by_newest():
     assert merged == [(b"k", 5, b"new", 10)]
 
 
-def test_merge_streams_keeps_all_versions_when_asked():
-    a = [(b"k", 5, b"new", 10)]
-    b = [(b"k", 1, b"old", 10)]
-    merged = list(merge_entry_streams([a, b], drop_shadowed=False))
-    assert [e[1] for e in merged] == [5, 1]
-
-
 def test_merge_streams_drop_tombstones():
     a = [(b"k", 5, TOMBSTONE, 0)]
     b = [(b"k", 1, b"old", 10), (b"x", 2, b"keep", 10)]
-    merged = list(
-        merge_entry_streams([a, b], drop_tombstones=True, tombstone=TOMBSTONE)
-    )
+    merged = merge_entry_streams([a, b], drop_tombstones=True)
     assert merged == [(b"x", 2, b"keep", 10)]
 
 
@@ -145,3 +145,48 @@ def test_merge_tables(nvm):
     assert keys == [b"a", b"b", b"c"]
     c_entry = merged[2]
     assert c_entry[1] >= 10  # t2's newer version of c wins
+
+
+def reference_merge(streams, drop_tombstones):
+    """The heapq.merge kernel the sort-based merge replaced."""
+    keyed = [[((e[0], -e[1]), e) for e in stream] for stream in streams]
+    out, last_key = [], None
+    for __, entry in heapq.merge(*keyed):
+        if entry[0] == last_key:
+            continue
+        last_key = entry[0]
+        if drop_tombstones and entry[2] is TOMBSTONE:
+            continue
+        out.append(entry)
+    return out
+
+
+@st.composite
+def entry_streams(draw):
+    """1-5 sorted streams over a small shared key space, unique seqs."""
+    writes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([b"a", b"b", b"c", b"d", b"e", b"f"]),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    nstreams = draw(st.integers(1, 5))
+    seqs = draw(st.permutations(range(1, len(writes) + 1)))
+    streams = [[] for __ in range(nstreams)]
+    for (which, key, delete), seq in zip(writes, seqs):
+        value = TOMBSTONE if delete else b"v%d" % seq
+        streams[which % nstreams].append((key, seq, value, 0 if delete else seq))
+    for stream in streams:
+        stream.sort(key=lambda e: (e[0], -e[1]))
+    return streams
+
+
+@given(entry_streams(), st.booleans())
+def test_merge_matches_heapq_reference(streams, drop_tombstones):
+    merged = merge_entry_streams(streams, drop_tombstones)
+    assert merged == reference_merge(streams, drop_tombstones)
+    assert isinstance(merged, list)
