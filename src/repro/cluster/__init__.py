@@ -18,7 +18,7 @@ behind a router, all coordinated on one shared
   hash-ring ownership of hot keyranges and replay the moved keys
   through the simulated devices, so migration is charged to the cost
   model.
-- :func:`cluster_metrics_json` and :func:`write_cluster_trace` export
+- :func:`cluster_metrics_json` and :func:`cluster_trace_json` export
   deterministic cluster-level metrics and per-shard Perfetto streams.
 
 Everything is seeded and runs on simulated time: the same inputs
@@ -37,12 +37,9 @@ from repro.cluster.driver import (
     run_cluster,
 )
 from repro.cluster.metrics import (
-    cluster_chrome_trace,
     cluster_metrics_json,
-    cluster_metrics_snapshot,
     cluster_openmetrics_text,
     cluster_trace_json,
-    write_cluster_trace,
 )
 from repro.cluster.placement import (
     PLACEMENT_POLICIES,
@@ -83,10 +80,7 @@ __all__ = [
     "detect_hot_shard",
     "rebalance_hot_shard",
     "maybe_rebalance",
-    "cluster_metrics_snapshot",
     "cluster_metrics_json",
     "cluster_openmetrics_text",
-    "cluster_chrome_trace",
     "cluster_trace_json",
-    "write_cluster_trace",
 ]

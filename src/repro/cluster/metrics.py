@@ -5,16 +5,15 @@ Per-shard state is already captured natively -- every shard's
 registry, latency recorder, devices, and (optionally) trace recorder.
 This module assembles them into cluster-level artifacts:
 
-- :func:`cluster_metrics_snapshot` / :func:`cluster_metrics_json` -- a
-  deterministic grouped-metrics document: per-shard counter families,
-  device traffic, and latency summaries, plus placement state,
-  cluster counters (routed ops, drops by cause, migration bytes), and
-  -- when a driver result is supplied -- its pooled response-time
-  percentiles.
-- :func:`cluster_chrome_trace` / :func:`write_cluster_trace` -- the
-  shards' trace streams merged into one Chrome/Perfetto document, one
-  *process* per shard (``pid`` = shard id + 1) with shard-id metadata,
-  so the shared timeline reads as a cluster gantt.
+- :func:`cluster_metrics_json` -- a deterministic grouped-metrics
+  document: per-shard counter families, device traffic, and latency
+  summaries, plus placement state, cluster counters (routed ops, drops
+  by cause, migration bytes), and -- when a driver result is supplied --
+  its pooled response-time percentiles.
+- :func:`cluster_trace_json` -- the shards' trace streams merged into
+  one Chrome/Perfetto document, one *process* per shard (``pid`` =
+  shard id + 1) with shard-id metadata, so the shared timeline reads as
+  a cluster gantt.
 
 Everything is keyed and ordered deterministically: the same seed
 produces byte-identical JSON.
@@ -23,11 +22,12 @@ produces byte-identical JSON.
 import json
 from typing import Dict, List
 
-from repro.obs.export import metrics_snapshot, process_trace_events, write_artifact
+from repro.obs.export import metrics_snapshot, process_trace_events
 
 
-def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
-    """A hierarchical metrics document for one finished cluster run."""
+def cluster_metrics_json(cluster, router=None, result=None) -> str:
+    """A hierarchical metrics document for one finished cluster run,
+    serialized deterministically."""
     doc: Dict = {
         "schema": 1,
         "store": cluster.store_name,
@@ -67,12 +67,6 @@ def cluster_metrics_snapshot(cluster, router=None, result=None) -> dict:
                 for r in result.rebalances
             ],
         }
-    return doc
-
-
-def cluster_metrics_json(cluster, router=None, result=None) -> str:
-    """The cluster snapshot serialized deterministically."""
-    doc = cluster_metrics_snapshot(cluster, router=router, result=result)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -96,8 +90,9 @@ def cluster_openmetrics_text(cluster, recorders: List[object]) -> str:
     return openmetrics_text(recorders, labels, groups=groups)
 
 
-def cluster_chrome_trace(cluster, recorders: List[object]) -> dict:
-    """Shard trace streams merged into one multi-process trace document.
+def cluster_trace_json(cluster, recorders: List[object]) -> str:
+    """Shard trace streams merged into one multi-process trace document,
+    serialized deterministically (sorted keys).
 
     ``recorders`` is the list returned by ``cluster.attach_tracing()``
     (shard order).  Each shard becomes its own trace *process*: ``pid``
@@ -120,19 +115,9 @@ def cluster_chrome_trace(cluster, recorders: List[object]) -> dict:
                 shard=shard.shard_id,
             )
         )
-    return {
+    doc = {
         "displayTimeUnit": "ms",
         "otherData": {"generator": "repro.cluster", "schema": 1},
         "traceEvents": trace_events,
     }
-
-
-def cluster_trace_json(cluster, recorders: List[object]) -> str:
-    """The merged trace serialized deterministically (sorted keys)."""
-    doc = cluster_chrome_trace(cluster, recorders)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_cluster_trace(cluster, recorders: List[object], path) -> None:
-    """Serialize the merged shard trace to ``path`` (byte-reproducible)."""
-    write_artifact(path, cluster_trace_json(cluster, recorders))

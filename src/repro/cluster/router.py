@@ -198,7 +198,7 @@ class Cluster:
 
         Returns the recorders in shard order; all share the cluster
         clock, so their event streams interleave on one timeline.  Use
-        :func:`repro.cluster.metrics.cluster_chrome_trace` to export
+        :func:`repro.cluster.metrics.cluster_trace_json` to export
         them as one multi-process Perfetto document with shard-id
         metadata.
 

@@ -15,13 +15,14 @@ determinism contract.
 Quickstart::
 
     from repro.bench import make_store
-    from repro.obs import write_chrome_trace
+    from repro.obs import chrome_trace_json
+    from repro.obs.export import write_artifact
 
     store, system = make_store("miodb")
     recorder = system.attach_tracing()
     ...                       # run a workload
     recorder.detach()
-    write_chrome_trace(recorder, "trace.json")
+    write_artifact("trace.json", chrome_trace_json(recorder))
 """
 
 from repro.obs.events import (
@@ -38,11 +39,9 @@ from repro.obs.export import (
     bandwidth_csv,
     chrome_trace_json,
     gantt,
+    metrics_json,
     queue_depth_csv,
     to_chrome_trace,
-    write_artifact,
-    write_chrome_trace,
-    write_metrics,
 )
 from repro.obs.live import openmetrics_text
 from repro.obs.recorder import TraceRecorder
@@ -60,9 +59,7 @@ __all__ = [
     "STALL_CAUSES",
     "to_chrome_trace",
     "chrome_trace_json",
-    "write_chrome_trace",
-    "write_metrics",
-    "write_artifact",
+    "metrics_json",
     "bandwidth_csv",
     "queue_depth_csv",
     "gantt",

@@ -25,9 +25,10 @@ _GANTT_WIDTH = 72
 def write_artifact(path, text: str) -> pathlib.Path:
     """Write a deterministic text artifact to ``path``.
 
-    The one place every exporter's file handling goes through: the
-    parent directory is created if missing and an existing file is
-    replaced.  Returns the path written.
+    The one function in ``repro`` that writes a file (exporters return
+    text; the CLI's ``_wrote`` door calls this): the parent directory is
+    created if missing and an existing file is replaced.  Returns the
+    path written.
     """
     target = pathlib.Path(path)
     if target.parent != pathlib.Path(""):
@@ -114,11 +115,6 @@ def chrome_trace_json(recorder, process_name: str = "repro") -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_chrome_trace(recorder, path, process_name: str = "repro") -> None:
-    """Serialize the trace to ``path`` (byte-reproducible)."""
-    write_artifact(path, chrome_trace_json(recorder, process_name))
-
-
 # -------------------------------------------------------------- metrics
 
 #: Fixed histogram bucket boundaries in microseconds: powers of two from
@@ -185,10 +181,10 @@ def metrics_snapshot(system, recorder=None) -> dict:
     return doc
 
 
-def write_metrics(system, path, recorder=None) -> None:
-    """Serialize the metrics snapshot to ``path`` (byte-reproducible)."""
+def metrics_json(system, recorder=None) -> str:
+    """The metrics snapshot serialized deterministically."""
     doc = metrics_snapshot(system, recorder)
-    write_artifact(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------ csv series

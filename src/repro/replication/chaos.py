@@ -22,7 +22,7 @@ seeds (only simulated times appear -- no wall clock).
 """
 
 import json
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.replication.config import (
     ACK_QUORUM,
@@ -208,13 +208,13 @@ def run_chaos(
     ack_policy: str = ACK_QUORUM,
     read_policy: str = READ_LEADER,
     scale=None,
-    trace: Optional[str] = None,
+    trace: Optional[Callable[[str], object]] = None,
 ) -> dict:
     """One seeded kill/restart scenario; returns the audit report.
 
     With ``trace`` set, the scenario runs under full causal tracing:
-    the merged multi-shard trace is written to that path, and every
-    group document gains a ``failover_timeline`` (kill -> election ->
+    ``trace`` is called with the merged multi-shard trace document
+    (JSON text), and every group document gains a ``failover_timeline`` (kill -> election ->
     truncation -> re-point, reconstructed from the ``repl.election``
     events' parent links).  Tracing adds zero simulated time, so the
     audit results and every simulated number in the report are
@@ -259,12 +259,12 @@ def run_chaos(
     cluster.quiesce()
     timelines = None
     if recorders is not None:
-        from repro.cluster.metrics import write_cluster_trace
+        from repro.cluster.metrics import cluster_trace_json
         from repro.obs.analyze import failover_timelines
 
         timelines = [failover_timelines(recorder) for recorder in recorders]
         cluster.detach_tracing()
-        write_cluster_trace(cluster, recorders, trace)
+        trace(cluster_trace_json(cluster, recorders))
 
     oracle_match = True
     followers_match = True

@@ -175,6 +175,31 @@ def test_check_fails_on_fresh_findings(tmp_path, capsys):
     assert "[DET001]" in out
 
 
+def test_dbbench_n_zero_writes_no_records(capsys):
+    assert main(["dbbench", "--store", "leveldb", "--n", "0"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert row[0] == "leveldb"
+    assert [float(cell.replace(",", "")) for cell in row[1:]] == [0.0] * 5
+
+
+def test_every_file_lands_in_a_missing_directory(tmp_path, capsys):
+    new = tmp_path / "new"
+    assert main(["cluster", "--shards", "1", "--clients", "1", "--ops", "20",
+                 "--preload", "20", "--metrics", str(new / "c" / "m.json")]) == 0
+    assert main(["chaos", "--ops", "20", "--shards", "1",
+                 "--report", str(new / "h" / "r.json")]) == 0
+    analysis = tmp_path / "a.json"
+    assert main(["analyze", "--n", "64", "--reads", "8",
+                 "--json", str(analysis)]) == 0
+    assert main(["diff", str(analysis), str(analysis),
+                 "--out", str(new / "d" / "d.json")]) == 0
+    err = capsys.readouterr().err
+    for label, path in (("metrics", "c/m.json"), ("chaos report", "h/r.json"),
+                        ("diff report", "d/d.json")):
+        assert json.loads((new / path).read_text())
+        assert f"# {label}: {new / path}\n" in err
+
+
 # ------------------------------------------------------------- live telemetry
 
 
@@ -313,6 +338,14 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["cluster", "--analyze-json", "a.json"],
     ["cluster", "--live", "--trace", "t.json"],
     ["cluster", "--live", "--analyze"],
+    # cluster and chaos drive one store per run.
+    ["cluster", "--store", "miodb,leveldb"],
+    ["chaos", "--store", "miodb,leveldb"],
+    # A record needs bytes, and a YCSB run draws keys from the loaded set.
+    ["dbbench", "--value-size", "0"],
+    ["ycsb", "--value-size", "0"],
+    ["compare", "--value-size", "0"],
+    ["ycsb", "--records", "0"],
 ])
 def test_out_of_range_numbers_exit_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

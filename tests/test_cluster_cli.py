@@ -93,7 +93,12 @@ def test_cluster_cli_trace_artifact(tmp_path, capsys):
 
 
 def test_cluster_cli_rejects_multiple_stores(capsys):
-    assert main(["cluster", "--store", "miodb,leveldb", *FAST]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--store", "miodb,leveldb", *FAST])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+        "error: argument --store: expected one store, got 'miodb,leveldb'"
+    )
 
 
 def test_info_lists_placement_policies(capsys):

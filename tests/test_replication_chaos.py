@@ -2,6 +2,8 @@
 reads, traced timelines.  Whether a failover loses an acked write is the
 model checker's ``kill_replica`` rule (``tests/test_model_checker.py``)."""
 
+import json
+
 import pytest
 
 from repro.bench.config import BenchScale
@@ -62,25 +64,27 @@ def test_quorum_acks_survive_every_fired_kill():
 # ------------------------------------------------------------ traced chaos
 
 
-def test_traced_chaos_report_matches_untraced_modulo_timelines(tmp_path):
+def test_traced_chaos_report_matches_untraced_modulo_timelines():
     plain = run("miodb", 7)
-    traced = run("miodb", 7, trace=str(tmp_path / "chaos.json"))
-    assert (tmp_path / "chaos.json").exists()
+    traces = []
+    traced = run("miodb", 7, trace=traces.append)
+    assert len(traces) == 1 and json.loads(traces[0])["traceEvents"]
     for doc in traced["groups"]:
         assert "failover_timeline" in doc
         doc.pop("failover_timeline")
     assert chaos_report_json(traced) == chaos_report_json(plain)
 
 
-def test_traced_chaos_is_byte_identical_across_runs(tmp_path):
-    first = run("miodb", 7, trace=str(tmp_path / "a.json"))
-    second = run("miodb", 7, trace=str(tmp_path / "b.json"))
+def test_traced_chaos_is_byte_identical_across_runs():
+    traces = []
+    first = run("miodb", 7, trace=traces.append)
+    second = run("miodb", 7, trace=traces.append)
     assert chaos_report_json(first) == chaos_report_json(second)
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert traces[0] == traces[1]
 
 
-def test_traced_chaos_timelines_resolve_leader_kills(tmp_path):
-    report = run("miodb", 7, trace=str(tmp_path / "chaos.json"))
+def test_traced_chaos_timelines_resolve_leader_kills():
+    report = run("miodb", 7, trace=lambda text: None)
     leader_kills = [f for f in report["fired"] if f["target"] == "leader"]
     timelines = [
         tl for doc in report["groups"]
