@@ -74,12 +74,6 @@ class BloomFilter:
         k = max(1, min(30, round(bits_per_key * 0.69)))
         return cls(nbits, k)
 
-    @property
-    # repro: allow[DEAD001] state probe for the lazy-build oracles in tests/
-    def built(self) -> bool:
-        """Whether a query has forced the bits into existence yet."""
-        return self._bits is not None
-
     def _set_bits(self, bits: bytearray, keys: Iterable[bytes]) -> int:
         """Hash ``keys`` into ``bits``; returns how many there were."""
         k, nbits = self.k, self.nbits

@@ -7,7 +7,7 @@ writes it performed, so the caller can charge the machine's cost model
 """
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 DEFAULT_ORDER = 64
 
@@ -52,20 +52,6 @@ class BPlusTree:
         if idx < len(node.keys) and node.keys[idx] == key:
             return node.values[idx], visits
         return None, visits
-
-    def range_from(self, key: bytes) -> Iterator[Tuple[bytes, object]]:
-        """Iterate ``(key, value)`` pairs with ``k >= key`` in order."""
-        node = self.root
-        while not node.is_leaf:
-            idx = bisect.bisect_right(node.keys, key)
-            node = node.children[idx]
-        idx = bisect.bisect_left(node.keys, key)
-        while node is not None:
-            while idx < len(node.keys):
-                yield node.keys[idx], node.values[idx]
-                idx += 1
-            node = node.next_leaf
-            idx = 0
 
     # --------------------------------------------------------------- update
 
@@ -150,27 +136,6 @@ class BPlusTree:
             node.keys = node.keys[:mid]
             node.children = node.children[: mid + 1]
         return sibling, separator
-
-    # ----------------------------------------------------------- invariants
-
-    # repro: allow[DEAD001] verification surface, called by tests/
-    def check_invariants(self) -> None:
-        """Raise AssertionError if structural invariants are violated."""
-        keys = [k for k, __ in self.range_from(b"")]
-        assert keys == sorted(keys), "leaf chain out of order"
-        assert len(keys) == self.size, "size counter drifted"
-        self._check_node(self.root, None, None)
-
-    def _check_node(self, node: _Node, low, high) -> None:
-        for key in node.keys:
-            assert low is None or key >= low
-            assert high is None or key < high
-        if node.is_leaf:
-            return
-        assert len(node.children) == len(node.keys) + 1
-        bounds = [low] + node.keys + [high]
-        for i, child in enumerate(node.children):
-            self._check_node(child, bounds[i], bounds[i + 1])
 
     def __len__(self) -> int:
         return self.size

@@ -22,8 +22,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.bloom.hashing import fnv1a_64
-
-_MASK64 = (1 << 64) - 1
+from repro.sim.rng import mix64
 
 
 @lru_cache(maxsize=2048)
@@ -38,12 +37,7 @@ def ring_hash(data: bytes) -> int:
     Memoised because the router hashes every routed op's key and real
     (skewed) traffic repeats keys; the bound keeps the memo near 0.5 MB.
     """
-    h = fnv1a_64(data)
-    h ^= h >> 30
-    h = (h * 0xBF58476D1CE4E5B9) & _MASK64
-    h ^= h >> 27
-    h = (h * 0x94D049BB133111EB) & _MASK64
-    return h ^ (h >> 31)
+    return mix64(fnv1a_64(data))
 
 
 class PlacementPolicy(ABC):

@@ -234,10 +234,9 @@ class Cluster:
         from repro.obs.live.recorder import LiveRecorder
 
         return [
-            LiveRecorder(
-                self.clock, seed + shard.shard_id,
-                shard_id=shard.shard_id, **options
-            ).attach(shard.system)
+            LiveRecorder(self.clock, seed + shard.shard_id, **options).attach(
+                shard.system
+            )
             for shard in self.shards
         ]
 

@@ -337,7 +337,8 @@ class MioDB(BufferedStore):
         for level_tables in self.levels:
             for pmtable in reversed(level_tables):
                 bloom = pmtable.bloom
-                # The gate of ``PMTable.may_contain``: a saturated filter
+                # The per-table bloom gate (its reference is ``may_contain``
+                # in tests/support/oracles.py): a saturated filter
                 # approves everything, so it is skipped for free; a
                 # definite miss short-circuits after ~2 probes.
                 if bloom is not None and bloom.saturation <= 0.9:

@@ -7,7 +7,7 @@ compaction reclaims it).  Each PMTable carries a fixed-size OR-mergeable
 bloom filter sized for one MemTable's key budget.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.bloom.filter import BloomFilter
 from repro.persist.arena import Arena
@@ -52,28 +52,6 @@ class PMTable:
     def footprint_bytes(self) -> int:
         """NVM bytes held (arenas), including unreclaimed garbage."""
         return sum(a.size for a in self.arenas if not a.released)
-
-    def may_contain(self, key: bytes) -> Tuple[bool, float]:
-        """Bloom-filter gate; returns (possible, probe_cost).
-
-        A definite miss short-circuits after ~2 hash probes; a "maybe"
-        pays all k probes.  Saturated filters on big merged tables thus
-        cost more per query *and* admit more false-positive searches --
-        the effect that caps the useful level depth (paper Section 4.6).
-
-        ``MioDB``'s read path applies this gate inline so that one get
-        hashes its key once for every table; this per-table form is the
-        reference it is held to (``tests/test_miodb_read_oracle.py``).
-        """
-        if self.bloom is None:
-            return True, 0.0
-        if self.bloom.saturation > 0.9:
-            # After enough OR-merges the filter approves everything;
-            # probing it is pure overhead, so fall through to the search.
-            return True, 0.0
-        possible = self.bloom.may_contain(key)
-        probes = self.bloom.k if possible else 2
-        return possible, self.system.cpu.bloom_probe_time(probes)
 
     def get(self, key: bytes):
         """Point lookup: NVM pointer chase plus payload read on a hit."""

@@ -15,9 +15,17 @@ def _report_served(lookup, count: int) -> None:
 
 def paged_items(scan, start_key: bytes, end_key: Optional[bytes], page_size: int):
     """The cursor loop behind every ``items()``: one ``scan`` per page,
-    through the store's, replica group's or shard router's own ``scan``."""
+    through the store's, replica group's or shard router's own ``scan``.
+
+    ``page_size`` is checked here, when ``items()`` is called, and not at
+    the first ``next()`` of the generator.
+    """
     if page_size <= 0:
         raise ValueError(f"page_size must be positive, got {page_size}")
+    return _pages(scan, start_key, end_key, page_size)
+
+
+def _pages(scan, start_key: bytes, end_key: Optional[bytes], page_size: int):
     cursor = start_key
     while True:
         pairs, __ = scan(cursor, page_size)

@@ -23,19 +23,13 @@ from repro.obs.live.dashboard import LiveDashboard
 from repro.obs.live.flight import FlightRecorder
 from repro.obs.live.openmetrics import openmetrics_text
 from repro.obs.live.recorder import LiveRecorder
-from repro.obs.live.sampling import (
-    HeadSampler,
-    TailSampler,
-    head_keep,
-    splitmix64,
-)
+from repro.obs.live.sampling import HeadSampler, TailSampler, splitmix64
 from repro.obs.live.window import WindowAggregator
 
 __all__ = [
     "LiveRecorder",
     "HeadSampler",
     "TailSampler",
-    "head_keep",
     "splitmix64",
     "FlightRecorder",
     "WindowAggregator",

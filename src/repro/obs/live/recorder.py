@@ -62,11 +62,9 @@ class LiveRecorder(TraceRecorder):
         seed: int = 1,
         slo_threshold_s: Optional[float] = None,
         stall_alert_s: Optional[float] = None,
-        shard_id=None,
     ) -> None:
         super().__init__(clock)
         self.keep = self._retain
-        self.shard_id = shard_id
         self.head = HeadSampler(seed)
         self.tail = TailSampler()
         slo = None

@@ -24,6 +24,8 @@ population estimates (``scale() == seen / retained``).
 
 from typing import List
 
+from repro.sim.rng import mix64
+
 _MASK64 = (1 << 64) - 1
 
 #: Golden-ratio increment used by the splitmix64 stream (Steele et al.).
@@ -42,43 +44,18 @@ TAIL_REFRESH = 256
 
 
 def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer: one well-mixed 64-bit word from ``x``.
-
-    Same constants as the ring hash in :mod:`repro.cluster.placement`;
-    defined here too so the obs layer does not import the cluster layer.
-    """
-    x = (x + _SPLITMIX_GAMMA) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-# repro: allow[DEAD001, OPT001] reference the streaming HeadSampler is tested against
-def head_keep(
-    seed: int, seq: int, rate: float, run_len: int = HEAD_RUN
-) -> bool:
-    """Pure head-sampling decision for op ``seq`` at ``rate``.
-
-    True iff the run of ``run_len`` consecutive ops containing ``seq``
-    was drawn.  Exposed as a module function so tests (and attribution)
-    can recompute the retained set without a recorder.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"head rate must be in [0, 1], got {rate}")
-    if run_len < 1:
-        raise ValueError(f"run_len must be >= 1, got {run_len}")
-    threshold = int(rate * float(1 << 64))
-    return splitmix64(seed ^ ((seq // run_len) * _SPLITMIX_GAMMA)) < threshold
+    """One splitmix64 step: a well-mixed 64-bit word from ``x``."""
+    return mix64((x + _SPLITMIX_GAMMA) & _MASK64)
 
 
 class HeadSampler:
-    """Streaming form of :func:`head_keep` with O(1) amortised cost.
+    """Streaming head sampling with O(1) amortised cost.
 
-    The recorder's hot path calls :meth:`advance` once per op; the hash
-    is only recomputed at run boundaries.  ``live`` mirrors the decision
-    for the *current* sequence number.
+    Op ``seq`` is kept iff the run of :data:`HEAD_RUN` consecutive ops
+    containing it was drawn at :data:`HEAD_RATE`.  The recorder's hot
+    path calls :meth:`advance` once per op; the hash is only recomputed
+    at run boundaries.  ``live`` mirrors the decision for the *current*
+    sequence number.
     """
 
     __slots__ = ("seed", "live", "_left", "_seq", "seen", "kept")

@@ -53,33 +53,16 @@ class CrashInjector:
         """Arm ``point`` to fire ``after_hits`` reaches *from now*.
 
         :meth:`arm` counts cumulative hits since the injector was built,
-        so reusing an injector across a chaos schedule's kill/restart
-        cycles would need every threshold offset by the hits already
-        taken.  ``rearm`` zeroes the point's hit count first, giving the
+        so reusing one injector across crash/recover cycles -- as the
+        model checker does, one ``crash_and_recover`` step after another
+        -- would need every threshold offset by the hits already taken.
+        ``rearm`` zeroes the point's hit count first, giving the
         one-shot trigger a fresh fuse.
         """
         if after_hits < 1:
             raise ValueError(f"after_hits must be >= 1, got {after_hits}")
         self._hits.pop(point, None)
         self._armed[point] = after_hits
-
-    # repro: allow[DEAD001, OPT001] fault-injection surface, driven by tests/
-    def reset(self, point: Optional[str] = None) -> None:
-        """Disarm and forget hit counts for ``point`` (or every point).
-
-        Unlike :meth:`disarm`, which keeps hit counts so a later
-        :meth:`arm` still aims at the cumulative total, ``reset`` returns
-        the injector to its just-built state for the point(s) -- the
-        chaos harness calls it between schedule entries so pending
-        one-shot triggers from a previous incarnation cannot fire into
-        the restarted replica.
-        """
-        if point is None:
-            self._armed.clear()
-            self._hits.clear()
-        else:
-            self._armed.pop(point, None)
-            self._hits.pop(point, None)
 
     # repro: allow[DEAD001] fault-injection surface, driven by tests/
     def hits(self, point: str) -> int:

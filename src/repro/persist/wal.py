@@ -221,18 +221,6 @@ class WriteAheadLog:
             self.device.release(freed)
         return freed
 
-    # repro: allow[DEAD001, OPT001] fault-injection surface, driven by tests/
-    def tear_tail(self, count: int = 1) -> None:
-        """Mark the last ``count`` records as torn (partially written).
-
-        Models a crash in the middle of an append: replay must stop at the
-        first torn record.
-        """
-        if count <= 0:
-            return
-        for record in self._records[-count:]:
-            record.torn = True
-
     def truncate_to_replay(self) -> List[WalRecord]:
         """Cut the log to the records :meth:`replay` surfaces; return them.
 
@@ -292,33 +280,6 @@ class WriteAheadLog:
     def record_count(self) -> int:
         """Records currently retained (not yet truncated)."""
         return len(self._records)
-
-    @property
-    # repro: allow[DEAD001] durability probe for the fsync-policy tests
-    def pending_count(self) -> int:
-        """Buffered records awaiting a group-commit flush."""
-        return len(self._pending)
-
-    @property
-    # repro: allow[DEAD001] durability probe for the fsync-policy tests
-    def live_bytes(self) -> int:
-        """Bytes the log currently occupies on its device."""
-        return sum(r.frame_bytes for r in self._records if r.synced)
-
-    def last_seq(self) -> Optional[int]:
-        """Sequence number of the newest intact record, if any."""
-        for record in reversed(self._records):
-            if not record.torn:
-                return record.seq
-        return None
-
-    # repro: allow[DEAD001] durability probe for the fsync-policy tests
-    def last_synced_seq(self) -> Optional[int]:
-        """Sequence number of the newest durable record, if any."""
-        for record in reversed(self._records):
-            if not record.torn and record.synced:
-                return record.seq
-        return None
 
     def __repr__(self) -> str:
         return f"WriteAheadLog({self.label!r}, records={len(self._records)})"

@@ -142,14 +142,15 @@ class ReplicaGroup:
         factory: Callable[[int], Tuple[object, object]],
         config: Optional[ReplicationConfig] = None,
         stats: Optional[StatsRegistry] = None,
-        crash_injector=None,
     ) -> None:
         self.group_id = group_id
         self.clock = clock
         self.config = config or ReplicationConfig()
         self._factory = factory
         self.stats = stats if stats is not None else StatsRegistry()
-        self.crash = crash_injector or PASSIVE_INJECTOR
+        #: Reaches ``repl.put`` / ``repl.ship`` / ``repl.apply``; a test
+        #: swaps in an armed injector to crash the group mid-operation.
+        self.crash = PASSIVE_INJECTOR
         #: The replicated log: leader WAL records by LSN (index + 1).
         #: Retained in full so a rebuilt replacement node can bootstrap.
         self.log: List = []
@@ -180,29 +181,6 @@ class ReplicaGroup:
         self.members[0].role = ROLE_LEADER
 
     # ------------------------------------------------------------ building
-
-    @classmethod
-    # repro: allow[DEAD001, OPT001] tests build standalone groups and crash their leader
-    def build(
-        cls,
-        store_name: str = "miodb",
-        scale=None,
-        config: Optional[ReplicationConfig] = None,
-        crash_injector=None,
-        **overrides,
-    ) -> "ReplicaGroup":
-        """A standalone group (id 0) of ``store_name`` stores on one clock."""
-        from repro.bench.factory import make_store, make_system
-        from repro.sim.clock import SimClock
-
-        clock = SimClock()
-
-        def factory(rid: int):
-            return make_store(
-                store_name, scale, system=make_system(clock=clock), **overrides
-            )
-
-        return cls(0, clock, factory, config, crash_injector=crash_injector)
 
     def _make_member(self, rid: int) -> Replica:
         store, system = self._factory(rid)

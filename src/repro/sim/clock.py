@@ -9,9 +9,8 @@ completion time of the background job being waited on.
 class SimClock:
     """A monotonically non-decreasing simulated clock, in seconds."""
 
-    # repro: allow[OPT001] unit tests start a clock mid-run
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -68,7 +68,6 @@ class Worker:
     def __init__(self, name: str) -> None:
         self.name = name
         self.busy_until = 0.0
-        self.total_busy = 0.0
         self.jobs_run = 0
 
     def __repr__(self) -> str:
@@ -133,7 +132,6 @@ class Executor:
         start = max(worker.busy_until, now)
         end = start + duration
         worker.busy_until = end
-        worker.total_busy += duration
         worker.jobs_run += 1
         job = Job(name, worker, start, end, callback, submitted_at=now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))

@@ -10,6 +10,15 @@ _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = float(1 << 53)
 
 
+def mix64(x: int) -> int:
+    """The splitmix64 finalizer: a well-mixed 64-bit word from ``x`` < 2**64."""
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
 class XorShiftRng:
     """xorshift64* generator -- tiny, fast, and good enough for workloads."""
 

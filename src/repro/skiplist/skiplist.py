@@ -195,16 +195,6 @@ class SkipList:
             yield node
             node = node.next[0]
 
-    def items(self):
-        """Newest live version per key, as ``(key, value)`` pairs."""
-        last_key = None
-        for node in self.nodes():
-            if node.key == last_key:
-                continue
-            last_key = node.key
-            if not node.is_tombstone:
-                yield node.key, node.value
-
     @property
     def is_empty(self) -> bool:
         """True when no nodes are linked at the bottom level."""

@@ -7,6 +7,8 @@ from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.persist.crash import CrashInjector, SimulatedCrash
+from tests.support.groups import build_group
+from tests.support.probes import tear_tail
 
 KB = 1 << 10
 
@@ -76,7 +78,7 @@ def test_batch_is_atomic_across_torn_crash():
     with pytest.raises(SimulatedCrash):
         store.write(batch)
     # the crash tore the commit record away: the whole batch must vanish
-    store.wal.tear_tail(1)
+    tear_tail(store.wal, 1)
     recovered, __ = recover(store)
     for i in range(10):
         value, __lat = recovered.get(b"atomic%03d" % i)
@@ -216,6 +218,21 @@ def test_items_page_size_validation(system, tiny_mio_options):
     store = MioDB(system, tiny_mio_options)
     with pytest.raises(ValueError):
         list(store.items(page_size=0))
+
+
+def test_items_rejects_page_size_before_iterating(system, tiny_mio_options):
+    """The store's, the replica group's and the router's ``items()`` raise
+    when called, not at the first ``next()`` of the iterator."""
+    from repro.bench.config import BenchScale
+    from repro.cluster import Cluster, ShardRouter
+    from repro.replication import ReplicationConfig
+
+    scale = BenchScale(memtable_bytes=8 * KB)
+    group = build_group("miodb", scale, ReplicationConfig(followers=1))
+    router = ShardRouter(Cluster("miodb", n_shards=2, scale=scale))
+    for owner in (MioDB(system, tiny_mio_options), group, router):
+        with pytest.raises(ValueError, match="page_size must be positive"):
+            owner.items(page_size=0)
 
 
 def test_items_works_on_every_store(tiny_options):

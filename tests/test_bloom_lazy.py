@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import fnv1a_pair, probe_positions
+from tests.support.probes import built
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -190,7 +191,7 @@ def check_pair(lazy, eager):
     """What is observable without forcing a build."""
     assert lazy.added == eager.added
     assert lazy.nbytes == eager.nbytes
-    if not lazy.built:
+    if not built(lazy):
         # The memory bound while unbuilt: one reference per added key.
         assert len(lazy._pending) == lazy.added
 
@@ -250,13 +251,13 @@ def test_merge_in_every_built_unbuilt_combination(dst_built, src_built):
     src = filled(BloomFilter, B_KEYS, src_built)
     ref_dst = filled(EagerBloom, A_KEYS, False)
     ref_src = filled(EagerBloom, B_KEYS, False)
-    assert (dst.built, src.built) == (dst_built, src_built)
+    assert (built(dst), built(src)) == (dst_built, src_built)
 
     dst.merge_from(src)
     ref_dst.merge_from(ref_src)
     # Two unbuilt filters pool their keys; anything else leaves dst built.
-    assert dst.built == (dst_built or src_built)
-    assert src.built == src_built  # the source is left as it was
+    assert built(dst) == (dst_built or src_built)
+    assert built(src) == src_built  # the source is left as it was
     assert dst.added == ref_dst.added == 40
 
     # Extending the source afterwards must not leak into the merged filter.
@@ -280,7 +281,7 @@ def test_geometry_mismatch_raises_before_changing_anything(dst_built, src_built)
             src.may_contain(b"force")
         with pytest.raises(ValueError, match="different geometry"):
             dst.merge_from(src)
-        assert (dst.built, src.built) == (dst_built, src_built)
+        assert (built(dst), built(src)) == (dst_built, src_built)
         assert (dst.added, src.added) == (20, 20)
         if not dst_built:
             assert dst._pending == A_KEYS
@@ -299,10 +300,10 @@ def test_adds_and_unbuilt_merges_never_hash():
     a.add_all([b"never-hashed-2", b"never-hashed-3"])
     b.add_all(iter([b"never-hashed-4"]))
     a.merge_from(b)
-    assert not a.built and not b.built
+    assert not built(a) and not built(b)
     assert a.added == 4 and a.nbytes == NBITS // 8
     assert "unbuilt" in repr(a) and "fp~" not in repr(a)
-    assert not a.built  # repr did not build it
+    assert not built(a)  # repr did not build it
     after = probe_positions.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -321,9 +322,9 @@ def test_adds_and_unbuilt_merges_never_hash():
 def test_every_query_forces_the_build(query):
     bloom = BloomFilter(NBITS, K)
     bloom.add_all(A_KEYS)
-    assert not bloom.built
+    assert not built(bloom)
     query(bloom)
-    assert bloom.built
+    assert built(bloom)
     assert bloom.bits() == filled(EagerBloom, A_KEYS, False).bits()
     assert "fp~" in repr(bloom)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.btree.tree import BPlusTree
+from tests.support.oracles import check_invariants, range_from
 
 
 def test_empty_tree():
@@ -48,8 +49,8 @@ def test_splits_maintain_order():
     for i, key in enumerate(keys):
         tree.insert(key, i)
     assert tree.height > 1
-    assert [k for k, __ in tree.range_from(b"")] == sorted(keys)
-    tree.check_invariants()
+    assert [k for k, __ in range_from(tree, b"")] == sorted(keys)
+    check_invariants(tree)
 
 
 def test_insert_reports_visits_and_writes():
@@ -94,7 +95,7 @@ def test_range_from_middle():
     tree = BPlusTree(order=4)
     for i in range(50):
         tree.insert(b"k%02d" % i, i)
-    window = list(tree.range_from(b"k45"))
+    window = list(range_from(tree, b"k45"))
     assert [k for k, __ in window] == [b"k%02d" % i for i in range(45, 50)]
 
 
@@ -116,8 +117,8 @@ def test_matches_dict_model(pairs):
     for key, value in model.items():
         got, __ = tree.get(key)
         assert got == value
-    assert [k for k, __ in tree.range_from(b"")] == sorted(model)
-    tree.check_invariants()
+    assert [k for k, __ in range_from(tree, b"")] == sorted(model)
+    check_invariants(tree)
 
 
 @settings(max_examples=30)
@@ -135,7 +136,7 @@ def test_delete_matches_dict_model(pairs, to_delete):
     for key, value in model.items():
         got, __ = tree.get(key)
         assert got == value
-    assert [k for k, __ in tree.range_from(b"")] == sorted(model)
+    assert [k for k, __ in range_from(tree, b"")] == sorted(model)
 
 
 def get_then_insert(tree, key, locator):
@@ -171,8 +172,8 @@ def test_keep_newer_insert_matches_get_then_insert(ops):
         assert insert_visits in (None, visits)
         assert writes == oracle_writes
         assert (fused.node_count, fused.height) == (oracle.node_count, oracle.height)
-        fused.check_invariants()
-    assert list(fused.range_from(b"")) == list(oracle.range_from(b""))
+        check_invariants(fused)
+    assert list(range_from(fused, b"")) == list(range_from(oracle, b""))
 
 
 def test_keep_newer_insert_example_splits_the_root_twice():

@@ -177,8 +177,10 @@ def test_unset_option_pragma_is_honoured_on_the_def(tmp_path):
 
 
 def test_the_tree_has_no_unset_option_and_few_pragmas():
+    """Both bounds may only go down: code that only tests call lives in
+    ``tests/support/``, not behind a pragma in ``src/``."""
     from repro.check.contracts import option_defs
-    from repro.check.lint import package_root
+    from repro.check.lint import iter_source_files, package_root
 
     sources = read_sources(package_root())
     assert check_unset_options(sources) == []
@@ -187,4 +189,11 @@ def test_the_tree_has_no_unset_option_and_few_pragmas():
         if any("OPT001" in d.allows.get(line, ())
                for line in (d.node.lineno, d.node.lineno - 1))
     ]
-    assert 0 < len(allowed) <= 24
+    assert 0 < len(allowed) <= 8
+    dead_pragmas = [
+        (path, number)
+        for path in iter_source_files(package_root())
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if line.lstrip().startswith("# repro: allow[") and "DEAD001" in line
+    ]
+    assert 0 < len(dead_pragmas) <= 6, dead_pragmas

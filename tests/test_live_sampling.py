@@ -10,15 +10,10 @@ are retained at 100% regardless of the sampling rate.
 import pytest
 
 from repro.obs.events import CAT_OP, CAT_STALL
-from repro.obs.live import (
-    HeadSampler,
-    TailSampler,
-    head_keep,
-    openmetrics_text,
-    splitmix64,
-)
+from repro.obs.live import HeadSampler, TailSampler, openmetrics_text, splitmix64
 from repro.obs.live.sampling import HEAD_RATE, HEAD_RUN, TAIL_REFRESH
 from repro.obs.runner import run_traced
+from tests.support.oracles import head_keep
 
 pytestmark = pytest.mark.obs_live
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core import MioDB, MioOptions, recover
-from repro.core.verifier import InvariantViolation, verify_store
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.sim.rng import XorShiftRng
+from tests.support.verifier import InvariantViolation, verify_store
 
 KB = 1 << 10
 

@@ -2,10 +2,10 @@
 
 ``MioDB._get`` and the ``_batch_lookup`` closure hash a key once and test
 the positions against each PMTable's filter bits; before, every table
-ran ``PMTable.may_contain`` (saturation test, hash, probe) on its own.
-That per-table walk is kept below as the reference.  All three must
-return ``==`` values and float seconds, charge the same device reads and
-emit the same traced transfers.
+ran its own gate (saturation test, hash, probe), ``may_contain`` in
+``tests/support/oracles.py``.  That per-table walk is kept below as the
+reference.  All three must return ``==`` values and float seconds,
+charge the same device reads and emit the same traced transfers.
 
 The middle part is about the closure's flat probe plan: it bisects the
 ``frozen_index()`` arrays it captured instead of calling into each table,
@@ -31,6 +31,8 @@ from repro.skiplist.skiplist import SkipList
 from repro.workloads.dbbench import fill_random
 from repro.workloads.keys import key_for
 from repro.workloads.ycsb import load_phase
+from tests.support.oracles import may_contain
+from tests.support.probes import built
 
 KB = 1 << 10
 KEY_SPACE = 400
@@ -48,7 +50,7 @@ def reference_get(store, key):
             return (None if node.is_tombstone else node.value), seconds
     for level_tables in store.levels:
         for pmtable in reversed(level_tables):
-            possible, probe_cost = pmtable.may_contain(key)
+            possible, probe_cost = may_contain(pmtable, key)
             seconds += probe_cost
             if not possible:
                 continue
@@ -130,7 +132,7 @@ ORDERS = {
 def test_three_read_paths_agree(n_puts, order, trace):
     store, system, recorder = populated(n_puts, trace=trace)
     blooms = [t.bloom for level in store.levels for t in level]
-    assert not any(b.built for b in blooms)
+    assert not any(built(b) for b in blooms)
     closure = []
 
     def batch(key):
@@ -333,13 +335,13 @@ def test_miodb_fill_and_quiesce_build_no_filter(system):
     blooms = [t.bloom for level in store.levels for t in level]
     assert len(blooms) >= 2
     assert system.stats.get("compact.count") > 0  # merged filters included
-    assert not any(b.built for b in blooms)
+    assert not any(built(b) for b in blooms)
     assert sum(b.added for b in blooms) == sum(len(b._pending) for b in blooms)
     assert hash_calls() == before
 
     # An absent key walks every table, so the first get builds them all.
     assert store.get(b"user-absent")[0] is None
-    assert all(b.built for b in blooms)
+    assert all(built(b) for b in blooms)
     assert hash_calls()[1] > before[1]
 
 
@@ -353,11 +355,11 @@ def test_leveldb_load_builds_no_filter(system):
     blooms = [t.bloom for level in store.lsm.levels for t in level]
     assert len(blooms) >= 3
     assert system.stats.get("compact.count") > 0
-    assert not any(b.built for b in blooms)
+    assert not any(built(b) for b in blooms)
     assert hash_calls() == before
 
     # A get only builds the filters of the tables whose range covers it.
     assert store.get(key_for(300))[0] is not None
-    built = sum(b.built for b in blooms)
-    assert 1 <= built <= len(blooms)
+    n_built = sum(built(b) for b in blooms)
+    assert 1 <= n_built <= len(blooms)
     assert hash_calls()[1] > before[1]

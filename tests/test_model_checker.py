@@ -48,7 +48,6 @@ from repro.bench.factory import make_store
 from repro.cluster import Cluster, ShardRouter
 from repro.cluster.rebalance import rebalance_hot_shard
 from repro.core import MioDB, MioOptions, recover
-from repro.core.verifier import verify_store
 from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
@@ -57,6 +56,8 @@ from repro.obs.recorder import check_vocabulary
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.replication import READ_FOLLOWER_RYW, READ_LEADER, ReplicationConfig
 from repro.sim.stats import KEY_FAMILIES
+from tests.support.probes import pending_count, tear_tail
+from tests.support.verifier import verify_store
 
 KB = 1 << 10
 KEYS = 24
@@ -180,7 +181,7 @@ class ModelChecker(RuleBasedStateMachine):
         for entry in entries:
             self.acked.append(entry)
             _fold(self.model, entry)
-        if self.injector is None or self.store.wal.pending_count == 0:
+        if self.injector is None or pending_count(self.store.wal) == 0:
             self.durable = len(self.acked)
 
     def _batch(self, ops):
@@ -349,7 +350,7 @@ class ModelChecker(RuleBasedStateMachine):
             counted = self._counted_compactions()
             self.lost_compactions += self.compact_spans - counted
         if tear and point in CRASH_POINTS[:2]:
-            self.store.wal.tear_tail(1)
+            tear_tail(self.store.wal, 1)
         self.store, __ = recover(self.store)
         self._check_recovered(inflight)
 

@@ -26,9 +26,10 @@ from repro.obs.events import (
     CAT_REPL_ELECTION,
     CAT_REPL_SHIP,
 )
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicationConfig
 from repro.replication.config import ELECTION_TIMEOUT_S
 from repro.workloads.keys import key_for
+from tests.support.groups import build_group
 
 pytestmark = pytest.mark.obs_smoke
 
@@ -38,7 +39,7 @@ SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
 
 def make_group(followers=2, **config_kwargs):
     config = ReplicationConfig(followers=followers, **config_kwargs)
-    return ReplicaGroup.build("miodb", SCALE, config=config)
+    return build_group("miodb", SCALE, config=config)
 
 
 def traced_run(n_ops=30, followers=2, **config_kwargs):
@@ -236,7 +237,7 @@ def test_follower_kill_produces_no_leader_timeline():
 def test_leader_ack_failover_truncates_the_unshipped_log():
     """Leader acks return before any ship: killing the leader loses every
     acked write, and the election truncates the log under the kill span."""
-    group = ReplicaGroup.build(
+    group = build_group(
         "miodb", config=ReplicationConfig(followers=2, ack_policy="leader")
     )
     recorder = group.attach_tracing()

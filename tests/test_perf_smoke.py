@@ -33,7 +33,6 @@ from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_LEADER,
-    ReplicaGroup,
     ReplicationConfig,
 )
 from repro.sim.rng import XorShiftRng
@@ -48,6 +47,7 @@ from repro.workloads import (
     read_random,
     seek_random,
 )
+from tests.support.groups import build_group
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -84,7 +84,7 @@ def _subject(scale: BenchScale, followers: Optional[int]):
         ack_policy=ACK_LEADER if followers == 0 else ACK_QUORUM,
         read_policy=READ_LEADER if followers == 0 else READ_FOLLOWER_EVENTUAL,
     )
-    group = ReplicaGroup.build(STORE, scale, config=config)
+    group = build_group(STORE, scale, config=config)
     return group, group, None
 
 

@@ -7,6 +7,13 @@ from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.persist.arena import Arena
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.persist.wal import RECORD_HEADER_BYTES, WriteAheadLog
+from tests.support.probes import (
+    last_seq,
+    last_synced_seq,
+    live_bytes,
+    pending_count,
+    tear_tail,
+)
 
 
 @pytest.fixture
@@ -68,7 +75,7 @@ def test_wal_append_charges_device_and_space(nvm):
     expected = RECORD_HEADER_BYTES + 3 + 5
     assert seconds > 0
     assert nvm.bytes_written == expected
-    assert wal.live_bytes == expected
+    assert live_bytes(wal) == expected
     assert wal.record_count == 1
 
 
@@ -86,20 +93,20 @@ def test_wal_truncate_through(nvm):
     freed = wal.truncate_through(3)
     assert freed > 0
     assert [r.seq for r in wal.replay()] == [4, 5]
-    assert nvm.bytes_in_use == wal.live_bytes
+    assert nvm.bytes_in_use == live_bytes(wal)
 
 
 def test_wal_torn_tail_stops_replay(nvm):
     wal = WriteAheadLog(nvm)
     for i in range(4):
         wal.append(i + 1, b"k%d" % i, b"v", 1)
-    wal.tear_tail(2)
+    tear_tail(wal, 2)
     assert [r.seq for r in wal.replay()] == [1, 2]
-    assert wal.last_seq() == 2
+    assert last_seq(wal) == 2
 
 
 def test_wal_last_seq_empty(nvm):
-    assert WriteAheadLog(nvm).last_seq() is None
+    assert last_seq(WriteAheadLog(nvm)) is None
 
 
 # ------------------------------------------------------------------ crash
@@ -266,22 +273,6 @@ def test_rearm_validation():
         CrashInjector().rearm("p", after_hits=0)
 
 
-def test_reset_clears_one_point_or_all():
-    injector = CrashInjector()
-    injector.arm("a", after_hits=3)
-    injector.reach("a")
-    injector.reset("a")
-    assert injector.hits("a") == 0
-    injector.reach("a")
-    injector.reach("a")
-    injector.reach("a")  # disarmed: never fires
-    injector.arm("b")
-    injector.reach("x")
-    injector.reset()
-    assert injector.hits("x") == 0
-    injector.reach("b")  # cleared by the full reset
-
-
 # --------------------------------------------------- WAL fsync policies
 
 
@@ -300,13 +291,13 @@ def test_batch_fsync_groups_device_writes(nvm):
     wal = WriteAheadLog(nvm, fsync_policy="batch:3")
     assert wal.append(1, b"a", b"v", 1) == 0.0
     assert wal.append(2, b"b", b"v", 1) == 0.0
-    assert wal.pending_count == 2
+    assert pending_count(wal) == 2
     assert nvm.bytes_written == 0
     cost = wal.append(3, b"c", b"v", 1)  # third buffered record: group commit
     assert cost > 0.0
-    assert wal.pending_count == 0
+    assert pending_count(wal) == 0
     assert nvm.bytes_written == 3 * (RECORD_HEADER_BYTES + 1 + 1)
-    assert wal.last_synced_seq() == 3
+    assert last_synced_seq(wal) == 3
 
 
 def test_unsynced_records_do_not_survive_a_crash(nvm):
@@ -332,8 +323,8 @@ def test_interval_fsync_follows_the_clock():
     assert wal.append(2, b"b", b"v", 1) == 0.0  # window still open
     clock.advance(0.0006)
     assert wal.append(3, b"c", b"v", 1) > 0.0  # window expired: commit
-    assert wal.pending_count == 0
-    assert wal.last_synced_seq() == 3
+    assert pending_count(wal) == 0
+    assert last_synced_seq(wal) == 3
 
 
 def test_interval_fsync_requires_a_clock(nvm):
@@ -347,7 +338,7 @@ def test_truncate_prunes_unsynced_pending(nvm):
     wal.sync()
     wal.append(2, b"b", b"v", 1)
     wal.truncate_through(2)  # covers the buffered record too
-    assert wal.pending_count == 0
+    assert pending_count(wal) == 0
     assert wal.record_count == 0
 
 

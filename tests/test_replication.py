@@ -12,11 +12,11 @@ from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_FOLLOWER_RYW,
-    ReplicaGroup,
     ReplicationConfig,
     Session,
 )
 from repro.workloads.keys import key_for
+from tests.support.groups import build_group
 
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
@@ -24,7 +24,7 @@ SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
 
 def make_group(followers=2, store_name="miodb", **config_kwargs):
     config = ReplicationConfig(followers=followers, **config_kwargs)
-    return ReplicaGroup.build(store_name, SCALE, config=config)
+    return build_group(store_name, SCALE, config=config)
 
 
 # ------------------------------------------------------------ configuration
@@ -168,7 +168,7 @@ def test_failover_is_deterministic():
 def test_crash_injector_kills_leader_mid_run():
     injector = CrashInjector()
     config = ReplicationConfig(followers=2)
-    group = ReplicaGroup.build(
+    group = build_group(
         "miodb", SCALE, config=config, crash_injector=injector
     )
     injector.arm("repl.put", after_hits=50)

@@ -9,10 +9,6 @@ def test_starts_at_zero_by_default():
     assert SimClock().now == 0.0
 
 
-def test_starts_at_given_time():
-    assert SimClock(5.0).now == 5.0
-
-
 def test_advance_moves_forward():
     clock = SimClock()
     clock.advance(1.5)
@@ -21,12 +17,14 @@ def test_advance_moves_forward():
 
 
 def test_advance_returns_new_time():
-    clock = SimClock(1.0)
+    clock = SimClock()
+    clock.advance(1.0)
     assert clock.advance(2.0) == 3.0
 
 
 def test_advance_by_zero_is_allowed():
-    clock = SimClock(1.0)
+    clock = SimClock()
+    clock.advance(1.0)
     assert clock.advance(0.0) == 1.0
 
 
@@ -43,15 +41,19 @@ def test_advance_to_future():
 
 
 def test_advance_to_past_is_noop():
-    clock = SimClock(10.0)
+    clock = SimClock()
+    clock.advance(10.0)
     clock.advance_to(5.0)
     assert clock.now == 10.0
 
 
 def test_advance_to_same_instant_is_noop():
-    clock = SimClock(3.0)
+    clock = SimClock()
+    clock.advance(3.0)
     assert clock.advance_to(3.0) == 3.0
 
 
 def test_repr_contains_time():
-    assert "1.5" in repr(SimClock(1.5))
+    clock = SimClock()
+    clock.advance(1.5)
+    assert "1.5" in repr(clock)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import SLMDBOptions, SLMDBStore
 from repro.kvstore.values import SizedValue
+from tests.support.oracles import check_invariants
 
 KB = 1 << 10
 
@@ -49,7 +50,7 @@ def test_index_survives_compactions(system, options):
     for i in range(120):
         value, __ = store.get(b"key%06d" % i)
         assert value.tag == (4, i)
-    store.index.check_invariants()
+    check_invariants(store.index)
 
 
 def test_deletes_remove_index_entries(system, options):
@@ -133,4 +134,4 @@ def test_kept_tombstone_still_shadows_older_tables(system):
     assert system.stats.get("compact.count") == 2
     assert store.get(b"k")[0] is None
     assert b"k" not in dict(store.items())
-    store.index.check_invariants()
+    check_invariants(store.index)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.persist.wal import WriteAheadLog
+from tests.support.probes import live_bytes, tear_tail
 
 records = st.lists(
     st.tuples(st.binary(min_size=1, max_size=8), st.binary(max_size=16)),
@@ -41,7 +42,7 @@ def test_truncate_then_replay_is_a_suffix(pairs, cut):
 @given(records, st.integers(min_value=0, max_value=10))
 def test_torn_tail_drops_only_the_tail(pairs, torn):
     wal, __ = make_wal(pairs)
-    wal.tear_tail(torn)
+    tear_tail(wal, torn)
     replayed = [r.seq for r in wal.replay()]
     keep = max(0, len(pairs) - torn)
     assert replayed == list(range(1, keep + 1))
@@ -60,7 +61,7 @@ def test_batch_replay_is_all_or_nothing(singles, batch_pairs):
     assert replayed == list(range(1, next_seq + len(items)))
     # torn commit: the whole batch vanishes, singles stay
     if items:
-        wal.tear_tail(1)
+        tear_tail(wal, 1)
         replayed = [r.seq for r in wal.replay()]
         assert replayed == list(range(1, next_seq))
 
@@ -73,9 +74,9 @@ def test_space_accounting_matches_device(pairs):
     for key, value in pairs:
         wal.append(seq, key, value, len(value))
         seq += 1
-    assert device.bytes_in_use == wal.live_bytes
+    assert device.bytes_in_use == live_bytes(wal)
     wal.truncate_through(seq // 2)
-    assert device.bytes_in_use == wal.live_bytes
+    assert device.bytes_in_use == live_bytes(wal)
 
 
 @given(
@@ -107,7 +108,7 @@ def test_records_since_equals_full_log_filter(ops, policy, cursors):
         elif op == "truncate":
             wal.truncate_through(arg)
         else:
-            wal.tear_tail(arg)
+            tear_tail(wal, arg)
         for cursor in cursors:
             want = [r for r in wal._records if r.seq > cursor and not r.torn]
             got = wal.records_since(cursor)

@@ -20,7 +20,8 @@ from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.persist.crash import CrashInjector, SimulatedCrash
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicationConfig
+from tests.support.groups import build_group
 
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, nvm_buffer_bytes=128 * KB, value_size=512)
@@ -165,7 +166,7 @@ def _run_group():
     """2 followers, 8 KB MemTables, big ship batches, leader-only acks:
     followers replay far behind the leader and rotate over an immutable
     MemTable whose flush is still in flight."""
-    group = ReplicaGroup.build(
+    group = build_group(
         "miodb", BenchScale(memtable_bytes=8 * KB),
         ReplicationConfig(followers=2, ack_policy="leader", ship_batch=64),
     )
