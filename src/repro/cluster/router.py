@@ -217,7 +217,8 @@ class Cluster:
         for shard in self.shards:
             if shard.group is not None:
                 shard.group.detach_tracing()
-            # attach_live attaches to the shard's system, not its group.
+            # attach_live attaches to the shard's system, not its group;
+            # an election moves it with ``shard.system`` to the new leader.
             shard.system.detach_tracing()
 
     def attach_live(self, seed: int = 1, **options) -> List[object]:

@@ -1,5 +1,6 @@
 """The simulated machine: devices + clock + executor + cost model + stats."""
 
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.mem.costs import CpuCostModel
@@ -9,21 +10,6 @@ from repro.sim.clock import SimClock
 from repro.sim.executor import Executor
 from repro.sim.latency import LatencyRecorder
 from repro.sim.stats import StatsRegistry
-
-
-class _NullJobScope:
-    """No-op stand-in for the recorder's job-cost scope when tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_JOB_SCOPE = _NullJobScope()
 
 
 class HybridMemorySystem:
@@ -107,10 +93,10 @@ class HybridMemorySystem:
         they schedule, so the transfer events it emits are tagged as job
         cost rather than foreground device time (latency attribution
         depends on the distinction).  With tracing detached this is a
-        shared no-op scope.
+        no-op scope.
         """
         if self.obs is None:
-            return _NULL_JOB_SCOPE
+            return nullcontext()
         return self.obs.job_cost()
 
     def persistent_bytes_written(self) -> int:

@@ -42,7 +42,11 @@ def analyze_run(recorder, system, store_name: str) -> dict:
 
     Every section reads the recorder's one classified index.
     """
-    attrs = attribute_ops(recorder)
+    return _run_doc(recorder, system, store_name, attribute_ops(recorder))
+
+
+def _run_doc(recorder, system, store_name: str, attrs) -> dict:
+    """:func:`analyze_run` over ``attrs``, the recorder's attributed ops."""
     chains = critical_paths(recorder)
     chains_by_len = sorted(
         chains, key=lambda c: (-c.duration_s, c.start)
@@ -97,11 +101,12 @@ def analyze_cluster(cluster, recorders: List[object]) -> dict:
     shard_docs = {}
     merged_attrs = []
     for shard, recorder in zip(cluster.shards, recorders):
-        doc = analyze_run(
-            recorder, shard.system, f"shard{shard.shard_id}:{cluster.store_name}"
+        attrs = attribute_ops(recorder)
+        shard_docs[str(shard.shard_id)] = _run_doc(
+            recorder, shard.system, f"shard{shard.shard_id}:{cluster.store_name}",
+            attrs,
         )
-        shard_docs[str(shard.shard_id)] = doc
-        merged_attrs.extend(attribute_ops(recorder))
+        merged_attrs.extend(attrs)
     return {
         "schema": 1,
         "store": cluster.store_name,

@@ -55,7 +55,7 @@ def render_frame(
     for index, (label, rec) in enumerate(zip(labels, recorders)):
         meta = rec.sampling_meta()
         window = rec.window
-        row = window.last_row() if window is not None else None
+        row = window.last_row()
         retained = meta["ops_retained"]
         seen = meta["ops_seen"]
         cells = [
@@ -76,7 +76,7 @@ def render_frame(
             )
             cells.extend([role, group.lag()])
         rows.append(cells)
-        series = [r["p99_us"] for r in window.rows] if window is not None else []
+        series = [r["p99_us"] for r in window.rows]
         spark_lines.append(
             f"  shard {label} p99 [{sparkline(series):<{SPARK_WIDTH}}]"
         )

@@ -31,7 +31,7 @@ def _fmt(value) -> str:
 def _window_gauge(key: str, divisor: Optional[float], empty):
     """The last closed window's ``key`` (``empty`` before any closed)."""
     def samples(rec, group):
-        row = rec.window.last_row() if rec.window is not None else None
+        row = rec.window.last_row()
         value = row[key] if row else empty
         return [((), value / divisor if divisor else value)]
     return samples
@@ -94,7 +94,7 @@ _FAMILIES = (
      "Persistent bytes written over logical user bytes.",
      _window_gauge("wa", None, 0.0)),
     ("repro_windows", "counter", "Closed aggregation windows.",
-     lambda rec, group: [((), rec.window.closed if rec.window is not None else 0)]),
+     lambda rec, group: [((), rec.window.closed)]),
     ("repro_stall_seconds", "counter",
      "Simulated seconds stalled, by cause (stalls are never sampled out).",
      lambda rec, group: _by(

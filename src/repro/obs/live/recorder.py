@@ -1,8 +1,8 @@
 """The always-on live recorder: a retention policy on the TraceRecorder bus.
 
 :class:`LiveRecorder` subclasses :class:`~repro.obs.recorder.TraceRecorder`
-and replaces only its sink: the hook points (KVStore spans, executor
-submit listener, device transfer hooks) build the same events, so
+and replaces only its sink: the hook points (KVStore spans, the
+executor's and the devices' ``obs`` slots) build the same events, so
 everything downstream -- Chrome-trace export, gantt rendering,
 attribution -- works on a live trace unchanged.  What changes is what
 gets *kept*:
@@ -23,8 +23,9 @@ gets *kept*:
   (a documented trade: the tail decision only exists after the op ran).
 - Every op, queue span, stall, drop, transfer and background job
   additionally enters the flight recorder's ring -- the same event
-  object, kept or not -- and op completions drive the windowed
-  aggregation on the simulated clock.
+  object, kept or not -- and each op span's duration feeds the windowed
+  aggregation on the simulated clock, whose closed windows feed the
+  flight recorder's burn-rate rule.
 
 Sampling decisions are pure functions of ``(seed, op sequence number)``
 and the simulated event stream, so two identical runs retain identical
@@ -72,8 +73,7 @@ class LiveRecorder(TraceRecorder):
             slo = SloObjective("live-latency", slo_threshold_s, SLO_TARGET)
         self.flight = FlightRecorder(stall_alert_s=stall_alert_s, slo=slo)
         self.flight.context_provider = self._dump_context
-        self.window: Optional[WindowAggregator] = None
-        self._slo_threshold = slo_threshold_s
+        self.window = WindowAggregator(slo_threshold_s)
         # Ops retained by the tail/stall rules *only* (head-retained ops
         # are counted by the head sampler itself); seen == head.seen.
         self.retained_tail = 0
@@ -88,24 +88,19 @@ class LiveRecorder(TraceRecorder):
 
     # ------------------------------------------------------ attach/detach
 
-    def attach(self, system) -> "LiveRecorder":
-        super().attach(system)
+    def _hook(self, system) -> None:
+        super()._hook(system)
         self._devices = tuple(system.devices())
         self._devices_on = True
-        self.window = WindowAggregator(system)
-        self.window.set_window_listener(self.flight.on_window)
-        # Consume latency samples recorded before attach (preloads) so
-        # the first window only covers ops observed live.
-        system.latency.window_snapshot(reset=True)
-        self._set_devices(self.head.live)
-        return self
+        self._set_devices(self.head.live or self._job_depth > 0)
 
     def detach(self) -> None:
         system = self._system
         if system is None:
             return
-        if self.window is not None:
-            self.window.finalize(self.clock.now)
+        closed = self.window.close(self.clock.now, system)
+        if closed is not None:
+            self.flight.on_window(*closed)
         stats = system.stats
         meta = self.sampling_meta()
         stats.add("live.ops_seen", float(meta["ops_seen"]))
@@ -148,14 +143,14 @@ class LiveRecorder(TraceRecorder):
                 self.events.append(event)
             flight.record(event)
             window = self.window
-            threshold = self._slo_threshold
-            if threshold is not None and dur > threshold:
-                window.bad_in_window += 1
+            window.latencies.append(dur)
             # Ops end at emission: the clock is the span's exact end
             # (read off the slot; the property costs a call per op).
             end = self.clock._now
             if end >= window.next_edge:
-                window.maybe_tick(end)
+                closed = window.maybe_tick(end, self._system)
+                if closed is not None:
+                    flight.on_window(*closed)
             if self.head.live != self._devices_on and not self._job_depth:
                 self._set_devices(self.head.live)
         elif cat == CAT_QUEUE and event.dur is not None:
@@ -198,8 +193,7 @@ class LiveRecorder(TraceRecorder):
         }
 
     def _dump_context(self) -> dict:
-        rows = self.window.rows[-16:] if self.window is not None else []
-        return {"sampling": self.sampling_meta(), "windows": rows}
+        return {"sampling": self.sampling_meta(), "windows": self.window.rows[-16:]}
 
     def __repr__(self) -> str:
         state = "attached" if self.attached else "detached"

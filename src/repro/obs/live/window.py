@@ -8,10 +8,12 @@ pure functions of the simulated run, so two identical runs produce
 identical series -- the property the OpenMetrics export and the live
 dashboard inherit.
 
-Percentiles come from :meth:`LatencyRecorder.window_snapshot` with
-``reset=True``: the store records every op's latency anyway (sampling
-never changes simulation behaviour), and the cursor-based snapshot makes
-each tick O(window ops), not O(history).
+The recorder appends each foreground op span's ``dur`` to the open
+window; closing it sorts that list once for the nearest-rank p50/p99
+(:func:`repro.sim.latency.percentile`) and counts the ops over the SLO
+threshold in the same list.  A tick is O(window ops), not O(history),
+and the window reads nothing but the event spine -- so a recorder that
+moves to another machine (a failover) keeps its open window.
 
 Windows with no completed ops are skipped rather than emitted as zero
 rows: ticks are driven by op completions, so an idle stretch simply
@@ -19,7 +21,10 @@ produces no row until the next op lands (the series is sparse in
 simulated time).
 """
 
-from typing import List, Optional
+from bisect import bisect_right
+from typing import List, Optional, Tuple
+
+from repro.sim.latency import percentile
 
 #: Width of one aggregation window, in simulated seconds.
 WINDOW_S = 1e-3
@@ -28,75 +33,75 @@ MAX_ROWS = 4096
 
 
 class WindowAggregator:
-    """Rolls one system's telemetry into fixed simulated-time windows."""
+    """Rolls one recorder's op latencies into fixed simulated-time windows.
 
-    def __init__(self, system) -> None:
-        self.system = system
+    ``slo_threshold_s`` (per-op latency objective, or None) is what a
+    closed window's bad-op count is measured against.
+    """
+
+    def __init__(self, slo_threshold_s: Optional[float]) -> None:
         self.rows: List[dict] = []
         self.dropped_rows = 0
         # First tick closes the window containing the first op; align
         # edges to multiples of WINDOW_S from t=0 so identical runs tick
         # at identical instants regardless of when attach happened.
         self.next_edge = WINDOW_S
-        # Ops whose latency exceeded the SLO threshold in the open
-        # window (maintained by the recorder; consumed at tick time).
-        self.bad_in_window = 0
-        self._on_window = None
+        #: Latencies of the ops completed in the open window, appended
+        #: by the recorder from each op span.
+        self.latencies: List[float] = []
+        self._threshold = slo_threshold_s
 
-    def set_window_listener(self, listener) -> None:
-        """``listener(t_s, ops, bad)`` called once per closed row."""
-        self._on_window = listener
+    def maybe_tick(self, now: float, system) -> Optional[Tuple[float, int, int]]:
+        """Close every window edge at or before ``now``.
 
-    def maybe_tick(self, now: float) -> bool:
-        """Close every window edge at or before ``now``; True if any closed.
-
-        Called by the recorder once per op (one float compare on the hot
-        path) and once at finalize.  All edges between the previous tick
-        and ``now`` share one snapshot: the ops since the last tick all
-        belong to the window containing them, and empty intermediate
-        windows produce no rows.
+        Called by the recorder when an op ends at or past
+        :attr:`next_edge`.  All edges between the previous tick and
+        ``now`` share one row: the ops since the last tick all belong to
+        the window containing them, and empty intermediate windows
+        produce no rows.  ``system`` supplies the row's queue depth and
+        write amplification.  Returns what :meth:`close` returns, or
+        None when no edge was crossed.
         """
         if now < self.next_edge:
-            return False
-        snap = self.system.latency.window_snapshot(reset=True)
+            return None
         # The row's edge is the last crossed boundary: ops since the
         # previous tick completed at or before it.
         edge = self.next_edge
         while edge + WINDOW_S <= now:
             edge += WINDOW_S
         self.next_edge = edge + WINDOW_S
-        bad = self.bad_in_window
-        self.bad_in_window = 0
-        if snap.count == 0:
-            return False
-        self._append_row(edge, snap, bad)
-        return True
+        return self.close(edge, system)
 
-    def finalize(self, now: float) -> None:
-        """Flush the open partial window at detach time."""
-        snap = self.system.latency.window_snapshot(reset=True)
-        bad = self.bad_in_window
-        self.bad_in_window = 0
-        if snap.count == 0:
-            return
-        self._append_row(now, snap, bad)
+    def close(self, t_s: float, system) -> Optional[Tuple[float, int, int]]:
+        """Close the open window as a row stamped ``t_s``.
 
-    def _append_row(self, t_s: float, snap, bad: int) -> None:
+        :meth:`maybe_tick` closes at an edge; the recorder's detach
+        closes the partial window at the detach instant.  Returns the
+        window's ``(t_s, ops, bad)``, or None (and no row) when it held
+        no ops.
+        """
+        lats = self.latencies
+        if not lats:
+            return None
+        self.latencies = []
+        lats.sort()
+        ops = len(lats)
         row = {
             "t_s": t_s,
-            "ops": snap.count,
-            "kiops": snap.count / WINDOW_S / 1e3,
-            "p50_us": snap.p50 * 1e6,
-            "p99_us": snap.p99 * 1e6,
-            "queue_depth": self.system.executor.pending,
-            "wa": self.system.write_amplification(),
+            "ops": ops,
+            "kiops": ops / WINDOW_S / 1e3,
+            "p50_us": percentile(lats, 50) * 1e6,
+            "p99_us": percentile(lats, 99) * 1e6,
+            "queue_depth": system.executor.pending,
+            "wa": system.write_amplification(),
         }
         if len(self.rows) >= MAX_ROWS:
             self.rows.pop(0)
             self.dropped_rows += 1
         self.rows.append(row)
-        if self._on_window is not None:
-            self._on_window(t_s, snap.count, bad)
+        threshold = self._threshold
+        bad = 0 if threshold is None else ops - bisect_right(lats, threshold)
+        return t_s, ops, bad
 
     @property
     def closed(self) -> int:

@@ -6,8 +6,8 @@ native hook points:
 
 - the :class:`~repro.kvstore.api.KVStore` base class (foreground op
   spans and stall spans/instants, with a ``cause``);
-- the executor's submit-listener API (background flush/compaction job
-  spans, one per worker track);
+- the executor's ``obs`` slot (background flush/compaction job spans,
+  one per worker track);
 - the devices (per-transfer instants with byte counts).
 
 Every hook builds one event and hands it to :attr:`TraceRecorder.keep`,
@@ -16,9 +16,11 @@ the one place an event is kept: keep-all here, a retention policy in
 events classified once, from :meth:`TraceRecorder.index`; one of them,
 :func:`check_vocabulary`, holds a run to the closed vocabularies.
 
-Tracing is strictly opt-in: a system starts with ``system.obs is None``
-and every instrumentation site guards on that, so the disabled cost is
-one attribute load per site.  Attach with
+Each hook point is an ``obs`` slot -- ``system.obs``, ``executor.obs``,
+``device.obs`` -- that :meth:`TraceRecorder.attach` sets and
+:meth:`TraceRecorder.detach` clears.  Tracing is strictly opt-in: every
+slot starts as None and every instrumentation site guards on that, so
+the disabled cost is one attribute load per site.  Attach with
 ``system.attach_tracing()`` / detach with ``system.detach_tracing()``.
 """
 
@@ -184,25 +186,41 @@ class TraceRecorder:
         """Wire this recorder into ``system``'s hook points."""
         if self._system is not None:
             raise RuntimeError("recorder is already attached")
-        if system.obs is not None:
-            raise RuntimeError("system already has a recorder attached")
-        self._system = system
-        system.obs = self
-        for device in system.devices():
-            device.obs = self
-        system.executor.add_submit_listener(self._on_submit)
+        self._hook(system)
         return self
 
     def detach(self) -> None:
         """Unhook from the system; recorded events stay readable."""
+        if self._system is not None:
+            self._unhook()
+
+    def move(self, system) -> None:
+        """Re-hook this attached recorder onto ``system``, state kept.
+
+        A replica group's election calls it so the recorder follows the
+        new leader.  Nothing is finalised: events, counters and a live
+        recorder's open window carry over as if one machine had run
+        throughout.
+        """
+        self._unhook()
+        self._hook(system)
+
+    def _hook(self, system) -> None:
+        if system.obs is not None:
+            raise RuntimeError("system already has a recorder attached")
+        self._system = system
+        system.obs = self
+        system.executor.obs = self
+        for device in system.devices():
+            device.obs = self
+
+    def _unhook(self) -> None:
         system = self._system
-        if system is None:
-            return
         self._system = None
         system.obs = None
+        system.executor.obs = None
         for device in system.devices():
             device.obs = None
-        system.executor.remove_submit_listener(self._on_submit)
 
     @property
     def attached(self) -> bool:
@@ -275,7 +293,7 @@ class TraceRecorder:
     def _job_scope_changed(self, inside: bool) -> None:
         """Hook: the outermost :meth:`job_cost` scope was entered or left."""
 
-    def _on_submit(self, job, meta) -> None:
+    def on_submit(self, job, meta) -> None:
         """Executor hook: every background job becomes a worker-track span.
 
         The span's ``wait_s`` argument is how long the job sat queued

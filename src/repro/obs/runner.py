@@ -58,6 +58,7 @@ def run_traced(
         fill_seq,
         load_phase,
         read_random,
+        read_seq,
         run_workload,
     )
 
@@ -96,10 +97,12 @@ def run_traced(
                 )
         elif mode == "fillseq":
             fill_seq(store, n, value_size)
+            if reads > 0:
+                read_seq(store, min(reads, n), n)
         else:
             fill_random(store, n, value_size, seed=seed)
-        if ycsb_name is None and reads > 0:
-            read_random(store, min(reads, n), n, seed=seed + 1)
+            if reads > 0:
+                read_random(store, min(reads, n), n, seed=seed + 1)
         store.quiesce()
     finally:
         recorder.detach()

@@ -167,6 +167,9 @@ class ReplicaGroup:
         self._rr = 0
         #: The winner of the election job in flight, or None.
         self._election_member: Optional[Replica] = None
+        #: The last leader killed; an election moves the recorder it
+        #: carried (group tracing or a shard's live recorder) onward.
+        self._deposed: Optional[Replica] = None
         #: Causal replication tracing sink (a TraceRecorder), or None.
         #: Every emission site guards on this, so a group with tracing
         #: off pays one attribute load per site and never touches the
@@ -687,6 +690,7 @@ class ReplicaGroup:
             self._election_member = None
         if self.leader_idx == replica_id:
             self.leader_idx = None
+            self._deposed = member
             member.role = ROLE_FOLLOWER
         if self.leader_idx is None:
             self._maybe_elect()
@@ -766,11 +770,11 @@ class ReplicaGroup:
                     },
                     parent=elect_span,
                 )
-            if self.obs is not None and self.obs.attached:
+            recorder = self._deposed.system.obs
+            if recorder is not None:
                 # The recorder follows the leader, or every op span,
                 # stall and transfer after the election goes unrecorded.
-                self.obs.detach()
-                self.obs.attach(winner.system)
+                recorder.move(winner.system)
             if self.shard is not None:
                 self.shard.store = winner.store
                 self.shard.system = winner.system

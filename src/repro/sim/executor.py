@@ -82,7 +82,10 @@ class Executor:
         self._heap: List = []
         self._tiebreak = itertools.count()
         self._workers = {}
-        self._submit_listeners: List[Callable] = []
+        #: The attached trace recorder, or None: told of every submitted
+        #: job (``obs.on_submit(job, meta)``) with its precomputed start
+        #: and end times.  It must not mutate the job.
+        self.obs = None
 
     def worker(self, name: str) -> Worker:
         """Return the named worker, creating it on first use."""
@@ -97,19 +100,6 @@ class Executor:
         """All workers created so far, in creation order."""
         return list(self._workers.values())
 
-    def add_submit_listener(self, listener: Callable) -> None:
-        """Register ``listener(job, meta)``, called once per submitted job.
-
-        This is the supported way to observe background work (tracing,
-        accounting): listeners see every job with its precomputed start
-        and end times.  They must not mutate the job.
-        """
-        self._submit_listeners.append(listener)
-
-    def remove_submit_listener(self, listener: Callable) -> None:
-        """Unregister a listener added with :meth:`add_submit_listener`."""
-        self._submit_listeners.remove(listener)
-
     def submit(
         self,
         worker: Worker,
@@ -123,7 +113,7 @@ class Executor:
         The job starts when the worker is free (but never before the
         current simulated time) and its callback fires when the
         simulation settles past its end time.
-        ``meta`` is opaque annotation passed through to submit listeners
+        ``meta`` is opaque annotation passed through to :attr:`obs`
         (e.g. the trace category and byte counts of a flush).
         """
         if duration < 0:
@@ -135,9 +125,9 @@ class Executor:
         worker.jobs_run += 1
         job = Job(name, worker, start, end, callback, submitted_at=now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))
-        if self._submit_listeners:
-            for listener in list(self._submit_listeners):
-                listener(job, meta)
+        obs = self.obs
+        if obs is not None:
+            obs.on_submit(job, meta)
         return job
 
     def settle(self) -> int:

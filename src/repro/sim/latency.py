@@ -90,9 +90,6 @@ class LatencyRecorder:
 
     def __init__(self) -> None:
         self._columns: Dict[str, Tuple[array, array]] = {}
-        # Per-kind cursors for :meth:`window_snapshot`: index of the first
-        # sample not yet consumed by a resetting snapshot.
-        self._window_start: Dict[str, int] = {}
 
     def _kind_columns(self, kind: str) -> Tuple[array, array]:
         columns = self._columns.get(kind)
@@ -191,24 +188,6 @@ class LatencyRecorder:
     def summary(self, kind: Optional[str] = None) -> LatencySummary:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
         return _summarise(self.latencies(kind))
-
-    def window_snapshot(self, reset: bool = False) -> LatencySummary:
-        """Summary of the samples recorded since the last resetting snapshot.
-
-        Rolling-window consumers (the live telemetry plane's windowed
-        aggregation) call this once per tick.  Only the samples recorded
-        after the previous ``reset=True`` call are summarised, pooled
-        over every kind via a per-kind cursor -- no per-tick copy of the
-        full sample history.  With ``reset=False`` the window is peeked
-        without consuming it; with ``reset=True`` every cursor advances
-        so the next snapshot starts fresh.
-        """
-        values: List[float] = []
-        for kind, (__, lats) in self._columns.items():
-            values.extend(lats[self._window_start.get(kind, 0):])
-            if reset:
-                self._window_start[kind] = len(lats)
-        return _summarise(values)
 
     def merge_from(self, other: "LatencyRecorder") -> None:
         """Absorb all samples from ``other``."""

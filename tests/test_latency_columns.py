@@ -30,9 +30,6 @@ class TupleListRecorder:
 
     def __init__(self) -> None:
         self._samples: Dict[str, List[Tuple[float, float]]] = {}
-        # Per-kind cursors for :meth:`window_snapshot`: index of the first
-        # sample not yet consumed by a resetting snapshot.
-        self._window_start: Dict[str, int] = {}
 
     def record(self, kind: str, at_time: float, latency: float) -> None:
         """Record one operation of ``kind`` finishing at ``at_time``."""
@@ -103,47 +100,6 @@ class TupleListRecorder:
             max_=values[-1],
         )
 
-    def window_snapshot(
-        self, kind: Optional[str] = None, reset: bool = False
-    ) -> LatencySummary:
-        """Summary of the samples recorded since the last resetting snapshot.
-
-        Rolling-window consumers (the live telemetry plane's windowed
-        aggregation) call this once per tick.  Only the samples recorded
-        after the previous ``reset=True`` call are summarised, via a
-        per-kind cursor -- no per-tick copy of the full sample history.
-        With ``reset=False`` the window is peeked without consuming it;
-        with ``reset=True`` the cursor advances so the next snapshot
-        starts fresh.  ``kind=None`` pools every kind (and resets every
-        cursor when asked to).
-        """
-        if kind is not None:
-            kinds = (kind,)
-        else:
-            kinds = tuple(self._samples)
-        values: List[float] = []
-        for k in kinds:
-            rows = self._samples.get(k)
-            if not rows:
-                continue
-            start = self._window_start.get(k, 0)
-            values.extend(lat for __, lat in rows[start:])
-            if reset:
-                self._window_start[k] = len(rows)
-        if not values:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        values.sort()
-        mean = sum(values) / len(values)
-        return LatencySummary(
-            count=len(values),
-            mean=mean,
-            p50=percentile(values, 50),
-            p90=percentile(values, 90),
-            p99=percentile(values, 99),
-            p999=percentile(values, 99.9),
-            max_=values[-1],
-        )
-
     def merge_from(self, other: "TupleListRecorder") -> None:
         """Absorb all samples from ``other``."""
         for kind, rows in other._samples.items():
@@ -201,7 +157,6 @@ OPS = st.one_of(
     st.tuples(st.just("percentile"), SLOT, MAYBE_KIND, st.sampled_from(
         [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])),
     st.tuples(st.just("summary"), SLOT, MAYBE_KIND),
-    st.tuples(st.just("window_snapshot"), SLOT, st.booleans()),
     st.tuples(st.just("merge_from"), SLOT),
 )
 
@@ -227,9 +182,6 @@ def apply(op, new, old):
         return a.samples_since(op[2], op[3]), b.samples_since(op[2], op[3])
     if name == "percentile":
         return a.percentile(op[3], op[2]), b.percentile(op[3], op[2])
-    if name == "window_snapshot":
-        # The columns pool every kind; the reference's kind=None does.
-        return a.window_snapshot(op[2]), b.window_snapshot(None, op[2])
     assert name == "merge_from"
     return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
 

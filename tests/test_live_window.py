@@ -17,9 +17,9 @@ pytestmark = pytest.mark.obs_live
 LIVE = {"seed": 1, "stall_alert_s": 1e-5, "slo_threshold_s": 5e-6}
 
 
-def _fill(system, t0, n, kind="put", lat=1e-6, step=1e-5):
-    for i in range(n):
-        system.latency.record(kind, t0 + i * step, lat)
+def _fill(wa, n, lat=1e-6):
+    """``n`` op spans of latency ``lat`` land in ``wa``'s open window."""
+    wa.latencies.extend([lat] * n)
 
 
 # --------------------------------------------------------------- aggregation
@@ -27,10 +27,10 @@ def _fill(system, t0, n, kind="put", lat=1e-6, step=1e-5):
 
 def test_windows_align_to_multiples_of_window_size():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system)
-    _fill(system, 0.0, 10)
-    assert wa.maybe_tick(9e-4) is False  # edge not crossed yet
-    assert wa.maybe_tick(1e-3) is True
+    wa = WindowAggregator(None)
+    _fill(wa, 10)
+    assert wa.maybe_tick(9e-4, system) is None  # edge not crossed yet
+    assert wa.maybe_tick(1e-3, system) == (1e-3, 10, 0)
     row = wa.rows[-1]
     assert row["t_s"] == 1e-3
     assert row["ops"] == 10
@@ -38,14 +38,29 @@ def test_windows_align_to_multiples_of_window_size():
     assert row["p50_us"] == pytest.approx(1.0)
 
 
+def test_window_percentiles_are_nearest_rank_over_the_window():
+    from repro.sim.latency import percentile
+
+    system = HybridMemorySystem()
+    wa = WindowAggregator(None)
+    lats = [(i * 37 % 101 + 1) * 1e-7 for i in range(101)]
+    wa.latencies.extend(lats)
+    wa.maybe_tick(1e-3, system)
+    ranked = sorted(lats)
+    row = wa.rows[-1]
+    assert row["p50_us"] == percentile(ranked, 50) * 1e6
+    assert row["p99_us"] == percentile(ranked, 99) * 1e6
+    assert wa.latencies == []  # the next window starts empty
+
+
 def test_empty_windows_produce_no_rows():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system)
-    _fill(system, 0.0, 4)
-    assert wa.maybe_tick(1e-3)
+    wa = WindowAggregator(None)
+    _fill(wa, 4)
+    assert wa.maybe_tick(1e-3, system)
     # A long idle stretch then one op: exactly one more row, no zeros.
-    _fill(system, 7e-3, 1)
-    assert wa.maybe_tick(8e-3)
+    _fill(wa, 1)
+    assert wa.maybe_tick(8e-3, system)
     assert len(wa.rows) == 2
     assert wa.rows[-1]["ops"] == 1
     assert wa.next_edge == pytest.approx(9e-3)
@@ -53,22 +68,22 @@ def test_empty_windows_produce_no_rows():
 
 def test_finalize_flushes_the_partial_window():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system)
-    _fill(system, 0.0, 3)
-    wa.finalize(4.5e-4)
+    wa = WindowAggregator(None)
+    _fill(wa, 3)
+    wa.close(4.5e-4, system)
     assert len(wa.rows) == 1
     assert wa.rows[0]["t_s"] == 4.5e-4
     assert wa.rows[0]["ops"] == 3
-    wa.finalize(5e-4)  # nothing new: no extra row
+    assert wa.close(5e-4, system) is None  # nothing new: no extra row
     assert len(wa.rows) == 1
 
 
 def test_row_cap_drops_oldest_and_counts():
     system = HybridMemorySystem()
-    wa = WindowAggregator(system)
+    wa = WindowAggregator(None)
     for i in range(MAX_ROWS + 2):
-        _fill(system, i * 1e-3, 1)
-        wa.maybe_tick((i + 1.5) * 1e-3)  # mid-window: one edge per tick
+        _fill(wa, 1)
+        wa.maybe_tick((i + 1.5) * 1e-3, system)  # mid-window: one edge per tick
     assert len(wa.rows) == MAX_ROWS == 4096
     assert wa.dropped_rows == 2
     assert wa.rows[0]["t_s"] == pytest.approx(3e-3)
@@ -87,15 +102,21 @@ def test_window_counters_count_every_closed_window(monkeypatch):
 
 
 def test_window_listener_receives_bad_counts():
+    # The recorder hands each closed window's op and SLO-bad counts to
+    # the flight recorder's burn-rate rule; bad means over the threshold.
     system = HybridMemorySystem()
-    wa = WindowAggregator(system)
+    rec = system.attach_live(slo_threshold_s=5e-6)
     seen = []
-    wa.set_window_listener(lambda t_s, ops, bad: seen.append((t_s, ops, bad)))
-    _fill(system, 0.0, 5)
-    wa.bad_in_window = 2  # maintained by the recorder in production
-    wa.maybe_tick(1e-3)
-    assert seen == [(1e-3, 5, 2)]
-    assert wa.bad_in_window == 0  # consumed at tick
+    rec.flight.on_window = lambda t_s, ops, bad: seen.append((t_s, ops, bad))
+    start = system.clock.now
+    for lat in (1e-6, 6e-6, 4e-6, 9e-6, 2e-6):
+        system.clock.advance(lat)
+        rec.span("foreground", "put", "op", system.clock.now - lat, system.clock.now)
+    system.clock.advance(1e-3 - (system.clock.now - start))
+    rec.span("foreground", "put", "op", system.clock.now - 1e-6, system.clock.now)
+    assert seen == [(1e-3, 6, 2)]
+    rec.detach()  # the open (empty) window closes no row
+    assert seen == [(1e-3, 6, 2)]
 
 
 # --------------------------------------------------------------- openmetrics

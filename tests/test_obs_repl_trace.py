@@ -343,6 +343,45 @@ def test_shard_recorder_follows_the_leader_across_failover():
     assert shard.system.obs is None and not recorder.attached
 
 
+def test_live_recorder_follows_the_leader_across_failover():
+    """A shard's live recorder moves with the election too: it keeps
+    counting on the new leader, closes no window early, and writes its
+    ``live.*`` stats once, at the final detach."""
+    from repro.cluster import Cluster, ShardRouter
+    from repro.obs.live.window import WINDOW_S
+
+    cluster = Cluster(
+        "miodb", n_shards=1, scale=SCALE,
+        replication=ReplicationConfig(followers=2),
+    )
+    router = ShardRouter(cluster)
+    (recorder,) = cluster.attach_live(seed=1)
+    for i in range(200):
+        router.put(key_for(i), SizedValue(i, 256))
+    group = cluster.groups[0]
+    old = group.leader.system
+    group.crash_replica(group.leader_idx)
+    for i in range(200, 400):
+        router.put(key_for(i), SizedValue(i, 256))
+    shard = cluster.shards[0]
+    assert shard.system is group.leader.system
+    assert shard.system is not old
+    assert shard.system.obs is recorder and old.obs is None
+    assert recorder.sampling_meta()["ops_seen"] == 400
+    cluster.detach_tracing()
+    assert not recorder.attached
+    rows = recorder.window.rows
+    assert len(rows) > 1 and sum(row["ops"] for row in rows) == 400
+    # Only the final detach closes a partial window: every earlier row
+    # ends on a window edge, none at the election.
+    for row in rows[:-1]:
+        edges = row["t_s"] / WINDOW_S
+        assert edges == pytest.approx(round(edges), abs=1e-6)
+    assert old.stats.get("live.ops_seen") == 0
+    assert shard.system.stats.get("live.ops_seen") == 400
+    assert shard.system.stats.get("live.windows") == len(rows)
+
+
 # -------------------------------------------------------------- strict vocab
 
 

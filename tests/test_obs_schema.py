@@ -73,6 +73,25 @@ def test_every_store_emits_op_spans_with_monotone_timestamps(name):
             assert event.ts + event.dur <= horizon + 1e-12
 
 
+@pytest.mark.parametrize(
+    "mode, reader", [("fillseq", "read_seq"), ("fillrandom", "read_random")]
+)
+def test_trace_mode_reads_in_its_fill_order(mode, reader, monkeypatch):
+    # ``fillseq`` reads sequentially, as ``repro dbbench --mode fillseq``
+    # does; ``fillrandom`` reads random keys.
+    import repro.workloads as workloads
+
+    calls = []
+    for name in ("read_seq", "read_random"):
+        def spy(*args, _name=name, _real=getattr(workloads, name), **kwargs):
+            calls.append((_name, args[1:]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(workloads, name, spy)
+    run_traced("miodb", n=128, reads=32, mode=mode)
+    assert calls == [(reader, (32, 128))]
+
+
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_transfers_carry_byte_counts_per_device(name):
     __, system, recorder = _traced(name)

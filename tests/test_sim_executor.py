@@ -189,12 +189,36 @@ def test_worker_accounting(executor):
 
 
 def test_submit_listeners_receive_meta(executor):
-    seen = []
-    listener = lambda job, meta: seen.append((job.name, meta))  # noqa: E731
-    executor.add_submit_listener(listener)
+    # The executor's one hook is its ``obs`` slot: whatever sits there
+    # hears of every submitted job with its meta, nothing once cleared.
+    class Obs:
+        def __init__(self):
+            self.seen = []
+
+        def on_submit(self, job, meta):
+            self.seen.append((job.name, job.start, job.end, meta))
+
+    assert executor.obs is None
+    obs = executor.obs = Obs()
     worker = executor.worker("w")
     executor.submit(worker, 1.0, name="a", meta={"cat": "flush", "bytes": 7})
     executor.submit(worker, 1.0, name="b")
-    executor.remove_submit_listener(listener)
+    executor.obs = None
     executor.submit(worker, 1.0, name="c")
-    assert seen == [("a", {"cat": "flush", "bytes": 7}), ("b", None)]
+    assert obs.seen == [
+        ("a", 0.0, 1.0, {"cat": "flush", "bytes": 7}),
+        ("b", 1.0, 2.0, None),
+    ]
+
+
+def test_trace_recorder_sets_and_clears_the_executor_slot():
+    from repro.mem.system import HybridMemorySystem
+
+    system = HybridMemorySystem()
+    recorder = system.attach_tracing()
+    assert system.executor.obs is recorder
+    system.executor.submit(system.executor.worker("w"), 1e-6, name="j")
+    recorder.detach()
+    assert system.executor.obs is None
+    system.executor.submit(system.executor.worker("w"), 1e-6, name="k")
+    assert [event.name for event in recorder.worker_spans()] == ["j"]

@@ -154,67 +154,3 @@ def test_merge_keeps_kinds_separate():
     assert merged.kinds() == ["get", "put"]
     assert merged.count("get") == 1
     assert merged.count("put") == 1
-
-
-def test_window_snapshot_peek_does_not_consume():
-    rec = LatencyRecorder()
-    for i in range(10):
-        rec.record("put", i * 1e-4, (i + 1) * 1e-6)
-    peek = rec.window_snapshot()
-    assert peek.count == 10
-    again = rec.window_snapshot()
-    assert again.count == 10
-    assert again.p50 == peek.p50
-
-
-def test_window_snapshot_reset_advances_the_cursor():
-    rec = LatencyRecorder()
-    for i in range(4):
-        rec.record("put", i * 1e-4, 1e-6)
-    first = rec.window_snapshot(reset=True)
-    assert first.count == 4
-    assert rec.window_snapshot().count == 0
-    rec.record("put", 1.0, 5e-6)
-    second = rec.window_snapshot(reset=True)
-    assert second.count == 1
-    assert second.p50 == 5e-6
-    assert second.max == 5e-6
-
-
-def test_window_snapshot_per_kind_cursors_are_independent():
-    rec = LatencyRecorder()
-    rec.record("put", 0.0, 1e-6)
-    assert rec.window_snapshot(reset=True).count == 1
-    # "get" first appears after "put"'s cursor moved: its own starts at 0.
-    rec.record("get", 0.0, 3e-6)
-    rec.record("put", 1.0, 2e-6)
-    pooled = rec.window_snapshot(reset=True)
-    assert pooled.count == 2  # the new "put" and the whole of "get"
-    assert (pooled.p50, pooled.max) == (2e-6, 3e-6)
-    assert rec.window_snapshot().count == 0
-
-
-def test_window_snapshot_empty_recorder_is_a_zero_summary():
-    rec = LatencyRecorder()
-    snap = rec.window_snapshot()
-    assert snap.count == 0
-    assert snap.mean == snap.p50 == snap.p99 == snap.max == 0.0
-
-
-def test_window_snapshot_matches_summary_over_the_same_samples():
-    from repro.sim.rng import XorShiftRng
-
-    rng = XorShiftRng(9)
-    rec = LatencyRecorder()
-    rec.record("put", 0.0, 1e-3)  # consumed before the window under test
-    rec.window_snapshot(reset=True)
-    control = LatencyRecorder()
-    for i in range(200):
-        sample = (rng.next_below(1000) + 1) * 1e-7
-        rec.record("put", i * 1e-4, sample)
-        control.record("put", i * 1e-4, sample)
-    got = rec.window_snapshot(reset=True)
-    want = control.summary("put")
-    assert got.count == want.count == 200
-    for attr in ("mean", "p50", "p90", "p99", "p999", "max"):
-        assert getattr(got, attr) == getattr(want, attr), attr
