@@ -76,7 +76,7 @@ class AdmissionControl:
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if defer_s <= 0:
+        if not defer_s > 0:  # NaN included
             raise ValueError(f"defer_s must be positive, got {defer_s}")
         self.max_queue_depth = max_queue_depth
         self.policy = policy

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.placement import make_placement
 from repro.kvstore.api import paged_items
 from repro.sim.clock import SimClock
+from repro.sim.executor import drain_all, settle_due
 from repro.sim.stats import StatsRegistry
 
 
@@ -81,12 +82,6 @@ class Shard:
         if self.group is not None:
             return self.group.items()
         return self.store.items()
-
-    def systems(self):
-        """Every live simulated machine behind this shard."""
-        if self.group is None:
-            return [self.system]
-        return [member.system for member in self.group.alive_members()]
 
     def __repr__(self) -> str:
         return f"Shard({self.shard_id}, {self.store.name})"
@@ -144,6 +139,14 @@ class Cluster:
             else:
                 shard = Shard(shard_id, *build())
             self.shards.append(shard)
+        #: Executor lists in settle order (shards in order, then members
+        #: in order): one list of every shard's executor, or each group's
+        #: own ``executors``, which the group updates when it restarts a
+        #: member.
+        if replication is None:
+            self._executor_lists = [[shard.system.executor for shard in self.shards]]
+        else:
+            self._executor_lists = [shard.group.executors for shard in self.shards]
 
     @property
     def n_shards(self) -> int:
@@ -154,44 +157,15 @@ class Cluster:
         """Per-shard replica groups (``None`` entries when unreplicated)."""
         return [shard.group for shard in self.shards]
 
-    def _systems(self):
-        """Every live simulated machine: shard systems, or -- with
-        replication on -- each live group member's own system."""
-        for shard in self.shards:
-            yield from shard.systems()
-
     def settle_all(self) -> None:
-        """Apply every shard's background effects due at the current time.
-
-        Skips each executor with nothing due (``Executor.settle``'s skip
-        rule); a replicated shard settles its live members through its
-        group.
-        """
-        clock = self.clock
-        for shard in self.shards:
-            group = shard.group
-            if group is None:
-                executor = shard.system.executor
-                heap = executor._heap
-                if heap and heap[0][0] <= clock._now:
-                    executor.settle()
-            else:
-                group.settle_members()
+        """Apply every shard's background effects due at the current time."""
+        for executors in self._executor_lists:
+            settle_due(executors)
 
     def quiesce(self) -> float:
-        """Drain background work on every shard; returns the final time.
-
-        Draining one shard advances the shared clock, which can make
-        another shard's jobs due; loop until every executor is idle.
-        """
-        while True:
-            pending = False
-            for system in self._systems():
-                if system.executor.pending:
-                    system.executor.drain()
-                    pending = True
-            if not pending:
-                return self.clock.now
+        """Drain background work on every shard; returns the final time."""
+        drain_all([e for executors in self._executor_lists for e in executors])
+        return self.clock.now
 
     def attach_tracing(self) -> List[object]:
         """Attach a fresh trace recorder to every shard.

@@ -17,6 +17,7 @@ from repro.kvstore.memtable import MemTable
 from repro.obs.events import CAT_COMPACT, CAT_FLUSH, STALL_MEMTABLE_FULL
 from repro.persist.crash import PASSIVE_INJECTOR
 from repro.persist.wal import WriteAheadLog
+from repro.sim.executor import advance
 from repro.sim.rng import XorShiftRng
 
 
@@ -116,15 +117,12 @@ class BufferedStore(KVStore):
         background completion.
         """
         clock = self.system.clock
-        executor = self.system.executor
+        executors = (self.system.executor,)
         while blocked():
             kick()
-            deadline = executor.next_completion()
-            if deadline is None:
-                raise RuntimeError(f"{cause}: blocked with no background work pending")
             before = clock.now
-            clock.advance_to(deadline)
-            executor.settle()
+            if not advance(executors):
+                raise RuntimeError(f"{cause}: blocked with no background work pending")
             self._stall_wait(cause, clock.now - before)
 
     # ---------------------------------------------------------- flush plumbing

@@ -14,15 +14,14 @@ simulated clock, so the alert log is a pure function of the workload:
 replaying the same seed yields a byte-identical log.
 
 :func:`rolling_series` additionally samples rolling-window p99 and
-throughput on a fixed grid (the ``repro slo`` report body); empty
-windows report ``None`` percentiles via
-:meth:`LatencyRecorder.percentile`.
+throughput on a fixed grid (the ``repro slo`` report body); an empty
+window reports a ``None`` percentile (no data is not a zero latency).
 """
 
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.latency import LatencyRecorder
+from repro.sim.latency import percentile
 
 Sample = Tuple[float, float]  # (completion time, measured latency seconds)
 
@@ -31,7 +30,7 @@ class SloObjective:
     """``target`` of ops must complete within ``threshold_s``."""
 
     def __init__(self, name: str, threshold_s: float, target: float = 0.999):
-        if threshold_s <= 0:
+        if not threshold_s > 0:  # NaN included
             raise ValueError(f"threshold_s must be positive, got {threshold_s}")
         if not 0.0 < target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {target}")
@@ -59,7 +58,7 @@ class BurnRateRule:
             raise ValueError(
                 f"need 0 < short_s <= long_s, got {short_s}, {long_s}"
             )
-        if factor <= 0:
+        if not factor > 0:  # NaN included
             raise ValueError(f"factor must be positive, got {factor}")
         self.short_s = short_s
         self.long_s = long_s
@@ -166,7 +165,7 @@ def rolling_series(
     undershoots it are listed as breaches (skipping the leading
     partial-window rows before the first sample).
     """
-    if window_s <= 0:
+    if not window_s > 0:  # NaN included
         raise ValueError(f"window_s must be positive, got {window_s}")
     bins, p = SERIES_BINS, SERIES_PERCENTILE
     times = [t for t, __ in samples]
@@ -176,17 +175,14 @@ def rolling_series(
         edge = end_s * i / bins
         left = bisect.bisect_right(times, edge - window_s)
         right = bisect.bisect_right(times, edge)
-        window = LatencyRecorder()
-        for t, latency in samples[left:right]:
-            window.record("op", t, latency)
         count = right - left
         kiops = count / window_s / 1e3
-        pctl = window.percentile(p, kind="op")
+        window = sorted(latency for __, latency in samples[left:right])
         row: Dict[str, object] = {
             "t_s": edge,
             "count": count,
             "kiops": kiops,
-            f"p{p:g}_us": None if pctl is None else pctl * 1e6,
+            f"p{p:g}_us": percentile(window, p) * 1e6 if window else None,
         }
         rows.append(row)
         if (

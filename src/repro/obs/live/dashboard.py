@@ -106,7 +106,7 @@ class LiveDashboard:
         sink=None,
         groups: Optional[Sequence[object]] = None,
     ) -> None:
-        if refresh_s <= 0:
+        if not refresh_s > 0:  # NaN included
             raise ValueError(f"refresh_s must be positive, got {refresh_s}")
         self.groups = list(groups) if groups is not None else None
         self.recorders = list(recorders)

@@ -35,8 +35,7 @@ FLIGHT_SCHEMA = "repro-flight-v1"
 TRIGGER_STALL = "stall-alert"
 TRIGGER_DROPS = "drop-burst"
 TRIGGER_SLO = "slo-burn"
-TRIGGER_MANUAL = "manual"
-TRIGGERS = (TRIGGER_STALL, TRIGGER_DROPS, TRIGGER_SLO, TRIGGER_MANUAL)
+TRIGGERS = (TRIGGER_STALL, TRIGGER_DROPS, TRIGGER_SLO)
 
 #: Ring entries kept, and dump documents kept per recorder.
 FLIGHT_CAPACITY = 4096
@@ -214,15 +213,6 @@ class FlightRecorder:
         if len(self.dumps) >= MAX_DUMPS:
             return
         self.dumps.append(self._dump_doc(name, at_s, detail))
-
-    # repro: allow[DEAD001] the producer of the closed vocabulary's manual trigger
-    def dump_now(self, at_s: float) -> dict:
-        """Force a dump of the current ring (e.g. at end of run)."""
-        self.trigger_counts[TRIGGER_MANUAL] += 1
-        doc = self._dump_doc(TRIGGER_MANUAL, at_s, {})
-        if len(self.dumps) < MAX_DUMPS:
-            self.dumps.append(doc)
-        return doc
 
     def _dump_doc(self, trigger: str, at_s: float, detail: dict) -> dict:
         doc = {

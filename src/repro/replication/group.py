@@ -53,6 +53,7 @@ from repro.replication.config import (
     READ_LEADER,
     ReplicationConfig,
 )
+from repro.sim.executor import advance, drain_all, settle_due
 from repro.sim.stats import StatsRegistry
 
 ROLE_LEADER = "leader"
@@ -182,6 +183,11 @@ class ReplicaGroup:
         for rid in range(self.config.group_size):
             self.members.append(self._make_member(rid))
         self.members[0].role = ROLE_LEADER
+        #: Every member's executor, in member order, for the shared-clock
+        #: functions of ``repro.sim.executor``.  A dead member stays
+        #: listed: its crash emptied its executor and nothing submits to
+        #: it again, so it is never due.  Only a restart changes the list.
+        self.executors = [member.system.executor for member in self.members]
 
     # ------------------------------------------------------------ building
 
@@ -302,47 +308,15 @@ class ReplicaGroup:
 
     # ------------------------------------------------------------- plumbing
 
-    def settle_members(self) -> None:
-        """Apply every live member's background effects due now,
-        skipping executors with nothing due (``Executor.settle``)."""
-        clock = self.clock
-        for member in self.members:
-            if member.alive:
-                executor = member.system.executor
-                heap = executor._heap
-                if heap and heap[0][0] <= clock._now:
-                    executor.settle()
-
-    def _next_completion(self) -> Optional[float]:
-        deadline = None
-        for member in self.members:
-            if not member.alive:
-                continue
-            executor = member.system.executor
-            heap = executor._heap
-            if not heap:
-                continue
-            head = heap[0]
-            # A cancelled head goes through next_completion(), which
-            # pops it (lazy deletion) and peeks at the next live job.
-            end = head[0] if not head[2].cancelled else executor.next_completion()
-            if end is not None and (deadline is None or end < deadline):
-                deadline = end
-        return deadline
-
     def _advance_once(self, context: str) -> None:
         """Advance the shared clock to the next member completion."""
-        deadline = self._next_completion()
-        if deadline is None:
+        if not advance(self.executors):
             self._pump_all()
-            deadline = self._next_completion()
-        if deadline is None:
-            raise RuntimeError(
-                f"replica group {self.group_id} stalled while {context}: "
-                "no pending work on any live member"
-            )
-        self.clock.advance_to(deadline)
-        self.settle_members()
+            if not advance(self.executors):
+                raise RuntimeError(
+                    f"replica group {self.group_id} stalled while {context}: "
+                    "no pending work on any live member"
+                )
 
     def _await_leader(self) -> Replica:
         """Block (advance simulated time) until a leader is up; returns it."""
@@ -364,7 +338,7 @@ class ReplicaGroup:
         return self._write("delete", key, None, session)
 
     def _write(self, kind: str, key: bytes, value, session) -> float:
-        self.settle_members()
+        settle_due(self.executors)
         leader = self._await_leader()
         self.crash.reach("repl.put")
         if kind == "put":
@@ -620,7 +594,7 @@ class ReplicaGroup:
         self, key: bytes, session: Optional[Session] = None
     ) -> Tuple[Optional[object], float]:
         """Policy-routed lookup; returns ``(value_or_None, latency)``."""
-        self.settle_members()
+        settle_due(self.executors)
         policy = self.config.read_policy
         reader = None if policy == READ_LEADER else self._choose_follower()
         if (
@@ -648,11 +622,8 @@ class ReplicaGroup:
         start = self.clock.now
         while follower.alive and follower.applied_lsn < target:
             self._pump(follower)
-            deadline = self._next_completion()
-            if deadline is None:
+            if not advance(self.executors):
                 return False
-            self.clock.advance_to(deadline)
-            self.settle_members()
         if not follower.alive:
             return False
         waited = self.clock.now - start
@@ -662,7 +633,7 @@ class ReplicaGroup:
 
     def scan(self, start_key: bytes, count: int):
         """Range query on the leader (linearizable)."""
-        self.settle_members()
+        settle_due(self.executors)
         return self._await_leader().store.scan(start_key, count)
 
     # repro: allow[OPT001] same paging surface as KVStore.items, driven by tests/
@@ -685,8 +656,8 @@ class ReplicaGroup:
             "kill", {"replica": replica_id, "role": member.role}
         )
         if self._election_member is member:
-            # The winner died mid-election; the pending election job was
-            # cancelled with its executor.
+            # The winner died mid-election; its executor's reset dropped
+            # the pending election job.
             self._election_member = None
         if self.leader_idx == replica_id:
             self.leader_idx = None
@@ -824,6 +795,7 @@ class ReplicaGroup:
         if self.members[replica_id].alive:
             return
         member = self.members[replica_id] = self._make_member(replica_id)
+        self.executors[replica_id] = member.system.executor
         member.bootstrap_lsn = len(self.log)
         self.stats.add("repl.restarts", 1)
         self._note("restart", {"replica": replica_id})
@@ -843,14 +815,8 @@ class ReplicaGroup:
 
     def quiesce(self) -> float:
         """Drain background work on every live member."""
-        while True:
-            pending = False
-            for member in self.members:
-                if member.alive and member.system.executor.pending:
-                    member.system.executor.drain()
-                    pending = True
-            if not pending:
-                return self.clock.now
+        drain_all(self.executors)
+        return self.clock.now
 
     def snapshot(self) -> dict:
         """Deterministic metrics document for this group."""

@@ -27,7 +27,6 @@ class Job:
         "submitted_at",
         "_callback",
         "done",
-        "cancelled",
     )
 
     def __init__(
@@ -37,7 +36,7 @@ class Job:
         start: float,
         end: float,
         callback: Optional[Callable[[], None]],
-        submitted_at: Optional[float] = None,
+        submitted_at: float,
     ) -> None:
         self.name = name
         self.worker = worker
@@ -45,20 +44,17 @@ class Job:
         self.end = end
         #: Simulated time the job was submitted; ``start - submitted_at``
         #: is how long it queued behind its worker (tracing reports it).
-        self.submitted_at = start if submitted_at is None else submitted_at
+        self.submitted_at = submitted_at
         self._callback = callback
         self.done = False
-        self.cancelled = False
 
     def _complete(self) -> None:
-        if self.done or self.cancelled:
-            return
         self.done = True
         if self._callback is not None:
             self._callback()
 
     def __repr__(self) -> str:
-        state = "done" if self.done else ("cancelled" if self.cancelled else "pending")
+        state = "done" if self.done else "pending"
         return f"Job({self.name!r}, [{self.start:.6f}, {self.end:.6f}], {state})"
 
 
@@ -123,7 +119,7 @@ class Executor:
         end = start + duration
         worker.busy_until = end
         worker.jobs_run += 1
-        job = Job(name, worker, start, end, callback, submitted_at=now)
+        job = Job(name, worker, start, end, callback, now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))
         obs = self.obs
         if obs is not None:
@@ -147,10 +143,7 @@ class Executor:
         horizon = self.clock._now
         applied = 0
         while self._heap and self._heap[0][0] <= horizon:
-            __, __, job = heapq.heappop(self._heap)
-            if job.cancelled:
-                continue
-            job._complete()
+            heapq.heappop(self._heap)[2]._complete()
             applied += 1
         return applied
 
@@ -182,38 +175,75 @@ class Executor:
     def crash_reset(self) -> int:
         """Drop all pending jobs and free the workers (simulated reboot).
 
-        Pending callbacks belong to the crashed process; recovery code
-        rebuilds state from persistent structures instead.  Returns the
-        number of jobs cancelled.
+        Pending callbacks belong to the crashed process and never run;
+        recovery code rebuilds state from persistent structures instead.
+        Returns the number of jobs dropped.
         """
-        cancelled = 0
-        for __, __, job in self._heap:
-            if not job.done and not job.cancelled:
-                job.cancelled = True
-                cancelled += 1
+        dropped = len(self._heap)
         self._heap.clear()
         for worker in self._workers.values():
             worker.busy_until = self.clock.now
-        return cancelled
+        return dropped
 
     @property
     def pending(self) -> int:
         """Number of jobs whose effects have not yet been applied."""
-        return sum(1 for __, __, job in self._heap if not job.cancelled)
+        return len(self._heap)
 
     def next_completion(self) -> Optional[float]:
-        """End time of the earliest pending job, or ``None`` when idle.
-
-        Lazy deletion: cancelled jobs found at the heap top are popped
-        on the spot (their effects were already discarded), so the peek
-        is O(1) amortised rather than sorting the whole heap -- this
-        sits on the buffer-cap stall path, which calls it per stall.
-        """
+        """End time of the earliest pending job, or ``None`` when idle."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2].cancelled:
-                heapq.heappop(heap)
-                continue
-            return entry[0]
-        return None
+        return heap[0][0] if heap else None
+
+
+# ---------------------------------------------------------------------------
+# Machines on one clock.  A cluster or replica group runs one executor per
+# simulated machine, all sharing one clock; these three functions are the
+# only rules for driving them together.  Each takes the executors in a
+# fixed order (shards in order, then members in order) and visits them in
+# that order, which the pinned outputs depend on.
+
+
+def settle_due(executors) -> None:
+    """Settle every executor with a job due, in list order.
+
+    Applies :meth:`Executor.settle`'s skip rule, reading the shared
+    clock afresh per executor (an earlier callback may have moved it).
+    """
+    for executor in executors:
+        heap = executor._heap
+        if heap and heap[0][0] <= executor.clock._now:
+            executor.settle()
+
+
+def advance(executors) -> bool:
+    """Jump the shared clock to the earliest completion and settle.
+
+    Returns False, with the clock unmoved, when every executor is idle.
+    """
+    deadline = None
+    for executor in executors:
+        heap = executor._heap
+        if heap and (deadline is None or heap[0][0] < deadline):
+            deadline = heap[0][0]
+    if deadline is None:
+        return False
+    executors[0].clock.advance_to(deadline)
+    settle_due(executors)
+    return True
+
+
+def drain_all(executors) -> None:
+    """Drain each busy executor in turn until a whole pass finds all idle.
+
+    One executor is drained fully before the next is looked at; draining
+    it advances the shared clock, and its callbacks may give an executor
+    already passed new work, hence the repeated passes.
+    """
+    busy = True
+    while busy:
+        busy = False
+        for executor in executors:
+            if executor._heap:
+                executor.drain()
+                busy = True

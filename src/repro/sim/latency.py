@@ -167,24 +167,6 @@ class LatencyRecorder:
             values.extend(lats)
         return values
 
-    def percentile(self, q: float, kind: Optional[str] = None) -> Optional[float]:
-        """Nearest-rank ``q``-th percentile for ``kind`` (or all kinds).
-
-        Unlike the module-level :func:`percentile` (which reports 0.0
-        for an empty sequence), the edge cases that rolling SLO windows
-        hit routinely are made explicit: an empty recorder returns
-        ``None`` (no data is not the same as a zero latency), and a
-        single-sample recorder returns that sample for every ``q``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile out of range: {q}")
-        values = self.latencies(kind)
-        if not values:
-            return None
-        if len(values) == 1:
-            return values[0]
-        return percentile(sorted(values), q)
-
     def summary(self, kind: Optional[str] = None) -> LatencySummary:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
         return _summarise(self.latencies(kind))

@@ -15,8 +15,9 @@ pytestmark = pytest.mark.obs_smoke
 
 
 def test_objective_and_rule_validation():
-    with pytest.raises(ValueError):
-        SloObjective("x", threshold_s=0.0)
+    for threshold_s in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold_s"):
+            SloObjective("x", threshold_s=threshold_s)
     with pytest.raises(ValueError):
         SloObjective("x", threshold_s=1e-6, target=1.0)
     with pytest.raises(ValueError):
@@ -25,8 +26,9 @@ def test_objective_and_rule_validation():
         BurnRateRule(short_s=2.0, long_s=1.0, factor=1.0)
     with pytest.raises(ValueError):
         BurnRateRule(short_s=0.0, long_s=1.0, factor=1.0)
-    with pytest.raises(ValueError):
-        BurnRateRule(short_s=1.0, long_s=1.0, factor=0.0)
+    for factor in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="factor"):
+            BurnRateRule(short_s=1.0, long_s=1.0, factor=factor)
     with pytest.raises(ValueError):
         SloMonitor(SloObjective("x", 1e-6), [])
     assert SloObjective("x", 1e-6, target=0.99).error_budget == pytest.approx(0.01)
@@ -98,6 +100,10 @@ def test_rolling_series_empty_windows_report_none():
     assert all(row["p99_us"] is None for row in series["rows"])
     assert all(row["count"] == 0 for row in series["rows"])
     assert series["throughput_breaches"] == []
+    # Windows that hold no sample report None, not a zero latency,
+    # even once samples exist elsewhere on the grid.
+    series = rolling_series([(0.95, 3e-6)], end_s=1.0, window_s=0.1)
+    assert [row["p99_us"] for row in series["rows"][:19]] == [None] * 19
 
 
 def test_rolling_series_counts_and_percentiles():
@@ -108,6 +114,10 @@ def test_rolling_series_counts_and_percentiles():
     assert by_t[0.5]["count"] == 25  # samples in (0.25, 0.5]
     assert by_t[1.0]["count"] == 25
     assert by_t[1.0]["p99_us"] == pytest.approx(1e-4 * 100 * 1e6)  # nearest rank of 25
+    # A one-sample window reports that sample.
+    series = rolling_series([(0.95, 3e-6)], end_s=1.0, window_s=0.1)
+    assert series["rows"][-1]["count"] == 1
+    assert series["rows"][-1]["p99_us"] == pytest.approx(3.0)
 
 
 def test_rolling_series_flags_throughput_breaches():
@@ -120,5 +130,6 @@ def test_rolling_series_flags_throughput_breaches():
 
 
 def test_rolling_series_validation():
-    with pytest.raises(ValueError):
-        rolling_series([], end_s=1.0, window_s=0.0)
+    for window_s in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="window_s"):
+            rolling_series([], end_s=1.0, window_s=window_s)

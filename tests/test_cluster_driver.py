@@ -66,6 +66,9 @@ def test_spec_and_admission_validation():
         AdmissionControl(policy="drop-all")
     with pytest.raises(ValueError):
         AdmissionControl(max_retries=-1)
+    for defer_s in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="defer_s"):
+            AdmissionControl(defer_s=defer_s)
     router = make_router(n_shards=2)
     with pytest.raises(ValueError, match="2 sessions for 1 clients"):
         run_cluster(router, [spec()], sessions=[None, None])

@@ -167,6 +167,31 @@ def test_router_blocks_through_pending_election():
         assert value is not None and value.tag == i, i
 
 
+@pytest.mark.parametrize("target", ["leader", "follower"])
+def test_dead_member_executor_stays_empty(target):
+    # The shared-clock loops visit a dead member's executor too; they
+    # rely on its crash having emptied it and on nothing submitting to
+    # it again while it is down.
+    router = make_replicated_router(n_shards=1)
+    group = router.cluster.groups[0]
+    for i in range(200):
+        router.put(key_for(i), SizedValue(i, 256))
+    victim = group.leader_idx if target == "leader" else 1
+    group.crash_replica(victim)
+    dead = group.members[victim].system.executor
+    submitted = sum(worker.jobs_run for worker in dead.workers)
+    assert dead.pending == 0
+    for i in range(200, 500):
+        router.put(key_for(i), SizedValue(i, 256))
+        router.get(key_for(i - 200))
+        assert dead.pending == 0, i
+    router.quiesce()
+    assert sum(worker.jobs_run for worker in dead.workers) == submitted
+    group.restart_replica(victim)
+    assert group.executors == [m.system.executor for m in group.members]
+    assert group.executors[victim] is not dead
+
+
 def _kill_below_majority(group):
     """Leave one alive member: below the quorum of 2, election blocked."""
     alive = [m.replica_id for m in group.alive_members()]

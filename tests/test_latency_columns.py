@@ -66,24 +66,6 @@ class TupleListRecorder:
             return [lat for __, lat in self._samples.get(kind, ())]
         return [lat for rows in self._samples.values() for __, lat in rows]
 
-    def percentile(self, q: float, kind: Optional[str] = None) -> Optional[float]:
-        """Nearest-rank ``q``-th percentile for ``kind`` (or all kinds).
-
-        Unlike the module-level :func:`percentile` (which reports 0.0
-        for an empty sequence), the edge cases that rolling SLO windows
-        hit routinely are made explicit: an empty recorder returns
-        ``None`` (no data is not the same as a zero latency), and a
-        single-sample recorder returns that sample for every ``q``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile out of range: {q}")
-        values = self.latencies(kind)
-        if not values:
-            return None
-        if len(values) == 1:
-            return values[0]
-        return percentile(sorted(values), q)
-
     def summary(self, kind: Optional[str] = None) -> LatencySummary:
         """Percentile summary for ``kind`` (or pooled across kinds)."""
         values = sorted(self.latencies(kind))
@@ -154,8 +136,6 @@ OPS = st.one_of(
     st.tuples(st.just("kinds"), SLOT),
     st.tuples(st.just("samples_since"), SLOT, KINDS, st.integers(0, 12)),
     st.tuples(st.just("latencies"), SLOT, MAYBE_KIND),
-    st.tuples(st.just("percentile"), SLOT, MAYBE_KIND, st.sampled_from(
-        [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])),
     st.tuples(st.just("summary"), SLOT, MAYBE_KIND),
     st.tuples(st.just("merge_from"), SLOT),
 )
@@ -180,8 +160,6 @@ def apply(op, new, old):
         return getattr(a, name)(op[2]), getattr(b, name)(op[2])
     if name == "samples_since":
         return a.samples_since(op[2], op[3]), b.samples_since(op[2], op[3])
-    if name == "percentile":
-        return a.percentile(op[3], op[2]), b.percentile(op[3], op[2])
     assert name == "merge_from"
     return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
 
@@ -211,10 +189,7 @@ def test_errors_are_the_same():
         recorder.record("get", 1.0, 2.0)
         with pytest.raises(ValueError):
             recorder.samples_since("get", -1)
-        with pytest.raises(ValueError):
-            recorder.percentile(100.5)
         assert recorder.samples_since("absent", 3) == []
-        assert recorder.percentile(50.0, "absent") is None
 
 
 def test_since_is_the_window_phase_used_to_build():

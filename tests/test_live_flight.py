@@ -13,7 +13,6 @@ from repro.obs.live.flight import (
     FLIGHT_SCHEMA,
     MAX_DUMPS,
     TRIGGER_DROPS,
-    TRIGGER_MANUAL,
     TRIGGER_SLO,
     TRIGGER_STALL,
 )
@@ -85,16 +84,6 @@ def test_dumps_are_capped_but_triggers_keep_counting():
     assert len(flight.dumps) == MAX_DUMPS == 4  # oldest kept
     assert [d["at_s"] for d in flight.dumps] == [0.0, 1.0, 2.0, 3.0]
     assert flight.trigger_counts[TRIGGER_STALL] == MAX_DUMPS + 3
-
-
-def test_manual_dump_always_returns_a_document():
-    flight = FlightRecorder(stall_alert_s=0.0)
-    for i in range(MAX_DUMPS):
-        flight.record(_stall(float(i), 1.0))
-    doc = flight.dump_now(9.0)
-    assert doc["trigger"] == TRIGGER_MANUAL
-    assert doc not in flight.dumps and len(flight.dumps) == MAX_DUMPS  # cap honoured
-    assert flight.trigger_counts[TRIGGER_MANUAL] == 1
 
 
 def test_seeded_slo_breach_dump_is_byte_identical_and_pinned(pin):

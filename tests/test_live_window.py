@@ -296,3 +296,6 @@ def test_dashboard_refresh_cadence():
     assert dash.maybe_refresh(2.5e-3) is True
     assert len(frames) == 2
     assert len(dash.frames) == 2
+    for refresh_s in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="refresh_s"):
+            LiveDashboard([rec], refresh_s=refresh_s)

@@ -28,6 +28,7 @@ from repro.obs.events import (
 )
 from repro.replication import ReplicationConfig
 from repro.replication.config import ELECTION_TIMEOUT_S
+from repro.sim.executor import settle_due
 from repro.workloads.keys import key_for
 from tests.support.groups import build_group
 
@@ -244,7 +245,7 @@ def test_leader_ack_failover_truncates_the_unshipped_log():
     for i in range(5):
         group.put(key_for(i), SizedValue(i, 256))
     group.crash_replica(group.leader_idx)
-    group.settle_members()
+    settle_due(group.executors)
     assert group.stats.get("repl.truncated_records") == 5
     assert group.stats.get("repl.acked_lost") == 5
     election = {e.name: e for e in recorder.events if e.cat == CAT_REPL_ELECTION}

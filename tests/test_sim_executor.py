@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.executor import Executor
+from repro.sim.executor import Executor, advance, drain_all
 
 
 @pytest.fixture
@@ -115,43 +115,10 @@ def test_next_completion(executor):
     assert executor.next_completion() == 2.5
 
 
-def test_next_completion_skips_cancelled_jobs_at_heap_top(executor):
-    doomed = executor.submit(executor.worker("a"), 1.0)
-    survivor = executor.submit(executor.worker("b"), 2.0)
-    doomed.cancelled = True
-    # The lazy-deletion peek must look past the cancelled entry at the
-    # top of the heap and report the first live completion.
-    assert executor.next_completion() == survivor.end
-    assert executor.pending == 1
-
-
-def test_next_completion_all_cancelled_is_idle(executor):
-    jobs = [executor.submit(executor.worker(f"w{i}"), float(i + 1)) for i in range(3)]
-    for job in jobs:
-        job.cancelled = True
-    assert executor.next_completion() is None
-    assert executor.pending == 0
-    # Lazily-popped cancelled jobs must never fire once time passes.
-    executor.clock.advance(10.0)
-    assert executor.settle() == 0
-
-
-def test_next_completion_pops_lazily_without_losing_live_jobs(executor):
-    fired = []
-    doomed = executor.submit(executor.worker("a"), 1.0, lambda: fired.append("doomed"))
-    executor.submit(executor.worker("b"), 2.0, lambda: fired.append("live"))
-    doomed.cancelled = True
-    executor.next_completion()  # pops the cancelled top entry
-    executor.clock.advance(5.0)
-    executor.settle()
-    assert fired == ["live"]
-
-
-def test_crash_reset_cancels_pending_jobs(executor):
+def test_crash_reset_drops_pending_jobs(executor):
     fired = []
     executor.submit(executor.worker("w"), 1.0, lambda: fired.append(1))
-    cancelled = executor.crash_reset()
-    assert cancelled == 1
+    assert executor.crash_reset() == 1
     executor.clock.advance(10.0)
     executor.settle()
     assert fired == []
@@ -179,6 +146,51 @@ def test_crash_reset_leaves_heap_usable(executor):
     assert fired == ["new"]
     assert end == job.end
     assert executor.pending == 0
+
+
+def _shared_clock_pair():
+    clock = SimClock()
+    return clock, [Executor(clock), Executor(clock)]
+
+
+def test_advance_jumps_to_the_earliest_end_and_settles_both_in_order():
+    clock, (a, b) = _shared_clock_pair()
+    fired = []
+    a.submit(a.worker("w"), 2.0, lambda: fired.append("a"))
+    b.submit(b.worker("w"), 2.0, lambda: fired.append("b"))
+    b.submit(b.worker("x"), 3.0, lambda: fired.append("b-late"))
+    assert advance([a, b])
+    assert clock.now == 2.0
+    assert fired == ["a", "b"]
+    assert advance([a, b])
+    assert clock.now == 3.0
+    assert fired == ["a", "b", "b-late"]
+
+
+def test_advance_on_idle_executors_leaves_the_clock_unmoved():
+    clock, executors = _shared_clock_pair()
+    clock.advance(4.0)
+    assert not advance(executors)
+    assert clock.now == 4.0
+
+
+def test_drain_all_drains_the_first_executor_before_the_second():
+    clock, (a, b) = _shared_clock_pair()
+    fired = []
+    a.submit(a.worker("w"), 5.0, lambda: fired.append(("a", clock.now)))
+    b.submit(b.worker("w"), 1.0, lambda: fired.append(("b", clock.now)))
+
+    def hand_off():
+        # b's callback gives a, already drained, new work: another pass.
+        fired.append(("b2", clock.now))
+        a.submit(a.worker("w"), 1.0, lambda: fired.append(("a2", clock.now)))
+
+    b.submit(b.worker("w"), 1.0, hand_off)
+    drain_all([a, b])
+    # b's jobs end at 1.0 and 2.0 but settle only once a has drained
+    # to 5.0: a time-ordered drain would have run them first.
+    assert fired == [("a", 5.0), ("b", 5.0), ("b2", 5.0), ("a2", 6.0)]
+    assert a.pending == b.pending == 0
 
 
 def test_worker_accounting(executor):

@@ -22,41 +22,6 @@ def test_percentile_out_of_range():
         percentile([1.0], 101)
 
 
-def test_recorder_percentile_empty_returns_none():
-    rec = LatencyRecorder()
-    assert rec.percentile(99) is None
-    assert rec.percentile(99, kind="get") is None
-    rec.record("put", 1.0, 2e-6)
-    # A kind with no samples is still empty even if others have data.
-    assert rec.percentile(50, kind="get") is None
-
-
-def test_recorder_percentile_single_sample_returns_it():
-    rec = LatencyRecorder()
-    rec.record("get", 1.0, 7e-6)
-    for q in (0.0, 50.0, 99.0, 100.0):
-        assert rec.percentile(q, kind="get") == 7e-6
-    assert rec.percentile(99) == 7e-6
-
-
-def test_recorder_percentile_matches_module_function():
-    rec = LatencyRecorder()
-    values = [5e-6, 1e-6, 3e-6, 2e-6, 4e-6]
-    for i, v in enumerate(values):
-        rec.record("get", float(i), v)
-    assert rec.percentile(50, kind="get") == percentile(sorted(values), 50)
-    assert rec.percentile(100) == 5e-6
-
-
-def test_recorder_percentile_out_of_range():
-    rec = LatencyRecorder()
-    rec.record("get", 1.0, 1e-6)
-    with pytest.raises(ValueError):
-        rec.percentile(-0.1)
-    with pytest.raises(ValueError):
-        rec.percentile(100.1)
-
-
 def test_summary_basic():
     rec = LatencyRecorder()
     for i in range(1, 101):
