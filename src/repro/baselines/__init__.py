@@ -20,7 +20,7 @@ from repro.baselines.lsm import LeveledLSM
 from repro.baselines.matrixkv import MatrixKVOptions, MatrixKVStore
 from repro.baselines.novelsm import NoveLSMOptions, NoveLSMStore
 from repro.baselines.novelsm_nosst import NoveLSMNoSSTStore
-from repro.baselines.slmdb import SLMDBOptions, SLMDBStore
+from repro.baselines.slmdb import SLMDBStore
 
 __all__ = [
     "LeveledLSM",
@@ -31,5 +31,4 @@ __all__ = [
     "MatrixKVStore",
     "MatrixKVOptions",
     "SLMDBStore",
-    "SLMDBOptions",
 ]

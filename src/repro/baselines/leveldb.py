@@ -17,7 +17,6 @@ from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
-from repro.skiplist.node import TOMBSTONE
 
 
 class LevelDBStore(L0Backpressure, BufferedStore):
@@ -58,12 +57,9 @@ class LevelDBStore(L0Backpressure, BufferedStore):
                 continue
             node, cost = table.get(key)
             if node is not None:
-                return (None if node.is_tombstone else node.value), cost
+                return node.value, cost
         entry, cost = self.lsm.get(key)
-        if entry is None:
-            return None, cost
-        value = entry[2]
-        return (None if value is TOMBSTONE else value), cost
+        return (None if entry is None else entry[2]), cost
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)

@@ -2,9 +2,9 @@
 
 One instance manages the on-media levels of a store: L0 receives whole
 flushed MemTables (tables may overlap), deeper levels hold disjoint sorted
-runs with a ``fanout``x capacity ratio.  Compactions are background jobs:
-inputs are chosen and costed when a worker is free, and the level edits
-are applied when the job's simulated end time passes.
+runs with a ``LEVEL_FANOUT``x capacity ratio.  Compactions are background
+jobs: inputs are chosen and costed when a worker is free, and the level
+edits are applied when the job's simulated end time passes.
 
 The engine is shared: LevelDB and NoveLSM use it for L0..Ln, MatrixKV for
 L1..Ln below its matrix container, and MioDB's SSD mode for the levels
@@ -23,8 +23,17 @@ from repro.sstable.table import Entry, SSTable, build_sstable, frame_sizes
 #: L0 table count that makes L0 the most urgent compaction.
 L0_COMPACTION_TRIGGER = 4
 
+#: L0 table count from which every write is delayed (cumulative stall).
+L0_SLOWDOWN_TABLES = 8
+
+#: Per-write delay while in slowdown (LevelDB: 1 ms).
+SLOWDOWN_DELAY_S = 1e-3
+
 #: L0 table count that blocks MemTable rotation (interval stall).
 L0_STOP_TABLES = 12
+
+#: Capacity ratio between adjacent levels below L0 (paper: 10).
+LEVEL_FANOUT = 10
 
 #: Bits per key for the per-SSTable bloom filters (LevelDB's default-ish).
 SSTABLE_BLOOM_BITS = 10
@@ -50,10 +59,8 @@ class L0Backpressure:
     (interval stall)."""
 
     def _l0_slowdown(self) -> float:
-        if self.lsm.l0_table_count() >= self.options.l0_slowdown_tables:
-            return self._stall_delay(
-                STALL_L0_SLOWDOWN, self.options.slowdown_delay_s
-            )
+        if self.lsm.l0_table_count() >= L0_SLOWDOWN_TABLES:
+            return self._stall_delay(STALL_L0_SLOWDOWN, SLOWDOWN_DELAY_S)
         return 0.0
 
     def _rotate_gate(self) -> None:
@@ -163,7 +170,11 @@ class LeveledLSM:
         if level == 0:
             return len(free) / float(L0_COMPACTION_TRIGGER)
         total = sum(t.data_bytes for t in free)
-        return total / float(self.options.level_capacity_bytes(level))
+        return total / float(self.level_capacity(level))
+
+    def level_capacity(self, level: int) -> int:
+        """Byte budget of ``level`` >= 1 (L0 is scored by table count)."""
+        return self.options.sstable_bytes * (LEVEL_FANOUT ** level)
 
     def _plan_for(
         self, level: int

@@ -21,6 +21,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
+from repro.baselines import lsm
 from repro.baselines.lsm import LeveledLSM, pick_device
 from repro.bloom.filter import BloomFilter
 from repro.kvstore.buffered import BufferedStore, submit_compaction
@@ -29,7 +30,6 @@ from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import STALL_L0_SLOWDOWN, STALL_L0_STOP
 from repro.persist.arena import Arena
-from repro.skiplist.node import TOMBSTONE
 from repro.sstable.table import entry_frame_bytes, frame_sizes, run_bytes
 
 #: Container fill (fraction of ``container_bytes``) that starts column
@@ -144,9 +144,7 @@ class MatrixKVStore(BufferedStore):
         if fill >= SLOWDOWN_FILL or self._flush_busy:
             # The matrix container plays L0's role, so container
             # pressure reports as the canonical l0-slowdown cause.
-            return self._stall_delay(
-                STALL_L0_SLOWDOWN, self.options.slowdown_delay_s
-            )
+            return self._stall_delay(STALL_L0_SLOWDOWN, lsm.SLOWDOWN_DELAY_S)
         return 0.0
 
     def _rotate_gate(self) -> None:
@@ -275,26 +273,20 @@ class MatrixKVStore(BufferedStore):
             node, cost = table.get(key)
             seconds += cost
             if node is not None:
-                return (None if node.is_tombstone else node.value), seconds
+                return node.value, seconds
         for row in reversed(self.rows):
             entry, cost = row.get(key, self.system.cpu)
             seconds += cost
             if entry is not None:
-                value = entry[2]
-                return (None if value is TOMBSTONE else value), seconds
+                return entry[2], seconds
         inflight = self._inflight_column.get(key)
         if inflight is not None:
             nbytes = entry_frame_bytes(inflight)
             seconds += self.system.nvm.read(nbytes, sequential=False)
             seconds += self.system.cpu.deserialize_time(nbytes)
-            value = inflight[2]
-            return (None if value is TOMBSTONE else value), seconds
+            return inflight[2], seconds
         entry, cost = self.lsm.get(key)
-        seconds += cost
-        if entry is None:
-            return None, seconds
-        value = entry[2]
-        return (None if value is TOMBSTONE else value), seconds
+        return (None if entry is None else entry[2]), seconds + cost
 
     def _scan(self, start_key: bytes, count: int):
         nvm = self.system.nvm

@@ -25,7 +25,6 @@ from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import CAT_FLUSH
-from repro.skiplist.node import TOMBSTONE
 
 
 @dataclass
@@ -182,14 +181,10 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
             if node is not None and (best is None or node.seq > best.seq):
                 best = node
         if best is not None and best.seq >= self._direct_seq.get(key, 0):
-            return (None if best.is_tombstone else best.value), seconds
+            return best.value, seconds
         # No MemTable hit, or a stale one: the newest version is in L0.
         entry, cost = self.lsm.get(key)
-        seconds += cost
-        if entry is None:
-            return None, seconds
-        value = entry[2]
-        return (None if value is TOMBSTONE else value), seconds
+        return (None if entry is None else entry[2]), seconds + cost
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(

@@ -54,7 +54,7 @@ class NoveLSMNoSSTStore(KVStore):
         if node is None:
             return None, seconds
         seconds += self.system.nvm.read(node.nbytes, sequential=False)
-        return (None if node.is_tombstone else node.value), seconds
+        return node.value, seconds
 
     def _scan(self, start_key: bytes, count: int):
         node, hops = self.skiplist.seek(start_key)

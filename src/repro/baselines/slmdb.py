@@ -15,7 +15,6 @@ weaknesses, which the paper calls out and this implementation exhibits:
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.btree.tree import NODE_BYTES, BPlusTree
@@ -31,15 +30,11 @@ from repro.sstable.table import SSTable, build_sstable
 #: Fan-out of the NVM B+-tree index.
 BTREE_ORDER = 64
 
+#: Selective compaction starts when live tables exceed this count.
+COMPACTION_TRIGGER_TABLES = 8
 
-@dataclass
-class SLMDBOptions(StoreOptions):
-    """SLM-DB's compaction pacing knobs."""
-
-    #: start selective compaction when live tables exceed this count
-    compaction_trigger_tables: int = 8
-    #: merge at most this many tables per selective compaction
-    compaction_fanin: int = 4
+#: Selective compaction merges at most this many tables.
+COMPACTION_FANIN = 4
 
 
 class SLMDBStore(BufferedStore):
@@ -47,8 +42,8 @@ class SLMDBStore(BufferedStore):
 
     name = "slmdb"
 
-    def __init__(self, system, options: Optional[SLMDBOptions] = None) -> None:
-        super().__init__(system, options or SLMDBOptions(), 0x51DB, system.nvm)
+    def __init__(self, system, options: Optional[StoreOptions] = None) -> None:
+        super().__init__(system, options or StoreOptions(), 0x51DB, system.nvm)
         self.tables: List[SSTable] = []
         self.index = BPlusTree(BTREE_ORDER)
         self.index_arena = Arena(system.nvm, 0, system.now, f"{self.name}-index")
@@ -126,7 +121,7 @@ class SLMDBStore(BufferedStore):
     # ------------------------------------------------------------ compaction
 
     def _maybe_compact(self) -> None:
-        if len(self.tables) <= self.options.compaction_trigger_tables:
+        if len(self.tables) <= COMPACTION_TRIGGER_TABLES:
             return
         if self.worker.busy_until > self.system.clock.now:
             return
@@ -148,7 +143,7 @@ class SLMDBStore(BufferedStore):
             )
             scored.append((overlap, table.table_id, table))
         scored.sort(reverse=True)
-        return [t for __, __id, t in scored[: self.options.compaction_fanin]]
+        return [t for __, __id, t in scored[:COMPACTION_FANIN]]
 
     def _schedule_compaction(self) -> None:
         candidates = self._pick_candidates()
@@ -204,18 +199,14 @@ class SLMDBStore(BufferedStore):
             node, cost = table.get(key)
             seconds += cost
             if node is not None:
-                return (None if node.is_tombstone else node.value), seconds
+                return node.value, seconds
         locator, visits = self.index.get(key)
         seconds += visits * self.system.cpu.hop_time("nvm")
         if locator is None:
             return None, seconds
         sst, __seq = locator
         entry, cost = sst.get(key, self.system.cpu, self.system.stats)
-        seconds += cost
-        if entry is None:
-            return None, seconds
-        value = entry[2]
-        return (None if value is TOMBSTONE else value), seconds
+        return (None if entry is None else entry[2]), seconds + cost
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)

@@ -14,7 +14,6 @@ from repro.baselines import (
     NoveLSMNoSSTStore,
     NoveLSMOptions,
     NoveLSMStore,
-    SLMDBOptions,
     SLMDBStore,
 )
 from repro.bench.config import BenchScale
@@ -110,7 +109,7 @@ def make_store(
         _apply(options, overrides)
         return LevelDBStore(system, options, media="ssd" if ssd else "nvm"), system
     if name == "slmdb":
-        options = SLMDBOptions(**common)
+        options = StoreOptions(**common)
         _apply(options, overrides)
         return SLMDBStore(system, options), system
     raise ValueError(f"unknown store {name!r}; choose from {STORE_NAMES}")

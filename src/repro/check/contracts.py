@@ -11,7 +11,10 @@
   inherits; ``partial(f, ...)`` is a call of ``f``.  A function's own
   ``**kwargs`` forwards what *its* callers passed beyond its named
   parameters, one hop; ``*args`` or any other ``**dict`` may set
-  anything.  A parameter with one value in use is a constant.
+  anything.  A defaulted ``@dataclass`` field is set by a keyword in any
+  call, a dict-literal key, ``x.field = ...``, or a positional argument
+  in its slot of a call to its class or a subclass.  A parameter or
+  field with one value in use is a constant.
 
 The engine interface and the event schema are not checked here: the
 model checker (``tests/test_model_checker.py``) calls every public
@@ -203,17 +206,54 @@ def option_defs(sources) -> List[_Def]:
     return list(by_node.values())
 
 
+def option_fields(sources) -> List[tuple]:
+    """Every defaulted ``@dataclass`` field under the package, as ``(path,
+    pragmas, class name, AnnAssign, set?)``; the module docstring says how."""
+    classes = {}  # name -> (base names, its fields as (path, pragmas, node))
+    for path, tree, allows in sources:
+        for node in tree.body if allows is not None else ():
+            if isinstance(node, ast.ClassDef):
+                dataclass = "dataclass" in {(_dotted(getattr(d, "func", d)) or ("",))[-1]
+                                            for d in node.decorator_list}
+                classes[node.name] = ([b[-1] for b in map(_dotted, node.bases) if b], [
+                    (path, allows, f) for f in node.body
+                    if dataclass and isinstance(f, ast.AnnAssign) and f.simple])
+
+    def slots(name):  # base-class fields first; an override keeps its slot
+        bases, own = classes.get(name, ((), ()))
+        names = [n for base in bases for n in slots(base)]
+        return names + [f.target.id for _, _, f in own if f.target.id not in names]
+
+    spelled = set()
+    for _, tree, _ in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                spelled.update(kw.arg for kw in node.keywords)
+                spelled.update(slots((_dotted(node.func) or ("",))[-1])[:len(node.args)])
+            elif isinstance(node, ast.Dict):
+                spelled.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                spelled.add(node.attr)
+    return [(path, allows, name, f, f.target.id in spelled)
+            for name, (_, own) in classes.items()
+            for path, allows, f in own if f.value is not None]
+
+
 def check_unset_options(sources) -> List[Finding]:
-    """OPT001: a defaulted parameter no call sets has one value in use."""
+    """OPT001: a defaulted parameter or field nothing sets is a constant."""
+    unset = [(d.path, d.allows, d.node, f"{d.label}({param}=)", "def")
+             for d in option_defs(sources) if "*" not in d.set
+             for param in d.defaulted if param not in d.set]
+    unset += [(path, allows, f, f"{name}.{f.target.id}", "line")
+              for path, allows, name, f, is_set in option_fields(sources) if not is_set]
     return [
         finding
-        for d in option_defs(sources) if "*" not in d.set
-        for param in d.defaulted if param not in d.set
+        for path, allows, node, what, where in unset
         for finding in _unsuppressed(
-            "OPT001", d.path, d.allows, d.node,
-            f"{d.label}({param}=) is set by no call in src/repro, benchmarks/ "
-            "or examples/: make it a constant beside the code that reads it, or "
-            "mark test-facing API `# repro: allow[OPT001] why` on its def",
+            "OPT001", path, allows, node,
+            f"{what} is set by nothing in src/repro, benchmarks/ or examples/: "
+            "make it a constant beside the code that reads it, or mark "
+            f"test-facing API `# repro: allow[OPT001] why` on its {where}",
         )
     ]
 

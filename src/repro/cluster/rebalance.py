@@ -82,7 +82,7 @@ def detect_hot_shard(router, factor: float = 1.5) -> HotShardReport:
     (``factor`` times the fair share).  Ties break toward the lowest
     shard id for determinism.
     """
-    if factor <= 1.0:
+    if not factor > 1.0:
         raise ValueError(f"hot factor must be > 1, got {factor}")
     return HotShardReport(router.shard_ops, factor)
 

@@ -30,6 +30,12 @@ from repro.obs.events import CAT_FLUSH, STALL_BUFFER_CAP
 from repro.persist.arena import Arena
 from repro.skiplist.node import TOMBSTONE
 
+#: Bits per key of every PMTable's bloom filter (paper: 16).
+BLOOM_BITS_PER_KEY = 16
+
+#: MemTables' worth of keys the one filter geometry is sized for.
+BLOOM_CAPACITY_TABLES = 16
+
 
 class MioDB(BufferedStore):
     """LSM-style KV store for hybrid DRAM/NVM memory (the paper's system)."""
@@ -166,15 +172,14 @@ class MioDB(BufferedStore):
 
         Every PMTable's filter must share one geometry so compaction can
         OR-merge them (paper Section 4.6): the first flush fixes it at
-        ``bloom_bits_per_key`` bits per key of one MemTable.  Merged
-        tables therefore see fewer effective bits per key, which is what
-        eventually caps the useful level count (Figure 9).
+        ``BLOOM_BITS_PER_KEY`` bits per key over ``BLOOM_CAPACITY_TABLES``
+        times that flush's entry count.  Tables merged from more
+        MemTables than that see fewer effective bits per key, which is
+        what eventually caps the useful level count (Figure 9).
         """
         if self._bloom_geometry is None:
-            capacity = max(1, entry_count) * self.options.bloom_capacity_tables
-            probe = BloomFilter.for_capacity(
-                capacity, self.options.bloom_bits_per_key
-            )
+            capacity = max(1, entry_count) * BLOOM_CAPACITY_TABLES
+            probe = BloomFilter.for_capacity(capacity, BLOOM_BITS_PER_KEY)
             self._bloom_geometry = (probe.nbits, probe.k)
         nbits, k = self._bloom_geometry
         return BloomFilter(nbits, k)
@@ -307,15 +312,11 @@ class MioDB(BufferedStore):
                         continue
                     node = nodes[p]
                     seconds += cost + read(node.nbytes, False)
-                value = node.value
-                return (None if value is TOMBSTONE else value), seconds
+                return node.value, seconds
             if repo_get is None:
                 return None, seconds
             value, cost = repo_get(key)
-            seconds += cost
-            if value is None or value is TOMBSTONE:
-                return None, seconds
-            return value, seconds
+            return value, seconds + cost
 
         def served(count: int) -> None:
             for skiplist, index in captured:
@@ -332,7 +333,7 @@ class MioDB(BufferedStore):
             node, cost = table.get(key)
             seconds += cost
             if node is not None:
-                return (None if node.is_tombstone else node.value), seconds
+                return node.value, seconds
         positions = None
         for level_tables in self.levels:
             for pmtable in reversed(level_tables):
@@ -356,12 +357,9 @@ class MioDB(BufferedStore):
                 node, cost = pmtable.get(key)
                 seconds += cost
                 if node is not None:
-                    return (None if node.is_tombstone else node.value), seconds
+                    return node.value, seconds
         value, cost = self.repository.get(key)
-        seconds += cost
-        if value is None or value is TOMBSTONE:
-            return None, seconds
-        return value, seconds
+        return value, seconds + cost
 
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)

@@ -13,11 +13,6 @@ class MioOptions(StoreOptions):
     Attributes:
         num_levels: elastic-buffer depth (L0..L(n-1)); the repository sits
             below as L(n).  The paper settles on 8 (Figure 9).
-        bloom_bits_per_key: per-PMTable filter budget (paper: 16).
-        bloom_capacity_tables: every PMTable's filter shares one fixed
-            geometry (so compaction can OR-merge them), sized for this
-            many MemTables' worth of keys.  Tables merged beyond it see
-            degraded filters -- the effect that caps useful depth.
         use_blooms: disable to measure the bloom filters' contribution.
         one_piece_flush: ablation -- ``False`` falls back to per-KV
             flushing into a fresh PMTable (NoveLSM-style copy+insert).
@@ -32,8 +27,6 @@ class MioOptions(StoreOptions):
     """
 
     num_levels: int = 8
-    bloom_bits_per_key: int = 16
-    bloom_capacity_tables: int = 16
     use_blooms: bool = True
     one_piece_flush: bool = True
     zero_copy: bool = True

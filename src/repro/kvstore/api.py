@@ -102,9 +102,10 @@ class KVStore(ABC):
             executor.settle()
         start = system.clock._now
         value, seconds = self._get(key)
+        if value is TOMBSTONE:
+            value = None
         system.stats.add("op.get", 1)
-        latency = self._finish("get", start, seconds)
-        return value, latency
+        return value, self._finish("get", start, seconds)
 
     def multi_put(self, items) -> List[float]:
         """Apply many puts in one call; returns per-op latencies.
@@ -158,6 +159,7 @@ class KVStore(ABC):
         settle = executor.settle
         stamp, sample = system.latency.appenders("get")
         obs = system.obs
+        tombstone = TOMBSTONE
         fallback = self._get
         lookup = self._batch_lookup() or fallback
         taken = 0
@@ -175,7 +177,7 @@ class KVStore(ABC):
                 latency = now - start
                 stamp(now)
                 sample(latency)
-                results.append((value, latency))
+                results.append((None if value is tombstone else value, latency))
                 if obs is not None:
                     obs.span("foreground", "get", "op", start, now)
         finally:  # a settle may raise: served gets count, as per-op ones do
@@ -237,7 +239,9 @@ class KVStore(ABC):
 
     @abstractmethod
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
-        """Point lookup; return ``(value_or_None, duration)``."""
+        """Point lookup; return ``(newest version as stored, duration)``:
+        a value, ``TOMBSTONE`` or ``None``.  Only :meth:`get` and
+        :meth:`multi_get` turn a tombstone into a miss."""
 
     @abstractmethod
     def _scan(self, start_key: bytes, count: int):
@@ -249,10 +253,11 @@ class KVStore(ABC):
         :meth:`multi_get` calls this once per batch and again whenever a
         settled background callback may have moved tables around; the
         returned closure must produce byte-identical ``(value, seconds)``
-        pairs to ``_get``.  Returning ``None`` (the default) makes the
-        batch loop fall back to ``_get`` per key.  A closure that sets a
-        ``served`` attribute has it called with the number of keys it
-        served when the loop drops it, at a refresh or at the end.
+        pairs to ``_get``, tombstones too.  Returning ``None`` (the
+        default) makes the batch loop fall back to ``_get`` per key.  A
+        closure that sets a ``served`` attribute has it called with the
+        number of keys it served when the loop drops it, at a refresh or
+        at the end.
 
         Override it only where a ``BENCHMARK.json`` workload shows each
         side winning; otherwise the engine has one read walk.  Only

@@ -20,10 +20,11 @@ class SimClock:
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` and return the new time.
 
-        Negative durations are rejected: simulated work cannot take
-        negative time, and silently clamping would hide cost-model bugs.
+        Negative and NaN durations are rejected: simulated work cannot
+        take negative time, silently clamping would hide cost-model bugs,
+        and a NaN would stay in the clock for good.
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         self._now += seconds
         return self._now

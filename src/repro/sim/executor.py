@@ -112,7 +112,7 @@ class Executor:
         ``meta`` is opaque annotation passed through to :attr:`obs`
         (e.g. the trace category and byte counts of a flush).
         """
-        if duration < 0:
+        if not duration >= 0:  # NaN too: no later job on the worker would settle
             raise ValueError(f"job duration must be >= 0, got {duration}")
         now = self.clock._now  # slot read; the property costs a call
         start = max(worker.busy_until, now)

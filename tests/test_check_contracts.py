@@ -111,6 +111,12 @@ def _unset(tmp_path, definition, use):
 
 _KNOB = "def tune(x, depth=3, width=4):\n    return x, depth, width\n"
 _BASE = "class Base:\n    def __init__(self, size=1, seed=2):\n        pass\n"
+# Line 4 has no default, so only lines 5 and 8 are checked.
+_FIELDS = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\nclass Shape:\n    size: int\n    depth: int = 3\n"
+    "@dataclass\nclass Opts(Shape):\n    width: int = 4\n"
+)
 
 
 @pytest.mark.parametrize("definition, use, unset", [
@@ -138,6 +144,21 @@ _BASE = "class Base:\n    def __init__(self, size=1, seed=2):\n        pass\n"
         "def tune(self, depth=3):\n    pass\n"
         "class T:\n    def tune(self, depth=3):\n        pass\n",
         "t.tune(1)\n", [(1, "tune(depth=)")], id="a-method's-self-is-bound"),
+    pytest.param(
+        _FIELDS, "Opts(1)\n", [(5, "Shape.depth"), (8, "Opts.width")],
+        id="field-unset"),
+    pytest.param(_FIELDS, "make(width=1, depth=2)\n", [], id="field-keyword"),
+    pytest.param(
+        _FIELDS, "overrides = {'depth': 1, 'width': 2}\n", [], id="field-dict-key"),
+    pytest.param(
+        _FIELDS, "o = Opts(1)\no.depth = 2\nq.o.width = 3\n", [],
+        id="field-attribute"),
+    pytest.param(_FIELDS, "Opts(1, 2, 3)\n", [], id="field-positional"),
+    pytest.param(
+        _FIELDS, "Opts(1, 2)\n", [(8, "Opts.width")], id="field-base-slots-first"),
+    pytest.param(
+        _FIELDS.replace("    width", "    # repro: allow[OPT001] test-facing\n    width"),
+        "Opts(1)\n", [(5, "Shape.depth")], id="field-pragma"),
 ])
 def test_the_ways_a_parameter_is_set(tmp_path, definition, use, unset):
     assert _unset(tmp_path, definition, use) == unset
@@ -178,16 +199,19 @@ def test_unset_option_pragma_is_honoured_on_the_def(tmp_path):
 
 def test_the_tree_has_no_unset_option_and_few_pragmas():
     """Both bounds may only go down: code that only tests call lives in
-    ``tests/support/``, not behind a pragma in ``src/``."""
-    from repro.check.contracts import option_defs
+    ``tests/support/``, not behind a pragma in ``src/``.  The OPT001
+    bound counts pragmas on defs and on dataclass fields alike."""
+    from repro.check.contracts import option_defs, option_fields
     from repro.check.lint import iter_source_files, package_root
 
     sources = read_sources(package_root())
     assert check_unset_options(sources) == []
+    checked = [(d.allows, d.node) for d in option_defs(sources)]
+    checked += [(allows, f) for __, allows, __, f, __ in option_fields(sources)]
     allowed = [
-        d for d in option_defs(sources)
-        if any("OPT001" in d.allows.get(line, ())
-               for line in (d.node.lineno, d.node.lineno - 1))
+        node for allows, node in checked
+        if any("OPT001" in allows.get(line, ())
+               for line in (node.lineno, node.lineno - 1))
     ]
     assert 0 < len(allowed) <= 8
     dead_pragmas = [

@@ -62,8 +62,9 @@ def test_detect_nothing_hot_on_uniform_traffic():
 
 def test_detect_factor_validation():
     router = make_router()
-    with pytest.raises(ValueError):
-        detect_hot_shard(router, factor=1.0)
+    for factor in (1.0, float("nan")):
+        with pytest.raises(ValueError):
+            detect_hot_shard(router, factor=factor)
 
 
 def test_rebalance_moves_arcs_keys_and_bytes():

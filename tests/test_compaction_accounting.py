@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.baselines import lsm
 from repro.bench.config import BenchScale
 from repro.bench.factory import make_store
 from repro.kvstore.values import SizedValue
@@ -22,23 +23,25 @@ from repro.obs.events import CAT_COMPACT
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, nvm_buffer_bytes=128 * KB, value_size=512)
 
-#: label -> (store name, ssd, option overrides)
+#: label -> (store name, ssd, slowdown delay patched in, or None)
 CASES = {
-    "miodb": ("miodb", False, {}),
-    "miodb-ssd": ("miodb", True, {}),
-    "leveldb": ("leveldb", False, {"slowdown_delay_s": 1e-6}),
-    "novelsm": ("novelsm", False, {}),
-    "novelsm-hier": ("novelsm-hier", False, {}),
-    "novelsm-nosst": ("novelsm-nosst", False, {}),
-    "matrixkv": ("matrixkv", False, {"slowdown_delay_s": 1e-6}),
-    "slmdb": ("slmdb", False, {}),
+    "miodb": ("miodb", False, None),
+    "miodb-ssd": ("miodb", True, None),
+    "leveldb": ("leveldb", False, 1e-6),
+    "novelsm": ("novelsm", False, None),
+    "novelsm-hier": ("novelsm-hier", False, None),
+    "novelsm-nosst": ("novelsm-nosst", False, None),
+    "matrixkv": ("matrixkv", False, 1e-6),
+    "slmdb": ("slmdb", False, None),
 }
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_compaction_time_and_count_match_the_traced_spans(label):
-    name, ssd, overrides = CASES[label]
-    store, system = make_store(name, SCALE, ssd=ssd, **overrides)
+def test_compaction_time_and_count_match_the_traced_spans(label, monkeypatch):
+    name, ssd, delay = CASES[label]
+    if delay is not None:
+        monkeypatch.setattr(lsm, "SLOWDOWN_DELAY_S", delay)
+    store, system = make_store(name, SCALE, ssd=ssd)
     recorder = system.attach_tracing()
     n = 2000
     for i in range(n):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.lsm import LeveledLSM
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.values import SizedValue, value_nbytes
@@ -46,15 +47,10 @@ def test_sized_value_rejects_negative():
 # ----------------------------------------------------------------- options
 
 
-def test_level_capacity_grows_by_fanout():
-    opts = StoreOptions(sstable_bytes=MB, level_fanout=10)
-    assert opts.level_capacity_bytes(1) == 10 * MB
-    assert opts.level_capacity_bytes(2) == 100 * MB
-
-
-def test_level0_capacity_from_slowdown_trigger():
-    opts = StoreOptions(sstable_bytes=MB, l0_slowdown_tables=8)
-    assert opts.level_capacity_bytes(0) == 8 * MB
+def test_level_capacity_grows_by_fanout(system):
+    lsm = LeveledLSM(system, StoreOptions(sstable_bytes=MB), system.nvm)
+    assert lsm.level_capacity(1) == 10 * MB
+    assert lsm.level_capacity(2) == 100 * MB
 
 
 # ---------------------------------------------------------------- memtable

@@ -17,11 +17,13 @@ The last part pins what the laziness is for: writes, flushes, merges
 and ``quiesce`` hash nothing and build no filter; the first get does.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.baselines.leveldb import LevelDBStore
 from repro.bloom.hashing import probe_positions
-from repro.core import MioDB, MioOptions
+from repro.core import MioDB, MioOptions, miodb
 from repro.kvstore.options import StoreOptions
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
@@ -65,6 +67,16 @@ def reference_get(store, key):
     return value, seconds
 
 
+@contextmanager
+def small_filters():
+    """4 bits per key of *one* MemTable while the first flush fixes the
+    filter geometry."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miodb, "BLOOM_BITS_PER_KEY", 4)
+        patch.setattr(miodb, "BLOOM_CAPACITY_TABLES", 1)
+        yield
+
+
 def populated(n_puts, use_blooms=True, trace=False):
     """An unquiesced store whose filters run from half full to saturated.
 
@@ -74,13 +86,14 @@ def populated(n_puts, use_blooms=True, trace=False):
     system = HybridMemorySystem()
     options = MioOptions(
         memtable_bytes=8 * KB, sstable_bytes=8 * KB, num_levels=4,
-        bloom_bits_per_key=4, bloom_capacity_tables=1, use_blooms=use_blooms,
+        use_blooms=use_blooms,
     )
     store = MioDB(system, options)
-    for i in range(n_puts):
-        store.put(b"key%06d" % ((i * 7919) % KEY_SPACE), SizedValue(i, 256))
-        if i % 13 == 5:
-            store.delete(b"key%06d" % ((i * 31) % KEY_SPACE))
+    with small_filters():
+        for i in range(n_puts):
+            store.put(b"key%06d" % ((i * 7919) % KEY_SPACE), SizedValue(i, 256))
+            if i % 13 == 5:
+                store.delete(b"key%06d" % ((i * 31) % KEY_SPACE))
     recorder = system.attach_tracing() if trace else None
     return store, system, recorder
 
@@ -96,6 +109,11 @@ def hash_calls():
     """(hits, misses) of the position memo; any call at all moves one."""
     info = probe_positions.cache_info()
     return info.hits, info.misses
+
+
+def visible(value):
+    """A stored version as ``KVStore.get`` returns it: a tombstone is a miss."""
+    return None if value is TOMBSTONE else value
 
 
 def observe(system, recorder, lookup, key):
@@ -115,7 +133,7 @@ def observe(system, recorder, lookup, key):
             for e in recorder.events[mark:]
         ]
         assert all(e.cat == CAT_TRANSFER for e in recorder.events[mark:])
-    return value, seconds, reads, emitted
+    return visible(value), seconds, reads, emitted
 
 
 # Whichever path runs first is the one that finds the filters unbuilt.
@@ -243,11 +261,9 @@ def test_plan_falls_back_for_a_list_in_rebuild_backoff(which, trace, monkeypatch
 
 
 def test_plan_on_a_quiesced_store_calls_no_table(system, monkeypatch):
-    store = MioDB(system, MioOptions(
-        memtable_bytes=8 * KB, num_levels=4,
-        bloom_bits_per_key=4, bloom_capacity_tables=1,
-    ))
-    fill_random(store, 900, 256)
+    store = MioDB(system, MioOptions(memtable_bytes=8 * KB, num_levels=4))
+    with small_filters():
+        fill_random(store, 900, 256)
     store.quiesce()
     assert len(live_lists(store)) >= 4
     calls = count_lookups(monkeypatch)

@@ -30,8 +30,10 @@ def test_advance_by_zero_is_allowed():
 
 def test_advance_rejects_negative():
     clock = SimClock()
-    with pytest.raises(ValueError):
-        clock.advance(-0.1)
+    for seconds in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            clock.advance(seconds)
+    assert clock.now == 0.0
 
 
 def test_advance_to_future():

@@ -46,8 +46,11 @@ def test_job_starts_no_earlier_than_clock(executor):
 
 
 def test_negative_duration_rejected(executor):
-    with pytest.raises(ValueError):
-        executor.submit(executor.worker("w"), -1.0)
+    worker = executor.worker("w")
+    for duration in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            executor.submit(worker, duration)
+    assert worker.busy_until == 0.0
 
 
 def test_settle_applies_only_completed_jobs(executor):

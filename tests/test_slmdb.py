@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines import SLMDBOptions, SLMDBStore
+from repro.baselines import SLMDBStore, slmdb
+from repro.kvstore.options import StoreOptions
 from repro.kvstore.values import SizedValue
 from tests.support.oracles import check_invariants
 
@@ -10,10 +11,10 @@ KB = 1 << 10
 
 
 @pytest.fixture
-def options():
-    return SLMDBOptions(
-        memtable_bytes=8 * KB, compaction_trigger_tables=4, compaction_fanin=3
-    )
+def options(monkeypatch):
+    monkeypatch.setattr(slmdb, "COMPACTION_TRIGGER_TABLES", 4)
+    monkeypatch.setattr(slmdb, "COMPACTION_FANIN", 3)
+    return StoreOptions(memtable_bytes=8 * KB)
 
 
 def fill(store, n, value_size=256, key_space=None):
@@ -27,7 +28,7 @@ def test_single_level_structure(system, options):
     fill(store, 600)
     store.quiesce()
     # tables form one flat level; compaction keeps the count bounded
-    assert 0 < len(store.tables) <= options.compaction_trigger_tables + 2
+    assert 0 < len(store.tables) <= slmdb.COMPACTION_TRIGGER_TABLES + 2
     assert system.stats.get("compact.count") >= 1
 
 
@@ -107,16 +108,14 @@ def test_index_arena_accounts_nvm(system, options):
     assert system.nvm.bytes_in_use >= store.index_arena.size
 
 
-def test_kept_tombstone_still_shadows_older_tables(system):
+def test_kept_tombstone_still_shadows_older_tables(system, monkeypatch):
     # A selective compaction that keeps a tombstone (other tables stay
     # live) must index it: unindexing it let a later compaction of an
     # older table re-point the key at the deleted version.
+    monkeypatch.setattr(slmdb, "COMPACTION_TRIGGER_TABLES", 2)
+    monkeypatch.setattr(slmdb, "COMPACTION_FANIN", 2)
     store = SLMDBStore(
-        system,
-        SLMDBOptions(
-            memtable_bytes=1000, sstable_bytes=1000,
-            compaction_trigger_tables=2, compaction_fanin=2,
-        ),
+        system, StoreOptions(memtable_bytes=1000, sstable_bytes=1000)
     )
     for batch in (
         [(b"a", 1), (b"k", 1)],

@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from repro.baselines import lsm
 from repro.bench.config import BenchScale
 from repro.bench.factory import make_store
 from repro.core import MioDB, MioOptions, recover
@@ -26,10 +27,15 @@ from tests.support.groups import build_group
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, nvm_buffer_bytes=128 * KB, value_size=512)
 
+#: Rows run with a 1 us slowdown delay, to let L0 / the container fill.
+FAST = {
+    "matrixkv-container-stop", "matrixkv-ssd", "novelsm-nvm-chain",
+    "leveldb-l0-stop", "leveldb-ssd",
+}
+
 #: label -> (store name, ssd, value size, option overrides, stall causes
 #: that must appear in the run's trace -- the vacuity guard: a row whose
 #: branch never fired pins nothing).
-FAST = {"slowdown_delay_s": 1e-6}  # let L0 / the container actually fill
 CASES = {
     "miodb": ("miodb", False, 512, {}, ()),
     "miodb-4k-values": ("miodb", False, 4096, {}, ("memtable-full",)),
@@ -42,24 +48,24 @@ CASES = {
     ),
     "matrixkv": ("matrixkv", False, 512, {}, ("l0-slowdown",)),
     "matrixkv-container-stop": (
-        "matrixkv", False, 4096, FAST, ("l0-slowdown", "l0-stop", "memtable-full"),
+        "matrixkv", False, 4096, {}, ("l0-slowdown", "l0-stop", "memtable-full"),
     ),
     "matrixkv-ssd": (
-        "matrixkv", True, 512, dict(FAST, container_bytes=32 * KB),
+        "matrixkv", True, 512, {"container_bytes": 32 * KB},
         ("l0-slowdown", "l0-stop"),
     ),
     "novelsm": ("novelsm", False, 512, {}, ("l0-slowdown", "l0-stop")),
     "novelsm-nvm-chain": (
-        "novelsm", True, 512, dict(FAST, nvm_memtable_bytes=16 * KB),
+        "novelsm", True, 512, {"nvm_memtable_bytes": 16 * KB},
         ("l0-slowdown", "l0-stop", "memtable-full"),
     ),
     "novelsm-hier": ("novelsm-hier", False, 512, {}, ("l0-slowdown", "memtable-full")),
     "novelsm-nosst": ("novelsm-nosst", False, 512, {}, ()),
     "leveldb": ("leveldb", False, 512, {}, ("l0-slowdown", "memtable-full")),
     "leveldb-l0-stop": (
-        "leveldb", False, 512, FAST, ("l0-slowdown", "l0-stop", "memtable-full"),
+        "leveldb", False, 512, {}, ("l0-slowdown", "l0-stop", "memtable-full"),
     ),
-    "leveldb-ssd": ("leveldb", True, 512, FAST, ("l0-slowdown", "l0-stop")),
+    "leveldb-ssd": ("leveldb", True, 512, {}, ("l0-slowdown", "l0-stop")),
     "leveldb-batch8": (
         "leveldb", False, 512, {"fsync_policy": "batch:8"},
         ("l0-slowdown", "memtable-full"),
@@ -107,9 +113,12 @@ def _run_case(label):
     name, ssd, value, overrides, __ = CASES[label]
     store, system = make_store(name, SCALE, ssd=ssd, **overrides)
     recorder = system.attach_tracing()  # clock-neutral; only feeds the guard
-    _drive(store, value=value)
-    mid = system.clock.now
-    store.quiesce()
+    with pytest.MonkeyPatch.context() as patch:
+        if label in FAST:
+            patch.setattr(lsm, "SLOWDOWN_DELAY_S", 1e-6)
+        _drive(store, value=value)
+        mid = system.clock.now
+        store.quiesce()
     return dict(_observe(store, system), mid_clock=mid), _stall_causes(recorder)
 
 
