@@ -39,6 +39,7 @@ from repro.obs.events import (  # noqa: F401  (re-exports)
     DROP_QUEUE_FULL,
     DROP_RETRY_EXHAUSTED,
 )
+from repro.sim.host import collector_paused
 from repro.sim.latency import LatencyRecorder, LatencySummary
 from repro.sim.rng import XorShiftRng
 from repro.workloads.keys import key_for
@@ -248,6 +249,7 @@ class ClusterRunResult:
         )
 
 
+@collector_paused()
 def run_cluster(
     router,
     clients: List[ClientSpec],

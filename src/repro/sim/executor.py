@@ -15,6 +15,8 @@ import heapq
 import itertools
 from typing import Callable, List, Optional
 
+from repro.sim.host import collector_paused
+
 
 class Job:
     """A unit of background work with a fixed simulated duration."""
@@ -159,6 +161,7 @@ class Executor:
         self.settle()
         return self.clock.now - before
 
+    @collector_paused()
     def drain(self) -> float:
         """Run the simulation until no background work remains.
 
@@ -233,6 +236,7 @@ def advance(executors) -> bool:
     return True
 
 
+@collector_paused()
 def drain_all(executors) -> None:
     """Drain each busy executor in turn until a whole pass finds all idle.
 

@@ -17,6 +17,11 @@ from typing import Iterator, List, Optional, Tuple
 from repro.skiplist.node import BRANCHING, MAX_HEIGHT, NODE_OVERHEAD_BYTES, Node
 from repro.sim.rng import XorShiftRng
 
+#: A frozen-index rebuild walks every entry, so it has paid for itself
+#: once it served ``entries / INDEX_PAYBACK`` lookups; one that served
+#: fewer doubles the misses the next rebuild waits for.
+INDEX_PAYBACK = 8
+
 
 class SkipList:
     """Nodes ordered by (key ascending, seq descending)."""
@@ -108,10 +113,12 @@ class SkipList:
         hop cost without walking the towers.
 
         The index is rebuilt lazily when the structural version moved.
-        Rebuilds back off exponentially while they keep getting
-        invalidated before being used (an in-flight zero-copy merge
-        relinks nodes every step); callers then get ``None`` and must
-        fall back to the walking search.
+        Rebuilds back off exponentially, up to ``max(1024, entries)``
+        misses, while each serves fewer than ``entries / INDEX_PAYBACK``
+        lookups before the next link or unlink invalidates it (an
+        in-flight zero-copy merge relinks nodes every step; a big list
+        takes a write between a few reads); callers then get ``None``
+        and must fall back to the walking search.
         """
         if self._index_version == self._version:
             self._index_hits += 1
@@ -120,8 +127,10 @@ class SkipList:
         if self._index is not None:
             if self._index_misses < self._rebuild_after:
                 return None
-            if self._index_hits < 4:
-                self._rebuild_after = min(1024, self._rebuild_after * 2)
+            if self._index_hits * INDEX_PAYBACK < self.entries:
+                self._rebuild_after = min(
+                    max(1024, self.entries), self._rebuild_after * 2
+                )
             else:
                 self._rebuild_after = 8
         keys: List[bytes] = []

@@ -19,6 +19,7 @@ rate-limited clients through one code path.
 import math
 from typing import Callable, Optional
 
+from repro.sim.host import collector_paused
 from repro.sim.latency import LatencyRecorder, LatencySummary
 from repro.sim.rng import XorShiftRng
 
@@ -53,6 +54,7 @@ class OpenLoopResult:
         )
 
 
+@collector_paused()
 def run_open_loop(
     store,
     operations: Callable[[int], None],

@@ -14,6 +14,7 @@ store call per op, a number sends chunks of that many ops through the
 from itertools import islice
 from typing import Dict, Iterable, Iterator, Optional
 
+from repro.sim.host import collector_paused
 from repro.sim.latency import LatencySummary
 
 
@@ -53,6 +54,9 @@ class RunResult:
 class Phase:
     """Context manager measuring a block of store operations.
 
+    Automatic cycle collection is paused for the block
+    (:func:`~repro.sim.host.collector_paused`).
+
     Example::
 
         with Phase("load", store.system) as phase:
@@ -70,6 +74,8 @@ class Phase:
         self._result: Optional[RunResult] = None
 
     def __enter__(self) -> "Phase":
+        self._paused = collector_paused()
+        self._paused.__enter__()
         self._start_time = self.system.clock.now
         recorder = self.system.latency
         self._start_counts = {k: recorder.count(k) for k in recorder.kinds()}
@@ -77,6 +83,7 @@ class Phase:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._paused.__exit__(None, None, None)
         if exc_type is not None:
             return
         self._result = self._measure()

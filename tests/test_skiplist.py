@@ -137,6 +137,28 @@ def test_seek_matches_first_ge_across_mutations(sl):
     assert paths == {"index", "walk"}
 
 
+def test_rebuilds_back_off_on_a_big_list_written_between_reads(sl):
+    """A rebuild walks every entry, so one that serves 20 lookups before
+    the next write invalidates it does not pay on a 20 000-entry list:
+    the rebuilds back off instead of costing a walk per write."""
+    n = 20_000
+    for i in range(n):
+        put(sl, b"k%06d" % (i * 7919 % n), i + 1)
+    rng = XorShiftRng(5)
+    rebuilds = 0
+    index = None
+    for rnd in range(100):
+        put(sl, b"k%06d" % rng.next_below(n), n + 1 + rnd)
+        for __ in range(20):
+            # half the probes carry an "x" suffix: keys that are absent
+            key = b"k%06d%s" % (rng.next_below(n), b"x" * rng.next_below(2))
+            assert sl.lookup(key) == sl.get(key)
+            if sl._index is not index:
+                rebuilds += 1
+                index = sl._index
+    assert 1 <= rebuilds <= 10
+
+
 def test_data_bytes_accounting(sl):
     node = put(sl, b"abc", 1, vbytes=100)
     assert sl.data_bytes == node.nbytes
