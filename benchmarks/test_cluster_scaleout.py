@@ -147,9 +147,7 @@ def test_cluster_scaleout(benchmark, emit):
 THETAS = (0.2, 0.6, 0.99)
 SKEW_STORES = ("miodb", "leveldb")
 SKEW_UTILISATION = 0.85  # offered rate as a fraction of measured capacity
-SKEW_ADMISSION = dict(
-    max_queue_depth=4, policy="defer", max_retries=6, defer_s=1e-4
-)
+SKEW_ADMISSION = dict(max_queue_depth=4, policy="defer", max_retries=6)
 
 
 def run_skew_point(store, theta, rebalance):

@@ -34,7 +34,7 @@ def run_buffer_sweep(scale):
             rows.append(
                 [buffer_bytes // MB, name, write.kiops, read.kiops,
                  system.nvm.peak_bytes_in_use / MB,
-                 system.nvm.average_usage(system.now) / MB]
+                 system.nvm.average_usage() / MB]
             )
     store, system = make_store(
         "miodb", scale, ssd=True, max_nvm_buffer_bytes=MIODB_CAP
@@ -44,7 +44,7 @@ def run_buffer_sweep(scale):
     mio_row = [
         MIODB_CAP // MB, "miodb (elastic)", write.kiops, read.kiops,
         system.nvm.peak_bytes_in_use / MB,
-        system.nvm.average_usage(system.now) / MB,
+        system.nvm.average_usage() / MB,
     ]
     return rows, mio_row
 

@@ -60,9 +60,7 @@ class MatrixRow:
         self.entries = list(entries)
         self.keys = [e[0] for e in self.entries]  # DRAM index
         self.data_bytes = run_bytes(self.entries)
-        self.arena = Arena(
-            system.nvm, self.data_bytes, system.now, label or f"row-{self.row_id}"
-        )
+        self.arena = Arena(system.nvm, self.data_bytes, label or f"row-{self.row_id}")
         self.bloom = BloomFilter.for_capacity(max(1, len(self.entries)), 10)
         self.bloom.add_all(self.keys)
 
@@ -95,7 +93,7 @@ class MatrixRow:
         self.keys = self.keys[:lo] + self.keys[hi:]
         freed = run_bytes(taken)
         self.data_bytes -= freed
-        self.arena.shrink(freed, self.system.now)
+        self.arena.shrink(freed)
         return taken
 
     @property

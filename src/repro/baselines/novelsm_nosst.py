@@ -24,11 +24,11 @@ class NoveLSMNoSSTStore(KVStore):
     def __init__(self, system, options: Optional[StoreOptions] = None) -> None:
         super().__init__(system, options or StoreOptions())
         self.skiplist = SkipList(XorShiftRng(0x0557))
-        self.arena = Arena(system.nvm, 0, system.now, f"{self.name}-heap")
+        self.arena = Arena(system.nvm, 0, f"{self.name}-heap")
 
     def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
-        self.arena.grow(node.nbytes, self.system.now)
+        self.arena.grow(node.nbytes)
         seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
         seconds += self.system.nvm.write(node.nbytes, sequential=False)
         # In-place shadowing: older versions of the key are dropped
@@ -45,7 +45,7 @@ class NoveLSMNoSSTStore(KVStore):
                 return dropped
             preds = self.skiplist.predecessors_of(dup)
             self.skiplist.unlink(dup, preds, to_garbage=False)
-            self.arena.shrink(dup.nbytes, self.system.now)
+            self.arena.shrink(dup.nbytes)
             dropped += 1
 
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:

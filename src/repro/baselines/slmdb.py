@@ -46,7 +46,7 @@ class SLMDBStore(BufferedStore):
         super().__init__(system, options or StoreOptions(), 0x51DB, system.nvm)
         self.tables: List[SSTable] = []
         self.index = BPlusTree(BTREE_ORDER)
-        self.index_arena = Arena(system.nvm, 0, system.now, f"{self.name}-index")
+        self.index_arena = Arena(system.nvm, 0, f"{self.name}-index")
         # One worker for BOTH flushing and compaction: index order must
         # be preserved, so they cannot overlap (the paper's criticism).
         self.worker = self.flush_worker = system.executor.worker(
@@ -86,7 +86,7 @@ class SLMDBStore(BufferedStore):
     def _grow_index_arena(self, nodes_before: int) -> None:
         grown = self.index.node_count - nodes_before
         if grown > 0:
-            self.index_arena.grow(grown * NODE_BYTES, self.system.now)
+            self.index_arena.grow(grown * NODE_BYTES)
 
     def _index_run(
         self, seconds: float, entries, sst: SSTable, unindex: bool = False

@@ -51,6 +51,10 @@ ADMISSION_POLICIES = ("reject", "defer")
 #: threshold is :func:`~repro.cluster.rebalance.maybe_rebalance`'s own.
 MAX_REBALANCES = 4
 
+#: Simulated seconds a deferred request waits before it is re-offered
+#: to its shard's queue (the ``"defer"`` admission policy).
+DEFER_S = 1e-4
+
 #: Requests' worth of a client's gap, op-kind and key streams drawn per
 #: refill: the columns stay this short however many ops a client issues.
 COLUMN_CHUNK = 1024
@@ -64,7 +68,6 @@ class AdmissionControl:
         max_queue_depth: int = 64,
         policy: str = "reject",
         max_retries: int = 3,
-        defer_s: float = 1e-4,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError(
@@ -77,12 +80,9 @@ class AdmissionControl:
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not defer_s > 0:  # NaN included
-            raise ValueError(f"defer_s must be positive, got {defer_s}")
         self.max_queue_depth = max_queue_depth
         self.policy = policy
         self.max_retries = max_retries
-        self.defer_s = defer_s
 
 
 class ClientSpec:
@@ -287,7 +287,7 @@ def run_cluster(
     On a replicated cluster a request whose shard is leaderless with no
     election in flight (the group is below its majority and waiting for
     a restart) is never silently dropped: ``"defer"`` admission retries
-    it after ``defer_s`` until retries exhaust, and the final verdict is
+    it after ``DEFER_S`` until retries exhaust, and the final verdict is
     the closed-vocabulary ``no_leader`` drop cause.
     """
     from collections import deque
@@ -364,14 +364,14 @@ def run_cluster(
             # The closed-loop client saw the rejection; it retries its
             # *next* op after a short backoff rather than spinning at
             # the same instant.
-            push(state.make_request(clock.now + admission.defer_s))
+            push(state.make_request(clock.now + DEFER_S))
 
     def defer_or_drop(request: _Request, shard: int, cause: str) -> None:
-        """Retry ``request`` after ``defer_s`` if the policy allows, else shed."""
+        """Retry ``request`` after ``DEFER_S`` if the policy allows, else shed."""
         if admission.policy == "defer" and request.retries < admission.max_retries:
             request.retries += 1
             stats.add("cluster.deferred", 1)
-            push(request, at=clock.now + admission.defer_s)
+            push(request, at=clock.now + DEFER_S)
         else:
             drop(request, shard, cause)
 

@@ -126,11 +126,7 @@ class Cluster:
         for shard_id in range(n_shards):
             if replication is not None:
                 group = ReplicaGroup(
-                    shard_id,
-                    self.clock,
-                    build,
-                    replication,
-                    stats=self.stats,
+                    shard_id, build, replication, stats=self.stats
                 )
                 shard = Shard(
                     shard_id, group.leader.store, group.leader.system, group
@@ -209,9 +205,7 @@ class Cluster:
         from repro.obs.live.recorder import LiveRecorder
 
         return [
-            LiveRecorder(self.clock, seed + shard.shard_id, **options).attach(
-                shard.system
-            )
+            LiveRecorder(seed + shard.shard_id, **options).attach(shard.system)
             for shard in self.shards
         ]
 

@@ -128,7 +128,7 @@ class CompactionManager:
                 repo_apply()
             table.busy = False
             self.store.levels[level].remove(table)
-            freed = table.reclaim(self.system.now)
+            freed = table.reclaim()
             self.system.stats.add("gc.reclaimed_bytes", freed)
             self.system.stats.add("compact.lazy_count", 1)
             self.store.crash.reach("compact.after_lazy_copy")

@@ -90,7 +90,6 @@ class MioDB(BufferedStore):
         arena = Arena(
             self.system.nvm,
             max(table.capacity_bytes, table.skiplist.footprint_bytes),
-            self.system.now,
             f"pmtable-{table.table_id}",
         )
         bloom = None

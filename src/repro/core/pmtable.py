@@ -77,11 +77,11 @@ class PMTable:
         other.arenas = []
         other.reclaimable = True
 
-    def reclaim(self, now: float) -> int:
+    def reclaim(self) -> int:
         """Release every arena (after lazy-copy GC); returns bytes freed."""
         freed = 0
         for arena in self.arenas:
-            freed += arena.release(now)
+            freed += arena.release()
         self.reclaimable = True
         return freed
 

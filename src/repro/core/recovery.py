@@ -36,7 +36,7 @@ def recover(crashed: MioDB) -> Tuple[MioDB, float]:
             table.release()
     inflight = crashed._inflight_pmtable
     if inflight is not None and not inflight.swizzled:
-        inflight.reclaim(system.now)
+        inflight.reclaim()
 
     store = MioDB(system, crashed.options, crash_injector=crashed.crash)
     # The adopted PMTables' filters fix the one bloom geometry: a fresh
@@ -48,7 +48,7 @@ def recover(crashed: MioDB) -> Tuple[MioDB, float]:
     for level, tables in enumerate(crashed.levels):
         for table in tables:
             if not table.swizzled:
-                table.reclaim(system.now)
+                table.reclaim()
                 continue
             table.busy = False
             store.levels[level].append(table)

@@ -40,7 +40,7 @@ class NvmRepository:
     def __init__(self, system) -> None:
         self.system = system
         self.skiplist = SkipList(XorShiftRng(0x4E50))
-        self.arena = Arena(system.nvm, 0, system.now, "miodb-repository")
+        self.arena = Arena(system.nvm, 0, "miodb-repository")
 
     @property
     def data_bytes(self) -> int:
@@ -62,7 +62,6 @@ class NvmRepository:
         """
         hop = self.system.cpu.hop_cost("nvm")
         nvm = self.system.nvm
-        now = self.system.now
         skiplist = self.skiplist
         # The PMTable is a sorted run: one monotone cursor seek finds, per
         # key, both the repository's version and the insert position.
@@ -80,7 +79,7 @@ class NvmRepository:
                 if existing is not None:
                     cursor.unlink_next(to_garbage=False)
                     seconds += nvm.write(8 * existing.height, sequential=False)
-                    self.arena.shrink(existing.nbytes, now)
+                    self.arena.shrink(existing.nbytes)
                 continue
             if existing is not None:
                 if node.seq <= existing.seq:
@@ -89,9 +88,9 @@ class NvmRepository:
                     existing, node.seq, node.value, payload_bytes(node)
                 )
                 if delta > 0:
-                    self.arena.grow(delta, now)
+                    self.arena.grow(delta)
                 elif delta < 0:
-                    self.arena.shrink(-delta, now)
+                    self.arena.shrink(-delta)
                 seconds += nvm.write(existing.nbytes, sequential=False)
             else:
                 # The key is absent, so the insert position is the seek's
@@ -100,7 +99,7 @@ class NvmRepository:
                 new_node = cursor.link(key, node.seq, node.value, payload_bytes(node))
                 seconds += search
                 seconds += nvm.write(new_node.nbytes, sequential=False)
-                self.arena.grow(new_node.nbytes, now)
+                self.arena.grow(new_node.nbytes)
         return seconds, None
 
     def get(self, key: bytes) -> Tuple[Optional[object], float]:

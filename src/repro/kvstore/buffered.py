@@ -45,8 +45,7 @@ class BufferedStore(KVStore):
         self.crash = crash_injector or PASSIVE_INJECTOR
         self.rng = XorShiftRng(rng_seed)
         self.wal = WriteAheadLog(
-            wal_device, f"{self.name}-wal",
-            fsync_policy=options.fsync_policy, clock=system.clock,
+            wal_device, f"{self.name}-wal", fsync_policy=options.fsync_policy
         )
         self.memtable = MemTable(system, options.memtable_bytes, self.rng.fork())
         self.immutable: Optional[MemTable] = None

@@ -47,9 +47,7 @@ class MemTable:
         self.device = system.dram if placement == "dram" else system.nvm
         self._hop_cost = system.cpu.hop_cost(placement)
         self.skiplist = SkipList(rng or XorShiftRng(0xA5F0 + self.table_id))
-        self.arena = Arena(
-            self.device, capacity_bytes, system.now, f"memtable-{self.table_id}"
-        )
+        self.arena = Arena(self.device, capacity_bytes, f"memtable-{self.table_id}")
         self.immutable = False
         #: Newest sequence number staged here (0 while empty): the WAL
         #: may be truncated through it once this table is flushed.
@@ -96,7 +94,7 @@ class MemTable:
 
     def release(self) -> None:
         """Free the arena once flushing (and swizzling) completed."""
-        self.arena.release(self.system.now)
+        self.arena.release()
 
     def __len__(self) -> int:
         return len(self.skiplist)

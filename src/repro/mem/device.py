@@ -56,10 +56,16 @@ class DeviceProfile:
 
 
 class Device:
-    """One simulated device: charges time and counts traffic and usage."""
+    """One simulated device: charges time and counts traffic and usage.
 
-    def __init__(self, profile: DeviceProfile) -> None:
+    ``clock`` is the simulated clock of the machine the device belongs
+    to; space changes are stamped with its current time, so no caller
+    passes one.
+    """
+
+    def __init__(self, profile: DeviceProfile, clock) -> None:
         self.profile = profile
+        self.clock = clock
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_ops = 0
@@ -115,32 +121,34 @@ class Device:
 
     # ---------------------------------------------------------------- space
 
-    def allocate(self, nbytes: int, now: float = 0.0) -> None:
+    def allocate(self, nbytes: int) -> None:
         """Account ``nbytes`` of live space on this device."""
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
-        self._integrate_usage(now)
+        self._integrate_usage()
         self.bytes_in_use += nbytes
         if self.bytes_in_use > self.peak_bytes_in_use:
             self.peak_bytes_in_use = self.bytes_in_use
 
-    def release(self, nbytes: int, now: float = 0.0) -> None:
+    def release(self, nbytes: int) -> None:
         """Return ``nbytes`` of live space to the device."""
         if nbytes < 0:
             raise ValueError(f"negative release: {nbytes}")
-        self._integrate_usage(now)
-        self.bytes_in_use -= nbytes
-        if self.bytes_in_use < 0:
+        if nbytes > self.bytes_in_use:
             raise ValueError(f"device {self.name} released more than allocated")
+        self._integrate_usage()
+        self.bytes_in_use -= nbytes
 
-    def _integrate_usage(self, now: float) -> None:
+    def _integrate_usage(self) -> None:
+        # Read off the slot: the WAL allocates on every append.
+        now = self.clock._now
         if now > self._usage_last_t:
             self._usage_area += self.bytes_in_use * (now - self._usage_last_t)
             self._usage_last_t = now
 
-    def average_usage(self, now: float) -> float:
-        """Time-weighted average of live bytes from t=0 to ``now``."""
-        self._integrate_usage(now)
+    def average_usage(self) -> float:
+        """Time-weighted average of live bytes from t=0 to the clock's now."""
+        self._integrate_usage()
         if self._usage_last_t <= 0:
             return float(self.bytes_in_use)
         return self._usage_area / self._usage_last_t

@@ -27,9 +27,9 @@ class HybridMemorySystem:
         # their foreground ops and background jobs are mutually ordered.
         self.clock = clock if clock is not None else SimClock()
         self.executor = Executor(self.clock)
-        self.dram = Device(DRAM_PROFILE)
-        self.nvm = Device(OPTANE_NVM_PROFILE)
-        self.ssd = Device(NVME_SSD_PROFILE) if ssd else None
+        self.dram = Device(DRAM_PROFILE, self.clock)
+        self.nvm = Device(OPTANE_NVM_PROFILE, self.clock)
+        self.ssd = Device(NVME_SSD_PROFILE, self.clock) if ssd else None
         self.cpu = CpuCostModel()
         self.stats = StatsRegistry()
         self.latency = LatencyRecorder()
@@ -50,10 +50,7 @@ class HybridMemorySystem:
 
     def persistent_devices(self):
         """Devices whose writes count toward write amplification."""
-        devices = [self.nvm]
-        if self.ssd is not None:
-            devices.append(self.ssd)
-        return devices
+        return [dev for dev in self.devices() if dev.profile.persistent]
 
     def attach_tracing(self):
         """Attach a fresh :class:`~repro.obs.recorder.TraceRecorder`.
@@ -64,7 +61,7 @@ class HybridMemorySystem:
         """
         from repro.obs.recorder import TraceRecorder
 
-        return TraceRecorder(self.clock).attach(self)
+        return TraceRecorder().attach(self)
 
     def detach_tracing(self) -> None:
         """Detach the current recorder, if any (idempotent)."""
@@ -84,7 +81,7 @@ class HybridMemorySystem:
         """
         from repro.obs.live.recorder import LiveRecorder
 
-        return LiveRecorder(self.clock, **options).attach(self)
+        return LiveRecorder(**options).attach(self)
 
     def job_scope(self):
         """Context manager marking device traffic as background-job cost.

@@ -53,7 +53,7 @@ def _run_doc(recorder, system, store_name: str, attrs) -> dict:
     )[:TOP_CHAINS]
     end_s = system.clock.now
     user_bytes = system.stats.get("user.bytes_written")
-    persistent = persistent_write_bytes(recorder)
+    persistent = persistent_write_bytes(recorder, system)
     profile = time_profile(attrs, recorder, end_s)
     # Present only on traces with repl.* events, so unreplicated
     # analysis documents stay byte-identical.

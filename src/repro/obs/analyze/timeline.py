@@ -19,23 +19,20 @@ from typing import Dict, List
 
 from repro.obs.events import CAT_TRANSFER
 
-#: Device tracks whose writes do NOT count as persistent traffic.
-_VOLATILE_DEVICES = frozenset({"dram"})
-
 
 def _transfer_writes(recorder):
     return [e for e in recorder.index().of(CAT_TRANSFER) if e.name == "write"]
 
 
-def persistent_write_bytes(recorder) -> int:
-    """Bytes written to persistent devices, summed from transfer events."""
-    total = 0
-    for event in _transfer_writes(recorder):
-        device = event.track.split(":", 1)[1]
-        if device in _VOLATILE_DEVICES:
-            continue
-        total += (event.args or {}).get("bytes", 0)
-    return total
+def persistent_write_bytes(recorder, system) -> int:
+    """Bytes written to ``system``'s persistent devices, summed from
+    transfer events."""
+    tracks = {f"dev:{dev.name}" for dev in system.persistent_devices()}
+    return sum(
+        (event.args or {}).get("bytes", 0)
+        for event in _transfer_writes(recorder)
+        if event.track in tracks
+    )
 
 
 def per_level_bytes(recorder) -> Dict[str, dict]:

@@ -59,12 +59,11 @@ class LiveRecorder(TraceRecorder):
 
     def __init__(
         self,
-        clock,
         seed: int = 1,
         slo_threshold_s: Optional[float] = None,
         stall_alert_s: Optional[float] = None,
     ) -> None:
-        super().__init__(clock)
+        super().__init__()
         self.keep = self._retain
         self.head = HeadSampler(seed)
         self.tail = TailSampler()

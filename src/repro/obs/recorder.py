@@ -165,8 +165,9 @@ class _JobCostScope:
 class TraceRecorder:
     """Collects typed spans and instants from one simulated machine."""
 
-    def __init__(self, clock) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
+        #: The attached system's clock (kept after detach, for readers).
+        self.clock = None
         self.events: List[TraceEvent] = []
         #: The sink every hook hands its event to, and the only place an
         #: event is kept.  A subclass with a retention policy replaces it.
@@ -209,6 +210,7 @@ class TraceRecorder:
         if system.obs is not None:
             raise RuntimeError("system already has a recorder attached")
         self._system = system
+        self.clock = system.clock
         system.obs = self
         system.executor.obs = self
         for device in system.devices():

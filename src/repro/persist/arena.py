@@ -6,45 +6,43 @@ flushing).  An :class:`Arena` represents one such region: it reserves
 space on its device at creation and returns it when released.
 """
 
-from typing import Optional
-
 
 class Arena:
     """A fixed-size region of one device's space."""
 
-    def __init__(self, device, size: int, now: float = 0.0, label: str = "") -> None:
+    def __init__(self, device, size: int, label: str = "") -> None:
         if size < 0:
             raise ValueError(f"arena size must be >= 0, got {size}")
         self.device = device
         self.size = size
         self.label = label
         self.released = False
-        device.allocate(size, now)
+        device.allocate(size)
 
-    def release(self, now: float = 0.0) -> int:
+    def release(self) -> int:
         """Return the space to the device; idempotent."""
         if self.released:
             return 0
-        self.device.release(self.size, now)
+        self.device.release(self.size)
         self.released = True
         return self.size
 
-    def grow(self, extra: int, now: float = 0.0) -> None:
+    def grow(self, extra: int) -> None:
         """Extend the arena (used by the growing data repository)."""
         if extra < 0:
             raise ValueError(f"cannot grow by negative bytes: {extra}")
         if self.released:
             raise ValueError("cannot grow a released arena")
-        self.device.allocate(extra, now)
+        self.device.allocate(extra)
         self.size += extra
 
-    def shrink(self, nbytes: int, now: float = 0.0) -> None:
+    def shrink(self, nbytes: int) -> None:
         """Give back part of the arena (in-place garbage collection)."""
         if nbytes < 0 or nbytes > self.size:
             raise ValueError(f"cannot shrink {self.size}B arena by {nbytes}B")
         if self.released:
             raise ValueError("cannot shrink a released arena")
-        self.device.release(nbytes, now)
+        self.device.release(nbytes)
         self.size -= nbytes
 
     def __repr__(self) -> str:

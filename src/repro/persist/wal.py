@@ -19,8 +19,8 @@ Fsync policy
   the Nth buffered record triggers one sequential write of all buffered
   frames (amortizing the device's per-write latency N ways).
 - ``"interval:T"`` -- records buffer until ``T`` simulated seconds have
-  passed since the first buffered append, then one write flushes them
-  (requires the shared ``clock``).
+  passed since the first buffered append (read off the device's clock),
+  then one write flushes them.
 
 Buffered records are *not yet durable*: a crash loses them
 (:meth:`WriteAheadLog.truncate_to_replay`), replay skips them, and
@@ -107,7 +107,6 @@ class WriteAheadLog:
         device,
         label: str = "wal",
         fsync_policy: str = "sync",
-        clock=None,
     ) -> None:
         self.device = device
         self.label = label
@@ -116,11 +115,6 @@ class WriteAheadLog:
         self._next_batch_id = 1
         self.fsync_policy = fsync_policy
         self._mode, self._fsync_param = parse_fsync_policy(fsync_policy)
-        if self._mode == "interval" and clock is None:
-            raise ValueError(
-                f"fsync policy {fsync_policy!r} needs the shared clock"
-            )
-        self._clock = clock
         self._pending: List[WalRecord] = []
         self._window_start: Optional[float] = None
 
@@ -148,9 +142,10 @@ class WriteAheadLog:
         if self._mode == "batch":
             return len(self._pending) >= int(self._fsync_param)
         # interval: the flush window opens at the first buffered append.
+        now = self.device.clock.now
         if self._window_start is None:
-            self._window_start = self._clock.now
-        return self._clock.now >= self._window_start + self._fsync_param
+            self._window_start = now
+        return now >= self._window_start + self._fsync_param
 
     def sync(self) -> float:
         """Flush buffered records to the device; returns write duration.

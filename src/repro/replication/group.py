@@ -139,13 +139,11 @@ class ReplicaGroup:
     def __init__(
         self,
         group_id: int,
-        clock,
         factory: Callable[[int], Tuple[object, object]],
         config: Optional[ReplicationConfig] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.group_id = group_id
-        self.clock = clock
         self.config = config or ReplicationConfig()
         self._factory = factory
         self.stats = stats if stats is not None else StatsRegistry()
@@ -183,6 +181,8 @@ class ReplicaGroup:
         for rid in range(self.config.group_size):
             self.members.append(self._make_member(rid))
         self.members[0].role = ROLE_LEADER
+        #: The members' one clock.
+        self.clock = self.members[0].system.clock
         #: Every member's executor, in member order, for the shared-clock
         #: functions of ``repro.sim.executor``.  A dead member stays
         #: listed: its crash emptied its executor and nothing submits to
@@ -196,9 +196,11 @@ class ReplicaGroup:
         reason = replication_refusal(store)
         if reason is not None:
             raise ValueError(f"store {store.name!r} cannot be replicated: {reason}")
+        if self.members and system.clock is not self.members[0].system.clock:
+            raise ValueError("replica group members must share one clock")
         # One standalone link device per member charges ship latency and
         # bandwidth.
-        replica = Replica(rid, store, system, Device(REPL_LINK_PROFILE))
+        replica = Replica(rid, store, system, Device(REPL_LINK_PROFILE, system.clock))
         replica.ship_worker = system.executor.worker(
             f"repl-ship-g{self.group_id}-r{rid}"
         )

@@ -16,7 +16,7 @@ def build_group(store_name: str, scale=None, config=None, crash_injector=None):
     def factory(rid: int):
         return make_store(store_name, scale, system=make_system(clock=clock))
 
-    group = ReplicaGroup(0, clock, factory, config)
+    group = ReplicaGroup(0, factory, config)
     if crash_injector is not None:
         group.crash = crash_injector
     return group

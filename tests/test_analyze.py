@@ -220,7 +220,7 @@ def test_profile_foreground_plus_idle_covers_the_run():
 def test_persistent_bytes_match_system_accounting_exactly():
     for name in ("miodb", "leveldb", "matrixkv"):
         __, system, recorder = _traced(name)
-        assert persistent_write_bytes(recorder) == system.persistent_bytes_written()
+        assert persistent_write_bytes(recorder, system) == system.persistent_bytes_written()
         write = analyze_run(recorder, system, name)["write"]
         assert write["write_amplification"] == system.write_amplification()
 

@@ -114,7 +114,7 @@ def test_live_recorder_ring_stays_within_capacity():
     from repro.mem.system import HybridMemorySystem
 
     system = HybridMemorySystem()
-    rec = LiveRecorder(system.clock).attach(system)
+    rec = LiveRecorder().attach(system)
     for i in range(5000):
         rec.span("foreground", "put", "op", i * 1e-6, i * 1e-6 + 1e-7)
     assert len(rec.flight.ring) == FLIGHT_CAPACITY

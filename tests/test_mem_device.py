@@ -4,11 +4,12 @@ import pytest
 
 from repro.mem.device import Device, DeviceProfile
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
+from repro.sim.clock import SimClock
 
 
 @pytest.fixture
 def nvm():
-    return Device(OPTANE_NVM_PROFILE)
+    return Device(OPTANE_NVM_PROFILE, SimClock())
 
 
 def test_read_time_is_latency_plus_bandwidth(nvm):
@@ -64,15 +65,26 @@ def test_allocate_release_and_peak(nvm):
 
 def test_release_more_than_allocated_rejected(nvm):
     nvm.allocate(10)
+    nvm.clock.advance(1.0)
+    before = (nvm.bytes_in_use, nvm.peak_bytes_in_use, nvm.average_usage())
     with pytest.raises(ValueError):
         nvm.release(11)
+    after = (nvm.bytes_in_use, nvm.peak_bytes_in_use, nvm.average_usage())
+    assert after == before == (10, 10, 10.0)
+    # The integral goes on from the unchanged usage.
+    nvm.clock.advance(1.0)
+    assert nvm.average_usage() == 10.0
 
 
 def test_average_usage_time_weighted(nvm):
-    nvm.allocate(100, now=0.0)
-    nvm.allocate(100, now=1.0)  # 100 bytes for [0,1)
-    avg = nvm.average_usage(now=2.0)  # then 200 bytes for [1,2)
-    assert avg == pytest.approx(150.0)
+    nvm.allocate(100)
+    nvm.clock.advance(1.0)
+    nvm.allocate(100)  # 100 bytes for [0,1)
+    nvm.clock.advance(1.0)
+    assert nvm.average_usage() == pytest.approx(150.0)  # then 200 for [1,2)
+    nvm.release(200)
+    nvm.clock.advance(2.0)
+    assert nvm.average_usage() == pytest.approx(75.0)  # and none for [2,4)
 
 
 def test_paper_ratio_nvm_random_write_much_slower_than_dram():

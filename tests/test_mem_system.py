@@ -4,6 +4,7 @@ import pytest
 
 from repro.mem.costs import CpuCostModel
 from repro.mem.system import HybridMemorySystem
+from repro.sim.clock import SimClock
 
 
 def test_default_system_has_no_ssd(system):
@@ -15,6 +16,13 @@ def test_with_ssd(ssd_system):
     assert ssd_system.ssd is not None
     names = [d.name for d in ssd_system.persistent_devices()]
     assert names == ["nvm", "ssd"]
+
+
+def test_every_device_reads_the_machines_clock(system, ssd_system):
+    shared = SimClock()
+    for machine in (system, ssd_system, HybridMemorySystem(clock=shared)):
+        assert machine.devices()
+        assert all(dev.clock is machine.clock for dev in machine.devices())
 
 
 def test_write_amplification_zero_without_user_writes(system):

@@ -149,7 +149,6 @@ def reference_ingest(repo, table):
     """``NvmRepository.ingest`` as it was: two descents per copied node."""
     cpu = repo.system.cpu
     nvm = repo.system.nvm
-    now = repo.system.now
     seconds = 0.0
     for node in newest_versions(table.skiplist):
         value_bytes = max(0, node.nbytes - len(node.key) - NODE_OVERHEAD_BYTES)
@@ -160,7 +159,7 @@ def reference_ingest(repo, table):
                 preds = repo.skiplist.predecessors_of(existing)
                 repo.skiplist.unlink(existing, preds, to_garbage=False)
                 seconds += nvm.write(8 * existing.height, sequential=False)
-                repo.arena.shrink(existing.nbytes, now)
+                repo.arena.shrink(existing.nbytes)
             continue
         if existing is not None:
             if node.seq <= existing.seq:
@@ -169,9 +168,9 @@ def reference_ingest(repo, table):
                 existing, node.seq, node.value, value_bytes
             )
             if delta > 0:
-                repo.arena.grow(delta, now)
+                repo.arena.grow(delta)
             elif delta < 0:
-                repo.arena.shrink(-delta, now)
+                repo.arena.shrink(-delta)
             seconds += nvm.write(existing.nbytes, sequential=False)
         else:
             new_node, ins_hops = repo.skiplist.insert(
@@ -179,7 +178,7 @@ def reference_ingest(repo, table):
             )
             seconds += cpu.skiplist_search_time("nvm", max(ins_hops, 1))
             seconds += nvm.write(new_node.nbytes, sequential=False)
-            repo.arena.grow(new_node.nbytes, now)
+            repo.arena.grow(new_node.nbytes)
     return seconds, None
 
 
@@ -187,7 +186,7 @@ def make_pmtable(system, entries):
     sl = SkipList(XorShiftRng(3))
     for key, seq, value, value_bytes in entries:
         sl.insert(key, seq, value, 0 if value is TOMBSTONE else value_bytes)
-    arena = Arena(system.nvm, max(sl.data_bytes, 1), system.now, "test-pmtable")
+    arena = Arena(system.nvm, max(sl.data_bytes, 1), "test-pmtable")
     table = PMTable(system, sl, [arena], bloom=None, level=0)
     table.swizzled = True
     return table

@@ -339,6 +339,7 @@ def test_shard_recorder_follows_the_leader_across_failover():
     shard = cluster.shards[0]
     assert shard.system is group.leader.system
     assert shard.system.obs is recorder
+    assert recorder.clock is shard.system.clock
     assert sum(1 for e in recorder.events if e.cat == CAT_OP) == 100
     cluster.detach_tracing()
     assert shard.system.obs is None and not recorder.attached
@@ -388,10 +389,10 @@ def test_live_recorder_follows_the_leader_across_failover():
 
 def test_strict_recorder_rejects_unknown_repl_event_names():
     from repro.obs.events import CAT_REPL_SHIP as SHIP
-    from repro.obs.recorder import TraceRecorder, check_vocabulary
-    from repro.sim.clock import SimClock
+    from repro.mem.system import HybridMemorySystem
+    from repro.obs.recorder import check_vocabulary
 
-    recorder = TraceRecorder(SimClock())
+    recorder = HybridMemorySystem().attach_tracing()
     recorder.instant("repl:g0", "append", SHIP, {"span": 1, "lsn": 1})
     check_vocabulary(recorder)
     recorder.instant("repl:g0", "enqueue", SHIP, {"span": 2})

@@ -324,10 +324,10 @@ def test_trace_event_schema_is_pinned(pin):
 
 def _recorded(*events):
     """A recorder holding ``(name, cat, args)`` instants, and its check."""
-    from repro.obs.recorder import TraceRecorder, check_vocabulary
-    from repro.sim.clock import SimClock
+    from repro.mem.system import HybridMemorySystem
+    from repro.obs.recorder import check_vocabulary
 
-    recorder = TraceRecorder(SimClock())
+    recorder = HybridMemorySystem().attach_tracing()
     for name, cat, args in events:
         recorder.instant("foreground", name, cat, args)
     return recorder, lambda: check_vocabulary(recorder)

@@ -176,7 +176,7 @@ def _kernel_ingest(scale: BenchScale) -> Tuple[int, float]:
         skiplist = SkipList(XorShiftRng(11))
         for key, seq, value, value_bytes in rows:
             skiplist.insert(key, seq, value, value_bytes)
-        arena = Arena(system.nvm, skiplist.data_bytes, system.now, "perf-pmtable")
+        arena = Arena(system.nvm, skiplist.data_bytes, "perf-pmtable")
         return PMTable(system, skiplist, [arena], bloom=None)
 
     entries = max(64, scale.dataset_bytes // scale.value_size // 2)

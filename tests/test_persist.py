@@ -7,6 +7,7 @@ from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.persist.arena import Arena
 from repro.persist.crash import CrashInjector, SimulatedCrash
 from repro.persist.wal import RECORD_HEADER_BYTES, WriteAheadLog
+from repro.sim.clock import SimClock
 from tests.support.probes import (
     last_seq,
     last_synced_seq,
@@ -18,7 +19,7 @@ from tests.support.probes import (
 
 @pytest.fixture
 def nvm():
-    return Device(OPTANE_NVM_PROFILE)
+    return Device(OPTANE_NVM_PROFILE, SimClock())
 
 
 # ----------------------------------------------------------------- arenas
@@ -77,6 +78,19 @@ def test_wal_append_charges_device_and_space(nvm):
     assert nvm.bytes_written == expected
     assert live_bytes(wal) == expected
     assert wal.record_count == 1
+
+
+def test_wal_frame_enters_usage_at_the_clocks_time(nvm):
+    # Appended at t=1 and held to t=2: the frame occupied half the run.
+    wal = WriteAheadLog(nvm)
+    nvm.clock.advance(1.0)
+    wal.append(1, b"key", b"value", 5)
+    nvm.clock.advance(1.0)
+    frame = RECORD_HEADER_BYTES + 3 + 5
+    assert nvm.average_usage() == pytest.approx(frame / 2)
+    wal.truncate_through(1)
+    nvm.clock.advance(2.0)
+    assert nvm.average_usage() == pytest.approx(frame / 4)
 
 
 def test_wal_replay_in_order(nvm):
@@ -312,12 +326,9 @@ def test_unsynced_records_do_not_survive_a_crash(nvm):
     assert wal.record_count == 2
 
 
-def test_interval_fsync_follows_the_clock():
-    from repro.sim.clock import SimClock
-
-    clock = SimClock()
-    nvm = Device(OPTANE_NVM_PROFILE)
-    wal = WriteAheadLog(nvm, fsync_policy="interval:0.001", clock=clock)
+def test_interval_fsync_follows_the_clock(nvm):
+    clock = nvm.clock
+    wal = WriteAheadLog(nvm, fsync_policy="interval:0.001")
     assert wal.append(1, b"a", b"v", 1) == 0.0
     clock.advance(0.0005)
     assert wal.append(2, b"b", b"v", 1) == 0.0  # window still open
@@ -325,11 +336,6 @@ def test_interval_fsync_follows_the_clock():
     assert wal.append(3, b"c", b"v", 1) > 0.0  # window expired: commit
     assert pending_count(wal) == 0
     assert last_synced_seq(wal) == 3
-
-
-def test_interval_fsync_requires_a_clock(nvm):
-    with pytest.raises(ValueError):
-        WriteAheadLog(nvm, fsync_policy="interval:0.001")
 
 
 def test_truncate_prunes_unsynced_pending(nvm):

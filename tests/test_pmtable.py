@@ -14,7 +14,7 @@ def make(system, entries, bloom_capacity=64):
     sl = SkipList(XorShiftRng(9))
     for key, seq in entries:
         sl.insert(key, seq, b"v", 16)
-    arena = Arena(system.nvm, 4096, system.now, "pmt")
+    arena = Arena(system.nvm, 4096, "pmt")
     bloom = BloomFilter.for_capacity(bloom_capacity, 16)
     for key, __ in entries:
         bloom.add(key)
@@ -49,7 +49,7 @@ def test_may_contain_costs_and_filters(system):
 
 def test_may_contain_without_bloom_is_free(system):
     sl = SkipList(XorShiftRng(1))
-    arena = Arena(system.nvm, 64, system.now)
+    arena = Arena(system.nvm, 64)
     table = PMTable(system, sl, [arena], bloom=None)
     assert may_contain(table, b"x") == (True, 0.0)
 
@@ -85,9 +85,9 @@ def test_reclaim_releases_all_arenas(system):
     b = make(system, [(b"b", 2)])
     a.absorb(b)
     in_use_before = system.nvm.bytes_in_use
-    freed = a.reclaim(system.now)
+    freed = a.reclaim()
     assert freed == 8192
     assert system.nvm.bytes_in_use == in_use_before - 8192
     assert a.reclaimable
     # idempotent
-    assert a.reclaim(system.now) == 0
+    assert a.reclaim() == 0

@@ -12,6 +12,7 @@ from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_FOLLOWER_RYW,
+    ReplicaGroup,
     ReplicationConfig,
     Session,
 )
@@ -65,6 +66,21 @@ def test_unreplicable_stores_are_rejected():
 
 
 # ------------------------------------------------------- shipping and acks
+
+
+def test_members_and_links_read_the_groups_clock():
+    group = make_group(followers=2)
+    group.crash_replica(1)
+    group.restart_replica(1)
+    for member in group.members:
+        assert member.system.clock is group.clock
+        assert member.link.clock is group.clock
+
+
+def test_members_on_separate_clocks_are_rejected():
+    # make_store builds each member a machine with a clock of its own.
+    with pytest.raises(ValueError, match="share one clock"):
+        ReplicaGroup(0, lambda rid: make_store("miodb", SCALE))
 
 
 def test_followers_converge_after_catch_up():

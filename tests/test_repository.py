@@ -21,7 +21,7 @@ def make_pmtable(system, entries):
         vb = 0 if value is TOMBSTONE else 32
         node, __ = sl.insert(key, seq, value, vb)
         nbytes += node.nbytes
-    arena = Arena(system.nvm, max(nbytes, 1), system.now, "test-pmtable")
+    arena = Arena(system.nvm, max(nbytes, 1), "test-pmtable")
     table = PMTable(system, sl, [arena], bloom=None, level=0)
     table.swizzled = True
     return table

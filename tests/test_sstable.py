@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
+from repro.sim.clock import SimClock
 from repro.skiplist.node import TOMBSTONE
 from repro.sstable.merge import merge_entry_streams
 from repro.sstable.table import SSTable, build_sstable, entry_frame_bytes, run_bytes
@@ -15,7 +16,7 @@ from repro.sstable.table import SSTable, build_sstable, entry_frame_bytes, run_b
 
 @pytest.fixture
 def nvm():
-    return Device(OPTANE_NVM_PROFILE)
+    return Device(OPTANE_NVM_PROFILE, SimClock())
 
 
 @pytest.fixture
@@ -83,6 +84,17 @@ def test_release_frees_space_once(nvm):
     assert table.release() == size
     assert table.release() == 0
     assert nvm.bytes_in_use == 0
+
+
+def test_table_enters_usage_at_the_clocks_time(nvm):
+    # Built at t=1 and held to t=2: the table occupied half the run.
+    nvm.clock.advance(1.0)
+    table = SSTable(entries_for([b"a", b"b"]), nvm)
+    nvm.clock.advance(1.0)
+    assert nvm.average_usage() == pytest.approx(table.data_bytes / 2)
+    table.release()
+    nvm.clock.advance(2.0)
+    assert nvm.average_usage() == pytest.approx(table.data_bytes / 4)
 
 
 def test_read_after_release_rejected(nvm, cpu):

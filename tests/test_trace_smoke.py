@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.config import KB, BenchScale
 from repro.bench.factory import make_store
+from repro.obs.events import CAT_QUEUE, DROP_QUEUE_FULL
 from repro.workloads import fill_random, read_random
 
 pytestmark = pytest.mark.trace_smoke
@@ -49,3 +50,16 @@ def test_detached_system_pays_no_tracing_cost():
     assert len(recorder.events) == 0
     assert system.obs is None
     assert all(d.obs is None for d in system.devices())
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_recorder_reads_the_clock_of_the_system_it_is_on(live):
+    __, first = make_store("miodb", TINY)
+    __, second = make_store("miodb", TINY)
+    second.clock.advance(1.0)
+    recorder = first.attach_live() if live else first.attach_tracing()
+    assert recorder.clock is first.clock
+    recorder.move(second)
+    assert recorder.clock is second.clock
+    recorder.instant("router", "drop", CAT_QUEUE, {"cause": DROP_QUEUE_FULL})
+    assert recorder.events[-1].ts == 1.0

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.persist.wal import WriteAheadLog
+from repro.sim.clock import SimClock
 from tests.support.probes import live_bytes, tear_tail
 
 records = st.lists(
@@ -14,7 +15,7 @@ records = st.lists(
 
 
 def make_wal(pairs, start_seq=1):
-    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE))
+    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE, SimClock()))
     seq = start_seq
     for key, value in pairs:
         wal.append(seq, key, value, len(value))
@@ -68,7 +69,7 @@ def test_batch_replay_is_all_or_nothing(singles, batch_pairs):
 
 @given(records)
 def test_space_accounting_matches_device(pairs):
-    device = Device(OPTANE_NVM_PROFILE)
+    device = Device(OPTANE_NVM_PROFILE, SimClock())
     wal = WriteAheadLog(device)
     seq = 1
     for key, value in pairs:
@@ -95,7 +96,7 @@ def test_space_accounting_matches_device(pairs):
 def test_records_since_equals_full_log_filter(ops, policy, cursors):
     """The tail walk returns exactly what filtering every record would:
     over torn tails, group-commit-buffered records and truncated prefixes."""
-    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE), fsync_policy=policy)
+    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE, SimClock()), fsync_policy=policy)
     seq = 0
     for op, arg in ops:
         if op == "append":
