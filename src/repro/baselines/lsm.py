@@ -82,6 +82,12 @@ class LeveledLSM:
         nworkers: int = 1,
         label: str = "lsm",
     ) -> None:
+        if options.num_levels < 2:
+            # L0 drains only into a deeper level: one level wedges at
+            # the L0 stop mark, none has nowhere to flush.
+            raise ValueError(
+                f"a leveled engine needs num_levels >= 2, got {options.num_levels}"
+            )
         self.system = system
         self.options = options
         self.device = device
@@ -91,7 +97,9 @@ class LeveledLSM:
             system.executor.worker(f"{label}-compact-{i}") for i in range(nworkers)
         ]
         self._busy = set()
-        self._listeners = []
+        #: Called after every applied compaction, or None (MatrixKV's
+        #: column compaction subscribes).
+        self.on_compaction = None
         self.bottom_level = options.num_levels - 1
 
     # ------------------------------------------------------------- ingestion
@@ -308,14 +316,14 @@ class LeveledLSM:
         self, level: int, remove: Sequence[SSTable], add: Sequence[SSTable]
     ) -> None:
         """Install a compaction result into ``level``: release ``remove``,
-        add ``add``, re-check triggers and notify the listeners."""
+        add ``add``, re-check triggers and call :attr:`on_compaction`."""
         self._check_level(level)
         self._remove(level, remove)
         self.levels[level].extend(add)
         self.levels[level].sort(key=lambda t: t.min_key)
         self.maybe_compact()
-        for listener in list(self._listeners):
-            listener()
+        if self.on_compaction is not None:
+            self.on_compaction()
 
     def _remove(self, level: int, tables: Sequence[SSTable]) -> None:
         removed_ids = {t.table_id for t in tables}
@@ -327,10 +335,6 @@ class LeveledLSM:
             table.release()
 
     # ------------------------------------------------------------- reporting
-
-    def add_completion_listener(self, fn) -> None:
-        """Call ``fn`` after every applied compaction (flush throttling)."""
-        self._listeners.append(fn)
 
     def l0_table_count(self) -> int:
         """Current number of L0 tables (drives slowdown/stop stalls)."""

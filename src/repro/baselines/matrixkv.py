@@ -61,7 +61,9 @@ class MatrixRow:
         self.keys = [e[0] for e in self.entries]  # DRAM index
         self.data_bytes = run_bytes(self.entries)
         self.arena = Arena(system.nvm, self.data_bytes, label or f"row-{self.row_id}")
-        self.bloom = BloomFilter.for_capacity(max(1, len(self.entries)), 10)
+        self.bloom = BloomFilter.for_capacity(
+            max(1, len(self.entries)), lsm.SSTABLE_BLOOM_BITS
+        )
         self.bloom.add_all(self.keys)
 
     def get(self, key: bytes, cpu) -> Tuple[Optional[tuple], float]:
@@ -127,7 +129,7 @@ class MatrixKVStore(BufferedStore):
         self._column_cursor: Optional[bytes] = None
         self._column_busy = False
         self._inflight_column = {}
-        self.lsm.add_completion_listener(self._maybe_column_compact)
+        self.lsm.on_compaction = self._maybe_column_compact
 
     # ------------------------------------------------------------ write path
 

@@ -25,6 +25,7 @@ from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.scans import memtable_sources, merged_scan
 from repro.obs.events import CAT_FLUSH
+from repro.skiplist.node import NODE_OVERHEAD_BYTES
 
 
 @dataclass
@@ -61,7 +62,7 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         self.device = pick_device(system, media)
         super().__init__(system, options, 0x2073, system.nvm)
         self.nvm_mt = MemTable(
-            system, self.options.nvm_memtable_bytes, self.rng.fork(), placement="nvm"
+            system, self.options.nvm_memtable_bytes, self.rng.fork(), system.nvm
         )
         self.nvm_imm: Optional[MemTable] = None
         self._nvm_chain_tail = None
@@ -88,7 +89,7 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         return seconds + super()._put(key, seq, value, value_bytes)
 
     def _nvm_direct_put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
-        seconds = self._ensure_nvm_room(len(key) + value_bytes + 64)
+        seconds = self._ensure_nvm_room(len(key) + value_bytes + NODE_OVERHEAD_BYTES)
         seconds += self.nvm_mt.insert(key, seq, value, value_bytes)
         self._direct_seq[key] = seq
         return seconds

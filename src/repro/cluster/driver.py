@@ -25,8 +25,10 @@ percentiles.
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Dict, List, Optional
 
+from repro.cluster.rebalance import maybe_rebalance
 from repro.kvstore.values import SizedValue
 
 # The closed load-shedding vocabulary lives in ``repro.obs.events``
@@ -290,10 +292,6 @@ def run_cluster(
     it after ``DEFER_S`` until retries exhaust, and the final verdict is
     the closed-vocabulary ``no_leader`` drop cause.
     """
-    from collections import deque
-
-    from repro.cluster.rebalance import maybe_rebalance
-
     if sessions is not None and len(sessions) != len(clients):
         raise ValueError(
             f"sessions must hold one token per client: got {len(sessions)} "
@@ -330,11 +328,7 @@ def run_cluster(
             push(state.make_request(base + state.next_gap()))
 
     for state in states:
-        if state.spec.n_ops > 0:
-            if state.closed_loop:
-                push(state.make_request(start_time))
-            else:
-                push(state.make_request(start_time + state.next_gap()))
+        schedule_next(state, start_time)
 
     queues = [deque() for __ in range(n_shards)]
     recorders = [LatencyRecorder() for __ in range(n_shards)]

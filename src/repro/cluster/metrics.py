@@ -23,6 +23,7 @@ import json
 from typing import Dict, List
 
 from repro.obs.export import metrics_snapshot, process_trace_events
+from repro.obs.live.openmetrics import openmetrics_text
 
 
 def cluster_metrics_json(cluster, router=None, result=None) -> str:
@@ -79,8 +80,6 @@ def cluster_openmetrics_text(cluster, recorders: List[object]) -> str:
     Replicated clusters additionally expose per-follower ``repro_repl_lag``
     samples; unreplicated documents are unchanged.
     """
-    from repro.obs.live.openmetrics import openmetrics_text
-
     if len(recorders) != cluster.n_shards:
         raise ValueError(
             f"expected {cluster.n_shards} recorders, got {len(recorders)}"

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bloom.hashing import fnv1a_64
 from repro.sim.rng import mix64
+from repro.workloads.keys import key_for
 
 
 @lru_cache(maxsize=2048)
@@ -165,8 +166,6 @@ class RangePlacement(PlacementPolicy):
     @classmethod
     def for_key_space(cls, n_shards: int, key_space: int) -> "RangePlacement":
         """Even split of the canonical ``key_for`` key space."""
-        from repro.workloads.keys import key_for
-
         if key_space < n_shards:
             raise ValueError(
                 f"key_space {key_space} smaller than n_shards {n_shards}"

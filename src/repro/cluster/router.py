@@ -23,8 +23,11 @@ from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.factory import make_store, make_system
 from repro.cluster.placement import make_placement
 from repro.kvstore.api import paged_items
+from repro.obs.live.recorder import LiveRecorder
+from repro.replication.group import ReplicaGroup, Session
 from repro.sim.clock import SimClock
 from repro.sim.executor import drain_all, settle_due
 from repro.sim.stats import StatsRegistry
@@ -99,11 +102,6 @@ class Cluster:
         replication=None,
         **overrides,
     ) -> None:
-        # Imported here: the bench factory imports stores which import
-        # obs; keeping cluster importable without the factory at module
-        # import time avoids any cycle if stores ever grow cluster hooks.
-        from repro.bench.factory import make_store, make_system
-
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.store_name = store_name
@@ -121,8 +119,6 @@ class Cluster:
                 ssd=ssd, **overrides
             )
 
-        if replication is not None:
-            from repro.replication.group import ReplicaGroup
         for shard_id in range(n_shards):
             if replication is not None:
                 group = ReplicaGroup(
@@ -202,8 +198,6 @@ class Cluster:
         ``slo_threshold_s`` and ``stall_alert_s``; detach with
         :meth:`detach_tracing`.
         """
-        from repro.obs.live.recorder import LiveRecorder
-
         return [
             LiveRecorder(seed + shard.shard_id, **options).attach(shard.system)
             for shard in self.shards
@@ -258,8 +252,6 @@ class ShardRouter:
 
     def session(self):
         """A read-your-writes session token for replicated clusters."""
-        from repro.replication.group import Session
-
         return Session()
 
     def put(self, key: bytes, value, session=None) -> float:

@@ -95,9 +95,7 @@ class CompactionManager:
         seconds = self.system.cpu.skiplist_search_time("nvm", merge.search_hops)
         # N separate 8-byte atomic writes: N latencies plus the bytes.
         ptr = merge.pointer_writes
-        if ptr:
-            seconds += self.system.nvm.write(8 * ptr, sequential=False)
-            seconds += (ptr - 1) * self.system.nvm.profile.write_latency
+        seconds = self.system.nvm.write_words(ptr, seconds)
         self.system.stats.add("compact.ptr_writes", ptr)
         return seconds
 

@@ -48,9 +48,10 @@ class MioDB(BufferedStore):
         options: Optional[MioOptions] = None,
         crash_injector=None,
     ) -> None:
-        super().__init__(
-            system, options or MioOptions(), 0x111D, system.nvm, crash_injector
-        )
+        options = options or MioOptions()
+        if options.num_levels < 1:
+            raise ValueError(f"MioDB needs num_levels >= 1, got {options.num_levels}")
+        super().__init__(system, options, 0x111D, system.nvm, crash_injector)
         self._inflight_pmtable: Optional[PMTable] = None
         self._bloom_geometry = None
         self.levels: List[List[PMTable]] = [
@@ -121,14 +122,7 @@ class MioDB(BufferedStore):
                 copy_seconds += self.system.nvm.write(
                     table.capacity_bytes, sequential=True
                 )
-                swizzle_seconds = 0.0
-                if pointers:
-                    swizzle_seconds += self.system.nvm.write(
-                        8 * pointers, sequential=False
-                    )
-                    swizzle_seconds += (
-                        pointers - 1
-                    ) * self.system.nvm.profile.write_latency
+                swizzle_seconds = self.system.nvm.write_words(pointers, 0.0)
                 swizzle_seconds += self.system.cpu.bloom_build_time(entries)
             else:
                 # Ablation: NoveLSM-style per-KV copy+insert into NVM.
@@ -249,7 +243,7 @@ class MioDB(BufferedStore):
 
         plan = [
             entry(
-                None, t.skiplist, cpu.skiplist_search_time(t.placement, 1),
+                None, t.skiplist, cpu.skiplist_search_time(t.device.name, 1),
                 t.device.read, t.get,
             )
             for t in (self.memtable, self.immutable) if t is not None
@@ -363,7 +357,7 @@ class MioDB(BufferedStore):
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)
         sources += [
-            (pmtable.skiplist, "nvm")
+            (pmtable.skiplist, self.system.nvm)
             for level_tables in self.levels
             for pmtable in level_tables
         ]

@@ -113,7 +113,7 @@ class NvmRepository:
 
     def scan_sources(self, start_key: bytes) -> List[tuple]:
         """Sources for a merged scan (one: the huge skip list)."""
-        return [(self.skiplist, "nvm")]
+        return [(self.skiplist, self.system.nvm)]
 
 
 class SsdRepository:

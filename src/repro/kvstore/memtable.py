@@ -33,19 +33,17 @@ class MemTable:
         system,
         capacity_bytes: int,
         rng: Optional[XorShiftRng] = None,
-        placement: str = "dram",
+        device=None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"MemTable capacity must be positive: {capacity_bytes}")
-        if placement not in ("dram", "nvm"):
-            raise ValueError(f"unknown placement {placement!r}")
         MemTable._ids += 1
         self.table_id = MemTable._ids
         self.system = system
         self.capacity_bytes = capacity_bytes
-        self.placement = placement
-        self.device = system.dram if placement == "dram" else system.nvm
-        self._hop_cost = system.cpu.hop_cost(placement)
+        #: The device holding the table (``system.dram`` by default).
+        self.device = device or system.dram
+        self._hop_cost = system.cpu.hop_cost(self.device.name)
         self.skiplist = SkipList(rng or XorShiftRng(0xA5F0 + self.table_id))
         self.arena = Arena(self.device, capacity_bytes, f"memtable-{self.table_id}")
         self.immutable = False
@@ -90,7 +88,7 @@ class MemTable:
     def rotate(self, rng: XorShiftRng) -> "MemTable":
         """Freeze this table prior to flushing; returns its empty successor."""
         self.immutable = True
-        return MemTable(self.system, self.capacity_bytes, rng.fork(), self.placement)
+        return MemTable(self.system, self.capacity_bytes, rng.fork(), self.device)
 
     def release(self) -> None:
         """Free the arena once flushing (and swizzling) completed."""
@@ -103,5 +101,5 @@ class MemTable:
         state = "immutable" if self.immutable else "active"
         return (
             f"MemTable(#{self.table_id}, {self.data_bytes}B on "
-            f"{self.placement}, {state})"
+            f"{self.device.name}, {state})"
         )

@@ -7,16 +7,17 @@ and every advance is charged to the simulated clock as it happens.
 
 A source is a plain tuple, listed newest-first by the caller:
 
-* ``(skiplist, placement)`` -- a MemTable, PMTable or repository skip
-  list on ``"dram"`` or ``"nvm"``; its cursor is a bottom-level node.
+* ``(skiplist, device)`` -- a MemTable, PMTable or repository skip
+  list on the device holding it; its cursor is a bottom-level node.
 * ``(entries, index, device)`` -- a sorted serialized run (SSTable,
   matrix row) positioned at ``entries[index]``; its cursor is the index.
 
 The kernel does its own accounting, in one path.  Every read is charged
-where it happens with ``DeviceProfile.read_time``'s expression, and its
-transfer event is emitted right there when the device has a recorder;
-but a device's ``bytes_read`` / ``read_ops`` are committed once per scan,
-through ``Device.add_reads``, because nothing reads them mid-scan.  A
+where it happens at the ``(latency, bandwidth)`` rate the device quotes
+once per scan (``Device.seq_read_rate``), and its transfer event is
+emitted right there when the device has a recorder; but a device's
+``bytes_read`` / ``read_ops`` are committed once per scan, through
+``Device.add_reads``, because nothing reads them mid-scan.  A
 scan that raises commits no counters.
 """
 
@@ -30,7 +31,7 @@ from repro.sstable.table import entry_frame_bytes
 
 def memtable_sources(*tables) -> List[tuple]:
     """Skip-list sources for the MemTables that exist, in the order given."""
-    return [(table.skiplist, table.placement) for table in tables if table is not None]
+    return [(table.skiplist, table.device) for table in tables if table is not None]
 
 
 def merged_scan(
@@ -65,24 +66,23 @@ def merged_scan(
     # Per source, one constants tuple: (its run, or None for a skip list;
     # then its device's hop cost, read latency, read bandwidth, [bytes,
     # ops] tally, recorder, name).  Every skip list on a device shares
-    # the device's tuple; a skip list's placement is its device name.
+    # the device's tuple.
     devices = {}
     tallies = {}
     state = []
     for order, source in enumerate(sources):
         if len(source) == 2:
-            skiplist, placement = source
+            skiplist, device = source
             run = None
-            device = system.dram if placement == "dram" else system.nvm
         else:
             run, index, device = source
         terms = devices.get(device)
         if terms is None:
-            profile = device.profile
+            name = device.name
             tally = tallies[device] = [0, 0]
             terms = devices[device] = (
-                None, cpu.hop_time(profile.name), profile.read_latency,
-                profile.seq_read_bw, tally, device.obs, profile.name,
+                None, cpu.hop_time(name), *device.seq_read_rate(),
+                tally, device.obs, name,
             )
         __, hop, latency, bw, tally, obs, name = terms
         state.append(terms if run is None else (run,) + terms[1:])

@@ -77,6 +77,9 @@ class Device:
         self._usage_last_t = 0.0
         #: Attached TraceRecorder, or None (set by system.attach_tracing).
         self.obs = None
+        #: The recorder charges go to tagged ``job=True`` while
+        #: ``system.job_scope()`` prices a background job, else None.
+        self.job_obs = None
 
     @property
     def name(self) -> str:
@@ -92,16 +95,26 @@ class Device:
         self.bytes_read += nbytes
         self.read_ops += 1
         seconds = self.profile.read_time(nbytes, sequential)
-        if self.obs is not None:
+        if self.job_obs is not None:
+            self.job_obs.transfer(
+                self.profile.name, "read", nbytes, sequential, seconds, True
+            )
+        elif self.obs is not None:
             self.obs.transfer(self.profile.name, "read", nbytes, sequential, seconds)
         return seconds
+
+    def seq_read_rate(self):
+        """``(latency, bandwidth)``: a sequential read of ``n`` bytes costs
+        ``latency + n / bandwidth``, as :meth:`read` charges it."""
+        profile = self.profile
+        return profile.read_latency, profile.seq_read_bw
 
     def add_reads(self, nbytes: int, ops: int) -> None:
         """Count ``ops`` reads of ``nbytes`` in total whose time a caller charged.
 
-        The scan kernel charges every read itself (``read_time``'s
-        expression, its transfer event at the charge) and commits its
-        totals for this device here, once per scan.
+        The scan kernel charges every read itself (at the
+        :meth:`seq_read_rate` snapshot, its transfer event at the charge)
+        and commits its totals for this device here, once per scan.
         """
         if nbytes < 0 or ops < 0:
             raise ValueError(f"negative read totals: {nbytes} bytes in {ops} ops")
@@ -115,8 +128,24 @@ class Device:
         self.bytes_written += nbytes
         self.write_ops += 1
         seconds = self.profile.write_time(nbytes, sequential)
-        if self.obs is not None:
+        if self.job_obs is not None:
+            self.job_obs.transfer(
+                self.profile.name, "write", nbytes, sequential, seconds, True
+            )
+        elif self.obs is not None:
             self.obs.transfer(self.profile.name, "write", nbytes, sequential, seconds)
+        return seconds
+
+    def write_words(self, count: int, seconds: float) -> float:
+        """``seconds`` plus ``count`` separate 8-byte random writes.
+
+        N latencies plus the bytes: one ``8 * count``-byte write (one op),
+        then ``count - 1`` latencies, each added onto the running sum in
+        that order (float addition does not associate).
+        """
+        if count:
+            seconds += self.write(8 * count, sequential=False)
+            seconds += (count - 1) * self.profile.write_latency
         return seconds
 
     # ---------------------------------------------------------------- space

@@ -1,11 +1,13 @@
 """The simulated machine: devices + clock + executor + cost model + stats."""
 
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
+from repro.obs.live.recorder import LiveRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.sim.clock import SimClock
 from repro.sim.executor import Executor
 from repro.sim.latency import LatencyRecorder
@@ -59,8 +61,6 @@ class HybridMemorySystem:
         op/stall/flush/compact/transfer events until
         :meth:`detach_tracing` (or ``recorder.detach()``) is called.
         """
-        from repro.obs.recorder import TraceRecorder
-
         return TraceRecorder().attach(self)
 
     def detach_tracing(self) -> None:
@@ -79,22 +79,27 @@ class HybridMemorySystem:
         ``attach_live(seed=3, slo_threshold_s=5e-6)``).  Returns the
         attached recorder; detach via :meth:`detach_tracing` as usual.
         """
-        from repro.obs.live.recorder import LiveRecorder
-
         return LiveRecorder(**options).attach(self)
 
+    @contextmanager
     def job_scope(self):
-        """Context manager marking device traffic as background-job cost.
+        """Tag the device traffic charged inside as background-job cost.
 
         Stores wrap the inline cost computation of each flush/compaction
-        they schedule, so the transfer events it emits are tagged as job
-        cost rather than foreground device time (latency attribution
-        depends on the distinction).  With tracing detached this is a
-        no-op scope.
+        they schedule.  Every device's ``job_obs`` slot is the attached
+        recorder (or None) inside, so its transfers are tagged
+        ``job=True``, whatever the devices' ``obs`` hooks; the previous
+        slots come back on exit, also when scopes nest or the body raises.
         """
-        if self.obs is None:
-            return nullcontext()
-        return self.obs.job_cost()
+        devices = self.devices()
+        saved = [device.job_obs for device in devices]
+        for device in devices:
+            device.job_obs = self.obs
+        try:
+            yield
+        finally:
+            for device, job_obs in zip(devices, saved):
+                device.job_obs = job_obs
 
     def persistent_bytes_written(self) -> int:
         """Total bytes written to persistent media so far."""

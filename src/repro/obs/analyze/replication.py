@@ -18,6 +18,7 @@ here are byte-stable across runs of the same seed.
 
 from typing import Dict, List, Optional
 
+from repro.obs.analyze.critical_path import failover_timelines
 from repro.obs.events import (
     CAT_REPL_ACK,
     CAT_REPL_APPLY,
@@ -65,8 +66,6 @@ def replication_summary(recorder) -> Optional[dict]:
     wait.  Per-follower rows split ship/apply occupancy and count how
     often each follower was the quorum straggler.
     """
-    from repro.obs.analyze.critical_path import failover_timelines
-
     events = recorder.index().repl
     if not events:
         return None

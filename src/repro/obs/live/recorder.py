@@ -17,8 +17,9 @@ gets *kept*:
 - Stall, flush, compaction, background-job, and transfer events are rare
   and diagnostic, so they stay full fidelity -- except transfers, whose
   device hooks are toggled off outside head-sampled runs so unsampled
-  ops pay only the existing ``obs is None`` guard.  Background-job cost
-  scopes re-enable the hooks, so flush/compaction traffic is always
+  ops pay only the existing ``obs is None`` guard.  Flush/compaction
+  traffic reaches the recorder through the devices' ``job_obs`` slot
+  (``system.job_scope()``), whatever the toggle, so it is always
   traced; tail-retained ops keep their op span but not their transfers
   (a documented trade: the tail decision only exists after the op ran).
 - Every op, queue span, stall, drop, transfer and background job
@@ -91,7 +92,7 @@ class LiveRecorder(TraceRecorder):
         super()._hook(system)
         self._devices = tuple(system.devices())
         self._devices_on = True
-        self._set_devices(self.head.live or self._job_depth > 0)
+        self._set_devices(self.head.live)
 
     def detach(self) -> None:
         system = self._system
@@ -116,10 +117,6 @@ class LiveRecorder(TraceRecorder):
         obs = self if on else None
         for device in self._devices:
             device.obs = obs
-
-    def _job_scope_changed(self, inside: bool) -> None:
-        # Background work is always traced, whatever the head decision.
-        self._set_devices(inside or self.head.live)
 
     # ------------------------------------------------------------ the sink
 
@@ -150,7 +147,7 @@ class LiveRecorder(TraceRecorder):
                 closed = window.maybe_tick(end, self._system)
                 if closed is not None:
                     flight.on_window(*closed)
-            if self.head.live != self._devices_on and not self._job_depth:
+            if self.head.live != self._devices_on:
                 self._set_devices(self.head.live)
         elif cat == CAT_QUEUE and event.dur is not None:
             # A router queue span precedes the store op it queued for,
@@ -162,8 +159,8 @@ class LiveRecorder(TraceRecorder):
                 self.events.append(event)
         else:
             # Anything else (rare, diagnostic) stays full fidelity.
-            # Transfers only arrive while the device hooks are enabled:
-            # inside a head-sampled run, or under a job-cost scope.
+            # Transfers only arrive while the device hooks are enabled
+            # (inside a head-sampled run) or tagged as job cost.
             self.events.append(event)
             if cat == CAT_STALL:
                 # Stall cost is charged inside the op that waited, so

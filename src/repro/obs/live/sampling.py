@@ -24,6 +24,7 @@ population estimates (``scale() == seen / retained``).
 
 from typing import List
 
+from repro.sim.latency import percentile as nearest_rank
 from repro.sim.rng import mix64
 
 _MASK64 = (1 << 64) - 1
@@ -132,8 +133,6 @@ class TailSampler:
         return outlier
 
     def _refresh_threshold(self) -> None:
-        from repro.sim.latency import percentile as nearest_rank
-
         self._since = 0
         live = sorted(self._buf[: self._filled])
         self.threshold = nearest_rank(live, TAIL_PERCENTILE)

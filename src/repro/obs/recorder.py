@@ -139,29 +139,6 @@ def check_vocabulary(recorder) -> None:
             )
 
 
-class _JobCostScope:
-    """Marks transfers emitted inside it as background-job cost."""
-
-    __slots__ = ("_recorder",)
-
-    def __init__(self, recorder: "TraceRecorder") -> None:
-        self._recorder = recorder
-
-    def __enter__(self) -> "TraceRecorder":
-        recorder = self._recorder
-        recorder._job_depth += 1
-        if recorder._job_depth == 1:
-            recorder._job_scope_changed(True)
-        return recorder
-
-    def __exit__(self, *exc) -> bool:
-        recorder = self._recorder
-        recorder._job_depth -= 1
-        if recorder._job_depth == 0:
-            recorder._job_scope_changed(False)
-        return False
-
-
 class TraceRecorder:
     """Collects typed spans and instants from one simulated machine."""
 
@@ -174,12 +151,6 @@ class TraceRecorder:
         self.keep = self.events.append
         self._index: Optional[EventIndex] = None
         self._system = None
-        # Nesting depth of job-cost scopes (see :meth:`job_cost`).  Device
-        # cost for a background job is computed inline -- during the
-        # foreground op or callback that schedules the job -- so without
-        # the scope those transfer instants would be indistinguishable
-        # from the op's own device traffic.
-        self._job_depth = 0
 
     # ------------------------------------------------------ attach/detach
 
@@ -259,18 +230,21 @@ class TraceRecorder:
         nbytes: int,
         sequential: bool,
         seconds: float,
+        job: bool = False,
     ) -> None:
         """One device read/write, stamped at the moment it is charged.
 
         Device costs are *returned* to callers and applied to the clock
         later, so the timestamp is the emission time -- deterministic,
         and within the enclosing operation's span.  ``seconds`` is the
-        simulated duration the transfer will charge; inside a
-        :meth:`job_cost` scope the event is tagged ``{"job": True}`` so
-        latency attribution can exclude it from foreground device time.
+        simulated duration the transfer will charge.  A device charges
+        with ``job`` set inside ``system.job_scope()`` (the cost of a
+        flush or compaction being scheduled); the event is then tagged
+        ``{"job": True}`` so latency attribution can exclude it from
+        foreground device time.
         """
         args = {"bytes": nbytes, "seq": sequential, "seconds": seconds}
-        if self._job_depth:
+        if job:
             args["job"] = True
         self.keep(
             TraceEvent(
@@ -282,18 +256,6 @@ class TraceRecorder:
                 args,
             )
         )
-
-    def job_cost(self) -> _JobCostScope:
-        """Scope under which transfers count as background-job cost.
-
-        Stores wrap the inline cost computation of every flush/compaction
-        they schedule (``with system.job_scope(): ...``), which routes
-        here when tracing is attached.
-        """
-        return _JobCostScope(self)
-
-    def _job_scope_changed(self, inside: bool) -> None:
-        """Hook: the outermost :meth:`job_cost` scope was entered or left."""
 
     def on_submit(self, job, meta) -> None:
         """Executor hook: every background job becomes a worker-track span.

@@ -50,6 +50,26 @@ def test_make_store_applies_overrides():
     assert len(store.levels) == 5
 
 
+@pytest.mark.parametrize(
+    "name, num_levels, ssd",
+    [
+        ("miodb", 0, False),
+        ("miodb", 1, True),  # the SSD repository is a leveled engine
+        ("leveldb", 0, False),
+        ("leveldb", 1, False),
+        ("novelsm", 0, False),
+        ("novelsm", 1, False),
+        ("matrixkv", 0, False),
+        ("matrixkv", 1, False),
+    ],
+)
+def test_make_store_rejects_a_level_count_it_cannot_run(name, num_levels, ssd):
+    # These used to construct, then fail mid-run: an IndexError at the
+    # first flush, or an L0 stop that no compaction could ever clear.
+    with pytest.raises(ValueError, match=f"num_levels >= .*got {num_levels}"):
+        make_store(name, num_levels=num_levels, ssd=ssd)
+
+
 def test_make_store_rejects_unknown_override():
     with pytest.raises(AttributeError):
         make_store("miodb", not_an_option=1)

@@ -82,17 +82,18 @@ def test_memtable_immutable_rejects_inserts(system):
 
 
 def test_memtable_placement_affects_device(system):
-    dram_table = MemTable(system, 1 << 20, XorShiftRng(1), placement="dram")
+    dram_table = MemTable(system, 1 << 20, XorShiftRng(1))
+    assert dram_table.device is system.dram
     assert system.dram.bytes_in_use >= 1 << 20
     nvm_before = system.nvm.bytes_in_use
-    MemTable(system, 1 << 20, XorShiftRng(2), placement="nvm")
+    MemTable(system, 1 << 20, XorShiftRng(2), system.nvm)
     assert system.nvm.bytes_in_use == nvm_before + (1 << 20)
     dram_table.release()
 
 
 def test_memtable_nvm_insert_costs_more(system):
     dram_table = MemTable(system, 1 << 20, XorShiftRng(1))
-    nvm_table = MemTable(system, 1 << 20, XorShiftRng(1), placement="nvm")
+    nvm_table = MemTable(system, 1 << 20, XorShiftRng(1), system.nvm)
     dram_cost = dram_table.insert(b"k", 1, b"v", 4096)
     nvm_cost = nvm_table.insert(b"k", 1, b"v", 4096)
     assert nvm_cost > dram_cost
@@ -101,8 +102,6 @@ def test_memtable_nvm_insert_costs_more(system):
 def test_memtable_rejects_bad_args(system):
     with pytest.raises(ValueError):
         MemTable(system, 0)
-    with pytest.raises(ValueError):
-        MemTable(system, 10, placement="tape")
 
 
 def test_memtable_entries_sorted_and_sized(system):

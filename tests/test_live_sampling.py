@@ -9,8 +9,9 @@ are retained at 100% regardless of the sampling rate.
 
 import pytest
 
-from repro.obs.events import CAT_OP, CAT_STALL
+from repro.obs.events import CAT_OP, CAT_STALL, CAT_TRANSFER
 from repro.obs.live import HeadSampler, TailSampler, openmetrics_text, splitmix64
+from repro.obs.live import sampling
 from repro.obs.live.sampling import HEAD_RATE, HEAD_RUN, TAIL_REFRESH
 from repro.obs.runner import run_traced
 from tests.support.oracles import head_keep
@@ -119,6 +120,27 @@ def test_every_stalled_op_is_retained():
         assert any(ts in retained_starts for ts, __ in containing), (
             f"op containing stall at {stall_ts} was not retained"
         )
+
+
+def test_job_transfers_are_kept_and_tagged_with_device_hooks_off(monkeypatch):
+    # No head run is ever drawn, so the device hooks are off all run:
+    # only the job scopes' slot can deliver a transfer.
+    monkeypatch.setattr(sampling, "_HEAD_THRESHOLD", 0)
+    __, __, live = run_traced("miodb", n=512, reads=64, live=dict(LIVE))
+    __, __, full = run_traced("miodb", n=512, reads=64)
+    assert live.head.kept == 0
+
+    def transfers(recorder, job_only):
+        return [
+            (e.track, e.name, e.ts, e.args)
+            for e in recorder.events
+            if e.cat == CAT_TRANSFER and (e.args.get("job") or not job_only)
+        ]
+
+    kept = transfers(live, job_only=False)
+    assert kept, "no flush or compaction ran; test is vacuous"
+    assert all(args.get("job") for __, __, __, args in kept)
+    assert kept == transfers(full, job_only=True)
 
 
 def test_live_plane_never_perturbs_the_simulation():

@@ -112,7 +112,7 @@ def test_try_reserve_and_replace(engine, system):
 
 def test_completion_listener_fires(engine, system):
     fired = []
-    engine.add_completion_listener(lambda: fired.append(1))
+    engine.on_compaction = lambda: fired.append(1)
     for i in range(4):
         add_l0(engine, [b"k%02d" % i], start_seq=i + 1)
     system.drain_background()

@@ -18,6 +18,29 @@ def test_read_time_is_latency_plus_bandwidth(nvm):
     assert t == pytest.approx(profile.read_latency + (1 << 20) / profile.seq_read_bw)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1000, 12345])
+@pytest.mark.parametrize("running", [0.0, 1e-9, 3.3e-7, 0.1, 12.345678])
+def test_write_words_is_the_two_step_charge_bit_for_bit(count, running):
+    old = Device(OPTANE_NVM_PROFILE, SimClock())
+    new = Device(OPTANE_NVM_PROFILE, SimClock())
+    # The pointer-write charge as MioDB's swizzle and merge summed it.
+    expected = running
+    expected += old.write(8 * count, sequential=False)
+    expected += (count - 1) * old.profile.write_latency
+    assert new.write_words(count, running).hex() == expected.hex()
+    assert (new.bytes_written, new.write_ops) == (8 * count, 1)
+
+
+def test_write_words_of_nothing_charges_nothing(nvm):
+    assert nvm.write_words(0, 0.25) == 0.25
+    assert (nvm.bytes_written, nvm.write_ops) == (0, 0)
+
+
+def test_seq_read_rate_prices_a_read(nvm):
+    latency, bandwidth = nvm.seq_read_rate()
+    assert nvm.read(4096) == latency + 4096 / bandwidth
+
+
 def test_random_write_slower_than_sequential(nvm):
     seq = nvm.write(1 << 20, sequential=True)
     rand = nvm.write(1 << 20, sequential=False)

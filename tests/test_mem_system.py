@@ -4,6 +4,7 @@ import pytest
 
 from repro.mem.costs import CpuCostModel
 from repro.mem.system import HybridMemorySystem
+from repro.obs.events import CAT_TRANSFER
 from repro.sim.clock import SimClock
 
 
@@ -23,6 +24,45 @@ def test_every_device_reads_the_machines_clock(system, ssd_system):
     for machine in (system, ssd_system, HybridMemorySystem(clock=shared)):
         assert machine.devices()
         assert all(dev.clock is machine.clock for dev in machine.devices())
+
+
+def _job_slots(system):
+    return [device.job_obs for device in system.devices()]
+
+
+def test_job_scope_tags_exactly_the_transfers_charged_inside(system):
+    recorder = system.attach_tracing()
+    system.nvm.write(10)
+    with system.job_scope():
+        system.nvm.write(20, sequential=False)
+        system.dram.read(30)
+    system.dram.read(40)
+    transfers = [
+        (e.track, e.name, e.args["bytes"], e.args.get("job", False))
+        for e in recorder.index().of(CAT_TRANSFER)
+    ]
+    assert transfers == [
+        ("dev:nvm", "write", 10, False),
+        ("dev:nvm", "write", 20, True),
+        ("dev:dram", "read", 30, True),
+        ("dev:dram", "read", 40, False),
+    ]
+
+
+def test_nested_and_raising_job_scopes_restore_the_slot(ssd_system):
+    system = ssd_system
+    recorder = system.attach_tracing()
+    with system.job_scope():
+        assert _job_slots(system) == [recorder] * 3
+        system.detach_tracing()
+        with system.job_scope():  # a scope sets what is attached now
+            assert _job_slots(system) == [None] * 3
+        assert _job_slots(system) == [recorder] * 3
+        with pytest.raises(RuntimeError, match="boom"):
+            with system.job_scope():
+                raise RuntimeError("boom")
+        assert _job_slots(system) == [recorder] * 3
+    assert _job_slots(system) == [None] * 3
 
 
 def test_write_amplification_zero_without_user_writes(system):

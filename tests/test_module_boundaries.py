@@ -1,0 +1,87 @@
+"""Module boundaries the rest of the suite does not see.
+
+- The device is the only pricer: no module outside ``repro.mem`` reads a
+  ``DeviceProfile`` price field, so a second charge formula cannot creep
+  back beside ``Device.read`` / ``write`` / ``seq_read_rate`` /
+  ``write_words``.  ``repro info``'s device table is the one reader.
+- Module-level imports that replaced function-local ones hold from a
+  fresh interpreter: importing the module first, before anything else
+  of the package, finds no cycle.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "repro"
+
+#: The ``DeviceProfile`` fields a charge is computed from.
+PRICE_FIELDS = frozenset({
+    "read_latency",
+    "write_latency",
+    "seq_read_bw",
+    "seq_write_bw",
+    "rand_read_bw",
+    "rand_write_bw",
+})
+
+#: Prints the profiles; charges nothing.
+PRICE_TABLE = PACKAGE / "cli" / "bench.py"
+
+
+def price_reads(source: str):
+    """``(line, field)`` for every attribute read of a price field."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in PRICE_FIELDS
+    ]
+
+
+def test_only_the_device_reads_profile_prices():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PRICE_TABLE or (PACKAGE / "mem") in path.parents:
+            continue
+        for line, field in price_reads(path.read_text()):
+            found.append(f"{path.relative_to(SRC)}:{line}: {field}")
+    assert not found, (
+        "price a transfer through repro.mem.Device, not its profile:\n"
+        + "\n".join(found)
+    )
+
+
+def test_price_guard_sees_a_read_and_its_exemption_is_live():
+    assert price_reads("seconds += n * nvm.profile.write_latency\n") == [
+        (1, "write_latency")
+    ]
+    assert price_reads(PRICE_TABLE.read_text())
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.mem.system",
+        "repro.obs.analyze.replication",
+        "repro.obs.live.sampling",
+        "repro.cluster.driver",
+        "repro.cluster.metrics",
+        "repro.cluster.router",
+        "repro.cluster.placement",
+    ],
+)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -62,7 +62,7 @@ def build_sources(spec_lists):
             skiplist = SkipList()
             for key, row_seq, value, nbytes in rows:
                 skiplist.insert(key, row_seq, value, nbytes)
-            sources.append((skiplist, "dram"))
+            sources.append((skiplist, system.dram))
         else:
             rows.sort(key=lambda e: (e[0], -e[1]))
             sources.append((rows, 0, system.nvm))
@@ -102,7 +102,7 @@ def test_merged_entries_keeps_seq_and_bytes():
     newest.insert(b"k", 5, ("v", 5), 10)
     run = [(b"k", 1, ("v", 1), 10), (b"z", 2, ("v", 2), 7)]
     out, seconds = merged_scan(
-        system, b"a", 10, [(newest, "dram"), (run, 0, system.nvm)]
+        system, b"a", 10, [(newest, system.dram), (run, 0, system.nvm)]
     )
     # The skip list's seq-5 version shadows the run's seq-1 one; seq and
     # footprint stay readable off the sources.
@@ -150,11 +150,10 @@ class CostCell:
         self.seconds = 0.0
 
 
-def skiplist_stream(system, skiplist, start_key, placement, cost):
+def skiplist_stream(system, skiplist, start_key, device, cost):
     node, hops = skiplist.first_ge(start_key)
-    cost.seconds += system.cpu.skiplist_search_time(placement, max(hops, 1))
-    device = system.dram if placement == "dram" else system.nvm
-    hop_cost = system.cpu.hop_time(placement)
+    cost.seconds += system.cpu.skiplist_search_time(device.name, max(hops, 1))
+    hop_cost = system.cpu.hop_time(device.name)
     while node is not None:
         cost.seconds += hop_cost
         cost.seconds += device.read(node.nbytes, sequential=True)
@@ -232,7 +231,7 @@ def old_scan(store, start_key, count):
     if isinstance(store, NoveLSMStore):
         tables += (store.nvm_mt, store.nvm_imm)
     streams = [
-        skiplist_stream(system, t.skiplist, start_key, t.placement, cost)
+        skiplist_stream(system, t.skiplist, start_key, t.device, cost)
         for t in tables
         if t is not None
     ]
@@ -240,12 +239,12 @@ def old_scan(store, start_key, count):
         for level_tables in store.levels:
             for pmtable in level_tables:
                 streams.append(
-                    skiplist_stream(system, pmtable.skiplist, start_key, "nvm", cost)
+                    skiplist_stream(system, pmtable.skiplist, start_key, system.nvm, cost)
                 )
         if isinstance(store.repository, NvmRepository):
             streams.append(
                 skiplist_stream(
-                    system, store.repository.skiplist, start_key, "nvm", cost
+                    system, store.repository.skiplist, start_key, system.nvm, cost
                 )
             )
         else:
