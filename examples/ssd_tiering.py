@@ -18,7 +18,7 @@ def main() -> None:
     system = HybridMemorySystem(ssd=True)
     db = MioDB(
         system,
-        MioOptions(memtable_bytes=256 * KB, num_levels=4, ssd_mode=True),
+        MioOptions(memtable_bytes=256 * KB, num_levels=4),
     )
 
     print("burst-writing 24 MB of 4 KB values against an SSD-backed store...")

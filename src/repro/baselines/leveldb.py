@@ -12,7 +12,7 @@ modifies.  Its write path exhibits both stall kinds the paper measures:
 
 from typing import Optional, Tuple
 
-from repro.baselines.lsm import L0Backpressure, LeveledLSM, pick_device
+from repro.baselines.lsm import L0Backpressure, LeveledLSM
 from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import StoreOptions
@@ -24,10 +24,12 @@ class LevelDBStore(L0Backpressure, BufferedStore):
 
     name = "leveldb"
 
-    def __init__(self, system, options: Optional[StoreOptions] = None, media: str = "nvm") -> None:
-        self.device = pick_device(system, media)
-        super().__init__(system, options or StoreOptions(), 0x1EAF, self.device)
-        self.lsm = LeveledLSM(system, self.options, self.device, nworkers=1, label=self.name)
+    def __init__(self, system, options: Optional[StoreOptions] = None) -> None:
+        options = options or StoreOptions()
+        self.device = system.bottom_tier
+        # First, so a refused level count leaves no memory taken.
+        self.lsm = LeveledLSM(system, options, self.device, nworkers=1, label=self.name)
+        super().__init__(system, options, 0x1EAF, self.device)
         self.flush_worker = system.executor.worker(f"{self.name}-flush")
 
     # ------------------------------------------------------------ write path

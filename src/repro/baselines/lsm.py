@@ -39,19 +39,6 @@ LEVEL_FANOUT = 10
 SSTABLE_BLOOM_BITS = 10
 
 
-MEDIA = ("nvm", "ssd")
-
-
-def pick_device(system, media: str):
-    """The device a baseline keeps its SSTables on."""
-    if media not in MEDIA:
-        raise ValueError(f"unknown media {media!r}; choose from {MEDIA}")
-    device = system.nvm if media == "nvm" else system.ssd
-    if device is None:
-        raise ValueError(f"system has no {media} device")
-    return device
-
-
 class L0Backpressure:
     """LevelDB's MakeRoomForWrite pacing for a buffered store whose
     flushes land in L0 of ``self.lsm``: a fixed delay per write past the

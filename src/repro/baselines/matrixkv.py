@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.baselines import lsm
-from repro.baselines.lsm import LeveledLSM, pick_device
+from repro.baselines.lsm import LeveledLSM
 from repro.bloom.filter import BloomFilter
 from repro.kvstore.buffered import BufferedStore, submit_compaction
 from repro.kvstore.memtable import MemTable, memtable_entries
@@ -108,22 +108,14 @@ class MatrixKVStore(BufferedStore):
 
     name = "matrixkv"
 
-    def __init__(
-        self,
-        system,
-        options: Optional[MatrixKVOptions] = None,
-        media: str = "nvm",
-    ) -> None:
-        self.device = pick_device(system, media)
-        super().__init__(system, options or MatrixKVOptions(), 0x3A7B, system.nvm)
+    def __init__(self, system, options: Optional[MatrixKVOptions] = None) -> None:
+        options = options or MatrixKVOptions()
+        self.device = system.bottom_tier
+        # First, so a refused level count leaves no memory taken.
+        self.lsm = LeveledLSM(system, options, self.device,
+                              nworkers=options.compaction_workers, label=self.name)
+        super().__init__(system, options, 0x3A7B, system.nvm)
         self.rows: List[MatrixRow] = []
-        self.lsm = LeveledLSM(
-            system,
-            self.options,
-            self.device,
-            nworkers=self.options.compaction_workers,
-            label=self.name,
-        )
         self.flush_worker = system.executor.worker(f"{self.name}-flush")
         self.column_worker = system.executor.worker(f"{self.name}-column")
         self._column_cursor: Optional[bytes] = None

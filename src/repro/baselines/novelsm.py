@@ -19,7 +19,7 @@ interval stalls come from.
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.baselines.lsm import L0Backpressure, LeveledLSM, pick_device
+from repro.baselines.lsm import L0Backpressure, LeveledLSM
 from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
@@ -45,12 +45,7 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
 
     name = "novelsm"
 
-    def __init__(
-        self,
-        system,
-        options: Optional[NoveLSMOptions] = None,
-        media: str = "nvm",
-    ) -> None:
+    def __init__(self, system, options: Optional[NoveLSMOptions] = None) -> None:
         options = options or NoveLSMOptions()
         if options.mutable_nvm:
             self.unlogged_writes = (
@@ -59,7 +54,9 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
             )
         else:
             self.name = "novelsm-hier"
-        self.device = pick_device(system, media)
+        self.device = system.bottom_tier
+        # First, so a refused level count leaves no memory taken.
+        self.lsm = LeveledLSM(system, options, self.device, nworkers=1, label=self.name)
         super().__init__(system, options, 0x2073, system.nvm)
         self.nvm_mt = MemTable(
             system, self.options.nvm_memtable_bytes, self.rng.fork(), system.nvm
@@ -71,7 +68,6 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         #: younger than the one holding the direct write, which may by
         #: then be in L0: a MemTable hit older than this seq is stale.
         self._direct_seq = {}
-        self.lsm = LeveledLSM(system, self.options, self.device, nworkers=1, label=self.name)
         self.flush_worker = system.executor.worker(f"{self.name}-dram-flush")
         self.nvm_flush_worker = system.executor.worker(f"{self.name}-nvm-flush")
 

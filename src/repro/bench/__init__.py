@@ -1,7 +1,7 @@
 """Benchmark harness helpers: store factory, scaling, table formatting."""
 
 from repro.bench.config import BenchScale, default_scale
-from repro.bench.factory import STORE_NAMES, make_store, make_system
+from repro.bench.factory import STORE_NAMES, make_store
 from repro.bench.report import format_table
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "default_scale",
     "STORE_NAMES",
     "make_store",
-    "make_system",
     "format_table",
 ]

@@ -32,15 +32,6 @@ STORE_NAMES = (
 )
 
 
-def make_system(ssd: bool = False, clock=None) -> HybridMemorySystem:
-    """A fresh simulated machine (optionally with an SSD).
-
-    ``clock`` puts it on a shared timeline: a cluster's shards and a
-    replica group's members are each their own machine on one clock.
-    """
-    return HybridMemorySystem(ssd=ssd, clock=clock)
-
-
 def make_store(
     name: str,
     scale: Optional[BenchScale] = None,
@@ -50,7 +41,9 @@ def make_store(
 ) -> Tuple[object, HybridMemorySystem]:
     """Build a store (and its machine) configured at benchmark scale.
 
-    ``overrides`` are applied to the store's options dataclass -- e.g.
+    ``ssd`` chooses the machine built when ``system`` is None; the
+    machine decides where the store's levels live.  ``overrides`` are
+    applied to the store's options dataclass -- e.g.
     ``make_store("miodb", num_levels=4)``.
     """
     if not isinstance(name, str):
@@ -75,13 +68,19 @@ def make_store(
             f"system must be a HybridMemorySystem or None, "
             f"got {type(system).__name__}"
         )
+    if name in ("novelsm-nosst", "slmdb") and "num_levels" in overrides:
+        # Their options carry the field, but nothing reads it.
+        raise ValueError(f"{name} has no levels; num_levels does not apply")
+    if system is None:
+        system = HybridMemorySystem(ssd=ssd)
+    elif ssd and system.bottom_tier is system.nvm:
+        raise ValueError("ssd=True, but the given system has no SSD")
     scale = scale or BenchScale()
-    system = system or make_system(ssd=ssd)
     common = dict(memtable_bytes=scale.memtable_bytes,
                   sstable_bytes=scale.memtable_bytes)
 
     if name == "miodb":
-        options = MioOptions(**common, ssd_mode=ssd)
+        options = MioOptions(**common)
         _apply(options, overrides)
         return MioDB(system, options), system
     if name == "matrixkv":
@@ -91,7 +90,7 @@ def make_store(
             column_target_bytes=max(scale.memtable_bytes, scale.nvm_buffer_bytes // 4),
         )
         _apply(options, overrides)
-        return MatrixKVStore(system, options, media="ssd" if ssd else "nvm"), system
+        return MatrixKVStore(system, options), system
     if name in ("novelsm", "novelsm-hier"):
         options = NoveLSMOptions(
             **common,
@@ -99,7 +98,7 @@ def make_store(
             mutable_nvm=name == "novelsm",
         )
         _apply(options, overrides)
-        return NoveLSMStore(system, options, media="ssd" if ssd else "nvm"), system
+        return NoveLSMStore(system, options), system
     if name == "novelsm-nosst":
         options = StoreOptions(**common)
         _apply(options, overrides)
@@ -107,7 +106,7 @@ def make_store(
     if name == "leveldb":
         options = StoreOptions(**common)
         _apply(options, overrides)
-        return LevelDBStore(system, options, media="ssd" if ssd else "nvm"), system
+        return LevelDBStore(system, options), system
     if name == "slmdb":
         options = StoreOptions(**common)
         _apply(options, overrides)

@@ -23,9 +23,10 @@ from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.factory import make_store, make_system
+from repro.bench.factory import make_store
 from repro.cluster.placement import make_placement
-from repro.kvstore.api import paged_items
+from repro.kvstore.api import KVStore, paged_items
+from repro.mem.system import HybridMemorySystem
 from repro.obs.live.recorder import LiveRecorder
 from repro.replication.group import ReplicaGroup, Session
 from repro.sim.clock import SimClock
@@ -115,8 +116,9 @@ class Cluster:
         def build(rid=None):
             """One store on a fresh machine that shares the cluster clock."""
             return make_store(
-                store_name, scale, system=make_system(ssd, clock=self.clock),
-                ssd=ssd, **overrides
+                store_name, scale,
+                system=HybridMemorySystem(ssd=ssd, clock=self.clock),
+                **overrides
             )
 
         for shard_id in range(n_shards):
@@ -236,7 +238,11 @@ class ShardRouter:
     # ------------------------------------------------------------ routing
 
     def route(self, key: bytes) -> int:
-        """The shard id serving ``key``; records window traffic counts."""
+        """The shard id serving ``key``; records window traffic counts.
+
+        A key the stores would refuse is refused here, before it counts.
+        """
+        KVStore._require_key(key)
         slot, shard = self.placement.locate(key)
         self.shard_ops[shard] += 1
         self.slot_ops[slot] = self.slot_ops.get(slot, 0) + 1

@@ -51,16 +51,18 @@ class MioDB(BufferedStore):
         options = options or MioOptions()
         if options.num_levels < 1:
             raise ValueError(f"MioDB needs num_levels >= 1, got {options.num_levels}")
+        # First, so a level count the SSD repository refuses leaves no
+        # memory taken.
+        if system.bottom_tier is system.nvm:
+            self.repository = NvmRepository(system)
+        else:
+            self.repository = SsdRepository(system, options)
         super().__init__(system, options, 0x111D, system.nvm, crash_injector)
         self._inflight_pmtable: Optional[PMTable] = None
         self._bloom_geometry = None
         self.levels: List[List[PMTable]] = [
             [] for __ in range(self.options.num_levels)
         ]
-        if self.options.ssd_mode:
-            self.repository = SsdRepository(system, self.options)
-        else:
-            self.repository = NvmRepository(system)
         self.compactor = CompactionManager(self)
         self.flush_worker = system.executor.worker("miodb-flush")
 
@@ -269,7 +271,7 @@ class MioDB(BufferedStore):
         hit_cost = cpu.bloom_probe_time(k)
         miss_cost = cpu.bloom_probe_time(2)
         repo_get = self.repository.get
-        if not self.options.ssd_mode:
+        if isinstance(self.repository, NvmRepository):
             last = entry(None, self.repository.skiplist, nvm_unit, nvm_read, None)
             if last[1] is not None:
                 plan.append(last)

@@ -20,8 +20,6 @@ class MioOptions(StoreOptions):
             data (SSTable-style merge cost and write amplification).
         parallel_compaction: ablation -- ``False`` serialises all
             compactions on one background worker.
-        ssd_mode: store the data repository as leveled SSTables on the
-            SSD instead of a huge PMTable in NVM (Section 5.4).
         max_nvm_buffer_bytes: optional cap on elastic-buffer NVM usage;
             writes block when reached (used in the Figure 14 study).
     """
@@ -31,5 +29,4 @@ class MioOptions(StoreOptions):
     one_piece_flush: bool = True
     zero_copy: bool = True
     parallel_compaction: bool = True
-    ssd_mode: bool = False
     max_nvm_buffer_bytes: Optional[int] = None

@@ -18,6 +18,7 @@ The recovery contract the paper establishes:
 from typing import Tuple
 
 from repro.core.miodb import MioDB
+from repro.core.repository import NvmRepository
 
 
 def recover(crashed: MioDB) -> Tuple[MioDB, float]:
@@ -56,7 +57,7 @@ def recover(crashed: MioDB) -> Tuple[MioDB, float]:
                 if node.seq > max_seq:
                     max_seq = node.seq
     store.repository = crashed.repository
-    if hasattr(store.repository, "skiplist"):
+    if isinstance(store.repository, NvmRepository):
         for node in store.repository.skiplist.nodes():
             if node.seq > max_seq:
                 max_seq = node.seq

@@ -9,7 +9,8 @@ Two interchangeable backends:
   repository is ordinary leveled SSTables on the SSD; "lazy copy" becomes
   serialize-and-flush, and the elastic buffer absorbs the SSD's slowness.
 
-Both expose ``ingest(pmtable) -> (seconds, apply)`` where ``apply`` is the
+MioDB builds the one its machine's ``bottom_tier`` names.  Both expose
+``ingest(pmtable) -> (seconds, apply)`` where ``apply`` is the
 visibility callback the compaction manager runs at job completion
 (``None`` when the backend mutates eagerly, as the NVM skip list does).
 """
@@ -120,11 +121,9 @@ class SsdRepository:
     """Leveled SSTables on the SSD as the repository backend."""
 
     def __init__(self, system, options) -> None:
-        if system.ssd is None:
-            raise ValueError("SSD mode requires a system with an SSD device")
         self.system = system
         self.lsm = LeveledLSM(
-            system, options, system.ssd, nworkers=1, label="miodb-ssd"
+            system, options, system.bottom_tier, nworkers=1, label="miodb-ssd"
         )
 
     @property

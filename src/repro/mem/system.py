@@ -43,6 +43,12 @@ class HybridMemorySystem:
         """Current simulated time in seconds."""
         return self.clock.now
 
+    @property
+    def bottom_tier(self) -> Device:
+        """Where a store keeps its persistent levels: the SSD when the
+        machine has one (Section 5.4's hierarchy), else NVM."""
+        return self.nvm if self.ssd is None else self.ssd
+
     def devices(self):
         """Every device on this machine, DRAM first."""
         devices = [self.dram, self.nvm]

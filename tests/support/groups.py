@@ -1,6 +1,7 @@
 """Standalone replica groups, outside any cluster."""
 
-from repro.bench.factory import make_store, make_system
+from repro.bench.factory import make_store
+from repro.mem.system import HybridMemorySystem
 from repro.replication.group import ReplicaGroup
 from repro.sim.clock import SimClock
 
@@ -14,7 +15,7 @@ def build_group(store_name: str, scale=None, config=None, crash_injector=None):
     clock = SimClock()
 
     def factory(rid: int):
-        return make_store(store_name, scale, system=make_system(clock=clock))
+        return make_store(store_name, scale, system=HybridMemorySystem(clock=clock))
 
     group = ReplicaGroup(0, factory, config)
     if crash_injector is not None:

@@ -63,22 +63,6 @@ def test_leveldb_suffers_write_stalls(system, tiny_options):
     assert stalls > 0
 
 
-def test_leveldb_media_validation(system):
-    with pytest.raises(ValueError):
-        LevelDBStore(system, media="ssd")  # no SSD on this system
-    with pytest.raises(ValueError):
-        LevelDBStore(system, media="tape")
-
-
-@pytest.mark.parametrize("engine", [LevelDBStore, NoveLSMStore, MatrixKVStore])
-def test_unknown_media_is_rejected_not_read_as_ssd(engine, ssd_system):
-    # On a machine that has an SSD, NoveLSM and MatrixKV used to build an
-    # SSD-backed store for any media string that was not "nvm".
-    with pytest.raises(ValueError, match=r"unknown media 'nvme'.*'nvm', 'ssd'"):
-        engine(ssd_system, media="nvme")
-    assert engine(ssd_system, media="ssd").device is ssd_system.ssd
-
-
 def test_leveldb_scan_includes_memtable_and_tables(system, tiny_options):
     store = LevelDBStore(system, tiny_options)
     for i in range(60):

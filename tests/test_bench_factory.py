@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.bench import STORE_NAMES, default_scale, format_table, make_store, make_system
+from repro.bench import STORE_NAMES, default_scale, format_table, make_store
 from repro.bench.config import BenchScale
-
-
-def test_make_system_variants():
-    assert make_system().ssd is None
-    assert make_system(ssd=True).ssd is not None
+from repro.core import MioDB
+from repro.core.repository import NvmRepository, SsdRepository
+from repro.mem.system import HybridMemorySystem
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)
@@ -24,7 +22,7 @@ def test_make_store_unknown_name():
 
 
 def test_make_store_rejects_system_as_positional_scale():
-    system = make_system()
+    system = HybridMemorySystem()
     with pytest.raises(TypeError, match="system="):
         make_store("miodb", system)
 
@@ -70,6 +68,30 @@ def test_make_store_rejects_a_level_count_it_cannot_run(name, num_levels, ssd):
         make_store(name, num_levels=num_levels, ssd=ssd)
 
 
+@pytest.mark.parametrize(
+    "name, ssd",
+    [
+        ("leveldb", False),
+        ("novelsm", False),
+        ("novelsm-hier", False),
+        ("matrixkv", False),
+        ("miodb", True),
+    ],
+)
+def test_a_refused_level_count_leaves_the_machine_empty(name, ssd):
+    system = HybridMemorySystem(ssd=ssd)
+    with pytest.raises(ValueError, match="num_levels >= "):
+        make_store(name, system=system, num_levels=1)
+    assert {device.bytes_in_use for device in system.devices()} == {0}
+
+
+@pytest.mark.parametrize("name", ["slmdb", "novelsm-nosst"])
+def test_make_store_refuses_a_level_count_for_a_store_without_levels(name):
+    # Both used to build and ignore it.
+    with pytest.raises(ValueError, match=f"{name} has no levels"):
+        make_store(name, num_levels=0)
+
+
 def test_make_store_rejects_unknown_override():
     with pytest.raises(AttributeError):
         make_store("miodb", not_an_option=1)
@@ -77,10 +99,36 @@ def test_make_store_rejects_unknown_override():
 
 def test_make_store_ssd_modes():
     store, system = make_store("miodb", ssd=True)
-    assert store.options.ssd_mode
+    assert isinstance(store.repository, SsdRepository)
     assert system.ssd is not None
     store, system = make_store("matrixkv", ssd=True)
     assert store.device is system.ssd
+
+
+def level_device(store):
+    """The device a store keeps its levels on (MioDB: its repository)."""
+    if not isinstance(store, MioDB):
+        return store.lsm.device
+    if isinstance(store.repository, NvmRepository):
+        return store.repository.arena.device
+    return store.repository.lsm.device
+
+
+@pytest.mark.parametrize("name", ["leveldb", "novelsm", "matrixkv", "miodb"])
+def test_the_machine_decides_where_levels_live(name):
+    store, system = make_store(name)
+    assert level_device(store) is system.nvm
+    for ssd in (True, False):
+        # A machine with an SSD puts the levels there, asked or not.
+        system = HybridMemorySystem(ssd=True)
+        store, __ = make_store(name, system=system, ssd=ssd)
+        assert level_device(store) is system.ssd
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_make_store_refuses_ssd_on_a_machine_without_one(name):
+    with pytest.raises(ValueError, match="no SSD"):
+        make_store(name, system=HybridMemorySystem(), ssd=True)
 
 
 def test_scale_records_math():

@@ -55,6 +55,18 @@ def test_put_get_delete_route_consistently():
     assert value is None
 
 
+@pytest.mark.parametrize("key", [b"", "str"])
+def test_router_refuses_a_bad_key_before_counting_it(key):
+    router = make_router()
+    for op in (lambda: router.put(key, SizedValue(0, 256)),
+               lambda: router.get(key), lambda: router.delete(key)):
+        with pytest.raises(ValueError, match="non-empty bytes"):
+            op()
+    assert router.cluster.stats.get("cluster.routed_ops") == 0
+    assert router.shard_ops == [0] * router.cluster.n_shards
+    assert router.slot_ops == {}
+
+
 def test_keys_are_spread_across_shards():
     router = make_router()
     for i in range(2000):

@@ -69,8 +69,7 @@ def test_invariants_hold_after_recovery():
 
 def test_invariants_hold_in_ssd_mode():
     system = HybridMemorySystem(ssd=True)
-    store = MioDB(system, MioOptions(memtable_bytes=4 * KB, num_levels=3,
-                                     ssd_mode=True))
+    store = MioDB(system, MioOptions(memtable_bytes=4 * KB, num_levels=3))
     for i in range(1500):
         store.put(b"key%06d" % (i % 300), SizedValue(i, 512))
     verify_store(store)

@@ -11,7 +11,7 @@ KB = 1 << 10
 
 @pytest.fixture
 def ssd_store(ssd_system):
-    options = MioOptions(memtable_bytes=4 * KB, num_levels=3, ssd_mode=True)
+    options = MioOptions(memtable_bytes=4 * KB, num_levels=3)
     return MioDB(ssd_system, options)
 
 
@@ -19,11 +19,6 @@ def fill(store, n, value_size=256, key_space=None):
     space = key_space or n
     for i in range(n):
         store.put(b"key%06d" % ((i * 7919) % space), SizedValue(i, value_size))
-
-
-def test_ssd_mode_requires_ssd(system):
-    with pytest.raises(ValueError):
-        MioDB(system, MioOptions(ssd_mode=True))
 
 
 def test_lazy_copy_serializes_to_ssd(ssd_store, ssd_system):

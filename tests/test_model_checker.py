@@ -141,7 +141,7 @@ class ModelChecker(RuleBasedStateMachine):
             self.injector = CrashInjector()
             options = MioOptions(
                 memtable_bytes=KB, sstable_bytes=KB, num_levels=3,
-                ssd_mode=target.ssd, fsync_policy=target.fsync,
+                fsync_policy=target.fsync,
             )
             self.store = MioDB(HybridMemorySystem(ssd=target.ssd), options,
                                crash_injector=self.injector)

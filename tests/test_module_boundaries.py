@@ -4,6 +4,10 @@
   ``DeviceProfile`` price field, so a second charge formula cannot creep
   back beside ``Device.read`` / ``write`` / ``seq_read_rate`` /
   ``write_words``.  ``repro info``'s device table is the one reader.
+- The machine decides the persistent tier: no module outside
+  ``repro.mem`` reads a machine's ``.ssd``, so a store cannot grow its
+  own tier switch beside ``HybridMemorySystem.bottom_tier``.  The CLI's
+  ``args.ssd`` flag only chooses the machine built.
 - Module-level imports that replaced function-local ones hold from a
   fresh interpreter: importing the module first, before anything else
   of the package, finds no cycle.
@@ -61,6 +65,47 @@ def test_price_guard_sees_a_read_and_its_exemption_is_live():
         (1, "write_latency")
     ]
     assert price_reads(PRICE_TABLE.read_text())
+
+
+#: The receiver whose ``.ssd`` is the CLI flag, not a machine's device.
+SSD_FLAG_RECEIVER = "args"
+
+
+def ssd_reads(source: str):
+    """``(line, receiver)`` for every read of an ``.ssd`` attribute."""
+    return [
+        (node.lineno, ast.unparse(node.value))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "ssd"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_only_the_machine_decides_the_persistent_tier():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if (PACKAGE / "mem") in path.parents:
+            continue
+        for line, receiver in ssd_reads(path.read_text()):
+            if receiver != SSD_FLAG_RECEIVER:
+                found.append(f"{path.relative_to(SRC)}:{line}: {receiver}.ssd")
+    assert not found, (
+        "take the device from system.bottom_tier, not from system.ssd:\n"
+        + "\n".join(found)
+    )
+
+
+def test_tier_guard_sees_a_read_and_its_exemption_is_live():
+    assert ssd_reads("device = system.ssd\n") == [(1, "system")]
+    assert (1, SSD_FLAG_RECEIVER) in ssd_reads(
+        "make_store(name, ssd=args.ssd)\n"
+    )
+    assert any(
+        receiver == SSD_FLAG_RECEIVER
+        for path in (PACKAGE / "cli").glob("*.py")
+        for __, receiver in ssd_reads(path.read_text())
+    )
 
 
 @pytest.mark.parametrize(

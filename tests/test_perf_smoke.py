@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 import pytest
 
 from repro.bench.config import KB, BenchScale
-from repro.bench.factory import make_store, make_system
+from repro.bench.factory import make_store
 from repro.cluster import ClientSpec, Cluster, ShardRouter, run_cluster
 from repro.core.pmtable import PMTable
 from repro.core.repository import NvmRepository
@@ -180,7 +180,7 @@ def _kernel_ingest(scale: BenchScale) -> Tuple[int, float]:
         return PMTable(system, skiplist, [arena], bloom=None)
 
     entries = max(64, scale.dataset_bytes // scale.value_size // 2)
-    system = make_system()
+    system = HybridMemorySystem()
     repository = NvmRepository(system)
     repository.ingest(pmtable(system, [
         (key_for(2 * i), i + 1, i, scale.value_size) for i in range(entries)

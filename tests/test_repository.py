@@ -1,7 +1,5 @@
 """Direct unit tests for MioDB's repository backends (lazy-copy targets)."""
 
-import pytest
-
 from repro.core.pmtable import PMTable
 from repro.core.repository import NvmRepository, SsdRepository, newest_versions
 from repro.core.options import MioOptions
@@ -93,11 +91,6 @@ def test_nvm_scan_streams(system):
     pairs, seconds = merged_scan(system, b"b", 10, repo.scan_sources(b"b"))
     assert pairs == [(b"b", b"2"), (b"c", b"3")]
     assert seconds > 0
-
-
-def test_ssd_repository_requires_ssd(system):
-    with pytest.raises(ValueError):
-        SsdRepository(system, MioOptions())
 
 
 def test_ssd_ingest_builds_tables_with_apply(ssd_system):
