@@ -115,12 +115,12 @@ class NoveLSMStore(L0Backpressure, BufferedStore):
         # Entries arrive in the skip list's own order, so one monotone
         # cursor locates each; the charged hops are the from-head ones.
         cursor = self.nvm_mt.skiplist.cursor()
-        hop = self.system.cpu.hop_cost("nvm")
+        search_time = self.system.nvm.search_time
         write = self.system.nvm.write
         with self.system.job_scope():
             for key, seq, value, value_bytes in entries:
                 node, hops = cursor.insert(key, seq, value, value_bytes)
-                seconds += max(hops, 1) * hop
+                seconds += search_time(max(hops, 1))
                 seconds += write(node.nbytes, False)
 
         # The NVM-side inserts happened synchronously above (foreground-

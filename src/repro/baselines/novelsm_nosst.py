@@ -10,6 +10,7 @@ wins the scan-dominant workload E.
 from typing import List, Optional, Tuple
 
 from repro.kvstore.api import KVStore
+from repro.kvstore.memtable import priced_lookup
 from repro.kvstore.options import StoreOptions
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
@@ -29,12 +30,12 @@ class NoveLSMNoSSTStore(KVStore):
     def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
         self.arena.grow(node.nbytes)
-        seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
+        seconds = self.system.nvm.search_time(max(hops, 1))
         seconds += self.system.nvm.write(node.nbytes, sequential=False)
         # In-place shadowing: older versions of the key are dropped
         # immediately (the structure is its own storage; no compaction).
         dropped = self._drop_older_versions(node)
-        seconds += dropped * self.system.cpu.NVM_HOP
+        seconds += dropped * self.system.nvm.hop_time()
         return seconds
 
     def _drop_older_versions(self, node) -> int:
@@ -49,16 +50,13 @@ class NoveLSMNoSSTStore(KVStore):
             dropped += 1
 
     def _get(self, key: bytes) -> Tuple[Optional[object], float]:
-        node, hops = self.skiplist.lookup(key)
-        seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
-        if node is None:
-            return None, seconds
-        seconds += self.system.nvm.read(node.nbytes, sequential=False)
-        return node.value, seconds
+        node, seconds = priced_lookup(self.skiplist, self.system.nvm, key)
+        return (None if node is None else node.value), seconds
 
     def _scan(self, start_key: bytes, count: int):
         node, hops = self.skiplist.seek(start_key)
-        seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
+        seconds = self.system.nvm.search_time(max(hops, 1))
+        hop = self.system.nvm.hop_time()
         pairs: List[Tuple[bytes, object]] = []
         touched = 0
         last_key = None
@@ -69,6 +67,6 @@ class NoveLSMNoSSTStore(KVStore):
                     pairs.append((node.key, node.value))
                     touched += node.nbytes
             node = node.next[0]
-            seconds += self.system.cpu.NVM_HOP
+            seconds += hop
         seconds += self.system.nvm.read(touched, sequential=True)
         return pairs, seconds

@@ -98,7 +98,7 @@ class SLMDBStore(BufferedStore):
         compactions re-index old versions.  With ``unindex`` a tombstone
         (which the compaction drops) removes its key's entry instead.
         """
-        hop = self.system.cpu.hop_time("nvm")
+        hop = self.system.nvm.hop_time()
         write = self.system.nvm.write
         index = self.index
         for key, seq, value, __vb in entries:
@@ -201,7 +201,7 @@ class SLMDBStore(BufferedStore):
             if node is not None:
                 return node.value, seconds
         locator, visits = self.index.get(key)
-        seconds += visits * self.system.cpu.hop_time("nvm")
+        seconds += visits * self.system.nvm.hop_time()
         if locator is None:
             return None, seconds
         sst, __seq = locator

@@ -32,7 +32,7 @@ from repro.cluster.rebalance import maybe_rebalance
 from repro.kvstore.values import SizedValue
 
 # The closed load-shedding vocabulary lives in ``repro.obs.events``
-# (next to the stall causes, so strict tracing can validate both);
+# (next to the stall causes, so ``check_vocabulary`` validates both);
 # re-exported here because the cluster layer is its main producer.
 from repro.obs.events import (  # noqa: F401  (re-exports)
     CAT_QUEUE,

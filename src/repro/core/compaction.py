@@ -92,7 +92,7 @@ class CompactionManager:
     def _run_pointer_merge(self, newer: PMTable, older: PMTable) -> float:
         """Zero-copy merge: pointer updates only (no data traffic)."""
         merge = ZeroCopyMerge(newer.skiplist, older.skiplist).run()
-        seconds = self.system.cpu.skiplist_search_time("nvm", merge.search_hops)
+        seconds = self.system.nvm.search_time(merge.search_hops)
         # N separate 8-byte atomic writes: N latencies plus the bytes.
         ptr = merge.pointer_writes
         seconds = self.system.nvm.write_words(ptr, seconds)
@@ -103,7 +103,7 @@ class CompactionManager:
         """Ablation: merge by physically rewriting both tables' data."""
         moved = newer.data_bytes + older.data_bytes
         merge = ZeroCopyMerge(newer.skiplist, older.skiplist).run()
-        seconds = self.system.cpu.skiplist_search_time("nvm", merge.search_hops)
+        seconds = self.system.nvm.search_time(merge.search_hops)
         seconds += self.system.nvm.read(moved, sequential=True)
         seconds += self.system.nvm.write(moved, sequential=True)
         return seconds

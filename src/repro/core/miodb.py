@@ -134,7 +134,7 @@ class MioDB(BufferedStore):
                     if bloom is not None:
                         bloom.add(node.key)
                     hops = max(1, node.height * 3)
-                    copy_seconds += self.system.cpu.skiplist_search_time("nvm", hops)
+                    copy_seconds += self.system.nvm.search_time(hops)
                     copy_seconds += self.system.nvm.write(
                         node.nbytes, sequential=False
                     )
@@ -231,7 +231,7 @@ class MioDB(BufferedStore):
         """
         system = self.system
         cpu = system.cpu
-        nvm_unit = cpu.skiplist_search_time("nvm", 1)
+        nvm_unit = system.nvm.search_time(1)
         nvm_read = system.nvm.read
         captured = []
 
@@ -245,7 +245,7 @@ class MioDB(BufferedStore):
 
         plan = [
             entry(
-                None, t.skiplist, cpu.skiplist_search_time(t.device.name, 1),
+                None, t.skiplist, t.device.search_time(1),
                 t.device.read, t.get,
             )
             for t in (self.memtable, self.immutable) if t is not None

@@ -10,6 +10,7 @@ bloom filter sized for one MemTable's key budget.
 from typing import List, Optional
 
 from repro.bloom.filter import BloomFilter
+from repro.kvstore.memtable import priced_lookup
 from repro.persist.arena import Arena
 from repro.skiplist.skiplist import SkipList
 
@@ -55,11 +56,7 @@ class PMTable:
 
     def get(self, key: bytes):
         """Point lookup: NVM pointer chase plus payload read on a hit."""
-        node, hops = self.skiplist.lookup(key)
-        seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
-        if node is not None:
-            seconds += self.system.nvm.read(node.nbytes, sequential=False)
-        return node, seconds
+        return priced_lookup(self.skiplist, self.system.nvm, key)
 
     def merge_bloom_from(self, other: "PMTable") -> None:
         """OR-merge ``other``'s bloom filter into this one.

@@ -18,6 +18,7 @@ visibility callback the compaction manager runs at job completion
 from typing import List, Optional, Tuple
 
 from repro.baselines.lsm import LeveledLSM
+from repro.kvstore.memtable import priced_lookup
 from repro.persist.arena import Arena
 from repro.sim.rng import XorShiftRng
 from repro.skiplist.node import TOMBSTONE, payload_bytes
@@ -61,7 +62,6 @@ class NvmRepository:
         PMTable stays readable above until the manager retires it, so
         queries see duplicates, never gaps).
         """
-        hop = self.system.cpu.hop_cost("nvm")
         nvm = self.system.nvm
         skiplist = self.skiplist
         # The PMTable is a sorted run: one monotone cursor seek finds, per
@@ -71,7 +71,7 @@ class NvmRepository:
         for node in newest_versions(table.skiplist):
             key = node.key
             preds, hops = cursor.seek(key, 1 << 62)
-            search = max(hops, 1) * hop
+            search = nvm.search_time(max(hops, 1))
             seconds += search
             existing = preds[0].next[0]
             if existing is not None and existing.key != key:
@@ -105,12 +105,8 @@ class NvmRepository:
 
     def get(self, key: bytes) -> Tuple[Optional[object], float]:
         """Point lookup; returns (value_or_TOMBSTONE_or_None, seconds)."""
-        node, hops = self.skiplist.lookup(key)
-        seconds = self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
-        if node is None:
-            return None, seconds
-        seconds += self.system.nvm.read(node.nbytes, sequential=False)
-        return node.value, seconds
+        node, seconds = priced_lookup(self.skiplist, self.system.nvm, key)
+        return (None if node is None else node.value), seconds
 
     def scan_sources(self, start_key: bytes) -> List[tuple]:
         """Sources for a merged scan (one: the huge skip list)."""

@@ -369,7 +369,7 @@ class KVStore(ABC):
 
     @staticmethod
     def _require_key(key: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+        if not isinstance(key, bytes) or len(key) == 0:
             raise ValueError(f"keys must be non-empty bytes, got {key!r}")
 
     def __repr__(self) -> str:

@@ -7,6 +7,7 @@ the all-or-nothing contract LevelDB's ``WriteBatch`` provides.
 
 from typing import List, Tuple
 
+from repro.kvstore.api import KVStore
 from repro.kvstore.values import value_nbytes
 
 
@@ -34,17 +35,15 @@ class WriteBatch:
 
     def put(self, key: bytes, value) -> "WriteBatch":
         """Queue an insert/update; returns self for chaining."""
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise ValueError(f"keys must be non-empty bytes, got {key!r}")
+        KVStore._require_key(key)
         value_nbytes(value)  # validate eagerly
-        self.ops.append(("put", bytes(key), value))
+        self.ops.append(("put", key, value))
         return self
 
     def delete(self, key: bytes) -> "WriteBatch":
         """Queue a delete; returns self for chaining."""
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise ValueError(f"keys must be non-empty bytes, got {key!r}")
-        self.ops.append(("delete", bytes(key), None))
+        KVStore._require_key(key)
+        self.ops.append(("delete", key, None))
         return self
 
     def clear(self) -> "WriteBatch":

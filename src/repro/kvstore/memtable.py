@@ -23,6 +23,19 @@ def memtable_entries(table: "MemTable"):
     return [(n.key, n.seq, n.value, payload_bytes(n)) for n in table.skiplist.nodes()]
 
 
+def priced_lookup(skiplist: SkipList, device, key: bytes):
+    """Look up the newest version of ``key`` in a skip list on ``device``.
+
+    Returns ``(node_or_None, seconds)``: the pointer chase plus, on a
+    hit, reading the entry payload from the device.
+    """
+    node, hops = skiplist.lookup(key)
+    seconds = device.search_time(max(hops, 1))
+    if node is not None:
+        seconds += device.read(node.nbytes, sequential=False)
+    return node, seconds
+
+
 class MemTable:
     """A bounded skip list staged on one device."""
 
@@ -43,7 +56,6 @@ class MemTable:
         self.capacity_bytes = capacity_bytes
         #: The device holding the table (``system.dram`` by default).
         self.device = device or system.dram
-        self._hop_cost = system.cpu.hop_cost(self.device.name)
         self.skiplist = SkipList(rng or XorShiftRng(0xA5F0 + self.table_id))
         self.arena = Arena(self.device, capacity_bytes, f"memtable-{self.table_id}")
         self.immutable = False
@@ -69,21 +81,13 @@ class MemTable:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
         if seq > self.last_seq:
             self.last_seq = seq
-        return max(hops, 1) * self._hop_cost + self.device.write(
+        return self.device.search_time(max(hops, 1)) + self.device.write(
             node.nbytes, sequential=False
         )
 
     def get(self, key: bytes):
-        """Look up the newest version; returns ``(node_or_None, cost)``.
-
-        The cost covers the pointer chase plus, on a hit, reading the
-        entry payload from the table's device.
-        """
-        node, hops = self.skiplist.lookup(key)
-        seconds = max(hops, 1) * self._hop_cost
-        if node is not None:
-            seconds += self.device.read(node.nbytes, sequential=False)
-        return node, seconds
+        """Look up the newest version; returns ``(node_or_None, cost)``."""
+        return priced_lookup(self.skiplist, self.device, key)
 
     def rotate(self, rng: XorShiftRng) -> "MemTable":
         """Freeze this table prior to flushing; returns its empty successor."""

@@ -81,7 +81,7 @@ def merged_scan(
             name = device.name
             tally = tallies[device] = [0, 0]
             terms = devices[device] = (
-                None, cpu.hop_time(name), *device.seq_read_rate(),
+                None, device.hop_time(), *device.seq_read_rate(),
                 tally, device.obs, name,
             )
         __, hop, latency, bw, tally, obs, name = terms

@@ -1,5 +1,7 @@
 """Device model: latency + bandwidth cost, byte accounting, space usage."""
 
+from repro.mem.costs import CpuCostModel
+
 
 class DeviceProfile:
     """Performance characteristics of one memory/storage device.
@@ -7,7 +9,8 @@ class DeviceProfile:
     Latencies are per-operation setup costs in seconds; bandwidths are in
     bytes per second.  Sequential and random accesses are distinguished
     because the DRAM/NVM gap the paper leans on is largest for random
-    writes (about 7x).
+    writes (about 7x).  ``hop_latency`` is one dependent pointer chase to
+    a node the device holds (a skip-list hop).
     """
 
     __slots__ = (
@@ -18,6 +21,7 @@ class DeviceProfile:
         "seq_write_bw",
         "rand_read_bw",
         "rand_write_bw",
+        "hop_latency",
         "persistent",
     )
 
@@ -30,6 +34,7 @@ class DeviceProfile:
         seq_write_bw: float,
         rand_read_bw: float,
         rand_write_bw: float,
+        hop_latency: float,
         persistent: bool,
     ) -> None:
         self.name = name
@@ -39,6 +44,7 @@ class DeviceProfile:
         self.seq_write_bw = seq_write_bw
         self.rand_read_bw = rand_read_bw
         self.rand_write_bw = rand_write_bw
+        self.hop_latency = hop_latency
         self.persistent = persistent
 
     def read_time(self, nbytes: int, sequential: bool) -> float:
@@ -80,11 +86,24 @@ class Device:
         #: The recorder charges go to tagged ``job=True`` while
         #: ``system.job_scope()`` prices a background job, else None.
         self.job_obs = None
+        # One search hop: the chase plus one key compare.
+        self._search_hop = profile.hop_latency + CpuCostModel.COMPARE_COST
 
     @property
     def name(self) -> str:
         """The profile name, e.g. ``"dram"``, ``"nvm"``, ``"ssd"``."""
         return self.profile.name
+
+    # ----------------------------------------------------- pointer chases
+
+    def hop_time(self) -> float:
+        """Seconds to follow one skip-list pointer to a node on this device."""
+        return self.profile.hop_latency
+
+    def search_time(self, hops: int) -> float:
+        """Seconds for a skip-list search that followed ``hops`` pointers
+        on this device, one key compare per hop."""
+        return hops * self._search_hop
 
     # ------------------------------------------------------------------ I/O
 

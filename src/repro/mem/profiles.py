@@ -25,6 +25,7 @@ DRAM_PROFILE = DeviceProfile(
     seq_write_bw=12.0 * GB,
     rand_read_bw=10.0 * GB,
     rand_write_bw=8.4 * GB,
+    hop_latency=25 * NS,
     persistent=False,
 )
 
@@ -38,11 +39,13 @@ OPTANE_NVM_PROFILE = DeviceProfile(
     seq_write_bw=2.3 * GB,
     rand_read_bw=2.4 * GB,
     rand_write_bw=1.2 * GB,
+    hop_latency=120 * NS,
     persistent=True,
 )
 
 # NVMe SSD pinned at 10x lower bandwidth / 100x higher latency than the
-# Optane profile, matching the relation the paper quotes.
+# Optane profile, matching the relation the paper quotes.  No code path
+# chases pointers on it (or on the replication link): both take NVM's hop.
 NVME_SSD_PROFILE = DeviceProfile(
     name="ssd",
     read_latency=30 * US,
@@ -51,6 +54,7 @@ NVME_SSD_PROFILE = DeviceProfile(
     seq_write_bw=0.23 * GB,
     rand_read_bw=0.24 * GB,
     rand_write_bw=0.12 * GB,
+    hop_latency=120 * NS,
     persistent=True,
 )
 
@@ -67,5 +71,6 @@ REPL_LINK_PROFILE = DeviceProfile(
     seq_write_bw=3.0 * GB,
     rand_read_bw=3.0 * GB,
     rand_write_bw=3.0 * GB,
+    hop_latency=120 * NS,
     persistent=False,
 )

@@ -55,7 +55,7 @@ def test_put_get_delete_route_consistently():
     assert value is None
 
 
-@pytest.mark.parametrize("key", [b"", "str"])
+@pytest.mark.parametrize("key", [b"", "str", bytearray(b"key1")])
 def test_router_refuses_a_bad_key_before_counting_it(key):
     router = make_router()
     for op in (lambda: router.put(key, SizedValue(0, 256)),

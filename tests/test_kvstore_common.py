@@ -3,10 +3,15 @@
 import pytest
 
 from repro.baselines.lsm import LeveledLSM
+from repro.bench.config import BenchScale
+from repro.bench.factory import STORE_NAMES, make_store
+from repro.kvstore.batch import WriteBatch
 from repro.kvstore.memtable import MemTable, memtable_entries
 from repro.kvstore.options import MB, StoreOptions
 from repro.kvstore.values import SizedValue, value_nbytes
 from repro.sim.rng import XorShiftRng
+
+SCALE = BenchScale(memtable_bytes=8 << 10, dataset_bytes=1 << 20, value_size=256)
 
 
 # ------------------------------------------------------------------ values
@@ -127,6 +132,24 @@ def test_store_rejects_empty_keys(system, tiny_mio_options):
         store.get("not-bytes")
     with pytest.raises(ValueError):
         store.scan(b"ok", -1)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_bytearray_key_is_refused_not_stored_by_reference(name):
+    # A stored bytearray could be mutated by its caller after the put,
+    # moving the entry to another key and breaking the list's order.
+    key = bytearray(b"key1")
+    store, __ = make_store(name, SCALE)
+    for op in (lambda: store.put(key, b"v"), lambda: store.get(key),
+               lambda: store.delete(key), lambda: store.scan(key, 1),
+               lambda: store.multi_put([(key, b"v")])):
+        with pytest.raises(ValueError, match="non-empty bytes"):
+            op()
+    assert store.seq == 0
+    for op in (lambda: WriteBatch().put(key, b"v"),
+               lambda: WriteBatch().delete(key)):
+        with pytest.raises(ValueError, match="non-empty bytes"):
+            op()
 
 
 def test_delete_then_get_returns_none(system, tiny_mio_options):

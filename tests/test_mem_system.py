@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.costs import CpuCostModel
+from repro.mem.costs import NS, CpuCostModel
 from repro.mem.system import HybridMemorySystem
 from repro.obs.events import CAT_TRANSFER
 from repro.sim.clock import SimClock
@@ -91,12 +91,14 @@ def test_drain_background_runs_jobs(system):
     assert system.now == 1.0
 
 
-def test_cpu_cost_model_hops():
-    cpu = CpuCostModel()
-    assert cpu.hop_time("nvm") > cpu.hop_time("dram")
-    assert cpu.skiplist_search_time("dram", 10) == pytest.approx(
-        10 * (cpu.DRAM_HOP + cpu.COMPARE_COST)
-    )
+def test_device_prices_the_pointer_chase(system):
+    # Bit-equal to the per-hop sum the stores always charged.
+    compare = CpuCostModel.COMPARE_COST
+    assert system.dram.hop_time() == 25 * NS
+    assert system.nvm.hop_time() == 120 * NS
+    for hops in (1, 2, 10, 37, 12345):
+        assert system.dram.search_time(hops) == hops * (25 * NS + compare)
+        assert system.nvm.search_time(hops) == hops * (120 * NS + compare)
 
 
 def test_cpu_serialize_faster_than_deserialize_per_byte():

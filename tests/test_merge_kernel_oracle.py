@@ -147,13 +147,12 @@ def test_run_links_a_single_node_between_two():
 
 def reference_ingest(repo, table):
     """``NvmRepository.ingest`` as it was: two descents per copied node."""
-    cpu = repo.system.cpu
     nvm = repo.system.nvm
     seconds = 0.0
     for node in newest_versions(table.skiplist):
         value_bytes = max(0, node.nbytes - len(node.key) - NODE_OVERHEAD_BYTES)
         existing, hops = repo.skiplist.get(node.key)
-        seconds += cpu.skiplist_search_time("nvm", max(hops, 1))
+        seconds += nvm.search_time(max(hops, 1))
         if node.is_tombstone:
             if existing is not None:
                 preds = repo.skiplist.predecessors_of(existing)
@@ -176,7 +175,7 @@ def reference_ingest(repo, table):
             new_node, ins_hops = repo.skiplist.insert(
                 node.key, node.seq, node.value, value_bytes
             )
-            seconds += cpu.skiplist_search_time("nvm", max(ins_hops, 1))
+            seconds += nvm.search_time(max(ins_hops, 1))
             seconds += nvm.write(new_node.nbytes, sequential=False)
             repo.arena.grow(new_node.nbytes)
     return seconds, None
@@ -266,7 +265,7 @@ def reference_dram_flush(self, table):
     with self.system.job_scope():
         for key, seq, value, value_bytes in entries:
             node, hops = self.nvm_mt.skiplist.insert(key, seq, value, value_bytes)
-            seconds += self.system.cpu.skiplist_search_time("nvm", max(hops, 1))
+            seconds += self.system.nvm.search_time(max(hops, 1))
             seconds += self.system.nvm.write(node.nbytes, sequential=False)
     last_seq = max((e[1] for e in entries), default=self.seq)
 

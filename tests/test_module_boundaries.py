@@ -3,7 +3,11 @@
 - The device is the only pricer: no module outside ``repro.mem`` reads a
   ``DeviceProfile`` price field, so a second charge formula cannot creep
   back beside ``Device.read`` / ``write`` / ``seq_read_rate`` /
-  ``write_words``.  ``repro info``'s device table is the one reader.
+  ``write_words`` / ``search_time``.  ``repro info``'s device table is
+  the one reader.
+- A charge never picks its medium by name: no call outside ``repro.mem``
+  passes a device-name literal, so the price of a pointer chase comes
+  from the device that holds the nodes.
 - The machine decides the persistent tier: no module outside
   ``repro.mem`` reads a machine's ``.ssd``, so a store cannot grow its
   own tier switch beside ``HybridMemorySystem.bottom_tier``.  The CLI's
@@ -32,6 +36,7 @@ PRICE_FIELDS = frozenset({
     "seq_write_bw",
     "rand_read_bw",
     "rand_write_bw",
+    "hop_latency",
 })
 
 #: Prints the profiles; charges nothing.
@@ -65,6 +70,42 @@ def test_price_guard_sees_a_read_and_its_exemption_is_live():
         (1, "write_latency")
     ]
     assert price_reads(PRICE_TABLE.read_text())
+
+
+#: The ``DeviceProfile`` names.
+DEVICE_NAMES = frozenset({"dram", "nvm", "ssd", "repl-link"})
+
+
+def device_name_arguments(source: str):
+    """``(line, name)`` for every call argument that is a device-name literal."""
+    return [
+        (node.lineno, arg.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for arg in (*node.args, *(kw.value for kw in node.keywords))
+        if isinstance(arg, ast.Constant) and arg.value in DEVICE_NAMES
+    ]
+
+
+def test_no_charge_picks_its_device_by_name():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if (PACKAGE / "mem") in path.parents:
+            continue
+        for line, name in device_name_arguments(path.read_text()):
+            found.append(f"{path.relative_to(SRC)}:{line}: {name!r}")
+    assert not found, (
+        "take the price from the device (e.g. system.nvm.search_time), "
+        "not from a name:\n" + "\n".join(found)
+    )
+
+
+def test_device_name_guard_sees_a_literal():
+    assert device_name_arguments('hop = costs.hop_time("nvm")\n') == [(1, "nvm")]
+    assert device_name_arguments("f(device=\"repl-link\")\n") == [
+        (1, "repl-link")
+    ]
+    assert device_name_arguments("hop = system.nvm.hop_time()\n") == []
 
 
 #: The receiver whose ``.ssd`` is the CLI flag, not a machine's device.

@@ -152,8 +152,8 @@ class CostCell:
 
 def skiplist_stream(system, skiplist, start_key, device, cost):
     node, hops = skiplist.first_ge(start_key)
-    cost.seconds += system.cpu.skiplist_search_time(device.name, max(hops, 1))
-    hop_cost = system.cpu.hop_time(device.name)
+    cost.seconds += device.search_time(max(hops, 1))
+    hop_cost = device.hop_time()
     while node is not None:
         cost.seconds += hop_cost
         cost.seconds += device.read(node.nbytes, sequential=True)
@@ -205,7 +205,7 @@ def old_lsm_streams(lsm: LeveledLSM, key, cost):
 
 def old_nosst_scan(store, start_key, count):
     node, hops = store.skiplist.first_ge(start_key)
-    seconds = store.system.cpu.skiplist_search_time("nvm", max(hops, 1))
+    seconds = store.system.nvm.search_time(max(hops, 1))
     pairs = []
     touched = 0
     last_key = None
@@ -216,7 +216,7 @@ def old_nosst_scan(store, start_key, count):
                 pairs.append((node.key, node.value))
                 touched += node.nbytes
         node = node.next[0]
-        seconds += store.system.cpu.NVM_HOP
+        seconds += store.system.nvm.hop_time()
     seconds += store.system.nvm.read(touched, sequential=True)
     return pairs, seconds
 
