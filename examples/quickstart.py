@@ -42,7 +42,7 @@ def main() -> None:
     print("elastic buffer tables per level:", db.level_table_counts())
     print("data repository keys:           ", db.repository.entry_count)
     print(f"write amplification:             {system.write_amplification():.2f}x")
-    print(f"simulated time elapsed:          {system.now * 1e3:.2f} ms")
+    print(f"simulated time elapsed:          {system.clock.now * 1e3:.2f} ms")
     print(f"interval write stalls:           {system.stats.get('stall.interval_s'):.6f} s")
     put = system.latency.summary("put").as_micros()
     get = system.latency.summary("get").as_micros()

@@ -28,7 +28,7 @@ def main() -> None:
         db.put(b"user%012d" % i, SizedValue(i, 4096))
         if i % (n // 8) == 0:
             checkpoints.append(
-                (system.now * 1e3, system.nvm.bytes_in_use / MB,
+                (system.clock.now * 1e3, system.nvm.bytes_in_use / MB,
                  (system.ssd.bytes_in_use if system.ssd else 0) / MB)
             )
 

@@ -102,7 +102,7 @@ class LeveledLSM:
             "serialize.time_s", self.system.cpu.serialize_time(table.data_bytes)
         )
         bloom = BloomFilter.for_capacity(max(1, len(entries)), SSTABLE_BLOOM_BITS)
-        bloom.add_all(table._keys)
+        bloom.add_all(table.keys)
         seconds += self.system.cpu.bloom_build_time(len(entries))
         table.bloom = bloom
         return table, seconds
@@ -277,7 +277,7 @@ class LeveledLSM:
     def scan_sources(self, key: bytes) -> List[tuple]:
         """Per-table sources for a merged scan from ``key``."""
         return [
-            (table.entries, bisect_left(table._keys, key), self.device)
+            (table.entries, bisect_left(table.keys, key), self.device)
             for level_tables in self.levels
             for table in level_tables
             if table.max_key >= key

@@ -211,7 +211,7 @@ class SLMDBStore(BufferedStore):
     def _scan(self, start_key: bytes, count: int):
         sources = memtable_sources(self.memtable, self.immutable)
         sources.extend(
-            (table.entries, bisect_left(table._keys, start_key), self.system.nvm)
+            (table.entries, bisect_left(table.keys, start_key), self.system.nvm)
             for table in self.tables
             if not table.released and table.max_key >= start_key
         )

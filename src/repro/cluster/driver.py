@@ -381,7 +381,7 @@ def run_cluster(
             cluster.settle_all()
 
         # Admit every arrival that is due (admission never moves the clock).
-        now = clock._now
+        now = clock.now
         while heap and heap[0][0] <= now:
             __, __, request = heappop(heap)
             fresh = request.retries == 0

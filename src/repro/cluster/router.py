@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.factory import make_store
 from repro.cluster.placement import make_placement
-from repro.kvstore.api import KVStore, paged_items
+from repro.kvstore.api import paged_items, require_key
 from repro.mem.system import HybridMemorySystem
 from repro.obs.live.recorder import LiveRecorder
 from repro.replication.group import ReplicaGroup, Session
@@ -242,7 +242,7 @@ class ShardRouter:
 
         A key the stores would refuse is refused here, before it counts.
         """
-        KVStore._require_key(key)
+        require_key(key)
         slot, shard = self.placement.locate(key)
         self.shard_ops[shard] += 1
         self.slot_ops[slot] = self.slot_ops.get(slot, 0) + 1

@@ -13,6 +13,7 @@ repository.  The first hit is the newest version because tables and
 levels are strictly age-ordered.
 """
 
+import math
 from bisect import bisect_left
 from typing import List, Optional, Tuple
 
@@ -22,6 +23,7 @@ from repro.core.compaction import CompactionManager
 from repro.core.options import MioOptions
 from repro.core.pmtable import PMTable
 from repro.core.repository import NvmRepository, SsdRepository
+from repro.kvstore.api import require_key
 from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.scans import memtable_sources, merged_scan
@@ -81,7 +83,7 @@ class MioDB(BufferedStore):
     def _drain_buffer(self) -> None:
         self.compactor.check()
         if (
-            self.system.executor.next_completion() is None
+            self.system.executor.next_due == math.inf
             and not self.compactor.force_progress()
         ):
             raise RuntimeError("NVM buffer cap hit with nothing to drain")
@@ -193,7 +195,7 @@ class MioDB(BufferedStore):
         items = []
         user_bytes = 0
         for op, key, value in batch.ops:
-            self._require_key(key)
+            require_key(key)
             self.seq += 1
             if op == "put":
                 nbytes = value_nbytes(value)

@@ -6,6 +6,13 @@ from typing import List, Optional, Tuple
 from repro.kvstore.values import value_nbytes
 from repro.skiplist.node import TOMBSTONE
 
+
+def require_key(key: bytes) -> None:
+    """Refuse anything but non-empty ``bytes`` as a key, before any work."""
+    if not isinstance(key, bytes) or len(key) == 0:
+        raise ValueError(f"keys must be non-empty bytes, got {key!r}")
+
+
 def _report_served(lookup, count: int) -> None:
     """Tell a batch closure how many keys it served, if it asks to know."""
     served = getattr(lookup, "served", None)
@@ -63,14 +70,13 @@ class KVStore(ABC):
         (engines advance the clock directly while blocked on background
         flushes or compactions).
         """
-        self._require_key(key)
+        require_key(key)
         nbytes = value_nbytes(value)
         system = self.system
         executor = system.executor
-        heap = executor._heap
-        if heap and heap[0][0] <= system.clock._now:
+        if executor.next_due <= system.clock.now:
             executor.settle()
-        start = system.clock._now
+        start = system.clock.now
         self.seq += 1
         seconds = self._put(key, self.seq, value, nbytes)
         system.stats.add("user.bytes_written", len(key) + nbytes)
@@ -79,13 +85,12 @@ class KVStore(ABC):
 
     def delete(self, key: bytes) -> float:
         """Delete ``key`` by writing a tombstone; returns the latency."""
-        self._require_key(key)
+        require_key(key)
         system = self.system
         executor = system.executor
-        heap = executor._heap
-        if heap and heap[0][0] <= system.clock._now:
+        if executor.next_due <= system.clock.now:
             executor.settle()
-        start = system.clock._now
+        start = system.clock.now
         self.seq += 1
         seconds = self._put(key, self.seq, TOMBSTONE, 0)
         system.stats.add("user.bytes_written", len(key))
@@ -94,13 +99,12 @@ class KVStore(ABC):
 
     def get(self, key: bytes) -> Tuple[Optional[object], float]:
         """Look up ``key``; returns ``(value_or_None, latency)``."""
-        self._require_key(key)
+        require_key(key)
         system = self.system
         executor = system.executor
-        heap = executor._heap
-        if heap and heap[0][0] <= system.clock._now:
+        if executor.next_due <= system.clock.now:
             executor.settle()
-        start = system.clock._now
+        start = system.clock.now
         value, seconds = self._get(key)
         if value is TOMBSTONE:
             value = None
@@ -117,9 +121,8 @@ class KVStore(ABC):
         once per batch.  All keys are validated before any op runs.
         """
         ops = []
-        require = self._require_key
         for key, value in items:
-            require(key)
+            require_key(key)
             ops.append((key, value, value_nbytes(value), len(key)))
         return self._apply_batch("put", ops)
 
@@ -130,9 +133,8 @@ class KVStore(ABC):
         batched bookkeeping as :meth:`multi_put`.
         """
         ops = []
-        require = self._require_key
         for key in keys:
-            require(key)
+            require_key(key)
             ops.append((key, TOMBSTONE, 0, len(key)))
         return self._apply_batch("delete", ops)
 
@@ -146,16 +148,14 @@ class KVStore(ABC):
         land exactly where the one-op-at-a-time path would see them.
         """
         keys = list(keys)
-        require = self._require_key
         for key in keys:
-            require(key)
+            require_key(key)
         results: List[Tuple[Optional[object], float]] = []
         if not keys:
             return results
         system = self.system
         clock = system.clock
         executor = system.executor
-        heap = executor._heap
         settle = executor.settle
         stamp, sample = system.latency.appenders("get")
         obs = system.obs
@@ -165,15 +165,15 @@ class KVStore(ABC):
         taken = 0
         try:
             for key in keys:
-                if heap and heap[0][0] <= clock._now:
+                if executor.next_due <= clock.now:
                     if settle():
                         _report_served(lookup, len(results) - taken)
                         taken = len(results)
                         lookup = self._batch_lookup() or fallback
-                start = clock._now
+                start = clock.now
                 value, seconds = lookup(key)
                 clock.advance(seconds)
-                now = clock._now
+                now = clock.now
                 latency = now - start
                 stamp(now)
                 sample(latency)
@@ -187,15 +187,14 @@ class KVStore(ABC):
 
     def scan(self, start_key: bytes, count: int) -> Tuple[List[Tuple[bytes, object]], float]:
         """Range query: up to ``count`` live pairs from ``start_key`` on."""
-        self._require_key(start_key)
+        require_key(start_key)
         if count < 0:
             raise ValueError(f"scan count must be >= 0, got {count}")
         system = self.system
         executor = system.executor
-        heap = executor._heap
-        if heap and heap[0][0] <= system.clock._now:
+        if executor.next_due <= system.clock.now:
             executor.settle()
-        start = system.clock._now
+        start = system.clock.now
         pairs, seconds = self._scan(start_key, count)
         system.stats.add("op.scan", 1)
         latency = self._finish("scan", start, seconds)
@@ -289,7 +288,6 @@ class KVStore(ABC):
         system = self.system
         clock = system.clock
         executor = system.executor
-        heap = executor._heap
         settle = executor.settle
         stamp, sample = system.latency.appenders(kind)
         put_ = self._put
@@ -298,13 +296,13 @@ class KVStore(ABC):
         user_bytes = 0
         try:
             for key, value, value_bytes, key_len in ops:
-                if heap and heap[0][0] <= clock._now:
+                if executor.next_due <= clock.now:
                     settle()
-                start = clock._now
+                start = clock.now
                 self.seq += 1
                 seconds = put_(key, self.seq, value, value_bytes)
                 clock.advance(seconds)
-                now = clock._now
+                now = clock.now
                 latency = now - start
                 stamp(now)
                 sample(latency)
@@ -366,11 +364,6 @@ class KVStore(ABC):
                 {"cause": cause, "seconds": seconds},
             )
         return seconds
-
-    @staticmethod
-    def _require_key(key: bytes) -> None:
-        if not isinstance(key, bytes) or len(key) == 0:
-            raise ValueError(f"keys must be non-empty bytes, got {key!r}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seq={self.seq})"

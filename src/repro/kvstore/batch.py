@@ -7,7 +7,7 @@ the all-or-nothing contract LevelDB's ``WriteBatch`` provides.
 
 from typing import List, Tuple
 
-from repro.kvstore.api import KVStore
+from repro.kvstore.api import require_key
 from repro.kvstore.values import value_nbytes
 
 
@@ -35,14 +35,14 @@ class WriteBatch:
 
     def put(self, key: bytes, value) -> "WriteBatch":
         """Queue an insert/update; returns self for chaining."""
-        KVStore._require_key(key)
+        require_key(key)
         value_nbytes(value)  # validate eagerly
         self.ops.append(("put", key, value))
         return self
 
     def delete(self, key: bytes) -> "WriteBatch":
         """Queue a delete; returns self for chaining."""
-        KVStore._require_key(key)
+        require_key(key)
         self.ops.append(("delete", key, None))
         return self
 

@@ -14,6 +14,8 @@ class SizedValue:
     __slots__ = ("tag", "nbytes")
 
     def __init__(self, tag, nbytes: int) -> None:
+        if not isinstance(nbytes, int) or isinstance(nbytes, bool):
+            raise TypeError(f"value size must be an int, got {nbytes!r}")
         if nbytes < 0:
             raise ValueError(f"value size must be >= 0, got {nbytes}")
         self.tag = tag
@@ -35,10 +37,10 @@ class SizedValue:
 
 def value_nbytes(value) -> int:
     """Accounted size of a value: real length for bytes/str, nominal for
-    :class:`SizedValue`."""
+    :class:`SizedValue`; a ``bytearray`` (kept by reference) is refused."""
     if isinstance(value, SizedValue):
         return value.nbytes
-    if isinstance(value, (bytes, bytearray)):
+    if isinstance(value, bytes):
         return len(value)
     if isinstance(value, str):
         return len(value.encode("utf-8"))

@@ -188,8 +188,7 @@ class Device:
         self.bytes_in_use -= nbytes
 
     def _integrate_usage(self) -> None:
-        # Read off the slot: the WAL allocates on every append.
-        now = self.clock._now
+        now = self.clock.now
         if now > self._usage_last_t:
             self._usage_area += self.bytes_in_use * (now - self._usage_last_t)
             self._usage_last_t = now

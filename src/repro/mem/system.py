@@ -39,11 +39,6 @@ class HybridMemorySystem:
         self.obs = None
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.clock.now
-
-    @property
     def bottom_tier(self) -> Device:
         """Where a store keeps its persistent levels: the SSD when the
         machine has one (Section 5.4's hierarchy), else NVM."""

@@ -140,9 +140,8 @@ class LiveRecorder(TraceRecorder):
             flight.record(event)
             window = self.window
             window.latencies.append(dur)
-            # Ops end at emission: the clock is the span's exact end
-            # (read off the slot; the property costs a call per op).
-            end = self.clock._now
+            # Ops end at emission: the clock is the span's exact end.
+            end = self.clock.now
             if end >= window.next_edge:
                 closed = window.maybe_tick(end, self._system)
                 if closed is not None:

@@ -34,18 +34,15 @@ class ReplicationConfig:
         followers: K follower replicas per group (0 = unreplicated).
         ack_policy: one of :data:`ACK_POLICIES`.
         read_policy: one of :data:`READ_POLICIES`.
-        ship_batch: max WAL frames bundled into one ship transfer.
     """
 
-    __slots__ = ("followers", "ack_policy", "read_policy", "ship_batch")
+    __slots__ = ("followers", "ack_policy", "read_policy")
 
-    # repro: allow[OPT001] the write-path pin lags its followers with ship_batch=64
     def __init__(
         self,
         followers: int = 2,
         ack_policy: str = ACK_QUORUM,
         read_policy: str = READ_LEADER,
-        ship_batch: int = 8,
     ) -> None:
         if followers < 0:
             raise ValueError(f"followers must be >= 0, got {followers}")
@@ -58,12 +55,9 @@ class ReplicationConfig:
                 f"unknown read policy {read_policy!r}; "
                 f"choose from {READ_POLICIES}"
             )
-        if ship_batch < 1:
-            raise ValueError(f"ship_batch must be >= 1, got {ship_batch}")
         self.followers = followers
         self.ack_policy = ack_policy
         self.read_policy = read_policy
-        self.ship_batch = ship_batch
 
     @property
     def group_size(self) -> int:

@@ -59,6 +59,9 @@ from repro.sim.stats import StatsRegistry
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
 
+#: Most WAL frames one ship transfer to a follower bundles.
+SHIP_BATCH = 8
+
 
 def replication_refusal(store) -> Optional[str]:
     """Why shipping ``store``'s WAL would not reproduce it (``None``
@@ -460,7 +463,7 @@ class ReplicaGroup:
         ):
             return
         start = follower.shipped_lsn
-        end = min(len(self.log), start + self.config.ship_batch)
+        end = min(len(self.log), start + SHIP_BATCH)
         frames = self.log[start:end]
         total = sum(r.frame_bytes for r in frames)
         seconds = follower.link.write(total, sequential=True)

@@ -7,15 +7,16 @@ completion time of the background job being waited on.
 
 
 class SimClock:
-    """A monotonically non-decreasing simulated clock, in seconds."""
+    """A monotonically non-decreasing simulated clock, in seconds.
+
+    ``now`` is a plain attribute; only :meth:`advance` and
+    :meth:`advance_to` write it.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        self.now = 0.0
 
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` and return the new time.
@@ -26,8 +27,8 @@ class SimClock:
         """
         if not seconds >= 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def advance_to(self, deadline: float) -> float:
         """Move the clock to ``deadline`` if it lies in the future.
@@ -36,9 +37,9 @@ class SimClock:
         which is the natural semantics for "wait until job X is done":
         if it already finished, there is nothing to wait for.
         """
-        if deadline > self._now:
-            self._now = deadline
-        return self._now
+        if deadline > self.now:
+            self.now = deadline
+        return self.now
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.9f})"
+        return f"SimClock(now={self.now:.9f})"

@@ -13,6 +13,7 @@ job completes at or before the settle horizon.
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional
 
 from repro.sim.host import collector_paused
@@ -80,6 +81,9 @@ class Executor:
         self._heap: List = []
         self._tiebreak = itertools.count()
         self._workers = {}
+        #: End of the earliest pending job, or ``math.inf`` when idle:
+        #: background work is due once ``next_due <= clock.now``.
+        self.next_due = math.inf
         #: The attached trace recorder, or None: told of every submitted
         #: job (``obs.on_submit(job, meta)``) with its precomputed start
         #: and end times.  It must not mutate the job.
@@ -114,15 +118,17 @@ class Executor:
         ``meta`` is opaque annotation passed through to :attr:`obs`
         (e.g. the trace category and byte counts of a flush).
         """
-        if not duration >= 0:  # NaN too: no later job on the worker would settle
-            raise ValueError(f"job duration must be >= 0, got {duration}")
-        now = self.clock._now  # slot read; the property costs a call
+        if not 0 <= duration < math.inf:  # NaN, inf: no later job would settle
+            raise ValueError(f"job duration must be finite and >= 0, got {duration}")
+        now = self.clock.now
         start = max(worker.busy_until, now)
         end = start + duration
         worker.busy_until = end
         worker.jobs_run += 1
         job = Job(name, worker, start, end, callback, now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))
+        if end < self.next_due:
+            self.next_due = end
         obs = self.obs
         if obs is not None:
             obs.on_submit(job, meta)
@@ -135,17 +141,19 @@ class Executor:
         submit new jobs; those are drained too if they also finish
         within the horizon.
 
-        The skip rule: when ``_heap`` is empty or ``_heap[0][0]`` (the
-        head job's end) is after ``clock._now``, this call applies and
-        pops nothing, so a hot caller may test exactly that and skip
-        it.  The test must read ``clock._now`` afresh for each executor,
-        because a callback applied by an earlier settle may advance
-        the clock.
+        The skip rule: when ``next_due`` is after ``clock.now``, this
+        call applies nothing, so a hot caller may test
+        ``executor.next_due <= clock.now`` and skip it otherwise.  The
+        test must read ``clock.now`` afresh for each executor, because a
+        callback applied by an earlier settle may advance the clock.
         """
-        horizon = self.clock._now
+        horizon = self.clock.now
+        heap = self._heap
         applied = 0
-        while self._heap and self._heap[0][0] <= horizon:
-            heapq.heappop(self._heap)[2]._complete()
+        while self.next_due <= horizon:
+            job = heapq.heappop(heap)[2]
+            self.next_due = heap[0][0] if heap else math.inf
+            job._complete()
             applied += 1
         return applied
 
@@ -170,8 +178,7 @@ class Executor:
         workloads to let compactions quiesce before measuring state.
         """
         while self._heap:
-            end = self._heap[0][0]
-            self.clock.advance_to(end)
+            self.clock.advance_to(self.next_due)
             self.settle()
         return self.clock.now
 
@@ -184,6 +191,7 @@ class Executor:
         """
         dropped = len(self._heap)
         self._heap.clear()
+        self.next_due = math.inf
         for worker in self._workers.values():
             worker.busy_until = self.clock.now
         return dropped
@@ -192,11 +200,6 @@ class Executor:
     def pending(self) -> int:
         """Number of jobs whose effects have not yet been applied."""
         return len(self._heap)
-
-    def next_completion(self) -> Optional[float]:
-        """End time of the earliest pending job, or ``None`` when idle."""
-        heap = self._heap
-        return heap[0][0] if heap else None
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +217,7 @@ def settle_due(executors) -> None:
     clock afresh per executor (an earlier callback may have moved it).
     """
     for executor in executors:
-        heap = executor._heap
-        if heap and heap[0][0] <= executor.clock._now:
+        if executor.next_due <= executor.clock.now:
             executor.settle()
 
 
@@ -224,12 +226,11 @@ def advance(executors) -> bool:
 
     Returns False, with the clock unmoved, when every executor is idle.
     """
-    deadline = None
+    deadline = math.inf
     for executor in executors:
-        heap = executor._heap
-        if heap and (deadline is None or heap[0][0] < deadline):
-            deadline = heap[0][0]
-    if deadline is None:
+        if executor.next_due < deadline:
+            deadline = executor.next_due
+    if deadline == math.inf:
         return False
     executors[0].clock.advance_to(deadline)
     settle_due(executors)

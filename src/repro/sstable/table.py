@@ -57,7 +57,7 @@ class SSTable:
         self.entries: List[Entry] = list(entries)
         self.device = device
         self.label = label or f"sst-{self.table_id}"
-        self._keys = keys
+        self.keys = keys
         self.data_bytes = run_bytes(self.entries)
         self.min_key = self.entries[0][0]
         self.max_key = self.entries[-1][0]
@@ -90,7 +90,7 @@ class SSTable:
         """
         if self.released:
             raise ValueError(f"read from released SSTable {self.label}")
-        idx = bisect.bisect_left(self._keys, key)
+        idx = bisect.bisect_left(self.keys, key)
         found: Optional[Entry] = None
         if idx < len(self.entries) and self.entries[idx][0] == key:
             found = self.entries[idx]

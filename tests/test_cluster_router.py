@@ -67,6 +67,17 @@ def test_router_refuses_a_bad_key_before_counting_it(key):
     assert router.slot_ops == {}
 
 
+@pytest.mark.parametrize("followers", [0, 2])
+def test_router_refuses_a_bytearray_value(followers):
+    config = ReplicationConfig(followers=followers) if followers else None
+    cluster = Cluster("miodb", n_shards=2, scale=SCALE, replication=config)
+    router = ShardRouter(cluster)
+    with pytest.raises(TypeError, match="pass bytes or SizedValue"):
+        router.put(key_for(1), bytearray(b"abcd"))
+    assert all(shard.store.seq == 0 for shard in cluster.shards)
+    assert router.get(key_for(1))[0] is None
+
+
 def test_keys_are_spread_across_shards():
     router = make_router()
     for i in range(2000):

@@ -19,7 +19,6 @@ SCALE = BenchScale(memtable_bytes=8 << 10, dataset_bytes=1 << 20, value_size=256
 
 def test_value_nbytes_for_bytes():
     assert value_nbytes(b"hello") == 5
-    assert value_nbytes(bytearray(b"abc")) == 3
 
 
 def test_value_nbytes_for_str():
@@ -47,6 +46,18 @@ def test_sized_value_equality_and_hash():
 def test_sized_value_rejects_negative():
     with pytest.raises(ValueError):
         SizedValue("x", -1)
+
+
+@pytest.mark.parametrize("size", [2.5, float("nan"), float("inf"), True])
+def test_a_size_that_is_not_an_int_is_refused_before_the_store_sees_it(size):
+    # A fractional size left fractional byte counters, a NaN failed only
+    # after the WAL append, and an inf moved the clock to inf.
+    store, system = make_store("leveldb", SCALE)
+    store.put(b"k0", SizedValue(0, 64))
+    before = (system.clock.now, system.stats.snapshot(), store.seq)
+    with pytest.raises(TypeError, match="value size must be an int"):
+        store.put(b"k1", SizedValue("x", size))
+    assert (system.clock.now, system.stats.snapshot(), store.seq) == before
 
 
 # ----------------------------------------------------------------- options
@@ -150,6 +161,22 @@ def test_a_bytearray_key_is_refused_not_stored_by_reference(name):
                lambda: WriteBatch().delete(key)):
         with pytest.raises(ValueError, match="non-empty bytes"):
             op()
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_bytearray_value_is_refused_not_stored_by_reference(name):
+    # A stored bytearray could be resized by its caller after the put:
+    # a get would then return bytes the put never charged.
+    value = bytearray(b"abcd")
+    store, system = make_store(name, SCALE)
+    for op in (lambda: store.put(b"k1", value),
+               lambda: store.multi_put([(b"k1", value)]),
+               lambda: WriteBatch().put(b"k1", value)):
+        with pytest.raises(TypeError, match="pass bytes or SizedValue"):
+            op()
+    assert store.seq == 0
+    assert system.stats.get("user.bytes_written") == 0
+    assert store.get(b"k1")[0] is None
 
 
 def test_delete_then_get_returns_none(system, tiny_mio_options):

@@ -88,7 +88,7 @@ def test_drain_background_runs_jobs(system):
     system.executor.submit(system.executor.worker("w"), 1.0, lambda: fired.append(1))
     system.drain_background()
     assert fired == [1]
-    assert system.now == 1.0
+    assert system.clock.now == 1.0
 
 
 def test_device_prices_the_pointer_chase(system):

@@ -12,6 +12,10 @@
   ``repro.mem`` reads a machine's ``.ssd``, so a store cannot grow its
   own tier switch beside ``HybridMemorySystem.bottom_tier``.  The CLI's
   ``args.ssd`` flag only chooses the machine built.
+- A package keeps its state to itself: no module reads another
+  package's private attribute (``clock._now``, ``executor._heap``,
+  ``SSTable._keys``), so what a package publishes is the whole of what
+  the rest of ``repro`` may depend on.
 - Module-level imports that replaced function-local ones hold from a
   fresh interpreter: importing the module first, before anything else
   of the package, finds no cycle.
@@ -147,6 +151,103 @@ def test_tier_guard_sees_a_read_and_its_exemption_is_live():
         for path in (PACKAGE / "cli").glob("*.py")
         for __, receiver in ssd_reads(path.read_text())
     )
+
+
+def package_of(path: pathlib.Path) -> str:
+    """The first path part under ``src/repro``."""
+    return path.relative_to(PACKAGE).parts[0]
+
+
+def private_definitions(source: str):
+    """Private names a module defines: a ``def`` or ``class``, an
+    assignment to ``self._x`` or ``cls._x``, or a class-body assignment."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, ast.AnnAssign):
+                    targets = [stmt.target]
+                else:
+                    continue
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_")}
+
+
+def private_reads(source: str):
+    """``(line, expression)`` for every read of ``x._name`` where ``x`` is
+    not ``self`` or ``cls`` (dunders are not private)."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls"))
+    ]
+
+
+def tree_sources():
+    """``{path: source}`` for every module under ``src/repro``."""
+    return {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def cross_package_reads(sources):
+    """Every private read whose name the reading package does not define."""
+    defined = {}
+    for path, source in sources.items():
+        defined.setdefault(package_of(path), set()).update(
+            private_definitions(source)
+        )
+    return [
+        f"{path.relative_to(SRC)}:{line}: {text}"
+        for path, source in sources.items()
+        for line, text in sorted(private_reads(source))
+        if text.rsplit(".", 1)[1] not in defined[package_of(path)]
+    ]
+
+
+def test_no_package_reads_another_packages_private_state():
+    found = cross_package_reads(tree_sources())
+    assert not found, (
+        "read what the owning package publishes (clock.now, "
+        "executor.next_due, table.keys, require_key), not its private "
+        "state:\n" + "\n".join(found)
+    )
+
+
+def test_private_read_guard_sees_a_planted_read():
+    assert private_reads("now = self.system.clock._now\n") == [
+        (1, "self.system.clock._now")
+    ]
+    assert private_reads("self._now = 0.0\nn = self._now + cls._x\n") == []
+    assert private_reads("name = type(x).__name__\n") == []
+    assert private_definitions(
+        "class C:\n    _ids = 0\n    def _f(self):\n        self._n = 1\n"
+    ) == {"_ids", "_f", "_n"}
+    # Planted (in memory) in a package that does not define the name, the
+    # read is named; ``executor._heap`` in ``repro.sim``, its owner, is not.
+    for package, read, named in (
+        ("kvstore", "clock._now", True),
+        ("kvstore", "executor._heap", True),
+        ("sim", "executor._heap", False),
+    ):
+        sources = tree_sources()
+        sources[PACKAGE / package / "planted.py"] = f"x = {read}\n"
+        found = cross_package_reads(sources)
+        assert (f"repro/{package}/planted.py:1: {read}" in found) is named, found
 
 
 @pytest.mark.parametrize(

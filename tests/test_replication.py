@@ -16,6 +16,7 @@ from repro.replication import (
     ReplicationConfig,
     Session,
 )
+from repro.replication.group import SHIP_BATCH
 from repro.workloads.keys import key_for
 from tests.support.groups import build_group
 
@@ -38,8 +39,6 @@ def test_config_validation():
         ReplicationConfig(ack_policy="paxos")
     with pytest.raises(ValueError):
         ReplicationConfig(read_policy="nearest")
-    with pytest.raises(ValueError):
-        ReplicationConfig(ship_batch=0)
 
 
 def test_quorum_math():
@@ -99,7 +98,7 @@ def test_followers_converge_after_catch_up():
 
 def test_ack_quorum_bounds_follower_lag():
     group = make_group(followers=2, ack_policy=ACK_QUORUM)
-    bound = 2 * group.config.ship_batch
+    bound = 2 * SHIP_BATCH
     for i in range(150):
         group.put(key_for(i), SizedValue(i, 256))
         durable = sorted(f.durable_lsn for f in group.alive_followers())

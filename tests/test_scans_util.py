@@ -194,7 +194,7 @@ def old_merged_scan(streams, count):
 def old_lsm_streams(lsm: LeveledLSM, key, cost):
     return [
         entry_list_stream(
-            lsm.system, table.entries, bisect.bisect_left(table._keys, key),
+            lsm.system, table.entries, bisect.bisect_left(table.keys, key),
             lsm.device, cost,
         )
         for level_tables in lsm.levels
@@ -253,7 +253,7 @@ def old_scan(store, start_key, count):
         for table in store.tables:
             if table.released or table.max_key < start_key:
                 continue
-            idx = bisect.bisect_left(table._keys, start_key)
+            idx = bisect.bisect_left(table.keys, start_key)
             streams.append(
                 entry_list_stream(system, table.entries, idx, system.nvm, cost)
             )

@@ -1,6 +1,9 @@
 """Unit tests for background workers and job settlement."""
 
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.sim.clock import SimClock
 from repro.sim.executor import Executor, advance, drain_all
@@ -47,7 +50,7 @@ def test_job_starts_no_earlier_than_clock(executor):
 
 def test_negative_duration_rejected(executor):
     worker = executor.worker("w")
-    for duration in (-1.0, float("nan")):
+    for duration in (-1.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             executor.submit(worker, duration)
     assert worker.busy_until == 0.0
@@ -112,10 +115,69 @@ def test_drain_runs_everything(executor):
     assert executor.pending == 0
 
 
-def test_next_completion(executor):
-    assert executor.next_completion() is None
+def test_next_due(executor):
+    assert executor.next_due == math.inf
     executor.submit(executor.worker("w"), 2.5)
-    assert executor.next_completion() == 2.5
+    assert executor.next_due == 2.5
+    executor.submit(executor.worker("x"), 1.0)
+    assert executor.next_due == 1.0
+    executor.clock.advance(1.0)
+    assert executor.settle() == 1
+    assert executor.next_due == 2.5
+
+
+durations = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+workers = st.integers(0, 2)
+scripts = st.lists(
+    st.one_of(
+        # A job, and maybe one its callback submits while being settled.
+        st.tuples(
+            st.just("submit"), workers, durations,
+            st.none() | st.tuples(workers, durations),
+        ),
+        st.tuples(st.just("settle"), durations),
+        st.just(("drain",)),
+        st.just(("crash_reset",)),
+    ),
+    max_size=40,
+)
+
+
+@given(scripts)
+# The callback's job ends at the horizon (settled in the same call) ...
+@example([("submit", 0, 1.0, (1, 0.0)), ("settle", 1.0)])
+# ... and after it (left pending).
+@example([("submit", 0, 1.0, (1, 2.5)), ("settle", 1.0)])
+def test_next_due_is_the_earliest_pending_end(script):
+    executor = Executor(SimClock())
+    jobs = []  # everything submitted since the last crash_reset
+
+    def check():
+        ends = [job.end for job in jobs if not job.done]
+        assert executor.next_due == min(ends, default=math.inf)
+
+    def submit(worker, duration, then=None):
+        def done():
+            check()  # mid-settle: the job being applied is no longer due
+            if then is not None:
+                submit(*then)
+
+        jobs.append(executor.submit(executor.worker(f"w{worker}"), duration, done))
+
+    for action in script:
+        if action[0] == "submit":
+            submit(*action[1:])
+        elif action[0] == "settle":
+            executor.clock.advance(action[1])
+            executor.settle()
+            assert executor.next_due > executor.clock.now
+        elif action[0] == "drain":
+            executor.drain()
+            assert executor.next_due == math.inf
+        else:
+            executor.crash_reset()
+            jobs.clear()
+        check()
 
 
 def test_crash_reset_drops_pending_jobs(executor):
@@ -141,10 +203,10 @@ def test_crash_reset_leaves_heap_usable(executor):
     fired = []
     executor.submit(executor.worker("w"), 5.0, lambda: fired.append("old"))
     executor.crash_reset()
-    assert executor.next_completion() is None
+    assert executor.next_due == math.inf
     # Post-reboot work schedules, peeks, and settles normally.
     job = executor.submit(executor.worker("w"), 1.0, lambda: fired.append("new"))
-    assert executor.next_completion() == job.end
+    assert executor.next_due == job.end
     end = executor.drain()
     assert fired == ["new"]
     assert end == job.end

@@ -263,5 +263,5 @@ def test_same_seed_same_simulated_time():
         store, system = make_store("miodb", SMALL)
         load_phase(store, 200, 512, seed=7)
         run_workload(store, YCSB_WORKLOADS["A"], 100, 200, 512, seed=9)
-        t.append(system.now)
+        t.append(system.clock.now)
     assert t[0] == t[1]

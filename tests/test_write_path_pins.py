@@ -21,7 +21,7 @@ from repro.kvstore.batch import WriteBatch
 from repro.kvstore.values import SizedValue
 from repro.mem.system import HybridMemorySystem
 from repro.persist.crash import CrashInjector, SimulatedCrash
-from repro.replication import ReplicationConfig
+from repro.replication import ReplicationConfig, group as replica_group
 from tests.support.groups import build_group
 
 KB = 1 << 10
@@ -171,13 +171,14 @@ def _run_recover():
     return dict(observed, wal_retained=retained), rotated
 
 
-def _run_group():
+def _run_group(monkeypatch):
     """2 followers, 8 KB MemTables, big ship batches, leader-only acks:
     followers replay far behind the leader and rotate over an immutable
     MemTable whose flush is still in flight."""
+    monkeypatch.setattr(replica_group, "SHIP_BATCH", 64)
     group = build_group(
         "miodb", BenchScale(memtable_bytes=8 * KB),
-        ReplicationConfig(followers=2, ack_policy="leader", ship_batch=64),
+        ReplicationConfig(followers=2, ack_policy="leader"),
     )
     over_inflight = [0]
     for member in group.members[1:]:
@@ -232,7 +233,7 @@ def test_recovery_replay_rotation_is_pinned(pin):
     pin("write-path/recover", observed)
 
 
-def test_follower_replay_over_inflight_immutable_is_pinned(pin):
-    observed, over_inflight = _run_group()
+def test_follower_replay_over_inflight_immutable_is_pinned(pin, monkeypatch):
+    observed, over_inflight = _run_group(monkeypatch)
     assert over_inflight >= 1, "no follower rotated over a flushing immutable"
     pin("write-path/follower-group", observed)
