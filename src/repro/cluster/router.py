@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.factory import make_store
 from repro.cluster.placement import make_placement
 from repro.kvstore.api import paged_items, require_key
+from repro.kvstore.values import value_nbytes
 from repro.mem.system import HybridMemorySystem
 from repro.obs.live.recorder import LiveRecorder
 from repro.replication.group import ReplicaGroup, Session
@@ -265,8 +266,10 @@ class ShardRouter:
 
         On a replicated cluster the write goes through the shard's
         replica group (leader write + ack policy); if the group is
-        mid-election this blocks until a leader is up.
+        mid-election this blocks until a leader is up.  A value the
+        stores would refuse is refused here, before :meth:`route` counts it.
         """
+        value_nbytes(value)
         return self.cluster.shards[self.route(key)].put(key, value, session)
 
     def get(self, key: bytes, session=None) -> Tuple[Optional[object], float]:

@@ -14,35 +14,15 @@ embedded as JSON in the analysis report.
 
 from typing import Dict, List
 
-from repro.obs.analyze.attribution import OpAttribution
+from repro.obs.analyze.attribution import accumulate
 from repro.obs.analyze.timeline import per_level_bytes
 
 _BAR_WIDTH = 24
 
 
-def time_profile(attributions: List[OpAttribution], recorder, total_s: float) -> dict:
-    """The profile tree for one store's trace (deterministic dict)."""
-    foreground: Dict[str, dict] = {}
-    fg_total = 0.0
-    for attr in attributions:
-        node = foreground.setdefault(
-            attr.kind,
-            {"count": 0, "seconds": 0.0, "children": {}},
-        )
-        node["count"] += 1
-        node["seconds"] += attr.measured_s
-        fg_total += attr.measured_s
-        children = node["children"]
-        for cause in sorted(attr.stall_s):
-            key = f"stall:{cause}"
-            children[key] = children.get(key, 0.0) + attr.stall_s[cause]
-        for device in sorted(attr.device_s):
-            key = f"dev:{device}"
-            children[key] = children.get(key, 0.0) + attr.device_s[device]
-        if attr.queue_s:
-            children["queue"] = children.get("queue", 0.0) + attr.queue_s
-        children["other"] = children.get("other", 0.0) + attr.other_s
-
+def time_profile(ops, recorder, total_s: float) -> dict:
+    """The profile tree for one store's trace (deterministic dict);
+    ``ops`` is its :func:`attribute_ops` list or a fed ``Accumulator``."""
     workers: Dict[str, dict] = {}
     for span in recorder.worker_spans():
         worker = span.track.split(":", 1)[1]
@@ -57,11 +37,7 @@ def time_profile(attributions: List[OpAttribution], recorder, total_s: float) ->
 
     return {
         "total_s": total_s,
-        "foreground": {
-            "seconds": fg_total,
-            "idle_s": total_s - fg_total,
-            "ops": {kind: foreground[kind] for kind in sorted(foreground)},
-        },
+        "foreground": accumulate(ops).foreground(total_s),
         "workers": {name: workers[name] for name in sorted(workers)},
         "per_level": per_level_bytes(recorder),
     }

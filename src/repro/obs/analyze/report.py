@@ -9,52 +9,46 @@ same seed produce byte-identical JSON and text output.
 import json
 from typing import List
 
-from repro.obs.analyze.attribution import attribute_ops, summarize
+from repro.obs.analyze.attribution import Accumulator, accumulate, summarize, walk_ops
 from repro.obs.analyze.critical_path import critical_paths, stall_blame
 from repro.obs.analyze.profile import render_profile, time_profile
 from repro.obs.analyze.replication import replication_summary
-from repro.obs.analyze.timeline import bytes_moved_timeline, persistent_write_bytes
+from repro.obs.analyze.timeline import (
+    bytes_moved_timeline, persistent_write_bytes, transfer_writes,
+)
 
 #: Critical paths kept in a report (the longest stalls).
 TOP_CHAINS = 5
 
 
-def conservation_check(attributions) -> dict:
-    """Verify components sum to measured latency for every op."""
-    worst = 0.0
-    negative_other = 0
-    for attr in attributions:
-        residual = abs(attr.residual_s())
-        if residual > worst:
-            worst = residual
-        if attr.other_s < 0.0:
-            negative_other += 1
-    return {
-        "ops": len(attributions),
-        "max_abs_residual_s": worst,
-        "exact": worst == 0.0,
-        "negative_other": negative_other,
-    }
+def conservation_check(ops) -> dict:
+    """Verify components sum to measured latency for every op in ``ops``
+    (an :func:`attribute_ops` list or a fed :class:`Accumulator`)."""
+    return accumulate(ops).conservation()
 
 
 def analyze_run(recorder, system, store_name: str) -> dict:
     """The full analysis document for one traced store run.
 
-    Every section reads the recorder's one classified index.
+    Every section reads the recorder's one classified index; the per-op
+    sections come from one :func:`walk_ops` over its foreground events.
     """
-    return _run_doc(recorder, system, store_name, attribute_ops(recorder))
+    acc = Accumulator()
+    walk_ops(recorder, acc.add)
+    return _run_doc(recorder, system, store_name, acc)
 
 
-def _run_doc(recorder, system, store_name: str, attrs) -> dict:
-    """:func:`analyze_run` over ``attrs``, the recorder's attributed ops."""
+def _run_doc(recorder, system, store_name: str, acc: Accumulator) -> dict:
+    """:func:`analyze_run` with ``acc`` fed the recorder's ops."""
     chains = critical_paths(recorder)
     chains_by_len = sorted(
         chains, key=lambda c: (-c.duration_s, c.start)
     )[:TOP_CHAINS]
     end_s = system.clock.now
     user_bytes = system.stats.get("user.bytes_written")
-    persistent = persistent_write_bytes(recorder, system)
-    profile = time_profile(attrs, recorder, end_s)
+    writes = transfer_writes(recorder)
+    persistent = persistent_write_bytes(writes, system)
+    profile = time_profile(acc, recorder, end_s)
     # Present only on traces with repl.* events, so unreplicated
     # analysis documents stay byte-identical.
     replication = replication_summary(recorder)
@@ -64,8 +58,8 @@ def _run_doc(recorder, system, store_name: str, attrs) -> dict:
         "store": store_name,
         "sim_time_s": end_s,
         "events": len(recorder.events),
-        "attribution": summarize(attrs),
-        "conservation": conservation_check(attrs),
+        "attribution": summarize(acc),
+        "conservation": conservation_check(acc),
         "stall_seconds_by_cause": dict(
             sorted(recorder.stall_seconds_by_cause().items())
         ),
@@ -81,7 +75,7 @@ def _run_doc(recorder, system, store_name: str, attrs) -> dict:
                 persistent / user_bytes if user_bytes > 0 else 0.0
             ),
         },
-        "timeline": bytes_moved_timeline(recorder, end_s),
+        "timeline": bytes_moved_timeline(writes, end_s),
     }
 
 
@@ -91,29 +85,29 @@ def analyze_cluster(cluster, recorders: List[object]) -> dict:
     ``recorders`` is the list from ``cluster.attach_tracing()`` (shard
     order).  Per-shard attributions include the admission-queue wait
     the driver recorded on each shard's router track; the merged
-    summary concatenates the shards' op lists, which is exactly what a
-    client sees through the router.
+    accumulator takes the shards' ops in shard order, which is exactly
+    what a client sees through the router.
     """
     if len(recorders) != cluster.n_shards:
         raise ValueError(
             f"expected {cluster.n_shards} recorders, got {len(recorders)}"
         )
     shard_docs = {}
-    merged_attrs = []
+    merged = Accumulator()
     for shard, recorder in zip(cluster.shards, recorders):
-        attrs = attribute_ops(recorder)
+        acc = Accumulator()
+        walk_ops(recorder, lambda *op, add=acc.add: (add(*op), merged.add(*op)))
         shard_docs[str(shard.shard_id)] = _run_doc(
             recorder, shard.system, f"shard{shard.shard_id}:{cluster.store_name}",
-            attrs,
+            acc,
         )
-        merged_attrs.extend(attrs)
     return {
         "schema": 1,
         "store": cluster.store_name,
         "n_shards": cluster.n_shards,
         "sim_time_s": cluster.clock.now,
-        "attribution": summarize(merged_attrs),
-        "conservation": conservation_check(merged_attrs),
+        "attribution": summarize(merged),
+        "conservation": conservation_check(merged),
         "shards": shard_docs,
     }
 
@@ -137,6 +131,7 @@ def _attribution_lines(attribution: dict, queue: bool) -> List[str]:
     parts = [("queue (admission)", attribution["queue_s"])] if queue else []
     parts += [(f"stall:{c}", s) for c, s in attribution["stall_s"].items()]
     parts += [(f"dev:{d}", s) for d, s in attribution["device_s"].items()]
+    parts += [(f"repl:{k}", s) for k, s in attribution.get("repl_s", {}).items()]
     parts += [("other (cpu)", attribution["other_s"]),
               ("measured total", attribution["measured_s"])]
     measured = attribution["measured_s"]
@@ -200,22 +195,19 @@ def render_cluster_analysis(doc: dict) -> str:
         f"over {conservation['ops']} ops"
     )
     lines.append("")
-    header = (
+    lines.append(
         f"{'shard':>5} {'ops':>6} {'queue':>12} {'stalls':>12} "
-        f"{'device':>12} {'other':>12}"
+        f"{'device':>12} {'repl':>12} {'other':>12}"
     )
-    lines.append(header)
     for shard_id in sorted(doc["shards"], key=int):
         shard = doc["shards"][shard_id]["attribution"]
-        stall_total = sum(shard["stall_s"].values())
-        device_total = sum(shard["device_s"].values())
-        lines.append(
-            f"{shard_id:>5} {shard['ops']:>6} "
-            f"{_fmt_seconds(shard['queue_s']):>12} "
-            f"{_fmt_seconds(stall_total):>12} "
-            f"{_fmt_seconds(device_total):>12} "
-            f"{_fmt_seconds(shard['other_s']):>12}"
+        columns = (
+            shard["queue_s"], sum(shard["stall_s"].values()),
+            sum(shard["device_s"].values()),
+            sum(shard.get("repl_s", {}).values()), shard["other_s"],
         )
+        lines.append(f"{shard_id:>5} {shard['ops']:>6} " + " ".join(
+            f"{_fmt_seconds(seconds):>12}" for seconds in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -20,17 +20,18 @@ from typing import Dict, List
 from repro.obs.events import CAT_TRANSFER
 
 
-def _transfer_writes(recorder):
+def transfer_writes(recorder) -> list:
+    """The recorder's ``write`` transfer instants, in emission order."""
     return [e for e in recorder.index().of(CAT_TRANSFER) if e.name == "write"]
 
 
-def persistent_write_bytes(recorder, system) -> int:
+def persistent_write_bytes(writes, system) -> int:
     """Bytes written to ``system``'s persistent devices, summed from
-    transfer events."""
+    ``writes``, the recorder's :func:`transfer_writes`."""
     tracks = {f"dev:{dev.name}" for dev in system.persistent_devices()}
     return sum(
         (event.args or {}).get("bytes", 0)
-        for event in _transfer_writes(recorder)
+        for event in writes
         if event.track in tracks
     )
 
@@ -54,24 +55,29 @@ def per_level_bytes(recorder) -> Dict[str, dict]:
 TIMELINE_BINS = 20
 
 
-def bytes_moved_timeline(recorder, end_s: float) -> List[dict]:
+def bytes_moved_timeline(writes, end_s: float) -> List[dict]:
     """Cumulative written bytes per device on a fixed time grid.
 
-    Returns one row per grid point: ``{"t_s", "<device>": bytes, ...}``.
-    The grid spans ``[0, end_s]`` in :data:`TIMELINE_BINS` equal steps,
-    so repeated runs of the same seed produce identical rows.
+    ``writes`` are the recorder's :func:`transfer_writes`.  Returns one
+    row per grid point: ``{"t_s", "<device>": bytes, ...}``.  The grid
+    spans ``[0, end_s]`` in :data:`TIMELINE_BINS` equal steps, so
+    repeated runs of the same seed produce identical rows.
     """
     bins = TIMELINE_BINS
     if end_s < 0:
         raise ValueError(f"end_s must be >= 0, got {end_s}")
+    names: Dict[str, str] = {}
+    for event in writes:
+        if event.track not in names:
+            names[event.track] = event.track.split(":", 1)[1]
     events = sorted(
         (
-            (event.ts, event.track.split(":", 1)[1], (event.args or {}).get("bytes", 0))
-            for event in _transfer_writes(recorder)
+            (event.ts, names[event.track], (event.args or {}).get("bytes", 0))
+            for event in writes
         ),
         key=lambda item: item[0],
     )
-    devices = sorted({device for __, device, __b in events})
+    devices = sorted(set(names.values()))
     cumulative = {device: 0 for device in devices}
     rows: List[dict] = []
     cursor = 0

@@ -313,13 +313,17 @@ class ReplicaGroup:
 
     # ------------------------------------------------------------- plumbing
 
-    def _advance_once(self, context: str) -> None:
-        """Advance the shared clock to the next member completion."""
+    def _advance_once(self, context: str, *args) -> None:
+        """Advance the shared clock to the next member completion.
+
+        ``context % args`` names the wait in the stall error; it is
+        formatted only when the group stalls.
+        """
         if not advance(self.executors):
             self._pump_all()
             if not advance(self.executors):
                 raise RuntimeError(
-                    f"replica group {self.group_id} stalled while {context}: "
+                    f"replica group {self.group_id} stalled while {context % args}: "
                     "no pending work on any live member"
                 )
 
@@ -399,7 +403,7 @@ class ReplicaGroup:
                     durable += 1
             if durable >= needed:
                 break
-            self._advance_once(f"awaiting {needed} ack(s) for lsn {lsn}")
+            self._advance_once("awaiting %s ack(s) for lsn %s", needed, lsn)
         waited = self.clock.now - start
         if waited > 0.0:
             self.stats.add("repl.ack_wait_s", waited)

@@ -7,7 +7,7 @@ latency-over-time series (Figure 8) its ``(time, latency)`` samples.
 
 import math
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class LatencySummary:
@@ -127,21 +127,23 @@ class LatencyRecorder:
             return len(columns[1]) if columns else 0
         return sum(len(lats) for __, lats in self._columns.values())
 
-    def samples_since(self, kind: str, index: int) -> List[Tuple[float, float]]:
+    def samples_since(self, kind: str, index: int) -> Iterator[Tuple[float, float]]:
         """The ``(at_time, latency)`` samples of ``kind`` from ``index`` on.
 
         ``index`` is a count previously returned by :meth:`count`; the
         slice is the samples recorded after that point.  This is the
         supported way to window samples (phase measurement) without
-        reaching into the recorder's internals.
+        reaching into the recorder's internals.  It is a one-pass
+        iterator over copies of the two column slices (recording may go
+        on while it is read), so it builds no list of pairs.
         """
         if index < 0:
             raise ValueError(f"sample index must be >= 0, got {index}")
         columns = self._columns.get(kind)
         if not columns:
-            return []
+            return zip()
         times, lats = columns
-        return list(zip(times[index:], lats[index:]))
+        return zip(times[index:], lats[index:])
 
     def since(self, counts: Dict[str, int]) -> "LatencyRecorder":
         """A new recorder holding only the samples past ``counts``.

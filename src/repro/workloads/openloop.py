@@ -98,11 +98,11 @@ def run_open_loop(
         operations(i)
         recorder.record("response", clock.now, clock.now - arrival)
 
-    samples = recorder.samples_since("response", 0)
     total_span = 0.0
-    if samples:
-        first_arrival = samples[0][0] - samples[0][1]
-        total_span = samples[-1][0] - first_arrival
+    if n_ops:
+        at, latency = next(recorder.samples_since("response", 0))
+        last_at, __ = next(recorder.samples_since("response", n_ops - 1))
+        total_span = last_at - (at - latency)
     achieved = n_ops / total_span if total_span > 0 else 0.0
     return OpenLoopResult(
         ops=n_ops,

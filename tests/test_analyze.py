@@ -28,6 +28,7 @@ from repro.obs.analyze import (
     summarize,
     time_profile,
 )
+from repro.obs.analyze.timeline import transfer_writes
 from repro.obs.events import STALL_CAUSES
 
 pytestmark = pytest.mark.obs_smoke
@@ -79,8 +80,8 @@ def _assert_conserves(attrs):
     for attr in attrs:
         # Exact equality, not isclose: other_s is defined as the
         # difference, so the decomposition must conserve to the bit.
-        assert attr.residual_s() == 0.0
-        assert attr.components_total() == attr.measured_s
+        assert attr.measured_s - (attr.named_s + attr.other_s) == 0.0
+        assert attr.named_s + attr.other_s == attr.measured_s
         assert attr.measured_s >= 0.0
         assert attr.queue_s >= 0.0
         assert all(v >= 0.0 for v in attr.stall_s.values())
@@ -220,7 +221,8 @@ def test_profile_foreground_plus_idle_covers_the_run():
 def test_persistent_bytes_match_system_accounting_exactly():
     for name in ("miodb", "leveldb", "matrixkv"):
         __, system, recorder = _traced(name)
-        assert persistent_write_bytes(recorder, system) == system.persistent_bytes_written()
+        writes = transfer_writes(recorder)
+        assert persistent_write_bytes(writes, system) == system.persistent_bytes_written()
         write = analyze_run(recorder, system, name)["write"]
         assert write["write_amplification"] == system.write_amplification()
 

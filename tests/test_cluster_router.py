@@ -78,6 +78,18 @@ def test_router_refuses_a_bytearray_value(followers):
     assert router.get(key_for(1))[0] is None
 
 
+@pytest.mark.parametrize("followers", [0, 2])
+def test_router_refuses_a_bad_value_before_counting_it(followers):
+    config = ReplicationConfig(followers=followers) if followers else None
+    cluster = Cluster("miodb", n_shards=2, scale=SCALE, replication=config)
+    router = ShardRouter(cluster)
+    with pytest.raises(TypeError, match="pass bytes or SizedValue"):
+        router.put(key_for(1), bytearray(b"abcd"))
+    assert cluster.stats.get("cluster.routed_ops") == 0
+    assert router.shard_ops == [0, 0]
+    assert router.slot_ops == {}
+
+
 def test_keys_are_spread_across_shards():
     router = make_router()
     for i in range(2000):

@@ -94,7 +94,7 @@ def old_measure(recorder, start_counts):
     ops = 0
     for kind in recorder.kinds():
         skip = start_counts.get(kind, 0)
-        rows = recorder.samples_since(kind, skip)
+        rows = list(recorder.samples_since(kind, skip))
         ops += len(rows)
         for at, lat in rows:
             window.record(kind, at, lat)
@@ -159,7 +159,7 @@ def apply(op, new, old):
     if name in ("count", "latencies", "summary"):
         return getattr(a, name)(op[2]), getattr(b, name)(op[2])
     if name == "samples_since":
-        return a.samples_since(op[2], op[3]), b.samples_since(op[2], op[3])
+        return list(a.samples_since(op[2], op[3])), b.samples_since(op[2], op[3])
     assert name == "merge_from"
     return a.merge_from(new[1 - slot]), b.merge_from(old[1 - slot])
 
@@ -181,7 +181,7 @@ def test_every_answer_equals_the_tuple_list_recorder(ops):
         assert a.count() == b.count()
         assert a.latencies() == b.latencies()
         for kind in b.kinds():
-            assert a.samples_since(kind, 0) == b.samples_since(kind, 0)
+            assert list(a.samples_since(kind, 0)) == b.samples_since(kind, 0)
 
 
 def test_errors_are_the_same():
@@ -189,7 +189,7 @@ def test_errors_are_the_same():
         recorder.record("get", 1.0, 2.0)
         with pytest.raises(ValueError):
             recorder.samples_since("get", -1)
-        assert recorder.samples_since("absent", 3) == []
+        assert list(recorder.samples_since("absent", 3)) == []
 
 
 def test_since_is_the_window_phase_used_to_build():
@@ -200,7 +200,8 @@ def test_since_is_the_window_phase_used_to_build():
         recorder.record("get", 10.0 + i, i * 2e-6)
     window = recorder.since({"put": 7, "get": 4, "scan": 0})
     assert window.kinds() == ["put"]  # nothing new: no kind
-    assert window.samples_since("put", 0) == recorder.samples_since("put", 7)
+    window_rows = list(window.samples_since("put", 0))
+    assert window_rows == list(recorder.samples_since("put", 7))
     window.record("put", 99.0, 1.0)  # a copy, not a view
     assert recorder.count("put") == 10
     assert recorder.since({}).latencies() == recorder.latencies()

@@ -301,7 +301,7 @@ def test_batch_across_a_flush_and_merges_equals_the_get_stream():
     assert system_b.clock.now == system_s.clock.now
     assert system_b.stats.snapshot() == system_s.stats.snapshot()
     for kind in ("get", "put", "delete"):
-        assert system_b.latency.samples_since(kind, 0) == (
+        assert list(system_b.latency.samples_since(kind, 0)) == list(
             system_s.latency.samples_since(kind, 0)
         )
     for a, b in zip(system_b.devices(), system_s.devices()):

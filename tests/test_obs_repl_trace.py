@@ -140,7 +140,7 @@ def test_replicated_put_attribution_conserves_exactly():
     replicated = [a for a in attributions if a.repl_s]
     assert replicated, "quorum acks must show up in the decomposition"
     for attr in attributions:
-        assert attr.residual_s() == 0.0
+        assert attr.measured_s - (attr.named_s + attr.other_s) == 0.0
         for key in attr.repl_s:
             assert key.startswith("ack:g0")
 

@@ -261,6 +261,9 @@ OBS_COMMANDS = {
     "cluster-live": ["cluster", "--live", "--followers", "2", "--shards", "2",
                      "--ops", "300", "--slo-threshold-us", "5",
                      "--openmetrics", "{d}/metrics.om"],
+    "cluster-analyze-repl": ["cluster", "--shards", "2", "--followers", "2",
+                             "--ops", "300", "--analyze",
+                             "--analyze-json", "{d}/analysis.json"],
 }
 
 

@@ -140,6 +140,22 @@ def test_k0_group_is_fingerprint_identical_to_flat_store():
     assert group.clock.now == system.clock.now
 
 
+def test_an_ack_wait_with_no_pending_work_names_what_it_awaited(monkeypatch):
+    from repro.replication import group as group_module
+
+    group = make_group(followers=2, ack_policy=ACK_ALL)
+    group.put(key_for(0), SizedValue(0, 256))
+    monkeypatch.setattr(group_module, "advance", lambda executors: False)
+    monkeypatch.setattr(group, "_pump_all", lambda: None)
+    lsn = len(group.log) + 1
+    with pytest.raises(RuntimeError) as raised:
+        group.put(key_for(1), SizedValue(1, 256))
+    assert str(raised.value) == (
+        f"replica group 0 stalled while awaiting 2 ack(s) for lsn {lsn}: "
+        "no pending work on any live member"
+    )
+
+
 # ----------------------------------------------------------------- failover
 
 

@@ -86,7 +86,7 @@ def _observe(name, scenario, batch):
     clocks = [(result.name, result.ops, system.clock.now) for result in phases]
     store.quiesce()
     latency = system.latency
-    samples = [(kind, latency.samples_since(kind, 0)) for kind in latency.kinds()]
+    samples = [(kind, list(latency.samples_since(kind, 0))) for kind in latency.kinds()]
     stats = system.stats.snapshot()
     pinned = {
         "phases": clocks,

@@ -90,7 +90,7 @@ def _drive(store, n=1500, value=512):
 def _observe(store, system):
     """The pinned fields of one store on one machine."""
     latency = system.latency
-    samples = [(kind, latency.samples_since(kind, 0)) for kind in latency.kinds()]
+    samples = [(kind, list(latency.samples_since(kind, 0))) for kind in latency.kinds()]
     wal = getattr(store, "wal", None)
     return {
         "clock": system.clock.now,
