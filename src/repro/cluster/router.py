@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.factory import make_store
 from repro.cluster.placement import make_placement
-from repro.kvstore.api import paged_items, require_key
+from repro.kvstore.api import paged_items, require_count, require_key
 from repro.kvstore.values import value_nbytes
 from repro.mem.system import HybridMemorySystem
 from repro.obs.live.recorder import LiveRecorder
@@ -290,8 +290,7 @@ class ShardRouter:
         total simulated time the scatter-gather occupied (the shards
         execute in sequence on the shared clock).
         """
-        if count < 0:
-            raise ValueError(f"scan count must be >= 0, got {count}")
+        require_count(count)
         start = self.cluster.clock.now
         results = [
             shard.scan(start_key, count)[0] for shard in self.cluster.shards

@@ -26,7 +26,7 @@ from repro.core.repository import NvmRepository, SsdRepository
 from repro.kvstore.api import require_key
 from repro.kvstore.buffered import BufferedStore
 from repro.kvstore.memtable import MemTable
-from repro.kvstore.scans import memtable_sources, merged_scan
+from repro.kvstore.scans import MergedView, memtable_sources
 from repro.kvstore.values import value_nbytes
 from repro.obs.events import CAT_FLUSH, STALL_BUFFER_CAP
 from repro.persist.arena import Arena
@@ -67,6 +67,8 @@ class MioDB(BufferedStore):
         ]
         self.compactor = CompactionManager(self)
         self.flush_worker = system.executor.worker("miodb-flush")
+        #: Serves scans while the store's sources stand still.
+        self.merged_view = MergedView()
 
     # ------------------------------------------------------------ write path
 
@@ -366,7 +368,7 @@ class MioDB(BufferedStore):
             for pmtable in level_tables
         ]
         sources += self.repository.scan_sources(start_key)
-        return merged_scan(self.system, start_key, count, sources)
+        return self.merged_view.scan(self.system, start_key, count, sources)
 
     # ------------------------------------------------------------- reporting
 

@@ -13,6 +13,15 @@ def require_key(key: bytes) -> None:
         raise ValueError(f"keys must be non-empty bytes, got {key!r}")
 
 
+def require_count(count, name: str = "scan count") -> None:
+    """Refuse anything but a non-negative ``int`` (a ``bool`` is not one)
+    as a count, before any work."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"{name} must be an int, got {count!r}")
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+
+
 def _report_served(lookup, count: int) -> None:
     """Tell a batch closure how many keys it served, if it asks to know."""
     served = getattr(lookup, "served", None)
@@ -27,7 +36,8 @@ def paged_items(scan, start_key: bytes, end_key: Optional[bytes], page_size: int
     ``page_size`` is checked here, when ``items()`` is called, and not at
     the first ``next()`` of the generator.
     """
-    if page_size <= 0:
+    require_count(page_size, "page_size")
+    if page_size == 0:
         raise ValueError(f"page_size must be positive, got {page_size}")
     return _pages(scan, start_key, end_key, page_size)
 
@@ -188,8 +198,7 @@ class KVStore(ABC):
     def scan(self, start_key: bytes, count: int) -> Tuple[List[Tuple[bytes, object]], float]:
         """Range query: up to ``count`` live pairs from ``start_key`` on."""
         require_key(start_key)
-        if count < 0:
-            raise ValueError(f"scan count must be >= 0, got {count}")
+        require_count(count)
         system = self.system
         executor = system.executor
         if executor.next_due <= system.clock.now:

@@ -35,7 +35,7 @@ already-shipped frame is applied before the new leader serves.
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.kvstore.api import paged_items
+from repro.kvstore.api import paged_items, require_count
 from repro.kvstore.buffered import BufferedStore
 from repro.mem.device import Device
 from repro.mem.profiles import REPL_LINK_PROFILE
@@ -642,6 +642,7 @@ class ReplicaGroup:
 
     def scan(self, start_key: bytes, count: int):
         """Range query on the leader (linearizable)."""
+        require_count(count)
         settle_due(self.executors)
         return self._await_leader().store.scan(start_key, count)
 

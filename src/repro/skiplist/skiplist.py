@@ -32,6 +32,10 @@ class SkipList:
         self.entries = 0
         self.data_bytes = 0
         self.garbage_bytes = 0
+        #: :meth:`update_in_place` calls so far.  They rewrite a node's
+        #: ``seq``, ``value`` and ``nbytes`` without a structural version
+        #: bump, so a reader that memoised payloads compares this count.
+        self.in_place_updates = 0
         # Upper bound on the tallest linked tower.  Levels above it are
         # guaranteed empty, so searches skip them outright; unlinking the
         # tallest node leaves the bound stale-high, which is correct
@@ -287,6 +291,7 @@ class SkipList:
         node.value = value
         node.nbytes = new_nbytes
         self.data_bytes += delta
+        self.in_place_updates += 1
         # No _version bump: the node keeps its position (sole version of
         # its key, checked above) and the frozen index holds node
         # references, so payload updates stay visible through it.

@@ -145,6 +145,52 @@ def test_store_rejects_empty_keys(system, tiny_mio_options):
         store.scan(b"ok", -1)
 
 
+def _fifty_keys(owner_kind):
+    """``(owner, probe)``: a store, router or replica group holding 50
+    keys, and a probe of every clock and stats registry a scan can move."""
+    from repro.cluster import Cluster, ShardRouter
+    from repro.replication import ReplicationConfig
+    from tests.support.groups import build_group
+
+    if owner_kind == "router":
+        cluster = Cluster("miodb", n_shards=2, scale=SCALE)
+        owner = ShardRouter(cluster)
+        registries = [cluster.stats] + [shard.system.stats for shard in cluster.shards]
+        clock = cluster.clock
+    elif owner_kind == "group":
+        owner = build_group("miodb", SCALE, ReplicationConfig(followers=1))
+        registries = [owner.stats] + [m.system.stats for m in owner.members]
+        clock = owner.clock
+    else:
+        owner, system = make_store(owner_kind, SCALE)
+        registries = [system.stats]
+        clock = system.clock
+    for i in range(50):
+        owner.put(b"key%04d" % i, SizedValue(i, 64))
+    owner.quiesce()
+    return owner, lambda: (clock.now, [r.snapshot() for r in registries])
+
+
+@pytest.mark.parametrize(
+    "count, error",
+    [(2.5, TypeError), (float("nan"), TypeError), (True, TypeError),
+     ("3", TypeError), (None, TypeError), (-1, ValueError)],
+    ids=["float", "nan", "bool", "str", "none", "negative"],
+)
+@pytest.mark.parametrize("owner_kind", STORE_NAMES + ("router", "group"))
+def test_a_bad_scan_count_is_refused_before_any_work(owner_kind, count, error):
+    owner, probe = _fifty_keys(owner_kind)
+    before = probe()
+    with pytest.raises(error, match="scan count"):
+        owner.scan(b"key0000", count)
+    assert probe() == before
+    with pytest.raises(error, match="page_size"):
+        owner.items(page_size=count)
+    assert probe() == before
+    pairs, __ = owner.scan(b"key0000", 3)
+    assert [k for k, __v in pairs] == [b"key0000", b"key0001", b"key0002"]
+
+
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_a_bytearray_key_is_refused_not_stored_by_reference(name):
     # A stored bytearray could be mutated by its caller after the put,

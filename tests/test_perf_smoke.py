@@ -118,14 +118,9 @@ def _kernel_get(scale: BenchScale, attach=None, followers=None) -> Tuple[int, fl
     return reads, owner.clock.now
 
 
-def _kernel_scan(scale: BenchScale, levels: bool = False) -> Tuple[int, float]:
-    """Short range scans; over one source, or with ``levels`` a k-way merge.
-
-    A quiesced store scans a single source.  ``levels`` adds a quarter
-    overwrite left unquiesced, so MemTable, buffer levels and repository
-    all hold versions the scan has to merge.
-    """
-    store, system = make_store(STORE, scale)
+def _scanned_store(scale: BenchScale, levels: bool):
+    """``(store, seeks)`` after the ``scan`` / ``scan-levels`` kernel's run."""
+    store, __ = make_store(STORE, scale)
     n = scale.records_for(scale.value_size)
     fill_random(store, n, scale.value_size, seed=1, batch_size=KERNEL_BATCH)
     store.quiesce()
@@ -133,7 +128,18 @@ def _kernel_scan(scale: BenchScale, levels: bool = False) -> Tuple[int, float]:
         overwrite(store, n // 4, n, scale.value_size, seed=3, batch_size=KERNEL_BATCH)
     seeks = max(8, min(scale.rw_ops, n) // 4)
     seek_random(store, seeks, n, scan_length=20, seed=5)
-    return seeks, system.clock.now
+    return store, seeks
+
+
+def _kernel_scan(scale: BenchScale, levels: bool = False) -> Tuple[int, float]:
+    """Short range scans; over one source, or with ``levels`` a k-way merge.
+
+    A quiesced store scans a single source.  ``levels`` adds a quarter
+    overwrite left unquiesced, so MemTable, buffer levels and repository
+    all hold versions the scan has to merge.
+    """
+    store, seeks = _scanned_store(scale, levels)
+    return seeks, store.system.clock.now
 
 
 def _kernel_flush(scale: BenchScale) -> Tuple[int, float]:
@@ -277,3 +283,10 @@ def test_instrumented_kernels_share_the_plain_fingerprint(base):
     plain = run_kernel(base, "tiny")
     assert run_kernel(f"{base}-traced", "tiny") == plain
     assert run_kernel(f"{base}-live", "tiny") == plain
+
+
+def test_the_tiny_scan_kernel_is_partly_served_by_the_merged_view():
+    """``kernel/tiny/scan`` pins both scan paths: the heap kernel until
+    the sources have stood still for the view's payback, the view after."""
+    store, seeks = _scanned_store(PRESETS["tiny"], levels=False)
+    assert 0 < store.merged_view.served < seeks

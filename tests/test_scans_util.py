@@ -1,9 +1,11 @@
-"""Tests for the shared scan kernel.
+"""Tests for the shared scan kernel and MioDB's merged view.
 
 Property tests of :func:`repro.kvstore.scans.merged_scan`, then an
 oracle: the generator implementation the kernel replaced lives on below
 and every store's scan must agree with it to the last bit of simulated
-time and the last device transfer.
+time and the last device transfer -- also on a settled MioDB, where the
+:class:`~repro.kvstore.scans.MergedView` answers most scans.  Last, one
+case per rule under which the view must stop serving.
 """
 
 import bisect
@@ -22,11 +24,13 @@ from repro.bench.config import BenchScale
 from repro.bench.factory import STORE_NAMES, make_store
 from repro.core import MioDB
 from repro.core.repository import NvmRepository
-from repro.kvstore.scans import merged_scan
+from repro.kvstore.scans import MergedView, merged_scan
+from repro.mem.device import DeviceProfile
 from repro.mem.system import HybridMemorySystem
 from repro.obs.events import CAT_TRANSFER
 from repro.skiplist.node import NODE_OVERHEAD_BYTES, TOMBSTONE
 from repro.skiplist.skiplist import SkipList
+from repro.sim.rng import XorShiftRng
 from repro.sstable.table import entry_frame_bytes
 
 KB = 1 << 10
@@ -313,6 +317,14 @@ def drive_scans(store, key_space: int, n_scans: int = 120):
     return results
 
 
+def transfers(recorder):
+    return [
+        (e.track, e.name, e.ts, sorted(e.args.items()))
+        for e in recorder.events
+        if e.cat == CAT_TRANSFER
+    ]
+
+
 def device_counters(system):
     return {
         name: (device.bytes_read, device.read_ops)
@@ -361,14 +373,184 @@ def test_scan_matches_generator_oracle(name, mode):
     assert new_system.clock.now == old_system.clock.now
     assert device_counters(new_system) == device_counters(old_system)
     if new_rec is not None:
-        def transfers(recorder):
-            return [
-                (e.track, e.name, e.ts, sorted(e.args.items()))
-                for e in recorder.events
-                if e.cat == CAT_TRANSFER
-            ]
-
         # a live recorder keeps the transfers of head-sampled runs only
         floor = len(new_results) if mode == "traced" else 16
         assert len(transfers(new_rec)) >= floor
         assert transfers(new_rec) == transfers(old_rec)
+
+
+def drive_settled(store, key_space: int, n_scans: int):
+    """Quiesce, then scans alone: once background work is done the
+    sources stand still, so a merged view builds and serves."""
+    store.quiesce()
+    rng = random.Random(43)
+    return [
+        store.scan(key_of(rng.randrange(key_space + 10)), rng.choice((1, 5, 20, 100)))
+        for __ in range(n_scans)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["plain", "live"])
+@pytest.mark.parametrize("name", ["miodb", "miodb+ssd"])
+def test_settled_scans_match_generator_oracle(name, mode):
+    key_space = 600
+    n_scans = 400
+    new, new_system, new_rec = build(name, key_space, old=False, mode=mode)
+    old, old_system, old_rec = build(name, key_space, old=True, mode=mode)
+    new_results = drive_settled(new, key_space, n_scans)
+    old_results = drive_settled(old, key_space, n_scans)
+
+    assert new_results == old_results
+    assert new_system.clock.now == old_system.clock.now
+    assert device_counters(new_system) == device_counters(old_system)
+    if new_rec is not None:
+        assert len(transfers(new_rec)) >= 16
+        assert transfers(new_rec) == transfers(old_rec)
+    if name == "miodb":
+        # vacuity guard: most of the drive was answered by the view
+        assert new.merged_view.served >= n_scans // 2
+    else:
+        # the SSD repository's sources are sorted runs: never a view
+        assert new.merged_view.served == 0
+
+
+# ------------------------------------------------------ view invalidation
+
+
+def view_lists():
+    """Two overlapping skip lists with shadowed versions and tombstones."""
+    system = HybridMemorySystem()
+    newer, older = SkipList(XorShiftRng(3)), SkipList(XorShiftRng(5))
+    seq = 0
+    for i in range(0, 240, 2):
+        seq += 1
+        older.insert(key_of(i), seq, ("old", i), 40 + i % 50)
+    for i in range(0, 240, 3):
+        seq += 1
+        value = TOMBSTONE if i % 7 == 0 else ("new", i)
+        newer.insert(key_of(i), seq, value, 0 if value is TOMBSTONE else 60 + i % 30)
+    return system, newer, older
+
+
+class ViewProbe:
+    """Runs each scan through the view and through the kernel, and
+    requires the same pairs, seconds, device counters and transfers."""
+
+    def __init__(self, system):
+        self.system = system
+        self.view = MergedView()
+
+    def _counted(self, scan):
+        system = self.system
+        before = device_counters(system)
+        recorder = system.obs
+        mark = len(recorder.events) if recorder is not None else 0
+        result = scan()
+        after = device_counters(system)
+        moved = {k: (after[k][0] - before[k][0], after[k][1] - before[k][1]) for k in after}
+        events = []
+        if recorder is not None:
+            events = [
+                (e.name, sorted(e.args.items()))
+                for e in recorder.events[mark:] if e.cat == CAT_TRANSFER
+            ]
+        return result, moved, events
+
+    def scan(self, sources, start: bytes, count: int = 7) -> bool:
+        """One checked scan; True when the view answered it."""
+        served = self.view.served
+        got = self._counted(lambda: self.view.scan(self.system, start, count, sources))
+        want = self._counted(lambda: merged_scan(self.system, start, count, sources))
+        assert got == want
+        assert got[0][0], "scan of nothing"
+        return self.view.served > served
+
+    def settle(self, sources) -> None:
+        """Scan until the view answers."""
+        for i in range(500):
+            if self.scan(sources, key_of(i % 200)):
+                return
+        pytest.fail("the view never served")
+
+
+def _write_after_build(probe, system, newer, older):
+    # Relinking rebuilds the frozen index (after the back-off): a new tuple.
+    newer.insert(key_of(41), 10_000, ("late", 41), 77)
+    return [(newer, system.dram), (older, system.nvm)]
+
+
+def _another_device(probe, system, newer, older):
+    # Same lists, same frozen indexes, another device for one of them.
+    return [(newer, system.nvm), (older, system.nvm)]
+
+
+def _another_listing(probe, system, newer, older):
+    # A source dropped, then the two listed the other way round.
+    assert not probe.scan([(newer, system.dram)], key_of(39))
+    return [(older, system.nvm), (newer, system.dram)]
+
+
+def _update_in_place(probe, system, newer, older):
+    # Payload, seq and size move with no structural version bump.
+    node, __ = older.lookup(key_of(40))
+    older.update_in_place(node, 20_000, ("in-place", 40), 900)
+    return [(newer, system.dram), (older, system.nvm)]
+
+
+def _device_rate(probe, system, newer, older):
+    # Same object, new quote: the profile a device prices reads with.
+    p = system.nvm.profile
+    system.nvm.profile = DeviceProfile(
+        p.name, p.read_latency * 2, p.write_latency, p.seq_read_bw / 3,
+        p.seq_write_bw, p.rand_read_bw, p.rand_write_bw, p.hop_latency * 5,
+        p.persistent,
+    )
+    return [(newer, system.dram), (older, system.nvm)]
+
+
+def _recorder(probe, system, newer, older):
+    # Transfer events are emitted per read, so the kernel must run.
+    system.attach_tracing()
+    return [(newer, system.dram), (older, system.nvm)]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_write_after_build, _another_device, _another_listing, _update_in_place,
+     _device_rate, _recorder],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_the_view_stops_serving_when_a_validity_rule_breaks(change):
+    system, newer, older = view_lists()
+    probe = ViewProbe(system)
+    probe.settle([(newer, system.dram), (older, system.nvm)])
+    sources = change(probe, system, newer, older)
+    # Every scan from the change on equals the kernel's, over the changed
+    # range, until (recorder aside) a new view serves the new sources.
+    served_again = False
+    for i in range(500):
+        served_again = probe.scan(sources, key_of(36 + i % 12)) or served_again
+        if i >= 12 and served_again:
+            break
+    assert served_again == (change is not _recorder)
+
+
+def test_a_negative_size_is_never_served():
+    """A node the kernel refuses to read keeps the view from being built,
+    and every scan that reaches it raises and commits no counters."""
+    system = HybridMemorySystem()
+    skiplist = SkipList(XorShiftRng(3))
+    for i in range(40):
+        skiplist.insert(key_of(i), i + 1, ("v", i), 30)
+    # frame size 8 - 200 + overhead < 0, last in key order
+    skiplist.insert(key_of(99), 100, ("v", 99), -200)
+    view = MergedView()
+    sources = [(skiplist, system.nvm)]
+    for i in range(60):
+        pairs, __ = view.scan(system, key_of(i % 30), 3, sources)
+        assert len(pairs) == 3
+        before = device_counters(system)
+        with pytest.raises(ValueError, match="negative read size"):
+            view.scan(system, key_of(0), 100, sources)
+        assert device_counters(system) == before
+    assert view.served == 0

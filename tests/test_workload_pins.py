@@ -106,3 +106,24 @@ def test_workload_is_pinned(name, scenario, batch, pin):
     assert stats.get("flush.count", 0) >= 2, "scenario never flushed"
     assert stats.get("compact.count", 0) >= 1, "scenario never compacted"
     pin(f"workload/{name}/{scenario}", observed)
+
+
+def test_settled_seeks_are_pinned(pin):
+    """seekrandom on a quiesced MioDB, many times longer than a merged
+    view's payback point, so most seeks read one memoised merge: clock,
+    stats, latencies and device read counters as the heap kernel made them."""
+    store, system = make_store("miodb", SCALE)
+    n = 600
+    fill_random(store, n, VALUE, seed=1)
+    store.quiesce()
+    result = seek_random(store, 400, n, scan_length=12, seed=5)
+    # Vacuity guard: the view took over within the first quarter.
+    assert store.merged_view.served >= 300
+    latency = system.latency
+    samples = [(kind, list(latency.samples_since(kind, 0))) for kind in latency.kinds()]
+    pin("workload/miodb/seek-settled", {
+        "phases": [(result.name, result.ops, system.clock.now)],
+        "stats": _sha(sorted(system.stats.snapshot().items())),
+        "latency": _sha(samples),
+        "reads": [(d.name, d.bytes_read, d.read_ops) for d in (system.dram, system.nvm)],
+    })
