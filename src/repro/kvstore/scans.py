@@ -20,8 +20,9 @@ emitted right there when the device has a recorder; but a device's
 ``Device.add_reads``, because nothing reads them mid-scan.  A
 scan that raises commits no counters.
 
-:class:`MergedView` memoises one store's merge while its sources stand
-still and answers scans from it with the kernel's exact charges.
+:class:`MergedView` memoises the merge of one store's sources that stand
+still, merges the ones that take writes live beside it, and answers
+scans with the kernel's exact charges.
 """
 
 from array import array
@@ -29,7 +30,7 @@ from bisect import bisect_left
 from functools import reduce
 from heapq import heapify, heappop, heapreplace
 from itertools import accumulate, repeat
-from operator import add, eq, mul
+from operator import add, attrgetter, eq, mul
 from typing import List, Optional, Sequence, Tuple
 
 from repro.skiplist.node import TOMBSTONE
@@ -186,64 +187,79 @@ def merged_scan(
 #: 2-vCPU container, medians of 15 interleaved blocks): the build costs
 #: 2.5 µs of host time per merged entry and a served scan saves 35 µs
 #: against the heap kernel, 13 scans per entry (quartiles 11 and 17).
-VIEW_PAYBACK = 12
+VIEW_PAYBACK = 9
+
+#: A node's ``(key, value)`` pair, built in C.
+_pair = attrgetter("key", "value")
 
 
 class MergedView:
     """One store's memoised merge of its skip-list sources.
 
-    While a store takes no writes and runs no background work, its
-    sources -- and so the global merge order a scan walks -- do not
-    change between scans.  The view stores that order once, as flat
-    ``array`` columns over merged positions ``i`` (sources merged by
-    ``(key, -seq, source order)``, as the heap kernel pops them):
+    A store's first source is its writable MemTable, which takes every
+    write; the rest -- the immutable MemTable, the PMTables and the
+    repository -- change only when background work completes.  The view
+    memoises the merge of those *members* (every source listed after
+    the first when it starts, with a current ``frozen_index()``) once,
+    as flat ``array`` columns over member merged positions ``i``
+    (members merged by ``(key, -seq, source order)``, as the heap
+    kernel pops them):
 
     * ``terms[2i]``, ``terms[2i + 1]``: the two charges the kernel adds
       when it advances past position ``i`` -- the successor's ``hop``,
       then ``latency + nbytes / bw`` -- or ``0.0, 0.0`` at its source's
       end;
-    * ``live[i]``: live keys (the newest version of a key, not a
+    * ``live[i]``: live keys (the newest member version of a key, not a
       tombstone) among positions ``< i``;
     * per device, ``read_bytes[d][i]`` / ``read_ops[d][i]``: the
       advance reads charged on it before position ``i``;
 
     and the live nodes themselves: with ``d`` devices, ``16 + 4 + 8d``
-    bytes per merged entry plus 8 per live one (44 on MioDB's DRAM and
-    NVM when every entry is live).  A scan served by the view charges
-    each source's seek and head read in source order, exactly as the
-    kernel does; its merged start ``P`` is the sum of the per-source
-    ``bisect_left`` positions, its pairs one slice of the live nodes,
-    its loop charges one left-to-right float sum over ``terms[2P:2E]``
-    (``E`` is the position of its last pair, or the end) and its device
-    counters two prefix differences.  So pairs, seconds and counters are
+    bytes per merged entry plus 8 per live one (36 on MioDB's NVM
+    members when every entry is live).  Every other listed source is
+    *live*: the first, and any source listed since the start (an
+    immutable MemTable, a freshly flushed PMTable).  A served scan
+    charges each source's seek and head read in listing order, exactly
+    as the kernel does; the members' merged start ``P`` is the sum of
+    their ``bisect_left`` positions.  The live sources' items then merge
+    into the member order at their ``(key, -seq, listing order)`` rank:
+    between two live items the members contribute one slice of the live
+    nodes and one left-to-right float sum over ``terms``, and each live
+    item adds its own two advance charges where the kernel would.  A
+    live version shadows the member versions of its key that follow it
+    (they are still charged), and the ``count``-th pair may come from
+    either side.  Device counters are the member prefix differences
+    plus a tally of the live reads.  So pairs, seconds and counters are
     the kernel's, bit for bit.
 
     The view serves a scan only while all of these hold, and is dropped
     at the first scan that sees one broken:
 
-    * the same skip lists on the same devices, in the same order, with
-      the same ``frozen_index()`` tuples (compared with ``is``; the view
-      holds them, so their ids cannot be reused);
-    * no ``SkipList.update_in_place`` since the build (it rewrites a
-      node's seq, value and size with no structural version bump);
-    * each device quotes the ``hop_time()`` and ``seq_read_rate()`` it
-      quoted at the build.
+    * every member is listed, in the same relative order, on the same
+      device, with the same ``frozen_index()`` tuple (compared with
+      ``is``; the view holds them, so their ids cannot be reused);
+    * no member had a ``SkipList.update_in_place`` since the start (it
+      rewrites a node's seq, value and size with no structural version
+      bump);
+    * each member device quotes the ``hop_time()`` and
+      ``seq_read_rate()`` it quoted at the start.
 
-    A scan is left to :func:`merged_scan` when any source is a sorted
-    run or has no current frozen index, or when a source device has a
-    recorder (transfer events are emitted per read).  ``served`` counts
-    the scans the view answered.
+    A write to the first source or a new listed source changes none of
+    these.  A scan is left to :func:`merged_scan` when any source is a
+    sorted run, or when a listed device has a recorder (transfer events
+    are emitted per read).  ``served`` counts the scans the view
+    answered.
     """
 
     def __init__(self) -> None:
         self.served = 0
-        # The streak of unchanged sources: per source (skiplist, device,
-        # frozen index, in-place updates) and (device slot, hop, latency,
-        # bw); per device (device, hop, (latency, bw)) as quoted when the
-        # streak began; the merged entry count; the scans it has lasted;
-        # and, once built, the columns.
-        self._sources: Optional[list] = None
-        self._costs: list = []
+        # The streak of unchanged members: per member skip list, in
+        # listing order, (number, device, frozen index, in-place
+        # updates, (device slot, hop, latency, bw)); per device (device,
+        # hop, (latency, bw)) as quoted when the streak began; the
+        # merged entry count; the scans it has lasted; and, once built,
+        # the columns.
+        self._members: Optional[dict] = None
         self._devices: list = []
         self._entries = 0
         self._streak = 0
@@ -259,57 +275,68 @@ class MergedView:
             self._restart(None, None)
             return merged_scan(system, start_key, count, sources)
         indexes = [skiplist.frozen_index() for skiplist, __ in sources]
-        if self._holds(sources, indexes):
+        roles = self._roles(sources, indexes)
+        if roles is not None:
             if self._columns is not None:
-                for device, __, __ in self._devices:
+                for __, device in sources:
                     if device.obs is not None:
                         break
                 else:
                     self.served += 1
-                    return self._serve(system, start_key, count, indexes)
+                    return self._serve(system, start_key, count, sources, indexes, roles)
             self._streak += 1
         else:
             self._restart(sources, indexes)
         result = merged_scan(system, start_key, count, sources, indexes)
         if (
             self._columns is None
-            and self._sources is not None
+            and self._members is not None
             and self._streak * VIEW_PAYBACK >= self._entries
         ):
             self._columns = self._build()
             if self._columns is None:
-                self._sources = None
+                self._members = None
         return result
 
-    def _holds(self, sources, indexes) -> bool:
-        held = self._sources
-        if held is None or len(held) != len(sources):
-            return False
-        for (skiplist, device), index, (s, d, i, updates) in zip(
-            sources, indexes, held
-        ):
+    def _roles(self, sources, indexes) -> Optional[list]:
+        """Per listed source its member's costs, ``None`` for a live one;
+        ``None`` in place of the list if the members do not hold."""
+        members = self._members
+        if members is None:
+            return None
+        roles = []
+        m = 0
+        for (skiplist, device), index in zip(sources, indexes):
+            member = members.get(skiplist)
+            if member is None:
+                roles.append(None)
+                continue
+            n, d, i, updates, cost = member
             if (
-                skiplist is not s or device is not d or index is not i
+                n != m or device is not d or index is not i
                 or skiplist.in_place_updates != updates
             ):
-                return False
+                return None
+            roles.append(cost)
+            m += 1
+        if m != len(members):
+            return None
         for device, hop, rate in self._devices:
             if device.hop_time() != hop or device.seq_read_rate() != rate:
-                return False
-        return True
+                return None
+        return roles
 
     def _restart(self, sources, indexes) -> None:
-        """Drop the view and start a streak at these sources, if they qualify."""
+        """Drop the view and start a streak at these members, if they qualify."""
         self._columns = None
-        self._sources = None
-        self._costs = []
+        self._members = None
         self._devices = []
         self._streak = 1
-        if sources is None or None in indexes:
+        if sources is None or len(sources) < 2 or None in indexes[1:]:
             return
         slots = {}
-        held = []
-        for (skiplist, device), index in zip(sources, indexes):
+        members = {}
+        for (skiplist, device), index in zip(sources[1:], indexes[1:]):
             slot = slots.get(device)
             if slot is None:
                 slot = slots[device] = len(self._devices)
@@ -317,10 +344,12 @@ class MergedView:
                     (device, device.hop_time(), device.seq_read_rate())
                 )
             __, hop, (latency, bw) = self._devices[slot]
-            self._costs.append((slot, hop, latency, bw))
-            held.append((skiplist, device, index, skiplist.in_place_updates))
-        self._sources = held
-        self._entries = sum(len(index[0]) for index in indexes)
+            members[skiplist] = (
+                len(members), device, index, skiplist.in_place_updates,
+                (slot, hop, latency, bw),
+            )
+        self._members = members
+        self._entries = sum(len(index[0]) for index in indexes[1:])
 
     def _build(self):
         """The merge order's columns, or ``None`` if a node has a negative size."""
@@ -332,7 +361,8 @@ class MergedView:
         succ_bytes = array("q")
         succ_slot = array("B")
         live_nodes: List = []
-        node_lists = [nodes for __, __, (__, nodes, __), __ in self._sources]
+        members = self._members.values()
+        node_lists = [nodes for __, __, (__, nodes, __), __, __ in members]
         heap = []
         for order, nodes in enumerate(node_lists):
             if nodes:
@@ -341,7 +371,7 @@ class MergedView:
                     return None
                 heap.append((head.key, -head.seq, order, 0))
         heapify(heap)
-        costs = self._costs
+        costs = [cost for __, __, __, __, cost in members]
         terms_append = terms.append
         live_append = live.append
         bytes_append = succ_bytes.append
@@ -389,39 +419,149 @@ class MergedView:
             )
         return terms, live, read_bytes, read_ops, live_nodes
 
-    def _serve(self, system, start_key, count, indexes):
+    def _serve(self, system, start_key, count, sources, indexes, roles):
         terms, live, read_bytes, read_ops, live_nodes = self._columns
         compare = system.cpu.COMPARE_COST
+        seconds = 0.0
+        # Heads in listing order.  Per live device, its quote and
+        # [bytes, ops] tally, which each of its sources' heap items
+        # carries.
         head_bytes = [0] * len(read_ops)
         head_ops = [0] * len(read_ops)
-        seconds = 0.0
+        quotes = {}
+        heap = []
         start = 0
-        for (keys, nodes, hops_at), (slot, hop, latency, bw) in zip(
-            indexes, self._costs
+        for order, ((skiplist, device), index, cost) in enumerate(
+            zip(sources, indexes, roles)
         ):
-            p = bisect_left(keys, start_key)
-            start += p
-            seconds += (hops_at[p] or 1) * (hop + compare)
-            if p < len(nodes):
-                nbytes = nodes[p].nbytes
+            if cost is not None:
+                slot, hop, latency, bw = cost
+                keys, nodes, hops_at = index
+                p = bisect_left(keys, start_key)
+                start += p
+                seconds += (hops_at[p] or 1) * (hop + compare)
+                if p < len(nodes):
+                    nbytes = nodes[p].nbytes
+                    seconds += hop
+                    seconds += latency + nbytes / bw
+                    head_bytes[slot] += nbytes
+                    head_ops[slot] += 1
+                continue
+            quote = quotes.get(device)
+            if quote is None:
+                quote = quotes[device] = (
+                    device.hop_time(), *device.seq_read_rate(), [0, 0]
+                )
+            hop, latency, bw, tally = quote
+            if index is None:
+                node, hops = skiplist.first_ge(start_key)
+            else:
+                keys, nodes, hops_at = index
+                p = bisect_left(keys, start_key)
+                node = nodes[p] if p < len(nodes) else None
+                hops = hops_at[p]
+            seconds += (hops or 1) * (hop + compare)
+            if node is None:
+                continue
+            nbytes = node.nbytes
+            seconds += hop
+            if nbytes < 0:
+                raise ValueError(f"negative read size: {nbytes}")
+            seconds += latency + nbytes / bw
+            tally[0] += nbytes
+            tally[1] += 1
+            heap.append((node.key, -node.seq, order, node, quote))
+        heapify(heap)
+        # The merge: members from ``pos`` up to the next live item's
+        # rank, then that item, until ``count`` pairs or the end.
+        # ``skip`` is 1 when the member version at ``pos`` opens a key the
+        # last live item already decided.
+        out: List[tuple] = []
+        n_live = len(live_nodes)
+        last = len(live) - 1
+        pos = start
+        skip = 0
+        remaining = count
+        live_key = None
+        while True:
+            first = live[pos] + skip
+            stop = first + remaining
+            if stop <= n_live:
+                end = bisect_left(live, stop, pos) - 1
+            else:
+                end = last
+            if heap:
+                key, neg_seq, order, node, quote = heap[0]
+                if stop <= n_live and key > live_nodes[stop - 1].key:
+                    at = end + 1
+                else:
+                    at, ahead = _rank(indexes, roles, key, neg_seq, order)
+            if not heap or at > end:
+                # The members alone reach the count, or the end.
+                out += map(_pair, live_nodes[first:stop])
+                seconds = reduce(add, terms[2 * pos:2 * end], seconds)
+                pos = end
+                break
+            if at > pos:
+                cut = live[at]
+                out += map(_pair, live_nodes[first:cut])
+                remaining -= cut - first
+                seconds = reduce(add, terms[2 * pos:2 * at], seconds)
+                pos = at
+            # A version merged earlier -- a member's or a live one's --
+            # decides the key.
+            shadowed = ahead or key == live_key
+            live_key = key
+            if not shadowed and node.value is not TOMBSTONE:
+                out.append((key, node.value))
+                remaining -= 1
+                if not remaining:
+                    break
+            node = node.next[0]
+            if node is None:
+                heappop(heap)
+            else:
+                hop, latency, bw, tally = quote
+                nbytes = node.nbytes
                 seconds += hop
+                if nbytes < 0:
+                    raise ValueError(f"negative read size: {nbytes}")
                 seconds += latency + nbytes / bw
-                head_bytes[slot] += nbytes
-                head_ops[slot] += 1
-        first = live[start]
-        stop = first + count
-        if stop <= len(live_nodes):
-            end = bisect_left(live, stop, start) - 1
-        else:
-            stop = len(live_nodes)
-            end = len(live) - 1
-        seconds = reduce(add, terms[2 * start:2 * end], seconds)
-        pairs = [(node.key, node.value) for node in live_nodes[first:stop]]
+                tally[0] += nbytes
+                tally[1] += 1
+                heapreplace(heap, (node.key, -node.seq, order, node, quote))
+            skip = int(
+                pos < last and live[pos + 1] != live[pos]
+                and live_nodes[live[pos]].key == live_key
+            )
         for (device, __, __), nbytes, ops, bytes_at, ops_at in zip(
             self._devices, head_bytes, head_ops, read_bytes, read_ops
         ):
             device.add_reads(
-                nbytes + bytes_at[end] - bytes_at[start],
-                ops + ops_at[end] - ops_at[start],
+                nbytes + bytes_at[pos] - bytes_at[start],
+                ops + ops_at[pos] - ops_at[start],
             )
-        return pairs, seconds
+        for device, (__, __, __, (nbytes, ops)) in quotes.items():
+            device.add_reads(nbytes, ops)
+        return out, seconds
+
+
+def _rank(indexes, roles, key, neg_seq, order) -> Tuple[int, bool]:
+    """A live item's merged position among the members, and whether a
+    member version of its key comes before it."""
+    at = 0
+    ahead = False
+    for member_order, (index, cost) in enumerate(zip(indexes, roles)):
+        if cost is None:
+            continue
+        keys, nodes, __ = index
+        p = bisect_left(keys, key)
+        n = len(keys)
+        while (
+            p < n and keys[p] == key
+            and (-nodes[p].seq, member_order) < (neg_seq, order)
+        ):
+            p += 1
+            ahead = True
+        at += p
+    return at, ahead

@@ -481,12 +481,14 @@ class ReplicaGroup:
                 return
             self._deliver(follower, frames, end, ship_span)
 
-        follower.ship_job = follower.system.executor.submit(
+        executor = follower.system.executor
+        follower.ship_job = executor.submit(
             follower.ship_worker,
             seconds,
             delivered,
             name=follower.ship_worker.name,
-            meta={
+            # only the executor's recorder reads the annotation
+            meta=None if executor.obs is None else {
                 "cat": CAT_REPL,
                 "lsn": end,
                 "replica": follower.replica_id,
@@ -562,12 +564,13 @@ class ReplicaGroup:
             ):
                 self._pump(follower)
 
-        apply_job = follower.system.executor.submit(
+        executor = follower.system.executor
+        apply_job = executor.submit(
             follower.apply_worker,
             seconds,
             applied,
             name=follower.apply_worker.name,
-            meta={
+            meta=None if executor.obs is None else {
                 "cat": CAT_REPL,
                 "lsn": end_lsn,
                 "replica": follower.replica_id,

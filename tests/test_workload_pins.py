@@ -127,3 +127,34 @@ def test_settled_seeks_are_pinned(pin):
         "latency": _sha(samples),
         "reads": [(d.name, d.bytes_read, d.read_ops) for d in (system.dram, system.nvm)],
     })
+
+
+def test_ycsb_e_after_seeks_is_pinned(pin):
+    """YCSB-E on a quiesced MioDB after seekrandom: the merged view
+    built during the seeks keeps serving while inserts change the
+    MemTable, flush it and compact the buffer, so the pin holds the
+    live-source merge: clock, stats, latencies and device read counters
+    as the heap kernel made them."""
+    store, system = make_store("miodb", SCALE)
+    n = 600
+    fill_random(store, n, VALUE, seed=1)
+    store.quiesce()
+    seeks = seek_random(store, 400, n, scan_length=12, seed=5)
+    phases = [(seeks.name, seeks.ops, system.clock.now)]
+    served = store.merged_view.served
+    scans = system.stats.snapshot()["op.scan"]
+    ycsb = run_workload(store, YCSB_WORKLOADS["E"], 1000, n, VALUE, seed=23)
+    phases.append((ycsb.name, ycsb.ops, system.clock.now))
+    stats = system.stats.snapshot()
+    # Vacuity guards: the inserts flushed and compacted, and the view
+    # still answered at least 90 % of the YCSB-E scans.
+    assert stats["flush.count"] >= 2 and stats["compact.count"] >= 1
+    assert (store.merged_view.served - served) * 10 >= (stats["op.scan"] - scans) * 9
+    latency = system.latency
+    samples = [(kind, list(latency.samples_since(kind, 0))) for kind in latency.kinds()]
+    pin("workload/miodb/ycsb-e-after-seek", {
+        "phases": phases,
+        "stats": _sha(sorted(stats.items())),
+        "latency": _sha(samples),
+        "reads": [(d.name, d.bytes_read, d.read_ops) for d in (system.dram, system.nvm)],
+    })
