@@ -1,4 +1,5 @@
-"""Whole-tree sweeps: what nothing refers to, and what nothing sets.
+"""Whole-tree sweeps: what nothing refers to, what nothing sets, and
+what a package reads of another's private state.
 
 - **Dead names** (DEAD001): every function, class and method under
   ``src/repro`` is referred to from ``src/repro``, ``benchmarks/`` or
@@ -15,6 +16,12 @@
   call, a dict-literal key, ``x.field = ...``, or a positional argument
   in its slot of a call to its class or a subclass.  A parameter or
   field with one value in use is a constant.
+- **Private reads across packages** (BND004): no module reads ``x._name``
+  (``x`` not ``self`` or ``cls``, dunders aside) unless its own package
+  -- the first path part under the package root -- defines ``_name`` by
+  ``def``, ``class``, ``self._name =`` / ``cls._name =`` or a class-body
+  assignment.  What a package publishes is the whole of what the rest
+  may depend on.  Only the package's own files are checked.
 
 The engine interface and the event schema are not checked here: the
 model checker (``tests/test_model_checker.py``) calls every public
@@ -22,6 +29,7 @@ method on every store, and the schema is a pin in ``tests/pins.json``.
 """
 
 import ast
+import os
 from collections import Counter
 from typing import Dict, List
 
@@ -51,7 +59,7 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def read_sources(package):
-    """What DEAD001 and OPT001 read: every ``*.py`` under ``package`` and
+    """What DEAD001, OPT001 and BND004 read: every ``*.py`` under ``package`` and
     under ``benchmarks/`` and ``examples/`` beside it, parsed once, as
     ``(repo-relative path, tree, pragmas)`` -- pragmas are None for the
     two user trees, whose definitions are not checked.
@@ -258,7 +266,50 @@ def check_unset_options(sources) -> List[Finding]:
     ]
 
 
+def check_private_reads(sources) -> List[Finding]:
+    """BND004: a read of another package's private name (module docstring)."""
+    own = [(path, tree, allows) for path, tree, allows in sources if allows is not None]
+    root = os.path.commonpath([os.path.dirname(path) for path, __, __ in own])
+    root_parts = len(root.split("/"))
+    defined: Dict[str, set] = {}
+    reads = []  # (package, path, pragmas, node)
+    for path, tree, allows in own:
+        package = path.split("/")[root_parts]
+        names = defined.setdefault(package, set())
+        for node in ast.walk(tree):
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                               else [])
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))):
+                receiver = _dotted(node.value)
+                if receiver in (("self",), ("cls",)):
+                    if isinstance(node.ctx, ast.Store):
+                        names.add(node.attr)
+                elif isinstance(node.ctx, ast.Load):
+                    reads.append((package, path, allows, node))
+    return [
+        finding
+        for package, path, allows, node in reads
+        if node.attr not in defined[package]
+        for finding in _unsuppressed(
+            "BND004", path, allows, node,
+            f"{ast.unparse(node)}: package {package!r} defines no {node.attr};"
+            " read what the owning package publishes (clock.now,"
+            " executor.next_due, table.keys)",
+        )
+    ]
+
+
 def check_contracts() -> List[Finding]:
-    """The dead-name and unset-option sweeps over the package."""
+    """The dead-name, unset-option and private-read sweeps over the package."""
     sources = read_sources(package_root())
-    return sort_findings(check_dead_names(sources) + check_unset_options(sources))
+    return sort_findings(
+        check_dead_names(sources) + check_unset_options(sources)
+        + check_private_reads(sources)
+    )

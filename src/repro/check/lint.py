@@ -1,9 +1,12 @@
-"""Determinism lint: AST rules that keep the simulation a pure function.
+"""Per-file lint: AST rules that keep the simulation a pure function
+priced by one device model.
 
 The repo's determinism contract -- byte-identical clocks, traces, and
 fingerprints for the same seeded workload -- only holds while no code
-path consults the host machine.  This module walks ``src/repro/**`` with
-the stdlib ``ast`` module (no third-party deps) and flags escapes:
+path consults the host machine, and the paper's DRAM/NVM cost asymmetry
+only holds while ``repro.mem.Device`` is the one place that prices a
+transfer.  This module walks ``src/repro/**`` with the stdlib ``ast``
+module (no third-party deps) and flags escapes:
 
 ========  ========  =====================================================
 rule      severity  what it flags
@@ -20,6 +23,14 @@ VOC001    error     stall-cause / drop-reason string literals outside the
                     closed vocabularies in ``repro.obs.events``
 STAT001   error     ``stats.add/set/max`` keys whose family is not
                     registered in ``repro.sim.stats.KEY_FAMILIES``
+BND001    error     a ``DeviceProfile`` price field read outside
+                    ``repro/mem`` -- charges come from the ``Device``
+BND002    error     a device-name literal (``"nvm"``, ...) passed to a call
+                    outside ``repro/mem`` -- no charge picks its medium by
+                    name
+BND003    error     a ``.ssd`` read outside ``repro/mem`` (the CLI's
+                    ``args.ssd`` flag aside) -- the machine decides the
+                    persistent tier, ``system.bottom_tier``
 ========  ========  =====================================================
 
 Suppression is explicit, never silent, and has one form:
@@ -71,11 +82,33 @@ RULES: Dict[str, Rule] = {
         Rule("STAT001", SEV_ERROR,
              "stats key family not registered in "
              "repro.sim.stats.KEY_FAMILIES"),
+        Rule("BND001", SEV_ERROR,
+             "device profile price read outside repro.mem; price the "
+             "transfer through repro.mem.Device"),
+        Rule("BND002", SEV_ERROR,
+             "device-name literal passed outside repro.mem; take the "
+             "price from the device that holds the data"),
+        Rule("BND003", SEV_ERROR,
+             "machine .ssd read outside repro.mem; the persistent tier "
+             "is system.bottom_tier"),
     )
 }
 
 #: Files exempt from DET003: the designated entropy seam itself.
 _ENTROPY_SEAM = ("repro/sim/rng.py",)
+
+#: The package that owns the devices, their profiles and their names:
+#: BND001-003 hold everywhere else.
+_DEVICE_PACKAGE = "/repro/mem/"
+#: The ``DeviceProfile`` fields a charge is computed from (BND001).
+_PRICE_FIELDS = frozenset({
+    "read_latency", "write_latency", "seq_read_bw", "seq_write_bw",
+    "rand_read_bw", "rand_write_bw", "hop_latency",
+})
+#: The ``DeviceProfile`` names (BND002).
+_DEVICE_NAMES = frozenset({"dram", "nvm", "ssd", "repl-link"})
+#: The receiver whose ``.ssd`` is the CLI flag, not a machine (BND003).
+_SSD_FLAG_RECEIVER = "args"
 
 # Dotted-call suffixes that read the host clock.
 _WALLCLOCK_SUFFIXES = {
@@ -150,6 +183,7 @@ class _LintVisitor(ast.NodeVisitor):
         self.relpath = relpath
         self.findings: List[Finding] = []
         self.entropy_exempt = any(relpath.endswith(s) for s in _ENTROPY_SEAM)
+        self.device_owner = _DEVICE_PACKAGE in f"/{relpath}"
         #: Local names bound by ``from <mod> import <name>`` to a
         #: flagged symbol, mapped to the rule they trigger when called.
         self.flagged_names: Dict[str, str] = {}
@@ -282,6 +316,15 @@ class _LintVisitor(ast.NodeVisitor):
             and node.args
         ):
             self._check_stats_key(node.args[0])
+        if not self.device_owner:
+            for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                name = _const_str(arg)
+                if name in _DEVICE_NAMES:
+                    self.flag(
+                        "BND002", arg,
+                        f"device name {name!r} passed to a call; take the "
+                        "price from the device (e.g. system.nvm.search_time)",
+                    )
         self.generic_visit(node)
 
     def _check_stats_key(self, key_node) -> None:
@@ -306,6 +349,28 @@ class _LintVisitor(ast.NodeVisitor):
                 f"stats family {family!r} is not registered in "
                 "repro.sim.stats.KEY_FAMILIES",
             )
+
+    # ------------------------------------------------------- attributes
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if not self.device_owner:
+            if node.attr in _PRICE_FIELDS:
+                self.flag(
+                    "BND001", node,
+                    f"profile price {node.attr} read; price the transfer "
+                    "through repro.mem.Device",
+                )
+            elif (
+                node.attr == "ssd"
+                and isinstance(node.ctx, ast.Load)
+                and _dotted(node.value) != (_SSD_FLAG_RECEIVER,)
+            ):
+                self.flag(
+                    "BND003", node,
+                    f"{ast.unparse(node)} read; take the device from "
+                    "system.bottom_tier",
+                )
+        self.generic_visit(node)
 
     # ----------------------------------------------------- other contexts
 

@@ -1,4 +1,5 @@
-"""``repro check``: the determinism lint, dead names and unset options."""
+"""``repro check``: the determinism lint, dead names, unset options and
+module boundaries."""
 
 import pathlib
 
@@ -10,7 +11,8 @@ _directory_arg = _text_arg(
 
 
 def cmd_check(args) -> int:
-    """Static analysis: determinism lint, dead names and unset options."""
+    """Static analysis: determinism lint, dead names, unset options and
+    module boundaries."""
     from repro.check import check_contracts, render_findings, run_lint
 
     failed = False
@@ -29,7 +31,8 @@ def cmd_check(args) -> int:
 
 def add_parsers(sub) -> None:
     p = sub.add_parser(
-        "check", help="determinism lint, dead names and unset options"
+        "check",
+        help="determinism lint, dead names, unset options and module boundaries",
     )
     p.add_argument("--strict", action="store_true",
                    help="fail on any finding, warnings included (CI gate)")

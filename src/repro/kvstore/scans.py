@@ -25,6 +25,7 @@ still, merges the ones that take writes live beside it, and answers
 scans with the kernel's exact charges.
 """
 
+import math
 from array import array
 from bisect import bisect_left
 from functools import reduce
@@ -247,8 +248,10 @@ class MergedView:
     A write to the first source or a new listed source changes none of
     these.  A scan is left to :func:`merged_scan` when any source is a
     sorted run, or when a listed device has a recorder (transfer events
-    are emitted per read).  ``served`` counts the scans the view
-    answered.
+    are emitted per read).  Members with a node of negative size are
+    never built: the failed build is not retried until the members
+    change.  ``served`` counts the scans the view answered; one that
+    raised is not counted.
     """
 
     def __init__(self) -> None:
@@ -257,8 +260,8 @@ class MergedView:
         # listing order, (number, device, frozen index, in-place
         # updates, (device slot, hop, latency, bw)); per device (device,
         # hop, (latency, bw)) as quoted when the streak began; the
-        # merged entry count; the scans it has lasted; and, once built,
-        # the columns.
+        # merged entry count (``inf`` once a build failed); the scans it
+        # has lasted; and, once built, the columns.
         self._members: Optional[dict] = None
         self._devices: list = []
         self._entries = 0
@@ -282,8 +285,9 @@ class MergedView:
                     if device.obs is not None:
                         break
                 else:
+                    result = self._serve(system, start_key, count, sources, indexes, roles)
                     self.served += 1
-                    return self._serve(system, start_key, count, sources, indexes, roles)
+                    return result
             self._streak += 1
         else:
             self._restart(sources, indexes)
@@ -295,7 +299,7 @@ class MergedView:
         ):
             self._columns = self._build()
             if self._columns is None:
-                self._members = None
+                self._entries = math.inf  # not retried until the members change
         return result
 
     def _roles(self, sources, indexes) -> Optional[list]:

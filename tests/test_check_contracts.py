@@ -1,4 +1,5 @@
 """Whole-tree sweeps: the tree is clean, and each rule catches its case.
+BND004's positive fixture is the violation it was written against.
 
 The engine interface and the trace-event schema are not checked here:
 the model checker calls every public method on every store, DEAD001
@@ -11,13 +12,15 @@ import pytest
 from repro.check.contracts import (
     check_contracts,
     check_dead_names,
+    check_private_reads,
     check_unset_options,
     read_sources,
 )
 
 
 def test_registered_engines_conform():
-    """``repro check``'s sweeps find no dead name and no unset option."""
+    """``repro check``'s sweeps find no dead name, no unset option and no
+    private read across packages."""
     assert check_contracts() == []
 
 
@@ -221,3 +224,38 @@ def test_the_tree_has_no_unset_option_and_few_pragmas():
         if line.lstrip().startswith("# repro: allow[") and "DEAD001" in line
     ]
     assert 0 < len(dead_pragmas) <= 5, dead_pragmas
+
+
+# ---------------------------------------------------------------- BND004
+
+
+def test_bnd004_flags_a_private_read_across_packages(tmp_path):
+    """The executor's heap and the clock's time read from a store package
+    that defines neither name; the same reads in the package that owns
+    them, through ``self``, of a dunder, under a pragma or outside the
+    package are not findings."""
+    (tmp_path / "pkg" / "sim").mkdir(parents=True)
+    (tmp_path / "pkg" / "kvstore").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "sim" / "executor.py").write_text(
+        "class SimClock:\n    _now = 0.0\n"
+        "class Executor:\n    def __init__(self):\n        self._heap = []\n"
+        "def _due(executor, clock):\n"
+        "    return executor._heap and executor._heap[0][0] <= clock._now\n"
+    )
+    (tmp_path / "pkg" / "kvstore" / "api.py").write_text(
+        "def put(self, system, executor):\n"
+        "    heap = executor._heap\n"
+        "    if heap and heap[0][0] <= system.clock._now:\n"
+        "        executor.settle()\n"
+        "    self._seq = type(self).__name__\n"
+        "    return self._seq, executor._due  # repro: allow[BND004] test\n"
+    )
+    (tmp_path / "examples" / "demo.py").write_text("print(clock._now)\n")
+    found = check_private_reads(read_sources(tmp_path / "pkg"))
+    assert [(f.rule, f.path, f.line, f.message.split(":")[0]) for f in found] == [
+        ("BND004", "pkg/kvstore/api.py", 2, "executor._heap"),
+        ("BND004", "pkg/kvstore/api.py", 3, "system.clock._now"),
+    ]
+    assert "package 'kvstore' defines no _now" in found[1].message

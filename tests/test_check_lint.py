@@ -1,9 +1,10 @@
-"""Determinism lint: per-rule fixtures and pragmas.
+"""Per-file lint: per-rule fixtures and pragmas.
 
 Every rule gets a positive fixture (the escape is flagged, with the
 right ID and severity) and a negative one (the idiomatic repo pattern
-passes).  The last test asserts the live tree lints clean -- the
-property the CI ``check`` job gates on.
+passes).  A boundary rule's positive fixture is the violation it was
+written against.  The last test asserts the live tree lints clean --
+the property the CI ``check`` job gates on.
 """
 
 import pytest
@@ -18,7 +19,8 @@ def _rules(findings):
 
 def test_rule_registry_is_consistent():
     assert set(RULES) == {
-        "DET001", "DET002", "DET003", "ORD001", "VOC001", "STAT001"
+        "DET001", "DET002", "DET003", "ORD001", "VOC001", "STAT001",
+        "BND001", "BND002", "BND003",
     }
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
@@ -191,6 +193,37 @@ def test_stat001_passes_registered_family_and_dynamic_keys():
         "    system.stats.add(key, 1)\n"  # fully dynamic: not checkable
     )
     assert lint_text(src) == []
+
+
+# ------------------------------------------------------------- BND001-003
+
+
+def test_bnd001_flags_a_profile_price_read_outside_mem():
+    src = "seconds += (pointers - 1) * self.system.nvm.profile.write_latency\n"
+    findings = lint_text(src, "src/repro/core/miodb.py")
+    assert _rules(findings) == ["BND001"]
+    assert "write_latency" in findings[0].message
+    assert lint_text(src, "src/repro/mem/device.py") == []
+
+
+def test_bnd002_flags_a_device_name_passed_outside_mem():
+    src = 'hop = self.system.cpu.hop_cost("nvm")\n'
+    findings = lint_text(src, "src/repro/baselines/novelsm.py")
+    assert _rules(findings) == ["BND002"]
+    assert "'nvm'" in findings[0].message
+    assert _rules(lint_text('f(device="repl-link")\n')) == ["BND002"]
+    assert lint_text(src, "src/repro/mem/system.py") == []
+    assert lint_text("hop = system.nvm.hop_time()\nfast = media == 'dram'\n") == []
+
+
+def test_bnd003_flags_a_machine_ssd_read_outside_mem():
+    src = 'device = system.nvm if media == "nvm" else system.ssd\n'
+    findings = lint_text(src, "src/repro/baselines/lsm.py")
+    assert _rules(findings) == ["BND003"]
+    assert findings[0].message.startswith("system.ssd read")
+    assert lint_text(src, "src/repro/mem/system.py") == []
+    # The CLI flag is not a machine; a store to .ssd reads nothing.
+    assert lint_text("make_store(name, ssd=args.ssd)\nsystem.ssd = None\n") == []
 
 
 # ----------------------------------------------------------------- pragmas

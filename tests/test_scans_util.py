@@ -725,13 +725,21 @@ def scan_past_a_negative_size(listed_first: bool) -> MergedView:
     return view
 
 
-def test_a_negative_size_is_never_served():
+def test_a_negative_size_is_never_served(monkeypatch):
     """A node the kernel refuses to read keeps its member from being
-    memoised: the view is never built."""
+    memoised: the view is never built, and the failed build is not
+    retried while the members stand still."""
+    builds = []
+    build = MergedView._build
+    monkeypatch.setattr(
+        MergedView, "_build", lambda view: builds.append(1) or build(view)
+    )
     assert scan_past_a_negative_size(listed_first=False).served == 0
+    assert len(builds) <= 1
 
 
 def test_a_negative_size_in_a_live_source_raises_beside_the_view():
     """The same node in the first source, merged live: the view serves
-    the short scans and raises at the node like the kernel."""
-    assert scan_past_a_negative_size(listed_first=True).served > 0
+    the short scans and raises at the node like the kernel; a scan that
+    raised is not counted as served (60 short scans return)."""
+    assert 0 < scan_past_a_negative_size(listed_first=True).served <= 60
