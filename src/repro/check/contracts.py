@@ -306,9 +306,10 @@ def check_private_reads(sources) -> List[Finding]:
     ]
 
 
-def check_contracts() -> List[Finding]:
-    """The dead-name, unset-option and private-read sweeps over the package."""
-    sources = read_sources(package_root())
+def check_contracts(root=None) -> List[Finding]:
+    """The dead-name, unset-option and private-read sweeps over the package
+    at ``root`` (default: ``src/repro``)."""
+    sources = read_sources(package_root() if root is None else root)
     return sort_findings(
         check_dead_names(sources) + check_unset_options(sources)
         + check_private_reads(sources)

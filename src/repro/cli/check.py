@@ -17,11 +17,11 @@ def cmd_check(args) -> int:
 
     failed = False
     findings = []
+    root = pathlib.Path(args.path).resolve() if args.path else None
     if not args.skip_lint:
-        root = pathlib.Path(args.path) if args.path else None
         findings.extend(run_lint(root))
     if not args.skip_contracts:
-        findings.extend(check_contracts())
+        findings.extend(check_contracts(root))
     if findings:
         print(render_findings(findings))
         failed = args.strict or any(f.severity == "error" for f in findings)
@@ -39,5 +39,5 @@ def add_parsers(sub) -> None:
     p.add_argument("--skip-lint", action="store_true")
     p.add_argument("--skip-contracts", action="store_true")
     p.add_argument("--path", type=_directory_arg, default=None, metavar="DIR",
-                   help="lint this directory instead of src/repro")
+                   help="check this package directory instead of src/repro")
     p.set_defaults(func=cmd_check)

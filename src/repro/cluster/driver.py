@@ -160,8 +160,6 @@ class _ClientState:
         self.spec = spec
         self.closed_loop = spec.closed_loop  # math.isinf once, not per request
         self.issued = 0
-        self.completed = 0
-        self.dropped = 0
         rng = XorShiftRng(spec.seed)
         self._gap_rng = rng.fork(1)
         self._op_rng = rng.fork(2)
@@ -306,6 +304,7 @@ def run_cluster(
     states = [_ClientState(i, spec) for i, spec in enumerate(clients)]
     tiebreak = itertools.count()
     heap: List = []
+    heappush = heapq.heappush
     start_time = clock.now
 
     def push(request: _Request, at: Optional[float] = None) -> None:
@@ -316,23 +315,22 @@ def run_cluster(
         wait since first arrival.
         """
         when = request.arrival if at is None else at
-        heapq.heappush(heap, (when, next(tiebreak), request))
+        heappush(heap, (when, next(tiebreak), request))
 
     def schedule_next(state: _ClientState, base: float) -> None:
         """Queue the client's next request; open-loop paces off ``base``."""
         if state.issued >= state.spec.n_ops:
             return
-        if state.closed_loop:
-            push(state.make_request(clock.now))
-        else:
-            push(state.make_request(base + state.next_gap()))
+        arrival = clock.now if state.closed_loop else base + state.next_gap()
+        heappush(heap, (arrival, next(tiebreak), state.make_request(arrival)))
 
     for state in states:
         schedule_next(state, start_time)
 
     queues = [deque() for __ in range(n_shards)]
     recorders = [LatencyRecorder() for __ in range(n_shards)]
-    shard_completed = [0] * n_shards
+    # Every shard's summary is read at the end, so its kind may exist early.
+    responses = [recorder.appenders("response") for recorder in recorders]
     shard_drops: List[Dict[str, int]] = [dict() for __ in range(n_shards)]
     max_depth = [0] * n_shards
     drops: Dict[str, int] = {}
@@ -353,7 +351,6 @@ def run_cluster(
                 {"cause": cause, "client": request.client},
             )
         state = states[request.client]
-        state.dropped += 1
         if state.closed_loop and state.issued < state.spec.n_ops:
             # The closed-loop client saw the rejection; it retries its
             # *next* op after a short backoff rather than spinning at
@@ -370,6 +367,9 @@ def run_cluster(
             drop(request, shard, cause)
 
     queued = 0  # requests waiting in ``queues``
+    # The one non-empty queue while ``queued`` is 1 and its request was
+    # admitted into empty queues; -1 when that is not known.
+    sole = -1
     route = router.route
     heappop = heapq.heappop
     shards = cluster.shards
@@ -395,27 +395,34 @@ def run_cluster(
                 )
             else:
                 queue.append(request)
+                sole = shard if not queued else -1
                 queued += 1
                 depth = len(queue)
                 if depth > max_depth[shard]:
                     max_depth[shard] = depth
-            if fresh and not states[request.client].closed_loop:
-                schedule_next(states[request.client], request.arrival)
+            if fresh:
+                state = states[request.client]
+                if not state.closed_loop:
+                    schedule_next(state, request.arrival)
         if not queued:
             continue
 
         # Serve the earliest-admitted request (FIFO across shards).
-        serve_shard = -1
-        serve_key = None
-        for shard_id, queue in enumerate(queues):
-            if queue:
-                head = queue[0]
-                key = (head.arrival, head.tag)
-                if serve_key is None or key < serve_key:
-                    serve_key = key
-                    serve_shard = shard_id
+        if queued == 1 and sole >= 0:
+            serve_shard = sole  # the only request waiting
+        else:
+            serve_shard = -1
+            serve_key = None
+            for shard_id, queue in enumerate(queues):
+                if queue:
+                    head = queue[0]
+                    key = (head.arrival, head.tag)
+                    if serve_key is None or key < serve_key:
+                        serve_key = key
+                        serve_shard = shard_id
         request = queues[serve_shard].popleft()
         queued -= 1
+        sole = -1
         shard = shards[serve_shard]
         group = shard.group
         if (
@@ -452,10 +459,10 @@ def run_cluster(
                 request.key, SizedValue(request.tag, state.spec.value_size), session
             )
         now = clock.now
-        recorders[serve_shard].record("response", now, now - request.arrival)
-        shard_completed[serve_shard] += 1
+        append_time, append_latency = responses[serve_shard]
+        append_time(now)
+        append_latency(now - request.arrival)
         completed += 1
-        state.completed += 1
         if dashboard is not None:
             dashboard.maybe_refresh(now)
         if state.closed_loop:
@@ -483,7 +490,7 @@ def run_cluster(
         per_shard.append(
             {
                 "shard": shard_id,
-                "ops": shard_completed[shard_id],
+                "ops": summary.count,
                 "drops": dict(sorted(shard_drops[shard_id].items())),
                 "max_queue_depth": max_depth[shard_id],
                 "p50_us": summary.p50 * 1e6,

@@ -61,19 +61,19 @@ class Shard:
     def put(self, key: bytes, value, session=None) -> float:
         """Insert or update ``key`` (leader write + ack policy if replicated)."""
         if self.group is not None:
-            return self.group.put(key, value, session=session)
+            return self.group.put(key, value, session)
         return self.store.put(key, value)
 
     def get(self, key: bytes, session=None) -> Tuple[Optional[object], float]:
         """Point lookup (read-policy routed if replicated)."""
         if self.group is not None:
-            return self.group.get(key, session=session)
+            return self.group.get(key, session)
         return self.store.get(key)
 
     def delete(self, key: bytes, session=None) -> float:
         """Tombstone ``key``."""
         if self.group is not None:
-            return self.group.delete(key, session=session)
+            return self.group.delete(key, session)
         return self.store.delete(key)
 
     def scan(self, start_key: bytes, count: int):
@@ -134,14 +134,25 @@ class Cluster:
             else:
                 shard = Shard(shard_id, *build())
             self.shards.append(shard)
-        #: Executor lists in settle order (shards in order, then members
-        #: in order): one list of every shard's executor, or each group's
-        #: own ``executors``, which the group updates when it restarts a
-        #: member.
-        if replication is None:
-            self._executor_lists = [[shard.system.executor for shard in self.shards]]
-        else:
-            self._executor_lists = [shard.group.executors for shard in self.shards]
+        #: Every shard's executors in settle order (shards in order, then
+        #: members in order) as one list, so a settle is one pass; a group
+        #: that restarts a member replaces its executor, and rebuilds this
+        #: list in place through ``on_restart``.
+        self._executors: List[object] = []
+        self._list_executors()
+        for shard in self.shards:
+            if shard.group is not None:
+                shard.group.on_restart = self._list_executors
+
+    def _list_executors(self) -> None:
+        self._executors[:] = [
+            executor
+            for shard in self.shards
+            for executor in (
+                [shard.system.executor] if shard.group is None
+                else shard.group.executors
+            )
+        ]
 
     @property
     def n_shards(self) -> int:
@@ -154,12 +165,11 @@ class Cluster:
 
     def settle_all(self) -> None:
         """Apply every shard's background effects due at the current time."""
-        for executors in self._executor_lists:
-            settle_due(executors)
+        settle_due(self._executors)
 
     def quiesce(self) -> float:
         """Drain background work on every shard; returns the final time."""
-        drain_all([e for executors in self._executor_lists for e in executors])
+        drain_all(self._executors)
         return self.clock.now
 
     def attach_tracing(self) -> List[object]:

@@ -70,6 +70,21 @@ class CrashInjector:
         return self._hits.get(point, 0)
 
 
-#: A default injector with nothing armed, shared by stores that were not
-#: given one explicitly (reaching points on it is a cheap no-op).
-PASSIVE_INJECTOR = CrashInjector()
+class _PassiveInjector(CrashInjector):
+    """The default injector: it can never be armed, so reaching a point
+    records nothing and costs one empty call."""
+
+    def arm(self, point: str, after_hits: int = 1) -> None:
+        raise TypeError(
+            "the default crash injector is shared by every store and group "
+            "that was not given one and cannot be armed; pass a CrashInjector"
+        )
+
+    rearm = arm
+
+    def reach(self, point: str) -> None:
+        pass
+
+
+#: The injector of every store and replica group not given one explicitly.
+PASSIVE_INJECTOR = _PassiveInjector()

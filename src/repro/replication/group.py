@@ -148,6 +148,12 @@ class ReplicaGroup:
     ) -> None:
         self.group_id = group_id
         self.config = config or ReplicationConfig()
+        #: Followers a write waits for; the config is fixed for the
+        #: group's life, so this is read once, not per write.
+        self._needed_acks = self.config.needed_follower_acks()
+        #: The largest lag this group has offered ``repl.lag_peak``, a
+        #: running maximum, so a lag no larger need not be offered.
+        self._lag_peak = -1
         self._factory = factory
         self.stats = stats if stats is not None else StatsRegistry()
         #: Reaches ``repl.put`` / ``repl.ship`` / ``repl.apply``; a test
@@ -191,6 +197,9 @@ class ReplicaGroup:
         #: listed: its crash emptied its executor and nothing submits to
         #: it again, so it is never due.  Only a restart changes the list.
         self.executors = [member.system.executor for member in self.members]
+        #: Called after a restart changed ``executors``; a cluster that
+        #: settles every group in one list rebuilds its list.
+        self.on_restart: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------ building
 
@@ -369,21 +378,19 @@ class ReplicaGroup:
         if not fresh:
             return
         self.log.extend(fresh)
-        self._pulled_seq = fresh[-1].seq
-        if fresh[-1].seq > leader.last_seq:
-            leader.last_seq = fresh[-1].seq
-        leader.shipped_lsn = len(self.log)
-        leader.durable_lsn = len(self.log)
-        leader.applied_lsn = len(self.log)
+        last_seq = self._pulled_seq = fresh[-1].seq
+        if last_seq > leader.last_seq:
+            leader.last_seq = last_seq
+        lsn = len(self.log)
+        leader.shipped_lsn = leader.durable_lsn = leader.applied_lsn = lsn
         if self.obs is not None:
             self._append_span = self._emit(
-                "append", CAT_REPL_SHIP,
-                {"lsn": len(self.log), "records": len(fresh)},
+                "append", CAT_REPL_SHIP, {"lsn": lsn, "records": len(fresh)},
             )
         self._pump_all()
 
     def _await_acks(self, lsn: int) -> float:
-        needed = self.config.needed_follower_acks()
+        needed = self._needed_acks
         if needed == 0:
             return 0.0
         followers = self.alive_followers()
@@ -396,6 +403,7 @@ class ReplicaGroup:
             if needed == 0:
                 return 0.0
         start = self.clock.now
+        executors = self.executors
         while True:
             durable = 0
             for follower in followers:
@@ -403,7 +411,8 @@ class ReplicaGroup:
                     durable += 1
             if durable >= needed:
                 break
-            self._advance_once("awaiting %s ack(s) for lsn %s", needed, lsn)
+            if not advance(executors):  # else _advance_once pumps or raises
+                self._advance_once("awaiting %s ack(s) for lsn %s", needed, lsn)
         waited = self.clock.now - start
         if waited > 0.0:
             self.stats.add("repl.ack_wait_s", waited)
@@ -451,31 +460,40 @@ class ReplicaGroup:
                 and member.ship_job is None
                 and member.shipped_lsn < log_lsn
             ):
-                self._pump(member)
+                self._ship(member)
 
     def _pump(self, follower: Replica) -> None:
-        """Start the follower's next ship transfer if one is due.
-
-        Hot callers test the guard below themselves and call only for a
-        follower that can ship; the guard stays for every other caller.
-        """
+        """Start the follower's next ship transfer if one is due."""
         if (
-            not follower.alive
-            or follower.role != ROLE_FOLLOWER
-            or follower.ship_job is not None
-            or follower.shipped_lsn >= len(self.log)
+            follower.alive
+            and follower.role == ROLE_FOLLOWER
+            and follower.ship_job is None
+            and follower.shipped_lsn < len(self.log)
         ):
-            return
+            self._ship(follower)
+
+    def _ship(self, follower: Replica) -> None:
+        """Ship the follower's next frames; the caller tested :meth:`_pump`'s
+        guard (hot callers test it inline and call this directly)."""
         start = follower.shipped_lsn
-        end = min(len(self.log), start + SHIP_BATCH)
+        end = len(self.log)
+        if end > start + SHIP_BATCH:
+            end = start + SHIP_BATCH
         frames = self.log[start:end]
-        total = sum(r.frame_bytes for r in frames)
+        total = 0
+        for record in frames:
+            total += record.frame_bytes
         seconds = follower.link.write(total, sequential=True)
         self.crash.reach("repl.ship")
         epoch = self.epoch
         ship_span = self._next_span() if self.obs is not None else None
 
-        def delivered() -> None:
+        # A job callback takes its state as parameter defaults, bound once
+        # here: closing over it would build a cell per variable per ship.
+        def delivered(
+            self=self, follower=follower, frames=frames, end=end, epoch=epoch,
+            ship_span=ship_span,
+        ) -> None:
             follower.ship_job = None
             if not follower.alive or self.epoch != epoch:
                 return
@@ -550,19 +568,25 @@ class ReplicaGroup:
                 parent=ship_span, member=follower.replica_id,
             )
 
-        def applied() -> None:
+        def applied(  # state bound as defaults, as in _ship
+            self=self, follower=follower, end_lsn=end_lsn, count=count
+        ) -> None:
             if not follower.alive:
                 return
             if end_lsn > follower.applied_lsn:
                 follower.applied_lsn = end_lsn
             self.stats.add("repl.applied_records", count)
-            self.stats.max("repl.lag_peak", len(self.log) - follower.applied_lsn)
+            log_lsn = len(self.log)
+            lag = log_lsn - follower.applied_lsn
+            if lag > self._lag_peak:
+                self._lag_peak = lag
+                self.stats.max("repl.lag_peak", lag)
             if (
                 follower.ship_job is None
                 and follower.role == ROLE_FOLLOWER
-                and follower.shipped_lsn < len(self.log)
+                and follower.shipped_lsn < log_lsn
             ):
-                self._pump(follower)
+                self._ship(follower)
 
         executor = follower.system.executor
         apply_job = executor.submit(
@@ -593,7 +617,7 @@ class ReplicaGroup:
         # delivered() cleared ship_job and checked liveness and epoch (an
         # unchanged epoch means the follower is still a follower).
         if follower.shipped_lsn < len(self.log):
-            self._pump(follower)
+            self._ship(follower)
         if follower.bootstrap_lsn and self._bootstrapped(follower):
             follower.bootstrap_lsn = 0
             if self.leader_idx is None:
@@ -809,6 +833,8 @@ class ReplicaGroup:
             return
         member = self.members[replica_id] = self._make_member(replica_id)
         self.executors[replica_id] = member.system.executor
+        if self.on_restart is not None:
+            self.on_restart()
         member.bootstrap_lsn = len(self.log)
         self.stats.add("repl.restarts", 1)
         self._note("restart", {"replica": replica_id})

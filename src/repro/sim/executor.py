@@ -11,12 +11,14 @@ further jobs (compaction cascades); the settle loop keeps draining until no
 job completes at or before the settle horizon.
 """
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 from repro.sim.host import collector_paused
+
+_INF = math.inf
 
 
 class Job:
@@ -50,11 +52,6 @@ class Job:
         self.submitted_at = submitted_at
         self._callback = callback
         self.done = False
-
-    def _complete(self) -> None:
-        self.done = True
-        if self._callback is not None:
-            self._callback()
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
@@ -118,15 +115,17 @@ class Executor:
         ``meta`` is opaque annotation passed through to :attr:`obs`
         (e.g. the trace category and byte counts of a flush).
         """
-        if not 0 <= duration < math.inf:  # NaN, inf: no later job would settle
+        if not 0 <= duration < _INF:  # NaN, inf: no later job would settle
             raise ValueError(f"job duration must be finite and >= 0, got {duration}")
         now = self.clock.now
-        start = max(worker.busy_until, now)
+        start = worker.busy_until
+        if start < now:
+            start = now
         end = start + duration
         worker.busy_until = end
         worker.jobs_run += 1
         job = Job(name, worker, start, end, callback, now)
-        heapq.heappush(self._heap, (end, next(self._tiebreak), job))
+        heappush(self._heap, (end, next(self._tiebreak), job))
         if end < self.next_due:
             self.next_due = end
         obs = self.obs
@@ -151,9 +150,11 @@ class Executor:
         heap = self._heap
         applied = 0
         while self.next_due <= horizon:
-            job = heapq.heappop(heap)[2]
-            self.next_due = heap[0][0] if heap else math.inf
-            job._complete()
+            job = heappop(heap)[2]
+            self.next_due = heap[0][0] if heap else _INF
+            job.done = True
+            if job._callback is not None:
+                job._callback()
             applied += 1
         return applied
 
@@ -213,12 +214,15 @@ class Executor:
 def settle_due(executors) -> None:
     """Settle every executor with a job due, in list order.
 
-    Applies :meth:`Executor.settle`'s skip rule, reading the shared
-    clock afresh per executor (an earlier callback may have moved it).
+    Applies :meth:`Executor.settle`'s skip rule against the one shared
+    clock, read again after every settle (a callback may have moved it).
     """
+    clock = executors[0].clock
+    now = clock.now
     for executor in executors:
-        if executor.next_due <= executor.clock.now:
+        if executor.next_due <= now:
             executor.settle()
+            now = clock.now
 
 
 def advance(executors) -> bool:
@@ -226,11 +230,11 @@ def advance(executors) -> bool:
 
     Returns False, with the clock unmoved, when every executor is idle.
     """
-    deadline = math.inf
+    deadline = _INF
     for executor in executors:
         if executor.next_due < deadline:
             deadline = executor.next_due
-    if deadline == math.inf:
+    if deadline == _INF:
         return False
     executors[0].clock.advance_to(deadline)
     settle_due(executors)

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -173,6 +175,24 @@ def test_check_fails_on_fresh_findings(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "[DET001]" in out
+
+
+def test_check_path_sweeps_the_named_tree(tmp_path, capsys):
+    """``--path`` points the contract sweeps at the copy it names, not at
+    the installed package: a private read planted in the copy fails."""
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    skip = shutil.ignore_patterns("__pycache__", "results")
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(repo / "src" / "repro", copy, ignore=skip)
+    for tree in ("benchmarks", "examples"):
+        shutil.copytree(repo / tree, tmp_path / tree, ignore=skip)
+    api = copy / "kvstore" / "api.py"
+    api.write_text(api.read_text() + "\nheap = executor._heap\n")
+    rc = main(["check", "--path", str(copy)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[BND004]" in out and "executor._heap" in out
+    assert "check: 1 finding(s)" in out
 
 
 def test_dbbench_n_zero_writes_no_records(capsys):

@@ -287,6 +287,26 @@ def test_rearm_validation():
         CrashInjector().rearm("p", after_hits=0)
 
 
+def test_the_default_injector_cannot_be_armed():
+    """Stores and replica groups built without an injector share the
+    default one, so arming it would arm every one of them: it refuses,
+    and a store that was never armed keeps writing."""
+    from repro.bench.factory import make_store
+    from repro.kvstore.values import SizedValue
+    from tests.support.groups import build_group
+
+    a, __ = make_store("miodb")
+    b, __ = make_store("leveldb")
+    with pytest.raises(TypeError, match="pass a CrashInjector"):
+        a.crash.arm("put.after_wal", 1)
+    with pytest.raises(TypeError, match="pass a CrashInjector"):
+        a.crash.rearm("put.after_wal", 1)
+    with pytest.raises(TypeError, match="pass a CrashInjector"):
+        build_group("miodb").crash.arm("repl.put")
+    b.put(b"key", SizedValue(1, 64))
+    assert b.get(b"key")[0] == SizedValue(1, 64)
+
+
 # --------------------------------------------------- WAL fsync policies
 
 

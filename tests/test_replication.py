@@ -140,6 +140,34 @@ def test_k0_group_is_fingerprint_identical_to_flat_store():
     assert group.clock.now == system.clock.now
 
 
+def test_a_replicated_put_submits_its_four_jobs_in_order(monkeypatch):
+    """Every put on a K=2 quorum-ack group submits exactly four model
+    jobs -- ship to r1, ship to r2, apply on r1, apply on r2 -- and
+    nothing in the write path may merge or reorder them.  Flush and
+    compaction jobs may interleave, so only ``repl-*`` names count."""
+    from repro.sim.executor import Executor
+
+    submitted = []
+    submit = Executor.submit
+
+    def spy(self, worker, duration, callback=None, name="job", meta=None):
+        job = submit(self, worker, duration, callback, name=name, meta=meta)
+        submitted.append(job)
+        return job
+
+    monkeypatch.setattr(Executor, "submit", spy)
+    group = make_group(followers=2, ack_policy=ACK_QUORUM)
+    for i in range(50):
+        del submitted[:]
+        group.put(key_for(i), SizedValue(i, 256))
+        jobs = [job for job in submitted if job.name.startswith("repl-")]
+        assert [job.name for job in jobs] == [
+            "repl-ship-g0-r1", "repl-ship-g0-r2",
+            "repl-apply-g0-r1", "repl-apply-g0-r2",
+        ], i
+        assert all(job.start <= job.end for job in jobs)
+
+
 def test_an_ack_wait_with_no_pending_work_names_what_it_awaited(monkeypatch):
     from repro.replication import group as group_module
 
