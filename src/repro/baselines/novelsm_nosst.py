@@ -30,8 +30,7 @@ class NoveLSMNoSSTStore(KVStore):
     def _put(self, key: bytes, seq: int, value, value_bytes: int) -> float:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
         self.arena.grow(node.nbytes)
-        seconds = self.system.nvm.search_time(max(hops, 1))
-        seconds += self.system.nvm.write(node.nbytes, sequential=False)
+        seconds = self.system.nvm.insert_write(hops, node.nbytes)
         # In-place shadowing: older versions of the key are dropped
         # immediately (the structure is its own storage; no compaction).
         dropped = self._drop_older_versions(node)

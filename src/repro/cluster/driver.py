@@ -370,7 +370,7 @@ def run_cluster(
     # The one non-empty queue while ``queued`` is 1 and its request was
     # admitted into empty queues; -1 when that is not known.
     sole = -1
-    route = router.route
+    route = router._route  # client keys are key_for's: the store validates
     heappop = heapq.heappop
     shards = cluster.shards
     max_queue_depth = admission.max_queue_depth

@@ -254,6 +254,15 @@ class ShardRouter:
         A key the stores would refuse is refused here, before it counts.
         """
         require_key(key)
+        return self._route(key)
+
+    def _route(self, key: bytes) -> int:
+        """:meth:`route` for a key already known to be valid.
+
+        ``run_cluster`` routes only keys its clients drew from
+        ``key_for``, and the store validates each one when it serves
+        the request, so its requests are validated once.
+        """
         slot, shard = self.placement.locate(key)
         self.shard_ops[shard] += 1
         self.slot_ops[slot] = self.slot_ops.get(slot, 0) + 1

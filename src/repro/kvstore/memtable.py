@@ -81,9 +81,7 @@ class MemTable:
         node, hops = self.skiplist.insert(key, seq, value, value_bytes)
         if seq > self.last_seq:
             self.last_seq = seq
-        return self.device.search_time(max(hops, 1)) + self.device.write(
-            node.nbytes, sequential=False
-        )
+        return self.device.insert_write(hops, node.nbytes)
 
     def get(self, key: bytes):
         """Look up the newest version; returns ``(node_or_None, cost)``."""

@@ -72,7 +72,8 @@ class CrashInjector:
 
 class _PassiveInjector(CrashInjector):
     """The default injector: it can never be armed, so reaching a point
-    records nothing and costs one empty call."""
+    records nothing; the hot crash points skip the call when their
+    injector is this one."""
 
     def arm(self, point: str, after_hits: int = 1) -> None:
         raise TypeError(

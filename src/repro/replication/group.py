@@ -358,7 +358,8 @@ class ReplicaGroup:
     def _write(self, kind: str, key: bytes, value, session) -> float:
         settle_due(self.executors)
         leader = self._await_leader()
-        self.crash.reach("repl.put")
+        if self.crash is not PASSIVE_INJECTOR:
+            self.crash.reach("repl.put")
         if kind == "put":
             latency = leader.store.put(key, value)
         else:
@@ -484,7 +485,8 @@ class ReplicaGroup:
         for record in frames:
             total += record.frame_bytes
         seconds = follower.link.write(total, sequential=True)
-        self.crash.reach("repl.ship")
+        if self.crash is not PASSIVE_INJECTOR:
+            self.crash.reach("repl.ship")
         epoch = self.epoch
         ship_span = self._next_span() if self.obs is not None else None
 
@@ -559,7 +561,8 @@ class ReplicaGroup:
             follower.durable_lsn = end_lsn
         follower.durable_t = self.clock.now
         follower.durable_span = ship_span
-        self.crash.reach("repl.apply")
+        if self.crash is not PASSIVE_INJECTOR:
+            self.crash.reach("repl.apply")
         count = len(frames)
         if self.obs is not None:
             self._emit(

@@ -65,14 +65,23 @@ class XorShiftRng:
 
     def tower_height(self, branching: int, cap: int) -> int:
         """``h = 1; while h < cap and next_below(branching) == 0: h += 1``,
-        bit for bit (same heights, same final state), in one frame."""
+        bit for bit (same heights, same final state), in one frame.
+
+        ``branching`` must be a power of two.  Then a draw is divisible
+        by ``branching`` exactly when the state is (the xorshift*
+        multiplier is odd, and the 64-bit mask keeps the low bits), so
+        the multiply is skipped.
+        """
+        low = branching - 1
+        if branching < 1 or branching & low:
+            raise ValueError(f"branching must be a power of two, got {branching}")
         x = self._state
         height = 1
         while height < cap:
             x ^= x >> 12
             x = (x ^ (x << 25)) & _MASK64
             x ^= x >> 27
-            if ((x * 0x2545F4914F6CDD1D) & _MASK64) % branching:
+            if x & low:
                 break
             height += 1
         self._state = x

@@ -97,73 +97,123 @@ class ZeroCopyMerge:
         tables in full costs what seeking would: they are two tables of
         one level, of similar size.  Synchronous, so there is no
         insertion mark; everything else is identical to a :meth:`step` loop.
+
+        The loop walks each run of old nodes that sort before the next
+        new node with one key compare per node, relinking only towers
+        above level 0 (a run is already chained there); level 0's tail
+        and count are locals (three nodes in four have height 1) and
+        ``high`` is ``sum(cnt[1:])``.  The older versions of a moved key
+        are dropped right behind it, and the byte and entry totals are
+        the newtable's own less what dropped.
         """
         if self.done:
             return self
         new = self.new
         old = self.old
-        last = [old.head] * MAX_HEIGHT
+        head = old.head
+        last = [head] * MAX_HEIGHT
         cnt = [0] * MAX_HEIGHT
-        hops = search_hops = pointer_writes = 0
-        nodes_moved = old_dropped = new_dropped = moved_bytes = 0
-        tallest = old._tallest
-        key = None  # the last moved key: its older versions drop
+        tail = head
+        low = high = 0
+        search_hops = raised = dropped_height = 0
+        new_dropped = new_garbage = old_dropped = old_garbage = 0
+        arrived = new.entries
+        # The first new node always moves; only taller ones are checked.
+        tallest = old._tallest if old._tallest or not arrived else 1
+        arrived_bytes = new.data_bytes
+        # A key above every old one: once the newtable is done, the
+        # rest of the oldtable sorts before it.  (Level 0 is always
+        # walked, so ``end`` is the last node whatever ``tallest`` says.)
+        end = head
+        for level in range(max(tallest, 1) - 1, -1, -1):
+            while end.next[level] is not None:
+                end = end.next[level]
+        beyond = end.key + b"\x00"
         node = new.take_all()
-        other = old.head.next[0]
-        while node is not None or other is not None:
-            if node is not None and (
-                other is None
-                or not (
-                    other.key < node.key if other.key != node.key
-                    else other.seq > node.seq
-                )
-            ):
-                item = node
-                node = node.next[0]
-                height = item.height
-                if item.key == key:
-                    # An older version inside the newtable: never migrates.
-                    new.garbage_bytes += item.nbytes
-                    pointer_writes += height
-                    new_dropped += 1
-                    continue
-                key = item.key
-                search_hops += hops
-                pointer_writes += 2 * height
-                nodes_moved += 1
-                moved_bytes += item.nbytes
+        other = head.next[0]
+        while True:
+            if node is not None:
+                key = node.key
+                seq = node.seq
+            else:
+                key = beyond
+            # Every old node that sorts before ``node`` stays, in order:
+            # the run is already chained at level 0 behind its first node.
+            tail.next[0] = other
+            while other is not None:
+                okey = other.key
+                if not (okey < key or (okey == key and other.seq > seq)):
+                    break
+                height = other.height
+                if height == 1:
+                    low += 1
+                else:
+                    # Join the prefix: the tallest node behind the tail
+                    # below its top level, one more visited node at it.
+                    top = height - 1
+                    low = 0
+                    for level in range(1, top):
+                        last[level].next[level] = other
+                        last[level] = other
+                        high -= cnt[level]
+                        cnt[level] = 0
+                    last[top].next[top] = other
+                    last[top] = other
+                    cnt[top] += 1
+                    high += 1
+                tail = other
+                other = other.next[0]
+            if node is None:
+                break
+            # ``node`` moves in, at the hops a descent to it would pay.
+            item = node
+            node = item.next[0]
+            search_hops += low + high
+            height = item.height
+            if height == 1:
+                tail.next[0] = item
+                tail = item
+                low += 1
+            else:
+                top = height - 1
+                raised += top
                 if height > tallest:
                     tallest = height
-            else:
-                item = other
+                tail.next[0] = item
+                tail = item
+                low = 0
+                for level in range(1, top):
+                    last[level].next[level] = item
+                    last[level] = item
+                    high -= cnt[level]
+                    cnt[level] = 0
+                last[top].next[top] = item
+                last[top] = item
+                cnt[top] += 1
+                high += 1
+            # Older versions of its key never stay: those inside the
+            # newtable never migrate, those in the oldtable it shadows.
+            while node is not None and node.key == key:
+                new_garbage += node.nbytes
+                dropped_height += node.height
+                new_dropped += 1
+                node = node.next[0]
+            while other is not None and other.key == key:
+                old_garbage += other.nbytes
+                dropped_height += other.height
+                old_dropped += 1
                 other = other.next[0]
-                height = item.height
-                if item.key == key:
-                    # An older version the moved node now shadows.
-                    old.data_bytes -= item.nbytes
-                    old.garbage_bytes += item.nbytes
-                    pointer_writes += height
-                    old_dropped += 1
-                    continue
-            # Join the prefix: the tallest node behind the tail below its
-            # top level, one more visited node at it.
-            top = height - 1
-            for level in range(top):
-                last[level].next[level] = item
-                last[level] = item
-                hops -= cnt[level]
-                cnt[level] = 0
-            last[top].next[top] = item
-            last[top] = item
-            cnt[top] += 1
-            hops += 1
-        for level, tail in enumerate(last):
-            tail.next[level] = None
+        tail.next[0] = None
+        for level in range(1, MAX_HEIGHT):
+            last[level].next[level] = None
+        nodes_moved = arrived - new_dropped
         old.entries += nodes_moved - old_dropped
-        old.data_bytes += moved_bytes
+        old.data_bytes += arrived_bytes - new_garbage - old_garbage
+        old.garbage_bytes += old_garbage
+        new.garbage_bytes += new_garbage
         old._tallest = tallest
         old._version += 1
-        self.pointer_writes += pointer_writes
+        self.pointer_writes += 2 * (nodes_moved + raised) + dropped_height
         self.search_hops += search_hops
         self.nodes_moved += nodes_moved
         self.nodes_dropped += old_dropped + new_dropped

@@ -74,7 +74,7 @@ class SkipList:
             nxt = node.next[level]
             while nxt is not None:
                 nkey = nxt.key
-                if not (nkey < key if nkey != key else nxt.seq > seq):
+                if not (nkey < key or (nkey == key and nxt.seq > seq)):
                     break
                 node = nxt
                 nxt = node.next[level]
@@ -237,7 +237,7 @@ class SkipList:
             nxt = node.next[level]
             while nxt is not None:
                 nkey = nxt.key
-                if not (nkey < key if nkey != key else nxt.seq > seq):
+                if not (nkey < key or (nkey == key and nxt.seq > seq)):
                     break
                 node = nxt
                 nxt = node.next[level]
@@ -413,7 +413,7 @@ class SkipListCursor:
             if nxt is None:
                 break
             nkey = nxt.key
-            if not (nkey < key if nkey != key else nxt.seq > seq):
+            if not (nkey < key or (nkey == key and nxt.seq > seq)):
                 break
             node = nxt
             level += 1
@@ -422,7 +422,7 @@ class SkipListCursor:
             # wrong only for one the cursor has already passed.
             node = preds[0]
             nkey = node.key
-            if not (nkey < key if nkey != key else node.seq > seq):
+            if not (nkey < key or (nkey == key and node.seq > seq)):
                 if node is not lst.head:
                     raise ValueError(
                         f"cursor on {lst!r} cannot move backwards: target "
@@ -441,7 +441,7 @@ class SkipListCursor:
             nxt = node.next[level]
             while nxt is not None:
                 nkey = nxt.key
-                if not (nkey < key if nkey != key else nxt.seq > seq):
+                if not (nkey < key or (nkey == key and nxt.seq > seq)):
                     break
                 node = nxt
                 nxt = node.next[level]

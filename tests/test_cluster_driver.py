@@ -285,3 +285,35 @@ def test_skew_concentrates_traffic():
     run_cluster(router, [spec(theta=0.99, n_ops=600)])
     counts = sorted(router.shard_ops)
     assert counts[-1] > 2 * counts[0]
+
+
+@pytest.mark.parametrize("followers", [0, 2])
+def test_a_routed_request_validates_its_key_once(monkeypatch, followers):
+    """``run_cluster`` routes only its clients' ``key_for`` keys, so the
+    store's check is the request's one ``require_key`` call; a key handed
+    to the router itself is still refused before it is counted."""
+    from repro.cluster import router as router_module
+    from repro.kvstore import api
+    from repro.replication import ReplicationConfig
+
+    config = ReplicationConfig(followers=followers) if followers else None
+    router = ShardRouter(Cluster("miodb", n_shards=2, scale=SCALE, replication=config))
+    preload(router, 200)
+    routed = router.cluster.stats.get("cluster.routed_ops")
+    calls = []
+    real = api.require_key
+
+    def spy(key):
+        calls.append(key)
+        real(key)
+
+    monkeypatch.setattr(api, "require_key", spy)
+    monkeypatch.setattr(router_module, "require_key", spy)
+    clients = [ClientSpec(n_ops=150, rate_per_s=2000.0, key_space=200, seed=s) for s in (1, 2)]
+    result = run_cluster(router, clients)
+    assert result.dropped == 0 and result.completed == 300
+    assert len(calls) == result.completed
+    assert router.cluster.stats.get("cluster.routed_ops") == routed + result.completed
+    with pytest.raises(ValueError, match="non-empty bytes"):
+        router.route(b"")
+    assert router.cluster.stats.get("cluster.routed_ops") == routed + result.completed

@@ -1,9 +1,13 @@
 """Unit tests for device models and traffic/space accounting."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.mem.device import Device, DeviceProfile
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
+from repro.mem.system import HybridMemorySystem
+from repro.obs.events import CAT_TRANSFER
 from repro.sim.clock import SimClock
 
 
@@ -120,3 +124,54 @@ def test_paper_ratio_ssd_vs_nvm():
     lat_ratio = NVME_SSD_PROFILE.read_latency / OPTANE_NVM_PROFILE.read_latency
     assert bw_ratio == pytest.approx(10.0, rel=0.01)
     assert lat_ratio == pytest.approx(100.0, rel=0.01)
+
+
+# ------------------------------------- fused charges vs their composition
+
+#: (name, the fused call, the calls it replaces, in their order).
+FUSED = [
+    ("log_write", lambda dev, nbytes, hops: dev.log_write(nbytes),
+     lambda dev, nbytes, hops: (dev.allocate(nbytes), dev.write(nbytes, sequential=True))[1]),
+    ("insert_write", lambda dev, nbytes, hops: dev.insert_write(hops, nbytes),
+     lambda dev, nbytes, hops: dev.search_time(max(hops, 1)) + dev.write(nbytes, sequential=False)),
+]
+CHARGES = [(0, 0), (1, 1), (17, 0), (1103, 3), (4177, 17), (64, 2), (1 << 20, 9)]
+
+
+def _charge_trail(charge, pick, trace):
+    """Charges on a fresh machine; returns what a reader could observe."""
+    machine = HybridMemorySystem()
+    recorder = machine.attach_tracing() if trace else None
+    device = pick(machine)
+    seconds = []
+    for step, (nbytes, hops) in enumerate(CHARGES):
+        machine.clock.advance(step * 3.7e-7)
+        with machine.job_scope() if trace == "job" else nullcontext():
+            seconds.append(charge(device, nbytes, hops).hex())
+    machine.clock.advance(1e-6)
+    transfers = [] if recorder is None else [
+        (e.track, e.name, e.ts, sorted(e.args.items()))
+        for e in recorder.index().of(CAT_TRANSFER)
+    ]
+    return (
+        seconds, device.bytes_written, device.write_ops, device.bytes_in_use,
+        device.peak_bytes_in_use, device.average_usage().hex(), transfers,
+    )
+
+
+@pytest.mark.parametrize("trace", [None, "foreground", "job"])
+@pytest.mark.parametrize("pick", [lambda m: m.dram, lambda m: m.nvm], ids=["dram", "nvm"])
+@pytest.mark.parametrize("name, fused, composed", FUSED, ids=[f[0] for f in FUSED])
+def test_a_fused_charge_is_the_composition_it_replaces(name, fused, composed, pick, trace):
+    observed = _charge_trail(fused, pick, trace)
+    assert observed == _charge_trail(composed, pick, trace)
+    if trace:
+        assert len(observed[-1]) == len(CHARGES)
+        assert {dict(args).get("job", False) for *__, args in observed[-1]} == {trace == "job"}
+
+
+@pytest.mark.parametrize("name, fused, composed", FUSED, ids=[f[0] for f in FUSED])
+def test_a_fused_charge_refuses_a_negative_size(name, fused, composed, nvm):
+    with pytest.raises(ValueError):
+        fused(nvm, -1, 1)
+    assert (nvm.bytes_written, nvm.write_ops, nvm.bytes_in_use) == (0, 0, 0)

@@ -307,6 +307,27 @@ def test_the_default_injector_cannot_be_armed():
     assert b.get(b"key")[0] == SizedValue(1, 64)
 
 
+@pytest.mark.parametrize("point", ["put.after_wal", "repl.put", "repl.ship", "repl.apply"])
+def test_an_armed_injector_fires_at_every_skipped_crash_point(point):
+    """The write path skips these points' calls only for the default
+    injector: an armed one still fires at each of them."""
+    from repro.kvstore.values import SizedValue
+    from repro.replication import ReplicationConfig
+    from tests.support.groups import build_group
+
+    injector = CrashInjector()
+    injector.arm(point, 3)
+    group = build_group("miodb", config=ReplicationConfig(followers=2))
+    if point == "put.after_wal":
+        group.members[group.leader_idx].store.crash = injector
+    else:
+        group.crash = injector
+    with pytest.raises(SimulatedCrash, match=point):
+        for i in range(10):
+            group.put(b"key%d" % i, SizedValue(i, 64))
+    assert injector.hits(point) == 3
+
+
 # --------------------------------------------------- WAL fsync policies
 
 

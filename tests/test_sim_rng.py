@@ -86,3 +86,12 @@ def test_uniformity_rough():
         buckets[rng.next_below(10)] += 1
     for count in buckets:
         assert abs(count - n / 10) < n / 10 * 0.2
+
+
+@pytest.mark.parametrize("branching", [3, 6, 0, -4])
+def test_tower_height_refuses_a_branching_that_is_not_a_power_of_two(branching):
+    rng = XorShiftRng(9)
+    state = rng._state
+    with pytest.raises(ValueError, match="power of two"):
+        rng.tower_height(branching, 12)
+    assert rng._state == state
