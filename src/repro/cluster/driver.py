@@ -44,7 +44,8 @@ from repro.obs.events import (  # noqa: F401  (re-exports)
 from repro.sim.host import collector_paused
 from repro.sim.latency import LatencyRecorder, LatencySummary
 from repro.sim.rng import XorShiftRng
-from repro.workloads.keys import key_for
+from repro.workloads.keys import keys_for
+from repro.workloads.runner import COLUMN_CHUNK
 from repro.workloads.zipfian import UniformGenerator, ZipfianGenerator
 
 ADMISSION_POLICIES = ("reject", "defer")
@@ -56,10 +57,6 @@ MAX_REBALANCES = 4
 #: Simulated seconds a deferred request waits before it is re-offered
 #: to its shard's queue (the ``"defer"`` admission policy).
 DEFER_S = 1e-4
-
-#: Requests' worth of a client's gap, op-kind and key streams drawn per
-#: refill: the columns stay this short however many ops a client issues.
-COLUMN_CHUNK = 1024
 
 
 class AdmissionControl:
@@ -199,7 +196,7 @@ class _ClientState:
             self._kinds = [
                 "get" if u < read_fraction else "put" for u in self._op_rng.floats(n)
             ]
-            self._key_column = [key_for(i) for i in self._keys.take(n)]
+            self._key_column = keys_for(self._keys.take(n))
             at = 0
         self._at = at + 1
         tag = (self.index, self.issued)

@@ -191,20 +191,28 @@ class WriteAheadLog:
 
         Returns the number of bytes released on the device.  Buffered
         (unsynced) records are dropped without a release -- they never
-        occupied device bytes.
+        occupied device bytes.  Records are appended in ascending
+        ``seq`` (as :meth:`records_since` also relies on: a replica
+        appends its leader's records in log order, and recovery keeps a
+        prefix-ordered subset), so the dropped records are a prefix,
+        found by bisection and deleted in place.
         """
-        kept: List[WalRecord] = []
+        records = self._records
+        lo, hi = 0, len(records)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if records[mid].seq <= seq:
+                lo = mid + 1
+            else:
+                hi = mid
         freed = 0
         dropped_pending = False
-        for record in self._records:
-            if record.seq <= seq:
-                if record.synced:
-                    freed += record.frame_bytes
-                else:
-                    dropped_pending = True
+        for record in records[:lo]:
+            if record.synced:
+                freed += record.frame_bytes
             else:
-                kept.append(record)
-        self._records = kept
+                dropped_pending = True
+        del records[:lo]
         if dropped_pending:
             self._pending = [r for r in self._pending if r.seq > seq]
             if not self._pending:

@@ -63,6 +63,26 @@ class XorShiftRng:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
+    def belows(self, n: int, bound: int) -> list:
+        """``n`` draws of :meth:`next_below`, bit for bit, in one call.
+
+        Leaves the generator where ``n`` calls would; ``bound`` is
+        checked once, and only when there is a draw to make (as the
+        first call would check it).
+        """
+        if n > 0 and bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        x = self._state
+        out = []
+        append = out.append
+        for __ in range(n):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            append(((x * 0x2545F4914F6CDD1D) & _MASK64) % bound)
+        self._state = x
+        return out
+
     def tower_height(self, branching: int, cap: int) -> int:
         """``h = 1; while h < cap and next_below(branching) == 0: h += 1``,
         bit for bit (same heights, same final state), in one frame.
@@ -88,10 +108,17 @@ class XorShiftRng:
         return height
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates shuffle in place."""
+        """Fisher-Yates shuffle in place: swap ``i`` with
+        ``next_below(i + 1)`` for ``i`` from the top down, the draws
+        inlined."""
+        x = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            j = ((x * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = x
 
     def fork(self, salt: int = 1) -> "XorShiftRng":
         """Derive an independent generator (for sub-streams)."""

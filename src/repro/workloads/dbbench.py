@@ -4,7 +4,8 @@ Four modes, matching LevelDB's tool: fillrandom, fillseq, readrandom,
 readseq.  Writes use 16-byte keys and a configurable nominal value size;
 reads query keys known to exist.
 
-Every phase builds its op stream once; ``batch_size`` only picks how
+Every phase draws its op stream one column at a time
+(:func:`~repro.workloads.runner.columns`); ``batch_size`` only picks how
 :mod:`repro.workloads.runner` issues it (per op, or ``multi_*`` chunks).
 """
 
@@ -12,14 +13,8 @@ from typing import Optional
 
 from repro.kvstore.values import SizedValue
 from repro.sim.rng import XorShiftRng
-from repro.workloads.keys import key_for
-from repro.workloads.runner import (
-    Phase,
-    RunResult,
-    issue_deletes,
-    issue_gets,
-    issue_puts,
-)
+from repro.workloads.keys import keys_for
+from repro.workloads.runner import Phase, RunResult, columns, issuer
 
 
 def fill_random(
@@ -32,12 +27,14 @@ def fill_random(
     """Write ``n`` KV pairs in random key order."""
     order = list(range(n))
     XorShiftRng(seed).shuffle(order)
-    items = (
-        (key_for(index), SizedValue(tag, value_size))
-        for tag, index in enumerate(order)
-    )
+    issue = issuer(store, batch_size)
     with Phase("fillrandom", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        for ops in columns(n):
+            issue.puts(
+                keys_for(order[ops.start:ops.stop]),
+                [SizedValue(tag, value_size) for tag in ops],
+            )
+        issue.flush()
     return phase.result()
 
 
@@ -48,9 +45,11 @@ def fill_seq(
     batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in ascending key order."""
-    items = ((key_for(index), SizedValue(index, value_size)) for index in range(n))
+    issue = issuer(store, batch_size)
     with Phase("fillseq", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        for ops in columns(n):
+            issue.puts(keys_for(ops), [SizedValue(index, value_size) for index in ops])
+        issue.flush()
     return phase.result()
 
 
@@ -63,11 +62,15 @@ def read_random(
 ) -> RunResult:
     """Read ``n_reads`` uniformly random existing keys."""
     rng = XorShiftRng(seed)
-    keys = (key_for(rng.next_below(key_space)) for __ in range(n_reads))
+    issue = issuer(store, batch_size)
     with Phase("readrandom", store.system) as phase:
-        misses = issue_gets(store, keys, batch_size)
-    if misses:
-        raise AssertionError(f"readrandom missed {misses}/{n_reads} existing keys")
+        for ops in columns(n_reads):
+            issue.gets(keys_for(rng.belows(len(ops), key_space)))
+        issue.flush()
+    if issue.misses:
+        raise AssertionError(
+            f"readrandom missed {issue.misses}/{n_reads} existing keys"
+        )
     return phase.result()
 
 
@@ -75,9 +78,11 @@ def read_seq(
     store, n_reads: int, key_space: int, batch_size: Optional[int] = None
 ) -> RunResult:
     """Read keys in ascending order from the first (db_bench's readseq)."""
-    keys = (key_for(i % key_space) for i in range(n_reads))
+    issue = issuer(store, batch_size)
     with Phase("readseq", store.system) as phase:
-        issue_gets(store, keys, batch_size)
+        for ops in columns(n_reads):
+            issue.gets(keys_for([i % key_space for i in ops]))
+        issue.flush()
     return phase.result()
 
 
@@ -87,12 +92,14 @@ def overwrite(
 ) -> RunResult:
     """Random overwrites of existing keys (db_bench's overwrite)."""
     rng = XorShiftRng(seed)
-    items = (
-        (key_for(rng.next_below(key_space)), SizedValue(("ow", tag), value_size))
-        for tag in range(n)
-    )
+    issue = issuer(store, batch_size)
     with Phase("overwrite", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        for ops in columns(n):
+            issue.puts(
+                keys_for(rng.belows(len(ops), key_space)),
+                [SizedValue(("ow", tag), value_size) for tag in ops],
+            )
+        issue.flush()
     return phase.result()
 
 
@@ -102,9 +109,11 @@ def delete_random(
 ) -> RunResult:
     """Random deletions (db_bench's deleterandom)."""
     rng = XorShiftRng(seed)
-    keys = (key_for(rng.next_below(key_space)) for __ in range(n))
+    issue = issuer(store, batch_size)
     with Phase("deleterandom", store.system) as phase:
-        issue_deletes(store, keys, batch_size)
+        for ops in columns(n):
+            issue.deletes(keys_for(rng.belows(len(ops), key_space)))
+        issue.flush()
     return phase.result()
 
 
@@ -113,7 +122,9 @@ def seek_random(
 ) -> RunResult:
     """Random short range scans (db_bench's seekrandom)."""
     rng = XorShiftRng(seed)
+    scan = store.scan
     with Phase("seekrandom", store.system) as phase:
-        for __ in range(n_seeks):
-            store.scan(key_for(rng.next_below(key_space)), scan_length)
+        for ops in columns(n_seeks):
+            for key in keys_for(rng.belows(len(ops), key_space)):
+                scan(key, scan_length)
     return phase.result()

@@ -4,15 +4,16 @@ A :class:`Phase` brackets a stretch of operations against one store and
 produces a :class:`RunResult`: simulated duration, throughput, and the
 latency summary of exactly the operations issued inside the phase.
 
-A workload builds its op stream once and hands it to :func:`issue_puts`,
-:func:`issue_gets` or :func:`issue_deletes`: ``batch_size=None`` is one
-store call per op, a number sends chunks of that many ops through the
-``multi_*`` entry point.  Only wall-clock time differs between the two
+A workload draws its op stream one column of at most
+:data:`COLUMN_CHUNK` ops at a time (:func:`columns`) and hands each
+column to the :func:`issuer` it picked before the phase:
+``batch_size=None`` is one store call per op, a number sends runs of
+that many same-kind ops through the ``multi_*`` entry point, across
+column boundaries.  Only wall-clock time differs between the two
 (docs/performance.md).
 """
 
-from itertools import islice
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.sim.host import collector_paused
 from repro.sim.latency import LatencySummary
@@ -108,56 +109,140 @@ class Phase:
         return self._result
 
 
+#: Ops' worth of keys, values, op kinds and generator draws a workload
+#: makes per column: columns stay this short however long the phase is.
+#: The cluster driver's per-client columns use the same bound.
+COLUMN_CHUNK = 1024
+
+
+def columns(n_ops: int):
+    """Consecutive op-index ranges of at most :data:`COLUMN_CHUNK`,
+    covering ``range(n_ops)``."""
+    for start in range(0, n_ops, COLUMN_CHUNK):
+        yield range(start, min(start + COLUMN_CHUNK, n_ops))
+
+
 def check_batch_size(batch_size: int) -> None:
     """Reject a chunk length below one; a per-op run has none to check."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
-def _chunks(stream: Iterable, batch_size: int) -> Iterator[list]:
-    """Lists of up to ``batch_size`` consecutive items, drawn as issued."""
-    check_batch_size(batch_size)
-    stream = iter(stream)
-    while True:
-        chunk = list(islice(stream, batch_size))
-        if not chunk:
-            return
-        yield chunk
+def issuer(store, batch_size: Optional[int], check_reads: bool = False):
+    """The op issuer a phase hands its columns to.
 
-
-def issue_puts(store, items: Iterable, batch_size: Optional[int]) -> None:
-    """Write every ``(key, value)`` of ``items``, in order."""
+    It has ``gets(keys)``, ``puts(keys, values)`` and ``deletes(keys)``
+    (lists, issued in order), ``flush()`` and ``misses``, the reads
+    that found nothing so far.  With ``check_reads`` a miss raises
+    ``AssertionError`` instead: at the read, or with a ``batch_size``
+    when its batch goes out.
+    """
     if batch_size is None:
-        put = store.put
-        for key, value in items:
-            put(key, value)
-    else:
-        for chunk in _chunks(items, batch_size):
-            store.multi_put(chunk)
+        return _PerOp(store, check_reads)
+    return _Batched(store, batch_size, check_reads)
 
 
-def issue_gets(store, keys: Iterable[bytes], batch_size: Optional[int]) -> int:
-    """Read every key of ``keys``, in order; returns how many missed."""
-    misses = 0
-    if batch_size is None:
-        get = store.get
+class _Issuer:
+    def __init__(self, store, check_reads: bool) -> None:
+        self.store = store
+        self.check_reads = check_reads
+        self.misses = 0
+
+    def _missed(self) -> None:
+        if self.check_reads:
+            raise AssertionError("a read missed a loaded key")
+        self.misses += 1
+
+
+class _PerOp(_Issuer):
+    """One store call per op, in order."""
+
+    def gets(self, keys: list) -> None:
+        get = self.store.get
         for key in keys:
             if get(key)[0] is None:
-                misses += 1
-    else:
-        for chunk in _chunks(keys, batch_size):
-            for value, __ in store.multi_get(chunk):
-                if value is None:
-                    misses += 1
-    return misses
+                self._missed()
 
+    def puts(self, keys: list, values: list) -> None:
+        put = self.store.put
+        for key, value in zip(keys, values):
+            put(key, value)
 
-def issue_deletes(store, keys: Iterable[bytes], batch_size: Optional[int]) -> None:
-    """Delete every key of ``keys``, in order."""
-    if batch_size is None:
-        delete = store.delete
+    def deletes(self, keys: list) -> None:
+        delete = self.store.delete
         for key in keys:
             delete(key)
-    else:
-        for chunk in _chunks(keys, batch_size):
-            store.multi_delete(chunk)
+
+    def flush(self) -> None:
+        """Nothing is ever held back."""
+
+
+class _Batched(_Issuer):
+    """Runs of consecutive same-kind ops through ``multi_*``.
+
+    A run goes out when the kind changes, when it reaches
+    ``batch_size``, or at :meth:`flush` (before a scan, and at the end
+    of a phase): the batches an op-at-a-time buffer with those rules
+    would send, whatever the column lengths.
+    """
+
+    def __init__(self, store, batch_size: int, check_reads: bool) -> None:
+        check_batch_size(batch_size)
+        super().__init__(store, check_reads)
+        self.batch_size = batch_size
+        self._buffer: list = []
+        self._kind: Optional[str] = None
+
+    def gets(self, keys: list) -> None:
+        self._enqueue("get", keys)
+
+    def puts(self, keys: list, values: list) -> None:
+        self._enqueue("put", keys, values)
+
+    def deletes(self, keys: list) -> None:
+        self._enqueue("delete", keys)
+
+    def flush(self) -> None:
+        if self._buffer:
+            self._send(self._kind, self._buffer)
+            self._buffer = []
+        self._kind = None
+
+    def _enqueue(self, kind: str, keys: list, values: Optional[list] = None) -> None:
+        """Buffer or send ``keys`` (with ``values``, a put's pairs, which
+        are built a batch at a time)."""
+        stop = len(keys)
+        if not stop:
+            return  # an empty run must not end the buffered one
+        if kind != self._kind:
+            self.flush()
+            self._kind = kind
+        buffer = self._buffer
+        size = self.batch_size
+        at = size - len(buffer)  # the ops that fill the buffer
+        if at > stop:
+            buffer += _ops(keys, values, 0, stop)
+            return
+        buffer += _ops(keys, values, 0, at)
+        self._send(kind, buffer)
+        while at + size <= stop:
+            self._send(kind, _ops(keys, values, at, at + size))
+            at += size
+        self._buffer = _ops(keys, values, at, stop)
+
+    def _send(self, kind: str, batch: list) -> None:
+        store = self.store
+        if kind == "get":
+            for value, __ in store.multi_get(batch):
+                if value is None:
+                    self._missed()
+        elif kind == "put":
+            store.multi_put(batch)
+        else:
+            store.multi_delete(batch)
+
+
+def _ops(keys: list, values: Optional[list], start: int, stop: int) -> list:
+    if values is None:
+        return keys[start:stop]
+    return list(zip(keys[start:stop], values[start:stop]))

@@ -9,8 +9,8 @@ from typing import Dict, Optional
 
 from repro.kvstore.values import SizedValue
 from repro.sim.rng import XorShiftRng
-from repro.workloads.keys import key_for
-from repro.workloads.runner import Phase, RunResult, check_batch_size, issue_puts
+from repro.workloads.keys import keys_for
+from repro.workloads.runner import Phase, RunResult, columns, issuer
 from repro.workloads.zipfian import LatestGenerator, ScrambledZipfian
 
 
@@ -45,13 +45,19 @@ def load_phase(
     """YCSB Load: insert ``n`` records in hashed (random-looking) order."""
     order = list(range(n))
     XorShiftRng(seed).shuffle(order)
-    items = (
-        (key_for(index), SizedValue(("load", tag), value_size))
-        for tag, index in enumerate(order)
-    )
+    issue = issuer(store, batch_size)
     with Phase("load", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        for ops in columns(n):
+            issue.puts(
+                keys_for(order[ops.start:ops.stop]),
+                [SizedValue(("load", tag), value_size) for tag in ops],
+            )
+        issue.flush()
     return phase.result()
+
+
+# Op kinds, in the order the mix thresholds test them.
+READ, UPDATE, INSERT, SCAN, RMW = range(5)
 
 
 def run_workload(
@@ -74,102 +80,108 @@ def run_workload(
     ``multi_put`` up to that length.  The draw sequence, op order, and
     every simulated number are unchanged; with ``check_reads`` a missed
     read is reported when its batch flushes rather than instantly.
+
+    The mix and chooser streams are independent forks, each private to
+    the call, so each is drawn a column at a time: a column's mix draws
+    say how many chooser draws it needs (one per op but inserts), and
+    the ops go out run by run.  A spec whose draws all land on one kind
+    draws no mix column at all.
     """
     rng = XorShiftRng(seed)
-    if spec.distribution == "latest":
+    latest = spec.distribution == "latest"
+    if latest:
         chooser = LatestGenerator(record_count, rng.fork(1))
     else:
         chooser = ScrambledZipfian(record_count, rng.fork(3))
-    next_insert = record_count
     thresholds = _mix_thresholds(spec)
-    if batch_size is None:
-        read, write, flush = _per_op(store, check_reads)
-    else:
-        read, write, flush = _coalesced(store, check_reads, batch_size)
+    sole = _sole_kind(thresholds)
+    t_read, t_update, t_insert, t_scan = thresholds
+    issue = issuer(store, batch_size, check_reads)
+    next_insert = record_count
 
     with Phase(f"ycsb-{spec.name}", store.system) as phase:
-        for op_index in range(n_ops):
-            draw = rng.next_float()
-            if draw < thresholds["read"]:
-                read(key_for(chooser.next()))
-            elif draw < thresholds["update"]:
-                write(
-                    key_for(chooser.next()),
-                    SizedValue(("upd", op_index), value_size),
-                )
-            elif draw < thresholds["insert"]:
-                write(
-                    key_for(next_insert),
-                    SizedValue(("ins", op_index), value_size),
-                )
-                if isinstance(chooser, LatestGenerator):
-                    chooser.observe_insert(next_insert)
-                next_insert += 1
-            elif draw < thresholds["scan"]:
-                flush()
-                store.scan(key_for(chooser.next()), spec.scan_length)
-            else:  # read-modify-write: the get must precede the put
-                key = key_for(chooser.next())
-                read(key)
-                write(key, SizedValue(("rmw", op_index), value_size))
-        flush()
+        for ops in columns(n_ops):
+            count = len(ops)
+            if sole is None:
+                kinds = [
+                    READ if u < t_read else UPDATE if u < t_update
+                    else INSERT if u < t_insert else SCAN if u < t_scan else RMW
+                    for u in rng.floats(count)
+                ]
+                runs = _runs(kinds)
+                picks = count - kinds.count(INSERT)
+            else:
+                runs = [(sole, 0, count)]
+                picks = 0 if sole == INSERT else count
+            if latest:
+                drawn = chooser.offsets(picks)
+            else:
+                drawn = keys_for(chooser.take(picks))
+            at = 0  # the next unused chooser draw
+            base = ops.start
+            for kind, start, stop in runs:
+                if kind == INSERT:
+                    issue.puts(
+                        keys_for(range(next_insert, next_insert + stop - start)),
+                        [SizedValue(("ins", i), value_size)
+                         for i in range(base + start, base + stop)],
+                    )
+                    next_insert += stop - start
+                    if latest:
+                        chooser.observe_insert(next_insert - 1)
+                    continue
+                end = at + stop - start
+                if latest:
+                    keys = keys_for(chooser.resolve(drawn[at:end]))
+                else:
+                    keys = drawn[at:end]
+                at = end
+                if kind == READ:
+                    issue.gets(keys)
+                elif kind == UPDATE:
+                    issue.puts(keys, [
+                        SizedValue(("upd", i), value_size)
+                        for i in range(base + start, base + stop)
+                    ])
+                elif kind == SCAN:
+                    for key in keys:
+                        issue.flush()
+                        store.scan(key, spec.scan_length)
+                else:  # read-modify-write: the get must precede the put
+                    for i, key in zip(range(base + start, base + stop), keys):
+                        issue.gets([key])
+                        issue.puts([key], [SizedValue(("rmw", i), value_size)])
+        issue.flush()
     return phase.result()
 
 
-def _per_op(store, check_reads: bool):
-    """``(read, write, flush)`` issuing each op as the mix loop draws it."""
+def _runs(kinds: list) -> list:
+    """``(kind, start, stop)`` of each run of equal consecutive kinds."""
+    runs = []
+    start = 0
+    kind = kinds[0]
+    for i, each in enumerate(kinds):
+        if each != kind:
+            runs.append((kind, start, i))
+            start, kind = i, each
+    runs.append((kind, start, len(kinds)))
+    return runs
 
-    def read(key: bytes) -> None:
-        value, __ = store.get(key)
-        if check_reads and value is None:
-            raise AssertionError("YCSB read missed a loaded key")
 
-    return read, store.put, lambda: None
+def _sole_kind(thresholds) -> Optional[int]:
+    """The kind every mix draw lands on, or None when draws differ.
 
-
-def _coalesced(store, check_reads: bool, batch_size: int):
-    """``(read, write, flush)`` buffering runs of consecutive same-kind ops.
-
-    A run goes out through ``multi_get`` / ``multi_put`` when the kind
-    changes, when it reaches ``batch_size``, or at ``flush()``, which the
-    mix loop calls before a scan and at the end.
+    A draw ``u`` in ``[0, 1)`` is the first kind whose threshold exceeds
+    it, else RMW.  Thresholds at or below 0 catch no draw, one at or
+    above 1 catches every draw that reaches it.
     """
-    check_batch_size(batch_size)
-    buffer: list = []
-    buffer_kind: Optional[str] = None
-
-    def flush() -> None:
-        nonlocal buffer_kind
-        if not buffer:
-            return
-        if buffer_kind == "get":
-            for value, __ in store.multi_get(buffer):
-                if check_reads and value is None:
-                    raise AssertionError("YCSB read missed a loaded key")
-        else:
-            store.multi_put(buffer)
-        buffer.clear()
-        buffer_kind = None
-
-    def enqueue(kind: str, item) -> None:
-        nonlocal buffer_kind
-        if buffer_kind != kind:
-            flush()
-            buffer_kind = kind
-        buffer.append(item)
-        if len(buffer) >= batch_size:
-            flush()
-
-    def read(key: bytes) -> None:
-        enqueue("get", key)
-
-    def write(key: bytes, value) -> None:
-        enqueue("put", (key, value))
-
-    return read, write, flush
+    for kind, threshold in enumerate(thresholds):
+        if threshold > 0:
+            return kind if threshold >= 1.0 else None
+    return RMW
 
 
-def _mix_thresholds(spec: YcsbSpec) -> Dict[str, float]:
+def _mix_thresholds(spec: YcsbSpec) -> tuple:
     total = spec.read + spec.update + spec.insert + spec.scan + spec.rmw
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"workload {spec.name} mix sums to {total}, expected 1")
@@ -177,4 +189,4 @@ def _mix_thresholds(spec: YcsbSpec) -> Dict[str, float]:
     update_t = read_t + spec.update
     insert_t = update_t + spec.insert
     scan_t = insert_t + spec.scan
-    return {"read": read_t, "update": update_t, "insert": insert_t, "scan": scan_t}
+    return read_t, update_t, insert_t, scan_t

@@ -38,9 +38,7 @@ class UniformGenerator:
 
     def take(self, count: int) -> list:
         """``count`` draws of :meth:`next`, in one call."""
-        below = self._rng.next_below
-        n = self.n
-        return [below(n) for __ in range(count)]
+        return self._rng.belows(count, self.n)
 
 
 class ZipfianGenerator:
@@ -66,7 +64,11 @@ class ZipfianGenerator:
         )
 
     @staticmethod
+    @lru_cache(maxsize=64, typed=True)
     def _zeta(n: int, theta: float) -> float:
+        """``sum(1 / i**theta for i in 1..n)``: O(n), and every generator
+        over the same key space and skew needs the same one, so the
+        last few are remembered."""
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:
@@ -82,17 +84,12 @@ class ZipfianGenerator:
         """``count`` draws of :meth:`next`, bit for bit, in one call."""
         n, zetan, eta, alpha = self.n, self._zetan, self._eta, self._alpha
         rank_one = 1.0 + 0.5 ** self.theta
-        ranks = []
-        append = ranks.append
-        for u in self._rng.floats(count):
-            uz = u * zetan
-            if uz < 1.0:
-                append(0)
-            elif uz < rank_one:
-                append(1)
-            else:
-                append(int(n * ((eta * u - eta + 1) ** alpha)))
-        return ranks
+        return [
+            0 if (uz := u * zetan) < 1.0
+            else 1 if uz < rank_one
+            else int(n * ((eta * u - eta + 1) ** alpha))
+            for u in self._rng.floats(count)
+        ]
 
 
 class ScrambledZipfian:
@@ -104,6 +101,11 @@ class ScrambledZipfian:
 
     def next(self) -> int:
         return _scrambled(self._zipf.next()) % self.n
+
+    def take(self, count: int) -> list:
+        """``count`` draws of :meth:`next`, bit for bit, in one call."""
+        n = self.n
+        return [_scrambled(rank) % n for rank in self._zipf.take(count)]
 
 
 class LatestGenerator:
@@ -122,3 +124,20 @@ class LatestGenerator:
         offset = self._zipf.next()
         value = self.max_index - offset
         return value if value >= 0 else 0
+
+    def offsets(self, count: int) -> list:
+        """The zipfian offsets of the next ``count`` draws, in one call.
+
+        A draw is its offset back from ``max_index`` *when the op is
+        issued*, and inserts move ``max_index`` between draws, so the
+        column holds offsets; :meth:`resolve` turns a run of them into
+        indices.  ``resolve(offsets(k))`` with no insert in between is
+        ``k`` calls of :meth:`next`, and leaves the generator where they
+        would.
+        """
+        return self._zipf.take(count)
+
+    def resolve(self, offsets: list) -> list:
+        """Record indices of ``offsets`` at the current ``max_index``."""
+        top = self.max_index
+        return [top - offset if offset <= top else 0 for offset in offsets]

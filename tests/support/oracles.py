@@ -89,3 +89,27 @@ def head_keep(seed: int, seq: int, rate: float, run_len: int = HEAD_RUN) -> bool
         raise ValueError(f"run_len must be >= 1, got {run_len}")
     threshold = int(rate * float(1 << 64))
     return splitmix64(seed ^ ((seq // run_len) * _SPLITMIX_GAMMA)) < threshold
+
+
+def truncate_through_by_walk(wal, seq: int) -> int:
+    """``WriteAheadLog.truncate_through`` as a walk over every retained
+    record, rebuilding the list: the reference the bisected cut is held to."""
+    kept = []
+    freed = 0
+    dropped_pending = False
+    for record in wal._records:
+        if record.seq <= seq:
+            if record.synced:
+                freed += record.frame_bytes
+            else:
+                dropped_pending = True
+        else:
+            kept.append(record)
+    wal._records = kept
+    if dropped_pending:
+        wal._pending = [r for r in wal._pending if r.seq > seq]
+        if not wal._pending:
+            wal._window_start = None
+    if freed:
+        wal.device.release(freed)
+    return freed

@@ -48,6 +48,28 @@ def test_sized_value_rejects_negative():
         SizedValue("x", -1)
 
 
+class _Size(int):
+    """An int subclass: accepted past the plain-int fast path."""
+
+
+@pytest.mark.parametrize("size", [0, 1, 4096, 2**70, _Size(7), _Size(0)])
+def test_sized_value_accepts_ints_and_int_subclasses(size):
+    value = SizedValue("x", size)
+    assert value.nbytes == size and value.nbytes is size
+
+
+@pytest.mark.parametrize("size, error", [
+    (True, TypeError), (False, TypeError), (2.5, TypeError), (1.0, TypeError),
+    ("3", TypeError), (None, TypeError), (b"\x01", TypeError),
+    (-1, ValueError), (-(2**70), ValueError), (_Size(-3), ValueError),
+])
+def test_sized_value_refuses_what_it_always_refused(size, error):
+    """``bool`` is an ``int`` subclass and still a type error; a negative
+    int of any int type is a value error."""
+    with pytest.raises(error, match="value size must be"):
+        SizedValue("x", size)
+
+
 @pytest.mark.parametrize("size", [2.5, float("nan"), float("inf"), True])
 def test_a_size_that_is_not_an_int_is_refused_before_the_store_sees_it(size):
     # A fractional size left fractional byte counters, a NaN failed only

@@ -6,6 +6,7 @@ from repro.mem.device import Device
 from repro.mem.profiles import OPTANE_NVM_PROFILE
 from repro.persist.wal import WriteAheadLog
 from repro.sim.clock import SimClock
+from tests.support.oracles import truncate_through_by_walk
 from tests.support.probes import live_bytes, tear_tail
 
 records = st.lists(
@@ -115,3 +116,62 @@ def test_records_since_equals_full_log_filter(ops, policy, cursors):
             got = wal.records_since(cursor)
             assert len(got) == len(want)
             assert all(a is b for a, b in zip(got, want))
+
+
+def _log_state(wal):
+    return (
+        [(r.seq, r.key, r.synced, r.torn, r.batch_id, r.commit) for r in wal._records],
+        [r.seq for r in wal._pending],
+        wal._window_start,
+        wal.device.bytes_in_use,
+    )
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.integers(1, 3)),
+            st.tuples(st.just("batch"), st.integers(1, 4)),
+            st.tuples(st.just("sync"), st.just(0)),
+            st.tuples(st.just("tick"), st.integers(0, 3)),
+            st.tuples(st.just("truncate"), st.integers(-1, 150)),
+            st.tuples(st.just("tear"), st.integers(0, 2)),
+        ),
+        max_size=60,
+    ),
+    st.sampled_from(["sync", "batch:3", "interval:2e-6"]),
+)
+def test_bisected_truncate_equals_the_full_walk(ops, policy):
+    """Two logs fed the same appends, syncs and tears: the one cut by
+    ``truncate_through`` and the one cut by the walk over every record
+    keep the same records, free the same bytes and leave the device and
+    the group-commit buffer in the same state."""
+    logs = [
+        WriteAheadLog(Device(OPTANE_NVM_PROFILE, SimClock()), fsync_policy=policy)
+        for __ in range(2)
+    ]
+    fast, walked = logs
+    seq = 0
+    for op, arg in ops:
+        if op == "append":
+            seq += arg  # gaps are fine; seqs only ever ascend
+            for wal in logs:
+                wal.append(seq, b"k%d" % seq, b"v" * arg, arg)
+        elif op == "batch":
+            items = [(seq + i + 1, b"b%d" % (seq + i + 1), b"v", 1) for i in range(arg)]
+            seq += arg
+            for wal in logs:
+                wal.append_batch(items)
+        elif op == "sync":
+            for wal in logs:
+                wal.sync()
+        elif op == "tick":
+            for wal in logs:
+                wal.device.clock.advance(arg * 1e-6)
+        elif op == "tear":
+            for wal in logs:
+                tear_tail(wal, arg)
+        else:
+            assert fast.truncate_through(arg) == truncate_through_by_walk(walked, arg)
+        assert _log_state(fast) == _log_state(walked)

@@ -26,7 +26,7 @@ from repro.workloads.dbbench import (
 )
 from repro.sim.rng import XorShiftRng
 from repro.workloads.keys import key_for
-from repro.workloads.runner import Phase, issue_gets
+from repro.workloads.runner import Phase, issuer
 from repro.workloads.ycsb import YCSB_WORKLOADS, load_phase, run_workload
 
 KB = 1 << 10
@@ -45,8 +45,10 @@ def _sha(obj) -> str:
 def _gets(store, name, keys, batch):
     """A read phase from the runner's parts: ``readseq`` from the middle
     of the key space, ``readrandom`` over keys a delete phase removed."""
+    issue = issuer(store, batch)
     with Phase(name, store.system) as phase:
-        issue_gets(store, keys, batch)
+        issue.gets(list(keys))
+        issue.flush()
     return phase.result()
 
 
