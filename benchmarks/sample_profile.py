@@ -11,7 +11,10 @@ under a ``SIGPROF`` timer that samples the Python stack every
 millisecond of CPU time (the kernel's timer tick may round that up).
 Per function it prints the self share (the sampled leaf frame) and the
 cumulative share (on the stack), over the samples taken inside the
-phases, the ``TOP_ROWS`` largest by self share.
+phases, the ``TOP_ROWS`` largest by self share; then every layer's
+summed self share (the packages under ``src/repro`` that the e2e
+ledger buckets by, ``benchmarks/e2e/ledger.py``'s ``LAYERS``, plus
+``other``), so a layer spread over many small frames is counted whole.
 
 Unlike ``cProfile`` (the ``--trace 1`` ledger), sampling adds no cost
 per call, so a kernel that runs one long loop is not under-reported
@@ -29,6 +32,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(HERE / "e2e"))
 
+from ledger import LAYERS  # noqa: E402
 from workloads import WORKLOADS, Ctx  # noqa: E402
 
 INTERVAL_S = 1e-3
@@ -40,6 +44,13 @@ def where(code) -> str:
     parts = path.parts
     name = "/".join(parts[parts.index("repro"):]) if "repro" in parts else path.name
     return f"{name}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def layer_of(key: str) -> str:
+    """The ledger layer of a :func:`where` key: its package under ``repro``."""
+    head, __, rest = key.partition("/")
+    layer = rest.partition("/")[0]
+    return layer if head == "repro" and layer in LAYERS else "other"
 
 
 class Sampler:
@@ -93,6 +104,12 @@ def main(argv=None) -> int:
     print(f"{'self %':>7} {'cum %':>7}  function")
     for key, count in sampler.own.most_common(TOP_ROWS):
         print(f"{100 * count / n:7.1f} {100 * sampler.total[key] / n:7.1f}  {key}")
+    layers = collections.Counter()
+    for key, count in sampler.own.items():
+        layers[layer_of(key)] += count
+    print(f"{'self %':>7}  layer")
+    for layer in LAYERS + ("other",):
+        print(f"{100 * layers[layer] / n:7.1f}  {layer}")
     return 0
 
 

@@ -20,9 +20,8 @@ emitted right there when the device has a recorder; but a device's
 ``Device.add_reads``, because nothing reads them mid-scan.  A
 scan that raises commits no counters.
 
-:class:`MergedView` memoises the merge of one store's sources that stand
-still, merges the ones that take writes live beside it, and answers
-scans with the kernel's exact charges.
+:class:`MergedView` memoises the merge of the sources that stand still;
+the same loop merges the sources that take writes live beside it.
 """
 
 import math
@@ -70,36 +69,54 @@ def merged_scan(
     ``frozen_index()`` as the caller already captured it for this scan,
     aligned with ``sources``; the kernel then asks no list again.
     """
+    return _merge(system, start_key, count, sources, indexes, None, None)
+
+
+def _merge(system, start_key, count, sources, indexes, columns, roles):
+    """:func:`merged_scan`, with a :class:`MergedView`'s members from ``columns``."""
     if count <= 0:
         return [], 0.0
-    cpu = system.cpu
-    compare = cpu.COMPARE_COST
-    deserialize_bw = cpu.DESERIALIZE_BW
+    compare = system.cpu.COMPARE_COST
+    deserialize_bw = system.cpu.DESERIALIZE_BW
     seconds = 0.0
     heap = []
-    # Per source, one constants tuple: (its run, or None for a skip list;
-    # then its device's hop cost, read latency, read bandwidth, [bytes,
-    # ops] tally, recorder, name).  Every skip list on a device shares
-    # the device's tuple.
+    # Per live source, its heap items' last field: (its run or None, then
+    # its device's hop cost, read latency, read bandwidth, [bytes, ops]
+    # tally, recorder and the device), shared by a device's skip lists.
     devices = {}
-    tallies = {}
-    state = []
-    for order, source in enumerate(sources):
+    start = 0  # the members' merged start position
+    if columns is None:
+        roles = repeat(None)
+    else:
+        terms, live, live_nodes, reads = columns
+        head_bytes = [0] * len(reads)
+        head_ops = [0] * len(reads)
+    for order, (source, role) in enumerate(zip(sources, roles)):
+        if role is not None:
+            slot, hop, latency, bw = role
+            keys, nodes, hops_at = indexes[order]
+            p = bisect_left(keys, start_key)
+            start += p
+            seconds += (hops_at[p] or 1) * (hop + compare)
+            if p < len(nodes):
+                nbytes = nodes[p].nbytes
+                seconds += hop
+                seconds += latency + nbytes / bw
+                head_bytes[slot] += nbytes
+                head_ops[slot] += 1
+            continue
         if len(source) == 2:
             skiplist, device = source
             run = None
         else:
             run, index, device = source
-        terms = devices.get(device)
-        if terms is None:
-            name = device.name
-            tally = tallies[device] = [0, 0]
-            terms = devices[device] = (
+        quote = devices.get(device)
+        if quote is None:
+            quote = devices[device] = (
                 None, device.hop_time(), *device.seq_read_rate(),
-                tally, device.obs, name,
+                [0, 0], device.obs, device,
             )
-        __, hop, latency, bw, tally, obs, name = terms
-        state.append(terms if run is None else (run,) + terms[1:])
+        __, hop, latency, bw, tally, obs, __ = quote
         if run is None:
             frozen = skiplist.frozen_index() if indexes is None else indexes[order]
             if frozen is None:
@@ -114,13 +131,13 @@ def merged_scan(
                 continue
             nbytes = node.nbytes
             seconds += hop
-            item = (node.key, -node.seq, order, node)
+            item = (node.key, -node.seq, order, node, quote)
         else:
             if index >= len(run):
                 continue
             head = run[index]
             nbytes = entry_frame_bytes(head)
-            item = (head[0], -head[1], order, index)
+            item = (head[0], -head[1], order, index, (run,) + quote[1:])
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
         spent = latency + nbytes / bw
@@ -128,7 +145,7 @@ def merged_scan(
         tally[0] += nbytes
         tally[1] += 1
         if obs is not None:
-            obs.transfer(name, "read", nbytes, True, spent)
+            obs.transfer(device.name, "read", nbytes, True, spent)
         if run is not None:
             seconds += nbytes / deserialize_bw
         heap.append(item)
@@ -137,9 +154,45 @@ def merged_scan(
     append = out.append
     remaining = count
     last_key = None
-    while heap:
-        key, neg_seq, order, cursor = heap[0]
-        run, hop, latency, bw, tally, obs, name = state[order]
+    pos = start
+    while heap or columns is not None:
+        if columns is not None:
+            # The member step: members from ``pos`` up to the next live
+            # item's rank, the count or the end; the version at ``pos``
+            # is skipped when it opens the key the last live item decided.
+            first = live[pos] + (
+                last_key is not None and pos < len(live) - 1
+                and live[pos + 1] != live[pos]
+                and live_nodes[live[pos]].key == last_key
+            )
+            stop = first + remaining
+            if stop <= len(live_nodes):
+                end = bisect_left(live, stop, pos) - 1
+            else:
+                end = len(live) - 1
+            if heap:
+                key, neg_seq, order, cursor, const = heap[0]
+                if stop <= len(live_nodes) and key > live_nodes[stop - 1].key:
+                    at = end + 1
+                else:
+                    at, ahead = _rank(indexes, roles, key, neg_seq, order)
+            if not heap or at > end:
+                # The members alone reach the count, or the end.
+                out += map(_pair, live_nodes[first:stop])
+                seconds = reduce(add, terms[2 * pos:2 * end], seconds)
+                pos = end
+                break
+            if at > pos:
+                cut = live[at]
+                out += map(_pair, live_nodes[first:cut])
+                remaining -= cut - first
+                seconds = reduce(add, terms[2 * pos:2 * at], seconds)
+                pos = at
+            if ahead:
+                last_key = key  # a member version decided the key
+        else:
+            key, neg_seq, order, cursor, const = heap[0]
+        run, hop, latency, bw, tally, obs, device = const
         if key != last_key:
             last_key = key
             value = cursor.value if run is None else run[cursor][2]
@@ -155,7 +208,7 @@ def merged_scan(
                 continue
             nbytes = cursor.nbytes
             seconds += hop
-            item = (cursor.key, -cursor.seq, order, cursor)
+            item = (cursor.key, -cursor.seq, order, cursor, const)
         else:
             cursor += 1
             if cursor == len(run):
@@ -163,7 +216,7 @@ def merged_scan(
                 continue
             head = run[cursor]
             nbytes = entry_frame_bytes(head)
-            item = (head[0], -head[1], order, cursor)
+            item = (head[0], -head[1], order, cursor, const)
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
         spent = latency + nbytes / bw
@@ -171,12 +224,18 @@ def merged_scan(
         tally[0] += nbytes
         tally[1] += 1
         if obs is not None:
-            obs.transfer(name, "read", nbytes, True, spent)
+            obs.transfer(device.name, "read", nbytes, True, spent)
         if run is not None:
             seconds += nbytes / deserialize_bw
         heapreplace(heap, item)
-    for device, (nbytes, ops) in tallies.items():
-        device.add_reads(nbytes, ops)
+    if columns is not None:
+        for slot, (device, bytes_at, ops_at) in enumerate(reads):
+            device.add_reads(
+                head_bytes[slot] + bytes_at[pos] - bytes_at[start],
+                head_ops[slot] + ops_at[pos] - ops_at[start],
+            )
+    for device, quote in devices.items():
+        device.add_reads(*quote[4])
     return out, seconds
 
 
@@ -184,10 +243,10 @@ def merged_scan(
 #: ``entries / VIEW_PAYBACK`` consecutive scans unchanged: sources that
 #: held that long are bet to hold as long again, which is when the build
 #: has paid for itself.  The ratio was measured on ``store-scan``'s
-#: settled store (6 sources, 28 300 merged entries, 20-key scans, a
-#: 2-vCPU container, medians of 15 interleaved blocks): the build costs
-#: 2.5 µs of host time per merged entry and a served scan saves 35 µs
-#: against the heap kernel, 13 scans per entry (quartiles 11 and 17).
+#: store after its ``seek`` phase (28 180 member entries, 20-key scans, a
+#: 2-vCPU container, 15 interleaved blocks): the build costs 2.5 µs of
+#: host time per member entry and a served scan saves 24.5 µs against
+#: the merge without the view, a ratio of 8.7 (quartiles 7.7 and 10.7).
 VIEW_PAYBACK = 9
 
 #: A node's ``(key, value)`` pair, built in C.
@@ -212,26 +271,25 @@ class MergedView:
       end;
     * ``live[i]``: live keys (the newest member version of a key, not a
       tombstone) among positions ``< i``;
-    * per device, ``read_bytes[d][i]`` / ``read_ops[d][i]``: the
-      advance reads charged on it before position ``i``;
+    * per device, ``bytes_at[i]`` / ``ops_at[i]``: the advance reads
+      charged on it before position ``i``;
 
     and the live nodes themselves: with ``d`` devices, ``16 + 4 + 8d``
     bytes per merged entry plus 8 per live one (36 on MioDB's NVM
     members when every entry is live).  Every other listed source is
     *live*: the first, and any source listed since the start (an
-    immutable MemTable, a freshly flushed PMTable).  A served scan
-    charges each source's seek and head read in listing order, exactly
-    as the kernel does; the members' merged start ``P`` is the sum of
-    their ``bisect_left`` positions.  The live sources' items then merge
-    into the member order at their ``(key, -seq, listing order)`` rank:
-    between two live items the members contribute one slice of the live
-    nodes and one left-to-right float sum over ``terms``, and each live
-    item adds its own two advance charges where the kernel would.  A
-    live version shadows the member versions of its key that follow it
-    (they are still charged), and the ``count``-th pair may come from
-    either side.  Device counters are the member prefix differences
-    plus a tally of the live reads.  So pairs, seconds and counters are
-    the kernel's, bit for bit.
+    immutable MemTable, a freshly flushed PMTable).  A served scan is
+    :func:`_merge` with the members kept out of its heap.  Every
+    source's seek and head read is charged in listing order; the
+    members' merged start ``P`` is the sum of their ``bisect_left``
+    positions.  Before each live item, at its ``(key, -seq, listing
+    order)`` rank, the members add one slice of the live nodes and one
+    left-to-right float sum over ``terms``.  A live version shadows the
+    member versions of its key that follow it (they are still charged),
+    and the ``count``-th pair may come from either side.  Device
+    counters add the members' head reads and prefix differences to the
+    live reads.  So pairs, seconds and counters are the kernel's, bit
+    for bit.
 
     The view serves a scan only while all of these hold, and is dropped
     at the first scan that sees one broken:
@@ -246,9 +304,9 @@ class MergedView:
       ``seq_read_rate()`` it quoted at the start.
 
     A write to the first source or a new listed source changes none of
-    these.  A scan is left to :func:`merged_scan` when any source is a
-    sorted run, or when a listed device has a recorder (transfer events
-    are emitted per read).  Members with a node of negative size are
+    these.  A scan merges without the view when any source is a sorted
+    run, or when a listed device has a recorder (transfer events are
+    emitted per read).  Members with a node of negative size are
     never built: the failed build is not retried until the members
     change.  ``served`` counts the scans the view answered; one that
     raised is not counted.
@@ -260,7 +318,7 @@ class MergedView:
         # listing order, (number, device, frozen index, in-place
         # updates, (device slot, hop, latency, bw)); per device (device,
         # hop, (latency, bw)) as quoted when the streak began; the
-        # merged entry count (``inf`` once a build failed); the scans it
+        # merged entry count (``inf`` once built or a build failed); the scans it
         # has lasted; and, once built, the columns.
         self._members: Optional[dict] = None
         self._devices: list = []
@@ -279,27 +337,26 @@ class MergedView:
             return merged_scan(system, start_key, count, sources)
         indexes = [skiplist.frozen_index() for skiplist, __ in sources]
         roles = self._roles(sources, indexes)
-        if roles is not None:
-            if self._columns is not None:
-                for __, device in sources:
-                    if device.obs is not None:
-                        break
-                else:
-                    result = self._serve(system, start_key, count, sources, indexes, roles)
-                    self.served += 1
-                    return result
-            self._streak += 1
-        else:
+        if roles is None:
             self._restart(sources, indexes)
+        elif self._columns is not None:
+            for __, device in sources:
+                if device.obs is not None:
+                    break
+            else:
+                result = _merge(
+                    system, start_key, count, sources, indexes, self._columns, roles
+                )
+                self.served += 1
+                return result
+        self._streak += 1
         result = merged_scan(system, start_key, count, sources, indexes)
         if (
-            self._columns is None
-            and self._members is not None
+            self._members is not None
             and self._streak * VIEW_PAYBACK >= self._entries
         ):
             self._columns = self._build()
-            if self._columns is None:
-                self._entries = math.inf  # not retried until the members change
+            self._entries = math.inf  # built, or not retried until the members change
         return result
 
     def _roles(self, sources, indexes) -> Optional[list]:
@@ -335,7 +392,7 @@ class MergedView:
         self._columns = None
         self._members = None
         self._devices = []
-        self._streak = 1
+        self._streak = 0  # the scan that restarts it counts it
         if sources is None or len(sources) < 2 or None in indexes[1:]:
             return
         slots = {}
@@ -381,7 +438,6 @@ class MergedView:
         bytes_append = succ_bytes.append
         slot_append = succ_slot.append
         live_node = live_nodes.append
-        end = (0.0, 0.0)
         past = len(self._devices)
         n_live = 0
         last_key = None
@@ -398,7 +454,7 @@ class MergedView:
             p += 1
             if p == len(nodes):
                 heappop(heap)
-                terms.extend(end)
+                terms.extend((0.0, 0.0))
                 bytes_append(0)
                 slot_append(past)
                 continue
@@ -413,141 +469,15 @@ class MergedView:
         if succ_bytes and min(succ_bytes) < 0:
             return None
         code = "I" if sum(succ_bytes) < 1 << 32 else "q"
-        read_bytes = []
-        read_ops = []
-        for slot in range(past):
+        reads = []
+        for slot, (device, __, __) in enumerate(self._devices):
             mine = array("B", map(eq, succ_slot, repeat(slot)))
-            read_ops.append(array("I", accumulate(mine, initial=0)))
-            read_bytes.append(
-                array(code, accumulate(map(mul, succ_bytes, mine), initial=0))
-            )
-        return terms, live, read_bytes, read_ops, live_nodes
-
-    def _serve(self, system, start_key, count, sources, indexes, roles):
-        terms, live, read_bytes, read_ops, live_nodes = self._columns
-        compare = system.cpu.COMPARE_COST
-        seconds = 0.0
-        # Heads in listing order.  Per live device, its quote and
-        # [bytes, ops] tally, which each of its sources' heap items
-        # carries.
-        head_bytes = [0] * len(read_ops)
-        head_ops = [0] * len(read_ops)
-        quotes = {}
-        heap = []
-        start = 0
-        for order, ((skiplist, device), index, cost) in enumerate(
-            zip(sources, indexes, roles)
-        ):
-            if cost is not None:
-                slot, hop, latency, bw = cost
-                keys, nodes, hops_at = index
-                p = bisect_left(keys, start_key)
-                start += p
-                seconds += (hops_at[p] or 1) * (hop + compare)
-                if p < len(nodes):
-                    nbytes = nodes[p].nbytes
-                    seconds += hop
-                    seconds += latency + nbytes / bw
-                    head_bytes[slot] += nbytes
-                    head_ops[slot] += 1
-                continue
-            quote = quotes.get(device)
-            if quote is None:
-                quote = quotes[device] = (
-                    device.hop_time(), *device.seq_read_rate(), [0, 0]
-                )
-            hop, latency, bw, tally = quote
-            if index is None:
-                node, hops = skiplist.first_ge(start_key)
-            else:
-                keys, nodes, hops_at = index
-                p = bisect_left(keys, start_key)
-                node = nodes[p] if p < len(nodes) else None
-                hops = hops_at[p]
-            seconds += (hops or 1) * (hop + compare)
-            if node is None:
-                continue
-            nbytes = node.nbytes
-            seconds += hop
-            if nbytes < 0:
-                raise ValueError(f"negative read size: {nbytes}")
-            seconds += latency + nbytes / bw
-            tally[0] += nbytes
-            tally[1] += 1
-            heap.append((node.key, -node.seq, order, node, quote))
-        heapify(heap)
-        # The merge: members from ``pos`` up to the next live item's
-        # rank, then that item, until ``count`` pairs or the end.
-        # ``skip`` is 1 when the member version at ``pos`` opens a key the
-        # last live item already decided.
-        out: List[tuple] = []
-        n_live = len(live_nodes)
-        last = len(live) - 1
-        pos = start
-        skip = 0
-        remaining = count
-        live_key = None
-        while True:
-            first = live[pos] + skip
-            stop = first + remaining
-            if stop <= n_live:
-                end = bisect_left(live, stop, pos) - 1
-            else:
-                end = last
-            if heap:
-                key, neg_seq, order, node, quote = heap[0]
-                if stop <= n_live and key > live_nodes[stop - 1].key:
-                    at = end + 1
-                else:
-                    at, ahead = _rank(indexes, roles, key, neg_seq, order)
-            if not heap or at > end:
-                # The members alone reach the count, or the end.
-                out += map(_pair, live_nodes[first:stop])
-                seconds = reduce(add, terms[2 * pos:2 * end], seconds)
-                pos = end
-                break
-            if at > pos:
-                cut = live[at]
-                out += map(_pair, live_nodes[first:cut])
-                remaining -= cut - first
-                seconds = reduce(add, terms[2 * pos:2 * at], seconds)
-                pos = at
-            # A version merged earlier -- a member's or a live one's --
-            # decides the key.
-            shadowed = ahead or key == live_key
-            live_key = key
-            if not shadowed and node.value is not TOMBSTONE:
-                out.append((key, node.value))
-                remaining -= 1
-                if not remaining:
-                    break
-            node = node.next[0]
-            if node is None:
-                heappop(heap)
-            else:
-                hop, latency, bw, tally = quote
-                nbytes = node.nbytes
-                seconds += hop
-                if nbytes < 0:
-                    raise ValueError(f"negative read size: {nbytes}")
-                seconds += latency + nbytes / bw
-                tally[0] += nbytes
-                tally[1] += 1
-                heapreplace(heap, (node.key, -node.seq, order, node, quote))
-            skip = int(
-                pos < last and live[pos + 1] != live[pos]
-                and live_nodes[live[pos]].key == live_key
-            )
-        for (device, __, __), nbytes, ops, bytes_at, ops_at in zip(
-            self._devices, head_bytes, head_ops, read_bytes, read_ops
-        ):
-            device.add_reads(
-                nbytes + bytes_at[pos] - bytes_at[start],
-                ops + ops_at[pos] - ops_at[start],
-            )
-        for device, (__, __, __, (nbytes, ops)) in quotes.items():
-            device.add_reads(nbytes, ops)
-        return out, seconds
+            reads.append((
+                device,
+                array(code, accumulate(map(mul, succ_bytes, mine), initial=0)),
+                array("I", accumulate(mine, initial=0)),
+            ))
+        return terms, live, live_nodes, reads
 
 
 def _rank(indexes, roles, key, neg_seq, order) -> Tuple[int, bool]:
@@ -560,9 +490,8 @@ def _rank(indexes, roles, key, neg_seq, order) -> Tuple[int, bool]:
             continue
         keys, nodes, __ = index
         p = bisect_left(keys, key)
-        n = len(keys)
         while (
-            p < n and keys[p] == key
+            p < len(keys) and keys[p] == key
             and (-nodes[p].seq, member_order) < (neg_seq, order)
         ):
             p += 1
