@@ -9,6 +9,7 @@ regenerate the time series with bucketed averages and quantify
 from conftest import run_once
 
 from repro.bench import format_table, make_store
+from repro.sim.latency import equal_bins
 from repro.workloads import YCSB_WORKLOADS, load_phase, run_workload
 
 KB = 1 << 10
@@ -39,11 +40,10 @@ def run_latency_series(scale):
 def _bucketise(rows):
     if not rows:
         return []
-    t0, t1 = rows[0][0], rows[-1][0]
-    width = ((t1 - t0) or 1e-12) / BUCKETS
+    times = [at for at, __ in rows]
+    __, slots = equal_bins(times, times[0], times[-1], BUCKETS)
     sums, counts = [0.0] * BUCKETS, [0] * BUCKETS
-    for at, lat in rows:
-        idx = min(BUCKETS - 1, int((at - t0) / width))
+    for idx, (__, lat) in zip(slots, rows):
         sums[idx] += lat
         counts[idx] += 1
     return [

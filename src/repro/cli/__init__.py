@@ -16,7 +16,7 @@ import sys
 from typing import List
 
 from repro.bench import STORE_NAMES, make_store
-from repro.obs.export import write_artifact
+from repro.obs.export import document_json, write_artifact
 from repro.persist.wal import parse_fsync_policy
 
 
@@ -166,10 +166,8 @@ def _wrote(label: str, path, text, note: str = "") -> None:
 
 def _wrote_flight_dumps(recorders, labels, out_dir) -> None:
     """One JSON file per flight dump; deterministic names and bytes."""
-    from repro.obs.live import FlightRecorder
-
     _wrote("flight dumps", out_dir, {
-        f"flight-{label}-{i}-{doc['trigger']}.json": FlightRecorder.dump_json(doc)
+        f"flight-{label}-{i}-{doc['trigger']}.json": document_json(doc)
         for label, recorder in zip(labels, recorders)
         for i, doc in enumerate(recorder.flight.dumps)
     })

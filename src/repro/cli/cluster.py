@@ -22,6 +22,7 @@ from repro.cli import (
     _wrote,
     _wrote_flight_dumps,
 )
+from repro.obs.export import document_json
 
 _fraction = _number_arg(float, lambda x: 0 <= x <= 1, "a fraction in [0, 1]")
 _rate = _number_arg(
@@ -180,15 +181,11 @@ def cmd_cluster(args) -> int:
             _wrote("trace", args.trace, cluster_trace_json(cluster, recorders),
                    note=f" ({events} events)")
         if args.analyze:
-            from repro.obs.analyze import (
-                analysis_json,
-                analyze_cluster,
-                render_cluster_analysis,
-            )
+            from repro.obs.analyze import analyze_cluster, render_cluster_analysis
 
             doc = analyze_cluster(cluster, recorders)
             if args.analyze_json:
-                _wrote("analysis", args.analyze_json, analysis_json(doc))
+                _wrote("analysis", args.analyze_json, document_json(doc))
             print()
             print(render_cluster_analysis(doc), end="")
     return 0
@@ -196,7 +193,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Seeded kill/restart chaos scenarios with post-run state audits."""
-    from repro.replication import chaos_report_json, run_chaos
+    from repro.replication import run_chaos
 
     store_name = args.store[0]
     seeds = _parse_seeds(args.seeds)
@@ -240,7 +237,7 @@ def cmd_chaos(args) -> int:
             "followers": args.followers, "ack": args.ack,
             "read_policy": args.read_policy, "reports": reports,
         }
-        _wrote("chaos report", args.report, chaos_report_json(doc))
+        _wrote("chaos report", args.report, document_json(doc))
     return 0 if all_ok else 1
 
 

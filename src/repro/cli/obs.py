@@ -18,6 +18,7 @@ from repro.cli import (
     _wrote,
     _wrote_flight_dumps,
 )
+from repro.obs.export import document_json
 from repro.workloads import YCSB_WORKLOADS
 
 _positive_float = _number_arg(float, lambda x: x > 0, "a number > 0")
@@ -110,7 +111,7 @@ def cmd_trace(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Traced run + latency attribution / critical-path / WA report."""
-    from repro.obs.analyze import analysis_json, analyze_run, render_analysis
+    from repro.obs.analyze import analyze_run, render_analysis
 
     multi = len(args.store) > 1
     for name in args.store:
@@ -118,7 +119,7 @@ def cmd_analyze(args) -> int:
         doc = analyze_run(recorder, system, name)
         if args.json:
             _wrote("analysis", _trace_path(args.json, name, multi),
-                   analysis_json(doc))
+                   document_json(doc))
         print(render_analysis(doc, profile=not args.no_profile), end="")
         if multi and name != args.store[-1]:
             print()
@@ -131,7 +132,6 @@ def cmd_slo(args) -> int:
         BurnRateRule,
         SloMonitor,
         SloObjective,
-        analysis_json,
         attribute_ops,
         render_slo,
         rolling_series,
@@ -156,7 +156,7 @@ def cmd_slo(args) -> int:
         series = rolling_series(samples, end_s, long_s, min_kiops=args.min_kiops)
         doc = slo_document(monitor.run(samples), series, name, end_s)
         if args.json:
-            _wrote("slo", _trace_path(args.json, name, multi), analysis_json(doc))
+            _wrote("slo", _trace_path(args.json, name, multi), document_json(doc))
         print(render_slo(doc), end="")
         if multi and name != args.store[-1]:
             print()
@@ -167,7 +167,7 @@ def cmd_diff(args) -> int:
     """Diff two ``repro analyze --json`` documents (docs/observability.md)."""
     import json
 
-    from repro.obs.analyze import diff_analysis, diff_json, render_diff
+    from repro.obs.analyze import diff_analysis, render_diff
 
     docs = []
     for path in (args.a, args.b):
@@ -186,7 +186,7 @@ def cmd_diff(args) -> int:
     )
     print(render_diff(report), end="")
     if args.out:
-        _wrote("diff report", args.out, diff_json(report))
+        _wrote("diff report", args.out, document_json(report))
     return 0
 
 

@@ -19,10 +19,14 @@ Everything is keyed and ordered deterministically: the same seed
 produces byte-identical JSON.
 """
 
-import json
 from typing import Dict, List
 
-from repro.obs.export import metrics_snapshot, process_trace_events
+from repro.obs.export import (
+    document_json,
+    metrics_snapshot,
+    process_trace_events,
+    trace_document_json,
+)
 from repro.obs.live.openmetrics import openmetrics_text
 
 
@@ -68,7 +72,7 @@ def cluster_metrics_json(cluster, router=None, result=None) -> str:
                 for r in result.rebalances
             ],
         }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return document_json(doc)
 
 
 def cluster_openmetrics_text(cluster, recorders: List[object]) -> str:
@@ -114,9 +118,4 @@ def cluster_trace_json(cluster, recorders: List[object]) -> str:
                 shard=shard.shard_id,
             )
         )
-    doc = {
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.cluster", "schema": 1},
-        "traceEvents": trace_events,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return trace_document_json(trace_events, "repro.cluster")

@@ -41,7 +41,6 @@ from repro.obs.export import (
     gantt,
     metrics_json,
     queue_depth_csv,
-    to_chrome_trace,
 )
 from repro.obs.live import openmetrics_text
 from repro.obs.recorder import TraceRecorder
@@ -57,7 +56,6 @@ __all__ = [
     "CAT_QUEUE",
     "DROP_CAUSES",
     "STALL_CAUSES",
-    "to_chrome_trace",
     "chrome_trace_json",
     "metrics_json",
     "bandwidth_csv",

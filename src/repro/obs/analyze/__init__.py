@@ -31,18 +31,13 @@ from repro.obs.analyze.critical_path import (
     failover_timelines,
     stall_blame,
 )
-from repro.obs.analyze.diff import (
-    diff_analysis,
-    diff_json,
-    render_diff,
-)
+from repro.obs.analyze.diff import diff_analysis, render_diff
 from repro.obs.analyze.profile import time_profile
 from repro.obs.analyze.replication import (
     follower_lag_timeline,
     replication_summary,
 )
 from repro.obs.analyze.report import (
-    analysis_json,
     analyze_cluster,
     analyze_run,
     conservation_check,
@@ -58,6 +53,8 @@ from repro.obs.analyze.slo import (
     rolling_series,
 )
 from repro.obs.analyze.timeline import per_level_bytes, persistent_write_bytes
+# The analysis document's writer, under the name benchmark drivers import.
+from repro.obs.export import document_json as analysis_json
 
 __all__ = [
     "attribute_ops",
@@ -68,7 +65,6 @@ __all__ = [
     "follower_lag_timeline",
     "replication_summary",
     "diff_analysis",
-    "diff_json",
     "render_diff",
     "time_profile",
     "persistent_write_bytes",

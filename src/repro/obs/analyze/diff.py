@@ -14,7 +14,6 @@ Ranking keys are pure functions of the inputs and ties break on the
 metric name, so the report is byte-stable.
 """
 
-import json
 from typing import Dict, List
 
 #: Analysis-document sections compared leaf-by-leaf.  Unlisted sections
@@ -128,11 +127,6 @@ def _analysis_verdict(doc: dict) -> str:
         f"{_fmt(top['a'])} -> {_fmt(top['b'])} ({pct:.1f}% shift) "
         f"from {doc['a']} to {doc['b']}"
     )
-
-
-def diff_json(doc: dict) -> str:
-    """Deterministic serialization (sorted keys, trailing newline)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 #: Rows ``render_diff`` prints before pointing at the JSON.

@@ -6,7 +6,6 @@ byte accounting) and serialized with sorted keys, so two runs of the
 same seed produce byte-identical JSON and text output.
 """
 
-import json
 from typing import List
 
 from repro.obs.analyze.attribution import Accumulator, accumulate, summarize, walk_ops
@@ -110,11 +109,6 @@ def analyze_cluster(cluster, recorders: List[object]) -> dict:
         "conservation": conservation_check(merged),
         "shards": shard_docs,
     }
-
-
-def analysis_json(doc: dict) -> str:
-    """Deterministic serialization (sorted keys, trailing newline)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _fmt_seconds(seconds: float) -> str:

@@ -5,9 +5,10 @@ complete within ``threshold_s`` (e.g. 99.9% under 200us).  Monitoring
 follows the multi-window burn-rate pattern: the *burn rate* over a
 window is the observed bad fraction divided by the error budget
 (``1 - target``); an alert fires when both a short and a long window
-burn faster than the rule's factor, and resolves when both drop back
-under it.  The short window makes alerts recover quickly; the long
-window keeps one latency spike from paging.
+burn faster than the rule's factor, and resolves as soon as either
+drops back to it or under.  The short window makes alerts recover
+quickly; the long window keeps one latency spike from paging.
+:meth:`BurnRateRule.fires` is the test here and in the flight recorder.
 
 Everything is evaluated event-driven at sample completion times on the
 simulated clock, so the alert log is a pure function of the workload:
@@ -18,10 +19,9 @@ throughput on a fixed grid (the ``repro slo`` report body); an empty
 window reports a ``None`` percentile (no data is not a zero latency).
 """
 
-import bisect
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.latency import percentile
+from repro.sim.latency import percentile, window_slice
 
 Sample = Tuple[float, float]  # (completion time, measured latency seconds)
 
@@ -41,6 +41,10 @@ class SloObjective:
     @property
     def error_budget(self) -> float:
         return 1.0 - self.target
+
+    def burn(self, bad: int, total: int) -> float:
+        """The burn rate: ``bad / total`` over the error budget."""
+        return (bad / total) / self.error_budget
 
     def as_dict(self) -> dict:
         return {
@@ -63,6 +67,10 @@ class BurnRateRule:
         self.short_s = short_s
         self.long_s = long_s
         self.factor = factor
+
+    def fires(self, burn_short: float, burn_long: float) -> bool:
+        """Both lookbacks burn strictly faster than :attr:`factor`."""
+        return burn_short > self.factor and burn_long > self.factor
 
     @property
     def label(self) -> str:
@@ -103,12 +111,14 @@ class SloMonitor:
 
         def burn(window_s: float, i: int) -> float:
             # Window (t - window_s, t] ending at sample i's completion.
-            left = bisect.bisect_right(times, times[i] - window_s)
+            # The right end stays i + 1, not the window's: samples tied
+            # at one instant are evaluated one at a time.
+            left, __ = window_slice(times, times[i], window_s)
             total = (i + 1) - left
-            if total <= 0:
+            if total <= 0:  # a window narrower than half an ulp of t
                 return 0.0
             bad = bad_prefix[i + 1] - bad_prefix[left]
-            return (bad / total) / self.objective.error_budget
+            return self.objective.burn(bad, total)
 
         alerts: List[dict] = []
         firing = [False] * len(self.rules)
@@ -116,9 +126,7 @@ class SloMonitor:
             for r, rule in enumerate(self.rules):
                 burn_short = burn(rule.short_s, i)
                 burn_long = burn(rule.long_s, i)
-                should_fire = (
-                    burn_short >= rule.factor and burn_long >= rule.factor
-                )
+                should_fire = rule.fires(burn_short, burn_long)
                 if should_fire != firing[r]:
                     firing[r] = should_fire
                     alerts.append(
@@ -173,8 +181,7 @@ def rolling_series(
     breaches: List[dict] = []
     for i in range(bins + 1):
         edge = end_s * i / bins
-        left = bisect.bisect_right(times, edge - window_s)
-        right = bisect.bisect_right(times, edge)
+        left, right = window_slice(times, edge, window_s)
         count = right - left
         kiops = count / window_s / 1e3
         window = sorted(latency for __, latency in samples[left:right])

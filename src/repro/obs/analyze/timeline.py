@@ -15,9 +15,11 @@ compactions) its level.  This module aggregates them into:
   for CSV export or plotting).
 """
 
+import math
 from typing import Dict, List
 
 from repro.obs.events import CAT_TRANSFER
+from repro.sim.latency import window_slice
 
 
 def transfer_writes(recorder) -> list:
@@ -77,16 +79,17 @@ def bytes_moved_timeline(writes, end_s: float) -> List[dict]:
         ),
         key=lambda item: item[0],
     )
+    times = [ts for ts, __, __ in events]
     devices = sorted(set(names.values()))
     cumulative = {device: 0 for device in devices}
     rows: List[dict] = []
     cursor = 0
     for i in range(bins + 1):
         edge = end_s * i / bins
-        while cursor < len(events) and events[cursor][0] <= edge:
-            __, device, nbytes = events[cursor]
+        __, right = window_slice(times, edge, math.inf)
+        for __, device, nbytes in events[cursor:right]:
             cumulative[device] += nbytes
-            cursor += 1
+        cursor = right
         row = {"t_s": edge}
         row.update({device: cumulative[device] for device in devices})
         rows.append(row)

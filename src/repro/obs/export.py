@@ -13,6 +13,7 @@ import pathlib
 from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.events import CAT_TRANSFER
+from repro.sim.latency import equal_bins
 
 #: Microseconds per simulated second (the trace-event format's unit).
 _US = 1e6
@@ -35,6 +36,12 @@ def write_artifact(path, text: str) -> pathlib.Path:
         target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
     return target
+
+
+def document_json(doc: dict) -> str:
+    """``doc`` as deterministic JSON text (sorted keys, indent 2, final
+    newline): every JSON file ``repro`` writes but the trace documents."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------- chrome/perfetto
@@ -96,23 +103,24 @@ def process_trace_events(
     return trace_events
 
 
-def to_chrome_trace(recorder, process_name: str = "repro") -> dict:
-    """The recorder's events as a Chrome trace-event JSON document.
-
-    One process (:func:`process_trace_events`); the document loads
-    directly in https://ui.perfetto.dev or ``chrome://tracing``.
-    """
-    return {
+def trace_document_json(trace_events: List[dict], generator: str) -> str:
+    """``trace_events`` as a Chrome trace-event document (compact JSON,
+    sorted keys) made by ``generator``; it loads directly in
+    https://ui.perfetto.dev or ``chrome://tracing``."""
+    doc = {
         "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.obs", "schema": 1},
-        "traceEvents": process_trace_events(recorder, process_name),
+        "otherData": {"generator": generator, "schema": 1},
+        "traceEvents": trace_events,
     }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def chrome_trace_json(recorder, process_name: str = "repro") -> str:
-    """The trace document serialized deterministically (sorted keys)."""
-    doc = to_chrome_trace(recorder, process_name)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The recorder's events as a one-process trace document
+    (:func:`process_trace_events`)."""
+    return trace_document_json(
+        process_trace_events(recorder, process_name), "repro.obs"
+    )
 
 
 # -------------------------------------------------------------- metrics
@@ -183,8 +191,7 @@ def metrics_snapshot(system, recorder=None) -> dict:
 
 def metrics_json(system, recorder=None) -> str:
     """The metrics snapshot serialized deterministically."""
-    doc = metrics_snapshot(system, recorder)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return document_json(metrics_snapshot(system, recorder))
 
 
 # ------------------------------------------------------------ csv series
@@ -209,11 +216,10 @@ def bandwidth_csv(recorder) -> str:
     ]
     if not transfers:
         return ",".join(header) + "\n"
-    t1 = max(e.ts for e in transfers) or 1e-12
-    width = t1 / bins
+    times = [e.ts for e in transfers]
+    width, slots = equal_bins(times, 0.0, max(times), bins)
     totals = [[0.0] * (2 * len(devices)) for __ in range(bins)]
-    for event in transfers:
-        idx = min(bins - 1, int(event.ts / width))
+    for idx, event in zip(slots, transfers):
         dev = event.track[len("dev:"):]
         col = 2 * devices.index(dev) + (0 if event.name == "read" else 1)
         totals[idx][col] += (event.args or {}).get("bytes", 0)

@@ -14,7 +14,6 @@ the dump -- trigger time, ring contents, window rows -- is byte-identical
 across runs; a pinned-hash test holds it to that.
 """
 
-import json
 from collections import deque
 from typing import List, Optional
 
@@ -162,9 +161,10 @@ class FlightRecorder:
         """One closed aggregation window; evaluates the burn-rate rule.
 
         ``bad`` is the number of ops in the window whose latency exceeded
-        the SLO threshold.  Burn rate over a lookback of N windows is
-        ``(sum bad / sum ops) / error_budget``; the rule fires when both
-        its short and long lookbacks burn faster than ``factor``.
+        the SLO threshold.  A lookback's burn rate is
+        :meth:`SloObjective.burn` of its summed rows, and
+        :meth:`BurnRateRule.fires` decides.  The window just closed holds
+        at least one op and lies in both lookbacks, so neither is empty.
         """
         if self.slo is None:
             return
@@ -174,14 +174,9 @@ class FlightRecorder:
         horizon = t_s - rule.long_s
         while rows[0][0] < horizon:
             rows.popleft()
-        budget = 1.0 - self.slo.target
-        if budget <= 0.0:
-            return
-        short = self._burn(rows, t_s - rule.short_s, budget)
-        long_ = self._burn(rows, horizon, budget)
-        if short is None or long_ is None:
-            return
-        if short > rule.factor and long_ > rule.factor:
+        short = self._burn(t_s - rule.short_s)
+        long_ = self._burn(horizon)
+        if rule.fires(short, long_):
             self._trigger(
                 TRIGGER_SLO, t_s,
                 {
@@ -195,16 +190,16 @@ class FlightRecorder:
             )
             rows.clear()
 
-    @staticmethod
-    def _burn(rows, since: float, budget: float) -> Optional[float]:
+    def _burn(self, since: float) -> float:
+        # The lookback [since, t] is closed on the left, unlike the
+        # analyzers' (edge - width, edge]: rows are stamped on WINDOW_S
+        # grid edges, so a lookback starts exactly on a row in real runs.
         ops = bad = 0
-        for t_s, n, b in rows:
+        for t_s, n, b in self._slo_windows:
             if t_s >= since:
                 ops += n
                 bad += b
-        if ops == 0:
-            return None
-        return (bad / ops) / budget
+        return self.slo.burn(bad, ops)
 
     # ------------------------------------------------------------ dumping
 
@@ -225,11 +220,6 @@ class FlightRecorder:
         if self.context_provider is not None:
             doc["context"] = self.context_provider()
         return doc
-
-    @staticmethod
-    def dump_json(doc: dict) -> str:
-        """Deterministic JSON text for one dump document."""
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,6 @@ from repro.replication.chaos import (
     ChaosEvent,
     ChaosInjector,
     ChaosSchedule,
-    chaos_report_json,
     run_chaos,
 )
 from repro.replication.config import (
@@ -42,6 +41,5 @@ __all__ = [
     "ReplicaGroup",
     "ReplicationConfig",
     "Session",
-    "chaos_report_json",
     "run_chaos",
 ]

@@ -17,11 +17,10 @@ surviving state:
   must be zero.
 
 :func:`run_chaos` returns a deterministic report document;
-:func:`chaos_report_json` serializes it byte-identically for identical
-seeds (only simulated times appear -- no wall clock).
+:func:`repro.obs.export.document_json` serializes it byte-identically for
+identical seeds (only simulated times appear -- no wall clock).
 """
 
-import json
 from typing import Callable, List, Optional
 
 from repro.replication.config import (
@@ -321,9 +320,3 @@ def run_chaos(
         "checks": checks,
         "ok": all(checks.values()),
     }
-
-
-def chaos_report_json(report: dict) -> str:
-    """The chaos report serialized deterministically (byte-identical
-    across same-seed runs)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

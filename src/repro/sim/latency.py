@@ -3,10 +3,13 @@
 Reproduces the paper's latency metrics: average, 90th, 99th, and 99.9th
 percentile latencies (Tables 2 and 3); ``samples_since`` feeds the
 latency-over-time series (Figure 8) its ``(time, latency)`` samples.
+:func:`window_slice` and :func:`equal_bins` are the time-axis rules of
+every series and report that bins samples on a grid.
 """
 
 import math
 from array import array
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -61,6 +64,24 @@ def percentile(sorted_samples: Sequence[float], q: float) -> float:
         raise ValueError(f"percentile out of range: {q}")
     rank = max(1, math.ceil(q / 100.0 * len(sorted_samples)))
     return sorted_samples[rank - 1]
+
+
+def window_slice(times: Sequence[float], edge: float, width: float) -> Tuple[int, int]:
+    """``(left, right)``: ``times[left:right]`` are the sorted ``times``
+    in the half-open window ``(edge - width, edge]``, so windows that
+    tile the axis count each sample once.  An infinite ``width`` makes
+    it cumulative: every time at or before ``edge``."""
+    return bisect_right(times, edge - width), bisect_right(times, edge)
+
+
+def equal_bins(
+    times: Sequence[float], t0: float, t1: float, bins: int
+) -> Tuple[float, List[int]]:
+    """``[t0, t1]`` cut into ``bins`` equal slices: the width, and the
+    slice of each of ``times``.  A time at ``t1`` is in the last slice;
+    a zero span gets width ``1e-12 / bins`` (every time in slice 0)."""
+    width = ((t1 - t0) or 1e-12) / bins
+    return width, [min(bins - 1, int((t - t0) / width)) for t in times]
 
 
 def _summarise(values: List[float]) -> LatencySummary:

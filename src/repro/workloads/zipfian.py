@@ -33,11 +33,8 @@ class UniformGenerator:
         self.n = n
         self._rng = rng
 
-    def next(self) -> int:
-        return self._rng.next_below(self.n)
-
     def take(self, count: int) -> list:
-        """``count`` draws of :meth:`next`, in one call."""
+        """The next ``count`` draws, one ``next_below(n)`` of the rng each."""
         return self._rng.belows(count, self.n)
 
 
@@ -71,17 +68,10 @@ class ZipfianGenerator:
         last few are remembered."""
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
-    def next(self) -> int:
-        u = self._rng.next_float()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.n * ((self._eta * u - self._eta + 1) ** self._alpha))
-
     def take(self, count: int) -> list:
-        """``count`` draws of :meth:`next`, bit for bit, in one call."""
+        """The next ``count`` ranks, one rng float each: ranks 0 and 1
+        by their share of ``zeta(n)``, the rest by Gray et al.'s
+        closed form."""
         n, zetan, eta, alpha = self.n, self._zetan, self._eta, self._alpha
         rank_one = 1.0 + 0.5 ** self.theta
         return [
@@ -99,11 +89,8 @@ class ScrambledZipfian:
         self.n = n
         self._zipf = ZipfianGenerator(n, rng)
 
-    def next(self) -> int:
-        return _scrambled(self._zipf.next()) % self.n
-
     def take(self, count: int) -> list:
-        """``count`` draws of :meth:`next`, bit for bit, in one call."""
+        """The next ``count`` draws: each zipfian rank hashed, mod ``n``."""
         n = self.n
         return [_scrambled(rank) % n for rank in self._zipf.take(count)]
 
@@ -120,11 +107,6 @@ class LatestGenerator:
         if index > self.max_index:
             self.max_index = index
 
-    def next(self) -> int:
-        offset = self._zipf.next()
-        value = self.max_index - offset
-        return value if value >= 0 else 0
-
     def offsets(self, count: int) -> list:
         """The zipfian offsets of the next ``count`` draws, in one call.
 
@@ -132,8 +114,8 @@ class LatestGenerator:
         issued*, and inserts move ``max_index`` between draws, so the
         column holds offsets; :meth:`resolve` turns a run of them into
         indices.  ``resolve(offsets(k))`` with no insert in between is
-        ``k`` calls of :meth:`next`, and leaves the generator where they
-        would.
+        ``k`` draws of ``max_index - offset`` (0 when the offset passes
+        the top), the per-op draw of YCSB's latest distribution.
         """
         return self._zipf.take(count)
 

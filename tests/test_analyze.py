@@ -28,8 +28,10 @@ from repro.obs.analyze import (
     summarize,
     time_profile,
 )
-from repro.obs.analyze.timeline import transfer_writes
-from repro.obs.events import STALL_CAUSES
+from repro.obs.analyze.timeline import bytes_moved_timeline, transfer_writes
+from repro.obs.events import CAT_TRANSFER, STALL_CAUSES, TraceEvent
+from repro.obs.export import bandwidth_csv
+from repro.obs.recorder import TraceRecorder
 
 pytestmark = pytest.mark.obs_smoke
 
@@ -239,6 +241,64 @@ def test_per_level_bytes_cover_all_background_jobs():
     assert sum(node["bytes"] for node in levels.values()) == sum(
         (s.args or {}).get("bytes", 0) for s in spans
     )
+
+
+def _transfer(device, op, ts, nbytes):
+    return TraceEvent(f"dev:{device}", op, CAT_TRANSFER, ts, None, {"bytes": nbytes})
+
+
+def test_timeline_rows_count_writes_at_or_before_their_edge():
+    # The cumulative window reaches back to the start of the run, so a
+    # write at t = 0 is in the first row; a write exactly on an edge is
+    # in that edge's row, not the row before.
+    writes = [
+        _transfer("nvm", "write", 0.0, 100),
+        _transfer("nvm", "write", 0.5, 10),
+        _transfer("nvm", "write", 1.0, 1),
+    ]
+    rows = {row["t_s"]: row["nvm"] for row in bytes_moved_timeline(writes, 1.0)}
+    assert len(rows) == 21
+    assert (rows[0.0], rows[0.45], rows[0.5], rows[0.95], rows[1.0]) == (
+        100, 100, 110, 110, 111,
+    )
+
+
+def _bandwidth_rows(transfers):
+    recorder = TraceRecorder()
+    for event in transfers:
+        recorder.keep(event)
+    header, *rows = bandwidth_csv(recorder).splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def test_bandwidth_puts_a_transfer_at_the_last_instant_in_the_last_bucket():
+    header, rows = _bandwidth_rows([
+        _transfer("dram", "read", 0.0, 1 << 20),
+        _transfer("nvm", "write", 1.0, 1 << 20),
+    ])
+    assert header == [
+        "t_s", "dram_read_MBps", "dram_write_MBps", "nvm_read_MBps",
+        "nvm_write_MBps",
+    ]
+    assert len(rows) == 100
+    # 1 MiB in a 0.01 s bucket is 100 MB/s.
+    assert rows[0] == ["0.005000000", "100.000000", "0.000000", "0.000000", "0.000000"]
+    assert rows[-1] == ["0.995000000", "0.000000", "0.000000", "0.000000", "100.000000"]
+    assert all(set(row[1:]) == {"0.000000"} for row in rows[1:-1])
+
+
+def test_bandwidth_of_transfers_all_at_time_zero_uses_the_tiny_width():
+    # No span to cut: the width is 1e-12 / 100 and every transfer lands
+    # in the first bucket instead of dividing by zero.
+    header, rows = _bandwidth_rows([
+        _transfer("nvm", "write", 0.0, 1024),
+        _transfer("nvm", "write", 0.0, 1024),
+    ])
+    width = 1e-12 / 100
+    assert rows[0] == [
+        f"{0.5 * width:.9f}", "0.000000", f"{2048 / width / 2 ** 20:.6f}",
+    ]
+    assert all(row[1:] == ["0.000000", "0.000000"] for row in rows[1:])
 
 
 # ------------------------------------------------------ report determinism

@@ -133,3 +133,54 @@ def test_rolling_series_validation():
     for window_s in (0.0, float("nan")):
         with pytest.raises(ValueError, match="window_s"):
             rolling_series([], end_s=1.0, window_s=window_s)
+
+
+def test_a_burn_rate_equal_to_the_factor_does_not_fire():
+    # Target 0.5 leaves an error budget of exactly 0.5; good then bad
+    # makes the second evaluation burn (1 / 2) / 0.5 == 1.0 in both
+    # windows, which is the factor and not above it.
+    objective = SloObjective("lat", threshold_s=1e-3, target=0.5)
+    rule = BurnRateRule(short_s=1.0, long_s=1.0, factor=1.0)
+    report = SloMonitor(objective, [rule]).run([(0.1, 1e-4), (0.2, 2e-3)])
+    assert report["alerts"] == []
+    # One more bad sample burns (2 / 3) / 0.5 > 1.0, which fires.
+    report = SloMonitor(objective, [rule]).run(
+        [(0.1, 1e-4), (0.2, 2e-3), (0.3, 2e-3)]
+    )
+    assert [a["state"] for a in report["alerts"]] == ["fire"]
+
+
+def test_monitor_lookback_is_open_on_the_left_and_closed_on_the_right():
+    # A bad sample at t = 1.0 burns 2.0 on its own (it is at the edge of
+    # its own lookback).  At t = 2.0 it sits exactly at edge - width, so
+    # the 1 s lookback holds only the good sample and burns 0.0.
+    objective = SloObjective("lat", threshold_s=1e-3, target=0.5)
+    rule = BurnRateRule(short_s=1.0, long_s=1.0, factor=1.5)
+    report = SloMonitor(objective, [rule]).run([(1.0, 2e-3), (2.0, 1e-4)])
+    fire, resolve = report["alerts"]
+    assert (fire["t_s"], fire["burn_short"], fire["burn_long"]) == (1.0, 2.0, 2.0)
+    assert (resolve["t_s"], resolve["burn_short"], resolve["burn_long"]) == (
+        2.0, 0.0, 0.0,
+    )
+
+
+def test_monitor_evaluates_samples_tied_at_one_instant_one_at_a_time():
+    # Both samples complete at t = 1.0: the first is evaluated alone
+    # (burn 2.0, fires), the second with both in the lookback (burn 1.0).
+    objective = SloObjective("lat", threshold_s=1e-3, target=0.5)
+    rule = BurnRateRule(short_s=1.0, long_s=1.0, factor=1.5)
+    report = SloMonitor(objective, [rule]).run([(1.0, 2e-3), (1.0, 1e-4)])
+    assert [(a["state"], a["burn_short"]) for a in report["alerts"]] == [
+        ("fire", 2.0), ("resolve", 1.0),
+    ]
+
+
+def test_rolling_window_excludes_its_left_edge_and_includes_its_right():
+    # Grid edge 0.5 with a 0.25 s window is (0.25, 0.5]: the sample at
+    # 0.25 belongs to the row before, the one at 0.5 to this row.
+    samples = [(0.25, 1e-4), (0.5, 2e-4)]
+    rows = rolling_series(samples, end_s=1.0, window_s=0.25)["rows"]
+    by_t = {row["t_s"]: row for row in rows}
+    assert by_t[0.25]["count"] == 1 and by_t[0.25]["p99_us"] == pytest.approx(100.0)
+    assert by_t[0.5]["count"] == 1 and by_t[0.5]["p99_us"] == pytest.approx(200.0)
+    assert by_t[0.75]["count"] == 0

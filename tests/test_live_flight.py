@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.obs.events import CAT_OP, CAT_QUEUE, CAT_STALL, TraceEvent
+from repro.obs.export import document_json
 from repro.obs.live import FlightRecorder, LiveRecorder
 from repro.obs.live.flight import (
     BURN_RULE,
@@ -77,6 +78,27 @@ def test_slo_burn_trigger_needs_short_and_long_lookbacks():
     assert flight.dumps[0]["detail"]["burn_short"] == pytest.approx(5.0)
 
 
+def test_slo_lookbacks_include_a_row_stamped_at_their_start(monkeypatch):
+    """Rows land on grid edges, so a lookback can start exactly on one;
+    the flight recorder counts that row ([t - w, t], closed on the left)."""
+    from repro.obs.analyze.slo import BurnRateRule, SloObjective
+    from repro.obs.live import flight as flight_module
+
+    monkeypatch.setattr(
+        flight_module, "BURN_RULE", BurnRateRule(short_s=0.75, long_s=1.0, factor=2.0)
+    )
+    flight = FlightRecorder(slo=SloObjective("t", 1e-6, 0.875))  # budget 1/8
+    flight.on_window(0.0, 8, 0)
+    flight.on_window(0.5, 1, 1)  # 1 bad in 9: burns 8/9 on both lookbacks
+    assert flight.dumps == []
+    # At 1.25 the short lookback starts at 0.5 and the long one at 0.25:
+    # both hold the rows at 0.5 and 1.25, 1 bad in 2, burning 4.0.
+    flight.on_window(1.25, 1, 0)
+    assert [d["trigger"] for d in flight.dumps] == [TRIGGER_SLO]
+    detail = flight.dumps[0]["detail"]
+    assert (detail["burn_short"], detail["burn_long"]) == (4.0, 4.0)
+
+
 def test_dumps_are_capped_but_triggers_keep_counting():
     flight = FlightRecorder(stall_alert_s=0.0)
     for i in range(MAX_DUMPS + 3):
@@ -97,7 +119,7 @@ def test_seeded_slo_breach_dump_is_byte_identical_and_pinned(pin):
         assert [d["trigger"] for d in dumps] == [
             "stall-alert", "stall-alert", "slo-burn", "stall-alert",
         ]
-        texts.append(rec.flight.dump_json(dumps[0]))
+        texts.append(document_json(dumps[0]))
     assert texts[0] == texts[1]
     pin("obs/flight-dump", hashlib.sha256(texts[0].encode()).hexdigest())
 

@@ -9,11 +9,8 @@ import json
 
 import pytest
 
-from repro.obs.analyze import (
-    diff_analysis,
-    diff_json,
-    render_diff,
-)
+from repro.obs.analyze import diff_analysis, render_diff
+from repro.obs.export import document_json
 
 pytestmark = pytest.mark.obs_diff
 
@@ -46,8 +43,8 @@ def test_self_diff_reports_exactly_zero_deltas():
 
 def test_self_diff_is_byte_stable():
     doc = analysis_doc()
-    first = diff_json(diff_analysis(doc, doc))
-    second = diff_json(diff_analysis(json.loads(json.dumps(doc)), doc))
+    first = document_json(diff_analysis(doc, doc))
+    second = document_json(diff_analysis(json.loads(json.dumps(doc)), doc))
     assert first == second
 
 

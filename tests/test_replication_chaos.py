@@ -7,12 +7,12 @@ import json
 import pytest
 
 from repro.bench.config import BenchScale
+from repro.obs.export import document_json
 from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_FOLLOWER_RYW,
     ChaosSchedule,
-    chaos_report_json,
     run_chaos,
 )
 from repro.replication.chaos import KILLS
@@ -37,13 +37,13 @@ def test_chaos_with_follower_reads(read_policy):
 
 
 def test_chaos_reports_are_byte_identical_across_runs():
-    first = chaos_report_json(run("miodb", 7))
-    second = chaos_report_json(run("miodb", 7))
+    first = document_json(run("miodb", 7))
+    second = document_json(run("miodb", 7))
     assert first == second
 
 
 def test_chaos_reports_differ_across_seeds():
-    assert chaos_report_json(run("miodb", 3)) != chaos_report_json(run("miodb", 7))
+    assert document_json(run("miodb", 3)) != document_json(run("miodb", 7))
 
 
 def test_chaos_schedule_generation_is_deterministic():
@@ -72,14 +72,14 @@ def test_traced_chaos_report_matches_untraced_modulo_timelines():
     for doc in traced["groups"]:
         assert "failover_timeline" in doc
         doc.pop("failover_timeline")
-    assert chaos_report_json(traced) == chaos_report_json(plain)
+    assert document_json(traced) == document_json(plain)
 
 
 def test_traced_chaos_is_byte_identical_across_runs():
     traces = []
     first = run("miodb", 7, trace=traces.append)
     second = run("miodb", 7, trace=traces.append)
-    assert chaos_report_json(first) == chaos_report_json(second)
+    assert document_json(first) == document_json(second)
     assert traces[0] == traces[1]
 
 

@@ -1,8 +1,10 @@
 """Unit tests for latency recording and percentile summaries."""
 
+import math
+
 import pytest
 
-from repro.sim.latency import LatencyRecorder, percentile
+from repro.sim.latency import LatencyRecorder, equal_bins, percentile, window_slice
 
 
 def test_percentile_empty():
@@ -119,3 +121,20 @@ def test_merge_keeps_kinds_separate():
     assert merged.kinds() == ["get", "put"]
     assert merged.count("get") == 1
     assert merged.count("put") == 1
+
+
+def test_window_slice_is_open_on_the_left_and_closed_on_the_right():
+    times = [0.25, 0.25, 0.5, 0.5, 0.75]
+    assert window_slice(times, 0.5, 0.25) == (2, 4)
+    assert window_slice(times, 0.75, 0.25) == (4, 5)
+    assert window_slice(times, 0.5, math.inf) == (0, 4)  # cumulative
+    assert window_slice([], 1.0, 0.5) == (0, 0)
+
+
+def test_equal_bins_edges_and_zero_span():
+    width, slots = equal_bins([0.0, 0.5, 0.999, 1.0], 0.0, 1.0, 4)
+    assert width == 0.25
+    assert slots == [0, 2, 3, 3]  # the top end lands in the last bin
+    # Fig 8's single-instant series: no span, the tiny width, bin 0.
+    width, slots = equal_bins([5.0, 5.0], 5.0, 5.0, 40)
+    assert (width, slots) == (1e-12 / 40, [0, 0])

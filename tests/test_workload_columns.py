@@ -240,16 +240,15 @@ def test_shuffle_is_the_per_draw_shuffle(seed, items):
 @given(seeds, st.integers(1, 3000), counts, st.sampled_from([0.5, 0.99]))
 def test_zipfian_takes_are_per_draw_nexts(seed, n, count, theta):
     for cls, ref in (
-        (ZipfianGenerator, lambda rng: oracle.ZipfianGenerator(n, rng, theta)),
-        (ScrambledZipfian, lambda rng: oracle.ScrambledZipfian(n, rng)),
-        (UniformGenerator, lambda rng: UniformGenerator(n, rng)),
+        (ZipfianGenerator, lambda rng: oracle.ZipfianGenerator(n, rng, theta).next),
+        (ScrambledZipfian, lambda rng: oracle.ScrambledZipfian(n, rng).next),
+        (UniformGenerator, lambda rng: lambda: rng.next_below(n)),
     ):
         args = (n, XorShiftRng(seed)) + ((theta,) if cls is ZipfianGenerator else ())
         bulk = cls(*args)
-        single_rng = XorShiftRng(seed)
-        single = ref(single_rng)
-        assert bulk.take(count) == [single.next() for __ in range(count)]
-        assert bulk.next() == single.next()
+        draw = ref(XorShiftRng(seed))
+        assert bulk.take(count) == [draw() for __ in range(count)]
+        assert bulk.take(1) == [draw()]
 
 
 @settings(max_examples=60)
@@ -269,7 +268,7 @@ def test_latest_offsets_resolve_to_per_draw_nexts(seed, n, steps):
             bulk.observe_insert(top)
             single.observe_insert(top)
             top += 1
-    assert bulk.next() == single.next()
+    assert bulk.resolve(bulk.offsets(1)) == [single.next()]
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.8, 0.99])

@@ -21,6 +21,7 @@ from repro.workloads import (
     run_workload,
 )
 from repro.workloads.ycsb import YcsbSpec
+from tests.support import workload_oracle as oracle
 
 KB = 1 << 10
 SMALL = BenchScale(memtable_bytes=8 * KB, dataset_bytes=256 * KB, value_size=512,
@@ -46,7 +47,7 @@ def test_key_for_rejects_negative():
 def test_zipfian_range_and_skew():
     rng = XorShiftRng(1)
     gen = ZipfianGenerator(1000, rng)
-    draws = [gen.next() for __ in range(5000)]
+    draws = gen.take(5000)
     assert all(0 <= d < 1000 for d in draws)
     top = sum(1 for d in draws if d < 10)
     assert top > len(draws) * 0.3  # heavy head
@@ -65,26 +66,26 @@ def test_zipfian_validation():
 def test_zipfian_take_equals_repeated_next(theta, n):
     """A key space of 2 lands every draw on the rank-0 / rank-1 branches."""
     batched = ZipfianGenerator(n, XorShiftRng(5), theta)
-    single = ZipfianGenerator(n, XorShiftRng(5), theta)
+    single = oracle.ZipfianGenerator(n, XorShiftRng(5), theta)
     draws = batched.take(3000)
     assert draws == [single.next() for __ in range(3000)]
     assert batched.take(0) == []
-    assert batched.next() == single.next()
+    assert batched.take(1) == [single.next()]
     if n == 2:
         assert set(draws) == {0, 1}
 
 
 def test_uniform_take_equals_repeated_next():
     batched = UniformGenerator(37, XorShiftRng(8))
-    single = UniformGenerator(37, XorShiftRng(8))
-    assert batched.take(2000) == [single.next() for __ in range(2000)]
-    assert batched.next() == single.next()
+    single = XorShiftRng(8)
+    assert batched.take(2000) == [single.next_below(37) for __ in range(2000)]
+    assert batched.take(1) == [single.next_below(37)]
 
 
 def test_scrambled_zipfian_spreads_hot_keys():
     rng = XorShiftRng(1)
     gen = ScrambledZipfian(1000, rng)
-    draws = [gen.next() for __ in range(5000)]
+    draws = gen.take(5000)
     assert all(0 <= d < 1000 for d in draws)
     # hot items are hashed away from rank 0
     low_hits = sum(1 for d in draws if d < 10)
@@ -98,11 +99,11 @@ def test_request_generators_draw_the_unmemoised_sequence():
     from repro.workloads.zipfian import _scrambled
 
     def scrambled(n, seed):
-        ranks = ZipfianGenerator(n, XorShiftRng(seed))
+        ranks = oracle.ZipfianGenerator(n, XorShiftRng(seed))
         return lambda: fnv1a_64(ranks.next().to_bytes(8, "little")) % n
 
     def latest(n, seed):
-        ranks = ZipfianGenerator(n, XorShiftRng(seed))
+        ranks = oracle.ZipfianGenerator(n, XorShiftRng(seed))
         return lambda: max(0, n - 1 - ranks.next())
 
     def uniform(n, seed):
@@ -119,20 +120,27 @@ def test_request_generators_draw_the_unmemoised_sequence():
         for seed in (1, 9):
             for cls, plain in cases:
                 gen, expected = cls(n, XorShiftRng(seed)), plain(n, seed)
-                assert [gen.next() for __ in range(3000)] == [
+                assert _draws(gen, 3000) == [
                     expected() for __ in range(3000)
                 ], (cls.__name__, n, seed)
     literal = ScrambledZipfian(1000, XorShiftRng(1))
-    assert [literal.next() for __ in range(5)] == [814, 783, 568, 769, 405]
+    assert literal.take(5) == [814, 783, 568, 769, 405]
     info = _scrambled.cache_info()
     assert info.hits > 10000 and 0 < info.currsize <= info.maxsize <= 32768
+
+
+def _draws(gen, count):
+    """The next ``count`` record indices of a request generator."""
+    if isinstance(gen, LatestGenerator):
+        return gen.resolve(gen.offsets(count))
+    return gen.take(count)
 
 
 def test_latest_generator_tracks_inserts():
     rng = XorShiftRng(1)
     gen = LatestGenerator(100, rng)
     gen.observe_insert(500)
-    draws = [gen.next() for __ in range(2000)]
+    draws = _draws(gen, 2000)
     assert all(0 <= d <= 500 for d in draws)
     recent = sum(1 for d in draws if d > 400)
     assert recent > len(draws) * 0.5
@@ -140,7 +148,7 @@ def test_latest_generator_tracks_inserts():
 
 def test_uniform_generator():
     gen = UniformGenerator(50, XorShiftRng(2))
-    assert all(0 <= gen.next() < 50 for __ in range(500))
+    assert all(0 <= draw < 50 for draw in gen.take(500))
     with pytest.raises(ValueError):
         UniformGenerator(0, XorShiftRng(1))
 
