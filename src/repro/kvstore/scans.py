@@ -299,9 +299,7 @@ class MergedView:
       ``is``; the view holds them, so their ids cannot be reused);
     * no member had a ``SkipList.update_in_place`` since the start (it
       rewrites a node's seq, value and size with no structural version
-      bump);
-    * each member device quotes the ``hop_time()`` and
-      ``seq_read_rate()`` it quoted at the start.
+      bump).
 
     A write to the first source or a new listed source changes none of
     these.  A scan merges without the view when any source is a sorted
@@ -316,10 +314,9 @@ class MergedView:
         self.served = 0
         # The streak of unchanged members: per member skip list, in
         # listing order, (number, device, frozen index, in-place
-        # updates, (device slot, hop, latency, bw)); per device (device,
-        # hop, (latency, bw)) as quoted when the streak began; the
-        # merged entry count (``inf`` once built or a build failed); the scans it
-        # has lasted; and, once built, the columns.
+        # updates, (device slot, hop, latency, bw)); the member devices,
+        # by slot; the merged entry count (``inf`` once built or a build
+        # failed); the scans it has lasted; and, once built, the columns.
         self._members: Optional[dict] = None
         self._devices: list = []
         self._entries = 0
@@ -382,9 +379,6 @@ class MergedView:
             m += 1
         if m != len(members):
             return None
-        for device, hop, rate in self._devices:
-            if device.hop_time() != hop or device.seq_read_rate() != rate:
-                return None
         return roles
 
     def _restart(self, sources, indexes) -> None:
@@ -401,13 +395,10 @@ class MergedView:
             slot = slots.get(device)
             if slot is None:
                 slot = slots[device] = len(self._devices)
-                self._devices.append(
-                    (device, device.hop_time(), device.seq_read_rate())
-                )
-            __, hop, (latency, bw) = self._devices[slot]
+                self._devices.append(device)
             members[skiplist] = (
                 len(members), device, index, skiplist.in_place_updates,
-                (slot, hop, latency, bw),
+                (slot, device.hop_time(), *device.seq_read_rate()),
             )
         self._members = members
         self._entries = sum(len(index[0]) for index in indexes[1:])
@@ -470,7 +461,7 @@ class MergedView:
             return None
         code = "I" if sum(succ_bytes) < 1 << 32 else "q"
         reads = []
-        for slot, (device, __, __) in enumerate(self._devices):
+        for slot, device in enumerate(self._devices):
             mine = array("B", map(eq, succ_slot, repeat(slot)))
             reads.append((
                 device,

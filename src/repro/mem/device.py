@@ -65,7 +65,7 @@ class Device:
     """
 
     def __init__(self, profile: DeviceProfile, clock) -> None:
-        self.profile = profile
+        self._profile = profile
         self.clock = clock
         self.bytes_read = 0
         self.bytes_written = 0
@@ -85,15 +85,20 @@ class Device:
         self._search_hop = profile.hop_latency + CpuCostModel.COMPARE_COST
 
     @property
+    def profile(self) -> DeviceProfile:
+        """The prices this device charges, fixed when it is built."""
+        return self._profile
+
+    @property
     def name(self) -> str:
         """The profile name, e.g. ``"dram"``, ``"nvm"``, ``"ssd"``."""
-        return self.profile.name
+        return self._profile.name
 
     # ----------------------------------------------------- pointer chases
 
     def hop_time(self) -> float:
         """Seconds to follow one skip-list pointer to a node on this device."""
-        return self.profile.hop_latency
+        return self._profile.hop_latency
 
     def search_time(self, hops: int) -> float:
         """Seconds for a skip-list search that followed ``hops`` pointers
@@ -108,7 +113,7 @@ class Device:
             raise ValueError(f"negative read size: {nbytes}")
         self.bytes_read += nbytes
         self.read_ops += 1
-        seconds = self.profile.read_time(nbytes, sequential)
+        seconds = self._profile.read_time(nbytes, sequential)
         if self.job_obs is not None or self.obs is not None:
             self._transfer("read", nbytes, sequential, seconds)
         return seconds
@@ -116,7 +121,7 @@ class Device:
     def seq_read_rate(self):
         """``(latency, bandwidth)``: a sequential read of ``n`` bytes costs
         ``latency + n / bandwidth``, as :meth:`read` charges it."""
-        profile = self.profile
+        profile = self._profile
         return profile.read_latency, profile.seq_read_bw
 
     def add_reads(self, nbytes: int, ops: int) -> None:
@@ -137,7 +142,7 @@ class Device:
             raise ValueError(f"negative write size: {nbytes}")
         self.bytes_written += nbytes
         self.write_ops += 1
-        profile = self.profile
+        profile = self._profile
         seconds = profile.write_latency + nbytes / (
             profile.seq_write_bw if sequential else profile.rand_write_bw
         )
@@ -156,7 +161,7 @@ class Device:
             self.peak_bytes_in_use = self.bytes_in_use
         self.bytes_written += nbytes
         self.write_ops += 1
-        profile = self.profile
+        profile = self._profile
         seconds = profile.write_latency + nbytes / profile.seq_write_bw
         if self.job_obs is not None or self.obs is not None:
             self._transfer("write", nbytes, True, seconds)
@@ -170,7 +175,7 @@ class Device:
             raise ValueError(f"negative write size: {nbytes}")
         self.bytes_written += nbytes
         self.write_ops += 1
-        profile = self.profile
+        profile = self._profile
         seconds = profile.write_latency + nbytes / profile.rand_write_bw
         if self.job_obs is not None or self.obs is not None:
             self._transfer("write", nbytes, False, seconds)
@@ -180,9 +185,9 @@ class Device:
         """Send one charge to the job recorder when a background job is
         being priced, else to the attached recorder."""
         if self.job_obs is not None:
-            self.job_obs.transfer(self.profile.name, op, nbytes, sequential, seconds, True)
+            self.job_obs.transfer(self._profile.name, op, nbytes, sequential, seconds, True)
         else:
-            self.obs.transfer(self.profile.name, op, nbytes, sequential, seconds)
+            self.obs.transfer(self._profile.name, op, nbytes, sequential, seconds)
 
     def write_words(self, count: int, seconds: float) -> float:
         """``seconds`` plus ``count`` separate 8-byte random writes.
@@ -193,7 +198,7 @@ class Device:
         """
         if count:
             seconds += self.write(8 * count, sequential=False)
-            seconds += (count - 1) * self.profile.write_latency
+            seconds += (count - 1) * self._profile.write_latency
         return seconds
 
     # ---------------------------------------------------------------- space

@@ -34,7 +34,6 @@ def fill_random(
                 keys_for(order[ops.start:ops.stop]),
                 [SizedValue(tag, value_size) for tag in ops],
             )
-        issue.flush()
     return phase.result()
 
 
@@ -49,7 +48,6 @@ def fill_seq(
     with Phase("fillseq", store.system) as phase:
         for ops in columns(n):
             issue.puts(keys_for(ops), [SizedValue(index, value_size) for index in ops])
-        issue.flush()
     return phase.result()
 
 
@@ -66,7 +64,6 @@ def read_random(
     with Phase("readrandom", store.system) as phase:
         for ops in columns(n_reads):
             issue.gets(keys_for(rng.belows(len(ops), key_space)))
-        issue.flush()
     if issue.misses:
         raise AssertionError(
             f"readrandom missed {issue.misses}/{n_reads} existing keys"
@@ -82,7 +79,6 @@ def read_seq(
     with Phase("readseq", store.system) as phase:
         for ops in columns(n_reads):
             issue.gets(keys_for([i % key_space for i in ops]))
-        issue.flush()
     return phase.result()
 
 
@@ -99,7 +95,6 @@ def overwrite(
                 keys_for(rng.belows(len(ops), key_space)),
                 [SizedValue(("ow", tag), value_size) for tag in ops],
             )
-        issue.flush()
     return phase.result()
 
 
@@ -113,7 +108,6 @@ def delete_random(
     with Phase("deleterandom", store.system) as phase:
         for ops in columns(n):
             issue.deletes(keys_for(rng.belows(len(ops), key_space)))
-        issue.flush()
     return phase.result()
 
 

@@ -9,15 +9,11 @@ production tail latency.
 
 ``run_open_loop`` replays an operation stream with exponential
 inter-arrival gaps and reports *response times* (completion minus
-arrival), which include time spent waiting for the store.  Passing
-``rate_per_s=math.inf`` selects the closed-loop fast path: each request
-arrives the instant the previous one completes, so responses degenerate
-to service times.  Cluster drivers use this to mix saturating and
-rate-limited clients through one code path.
+arrival), which include time spent waiting for the store.
 """
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.host import collector_paused
 from repro.sim.latency import LatencyRecorder, LatencySummary
@@ -37,13 +33,7 @@ class OpenLoopResult:
 
     @property
     def saturated(self) -> bool:
-        """True when the store could not keep up with the offered load.
-
-        A closed-loop run (``offered_rate=inf``) is by definition paced
-        by the store, so it never falls behind its own arrivals.
-        """
-        if math.isinf(self.offered_rate):
-            return False
+        """True when the store could not keep up with the offered load."""
         return self.achieved_rate < 0.95 * self.offered_rate
 
     def __repr__(self) -> str:
@@ -68,12 +58,10 @@ def run_open_loop(
     store advances the simulated clock by its service time).  Arrivals
     are a Poisson process scheduled independently; if the store is still
     busy when a request arrives, the request queues and its response time
-    includes the wait.  ``rate_per_s=math.inf`` runs closed-loop: every request
-    arrives exactly when the previous one finished (no queueing).
+    includes the wait.
     """
-    if not rate_per_s > 0:  # NaN included
-        raise ValueError(f"rate must be positive or inf, got {rate_per_s}")
-    closed_loop = math.isinf(rate_per_s)
+    if not 0 < rate_per_s < math.inf:  # NaN included
+        raise ValueError(f"rate must be positive and finite, got {rate_per_s}")
     clock = store.system.clock
     rng = XorShiftRng(seed)
     recorder = LatencyRecorder()
@@ -81,18 +69,12 @@ def run_open_loop(
     max_queue = 0.0
 
     for i in range(n_ops):
-        if closed_loop:
-            # Closed loop: the client blocks on each response, so the
-            # next request is issued at the completion instant and the
-            # response time is exactly the service time.
-            arrival = clock.now
-        else:
-            arrival += -math.log(1.0 - rng.next_float()) / rate_per_s
-            # the server (store) is free at clock.now; the request starts
-            # at whichever is later
-            if arrival > clock.now:
-                clock.advance_to(arrival)
-                store.system.executor.settle()
+        arrival += -math.log(1.0 - rng.next_float()) / rate_per_s
+        # the server (store) is free at clock.now; the request starts at
+        # whichever is later
+        if arrival > clock.now:
+            clock.advance_to(arrival)
+            store.system.executor.settle()
         queue_delay = max(0.0, clock.now - arrival)
         max_queue = max(max_queue, queue_delay)
         operations(i)

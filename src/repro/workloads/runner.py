@@ -6,10 +6,10 @@ latency summary of exactly the operations issued inside the phase.
 
 A workload draws its op stream one column of at most
 :data:`COLUMN_CHUNK` ops at a time (:func:`columns`) and hands each
-column to the :func:`issuer` it picked before the phase:
-``batch_size=None`` is one store call per op, a number sends runs of
-that many same-kind ops through the ``multi_*`` entry point, across
-column boundaries.  Only wall-clock time differs between the two
+column to the :func:`issuer` it picked before the phase, which issues
+it at the call: ``batch_size=None`` is one store call per op, a number
+sends the call's ops through the ``multi_*`` entry point in slices of
+at most that many.  Only wall-clock time differs between the two
 (docs/performance.md).
 """
 
@@ -122,29 +122,30 @@ def columns(n_ops: int):
         yield range(start, min(start + COLUMN_CHUNK, n_ops))
 
 
-def check_batch_size(batch_size: int) -> None:
-    """Reject a chunk length below one; a per-op run has none to check."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-
 def issuer(store, batch_size: Optional[int], check_reads: bool = False):
     """The op issuer a phase hands its columns to.
 
     It has ``gets(keys)``, ``puts(keys, values)`` and ``deletes(keys)``
-    (lists, issued in order), ``flush()`` and ``misses``, the reads
-    that found nothing so far.  With ``check_reads`` a miss raises
-    ``AssertionError`` instead: at the read, or with a ``batch_size``
-    when its batch goes out.
+    (lists, issued in order before the call returns) and ``misses``,
+    the reads that found nothing so far.  With a ``batch_size`` a
+    call's ops go out through ``multi_*`` in consecutive slices of at
+    most that many, so a batch never spans two calls.  With
+    ``check_reads`` a miss raises ``AssertionError`` instead: at the
+    read, or with a ``batch_size`` when the slice that holds it returns.
     """
     if batch_size is None:
-        return _PerOp(store, check_reads)
+        return _PerOp(store, None, check_reads)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return _Batched(store, batch_size, check_reads)
 
 
-class _Issuer:
-    def __init__(self, store, check_reads: bool) -> None:
+class _PerOp:
+    """One store call per op, in order."""
+
+    def __init__(self, store, batch_size: Optional[int], check_reads: bool) -> None:
         self.store = store
+        self.batch_size = batch_size
         self.check_reads = check_reads
         self.misses = 0
 
@@ -152,10 +153,6 @@ class _Issuer:
         if self.check_reads:
             raise AssertionError("a read missed a loaded key")
         self.misses += 1
-
-
-class _PerOp(_Issuer):
-    """One store call per op, in order."""
 
     def gets(self, keys: list) -> None:
         get = self.store.get
@@ -173,76 +170,26 @@ class _PerOp(_Issuer):
         for key in keys:
             delete(key)
 
-    def flush(self) -> None:
-        """Nothing is ever held back."""
 
-
-class _Batched(_Issuer):
-    """Runs of consecutive same-kind ops through ``multi_*``.
-
-    A run goes out when the kind changes, when it reaches
-    ``batch_size``, or at :meth:`flush` (before a scan, and at the end
-    of a phase): the batches an op-at-a-time buffer with those rules
-    would send, whatever the column lengths.
-    """
-
-    def __init__(self, store, batch_size: int, check_reads: bool) -> None:
-        check_batch_size(batch_size)
-        super().__init__(store, check_reads)
-        self.batch_size = batch_size
-        self._buffer: list = []
-        self._kind: Optional[str] = None
+class _Batched(_PerOp):
+    """Each call's ops through ``multi_*``, ``batch_size`` at a time."""
 
     def gets(self, keys: list) -> None:
-        self._enqueue("get", keys)
-
-    def puts(self, keys: list, values: list) -> None:
-        self._enqueue("put", keys, values)
-
-    def deletes(self, keys: list) -> None:
-        self._enqueue("delete", keys)
-
-    def flush(self) -> None:
-        if self._buffer:
-            self._send(self._kind, self._buffer)
-            self._buffer = []
-        self._kind = None
-
-    def _enqueue(self, kind: str, keys: list, values: Optional[list] = None) -> None:
-        """Buffer or send ``keys`` (with ``values``, a put's pairs, which
-        are built a batch at a time)."""
-        stop = len(keys)
-        if not stop:
-            return  # an empty run must not end the buffered one
-        if kind != self._kind:
-            self.flush()
-            self._kind = kind
-        buffer = self._buffer
+        multi_get = self.store.multi_get
         size = self.batch_size
-        at = size - len(buffer)  # the ops that fill the buffer
-        if at > stop:
-            buffer += _ops(keys, values, 0, stop)
-            return
-        buffer += _ops(keys, values, 0, at)
-        self._send(kind, buffer)
-        while at + size <= stop:
-            self._send(kind, _ops(keys, values, at, at + size))
-            at += size
-        self._buffer = _ops(keys, values, at, stop)
-
-    def _send(self, kind: str, batch: list) -> None:
-        store = self.store
-        if kind == "get":
-            for value, __ in store.multi_get(batch):
+        for at in range(0, len(keys), size):
+            for value, __ in multi_get(keys[at:at + size]):
                 if value is None:
                     self._missed()
-        elif kind == "put":
-            store.multi_put(batch)
-        else:
-            store.multi_delete(batch)
 
+    def puts(self, keys: list, values: list) -> None:
+        multi_put = self.store.multi_put
+        size = self.batch_size
+        for at in range(0, len(keys), size):
+            multi_put(list(zip(keys[at:at + size], values[at:at + size])))
 
-def _ops(keys: list, values: Optional[list], start: int, stop: int) -> list:
-    if values is None:
-        return keys[start:stop]
-    return list(zip(keys[start:stop], values[start:stop]))
+    def deletes(self, keys: list) -> None:
+        multi_delete = self.store.multi_delete
+        size = self.batch_size
+        for at in range(0, len(keys), size):
+            multi_delete(keys[at:at + size])

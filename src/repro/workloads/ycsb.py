@@ -52,7 +52,6 @@ def load_phase(
                 keys_for(order[ops.start:ops.stop]),
                 [SizedValue(("load", tag), value_size) for tag in ops],
             )
-        issue.flush()
     return phase.result()
 
 
@@ -75,11 +74,12 @@ def run_workload(
     ``record_count`` is the number of records loaded beforehand; inserts
     extend the key space past it.
 
-    With a ``batch_size``, runs of consecutive same-kind operations
-    (reads, or updates/inserts) are coalesced through ``multi_get`` /
-    ``multi_put`` up to that length.  The draw sequence, op order, and
-    every simulated number are unchanged; with ``check_reads`` a missed
-    read is reported when its batch flushes rather than instantly.
+    With a ``batch_size``, each run of consecutive same-kind operations
+    (reads, or updates/inserts) goes through ``multi_get`` /
+    ``multi_put`` in slices of up to that length.  The draw sequence,
+    op order, and every simulated number are unchanged; with
+    ``check_reads`` a missed read is reported when its slice returns
+    rather than instantly.
 
     The mix and chooser streams are independent forks, each private to
     the call, so each is drawn a column at a time: a column's mix draws
@@ -145,13 +145,11 @@ def run_workload(
                     ])
                 elif kind == SCAN:
                     for key in keys:
-                        issue.flush()
                         store.scan(key, spec.scan_length)
                 else:  # read-modify-write: the get must precede the put
                     for i, key in zip(range(base + start, base + stop), keys):
                         issue.gets([key])
                         issue.puts([key], [SizedValue(("rmw", i), value_size)])
-        issue.flush()
     return phase.result()
 
 

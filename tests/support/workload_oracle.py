@@ -7,10 +7,12 @@ Copied verbatim from ``repro.workloads`` (``zipfian``, ``runner``,
 gathered here, the shuffle is a function, ``ZipfianGenerator._zeta`` is
 the plain sum and ``ScrambledZipfian`` hashes each rank without the
 memo.  Every draw is one call on the rng, every key one ``key_for``.
+The phases issue one store call per op (their ``batch_size`` paths are
+dropped): a batched run is held to this stream with each ``multi_*``
+call expanded into its ops.
 """
 
-from itertools import islice
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable
 
 from repro.bloom.hashing import fnv1a_64
 from repro.kvstore.values import SizedValue
@@ -92,59 +94,28 @@ class LatestGenerator:
         return value if value >= 0 else 0
 
 
-def check_batch_size(batch_size: int) -> None:
-    """Reject a chunk length below one; a per-op run has none to check."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-
-def _chunks(stream: Iterable, batch_size: int) -> Iterator[list]:
-    """Lists of up to ``batch_size`` consecutive items, drawn as issued."""
-    check_batch_size(batch_size)
-    stream = iter(stream)
-    while True:
-        chunk = list(islice(stream, batch_size))
-        if not chunk:
-            return
-        yield chunk
-
-
-def issue_puts(store, items: Iterable, batch_size: Optional[int]) -> None:
+def issue_puts(store, items: Iterable) -> None:
     """Write every ``(key, value)`` of ``items``, in order."""
-    if batch_size is None:
-        put = store.put
-        for key, value in items:
-            put(key, value)
-    else:
-        for chunk in _chunks(items, batch_size):
-            store.multi_put(chunk)
+    put = store.put
+    for key, value in items:
+        put(key, value)
 
 
-def issue_gets(store, keys: Iterable[bytes], batch_size: Optional[int]) -> int:
+def issue_gets(store, keys: Iterable[bytes]) -> int:
     """Read every key of ``keys``, in order; returns how many missed."""
     misses = 0
-    if batch_size is None:
-        get = store.get
-        for key in keys:
-            if get(key)[0] is None:
-                misses += 1
-    else:
-        for chunk in _chunks(keys, batch_size):
-            for value, __ in store.multi_get(chunk):
-                if value is None:
-                    misses += 1
+    get = store.get
+    for key in keys:
+        if get(key)[0] is None:
+            misses += 1
     return misses
 
 
-def issue_deletes(store, keys: Iterable[bytes], batch_size: Optional[int]) -> None:
+def issue_deletes(store, keys: Iterable[bytes]) -> None:
     """Delete every key of ``keys``, in order."""
-    if batch_size is None:
-        delete = store.delete
-        for key in keys:
-            delete(key)
-    else:
-        for chunk in _chunks(keys, batch_size):
-            store.multi_delete(chunk)
+    delete = store.delete
+    for key in keys:
+        delete(key)
 
 
 def fill_random(
@@ -152,7 +123,6 @@ def fill_random(
     n: int,
     value_size: int,
     seed: int = 1,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Write ``n`` KV pairs in random key order."""
     order = list(range(n))
@@ -162,20 +132,15 @@ def fill_random(
         for tag, index in enumerate(order)
     )
     with Phase("fillrandom", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        issue_puts(store, items)
     return phase.result()
 
 
-def fill_seq(
-    store,
-    n: int,
-    value_size: int,
-    batch_size: Optional[int] = None,
-) -> RunResult:
+def fill_seq(store, n: int, value_size: int) -> RunResult:
     """Write ``n`` KV pairs in ascending key order."""
     items = ((key_for(index), SizedValue(index, value_size)) for index in range(n))
     with Phase("fillseq", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        issue_puts(store, items)
     return phase.result()
 
 
@@ -184,31 +149,27 @@ def read_random(
     n_reads: int,
     key_space: int,
     seed: int = 2,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Read ``n_reads`` uniformly random existing keys."""
     rng = XorShiftRng(seed)
     keys = (key_for(rng.next_below(key_space)) for __ in range(n_reads))
     with Phase("readrandom", store.system) as phase:
-        misses = issue_gets(store, keys, batch_size)
+        misses = issue_gets(store, keys)
     if misses:
         raise AssertionError(f"readrandom missed {misses}/{n_reads} existing keys")
     return phase.result()
 
 
-def read_seq(
-    store, n_reads: int, key_space: int, batch_size: Optional[int] = None
-) -> RunResult:
+def read_seq(store, n_reads: int, key_space: int) -> RunResult:
     """Read keys in ascending order from the first (db_bench's readseq)."""
     keys = (key_for(i % key_space) for i in range(n_reads))
     with Phase("readseq", store.system) as phase:
-        issue_gets(store, keys, batch_size)
+        issue_gets(store, keys)
     return phase.result()
 
 
 def overwrite(
     store, n: int, key_space: int, value_size: int, seed: int = 3,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Random overwrites of existing keys (db_bench's overwrite)."""
     rng = XorShiftRng(seed)
@@ -217,19 +178,18 @@ def overwrite(
         for tag in range(n)
     )
     with Phase("overwrite", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        issue_puts(store, items)
     return phase.result()
 
 
 def delete_random(
     store, n: int, key_space: int, seed: int = 4,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Random deletions (db_bench's deleterandom)."""
     rng = XorShiftRng(seed)
     keys = (key_for(rng.next_below(key_space)) for __ in range(n))
     with Phase("deleterandom", store.system) as phase:
-        issue_deletes(store, keys, batch_size)
+        issue_deletes(store, keys)
     return phase.result()
 
 
@@ -246,7 +206,6 @@ def seek_random(
 
 def load_phase(
     store, n: int, value_size: int, seed: int = 11,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """YCSB Load: insert ``n`` records in hashed (random-looking) order."""
     order = list(range(n))
@@ -256,7 +215,7 @@ def load_phase(
         for tag, index in enumerate(order)
     )
     with Phase("load", store.system) as phase:
-        issue_puts(store, items, batch_size)
+        issue_puts(store, items)
     return phase.result()
 
 
@@ -267,19 +226,11 @@ def run_workload(
     record_count: int,
     value_size: int,
     seed: int = 23,
-    check_reads: bool = False,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Run ``n_ops`` operations of one YCSB workload against ``store``.
 
     ``record_count`` is the number of records loaded beforehand; inserts
     extend the key space past it.
-
-    With a ``batch_size``, runs of consecutive same-kind operations
-    (reads, or updates/inserts) are coalesced through ``multi_get`` /
-    ``multi_put`` up to that length.  The draw sequence, op order, and
-    every simulated number are unchanged; with ``check_reads`` a missed
-    read is reported when its batch flushes rather than instantly.
     """
     rng = XorShiftRng(seed)
     if spec.distribution == "latest":
@@ -288,10 +239,7 @@ def run_workload(
         chooser = ScrambledZipfian(record_count, rng.fork(3))
     next_insert = record_count
     thresholds = _mix_thresholds(spec)
-    if batch_size is None:
-        read, write, flush = _per_op(store, check_reads)
-    else:
-        read, write, flush = _coalesced(store, check_reads, batch_size)
+    read, write = store.get, store.put
 
     with Phase(f"ycsb-{spec.name}", store.system) as phase:
         for op_index in range(n_ops):
@@ -312,67 +260,12 @@ def run_workload(
                     chooser.observe_insert(next_insert)
                 next_insert += 1
             elif draw < thresholds["scan"]:
-                flush()
                 store.scan(key_for(chooser.next()), spec.scan_length)
             else:  # read-modify-write: the get must precede the put
                 key = key_for(chooser.next())
                 read(key)
                 write(key, SizedValue(("rmw", op_index), value_size))
-        flush()
     return phase.result()
-
-
-def _per_op(store, check_reads: bool):
-    """``(read, write, flush)`` issuing each op as the mix loop draws it."""
-
-    def read(key: bytes) -> None:
-        value, __ = store.get(key)
-        if check_reads and value is None:
-            raise AssertionError("YCSB read missed a loaded key")
-
-    return read, store.put, lambda: None
-
-
-def _coalesced(store, check_reads: bool, batch_size: int):
-    """``(read, write, flush)`` buffering runs of consecutive same-kind ops.
-
-    A run goes out through ``multi_get`` / ``multi_put`` when the kind
-    changes, when it reaches ``batch_size``, or at ``flush()``, which the
-    mix loop calls before a scan and at the end.
-    """
-    check_batch_size(batch_size)
-    buffer: list = []
-    buffer_kind: Optional[str] = None
-
-    def flush() -> None:
-        nonlocal buffer_kind
-        if not buffer:
-            return
-        if buffer_kind == "get":
-            for value, __ in store.multi_get(buffer):
-                if check_reads and value is None:
-                    raise AssertionError("YCSB read missed a loaded key")
-        else:
-            store.multi_put(buffer)
-        buffer.clear()
-        buffer_kind = None
-
-    def enqueue(kind: str, item) -> None:
-        nonlocal buffer_kind
-        if buffer_kind != kind:
-            flush()
-            buffer_kind = kind
-        buffer.append(item)
-        if len(buffer) >= batch_size:
-            flush()
-
-    def read(key: bytes) -> None:
-        enqueue("get", key)
-
-    def write(key: bytes, value) -> None:
-        enqueue("put", (key, value))
-
-    return read, write, flush
 
 
 def _mix_thresholds(spec: YcsbSpec) -> Dict[str, float]:

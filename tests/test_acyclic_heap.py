@@ -172,7 +172,7 @@ def test_op_drivers_pause_and_per_op_calls_do_not():
         probe("phase")()
     assert gc.isenabled()
 
-    run_open_loop(store, probe("open_loop"), 1, math.inf)
+    run_open_loop(store, probe("open_loop"), 1, 1000.0)
 
     executor = Executor(system.clock)
     executor.submit(executor.worker("w"), 1.0, probe("drain"))

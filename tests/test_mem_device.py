@@ -4,6 +4,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.mem.costs import CpuCostModel
 from repro.mem.device import Device, DeviceProfile
 from repro.mem.profiles import DRAM_PROFILE, NVME_SSD_PROFILE, OPTANE_NVM_PROFILE
 from repro.mem.system import HybridMemorySystem
@@ -33,6 +34,13 @@ def test_write_words_is_the_two_step_charge_bit_for_bit(count, running):
     expected += (count - 1) * old.profile.write_latency
     assert new.write_words(count, running).hex() == expected.hex()
     assert (new.bytes_written, new.write_ops) == (8 * count, 1)
+
+
+def test_a_device_keeps_the_profile_it_was_built_with(nvm):
+    with pytest.raises(AttributeError):
+        nvm.profile = DRAM_PROFILE
+    assert nvm.profile is OPTANE_NVM_PROFILE
+    assert nvm.search_time(1) == nvm.hop_time() + CpuCostModel.COMPARE_COST
 
 
 def test_write_words_of_nothing_charges_nothing(nvm):

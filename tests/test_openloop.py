@@ -1,5 +1,7 @@
 """Tests for the open-loop load generator."""
 
+import math
+
 import pytest
 
 from repro.bench import make_store
@@ -67,32 +69,7 @@ def test_zero_ops_is_an_empty_result():
     assert result.response.count == 0 and result.response.p999 == 0.0
 
 
-def test_infinite_rate_runs_closed_loop():
-    import math
-
+def test_infinite_rate_is_refused():
     store, __ = make_store("miodb", SCALE)
-    result = run_open_loop(store, writer(store), 500, rate_per_s=math.inf)
-    # Closed loop: each op is issued the instant the previous one
-    # completes, so there is never queueing delay.
-    assert result.ops == 500
-    assert result.max_queue_delay == 0.0
-    assert math.isinf(result.offered_rate)
-    # "Achieved < offered" is meaningless at an infinite offered rate.
-    assert not result.saturated
-    assert result.achieved_rate > 0
-
-
-def test_closed_loop_matches_back_to_back_service_times():
-    import math
-
-    store, __ = make_store("miodb", SCALE)
-    closed = run_open_loop(store, writer(store), 300, rate_per_s=math.inf)
-    # A second store driven back-to-back (no pacing at all) takes the
-    # same simulated time as the closed-loop run.
-    store2, system2 = make_store("miodb", SCALE)
-    op = writer(store2)
-    t0 = system2.clock.now
-    for i in range(300):
-        op(i)
-        system2.executor.settle()
-    assert closed.achieved_rate == pytest.approx(300 / (system2.clock.now - t0))
+    with pytest.raises(ValueError, match="finite"):
+        run_open_loop(store, writer(store), 10, rate_per_s=math.inf)

@@ -28,7 +28,6 @@ from repro.bench.factory import STORE_NAMES, make_store
 from repro.core import MioDB
 from repro.core.repository import NvmRepository
 from repro.kvstore.scans import MergedView, merged_scan
-from repro.mem.device import DeviceProfile
 from repro.mem.system import HybridMemorySystem
 from repro.obs.events import CAT_TRANSFER
 from repro.skiplist.node import NODE_OVERHEAD_BYTES, TOMBSTONE
@@ -604,17 +603,6 @@ def _update_in_place(probe, system, newer, older):
     return [(newer, system.dram), (older, system.nvm)]
 
 
-def _device_rate(probe, system, newer, older):
-    # Same object, new quote: the profile a device prices reads with.
-    p = system.nvm.profile
-    system.nvm.profile = DeviceProfile(
-        p.name, p.read_latency * 2, p.write_latency, p.seq_read_bw / 3,
-        p.seq_write_bw, p.rand_read_bw, p.rand_write_bw, p.hop_latency * 5,
-        p.persistent,
-    )
-    return [(newer, system.dram), (older, system.nvm)]
-
-
 def _recorder(probe, system, newer, older):
     # Transfer events are emitted per read, so the kernel must run.
     system.attach_tracing()
@@ -624,7 +612,7 @@ def _recorder(probe, system, newer, older):
 @pytest.mark.parametrize(
     "change",
     [_write_after_build, _another_device, _another_listing, _update_in_place,
-     _device_rate, _recorder],
+     _recorder],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_the_view_stops_serving_when_a_validity_rule_breaks(change):

@@ -1,11 +1,12 @@
 """The column generators against the per-op generators they replaced.
 
 ``tests/support/workload_oracle.py`` keeps the per-op db_bench and YCSB
-phases (one rng call per draw, one ``key_for`` per key, one buffered
-enqueue per op).  Both drive a store that records every call, so the
-op stream is compared exactly: op kind, key, value tag and size, scan
-length and the boundaries of every ``multi_*`` batch.  Op counts are
-not multiples of ``COLUMN_CHUNK``, so runs and batches cross columns.
+phases (one rng call per draw, one ``key_for`` per key, one store call
+per op).  Both drive a store that records every call, and the op stream
+is compared exactly, with each ``multi_*`` call expanded into its ops:
+op kind, key, value tag and size, scan length.  Op counts are not
+multiples of ``COLUMN_CHUNK``, so runs cross columns; a batch is cut
+from one call, so it never does.
 """
 
 import pytest
@@ -72,43 +73,72 @@ class RecordingStore:
         return [0.0] * len(keys)
 
 
-def _same_stream(run):
-    """``run(module, store)`` on the oracle and on the column generators:
-    the recorded calls must be equal, and must not be vacuous."""
+def per_op(calls: list) -> list:
+    """The recorded calls with each ``multi_*`` call expanded into its ops."""
+    ops = []
+    for call in calls:
+        kind = call[0]
+        if kind == "multi_put":
+            ops += [("put",) + item for item in call[1]]
+        elif kind == "multi_get":
+            ops += [("get", key) for key in call[1]]
+        elif kind == "multi_delete":
+            ops += [("delete", key) for key in call[1]]
+        else:
+            ops.append(call)
+    return ops
+
+
+def _same_stream(run, batch):
+    """``run(module, store, **batch_size)`` on the per-op oracle and on
+    the column generators at ``batch``: the recorded ops must be equal,
+    and must not be vacuous."""
     old, new = RecordingStore(), RecordingStore()
     old_result = run(oracle, old)
-    new_result = run(None, new)
-    assert new.calls == old.calls
+    new_result = run(None, new, batch_size=batch)
+    assert per_op(new.calls) == old.calls
+    if batch is None:
+        assert new.calls == old.calls
     assert old_result.name == new_result.name
     assert old.calls
     return new.calls
 
 
+def _cut(count, batch):
+    """``count`` ops as ``batch``-sized slices plus a remainder."""
+    return [batch] * (count // batch) + ([count % batch] if count % batch else [])
+
+
+def column_batches(n, batch):
+    """The batch sizes of ``n`` same-kind ops drawn in columns: each full
+    column is cut on its own, then the last."""
+    full, last = divmod(n, COLUMN_CHUNK)
+    return _cut(COLUMN_CHUNK, batch) * full + _cut(last, batch)
+
+
 DBBENCH = {
-    "fillrandom": lambda m, s, b: (m or dbbench).fill_random(s, N, VALUE, seed=5, batch_size=b),
-    "fillseq": lambda m, s, b: (m or dbbench).fill_seq(s, N, VALUE, batch_size=b),
-    "readrandom": lambda m, s, b: (m or dbbench).read_random(s, N, RECORDS, seed=6, batch_size=b),
-    "readseq": lambda m, s, b: (m or dbbench).read_seq(s, N, RECORDS, batch_size=b),
-    "overwrite": lambda m, s, b: (m or dbbench).overwrite(
-        s, N, RECORDS, VALUE, seed=7, batch_size=b),
-    "deleterandom": lambda m, s, b: (m or dbbench).delete_random(
-        s, N, RECORDS, seed=8, batch_size=b),
-    "load": lambda m, s, b: (m or ycsb).load_phase(s, N, VALUE, seed=9, batch_size=b),
+    "fillrandom": lambda m, s, **b: (m or dbbench).fill_random(s, N, VALUE, seed=5, **b),
+    "fillseq": lambda m, s, **b: (m or dbbench).fill_seq(s, N, VALUE, **b),
+    "readrandom": lambda m, s, **b: (m or dbbench).read_random(s, N, RECORDS, seed=6, **b),
+    "readseq": lambda m, s, **b: (m or dbbench).read_seq(s, N, RECORDS, **b),
+    "overwrite": lambda m, s, **b: (m or dbbench).overwrite(s, N, RECORDS, VALUE, seed=7, **b),
+    "deleterandom": lambda m, s, **b: (m or dbbench).delete_random(s, N, RECORDS, seed=8, **b),
+    "load": lambda m, s, **b: (m or ycsb).load_phase(s, N, VALUE, seed=9, **b),
 }
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES, ids=lambda b: f"batch-{b}")
 @pytest.mark.parametrize("mode", sorted(DBBENCH))
 def test_dbbench_and_load_issue_the_per_op_stream(mode, batch):
-    calls = _same_stream(lambda m, s: DBBENCH[mode](m, s, batch))
+    calls = _same_stream(DBBENCH[mode], batch)
     if batch is not None:
-        sizes = [len(call[1]) for call in calls]
-        assert sizes == [batch] * (N // batch) + ([N % batch] if N % batch else [])
+        assert [len(call[1]) for call in calls] == column_batches(N, batch)
 
 
 def test_seekrandom_issues_the_per_op_stream():
     calls = _same_stream(
-        lambda m, s: (m or dbbench).seek_random(s, N, RECORDS, scan_length=13, seed=4)
+        lambda m, s, **b: (m or dbbench).seek_random(s, N, RECORDS, scan_length=13, seed=4),
+        None,
     )
     assert len(calls) == N and {call[2] for call in calls} == {13}
 
@@ -117,11 +147,13 @@ def test_seekrandom_issues_the_per_op_stream():
 @pytest.mark.parametrize("batch", BATCH_SIZES, ids=lambda b: f"batch-{b}")
 def test_column_edges_issue_the_per_op_stream(n, batch):
     old, new = RecordingStore(), RecordingStore()
-    for module, store in ((oracle, old), (dbbench, new)):
-        module.fill_random(store, n, VALUE, seed=3, batch_size=batch)
-        module.read_random(store, n, max(n, 1), seed=4, batch_size=batch)
-        module.delete_random(store, n, max(n, 1), seed=5, batch_size=batch)
-    assert new.calls == old.calls
+    for module, store, b in ((oracle, old, {}), (dbbench, new, {"batch_size": batch})):
+        module.fill_random(store, n, VALUE, seed=3, **b)
+        module.read_random(store, n, max(n, 1), seed=4, **b)
+        module.delete_random(store, n, max(n, 1), seed=5, **b)
+    assert per_op(new.calls) == old.calls
+    if batch is not None:
+        assert [len(call[1]) for call in new.calls] == column_batches(n, batch) * 3
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES, ids=lambda b: f"batch-{b}")
@@ -129,19 +161,20 @@ def test_column_edges_issue_the_per_op_stream(n, batch):
 def test_ycsb_issues_the_per_op_stream(letter, batch):
     spec = ycsb.YCSB_WORKLOADS[letter]
 
-    def run(module, store):
+    def run(module, store, **b):
         return (module or ycsb).run_workload(
-            store, spec, N, RECORDS, VALUE, seed=31, batch_size=batch
+            store, spec, N, RECORDS, VALUE, seed=31, **b
         )
 
-    calls = _same_stream(run)
+    calls = _same_stream(run, batch)
     kinds = {call[0] for call in calls}
+    if letter == "C" and batch is not None:
+        # One read run per column, cut as the db_bench phases are.
+        assert [len(call[1]) for call in calls] == column_batches(N, batch)
     if letter == "D":
         # The latest chooser reads keys the inserts just wrote.
         inserted = {key_for(RECORDS + i) for i in range(N)}
-        reads = [k for call in calls if "get" in call[0]
-                 for k in (call[1] if call[0] == "multi_get" else [call[1]])]
-        assert inserted & set(reads)
+        assert inserted & {op[1] for op in per_op(calls) if op[0] == "get"}
     if letter == "E":
         assert "scan" in kinds and kinds & {"put", "multi_put"}
 
@@ -174,12 +207,12 @@ def test_any_mix_issues_the_per_op_stream(mix, distribution, batch):
     """Single-kind specs draw no mix column; the stream is the per-op one."""
     spec = ycsb.YcsbSpec("X", distribution=distribution, scan_length=9, **mix)
 
-    def run(module, store):
+    def run(module, store, **b):
         return (module or ycsb).run_workload(
-            store, spec, COLUMN_CHUNK + 77, RECORDS, VALUE, seed=3, batch_size=batch
+            store, spec, COLUMN_CHUNK + 77, RECORDS, VALUE, seed=3, **b
         )
 
-    _same_stream(run)
+    _same_stream(run, batch)
 
 
 @pytest.mark.parametrize("thresholds, sole", [

@@ -48,7 +48,6 @@ def _gets(store, name, keys, batch):
     issue = issuer(store, batch)
     with Phase(name, store.system) as phase:
         issue.gets(list(keys))
-        issue.flush()
     return phase.result()
 
 
