@@ -35,9 +35,9 @@ CAT_JOB = "job"
 CAT_TRANSFER = "transfer"
 #: Admission-queue wait ahead of a served cluster request (router track).
 CAT_QUEUE = "queue"
-#: Replication activity: WAL shipping, follower apply, ack waits,
-#: leader elections and failover (``args["lsn"]``/``args["replica"]``
-#: when known).  Emitted on the group's member tracks.
+#: Nothing emits this category: replication events use the four
+#: ``repl.*`` categories below.  It stays listed in ``CATEGORIES``, whose
+#: entries the ``schema/trace-events`` pin covers, until a re-pin drops it.
 CAT_REPL = "repl"
 #: Replicated-log shipping: the ``append`` instant that extends the
 #: group log with fresh leader WAL frames, and the per-follower ``ship``

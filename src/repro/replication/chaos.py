@@ -29,6 +29,7 @@ from repro.replication.config import (
     ReplicationConfig,
 )
 from repro.sim.rng import XorShiftRng
+from repro.skiplist.node import TOMBSTONE
 
 #: Completed ops between a kill and its victim's restart.
 RESTART_GAP_OPS = 80
@@ -190,7 +191,7 @@ def _oracle_state(group, store_name: str, scale) -> dict:
 
     oracle, __ = make_store(store_name, scale)
     for record in group.log:
-        if record.value is None:
+        if record.value is TOMBSTONE:
             oracle.delete(record.key)
         else:
             oracle.put(record.key, record.value)

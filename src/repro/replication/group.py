@@ -40,7 +40,6 @@ from repro.kvstore.buffered import BufferedStore
 from repro.mem.device import Device
 from repro.mem.profiles import REPL_LINK_PROFILE
 from repro.obs.events import (
-    CAT_REPL,
     CAT_REPL_ACK,
     CAT_REPL_APPLY,
     CAT_REPL_ELECTION,
@@ -55,9 +54,6 @@ from repro.replication.config import (
 )
 from repro.sim.executor import advance, drain_all, settle_due
 from repro.sim.stats import StatsRegistry
-
-ROLE_LEADER = "leader"
-ROLE_FOLLOWER = "follower"
 
 #: Most WAL frames one ship transfer to a follower bundles.
 SHIP_BATCH = 8
@@ -100,8 +96,8 @@ class Replica:
 
     __slots__ = (
         "replica_id", "store", "system", "link", "ship_worker",
-        "apply_worker", "alive", "role", "shipped_lsn", "durable_lsn",
-        "applied_lsn", "ship_job", "last_seq", "durable_t", "durable_span",
+        "apply_worker", "alive", "shipped_lsn", "durable_lsn",
+        "applied_lsn", "ship_job", "durable_t", "durable_span",
         "bootstrap_lsn",
     )
 
@@ -113,12 +109,10 @@ class Replica:
         self.ship_worker = None
         self.apply_worker = None
         self.alive = True
-        self.role = ROLE_FOLLOWER
         self.shipped_lsn = 0
         self.durable_lsn = 0
         self.applied_lsn = 0
         self.ship_job = None
-        self.last_seq = 0
         # When this follower last advanced durable_lsn, and the span id
         # of the ship that delivered it -- the ack decision's causal
         # parent when this follower completes the quorum.
@@ -129,7 +123,7 @@ class Replica:
         self.bootstrap_lsn = 0
 
     def __repr__(self) -> str:
-        state = self.role if self.alive else "down"
+        state = "up" if self.alive else "down"
         return (
             f"Replica({self.replica_id}, {state}, "
             f"durable={self.durable_lsn}, applied={self.applied_lsn})"
@@ -171,7 +165,6 @@ class ReplicaGroup:
         #: Back-reference set by the cluster layer so failover can
         #: repoint the shard at the new leader's store/system.
         self.shard = None
-        self._pulled_seq = 0
         self._rr = 0
         #: The winner of the election job in flight, or None.
         self._election_member: Optional[Replica] = None
@@ -189,7 +182,6 @@ class ReplicaGroup:
         self.members: List[Replica] = []
         for rid in range(self.config.group_size):
             self.members.append(self._make_member(rid))
-        self.members[0].role = ROLE_LEADER
         #: The members' one clock.
         self.clock = self.members[0].system.clock
         #: Every member's executor, in member order, for the shared-clock
@@ -304,13 +296,18 @@ class ReplicaGroup:
         member = self.leader if self.leader_idx is not None else self.members[0]
         return member.system
 
+    def _role(self, member: Replica) -> str:
+        """``"leader"`` for the member ``leader_idx`` names, else
+        ``"follower"``: a role is read off the group, never stored."""
+        return "leader" if member.replica_id == self.leader_idx else "follower"
+
     def alive_members(self) -> List[Replica]:
         return [m for m in self.members if m.alive]
 
     def alive_followers(self) -> List[Replica]:
+        leader_idx = self.leader_idx
         return [
-            m for m in self.members
-            if m.alive and m.role == ROLE_FOLLOWER
+            m for m in self.members if m.alive and m.replica_id != leader_idx
         ]
 
     def lag(self) -> int:
@@ -375,14 +372,12 @@ class ReplicaGroup:
 
     def _pull_from_leader(self, leader: Replica) -> None:
         """Move the leader's fresh WAL frames into the replicated log."""
-        fresh = leader.store.wal.records_since(self._pulled_seq)
+        log = self.log
+        fresh = leader.store.wal.records_since(log[-1].seq if log else 0)
         if not fresh:
             return
-        self.log.extend(fresh)
-        last_seq = self._pulled_seq = fresh[-1].seq
-        if last_seq > leader.last_seq:
-            leader.last_seq = last_seq
-        lsn = len(self.log)
+        log.extend(fresh)
+        lsn = len(log)
         leader.shipped_lsn = leader.durable_lsn = leader.applied_lsn = lsn
         if self.obs is not None:
             self._append_span = self._emit(
@@ -451,33 +446,23 @@ class ReplicaGroup:
     # ------------------------------------------------------------- shipping
 
     def _pump_all(self) -> None:
-        # _pump's own guard, tested here so a follower that cannot ship
-        # costs no call: most writes find a ship already in flight.
-        log_lsn = len(self.log)
+        pump = self._pump
         for member in self.members:
-            if (
-                member.role == ROLE_FOLLOWER
-                and member.alive
-                and member.ship_job is None
-                and member.shipped_lsn < log_lsn
-            ):
-                self._ship(member)
+            pump(member)
 
     def _pump(self, follower: Replica) -> None:
-        """Start the follower's next ship transfer if one is due."""
-        if (
-            follower.alive
-            and follower.role == ROLE_FOLLOWER
-            and follower.ship_job is None
-            and follower.shipped_lsn < len(self.log)
-        ):
-            self._ship(follower)
-
-    def _ship(self, follower: Replica) -> None:
-        """Ship the follower's next frames; the caller tested :meth:`_pump`'s
-        guard (hot callers test it inline and call this directly)."""
+        """Ship ``follower``'s next frames if it is alive, not the leader,
+        has no ship in flight and is behind the log -- the one test of
+        whether a member ships."""
         start = follower.shipped_lsn
         end = len(self.log)
+        if (
+            start >= end
+            or follower.ship_job is not None
+            or not follower.alive
+            or follower.replica_id == self.leader_idx
+        ):
+            return
         if end > start + SHIP_BATCH:
             end = start + SHIP_BATCH
         frames = self.log[start:end]
@@ -501,19 +486,8 @@ class ReplicaGroup:
                 return
             self._deliver(follower, frames, end, ship_span)
 
-        executor = follower.system.executor
-        follower.ship_job = executor.submit(
-            follower.ship_worker,
-            seconds,
-            delivered,
-            name=follower.ship_worker.name,
-            # only the executor's recorder reads the annotation
-            meta=None if executor.obs is None else {
-                "cat": CAT_REPL,
-                "lsn": end,
-                "replica": follower.replica_id,
-                "bytes": total,
-            },
+        follower.ship_job = follower.system.executor.submit(
+            follower.ship_worker, seconds, delivered, name=follower.ship_worker.name,
         )
         if ship_span is not None:
             # The executor computes the job's start/end at submit time,
@@ -555,8 +529,6 @@ class ReplicaGroup:
             seconds += store.stage_logged(
                 record.key, record.seq, record.value, record.value_bytes
             )
-            if record.seq > follower.last_seq:
-                follower.last_seq = record.seq
         if end_lsn > follower.durable_lsn:
             follower.durable_lsn = end_lsn
         follower.durable_t = self.clock.now
@@ -571,7 +543,7 @@ class ReplicaGroup:
                 parent=ship_span, member=follower.replica_id,
             )
 
-        def applied(  # state bound as defaults, as in _ship
+        def applied(  # state bound as defaults, as in _pump
             self=self, follower=follower, end_lsn=end_lsn, count=count
         ) -> None:
             if not follower.alive:
@@ -579,30 +551,14 @@ class ReplicaGroup:
             if end_lsn > follower.applied_lsn:
                 follower.applied_lsn = end_lsn
             self.stats.add("repl.applied_records", count)
-            log_lsn = len(self.log)
-            lag = log_lsn - follower.applied_lsn
+            lag = len(self.log) - follower.applied_lsn
             if lag > self._lag_peak:
                 self._lag_peak = lag
                 self.stats.max("repl.lag_peak", lag)
-            if (
-                follower.ship_job is None
-                and follower.role == ROLE_FOLLOWER
-                and follower.shipped_lsn < log_lsn
-            ):
-                self._ship(follower)
+            self._pump(follower)
 
-        executor = follower.system.executor
-        apply_job = executor.submit(
-            follower.apply_worker,
-            seconds,
-            applied,
-            name=follower.apply_worker.name,
-            meta=None if executor.obs is None else {
-                "cat": CAT_REPL,
-                "lsn": end_lsn,
-                "replica": follower.replica_id,
-                "records": count,
-            },
+        apply_job = follower.system.executor.submit(
+            follower.apply_worker, seconds, applied, name=follower.apply_worker.name,
         )
         if self.obs is not None:
             self._emit(
@@ -617,10 +573,7 @@ class ReplicaGroup:
                 interval=(apply_job.start, apply_job.end),
             )
         # Ship/apply pipelining: the next transfer can start immediately.
-        # delivered() cleared ship_job and checked liveness and epoch (an
-        # unchanged epoch means the follower is still a follower).
-        if follower.shipped_lsn < len(self.log):
-            self._ship(follower)
+        self._pump(follower)
         if follower.bootstrap_lsn and self._bootstrapped(follower):
             follower.bootstrap_lsn = 0
             if self.leader_idx is None:
@@ -693,7 +646,7 @@ class ReplicaGroup:
         member.ship_job = None
         self.stats.add("repl.kills", 1)
         self._kill_span = self._note(
-            "kill", {"replica": replica_id, "role": member.role}
+            "kill", {"replica": replica_id, "role": self._role(member)}
         )
         if self._election_member is member:
             # The winner died mid-election; its executor's reset dropped
@@ -702,7 +655,6 @@ class ReplicaGroup:
         if self.leader_idx == replica_id:
             self.leader_idx = None
             self._deposed = member
-            member.role = ROLE_FOLLOWER
         if self.leader_idx is None:
             self._maybe_elect()
 
@@ -756,11 +708,11 @@ class ReplicaGroup:
             if not winner.alive:
                 self._maybe_elect()
                 return
-            winner.role = ROLE_LEADER
             self.leader_idx = winner.replica_id
-            if winner.last_seq > winner.store.seq:
-                winner.store.seq = winner.last_seq
-            self._pulled_seq = winner.last_seq
+            # The log is the winner's durable prefix, in ascending seq:
+            # its last record is the newest write the new leader holds.
+            if self.log and self.log[-1].seq > winner.store.seq:
+                winner.store.seq = self.log[-1].seq
             self.elections += 1
             self.stats.add("repl.elections", 1)
             self.history.append({
@@ -799,11 +751,6 @@ class ReplicaGroup:
             ELECTION_TIMEOUT_S,
             elected,
             name=f"repl-elect-g{self.group_id}-r{winner.replica_id}",
-            meta={
-                "cat": CAT_REPL,
-                "replica": winner.replica_id,
-                "durable_lsn": winner.durable_lsn,
-            },
         )
         if elect_span is not None:
             self._emit(
@@ -874,7 +821,7 @@ class ReplicaGroup:
             "members": [
                 {
                     "replica": m.replica_id,
-                    "role": m.role if m.alive else "down",
+                    "role": self._role(m) if m.alive else "down",
                     "alive": m.alive,
                     "shipped_lsn": m.shipped_lsn,
                     "durable_lsn": m.durable_lsn,

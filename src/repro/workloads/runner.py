@@ -125,8 +125,9 @@ def columns(n_ops: int):
 def issuer(store, batch_size: Optional[int], check_reads: bool = False):
     """The op issuer a phase hands its columns to.
 
-    It has ``gets(keys)``, ``puts(keys, values)`` and ``deletes(keys)``
-    (lists, issued in order before the call returns) and ``misses``,
+    It has ``gets(keys)``, ``puts(keys, values)``, ``deletes(keys)`` and
+    ``rmws(keys, values)`` (lists, issued in order before the call
+    returns; read-modify-write pairs always go per op) and ``misses``,
     the reads that found nothing so far.  With a ``batch_size`` a
     call's ops go out through ``multi_*`` in consecutive slices of at
     most that many, so a batch never spans two calls.  With
@@ -169,6 +170,16 @@ class _PerOp:
         delete = self.store.delete
         for key in keys:
             delete(key)
+
+    def rmws(self, keys: list, values: list) -> None:
+        """Read each key, then write its value, one op at a time at any
+        batch size: a pair cannot share a batch with the next pair."""
+        get = self.store.get
+        put = self.store.put
+        for key, value in zip(keys, values):
+            if get(key)[0] is None:
+                self._missed()
+            put(key, value)
 
 
 class _Batched(_PerOp):

@@ -76,10 +76,11 @@ def run_workload(
 
     With a ``batch_size``, each run of consecutive same-kind operations
     (reads, or updates/inserts) goes through ``multi_get`` /
-    ``multi_put`` in slices of up to that length.  The draw sequence,
-    op order, and every simulated number are unchanged; with
-    ``check_reads`` a missed read is reported when its slice returns
-    rather than instantly.
+    ``multi_put`` in slices of up to that length; read-modify-write
+    pairs go per op at any batch size (a one-key batch saves nothing).
+    The draw sequence, op order, and every simulated number are
+    unchanged; with ``check_reads`` a missed read is reported when its
+    slice returns rather than instantly.
 
     The mix and chooser streams are independent forks, each private to
     the call, so each is drawn a column at a time: a column's mix draws
@@ -146,10 +147,11 @@ def run_workload(
                 elif kind == SCAN:
                     for key in keys:
                         store.scan(key, spec.scan_length)
-                else:  # read-modify-write: the get must precede the put
-                    for i, key in zip(range(base + start, base + stop), keys):
-                        issue.gets([key])
-                        issue.puts([key], [SizedValue(("rmw", i), value_size)])
+                else:  # read-modify-write: each get precedes its put
+                    issue.rmws(keys, [
+                        SizedValue(("rmw", i), value_size)
+                        for i in range(base + start, base + stop)
+                    ])
     return phase.result()
 
 

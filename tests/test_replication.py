@@ -17,8 +17,10 @@ from repro.replication import (
     Session,
 )
 from repro.replication.group import SHIP_BATCH
+from repro.sim.executor import advance
 from repro.workloads.keys import key_for
 from tests.support.groups import build_group
+from tests.support.probes import last_seq
 
 KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
@@ -197,12 +199,48 @@ def test_leader_kill_elects_most_caught_up_follower():
     # The next write blocks through the election; lowest id breaks the tie.
     group.put(key_for(100), SizedValue(100, 256))
     assert group.leader_idx == 1
-    assert group.members[1].role == "leader"
+    assert group.leader is group.members[1]
     assert group.elections == 1
     assert group.stats.get("repl.acked_lost") == 0.0
     group.catch_up()
     value, __ = group.get(key_for(42))
     assert value is not None and value.tag == 42
+
+
+def test_a_write_after_a_truncating_election_continues_the_log():
+    # The new leader's next seq and every follower's WAL tail follow the
+    # group log, which the election truncates to the winner's durable
+    # prefix: the frames the dead leader logged past it are gone.
+    group = make_group(followers=2, ack_policy=ACK_LEADER)
+    for i in range(10):
+        group.put(key_for(i), SizedValue(i, 256))
+    group.catch_up()
+    winner, laggard = group.members[1], group.members[2]
+    # Hold the laggard's link busy, so its ships queue while the winner's land.
+    laggard.system.executor.submit(laggard.ship_worker, 1.0)
+    for i in range(10, 20):
+        group.put(key_for(i), SizedValue(i, 256))
+    while winner.durable_lsn <= 10:
+        assert advance(group.executors)
+    assert laggard.durable_lsn == 10 < winner.durable_lsn < len(group.log)
+
+    def assert_wals_end_at_their_durable_lsn():
+        for follower in group.alive_followers():
+            lsn = follower.durable_lsn
+            assert last_seq(follower.store.wal) == group.log[lsn - 1].seq
+
+    group.crash_replica(0)
+    assert len(group.log) == winner.durable_lsn
+    assert group.stats.get("repl.truncated_records") > 0
+    assert_wals_end_at_their_durable_lsn()
+    truncated_last = group.log[-1].seq
+    group.put(key_for(20), SizedValue(20, 256))
+    assert group.leader is winner
+    assert group.log[-1].seq == truncated_last + 1
+    assert_wals_end_at_their_durable_lsn()
+    group.catch_up()
+    assert_wals_end_at_their_durable_lsn()
+    assert dict(laggard.store.items()) == dict(group.items())
 
 
 def test_failover_is_deterministic():

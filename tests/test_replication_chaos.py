@@ -7,15 +7,19 @@ import json
 import pytest
 
 from repro.bench.config import BenchScale
+from repro.kvstore.values import SizedValue
 from repro.obs.export import document_json
 from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_FOLLOWER_RYW,
     ChaosSchedule,
+    ReplicationConfig,
     run_chaos,
 )
-from repro.replication.chaos import KILLS
+from repro.replication.chaos import KILLS, _oracle_state
+from repro.workloads.keys import key_for
+from tests.support.groups import build_group
 
 pytestmark = pytest.mark.chaos_smoke
 
@@ -59,6 +63,17 @@ def test_quorum_acks_survive_every_fired_kill():
     report = run("matrixkv", 13, ack_policy=ACK_QUORUM, ops=400)
     assert report["acked_lost"] == 0
     assert report["ok"], report["checks"]
+
+
+def test_the_oracle_replays_a_logged_delete_as_a_delete():
+    # A delete's WAL record carries the TOMBSTONE sentinel, not None:
+    # replayed as a value it could not even be sized.
+    group = build_group("miodb", SCALE, config=ReplicationConfig(followers=2))
+    group.put(key_for(1), SizedValue(1, 256))
+    group.put(key_for(2), SizedValue(2, 256))
+    group.delete(key_for(1))
+    state = _oracle_state(group, "miodb", SCALE)
+    assert [(key, value.tag) for key, value in state.items()] == [(key_for(2), 2)]
 
 
 # ------------------------------------------------------------ traced chaos
