@@ -65,7 +65,8 @@ def _text_arg(valid, expected: str):
 
 
 _fsync_policy_arg = _text_arg(
-    parse_fsync_policy, "sync, batch:N (N >= 1) or interval:T (T > 0 seconds)"
+    parse_fsync_policy,
+    "sync, batch:N (N >= 1) or interval:T (0 < T < inf seconds)",
 )
 
 

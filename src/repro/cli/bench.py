@@ -141,10 +141,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from repro.cluster import PLACEMENT_POLICIES
-
     print("stores:", ", ".join(STORE_NAMES))
-    print("placement policies:", ", ".join(sorted(PLACEMENT_POLICIES)))
     rows = []
     for p in (DRAM_PROFILE, OPTANE_NVM_PROFILE, NVME_SSD_PROFILE):
         # repro: allow[BND001] -- `repro info` prints the profiles; it prices nothing

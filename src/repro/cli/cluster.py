@@ -80,9 +80,7 @@ def cmd_cluster(args) -> int:
         store_name, n_shards=args.shards, ssd=args.ssd,
         replication=replication, fsync_policy=args.fsync_policy,
     )
-    router = ShardRouter(
-        cluster, placement_name=args.placement, key_space=args.key_space
-    )
+    router = ShardRouter(cluster)
     traced = args.trace or args.analyze
     recorders = cluster.attach_tracing() if traced else None
     # Preload the key space so reads hit and rebalances have keys to move.
@@ -249,8 +247,6 @@ def add_parsers(sub) -> None:
     )
     p.add_argument("--shards", type=_positive_int, default=4,
                    help="number of shard stores on the shared clock")
-    p.add_argument("--placement", choices=["hash-ring", "range"],
-                   default="hash-ring")
     p.add_argument("--clients", type=_positive_int, default=4,
                    help="independent load-generating clients")
     p.add_argument("--ops", type=_nonnegative_int, default=1000,

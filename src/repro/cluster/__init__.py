@@ -7,9 +7,9 @@ behind a router, all coordinated on one shared
 :class:`~repro.sim.clock.SimClock`:
 
 - :class:`Cluster` builds the shards; :class:`ShardRouter` exposes the
-  single-store ``KVStore`` API over them with pluggable placement
-  (:class:`HashRingPlacement` with virtual nodes, or static
-  :class:`RangePlacement`) and scatter-gather scans.
+  single-store ``KVStore`` API over them, placing keys on a
+  consistent-hash ring with virtual nodes (:class:`HashRingPlacement`),
+  and scatter-gathers scans.
 - :func:`run_cluster` drives multi-client open-loop load (per-client
   Poisson arrivals, ``math.inf`` for closed-loop) through bounded
   per-shard admission queues; shed load is tagged with the closed
@@ -41,13 +41,7 @@ from repro.cluster.metrics import (
     cluster_openmetrics_text,
     cluster_trace_json,
 )
-from repro.cluster.placement import (
-    PLACEMENT_POLICIES,
-    HashRingPlacement,
-    PlacementPolicy,
-    RangePlacement,
-    make_placement,
-)
+from repro.cluster.placement import HashRingPlacement
 from repro.cluster.rebalance import (
     HotShardReport,
     RebalanceResult,
@@ -61,11 +55,7 @@ __all__ = [
     "Cluster",
     "Shard",
     "ShardRouter",
-    "PlacementPolicy",
     "HashRingPlacement",
-    "RangePlacement",
-    "PLACEMENT_POLICIES",
-    "make_placement",
     "ClientSpec",
     "AdmissionControl",
     "ClusterRunResult",

@@ -29,6 +29,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from repro.cluster.rebalance import maybe_rebalance
+from repro.kvstore.api import require_count
 from repro.kvstore.values import SizedValue
 
 # The closed load-shedding vocabulary lives in ``repro.obs.events``
@@ -68,6 +69,8 @@ class AdmissionControl:
         policy: str = "reject",
         max_retries: int = 3,
     ) -> None:
+        require_count(max_queue_depth, "max_queue_depth")
+        require_count(max_retries, "max_retries")
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
@@ -77,8 +80,6 @@ class AdmissionControl:
                 f"unknown admission policy {policy!r}; "
                 f"choose from {ADMISSION_POLICIES}"
             )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_queue_depth = max_queue_depth
         self.policy = policy
         self.max_retries = max_retries
@@ -104,8 +105,9 @@ class ClientSpec:
         value_size: int = 256,
         seed: int = 1,
     ) -> None:
-        if n_ops < 0:
-            raise ValueError(f"n_ops must be >= 0, got {n_ops}")
+        require_count(n_ops, "n_ops")
+        require_count(key_space, "key_space")
+        require_count(value_size, "value_size")
         if not rate_per_s > 0:  # NaN included
             raise ValueError(f"rate must be positive or inf, got {rate_per_s}")
         if key_space <= 0:
@@ -116,8 +118,6 @@ class ClientSpec:
             )
         if theta is not None and not 0.0 < theta < 1.0:  # NaN included
             raise ValueError(f"theta must be None or in (0, 1), got {theta}")
-        if value_size < 0:
-            raise ValueError(f"value_size must be >= 0, got {value_size}")
         self.n_ops = n_ops
         self.rate_per_s = rate_per_s
         self.key_space = key_space

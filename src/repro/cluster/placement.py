@@ -1,29 +1,20 @@
-"""Shard placement policies.
+"""Shard placement: a consistent-hash ring with virtual nodes.
 
-A placement policy maps every key to exactly one shard.  Two policies
-are provided:
-
-- :class:`HashRingPlacement` -- a consistent-hash ring with virtual
-  nodes.  Each shard owns several points on a 64-bit ring; a key is
-  served by the shard owning the first point at or after the key's
-  hash (wrapping).  Virtual nodes smooth ownership, and rebalancing is
-  an ownership move of individual ring arcs.
-- :class:`RangePlacement` -- static range partitioning by key bytes:
-  ``boundaries[i]`` is the first key of shard ``i + 1``.  Preserves key
-  locality (scans mostly hit one shard) but cannot rebalance.
-
-Both are pure functions of their construction parameters, so routing is
-deterministic and identical across runs.
+Each shard owns several points on a 64-bit ring; a key is served by the
+shard owning the first point at or after the key's hash (wrapping).
+Virtual nodes smooth ownership, and rebalancing is an ownership move of
+individual ring arcs.  The ring is a pure function of its construction
+parameters and the moves applied to it, so routing is deterministic and
+identical across runs.
 """
 
 import bisect
-from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bloom.hashing import fnv1a_64
+from repro.kvstore.api import require_count
 from repro.sim.rng import mix64
-from repro.workloads.keys import key_for
 
 
 @lru_cache(maxsize=2048)
@@ -41,57 +32,29 @@ def ring_hash(data: bytes) -> int:
     return mix64(fnv1a_64(data))
 
 
-class PlacementPolicy(ABC):
-    """Maps keys to shard ids in ``[0, n_shards)``."""
-
-    #: Registry name ("hash-ring", "range").
-    name = "abstract"
-
-    def __init__(self, n_shards: int) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-
-    @abstractmethod
-    def locate(self, key: bytes) -> Tuple[int, int]:
-        """``(slot, shard)`` for ``key``.
-
-        The *slot* identifies the ownership unit the key fell into (a
-        ring point for the hash ring, a range index for range
-        partitioning); routers use it to attribute traffic at the
-        granularity rebalancing can actually move.
-        """
-
-    def shard_for(self, key: bytes) -> int:
-        """The shard serving ``key``."""
-        return self.locate(key)[1]
-
-    @abstractmethod
-    def describe(self) -> dict:
-        """A JSON-friendly description of the current ownership map."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_shards={self.n_shards})"
-
-
-class HashRingPlacement(PlacementPolicy):
+class HashRingPlacement:
     """Consistent-hash ring with virtual nodes.
 
-    Ring points are ``fnv1a_64(b"vnode-<shard>-<replica>")``; a key
-    hashes to ``fnv1a_64(key)`` and is owned by the first point at or
+    Ring points are ``ring_hash(b"vnode-<shard>-<replica>")``; a key
+    hashes to ``ring_hash(key)`` and is owned by the first point at or
     after it (wrapping past the top of the ring).  Ownership of any
     point can be reassigned with :meth:`move_slot` -- the rebalance
     primitive.
     """
 
+    #: The ``policy`` field of :meth:`describe`.
     name = "hash-ring"
 
     def __init__(self, n_shards: int, vnodes_per_shard: int = 32) -> None:
-        super().__init__(n_shards)
+        require_count(n_shards, "n_shards")
+        require_count(vnodes_per_shard, "vnodes_per_shard")
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if vnodes_per_shard < 1:
             raise ValueError(
                 f"vnodes_per_shard must be >= 1, got {vnodes_per_shard}"
             )
+        self.n_shards = n_shards
         self.vnodes_per_shard = vnodes_per_shard
         points: Dict[int, int] = {}
         for shard in range(n_shards):
@@ -104,12 +67,21 @@ class HashRingPlacement(PlacementPolicy):
         self._owner: Dict[int, int] = points
 
     def locate(self, key: bytes) -> Tuple[int, int]:
+        """``(point, shard)`` for ``key``.
+
+        The *point* is the ring arc the key fell into; routers count
+        traffic per point, the granularity rebalancing moves.
+        """
         h = ring_hash(key)
         idx = bisect.bisect_left(self._points, h)
         if idx == len(self._points):
             idx = 0  # wrap
         point = self._points[idx]
         return point, self._owner[point]
+
+    def shard_for(self, key: bytes) -> int:
+        """The shard serving ``key``."""
+        return self.locate(key)[1]
 
     def slots_of(self, shard: int) -> List[int]:
         """The ring points currently owned by ``shard``, ascending."""
@@ -131,6 +103,7 @@ class HashRingPlacement(PlacementPolicy):
         return previous
 
     def describe(self) -> dict:
+        """A JSON-friendly description of the current ownership map."""
         return {
             "policy": self.name,
             "n_shards": self.n_shards,
@@ -141,77 +114,5 @@ class HashRingPlacement(PlacementPolicy):
             },
         }
 
-
-class RangePlacement(PlacementPolicy):
-    """Static range partitioning: ``boundaries[i]`` starts shard ``i+1``.
-
-    Keys below ``boundaries[0]`` go to shard 0, and so on.  Boundaries
-    are fixed at construction -- this policy documents the baseline the
-    hash ring's rebalance is compared against.
-    """
-
-    name = "range"
-
-    def __init__(self, n_shards: int, boundaries: List[bytes]) -> None:
-        super().__init__(n_shards)
-        if len(boundaries) != n_shards - 1:
-            raise ValueError(
-                f"need {n_shards - 1} boundaries for {n_shards} shards, "
-                f"got {len(boundaries)}"
-            )
-        if list(boundaries) != sorted(boundaries):
-            raise ValueError("boundaries must be ascending")
-        self.boundaries = list(boundaries)
-
-    @classmethod
-    def for_key_space(cls, n_shards: int, key_space: int) -> "RangePlacement":
-        """Even split of the canonical ``key_for`` key space."""
-        if key_space < n_shards:
-            raise ValueError(
-                f"key_space {key_space} smaller than n_shards {n_shards}"
-            )
-        boundaries = [
-            key_for(i * key_space // n_shards) for i in range(1, n_shards)
-        ]
-        return cls(n_shards, boundaries)
-
-    def locate(self, key: bytes) -> Tuple[int, int]:
-        shard = bisect.bisect_right(self.boundaries, key)
-        return shard, shard
-
-    def describe(self) -> dict:
-        return {
-            "policy": self.name,
-            "n_shards": self.n_shards,
-            "boundaries": [b.decode("latin-1") for b in self.boundaries],
-        }
-
-
-#: Registry of placement policy names, surfaced by ``repro info``.
-PLACEMENT_POLICIES: Dict[str, type] = {
-    HashRingPlacement.name: HashRingPlacement,
-    RangePlacement.name: RangePlacement,
-}
-
-
-def make_placement(
-    name: str,
-    n_shards: int,
-    key_space: Optional[int] = None,
-    vnodes_per_shard: int = 32,
-) -> PlacementPolicy:
-    """Build a placement policy by registry name.
-
-    ``key_space`` is required for ``"range"`` (the static split needs to
-    know the canonical key universe); ``vnodes_per_shard`` only applies
-    to ``"hash-ring"``.
-    """
-    if name == HashRingPlacement.name:
-        return HashRingPlacement(n_shards, vnodes_per_shard=vnodes_per_shard)
-    if name == RangePlacement.name:
-        if key_space is None:
-            raise ValueError("range placement needs key_space")
-        return RangePlacement.for_key_space(n_shards, key_space)
-    raise ValueError(
-        f"unknown placement {name!r}; choose from {sorted(PLACEMENT_POLICIES)}"
-    )
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n_shards={self.n_shards})"

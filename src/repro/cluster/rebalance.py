@@ -15,14 +15,10 @@ through both groups' logs to their followers -- and is charged to the
 cost model: a rebalance is never free.  All choices (hot shard, destination, arcs, key order)
 are pure functions of observed counts and ring state, keeping runs
 bit-deterministic.
-
-Only :class:`~repro.cluster.placement.HashRingPlacement` supports
-ownership moves; range partitioning is static by design.
 """
 
 from typing import List, Optional
 
-from repro.cluster.placement import HashRingPlacement
 from repro.kvstore.values import value_nbytes
 
 
@@ -99,10 +95,6 @@ def rebalance_hot_shard(router, hot_shard: int) -> RebalanceResult:
     the source, charging migration to the simulated devices.
     """
     placement = router.placement
-    if not isinstance(placement, HashRingPlacement):
-        raise TypeError(
-            f"rebalancing needs a hash-ring placement, got {placement.name!r}"
-        )
     cluster = router.cluster
     n = cluster.n_shards
     if n < 2:
@@ -199,14 +191,11 @@ def _migrate(router, source_shard: int):
 def maybe_rebalance(router, factor: float = 1.5):
     """One detection-plus-rebalance step; returns the move or ``None``.
 
-    ``None`` means no shard was hot, the placement cannot move
-    ownership (range partitioning), or the hot shard had nothing
+    ``None`` means no shard was hot or the hot shard had nothing
     movable.  Used by the cluster driver's periodic check.
     """
     report = detect_hot_shard(router, factor)
     if report.hot is None:
-        return None
-    if not isinstance(router.placement, HashRingPlacement):
         return None
     try:
         return rebalance_hot_shard(router, report.hot)

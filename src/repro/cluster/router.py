@@ -11,11 +11,11 @@ work actually gets cheaper (smaller structures, overlapped background
 work) -- the saturation point the scale-out benchmark measures.
 
 A :class:`ShardRouter` exposes the single-store ``KVStore`` API over the
-cluster: ``put``/``get``/``delete`` route by placement policy, ``scan``
-scatter-gathers across every shard and merges (keys are disjoint across
-shards, so the merge is a plain ordered union).  The router also keeps
-the per-slot traffic counts that hot-shard detection and rebalancing
-consume.
+cluster: ``put``/``get``/``delete`` route by a consistent-hash ring,
+``scan`` scatter-gathers across every shard and merges (keys are
+disjoint across shards, so the merge is a plain ordered union).  The
+router also keeps the per-ring-point traffic counts that hot-shard
+detection and rebalancing consume.
 """
 
 import heapq
@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.factory import make_store
-from repro.cluster.placement import make_placement
+from repro.cluster.placement import HashRingPlacement
 from repro.kvstore.api import paged_items, require_count, require_key
 from repro.kvstore.values import value_nbytes
 from repro.mem.system import HybridMemorySystem
@@ -104,6 +104,7 @@ class Cluster:
         replication=None,
         **overrides,
     ) -> None:
+        require_count(n_shards, "n_shards")
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.store_name = store_name
@@ -224,26 +225,17 @@ class Cluster:
 
 
 class ShardRouter:
-    """Routes the ``KVStore`` API across a cluster by placement policy."""
+    """Routes the ``KVStore`` API across a cluster by its hash ring."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        placement_name: str = "hash-ring",
-        key_space: Optional[int] = None,
-        vnodes_per_shard: int = 32,
-    ) -> None:
+    def __init__(self, cluster: Cluster, vnodes_per_shard: int = 32) -> None:
         self.cluster = cluster
-        self.placement = make_placement(
-            placement_name,
-            cluster.n_shards,
-            key_space=key_space,
-            vnodes_per_shard=vnodes_per_shard,
+        self.placement = HashRingPlacement(
+            cluster.n_shards, vnodes_per_shard=vnodes_per_shard
         )
         #: Routed ops per shard since the last :meth:`reset_window`.
         self.shard_ops: List[int] = [0] * cluster.n_shards
-        #: Routed ops per placement slot (ring point / range index)
-        #: since the last window reset -- the granularity rebalancing moves.
+        #: Routed ops per ring point since the last window reset -- the
+        #: granularity rebalancing moves.
         self.slot_ops: Dict[int, int] = {}
 
     # ------------------------------------------------------------ routing
@@ -304,7 +296,7 @@ class ShardRouter:
 
         Each shard returns its first ``count`` live pairs from
         ``start_key``; the union is merged in key order and truncated.
-        Because placement assigns each key to exactly one shard, the
+        Because the ring assigns each key to exactly one shard, the
         merged stream has no duplicates.  The reported latency is the
         total simulated time the scatter-gather occupied (the shards
         execute in sequence on the shared clock).

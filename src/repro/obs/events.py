@@ -35,10 +35,6 @@ CAT_JOB = "job"
 CAT_TRANSFER = "transfer"
 #: Admission-queue wait ahead of a served cluster request (router track).
 CAT_QUEUE = "queue"
-#: Nothing emits this category: replication events use the four
-#: ``repl.*`` categories below.  It stays listed in ``CATEGORIES``, whose
-#: entries the ``schema/trace-events`` pin covers, until a re-pin drops it.
-CAT_REPL = "repl"
 #: Replicated-log shipping: the ``append`` instant that extends the
 #: group log with fresh leader WAL frames, and the per-follower ``ship``
 #: span covering one batch's link transfer.  Causally linked: a ship
@@ -70,7 +66,6 @@ CATEGORIES = (
     CAT_JOB,
     CAT_TRANSFER,
     CAT_QUEUE,
-    CAT_REPL,
     CAT_REPL_SHIP,
     CAT_REPL_APPLY,
     CAT_REPL_ACK,

@@ -28,6 +28,7 @@ they occupy no device bytes until synced.  ``append_batch`` is always a
 commit barrier: it flushes any buffered records first.
 """
 
+import math
 from typing import Iterator, List, Optional, Tuple
 
 # Frame: 8B seq + 4B key len + 4B value len + 1B kind/CRC.
@@ -58,11 +59,11 @@ def parse_fsync_policy(policy: str) -> Tuple[str, float]:
             t = float(arg)
         except ValueError:
             t = 0.0
-        if t > 0:
+        if 0 < t < math.inf:  # NaN fails too
             return "interval", t
     raise ValueError(
         f"bad fsync policy {policy!r} (expected 'sync', 'batch:N' with "
-        f"N >= 1, or 'interval:T' with T > 0 seconds)"
+        f"N >= 1, or 'interval:T' with 0 < T < inf seconds)"
     )
 
 

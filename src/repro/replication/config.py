@@ -6,6 +6,8 @@ followers), its durability contract (ack policy), its read routing
 ``REPL_LINK_PROFILE``, read by :mod:`repro.replication.group`.
 """
 
+from repro.kvstore.api import require_count
+
 #: When is a write acknowledged back to the client?
 ACK_LEADER = "leader"      #: leader WAL append alone (fastest, weakest)
 ACK_QUORUM = "quorum"      #: a majority of the group holds it durably
@@ -44,8 +46,7 @@ class ReplicationConfig:
         ack_policy: str = ACK_QUORUM,
         read_policy: str = READ_LEADER,
     ) -> None:
-        if followers < 0:
-            raise ValueError(f"followers must be >= 0, got {followers}")
+        require_count(followers, "followers")
         if ack_policy not in ACK_POLICIES:
             raise ValueError(
                 f"unknown ack policy {ack_policy!r}; choose from {ACK_POLICIES}"

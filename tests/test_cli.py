@@ -340,6 +340,7 @@ def test_chaos_rejects_malformed_seeds(seeds, capsys):
     ["dbbench", "--fsync-policy", "bogus"],
     ["dbbench", "--fsync-policy", "batch:0"],
     ["cluster", "--fsync-policy", "interval:-1"],
+    ["dbbench", "--fsync-policy", "interval:inf"],
     ["slo", "--n", "0"],
     ["analyze", "--n", "0", "--mode", "ycsb-a"],
     ["ycsb", "--workloads", "A,Z"],

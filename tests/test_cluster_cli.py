@@ -54,16 +54,15 @@ def test_cluster_cli_skew_and_rebalance(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cluster_cli_range_placement(tmp_path, capsys):
-    # Also the case that sets the load shape docs/cluster.md describes:
-    # an open-loop rate, a write-heavy mix, depth-1 queues that defer.
+def test_cluster_cli_open_loop_defers_on_depth_1_queues(tmp_path, capsys):
+    # The load shape docs/cluster.md describes: an open-loop rate, a
+    # write-heavy mix, depth-1 queues that defer.
     text = run_cluster_cli(
-        tmp_path, "range", "--placement", "range", "--rate", "2000000",
+        tmp_path, "defer", "--rate", "2000000",
         "--read-frac", "0.25", "--admission", "defer",
         "--max-queue-depth", "1",
     )
     doc = json.loads(text)
-    assert doc["placement"]["policy"] == "range"
     assert doc["cluster"]["cluster"]["deferred"] > 0
     assert {s["max_queue_depth"] for s in doc["driver"]["per_shard"]} == {1}
     gets = sum(s["counters"]["op"]["get"] for s in doc["shards"].values())
@@ -101,7 +100,11 @@ def test_cluster_cli_rejects_multiple_stores(capsys):
     )
 
 
-def test_info_lists_placement_policies(capsys):
+def test_info_lists_stores_devices_and_scale(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
-    assert "placement policies: hash-ring, range" in out
+    assert out.startswith("stores: miodb, ")
+    assert "placement" not in out
+    for device in ("dram", "nvm", "ssd"):
+        assert f"\n{device} " in out
+    assert "\nbench scale: memtable=" in out

@@ -1,21 +1,12 @@
-"""Tests for shard placement policies (hash ring, range partitioning)."""
+"""Tests for shard placement (the consistent-hash ring)."""
 
 import pytest
 
-from repro.cluster import (
-    PLACEMENT_POLICIES,
-    HashRingPlacement,
-    RangePlacement,
-    make_placement,
-)
+from repro.cluster import HashRingPlacement
 from repro.cluster.placement import ring_hash
 from repro.workloads.keys import key_for
 
 pytestmark = pytest.mark.cluster_smoke
-
-
-def test_registry_names():
-    assert set(PLACEMENT_POLICIES) == {"hash-ring", "range"}
 
 
 def test_ring_hash_spreads_sequential_keys():
@@ -76,48 +67,10 @@ def test_move_slot_validation():
         placement.move_slot(placement._points[0], 2)
 
 
-def test_range_placement_split():
-    placement = RangePlacement.for_key_space(4, 1000)
-    assert placement.shard_for(key_for(0)) == 0
-    assert placement.shard_for(key_for(250)) == 1
-    assert placement.shard_for(key_for(999)) == 3
-    # keys past the keyspace still land on the last shard
-    assert placement.shard_for(key_for(10**6)) == 3
-
-
-def test_range_placement_preserves_locality():
-    placement = RangePlacement.for_key_space(4, 1000)
-    shards = [placement.shard_for(key_for(i)) for i in range(1000)]
-    assert shards == sorted(shards)
-
-
-def test_range_placement_validation():
-    with pytest.raises(ValueError):
-        RangePlacement(3, [b"b", b"a"])  # not ascending
-    with pytest.raises(ValueError):
-        RangePlacement(3, [b"a"])  # wrong boundary count
-    with pytest.raises(ValueError):
-        RangePlacement.for_key_space(8, 4)  # key space too small
-
-
-def test_make_placement():
-    assert isinstance(make_placement("hash-ring", 4), HashRingPlacement)
-    assert isinstance(
-        make_placement("range", 4, key_space=1000), RangePlacement
-    )
-    with pytest.raises(ValueError):
-        make_placement("range", 4)  # key_space required
-    with pytest.raises(ValueError):
-        make_placement("nope", 4)
-
-
 def test_describe_is_json_friendly():
     import json
 
-    for placement in (
-        HashRingPlacement(4),
-        RangePlacement.for_key_space(4, 100),
-    ):
-        doc = placement.describe()
-        assert doc["policy"] == placement.name
-        json.dumps(doc)
+    placement = HashRingPlacement(4)
+    doc = placement.describe()
+    assert doc["policy"] == placement.name == "hash-ring"
+    json.dumps(doc)

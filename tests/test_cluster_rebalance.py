@@ -19,9 +19,9 @@ KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
 
 
-def make_router(n_shards=4, **kwargs):
+def make_router(n_shards=4):
     cluster = Cluster("miodb", n_shards=n_shards, scale=SCALE)
-    return ShardRouter(cluster, **kwargs)
+    return ShardRouter(cluster)
 
 
 def load_skewed(router, hot_shard=None, n=2000):
@@ -119,15 +119,6 @@ def test_rebalance_validation():
     single = make_router(n_shards=1)
     with pytest.raises(ValueError):
         rebalance_hot_shard(single, 0)
-
-
-def test_rebalance_requires_hash_ring():
-    router = make_router(placement_name="range", key_space=1000)
-    load_skewed(router, hot_shard=0, n=1000)
-    with pytest.raises(TypeError):
-        rebalance_hot_shard(router, 0)
-    # maybe_rebalance degrades to a no-op instead of raising
-    assert maybe_rebalance(router) is None
 
 
 def test_maybe_rebalance_noop_when_balanced():

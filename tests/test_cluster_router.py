@@ -10,6 +10,7 @@ from repro.cluster import (
     AdmissionControl,
     ClientSpec,
     Cluster,
+    HashRingPlacement,
     ShardRouter,
     run_cluster,
 )
@@ -23,9 +24,9 @@ KB = 1 << 10
 SCALE = BenchScale(memtable_bytes=8 * KB, dataset_bytes=1 << 20, value_size=256)
 
 
-def make_router(n_shards=4, store_name="miodb", **kwargs):
+def make_router(n_shards=4, store_name="miodb"):
     cluster = Cluster(store_name, n_shards=n_shards, scale=SCALE)
-    return ShardRouter(cluster, **kwargs)
+    return ShardRouter(cluster)
 
 
 def test_shards_share_one_clock():
@@ -37,9 +38,32 @@ def test_shards_share_one_clock():
 def test_cluster_validation():
     with pytest.raises(ValueError):
         Cluster("miodb", n_shards=0, scale=SCALE)
-    cluster = Cluster("miodb", n_shards=2, scale=SCALE)
-    with pytest.raises(ValueError):
-        ShardRouter(cluster, placement_name="bogus")
+
+
+def _client(**count):
+    return ClientSpec(**{"n_ops": 10, "rate_per_s": math.inf,
+                         "key_space": 100, **count})
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: _client(n_ops=bad),
+    lambda bad: _client(key_space=bad),
+    lambda bad: _client(value_size=bad),
+    lambda bad: AdmissionControl(max_queue_depth=bad),
+    lambda bad: AdmissionControl(max_retries=bad),
+    lambda bad: Cluster("miodb", n_shards=bad, scale=SCALE),
+    lambda bad: HashRingPlacement(bad),
+    lambda bad: HashRingPlacement(2, vnodes_per_shard=bad),
+    lambda bad: ReplicationConfig(followers=bad),
+], ids=[
+    "client-n_ops", "client-key_space", "client-value_size",
+    "admission-max_queue_depth", "admission-max_retries", "cluster-n_shards",
+    "ring-n_shards", "ring-vnodes_per_shard", "replication-followers",
+])
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_a_count_that_is_not_an_int_is_refused_at_construction(build, bad):
+    with pytest.raises(TypeError, match="must be an int"):
+        build(bad)
 
 
 def test_put_get_delete_route_consistently():
@@ -267,15 +291,3 @@ def test_leaderless_shard_defers_before_shedding():
     assert result.drops.get(DROP_NO_LEADER, 0) > 0
     assert router.cluster.stats.get("cluster.deferred") > 0
     assert result.completed + result.dropped == result.offered
-
-
-def test_range_placement_router():
-    router = make_router(placement_name="range", key_space=400)
-    for i in range(400):
-        router.put(key_for(i), SizedValue(i, 256))
-    router.quiesce()
-    # locality: each quarter of the key space lands wholly on one shard
-    assert router.placement.shard_for(key_for(0)) == 0
-    assert router.placement.shard_for(key_for(399)) == 3
-    pairs, __ = router.scan(key_for(0), 400)
-    assert len(pairs) == 400

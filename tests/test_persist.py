@@ -337,7 +337,8 @@ def test_parse_fsync_policy():
     assert parse_fsync_policy("sync") == ("sync", 0.0)
     assert parse_fsync_policy("batch:8") == ("batch", 8.0)
     assert parse_fsync_policy("interval:0.001") == ("interval", 0.001)
-    for bad in ("batch", "batch:0", "interval:-1", "fsync", "batch:x"):
+    for bad in ("batch", "batch:0", "interval:-1", "fsync", "batch:x",
+                "interval:nan", "interval:inf", "interval:1e309"):
         with pytest.raises(ValueError):
             parse_fsync_policy(bad)
 
